@@ -40,8 +40,9 @@ race:
 ## binary's import graph — and with it the code layout its
 ## micro-benchmarks are sensitive to — stays fixed across PRs; the two
 ## packages' outputs merge into one json. Each benchmark runs -count 3
-## and benchjson keeps the fastest run per name, which is what makes
-## the bench-compare gate usable on shared/noisy hosts.
+## and benchjson keeps the fastest run per (package, name), which is
+## what makes the bench-compare gate usable on shared/noisy hosts; each
+## benchmark records the package it ran in.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 500ms -count 3 . ./internal/service/ > bench.out
 	@cat bench.out
@@ -77,9 +78,12 @@ sched-gate:
 ## window cycle recycles its event records from the per-shard pools.
 ## PR 10 adds the flowrecond scheduler: the steady-state enqueue/take
 ## path (per-target group queues + the ready ring) must not allocate
-## once warm.
+## once warm. The random streams join them: RNG.Reseed followed by draws
+## must not allocate, and workload.GeneratePoisson must allocate the same
+## number of times whatever its flow count (one reseeded child stream,
+## not a forked generator per flow).
 alloc-gate:
-	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/
+	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/
 
 ## trace-smoke proves the span-export pipeline end to end on the golden
 ## fixture: export trial 0's causal span forest as Chrome trace_event
@@ -97,12 +101,15 @@ trace-smoke:
 ## internal/openflow/testdata/fuzz/; the ingest targets seed themselves
 ## (FuzzParsePacket checks the fast frame parser against a slow
 ## per-byte reference decoder, FuzzReadPcap sanity-bounds whole files).
+## FuzzRNGMatchesMathRand holds the lazily seeded stats.RNG to
+## math/rand.NewSource, draw for draw, on arbitrary seeds.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
 	$(GO) test ./internal/rules/ -run '^$$' -fuzz FuzzMatchInDifferential -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzReadPcap -fuzztime 10s
+	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection

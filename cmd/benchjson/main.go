@@ -27,6 +27,10 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
+	// Pkg is the import path of the package the benchmark ran in, from
+	// the "pkg:" header preceding its result lines. Reports written
+	// before it was recorded leave it empty (see Report.pkgOf).
+	Pkg string `json:"pkg,omitempty"`
 	// Name is the benchmark path without the "Benchmark" prefix or the
 	// trailing -GOMAXPROCS suffix (e.g. "TrialLoopRecording/off").
 	Name string `json:"name"`
@@ -39,10 +43,21 @@ type Benchmark struct {
 
 // Report is the emitted document.
 type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	// Pkg is set when every benchmark ran in one package. Older reports
+	// carry only this field, holding the last "pkg:" header of the run.
 	Pkg        string      `json:"pkg,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// pkgOf returns b's package, falling back to the report-level one for
+// entries from reports that predate per-benchmark packages.
+func (r *Report) pkgOf(b Benchmark) string {
+	if b.Pkg != "" {
+		return b.Pkg
+	}
+	return r.Pkg
 }
 
 func main() {
@@ -107,11 +122,21 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// benchKey identifies a benchmark across reports.
+type benchKey struct{ pkg, name string }
+
 // runCompare prints the ns/op delta table for benchmarks present in both
 // reports and reports whether every shared benchmark stayed within
 // maxRegress percent of the old time. Benchmarks that exist on only one
 // side are listed but never fail the comparison (suites grow across
 // PRs).
+//
+// A benchmark is identified by (package, name). A name that occurs in
+// exactly one package on each side pairs across a package change: older
+// reports stamped every entry with the run's last "pkg:" header, so
+// their packages are not reliable, and a benchmark that moves package
+// stays compared. A -bench filter selects every shared benchmark of
+// that name.
 func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchFilter string) (bool, error) {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -121,62 +146,70 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 	if err != nil {
 		return false, err
 	}
-	oldNs := map[string]float64{}
-	for _, b := range oldRep.Benchmarks {
-		if v, ok := b.Metrics["ns/op"]; ok {
-			oldNs[b.Name] = v
+	oldNs, oldNames := nsByKey(oldRep)
+	newNs, newNames := nsByKey(newRep)
+
+	// label names a benchmark by name alone unless the name is ambiguous
+	// within its report.
+	label := func(k benchKey, names map[string][]benchKey) string {
+		if len(names[k.name]) > 1 {
+			return k.name + " [" + k.pkg + "]"
 		}
+		return k.name
 	}
-	ok := true
-	var shared, added []string
-	newNs := map[string]float64{}
+	type pair struct {
+		label    string
+		old, new float64
+	}
+	var shared []pair
+	var added []benchKey
+	matched := map[benchKey]bool{}
 	for _, b := range newRep.Benchmarks {
-		v, has := b.Metrics["ns/op"]
-		if !has {
+		k := benchKey{newRep.pkgOf(b), b.Name}
+		n, has := newNs[k]
+		if !has || (benchFilter != "" && b.Name != benchFilter) {
 			continue
 		}
-		newNs[b.Name] = v
-		if _, both := oldNs[b.Name]; both {
-			shared = append(shared, b.Name)
+		oldKey := k
+		if _, both := oldNs[k]; !both && len(oldNames[k.name]) == 1 && len(newNames[k.name]) == 1 {
+			oldKey = oldNames[k.name][0]
+		}
+		if o, both := oldNs[oldKey]; both {
+			matched[oldKey] = true
+			shared = append(shared, pair{label(k, newNames), o, n})
 		} else {
-			added = append(added, b.Name)
+			added = append(added, k)
 		}
 	}
 	if benchFilter != "" {
-		// Targeted gate mode: exactly one benchmark, and it must exist in
-		// both files — a missing benchmark silently passing would defeat
-		// the gate.
-		var kept []string
-		for _, name := range shared {
-			if name == benchFilter {
-				kept = append(kept, name)
-			}
-		}
-		if len(kept) == 0 {
+		// Targeted gate mode: the benchmark must exist in both files — a
+		// missing benchmark silently passing would defeat the gate.
+		if len(shared) == 0 {
 			return false, fmt.Errorf("-bench %s: benchmark not present in both %s and %s", benchFilter, oldPath, newPath)
 		}
-		shared, added, oldRep.Benchmarks = kept, nil, nil
+		added, oldRep.Benchmarks = nil, nil
 	}
-	sort.Strings(shared)
-	sort.Strings(added)
+	sort.Slice(shared, func(i, j int) bool { return shared[i].label < shared[j].label })
+	sort.Slice(added, func(i, j int) bool { return label(added[i], newNames) < label(added[j], newNames) })
 
+	ok := true
 	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-	for _, name := range shared {
-		o, n := oldNs[name], newNs[name]
-		delta := 100 * (n - o) / o
+	for _, p := range shared {
+		delta := 100 * (p.new - p.old) / p.old
 		mark := ""
 		if delta > maxRegress {
 			mark = "  REGRESSION"
 			ok = false
 		}
-		fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%%s\n", name, o, n, delta, mark)
+		fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%%s\n", p.label, p.old, p.new, delta, mark)
 	}
-	for _, name := range added {
-		fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", name, "—", newNs[name], "new")
+	for _, k := range added {
+		fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", label(k, newNames), "—", newNs[k], "new")
 	}
 	for _, b := range oldRep.Benchmarks {
-		if _, still := newNs[b.Name]; !still {
-			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", b.Name, oldNs[b.Name], "—", "removed")
+		k := benchKey{oldRep.pkgOf(b), b.Name}
+		if v, has := oldNs[k]; has && !matched[k] {
+			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", label(k, oldNames), v, "—", "removed")
 		}
 	}
 	if !ok {
@@ -187,8 +220,28 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 	return ok, nil
 }
 
+// nsByKey indexes a report's ns/op results by (package, name) and lists
+// the keys under each name.
+func nsByKey(rep *Report) (map[benchKey]float64, map[string][]benchKey) {
+	ns := map[benchKey]float64{}
+	names := map[string][]benchKey{}
+	for _, b := range rep.Benchmarks {
+		v, ok := b.Metrics["ns/op"]
+		if !ok {
+			continue
+		}
+		k := benchKey{rep.pkgOf(b), b.Name}
+		if _, dup := ns[k]; !dup {
+			names[k.name] = append(names[k.name], k)
+		}
+		ns[k] = v
+	}
+	return ns, names
+}
+
 // add inserts one parsed result, merging repeated runs of the same
-// benchmark (`go test -count N` emits one line per run) by keeping the
+// benchmark in one package (`go test -count N` emits one line per run)
+// by keeping the
 // fastest one. The minimum ns/op sample is the least
 // scheduler/thermal-perturbed estimate of the code's true cost, so
 // recording the min across runs is what keeps the -compare regression
@@ -196,7 +249,7 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 // their first occurrence.
 func (r *Report) add(b Benchmark) {
 	for i := range r.Benchmarks {
-		if r.Benchmarks[i].Name != b.Name {
+		if r.Benchmarks[i].Name != b.Name || r.Benchmarks[i].Pkg != b.Pkg {
 			continue
 		}
 		oldNs, oldOK := r.Benchmarks[i].Metrics["ns/op"]
@@ -211,9 +264,13 @@ func (r *Report) add(b Benchmark) {
 
 // parse scans benchmark output: "goos:"/"goarch:"/"pkg:" headers and
 // "Benchmark<Name>-P  N  v1 u1  v2 u2 …" result lines; everything else
-// (PASS, ok, metric noise) is ignored.
+// (PASS, ok, metric noise) is ignored. Each result is stamped with the
+// package of the "pkg:" header before it, so output from several
+// packages (`go test -bench . ./a ./b`) keeps each benchmark's own.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
+	pkg := ""
+	pkgs := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
@@ -224,13 +281,18 @@ func parse(r io.Reader) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseResult(line)
 			if ok {
+				b.Pkg = pkg
+				pkgs[pkg] = true
 				rep.add(b)
 			}
 		}
+	}
+	if len(pkgs) == 1 {
+		rep.Pkg = pkg
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -78,6 +78,56 @@ BenchmarkB-8 	 10	 900.0 ns/op
 	}
 }
 
+// TestParseTwoPackages covers merged output from several packages (the
+// bench target runs the root suite and internal/service together): each
+// benchmark keeps the package of the "pkg:" header before it, -count
+// duplicates merge per (package, name), and the report-level package is
+// left empty because no single package describes the run.
+func TestParseTwoPackages(t *testing.T) {
+	const merged = `goos: linux
+goarch: amd64
+pkg: flowrecon
+BenchmarkShared-8 	 100	 300.0 ns/op
+BenchmarkRoot-8   	 100	 500.0 ns/op
+BenchmarkShared-8 	 100	 200.0 ns/op
+PASS
+ok  	flowrecon	1.0s
+goos: linux
+goarch: amd64
+pkg: flowrecon/internal/service
+BenchmarkShared-8 	 100	 900.0 ns/op
+BenchmarkServiceSessions/c1-8 	 50	 7000.0 ns/op
+BenchmarkShared-8 	 100	 800.0 ns/op
+PASS
+ok  	flowrecon/internal/service	1.0s
+`
+	rep, err := parse(strings.NewReader(merged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pkg != "" {
+		t.Fatalf("report pkg = %q, want empty for a two-package run", rep.Pkg)
+	}
+	want := []struct {
+		pkg, name string
+		ns        float64
+	}{
+		{"flowrecon", "Shared", 200},
+		{"flowrecon", "Root", 500},
+		{"flowrecon/internal/service", "Shared", 800},
+		{"flowrecon/internal/service", "ServiceSessions/c1", 7000},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks = %+v, want %d entries", rep.Benchmarks, len(want))
+	}
+	for i, w := range want {
+		b := rep.Benchmarks[i]
+		if b.Pkg != w.pkg || b.Name != w.name || b.Metrics["ns/op"] != w.ns {
+			t.Fatalf("entry %d = %s %s %v ns/op, want %s %s %v", i, b.Pkg, b.Name, b.Metrics["ns/op"], w.pkg, w.name, w.ns)
+		}
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("no benchmarks accepted")
@@ -189,5 +239,60 @@ func TestRunCompareBenchFilter(t *testing.T) {
 func TestRunCompareBadFile(t *testing.T) {
 	if _, err := runCompare(io.Discard, "does-not-exist.json", "also-missing.json", 15, ""); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestRunComparePackages covers package-aware matching: a name present
+// in two packages compares per package, and a report without
+// per-benchmark packages (the committed history) falls back to its
+// report-level package, pairing by name where that is unambiguous.
+func TestRunComparePackages(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := dir + "/" + name
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	legacy := write("legacy.json", `{"pkg":"flowrecon/internal/service","benchmarks":[
+		{"name":"Root","iters":1,"metrics":{"ns/op":1000}},
+		{"name":"Gone","iters":1,"metrics":{"ns/op":5}}]}`)
+	older := write("older.json", `{"benchmarks":[
+		{"pkg":"flowrecon","name":"Shared","iters":1,"metrics":{"ns/op":100}},
+		{"pkg":"flowrecon/internal/service","name":"Shared","iters":1,"metrics":{"ns/op":1000}}]}`)
+	newer := write("newer.json", `{"benchmarks":[
+		{"pkg":"flowrecon","name":"Root","iters":1,"metrics":{"ns/op":1050}},
+		{"pkg":"flowrecon","name":"Shared","iters":1,"metrics":{"ns/op":105}},
+		{"pkg":"flowrecon/internal/service","name":"Shared","iters":1,"metrics":{"ns/op":2000}}]}`)
+
+	var buf strings.Builder
+	ok, err := runCompare(&buf, legacy, newer, 15, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !ok || !strings.Contains(out, "+5.0%") || !strings.Contains(out, "removed") {
+		t.Fatalf("legacy Root must pair with flowrecon Root (+5%%) and Gone show removed:\n%s", out)
+	}
+
+	buf.Reset()
+	ok, err = runCompare(&buf, older, newer, 15, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = buf.String()
+	if ok {
+		t.Fatalf("service Shared doubled and must fail the gate:\n%s", out)
+	}
+	for _, want := range []string{"Shared [flowrecon]", "+5.0%", "Shared [flowrecon/internal/service]", "+100.0%  REGRESSION"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("compare output missing %q:\n%s", want, out)
+		}
+	}
+
+	buf.Reset()
+	if ok, err := runCompare(&buf, older, newer, 15, "Shared"); err != nil || ok {
+		t.Fatalf("-bench Shared must gate both packages' Shared (ok=%v err=%v):\n%s", ok, err, buf.String())
 	}
 }

@@ -147,7 +147,7 @@ func BenignFPR(nc *NetworkConfig, cfg detect.Config, trials int, rng *stats.RNG,
 			return res, err
 		}
 		det := detect.New(cfg)
-		if _, err := replayTrace(nc, trace, nil, det); err != nil {
+		if _, err := replayTrace(nc, trace, flowtable.Metrics{}, det); err != nil {
 			return res, err
 		}
 		res.Trials++

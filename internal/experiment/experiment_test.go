@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flowrecon/internal/core"
+	"flowrecon/internal/flowtable"
 	"flowrecon/internal/plot"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/workload"
@@ -377,7 +378,7 @@ func TestModelJointMatchesEmpirical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, err := replayTrace(nc, trace, nil, nil)
+		tbl, err := replayTrace(nc, trace, flowtable.Metrics{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

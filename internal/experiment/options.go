@@ -8,6 +8,7 @@ import (
 	"flowrecon/internal/core"
 	"flowrecon/internal/detect"
 	"flowrecon/internal/faults"
+	"flowrecon/internal/flowtable"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
@@ -85,9 +86,10 @@ type trialEnv struct {
 	names     []string
 	meas      Measurement
 	source    TraceSource
-	reg       *telemetry.Registry
 	tm        trialMetrics
+	tableTM   flowtable.Metrics // trial tables' instruments, resolved once
 	faults    faults.Profile
+	faultCtr  faults.Counters // fault streams' counters, resolved once
 	horizon   float64
 	observing bool // collect spans (and belief/probe forensics)
 	recording bool // also keep arrivals + attacker trials for the recorder
@@ -96,6 +98,34 @@ type trialEnv struct {
 	noWall    bool // zero wall-clock in trial spans (deterministic output)
 	detect    *detect.Config
 	detAgg    bool // retain per-trial detectors for the aggregate merge
+}
+
+// newTrialEnv builds the run-invariant trial state in its plain mode
+// (no spans, recording, probing, events or detection; callers set those)
+// and resolves every instrument the trials feed — experiment metrics,
+// trial-table metrics, fault counters — once for the whole run.
+func newTrialEnv(nc *NetworkConfig, attackers []core.Attacker, meas Measurement, source TraceSource, reg *telemetry.Registry, flt faults.Profile) *trialEnv {
+	if source == nil {
+		source = PoissonSource
+	}
+	env := &trialEnv{
+		nc:        nc,
+		attackers: attackers,
+		names:     make([]string, len(attackers)),
+		meas:      meas,
+		source:    source,
+		tm:        newTrialMetrics(reg),
+		tableTM:   flowtable.NewMetrics(reg, "trial"),
+		faults:    flt,
+		horizon:   float64(nc.Params.Steps()) * nc.Params.Delta,
+	}
+	if flt.Enabled() { // fault-free runs register no fault series
+		env.faultCtr = faults.NewCounters(reg, "experiment")
+	}
+	for i, a := range attackers {
+		env.names[i] = a.Name()
+	}
+	return env
 }
 
 // trialOut is everything one trial produces, in a form that can be
@@ -122,7 +152,7 @@ type trialOut struct {
 func (env *trialEnv) runTrial(trial int, rng *stats.RNG) trialOut {
 	var out trialOut
 	flt := env.faults.Stream(int64(trial))
-	flt.SetTelemetry(env.reg, "experiment")
+	flt.SetCounters(env.faultCtr)
 	trace, err := env.source(env.nc.Rates, env.horizon, rng)
 	if err != nil {
 		out.err = err
@@ -201,7 +231,7 @@ func (env *trialEnv) runTrial(trial int, rng *stats.RNG) trialOut {
 			}
 		}
 		replaySpan := spans.Start(traceID, attSpan, "replay", "experiment", 0)
-		tbl, err := replayTrace(env.nc, trace, env.reg, det)
+		tbl, err := replayTrace(env.nc, trace, env.tableTM, det)
 		spans.End(replaySpan, env.horizon)
 		if err != nil {
 			out.err = err
@@ -286,10 +316,6 @@ func (env *trialEnv) runTrial(trial int, rng *stats.RNG) trialOut {
 // or not observers are attached. That is what makes recordings
 // replayable and parallel runs byte-identical to serial ones.
 func RunTrialsOpts(nc *NetworkConfig, attackers []core.Attacker, trials int, meas Measurement, rng *stats.RNG, opts TrialOptions) ([]AttackerResult, []TrialRecord, error) {
-	source := opts.Source
-	if source == nil {
-		source = PoissonSource
-	}
 	reg := opts.Registry
 	rec := opts.Recorder
 	spansOut := opts.Spans
@@ -298,27 +324,16 @@ func RunTrialsOpts(nc *NetworkConfig, attackers []core.Attacker, trials int, mea
 		spansOut.SetWallClock(nil) // recordings must be pure functions of the seeds
 	}
 
-	env := &trialEnv{
-		nc:        nc,
-		attackers: attackers,
-		names:     make([]string, len(attackers)),
-		meas:      meas,
-		source:    source,
-		reg:       reg,
-		tm:        newTrialMetrics(reg),
-		faults:    opts.Faults,
-		horizon:   float64(nc.Params.Steps()) * nc.Params.Delta,
-		observing: rec.Enabled() || spansOut != nil,
-		recording: rec.Enabled(),
-		eventing:  opts.Events != nil,
-		noWall:    opts.Spans == nil,
-		detect:    opts.Detect,
-		detAgg:    opts.Detect != nil && opts.DetectAggregate != nil,
-	}
+	env := newTrialEnv(nc, attackers, meas, opts.Source, reg, opts.Faults)
+	env.observing = rec.Enabled() || spansOut != nil
+	env.recording = rec.Enabled()
+	env.eventing = opts.Events != nil
+	env.noWall = opts.Spans == nil
+	env.detect = opts.Detect
+	env.detAgg = opts.Detect != nil && opts.DetectAggregate != nil
 	verdicts := make([][4]*telemetry.Counter, len(attackers))
 	results := make([]AttackerResult, len(attackers))
 	for i, a := range attackers {
-		env.names[i] = a.Name()
 		results[i].Name = a.Name()
 		verdicts[i] = verdictCounters(reg, a.Name())
 	}

@@ -63,27 +63,10 @@ type TrialResult struct {
 // and attacker roster. The roster is shared across every Run call
 // (attackers are stateless across trials), so build it once per model.
 func NewTrialRunner(nc *NetworkConfig, attackers []core.Attacker, meas Measurement, opts RunnerOptions) *TrialRunner {
-	source := opts.Source
-	if source == nil {
-		source = PoissonSource
-	}
-	env := &trialEnv{
-		nc:        nc,
-		attackers: attackers,
-		names:     make([]string, len(attackers)),
-		meas:      meas,
-		source:    source,
-		reg:       opts.Registry,
-		tm:        newTrialMetrics(opts.Registry),
-		faults:    opts.Faults,
-		horizon:   float64(nc.Params.Steps()) * nc.Params.Delta,
-		probing:   true,
-		detect:    opts.Detect,
-		detAgg:    opts.Detect != nil && opts.KeepDetectors,
-	}
-	for i, a := range attackers {
-		env.names[i] = a.Name()
-	}
+	env := newTrialEnv(nc, attackers, meas, opts.Source, opts.Registry, opts.Faults)
+	env.probing = true
+	env.detect = opts.Detect
+	env.detAgg = opts.Detect != nil && opts.KeepDetectors
 	return &TrialRunner{env: env}
 }
 

@@ -240,19 +240,17 @@ func probeSequential(nc *NetworkConfig, tbl *flowtable.Table, a SequentialAttack
 	}
 }
 
-// replayTrace builds the switch table state after the traffic window. A
-// non-nil registry attaches the table's flowtable instruments under the
-// "trial" node label so replay installs/evictions are observable. A
-// non-nil detector observes every replay lookup — the benign background
-// the anomaly baselines are scored against.
-func replayTrace(nc *NetworkConfig, trace *workload.Trace, reg *telemetry.Registry, det *detect.Detector) (*flowtable.Table, error) {
+// replayTrace builds the switch table state after the traffic window.
+// The table feeds tm, the run's flowtable instruments under the "trial"
+// node label (zero = off), so replay installs/evictions are observable.
+// A non-nil detector observes every replay lookup — the benign
+// background the anomaly baselines are scored against.
+func replayTrace(nc *NetworkConfig, trace *workload.Trace, tm flowtable.Metrics, det *detect.Detector) (*flowtable.Table, error) {
 	tbl, err := flowtable.New(nc.Rules, nc.Params.CacheSize, nc.Params.Delta)
 	if err != nil {
 		return nil, fmt.Errorf("trial table: %w", err)
 	}
-	if reg != nil {
-		tbl.SetTelemetry(reg, "trial")
-	}
+	tbl.SetMetrics(tm)
 	for _, a := range trace.Arrivals() {
 		_, hit := tbl.Lookup(a.Flow, a.Time)
 		det.Observe(int(a.Flow), a.Time, math.NaN(), hit)

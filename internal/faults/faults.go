@@ -134,7 +134,7 @@ func (p Profile) Stream(sub int64) *Stream {
 	s := &Stream{p: p}
 	base := uint64(p.SubSeed(sub))
 	for k := 0; k < numKnobs; k++ {
-		s.rng[k] = stats.NewRNG(int64(splitmix64(base+uint64(k)) >> 1))
+		s.rng[k].Reseed(int64(splitmix64(base+uint64(k)) >> 1))
 	}
 	return s
 }
@@ -145,17 +145,39 @@ func (p Profile) Stream(sub int64) *Stream {
 type Stream struct {
 	p   Profile
 	mu  sync.Mutex
-	rng [numKnobs]*stats.RNG
+	rng [numKnobs]stats.RNG // inline: one allocation per stream
+	ctr Counters            // zero = no counting
 
+	events *telemetry.EventLog // wide event per injected fault (nil = off)
+}
+
+// Counters are the fault counters of one injection layer ("netsim",
+// "openflow", "controller", "experiment"), labelled by that layer. A
+// caller that creates many streams for one layer (the experiment trial
+// loop makes one per trial) resolves them once with NewCounters and
+// attaches them with SetCounters, skipping the registry lookups. The
+// zero value counts nothing.
+type Counters struct {
 	injected  *telemetry.Counter // faults_injected_total per kind
 	lost      *telemetry.Counter
 	jittered  *telemetry.Counter
 	reordered *telemetry.Counter
 	resets    *telemetry.Counter
 	stalls    *telemetry.Counter
+	layer     string // injection layer, stamped into event Node
+}
 
-	events *telemetry.EventLog // wide event per injected fault (nil = off)
-	layer  string              // injection layer, stamped into event Node
+// NewCounters resolves the fault counters for layer from reg (nil-safe).
+func NewCounters(reg *telemetry.Registry, layer string) Counters {
+	return Counters{
+		injected:  reg.Counter("faults_injected_total", "layer", layer),
+		lost:      reg.Counter("faults_loss_total", "layer", layer),
+		jittered:  reg.Counter("faults_jitter_total", "layer", layer),
+		reordered: reg.Counter("faults_reorder_total", "layer", layer),
+		resets:    reg.Counter("faults_reset_total", "layer", layer),
+		stalls:    reg.Counter("faults_stall_total", "layer", layer),
+		layer:     layer,
+	}
 }
 
 // SetTelemetry attaches fault counters, labelled by the injection layer
@@ -165,13 +187,16 @@ func (s *Stream) SetTelemetry(reg *telemetry.Registry, layer string) {
 	if s == nil {
 		return
 	}
-	s.injected = reg.Counter("faults_injected_total", "layer", layer)
-	s.lost = reg.Counter("faults_loss_total", "layer", layer)
-	s.jittered = reg.Counter("faults_jitter_total", "layer", layer)
-	s.reordered = reg.Counter("faults_reorder_total", "layer", layer)
-	s.resets = reg.Counter("faults_reset_total", "layer", layer)
-	s.stalls = reg.Counter("faults_stall_total", "layer", layer)
-	s.layer = layer
+	s.ctr = NewCounters(reg, layer)
+}
+
+// SetCounters attaches counters resolved by NewCounters. Safe on a nil
+// stream.
+func (s *Stream) SetCounters(c Counters) {
+	if s == nil {
+		return
+	}
+	s.ctr = c
 }
 
 // SetEventLog attaches a wide-event sink emitting one event per injected
@@ -193,7 +218,7 @@ func (s *Stream) event(kind string) {
 		return
 	}
 	ev := telemetry.NewWideEvent("fault." + kind)
-	ev.Node = s.layer
+	ev.Node = s.ctr.layer
 	s.events.Emit(ev)
 }
 
@@ -224,8 +249,8 @@ func (s *Stream) Drop() bool {
 	}
 	hit := s.bernoulli(knobLoss, s.p.LossProb)
 	if hit {
-		s.lost.Inc()
-		s.injected.Inc()
+		s.ctr.lost.Inc()
+		s.ctr.injected.Inc()
 		s.event("loss")
 	}
 	return hit
@@ -241,8 +266,8 @@ func (s *Stream) JitterMs() float64 {
 	j := s.rng[knobJitter].Exp(1 / s.p.JitterMeanMs)
 	s.mu.Unlock()
 	if j > 0 {
-		s.jittered.Inc()
-		s.injected.Inc()
+		s.ctr.jittered.Inc()
+		s.ctr.injected.Inc()
 		s.event("jitter")
 	}
 	return j
@@ -257,8 +282,8 @@ func (s *Stream) ReorderMs() float64 {
 	if !s.bernoulli(knobReorder, s.p.ReorderProb) {
 		return 0
 	}
-	s.reordered.Inc()
-	s.injected.Inc()
+	s.ctr.reordered.Inc()
+	s.ctr.injected.Inc()
 	s.event("reorder")
 	return s.p.ReorderExtraMs
 }
@@ -271,8 +296,8 @@ func (s *Stream) Reset() bool {
 	}
 	hit := s.bernoulli(knobReset, s.p.ResetProb)
 	if hit {
-		s.resets.Inc()
-		s.injected.Inc()
+		s.ctr.resets.Inc()
+		s.ctr.injected.Inc()
 		s.event("reset")
 	}
 	return hit
@@ -287,8 +312,8 @@ func (s *Stream) StallMs() float64 {
 	if !s.bernoulli(knobStall, s.p.StallProb) {
 		return 0
 	}
-	s.stalls.Inc()
-	s.injected.Inc()
+	s.ctr.stalls.Inc()
+	s.ctr.injected.Inc()
 	s.event("stall")
 	return s.p.StallMs
 }

@@ -100,7 +100,7 @@ type Table struct {
 	cachedFn func(ruleID int) bool
 
 	stats Stats
-	tm    tableMetrics // resolved telemetry instruments (zero = disabled)
+	tm    Metrics // resolved telemetry instruments (zero = disabled)
 
 	// OnRemove, if non-nil, is called whenever a rule leaves the table.
 	OnRemove func(ruleID int, reason EvictionReason, now float64)

@@ -2,11 +2,14 @@ package flowtable
 
 import "flowrecon/internal/telemetry"
 
-// tableMetrics are the resolved telemetry instruments of one Table. The
+// Metrics are the resolved telemetry instruments of one Table. The
 // zero value (all nil) is the disabled configuration: every update is a
 // nil-checked no-op, keeping the hot path within noise of the
-// uninstrumented code (see BenchmarkTelemetryOverhead).
-type tableMetrics struct {
+// uninstrumented code (see BenchmarkTelemetryOverhead). A caller that
+// builds many short-lived tables on one registry (the experiment trial
+// loop replays one per trial and attacker) resolves them once with
+// NewMetrics and attaches them with SetMetrics.
+type Metrics struct {
 	lookups     *telemetry.Counter
 	hits        *telemetry.Counter
 	misses      *telemetry.Counter
@@ -18,16 +21,16 @@ type tableMetrics struct {
 	node        string
 }
 
-// SetTelemetry attaches the table to a registry, resolving its metric
-// series once. node, when non-empty, becomes the `node` label on every
-// series, letting multiple tables share one registry. A nil registry
-// detaches (disables) telemetry.
-func (t *Table) SetTelemetry(reg *telemetry.Registry, node string) {
+// NewMetrics resolves a table's metric series from reg. node, when
+// non-empty, becomes the `node` label on every series, letting multiple
+// tables share one registry. A nil registry yields the disabled zero
+// value.
+func NewMetrics(reg *telemetry.Registry, node string) Metrics {
 	var labels []string
 	if node != "" {
 		labels = []string{"node", node}
 	}
-	t.tm = tableMetrics{
+	return Metrics{
 		lookups:     reg.Counter("flowtable_lookups_total", labels...),
 		hits:        reg.Counter("flowtable_lookup_hits_total", labels...),
 		misses:      reg.Counter("flowtable_lookup_misses_total", labels...),
@@ -39,6 +42,16 @@ func (t *Table) SetTelemetry(reg *telemetry.Registry, node string) {
 		node:        node,
 	}
 }
+
+// SetTelemetry attaches the table to a registry, resolving its metric
+// series once (see NewMetrics). A nil registry detaches (disables)
+// telemetry.
+func (t *Table) SetTelemetry(reg *telemetry.Registry, node string) {
+	t.tm = NewMetrics(reg, node)
+}
+
+// SetMetrics attaches instruments resolved by NewMetrics.
+func (t *Table) SetMetrics(m Metrics) { t.tm = m }
 
 // traceRule emits one rule lifecycle event (install/evict/expire/remove)
 // with the table's virtual clock.

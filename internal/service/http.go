@@ -72,12 +72,21 @@ type errorLine struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes bounds a POST /v1/sessions body. A session spec is a few
+// hundred bytes; the bound stops one request from making the daemon
+// buffer an arbitrarily large document.
+const maxSpecBytes = 1 << 20
+
 func handleOpen(w http.ResponseWriter, r *http.Request, m *Manager) {
 	var spec SessionSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, "bad session spec: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad session spec: "+err.Error(), code)
 		return
 	}
 	sess, err := m.Open(spec)

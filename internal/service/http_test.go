@@ -129,6 +129,30 @@ func TestHTTPBadSpec(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedSpec413 verifies the spec body bound: a body past
+// maxSpecBytes is refused with 413 before it is decoded, while a spec
+// just under the bound is still read (and rejected only as a bad spec).
+func TestHTTPOversizedSpec413(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	for _, tc := range []struct {
+		pad  int
+		want int
+	}{
+		{maxSpecBytes, http.StatusRequestEntityTooLarge},
+		{maxSpecBytes - 64, http.StatusBadRequest},
+	} {
+		body := `{"name":"` + strings.Repeat("x", tc.pad) + `","bogusField":1}`
+		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%d-byte body: status %d, want %d", len(body), resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestHTTPList verifies the session listing endpoint.
 func TestHTTPList(t *testing.T) {
 	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})

@@ -5,6 +5,15 @@
 // Everything is explicitly seeded: given the same seed, every consumer in
 // this repository produces byte-identical results, which keeps the
 // reproduction of the paper's experiments deterministic.
+//
+// Compatibility contract: an RNG seeded with s produces exactly the
+// streams of math/rand's rand.New(rand.NewSource(s)) — every Int63,
+// Float64, ExpFloat64, NormFloat64, Intn, Perm and Shuffle draw, bit for
+// bit. The distribution layer is math/rand's own rand.Rand; only the
+// source underneath is replaced, by one that seeds lazily (see
+// lfgSource). Golden fixtures and recordings made against math/rand
+// therefore stay valid, and TestRNGMatchesMathRand holds the source to
+// math/rand.NewSource as the reference.
 package stats
 
 import (
@@ -15,13 +24,38 @@ import (
 // RNG is a seeded source of randomness. It wraps math/rand.Rand so that all
 // randomness in the repository flows through one audited type and no package
 // touches the global math/rand state.
+//
+// The generator state lives inline (~4.9 KiB), so an RNG is one
+// allocation, and Reseed restarts it in place without allocating. The
+// zero RNG must be Reseeded before use, and an RNG must not be copied
+// once seeded: its rand.Rand points at its own source.
 type RNG struct {
-	r *rand.Rand
+	_ noCopy
+	// r holds the only pointers; declared first, it keeps the garbage
+	// collector's scan of an RNG to its first few words.
+	r   rand.Rand
+	src lfgSource
 }
+
+// noCopy lets go vet's copylocks check flag an RNG copied by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // NewRNG returns an RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.Reseed(seed)
+	return g
+}
+
+// Reseed restarts g as NewRNG(seed) would, in place and without
+// allocating. Seeding is lazy, so a stream that draws only a few values
+// costs only those values.
+func (g *RNG) Reseed(seed int64) {
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
 }
 
 // Fork derives an independent RNG from r. The derived stream is a pure

@@ -4,8 +4,8 @@ import "math"
 
 // SmallRNG is a value-embeddable deterministic generator for code that
 // needs one independent random stream per simulated object (packet, rule,
-// link) and cannot afford a heap-allocated math/rand source for each. A
-// math/rand.Rand costs ~2.5 KiB of state per instance; SmallRNG is three
+// link) and cannot afford a heap-allocated RNG for each. An RNG carries
+// ~4.9 KiB of lagged-Fibonacci state (607 words); SmallRNG is three
 // words, copyable, and allocation-free, so a million in-flight packets
 // can each carry their own stream.
 //

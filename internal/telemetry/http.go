@@ -262,6 +262,13 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	return ServeHandler(addr, Handler(r))
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that stalls mid-header cannot hold a server
+// goroutine open. The server sets no WriteTimeout: /debug/live and the
+// flowrecond session streams are long-lived responses by design.
+// A variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // ServeHandler starts a background HTTP server for an arbitrary handler —
 // the variant daemons use after extending the mux from NewMux.
 func ServeHandler(addr string, h http.Handler) (*Server, error) {
@@ -269,7 +276,7 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil
 }

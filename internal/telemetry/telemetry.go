@@ -24,9 +24,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -67,17 +66,19 @@ func Series(name string, labels ...string) string {
 	if len(labels) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	b := make([]byte, 0, 64)
+	b = append(b, name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		b = append(b, labels[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[i+1]) // what %q prints
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // Counter returns the named counter, creating it on first use. Optional

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -23,6 +24,12 @@ func TestSeriesFormatting(t *testing.T) {
 	family, labels := splitSeries(got)
 	if family != "m" || labels != `a="1",b="x y"` {
 		t.Fatalf("splitSeries: %q %q", family, labels)
+	}
+	// Label values are quoted exactly as fmt's %q quotes them.
+	for _, v := range []string{`q"uote`, "new\nline", "tab\t", "ünï", "\x00\xff"} {
+		if got, want := Series("m", "k", v), fmt.Sprintf("m{k=%q}", v); got != want {
+			t.Fatalf("series quoting: got %s want %s", got, want)
+		}
 	}
 }
 

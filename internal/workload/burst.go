@@ -56,12 +56,13 @@ func GenerateBursty(cfg BurstConfig, rng *stats.RNG) (*Trace, error) {
 		return nil, err
 	}
 	var arrivals []Arrival
+	g := new(stats.RNG) // per-flow stream: rng.Fork()'s, reseeded in place
 	onFrac := cfg.MeanOn / (cfg.MeanOn + cfg.MeanOff)
 	for f, rate := range cfg.Rates {
 		if rate == 0 {
 			continue
 		}
-		g := rng.Fork()
+		g.Reseed(rng.Int63())
 		onRate := rate / onFrac // preserves the long-run mean
 		t := 0.0
 		on := g.Bernoulli(onFrac) // stationary initial state

@@ -69,11 +69,12 @@ func GeneratePareto(cfg ParetoConfig, rng *stats.RNG) (*Trace, error) {
 		return nil, err
 	}
 	var arrivals []Arrival
+	g := new(stats.RNG) // per-flow stream: rng.Fork()'s, reseeded in place
 	for f, rate := range cfg.Rates {
 		if rate == 0 {
 			continue
 		}
-		g := rng.Fork()
+		g.Reseed(rng.Int63())
 		xm := ParetoScale(cfg.Alpha, rate)
 		for t := g.Pareto(cfg.Alpha, xm); t < cfg.Duration; t += g.Pareto(cfg.Alpha, xm) {
 			arrivals = append(arrivals, Arrival{Time: t, Flow: flows.ID(f)})
@@ -122,11 +123,12 @@ func GenerateLogNormal(cfg LogNormalConfig, rng *stats.RNG) (*Trace, error) {
 		return nil, err
 	}
 	var arrivals []Arrival
+	g := new(stats.RNG) // per-flow stream: rng.Fork()'s, reseeded in place
 	for f, rate := range cfg.Rates {
 		if rate == 0 {
 			continue
 		}
-		g := rng.Fork()
+		g.Reseed(rng.Int63())
 		mu := LogNormalMu(cfg.Sigma, rate)
 		for t := g.LogNormal(mu, cfg.Sigma); t < cfg.Duration; t += g.LogNormal(mu, cfg.Sigma) {
 			arrivals = append(arrivals, Arrival{Time: t, Flow: flows.ID(f)})
@@ -238,11 +240,12 @@ func GenerateModulated(cfg PoissonConfig, profile RateProfile, rng *stats.RNG) (
 	mean := profile.Mean(cfg.Duration)
 	peak := profile.Max() / mean
 	var arrivals []Arrival
+	g := new(stats.RNG) // per-flow stream: rng.Fork()'s, reseeded in place
 	for f, rate := range cfg.Rates {
 		if rate == 0 {
 			continue
 		}
-		g := rng.Fork()
+		g.Reseed(rng.Int63())
 		lambdaMax := rate * peak
 		for t := g.Exp(lambdaMax); t < cfg.Duration; t += g.Exp(lambdaMax) {
 			// Thinning: accept with λ(t)/λmax = At(t)/Max().

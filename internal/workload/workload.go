@@ -116,11 +116,12 @@ func GeneratePoisson(cfg PoissonConfig, rng *stats.RNG) (*Trace, error) {
 		return nil, err
 	}
 	var arrivals []Arrival
+	g := new(stats.RNG) // per-flow stream: rng.Fork()'s, reseeded in place
 	for f, rate := range cfg.Rates {
 		if rate == 0 {
 			continue
 		}
-		g := rng.Fork()
+		g.Reseed(rng.Int63())
 		for t := g.Exp(rate); t < cfg.Duration; t += g.Exp(rate) {
 			arrivals = append(arrivals, Arrival{Time: t, Flow: flows.ID(f)})
 		}

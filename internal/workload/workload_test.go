@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flowrecon/internal/stats"
+	"flowrecon/internal/testutil"
 )
 
 func TestValidate(t *testing.T) {
@@ -229,5 +230,34 @@ func TestGeneratePeriodic(t *testing.T) {
 	}
 	if _, err := GeneratePeriodic(PoissonConfig{}, stats.NewRNG(1)); err == nil {
 		t.Fatal("bad periodic config accepted")
+	}
+}
+
+// TestGeneratePoissonSteadyStateAllocs is the allocation gate on the
+// per-flow streams: a call reseeds one child stream in place instead of
+// forking a ~4.9 KiB generator per flow, so its allocation count must not
+// grow with the flow count. The rates are small enough that no flow
+// arrives, which keeps the arrival slice (whose growth does scale) out of
+// the count.
+func TestGeneratePoissonSteadyStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	allocs := func(flows int) float64 {
+		rates := make([]float64, flows)
+		for i := range rates {
+			rates[i] = 1e-12
+		}
+		rng := stats.NewRNG(5)
+		return testing.AllocsPerRun(50, func() {
+			tr, err := GeneratePoisson(PoissonConfig{Rates: rates, Duration: 1}, rng)
+			if err != nil || tr.Len() != 0 {
+				t.Fatalf("GeneratePoisson: %d arrivals, err %v", tr.Len(), err)
+			}
+		})
+	}
+	few, many := allocs(4), allocs(256)
+	if few != many {
+		t.Fatalf("GeneratePoisson allocs: %v at 4 flows, %v at 256 flows; want independent of flow count", few, many)
 	}
 }
