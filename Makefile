@@ -81,9 +81,11 @@ sched-gate:
 ## once warm. The random streams join them: RNG.Reseed followed by draws
 ## must not allocate, and workload.GeneratePoisson must allocate the same
 ## number of times whatever its flow count (one reseeded child stream,
-## not a forked generator per flow).
+## not a forked generator per flow). The exact u-sum enumerator must not
+## allocate once its estimator is warm, so repeated model builds add no
+## GC pressure.
 alloc-gate:
-	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/
+	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/
 
 ## trace-smoke proves the span-export pipeline end to end on the golden
 ## fixture: export trial 0's causal span forest as Chrome trace_event
@@ -102,7 +104,9 @@ trace-smoke:
 ## (FuzzParsePacket checks the fast frame parser against a slow
 ## per-byte reference decoder, FuzzReadPcap sanity-bounds whole files).
 ## FuzzRNGMatchesMathRand holds the lazily seeded stats.RNG to
-## math/rand.NewSource, draw for draw, on arbitrary seeds.
+## math/rand.NewSource, draw for draw, on arbitrary seeds;
+## FuzzEnumerateMatchesReference holds the exact u-sum enumerator to its
+## per-leaf reference walk, bit for bit, on arbitrary rule sets.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -110,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzReadPcap -fuzztime 10s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection

@@ -14,15 +14,19 @@
 //	experiments -workloads
 //	experiments -workload pareto -alpha 1.3
 //	experiments -trace capture.pcap
+//	experiments -fig6 -scale small -cpuprofile cpu.pprof -memprofile heap.pprof
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"flowrecon/internal/core"
@@ -38,7 +42,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		all      = fs.Bool("all", false, "run every experiment")
@@ -66,6 +70,9 @@ func run(args []string) error {
 		traceF    = fs.String("trace", "", "run the attack on traffic replayed from this capture (pcap) or flow log (csv/jsonl), rates fitted from the file")
 		alphaF    = fs.Float64("alpha", 0, "Pareto tail index for -workload pareto (default 1.5)")
 		sigmaF    = fs.Float64("sigma", 0, "log-normal shape for -workload lognormal (default 1.5)")
+
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile, taken when the run ends, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,6 +80,16 @@ func run(args []string) error {
 	if !*all && !*fig6 && !*fig7 && !*latency && !*detectF && !*fleet && !*workloads && *workloadF == "" && *traceF == "" {
 		fs.Usage()
 		return fmt.Errorf("select an experiment (-all, -fig6, -fig7, -latency, -detect, -fleet, -workloads, -workload, -trace)")
+	}
+	if *cpuProf != "" {
+		stop, err := startCPUProfile(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer func() { err = errors.Join(err, stop()) }()
+	}
+	if *memProf != "" {
+		defer func() { err = errors.Join(err, writeHeapProfile(*memProf)) }()
 	}
 	var reg *telemetry.Registry
 	if *telOut != "" {
@@ -239,6 +256,34 @@ func run(args []string) error {
 		fmt.Printf("telemetry snapshot written to %s\n", *telOut)
 	}
 	return nil
+}
+
+// startCPUProfile starts a CPU profile into path; the returned function
+// stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeHeapProfile writes a heap profile to path after a GC, so the
+// in-use figures reflect live data.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
 // writeSnapshot dumps the registry's final state as indented JSON.

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"flowrecon/internal/experiment"
+	"flowrecon/internal/telemetry"
 )
 
 func TestRunRequiresSelection(t *testing.T) {
@@ -36,6 +38,51 @@ func TestRunFig6SmallScale(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig6.csv")); err != nil {
 		t.Fatalf("csv not written: %v", err)
+	}
+}
+
+// TestRunFig6Profiles checks the whole-run profiling flags: a Figure 6
+// regeneration with -cpuprofile and -memprofile leaves both profiles
+// behind, non-empty.
+func TestRunFig6Profiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small figure-6 sweep")
+	}
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	if err := run([]string{"-fig6", "-scale", "small", "-configs", "1", "-trials", "10", "-cpuprofile", cpu, "-memprofile", heap}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, heap} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (%v)", p, err)
+		}
+	}
+}
+
+// TestRunTelemetryUSumCounters checks that -telemetry-out carries the
+// u-sum layer counters of the model builds.
+func TestRunTelemetryUSumCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small figure-6 sweep")
+	}
+	out := filepath.Join(t.TempDir(), "tel.json")
+	if err := run([]string{"-fig6", "-scale", "small", "-configs", "1", "-trials", "10", "-seed", "23", "-telemetry-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters[`usum_states_total{method="exact"}`] <= 0 || snap.Counters["usum_exact_leaves_total"] <= 0 {
+		t.Fatalf("telemetry snapshot lacks u-sum work counters: %v", snap.Counters)
+	}
+	if _, ok := snap.Counters[`usum_states_total{method="mc"}`]; !ok {
+		t.Fatalf("telemetry snapshot lacks usum_states_total{method=\"mc\"}: %v", snap.Counters)
 	}
 }
 

@@ -22,6 +22,12 @@ type coreMetrics struct {
 	// usumMemoHits/Misses count u-sum memo lookups.
 	usumMemoHits   *telemetry.Counter
 	usumMemoMisses *telemetry.Counter
+	// usumExact/usumMC count states whose u-sums were evaluated (memo
+	// misses), by method; usumLeaves counts the assignments the exact
+	// enumeration visited. All three advance once per state.
+	usumExact  *telemetry.Counter
+	usumMC     *telemetry.Counter
+	usumLeaves *telemetry.Counter
 	// buildWorkers is the worker count of the most recent parallel
 	// model build (gauge "model_build_workers").
 	buildWorkers *telemetry.Gauge
@@ -42,8 +48,9 @@ func evolveNsBuckets() []float64 {
 
 // SetTelemetry points the model layer's instrumentation at reg: the
 // model_build_ms and evolve_ns histograms, model-cache and u-sum memo
-// hit counters, and the model_build_workers gauge all land in reg's
-// /debug/vars-style snapshot. Passing nil disables instrumentation
+// hit counters, the u-sum work counters (usum_states_total by method,
+// usum_exact_leaves_total) and the model_build_workers gauge all land in
+// reg's /debug/vars-style snapshot. Passing nil disables instrumentation
 // (the default).
 func SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
@@ -57,6 +64,9 @@ func SetTelemetry(reg *telemetry.Registry) {
 		modelCacheMisses: reg.Counter("model_cache_lookups", "result", "miss"),
 		usumMemoHits:     reg.Counter("usum_memo_lookups", "result", "hit"),
 		usumMemoMisses:   reg.Counter("usum_memo_lookups", "result", "miss"),
+		usumExact:        reg.Counter("usum_states_total", "method", "exact"),
+		usumMC:           reg.Counter("usum_states_total", "method", "mc"),
+		usumLeaves:       reg.Counter("usum_exact_leaves_total"),
 		buildWorkers:     reg.Gauge("model_build_workers"),
 		events:           reg.Events(),
 	})
@@ -71,6 +81,21 @@ func obsMemo(hit bool) {
 		m.usumMemoHits.Inc()
 	} else {
 		m.usumMemoMisses.Inc()
+	}
+}
+
+// obsUSum records one state's u-sum evaluation: exact with leaves
+// enumerated assignments, or Monte Carlo.
+func obsUSum(exact bool, leaves int) {
+	m := coreMetricsPtr.Load()
+	if m == nil {
+		return
+	}
+	if exact {
+		m.usumExact.Inc()
+		m.usumLeaves.Add(int64(leaves))
+	} else {
+		m.usumMC.Inc()
 	}
 }
 

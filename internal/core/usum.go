@@ -112,9 +112,11 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	acc := newUAccumulator(cached, touts, e)
 	if grid <= float64(e.params.ExactLimit) {
 		e.enumerateFast(cached, touts, tab, acc)
+		obsUSum(true, e.scr.leaves)
 	} else {
 		out.Exact = false
 		e.sample(touts, tab, acc, cached)
+		obsUSum(false, 0)
 	}
 
 	if acc.z <= 0 {
@@ -224,17 +226,6 @@ func (t *gammaTables) gammaAt(j, k int, u []int) float64 {
 	return t.gamma[j][mask]
 }
 
-// maskAt returns the exclusion bitmask of rule j at step offset k.
-func (t *gammaTables) maskAt(j, k int, u []int) int {
-	mask := 0
-	for b, slot := range t.hp[j] {
-		if u[slot] > k {
-			mask |= 1 << uint(b)
-		}
-	}
-	return mask
-}
-
 // sumGammaRange returns Σ_{k=1..kmax} γ_{ℓ,u}(j, k). The mask {j' : u(j') >
 // k} only changes at the assigned u values, so the sum is evaluated
 // segment-wise: between consecutive breakpoints γ is constant.
@@ -315,18 +306,22 @@ func newUAccumulator(cached, touts []int, e *uEstimator) *uAccumulator {
 
 // accumulate folds one assignment with probability p into the sums.
 func (a *uAccumulator) accumulate(u []int, p float64) {
-	a.z += p
 	minRem := math.MaxInt32
-	for i := range a.cached {
-		if rem := a.touts[i] - u[i]; rem < minRem {
-			minRem = rem
-		}
-		if u[i] == a.touts[i] {
+	for i, t := range a.touts {
+		minRem = min(minRem, t-u[i])
+	}
+	a.accumulateAt(u, p, minRem)
+}
+
+// accumulateAt is accumulate for a caller that already knows the
+// assignment's minimum remaining time minRem = min_i(t_i − u(i)).
+func (a *uAccumulator) accumulateAt(u []int, p float64, minRem int) {
+	a.z += p
+	for i, t := range a.touts {
+		if u[i] == t {
 			a.timeoutNum[i] += p
 		}
-	}
-	for i := range a.cached {
-		if a.touts[i]-u[i] == minRem {
+		if t-u[i] == minRem {
 			// Condition (4) with ties counted for every minimizer.
 			a.evictNum[i] += p
 		}
@@ -345,18 +340,10 @@ func (a *uAccumulator) observe(u []int, tab *gammaTables) {
 }
 
 // probability evaluates P(u) per §IV-B for one Monte Carlo sample,
-// choosing the |C|<n or |C|=n form of the uncached-rule horizon. The
-// cached rules' own-step factors are direct table lookups; every rule's
-// Σ_k γ range term is then folded in a single sweep over the segments
-// between sorted assignment values — the exclusion mask of every rule is
-// constant within a segment, and the projection tables from prepSweep
-// turn each per-segment mask lookup into O(1). One sample costs
-// O(m log m + segments · |Rules|) instead of the per-rule segment rescans
-// sumGammaSpan would pay.
-// probability evaluates P(u) per §IV-B for one Monte Carlo sample,
-// choosing the |C|<n or |C|=n form of the uncached-rule horizon. The
-// work per sample is restructured around the tables prepSweep builds for
-// the state:
+// choosing the |C|<n or |C|=n form of the uncached-rule horizon. Every
+// rule's Σ_k γ range term is folded in a single sweep over the segments
+// between sorted assignment values, within which each exclusion mask is
+// constant, using the tables prepSweep builds for the state:
 //
 //   - cached rules with no higher-priority cached rule ("flat") have a
 //     constant rate, so their own-step and range factors are closed-form;
@@ -486,6 +473,30 @@ type enumScratch struct {
 	used   []bool
 	ready  [][]int // ready[d]: uncached rules computable once slots < d assigned
 	dropAt [][]int // per-depth mask-drop table indexed by step offset
+	ruleT  []int   // per rule ID: timeout in steps
+	leaves int     // leaves visited by the latest enumerateFast
+
+	// Last-slot kernel (last), rebuilt per prefix: the leaves' log P(u)
+	// (exponentiated in place) and final-slot values, and one leaf-ready
+	// rule's segment tables (subLeafRanges).
+	leafP                  []float64
+	leafV                  []int
+	segStart               []int
+	segSet, segClr, segRun []float64
+
+	// Full-table tail sums (addLeafTails) by uncached rule q, side of
+	// the final-slot window (below 2q, above 2q+1) and slack: entry
+	// (2q+side)·tailStride + slack holds a sum valid while its tailStamp
+	// equals stamp[tailDep[q]+1]. stamp[0] identifies the state and
+	// stamp[d+1] slot d's current value. Ids start at 1 and are never
+	// reused, so no table needs clearing.
+	tailVal    []float64
+	tailStamp  []uint64
+	tailStride int
+	tailDep    []int  // per q: deepest hp slot other than the final one, or −1
+	tailLast   []bool // per q: the final slot is among the rule's hp
+	stamp      []uint64
+	stamps     uint64 // last id handed out
 
 	// Monte Carlo sweep tables (prepSweep / probability).
 	order        []int     // slot indices sorted by assigned value
@@ -664,18 +675,29 @@ func (e *uEstimator) prepSweep(m int, tab *gammaTables, acc *uAccumulator) {
 	}
 }
 
-// enumerateFast walks every injective assignment u over the cached slots,
-// accumulating log P(u) incrementally along the DFS:
+// enumerateFast sums P(u) over every injective assignment u of the cached
+// slots (cached in descending priority) exactly. It requires at least one
+// cached slot.
 //
-//   - cached rule at slot i contributes log γ − γ − Σ_{k<u(i)} γ(k), all of
-//     which depend only on u(0..i) because the higher-priority cached
-//     rules of slot i are a prefix of the slot order; the prefix sum and
-//     exclusion mask are maintained in O(1) amortized per candidate value
-//     instead of a fresh O(|hp|·segments) walk per leaf.
-//   - uncached rules contribute −Σ_{k≤horizon} γ(k) as soon as their last
-//     higher-priority cached slot is assigned; under a full table the
-//     horizon shrinks by the leaf-dependent minimum slack, applied as a
-//     tail correction at the leaf.
+// A depth-first walk fixes the slots one at a time and carries log P(u)
+// and the minimum slack min_i(t_i − u(i)) down the recursion:
+//
+//   - the cached rule at slot i contributes log γ − γ − Σ_{k<u(i)} γ(k),
+//     all of which depend only on u(0..i) because its higher-priority
+//     cached rules are a prefix of the slot order; the prefix sum and the
+//     exclusion mask advance in O(1) amortized per candidate value;
+//   - an uncached rule contributes −Σ_{k≤t_j} γ(k) as soon as its last
+//     higher-priority cached slot is assigned; under a full table its
+//     horizon shrinks by the leaf's minimum slack, which adds back the
+//     tail Σ_{t_j−slack<k≤t_j} γ(k).
+//
+// The walk stops one slot early: with slots 0..m−2 fixed, the last-slot
+// kernel (last) evaluates every value of the final slot as a leaf, from
+// per-prefix tables instead of a fresh segment walk per leaf. It is
+// bit-identical to evaluating each leaf on its own: every floating-point
+// operation keeps its operands and its order, so z, evictNum and
+// timeoutNum come out the same to the last bit (usum_ref_test.go holds the
+// per-leaf walk as the oracle). The leaf count lands in scr.leaves.
 func (e *uEstimator) enumerateFast(cached, touts []int, tab *gammaTables, acc *uAccumulator) {
 	m := len(cached)
 	maxT := 0
@@ -685,77 +707,72 @@ func (e *uEstimator) enumerateFast(cached, touts []int, tab *gammaTables, acc *u
 		}
 	}
 	s := &e.scr
-	if cap(s.u) < m {
-		s.u = make([]int, m)
-	}
-	s.u = s.u[:m]
-	if cap(s.used) < maxT+2 {
-		s.used = make([]bool, maxT+2)
-	}
-	s.used = s.used[:maxT+2]
-	for i := range s.used {
-		s.used[i] = false
-	}
-	if cap(s.ready) < m+1 {
-		s.ready = make([][]int, m+1)
-	}
-	s.ready = s.ready[:m+1]
+	s.u = resize(s.u, m)
+	s.used = resize(s.used, maxT+2)
+	clear(s.used)
+	s.ready = resize(s.ready, m+1)
 	for d := range s.ready {
 		s.ready[d] = s.ready[d][:0]
 	}
-	if cap(s.dropAt) < m {
-		s.dropAt = make([][]int, m)
-	}
-	s.dropAt = s.dropAt[:m]
+	s.dropAt = resize(s.dropAt, m)
 	for d := range s.dropAt {
-		if cap(s.dropAt[d]) < maxT+2 {
-			s.dropAt[d] = make([]int, maxT+2)
-		}
-		s.dropAt[d] = s.dropAt[d][:maxT+2]
+		s.dropAt[d] = resize(s.dropAt[d], maxT+2)
 	}
+	s.ruleT = s.ruleT[:0]
+	for j := 0; j < e.rs.Len(); j++ {
+		s.ruleT = append(s.ruleT, e.rs.Rule(j).Timeout)
+	}
+	s.leafP = resize(s.leafP, maxT)
+	s.leafV = resize(s.leafV, maxT)
+	s.leaves = 0
+	// A tail's slack lies in [1, maxT).
+	s.tailStride = maxT
+	s.tailVal = resize(s.tailVal, 2*len(acc.uncached)*maxT)
+	s.tailStamp = resize(s.tailStamp, 2*len(acc.uncached)*maxT)
+	s.tailDep, s.tailLast = s.tailDep[:0], s.tailLast[:0]
+	s.stamp = resize(s.stamp, m+1)
+	s.stamps++
+	s.stamp[0] = s.stamps
 	// Group uncached rules by the depth at which all their
 	// higher-priority cached slots are assigned.
 	for _, j := range acc.uncached {
+		hp := tab.hp[j]
 		d := 0
-		for _, slot := range tab.hp[j] {
-			if slot+1 > d {
-				d = slot + 1
-			}
+		if len(hp) > 0 {
+			d = hp[len(hp)-1] + 1 // hp ascends
 		}
 		s.ready[d] = append(s.ready[d], j)
+		last := d == m
+		if last {
+			hp = hp[:len(hp)-1]
+		}
+		dep := -1
+		if len(hp) > 0 {
+			dep = hp[len(hp)-1]
+		}
+		s.tailDep = append(s.tailDep, dep)
+		s.tailLast = append(s.tailLast, last)
 	}
 	full := m >= e.capacity
-	e.dfs(0, 0, cached, touts, tab, acc, full)
+	e.dfs(0, 0, math.MaxInt32, cached, touts, tab, acc, full)
 }
 
-func (e *uEstimator) dfs(slot int, logp float64, cached, touts []int, tab *gammaTables, acc *uAccumulator, full bool) {
+// dfs assigns slot (every slot but the last) and recurses; logp is log
+// P(u) over the slots fixed so far and minRem their minimum slack.
+func (e *uEstimator) dfs(slot int, logp float64, minRem int, cached, touts []int, tab *gammaTables, acc *uAccumulator, full bool) {
 	s := &e.scr
 	// Fold in the uncached rules whose dependencies are now assigned,
 	// over their full (table-not-full) horizon.
 	for _, j := range s.ready[slot] {
-		logp -= tab.sumGammaRange(j, e.rs.Rule(j).Timeout, s.u)
+		logp -= tab.sumGammaRange(j, s.ruleT[j], s.u)
 	}
-	m := len(cached)
-	if slot == m {
-		e.leaf(logp, touts, tab, acc, full)
+	if slot == len(cached)-1 {
+		e.last(logp, minRem, cached, touts, tab, acc, full)
 		return
 	}
 	js := cached[slot]
 	t := touts[slot]
-	hp := tab.hp[js]
-	// dropAt[v] is the mask of hp bits whose assigned u equals v: the
-	// bit leaves the exclusion mask when the step offset reaches it.
-	drop := s.dropAt[slot]
-	for v := 0; v <= t; v++ {
-		drop[v] = 0
-	}
-	mask := 0
-	for b, sl := range hp {
-		mask |= 1 << uint(b)
-		if ub := s.u[sl]; ub <= t {
-			drop[ub] |= 1 << uint(b)
-		}
-	}
+	drop, mask := e.dropMasks(slot, t, tab.hp[js])
 	sumPrefix := 0.0 // Σ_{k=1..v-1} γ(js, k)
 	gamma, logGamma := tab.gamma[js], tab.logGamma[js]
 	for v := 1; v <= t; v++ {
@@ -764,37 +781,203 @@ func (e *uEstimator) dfs(slot int, logp float64, cached, touts []int, tab *gamma
 		if !s.used[v] && g > 0 {
 			s.u[slot] = v
 			s.used[v] = true
-			e.dfs(slot+1, logp+logGamma[mask]-g-sumPrefix, cached, touts, tab, acc, full)
+			s.stamps++
+			s.stamp[slot+1] = s.stamps
+			e.dfs(slot+1, logp+logGamma[mask]-g-sumPrefix, min(minRem, t-v), cached, touts, tab, acc, full)
 			s.used[v] = false
 		}
 		sumPrefix += g
 	}
 }
 
-// leaf applies the full-table horizon correction and accumulates.
-func (e *uEstimator) leaf(logp float64, touts []int, tab *gammaTables, acc *uAccumulator, full bool) {
-	u := e.scr.u
-	if full {
-		minSlack := math.MaxInt32
-		for i := range u {
-			if s := touts[i] - u[i]; s < minSlack {
-				minSlack = s
-			}
-		}
-		if minSlack > 0 {
-			// The pre-folded horizon was t_j; the full-table horizon is
-			// t_j − minSlack, so add back the tail Σ_{k>t_j−minSlack} γ.
-			for _, j := range acc.uncached {
-				t := e.rs.Rule(j).Timeout
-				logp += tab.sumGammaSpan(j, t-minSlack, t, u)
-			}
+// dropMasks prepares the exclusion-mask walk of the rule at slot, whose
+// higher-priority cached slots are hp: it returns the mask with every hp
+// bit set and drop, where drop[v] holds the hp bits whose assigned u
+// equals v — a bit leaves the mask when the step offset reaches it.
+func (e *uEstimator) dropMasks(slot, t int, hp []int) (drop []int, mask int) {
+	drop = e.scr.dropAt[slot]
+	clear(drop[:t+1])
+	for b, sl := range hp {
+		mask |= 1 << uint(b)
+		if ub := e.scr.u[sl]; ub <= t {
+			drop[ub] |= 1 << uint(b)
 		}
 	}
-	p := math.Exp(logp)
-	if p <= 0 {
-		return
+	return drop, mask
+}
+
+// last is the last-slot kernel. With slots 0..m−2 fixed (log-probability
+// logp, minimum slack minRem), it walks every value v of the final slot
+// and treats each as a leaf, in passes over the prefix's leaves:
+//
+//  1. collect each leaf's value and its log P(u) over the cached slots;
+//  2. subtract the range sums of the uncached rules that become ready at
+//     the leaf (subLeafRanges), rule by rule;
+//  3. under a full table, add back each uncached rule's tail for the
+//     leaf's slack (addLeafTails), rule by rule;
+//  4. exponentiate in one tight loop, so the independent math.Exp calls
+//     overlap;
+//  5. fold the leaves into acc in value order with their known slack.
+//
+// Passes 2 and 3 only swap the loop order of the per-leaf evaluation:
+// every leaf still takes the same additions in the same order.
+func (e *uEstimator) last(logp float64, minRem int, cached, touts []int, tab *gammaTables, acc *uAccumulator, full bool) {
+	s := &e.scr
+	slot := len(cached) - 1
+	js := cached[slot]
+	t := touts[slot]
+	drop, mask := e.dropMasks(slot, t, tab.hp[js])
+	leafP, leafV := s.leafP[:0], s.leafV[:0]
+	sumPrefix := 0.0
+	gamma, logGamma := tab.gamma[js], tab.logGamma[js]
+	for v := 1; v <= t; v++ {
+		mask &^= drop[v]
+		g := gamma[mask]
+		if !s.used[v] && g > 0 {
+			leafP = append(leafP, logp+logGamma[mask]-g-sumPrefix)
+			leafV = append(leafV, v)
+		}
+		sumPrefix += g
 	}
-	acc.accumulate(u, p)
+	s.leafP, s.leafV = leafP, leafV
+	e.subLeafRanges(slot+1, tab)
+	if full && minRem > 0 {
+		for q, j := range acc.uncached {
+			e.addLeafTails(q, j, slot, t, minRem, tab)
+		}
+	}
+	for i, lp := range leafP {
+		leafP[i] = math.Exp(lp)
+	}
+	for i, p := range leafP {
+		if p <= 0 {
+			continue
+		}
+		v := leafV[i]
+		s.u[slot] = v
+		acc.accumulateAt(s.u, p, min(minRem, t-v))
+	}
+	s.leaves += len(leafP)
+}
+
+// subLeafRanges subtracts from every leaf's log P(u) the range sums
+// Σ_{k=1..t_j} γ(j, k) of the uncached rules ready at the leaf
+// (s.ready[depth]), bit-identical to sumGammaRange with the final slot at
+// the leaf's value. Such a rule's last higher-priority slot is the final
+// slot, so its other hp slots are fixed for the prefix: their u values in
+// (1, t_j] cut [1, t_j] into segments c_0 = 1 < c_1 < … < t_j+1 with
+// constant exclusion masks. Tabulated once per rule — each segment's γ
+// with the final slot's bit set (segSet) and clear (segClr), and the
+// running sum with the bit set before it (segRun) — a leaf with value v
+// costs the running sum up to v's segment, the split segment [c, v) with
+// the bit set, then [v, next) and every later segment with it clear: the
+// same additions sumGammaSpan makes, in its order.
+func (e *uEstimator) subLeafRanges(depth int, tab *gammaTables) {
+	s := &e.scr
+	for _, j := range s.ready[depth] {
+		hp := tab.hp[j]
+		fixed := hp[:len(hp)-1] // hp ascends, so the final slot is last
+		bit := 1 << uint(len(fixed))
+		tj := s.ruleT[j]
+		c := append(s.segStart[:0], 1)
+		for _, sl := range fixed {
+			if x := s.u[sl]; x > 1 && x <= tj {
+				c = append(c, x)
+				for p := len(c) - 1; c[p] < c[p-1]; p-- {
+					c[p], c[p-1] = c[p-1], c[p]
+				}
+			}
+		}
+		c = append(c, tj+1)
+		n := len(c) - 1 // segments
+		set, clr, run := resize(s.segSet, n), resize(s.segClr, n), resize(s.segRun, n+1)
+		s.segStart, s.segSet, s.segClr, s.segRun = c, set, clr, run
+		g := tab.gamma[j]
+		sum := 0.0
+		for l := 0; l < n; l++ {
+			mask := 0
+			for b, sl := range fixed {
+				if s.u[sl] > c[l] {
+					mask |= 1 << uint(b)
+				}
+			}
+			set[l], clr[l], run[l] = g[mask|bit], g[mask], sum
+			sum += float64(c[l+1]-c[l]) * set[l]
+		}
+		run[n] = sum // v > t_j: the bit is set throughout
+		l := 0
+		leafP := s.leafP
+		for i, v := range s.leafV {
+			if v > tj {
+				leafP[i] -= run[n]
+				continue
+			}
+			for c[l+1] < v {
+				l++
+			}
+			r := run[l]
+			if v > c[l] {
+				r += float64(v-c[l]) * set[l]
+			}
+			r += float64(c[l+1]-v) * clr[l]
+			for k := l + 1; k < n; k++ {
+				r += float64(c[k+1]-c[k]) * clr[k]
+			}
+			leafP[i] -= r
+		}
+	}
+}
+
+// addLeafTails adds uncached rule j's full-table tail Σ_{t_j−ms<k≤t_j}
+// γ(j, k) to every leaf with positive slack ms = min(minRem, t−v); q is
+// j's index in the uncached list and slot the final slot, whose bound is
+// t. The sum depends on v only when the final slot is one of j's
+// higher-priority slots and v falls inside the window (max(t_j−ms, 0)+1,
+// t_j]; then it is computed directly. Below the window the slot's bit is
+// clear at every step of it, above it set, so those sums — and every sum
+// of a rule that ignores the final slot — depend only on the slack and on
+// the rule's other slots. They are cached by slack until one of those
+// slots changes (see tailStamp), which spans many prefixes when the
+// rule's slots sit high in the priority order. Cached or not, the value
+// is sumGammaSpan's.
+func (e *uEstimator) addLeafTails(q, j, slot, t, minRem int, tab *gammaTables) {
+	s := &e.scr
+	u, leafP, tailStamp, tailVal := s.u, s.leafP, s.tailStamp, s.tailVal
+	tj, dependsOnV := s.ruleT[j], s.tailLast[q]
+	stamp := s.stamp[s.tailDep[q]+1]
+	below := 2 * q * s.tailStride
+	above := below + s.tailStride
+	for i, v := range s.leafV {
+		ms := min(minRem, t-v)
+		if ms <= 0 {
+			break // v ascends, so the slack only falls
+		}
+		k := below + ms
+		if dependsOnV {
+			switch {
+			case v > tj:
+				k = above + ms
+			case v > max(tj-ms, 0)+1:
+				u[slot] = v
+				leafP[i] += tab.sumGammaSpan(j, tj-ms, tj, u)
+				continue
+			}
+		}
+		if tailStamp[k] != stamp {
+			u[slot] = v
+			tailStamp[k], tailVal[k] = stamp, tab.sumGammaSpan(j, tj-ms, tj, u)
+		}
+		leafP[i] += tailVal[k]
+	}
+}
+
+// resize returns b with length n, reallocating only when its capacity is
+// short. Callers overwrite what they read: the contents are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // sample draws MCSamples injective assignments uniformly (via rejection)
