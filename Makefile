@@ -42,9 +42,12 @@ race:
 ## packages' outputs merge into one json. Each benchmark runs -count 3
 ## and benchjson keeps the fastest run per (package, name), which is
 ## what makes the bench-compare gate usable on shared/noisy hosts; each
-## benchmark records the package it ran in.
+## benchmark records the package it ran in. -benchmem records B/op and
+## allocs/op beside ns/op (BenchmarkColdSessionBuild tracks the cold
+## session build's allocation count); bench-compare prints allocs/op but
+## gates on ns/op only.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 500ms -count 3 . ./internal/service/ > bench.out
+	$(GO) test -run xxx -bench . -benchmem -benchtime 500ms -count 3 . ./internal/service/ > bench.out
 	@cat bench.out
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_PR10.json
 	@rm -f bench.out
@@ -83,7 +86,8 @@ sched-gate:
 ## number of times whatever its flow count (one reseeded child stream,
 ## not a forked generator per flow). The exact u-sum enumerator must not
 ## allocate once its estimator is warm, so repeated model builds add no
-## GC pressure.
+## GC pressure; likewise a memo-hit u-sum estimate and the §IV-A1 event
+## weights, and BestSequence allocates as often at 8 candidates as at 4.
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/
 
@@ -106,7 +110,10 @@ trace-smoke:
 ## FuzzRNGMatchesMathRand holds the lazily seeded stats.RNG to
 ## math/rand.NewSource, draw for draw, on arbitrary seeds;
 ## FuzzEnumerateMatchesReference holds the exact u-sum enumerator to its
-## per-leaf reference walk, bit for bit, on arbitrary rule sets.
+## per-leaf reference walk, bit for bit, on arbitrary rule sets;
+## FuzzCompactBuildMatchesReference holds the cold compact-model build
+## (cover-table γ kernels, estimator scratch, reserved row assembly) to
+## the clone-based reference build, bit for bit.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -115,6 +122,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzReadPcap -fuzztime 10s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection

@@ -924,6 +924,41 @@ func BenchmarkShardedSim1k(b *testing.B) {
 	})
 }
 
+// BenchmarkColdSessionBuild is the model layer of a cold flowrecond
+// session: BuildConfig (both compact chains and their Eqn 8 evolution)
+// plus StandardAttackers (the §V-B two-probe search) over 256 rotating
+// target configurations. That is more than the model cache holds, so
+// every iteration rebuilds its chains, while one untimed pass first warms
+// the u-sum memo, as a long-running daemon's is. allocs/op is the
+// session build's allocation count.
+func BenchmarkColdSessionBuild(b *testing.B) {
+	const configs = 256
+	build := func(i int) {
+		spec := experiment.RecordingSpec{
+			Params:     benchParams(),
+			ConfigSeed: int64(i%configs) + 1,
+			TrialSeed:  1,
+			Trials:     1,
+			Probes:     2,
+		}
+		nc, err := spec.BuildConfig()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiment.StandardAttackers(nc, spec.Probes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < configs; i++ {
+		build(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build(i)
+	}
+}
+
 // BenchmarkIngestPcap measures the full ingestion pipeline on an
 // in-memory ~10k-packet capture: pcap decode (header + Ethernet/IPv4/
 // transport parse per record), flow extraction with the lazy expiry

@@ -10,7 +10,10 @@
 //
 // printing per-benchmark ns/op deltas and exiting non-zero when any
 // benchmark present in both files regressed by more than -max-regress
-// percent — the CI guard against accidental slowdowns.
+// percent — the CI guard against accidental slowdowns. When both files
+// carry a benchmark's allocs/op (`go test -benchmem`), the table shows
+// the old and new counts beside its times; they are informational and
+// never fail the comparison.
 package main
 
 import (
@@ -146,8 +149,8 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 	if err != nil {
 		return false, err
 	}
-	oldNs, oldNames := nsByKey(oldRep)
-	newNs, newNames := nsByKey(newRep)
+	oldRes, oldNames := resultsByKey(oldRep)
+	newRes, newNames := resultsByKey(newRep)
 
 	// label names a benchmark by name alone unless the name is ambiguous
 	// within its report.
@@ -159,22 +162,22 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 	}
 	type pair struct {
 		label    string
-		old, new float64
+		old, new map[string]float64
 	}
 	var shared []pair
 	var added []benchKey
 	matched := map[benchKey]bool{}
 	for _, b := range newRep.Benchmarks {
 		k := benchKey{newRep.pkgOf(b), b.Name}
-		n, has := newNs[k]
+		n, has := newRes[k]
 		if !has || (benchFilter != "" && b.Name != benchFilter) {
 			continue
 		}
 		oldKey := k
-		if _, both := oldNs[k]; !both && len(oldNames[k.name]) == 1 && len(newNames[k.name]) == 1 {
+		if _, both := oldRes[k]; !both && len(oldNames[k.name]) == 1 && len(newNames[k.name]) == 1 {
 			oldKey = oldNames[k.name][0]
 		}
-		if o, both := oldNs[oldKey]; both {
+		if o, both := oldRes[oldKey]; both {
 			matched[oldKey] = true
 			shared = append(shared, pair{label(k, newNames), o, n})
 		} else {
@@ -192,24 +195,48 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 	sort.Slice(shared, func(i, j int) bool { return shared[i].label < shared[j].label })
 	sort.Slice(added, func(i, j int) bool { return label(added[i], newNames) < label(added[j], newNames) })
 
-	ok := true
-	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	// allocs returns a pair's old and new allocs/op when both sides
+	// carry them.
+	allocs := func(p pair) (o, n float64, both bool) {
+		o, hasOld := p.old["allocs/op"]
+		n, hasNew := p.new["allocs/op"]
+		return o, n, hasOld && hasNew
+	}
+	withAllocs := false
 	for _, p := range shared {
-		delta := 100 * (p.new - p.old) / p.old
+		_, _, both := allocs(p)
+		withAllocs = withAllocs || both
+	}
+	allocCols := func(o, n string) string {
+		if !withAllocs {
+			return ""
+		}
+		return fmt.Sprintf(" %12s %12s", o, n)
+	}
+
+	ok := true
+	fmt.Fprintf(w, "%-40s %14s %14s %9s%s\n", "benchmark", "old ns/op", "new ns/op", "delta", allocCols("old allocs", "new allocs"))
+	for _, p := range shared {
+		o, n := p.old["ns/op"], p.new["ns/op"]
+		delta := 100 * (n - o) / o
 		mark := ""
 		if delta > maxRegress {
 			mark = "  REGRESSION"
 			ok = false
 		}
-		fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%%s\n", p.label, p.old, p.new, delta, mark)
+		cols := allocCols("—", "—")
+		if oa, na, both := allocs(p); both {
+			cols = allocCols(strconv.FormatFloat(oa, 'f', -1, 64), strconv.FormatFloat(na, 'f', -1, 64))
+		}
+		fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%%s%s\n", p.label, o, n, delta, cols, mark)
 	}
 	for _, k := range added {
-		fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", label(k, newNames), "—", newNs[k], "new")
+		fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", label(k, newNames), "—", newRes[k]["ns/op"], "new")
 	}
 	for _, b := range oldRep.Benchmarks {
 		k := benchKey{oldRep.pkgOf(b), b.Name}
-		if v, has := oldNs[k]; has && !matched[k] {
-			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", label(k, oldNames), v, "—", "removed")
+		if res, has := oldRes[k]; has && !matched[k] {
+			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", label(k, oldNames), res["ns/op"], "—", "removed")
 		}
 	}
 	if !ok {
@@ -220,23 +247,22 @@ func runCompare(w io.Writer, oldPath, newPath string, maxRegress float64, benchF
 	return ok, nil
 }
 
-// nsByKey indexes a report's ns/op results by (package, name) and lists
-// the keys under each name.
-func nsByKey(rep *Report) (map[benchKey]float64, map[string][]benchKey) {
-	ns := map[benchKey]float64{}
+// resultsByKey indexes the metrics of a report's results that carry
+// ns/op by (package, name) and lists the keys under each name.
+func resultsByKey(rep *Report) (map[benchKey]map[string]float64, map[string][]benchKey) {
+	res := map[benchKey]map[string]float64{}
 	names := map[string][]benchKey{}
 	for _, b := range rep.Benchmarks {
-		v, ok := b.Metrics["ns/op"]
-		if !ok {
+		if _, ok := b.Metrics["ns/op"]; !ok {
 			continue
 		}
 		k := benchKey{rep.pkgOf(b), b.Name}
-		if _, dup := ns[k]; !dup {
+		if _, dup := res[k]; !dup {
 			names[k.name] = append(names[k.name], k)
 		}
-		ns[k] = v
+		res[k] = b.Metrics
 	}
-	return ns, names
+	return res, names
 }
 
 // add inserts one parsed result, merging repeated runs of the same

@@ -296,3 +296,57 @@ func TestRunComparePackages(t *testing.T) {
 		t.Fatalf("-bench Shared must gate both packages' Shared (ok=%v err=%v):\n%s", ok, err, buf.String())
 	}
 }
+
+func TestRunCompareAllocs(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := dir + "/" + name
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	oldPath := write("old.json", `{"benchmarks":[
+		{"name":"Build","iters":1,"metrics":{"ns/op":1000,"allocs/op":6468}},
+		{"name":"Plain","iters":1,"metrics":{"ns/op":2000}}]}`)
+	newPath := write("new.json", `{"benchmarks":[
+		{"name":"Build","iters":1,"metrics":{"ns/op":1100,"allocs/op":9000}},
+		{"name":"Plain","iters":1,"metrics":{"ns/op":2000,"allocs/op":3}}]}`)
+
+	var buf strings.Builder
+	ok, err := runCompare(&buf, oldPath, newPath, 15, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatalf("allocs/op must never gate:\n%s", buf.String())
+	}
+	lines := strings.Split(buf.String(), "\n")
+	if !strings.Contains(lines[0], "old allocs") || !strings.Contains(lines[0], "new allocs") {
+		t.Fatalf("header lacks the allocs columns:\n%s", buf.String())
+	}
+	var build, plain string
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "Build"):
+			build = l
+		case strings.HasPrefix(l, "Plain"):
+			plain = l
+		}
+	}
+	if f := strings.Fields(build); len(f) != 6 || f[4] != "6468" || f[5] != "9000" {
+		t.Fatalf("Build row %q, want old/new allocs 6468 and 9000", build)
+	}
+	if f := strings.Fields(plain); len(f) != 6 || f[4] != "—" || f[5] != "—" {
+		t.Fatalf("Plain row %q: allocs present on one side only must print as —", plain)
+	}
+
+	// Reports without allocs/op keep the ns/op-only table.
+	buf.Reset()
+	if _, err := runCompare(&buf, newPath, write("bare.json", `{"benchmarks":[{"name":"Build","iters":1,"metrics":{"ns/op":1000}}]}`), 15, ""); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "allocs") {
+		t.Fatalf("allocs columns without allocs data:\n%s", buf.String())
+	}
+}

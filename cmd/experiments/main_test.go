@@ -86,6 +86,27 @@ func TestRunTelemetryUSumCounters(t *testing.T) {
 	}
 }
 
+func TestRunTelemetrySequenceSearch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the workload comparison")
+	}
+	out := filepath.Join(t.TempDir(), "tel.json")
+	if err := run([]string{"-workload", "pareto", "-scale", "small", "-trials", "10", "-seed", "5", "-telemetry-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := snap.Histograms["sequence_search_ms"]; !ok || h.Summary.N < 1 {
+		t.Fatalf("telemetry snapshot lacks sequence_search_ms observations: %v", snap.Histograms)
+	}
+}
+
 func TestRunWorkloadAndTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the workload comparison")

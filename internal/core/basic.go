@@ -109,7 +109,11 @@ func newBasicModel(cfg Config, maxStates int, canonical bool) (*BasicModel, erro
 		return nil, fmt.Errorf("core: basic model supports ≤ 64 rules, got %d", cfg.Rules.Len())
 	}
 	m := &BasicModel{cfg: cfg, sr: cfg.stepRates(), canonical: canonical}
-	res, err := markov.Explore("", m.transitions, maxStates)
+	ct := newCoverTable(cfg.Rules, len(cfg.Rates))
+	var w eventWeights
+	res, err := markov.Explore("", func(key string) []markov.Transition[string] {
+		return m.transitions(key, ct, &w)
+	}, maxStates)
 	if err != nil {
 		return nil, fmt.Errorf("basic model: %w", err)
 	}
@@ -136,8 +140,9 @@ func newBasicModel(cfg Config, maxStates int, canonical bool) (*BasicModel, erro
 }
 
 // transitions enumerates the successor states of key with normalized
-// probabilities, per §IV-A1.
-func (m *BasicModel) transitions(key string) []markov.Transition[string] {
+// probabilities, per §IV-A1. The event weights come from the cover-table
+// kernel ct into the caller's scratch w.
+func (m *BasicModel) transitions(key string, ct *coverTable, w *eventWeights) []markov.Transition[string] {
 	slots := decodeBasic(key)
 
 	// Timeout takes priority: a zero-clock state has exactly one
@@ -149,15 +154,11 @@ func (m *BasicModel) transitions(key string) []markov.Transition[string] {
 		return []markov.Transition[string]{{To: m.encode(next), P: 1}}
 	}
 
-	cached := func(j int) bool {
-		for _, e := range slots {
-			if e.rule == j {
-				return true
-			}
-		}
-		return false
+	var cached uint64
+	for _, e := range slots {
+		cached |= 1 << uint(e.rule)
 	}
-	w := computeEventWeights(m.cfg.Rules, m.sr, cached)
+	computeEventWeights(ct, m.sr, cached, w)
 
 	var out []markov.Transition[string]
 	total := w.null
@@ -169,11 +170,11 @@ func (m *BasicModel) transitions(key string) []markov.Transition[string] {
 		// chain but registers the successor state, which ApplyProbe needs
 		// when the attacker probes a zero-rate flow (e.g. the target flow
 		// in the conditioned chain).
-		if w.relFlows[j].Empty() {
+		if w.relevant&(1<<uint(j)) == 0 {
 			continue
 		}
 		var next []basicEntry
-		if cached(j) {
+		if cached&(1<<uint(j)) != 0 {
 			next = m.applyHit(slots, j)
 		} else {
 			next = m.applyMiss(slots, j)

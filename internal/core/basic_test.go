@@ -103,7 +103,8 @@ func TestRelevantFlows(t *testing.T) {
 
 func TestEventWeightsNormalizable(t *testing.T) {
 	cfg := tinyConfig(t)
-	w := computeEventWeights(cfg.Rules, cfg.stepRates(), func(int) bool { return false })
+	var w eventWeights
+	computeEventWeights(newCoverTable(cfg.Rules, len(cfg.Rates)), cfg.stepRates(), 0, &w)
 	if w.null <= 0 || w.null >= 1 {
 		t.Fatalf("null weight = %v", w.null)
 	}

@@ -50,6 +50,7 @@ type CompactModel struct {
 	sr     []float64
 	states []uint64       // rule bitmasks, index-aligned with the matrix
 	index  map[uint64]int // mask → state index
+	cover  *coverTable    // rule coverage, shared read-only with the build's estimators
 	matrix *markov.Sparse
 	frozen *markov.CSR      // immutable CSR snapshot driving Evolve/SteadyState
 	wsPool sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
@@ -85,7 +86,7 @@ func NewCompactModelWorkers(cfg Config, params USumParams, workers int) (*Compac
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params}
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params, cover: newCoverTable(cfg.Rules, len(cfg.Rates))}
 	m.enumerateStates()
 	if err := m.buildMatrix(workers); err != nil {
 		return nil, err
@@ -98,12 +99,13 @@ func NewCompactModelWorkers(cfg Config, params USumParams, workers int) (*Compac
 }
 
 // MemBytes estimates the model's resident heap footprint: state masks,
-// the mask index, per-state estimates, and both matrix forms. Map
-// overhead is approximated, so treat the figure as a cache byte-budget
-// accounting unit, not exact process RSS.
+// the mask index, the cover table, per-state estimates, and both matrix
+// forms — the builder by the capacity its rows hold, not only their
+// entries. Map overhead is approximated, so treat the figure as a cache
+// byte-budget accounting unit, not exact process RSS.
 func (m *CompactModel) MemBytes() int64 {
 	const mapEntry = 48 // rough per-entry bucket + key + value cost
-	b := int64(len(m.states))*8 + int64(len(m.sr))*8
+	b := int64(len(m.states))*8 + int64(len(m.sr))*8 + m.cover.memBytes()
 	b += int64(len(m.index)) * mapEntry
 	for i := range m.est {
 		b += int64(len(m.est[i].Evict)+len(m.est[i].Timeout))*mapEntry + 64
@@ -112,7 +114,7 @@ func (m *CompactModel) MemBytes() int64 {
 		b += m.frozen.MemBytes()
 	}
 	if m.matrix != nil {
-		b += int64(m.matrix.NNZ()) * 16 // builder edges {to, p}
+		b += m.matrix.MemBytes()
 	}
 	return b
 }
@@ -138,7 +140,9 @@ func (m *CompactModel) enumerateStates() {
 	if cap > nr {
 		cap = nr
 	}
-	m.index = make(map[uint64]int, CompactStateCount(nr, cap))
+	count := CompactStateCount(nr, cap)
+	m.index = make(map[uint64]int, count)
+	m.states = make([]uint64, 0, count)
 	add := func(mask uint64) {
 		m.index[mask] = len(m.states)
 		m.states = append(m.states, mask)
@@ -159,27 +163,41 @@ func (m *CompactModel) enumerateStates() {
 	}
 }
 
-// builtRow is the output of one state's independent row computation.
+// builtRow is the output of one state's independent row computation: its
+// estimates, and its unnormalized entries lo..hi-1 of the building
+// worker's slab.
 type builtRow struct {
 	est    StateEstimates
 	hasEst bool
-	tos    []int
-	ps     []float64
+	slab   *rowSlab
+	lo, hi int
+}
+
+// rowSlab collects the row entries of every state one build worker
+// computes, so a row costs no allocation of its own. Rows address it by
+// offset, which stays valid as the slices grow.
+type rowSlab struct {
+	tos []int
+	ps  []float64
 }
 
 // buildRow computes state idx's estimates and unnormalized row entries.
-// It touches only immutable model fields (states, index, cfg, sr) plus
-// the caller-owned estimator, so rows can be built concurrently.
+// It touches only immutable model fields (states, index, cfg, sr, cover)
+// plus the caller-owned estimator, whose scratch carries the state's rule
+// IDs and event weights and whose slab receives the entries, so rows can
+// be built concurrently.
 func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 	mask := m.states[idx]
-	cachedIDs := maskIDs(mask)
-	cached := func(j int) bool { return mask&(1<<uint(j)) != 0 }
-	w := computeEventWeights(m.cfg.Rules, m.sr, cached)
+	estimator.ids = appendMaskIDs(estimator.ids[:0], mask)
+	cachedIDs := estimator.ids
+	w := &estimator.w
+	computeEventWeights(estimator.covers(), m.sr, mask, w)
 
-	var row builtRow
+	slab := &estimator.slab
+	row := builtRow{slab: slab, lo: len(slab.tos)}
 	add := func(to int, p float64) {
-		row.tos = append(row.tos, to)
-		row.ps = append(row.ps, p)
+		slab.tos = append(slab.tos, to)
+		slab.ps = append(slab.ps, p)
 	}
 	est := row.est
 	if len(cachedIDs) > 0 {
@@ -207,13 +225,12 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 	}
 
 	// Arrival events.
-	for j := 0; j < m.cfg.Rules.Len(); j++ {
-		p := w.arrival[j]
+	for j, p := range w.arrival {
 		if p <= 0 {
 			continue
 		}
 		switch {
-		case cached(j):
+		case mask&(1<<uint(j)) != 0:
 			add(idx, p) // hit: subset unchanged
 		case len(cachedIDs) < m.cfg.CacheSize:
 			add(m.index[mask|1<<uint(j)], p)
@@ -224,12 +241,34 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 			}
 		}
 	}
+	row.hi = len(slab.tos)
 	return row
+}
+
+// estimators recycles build estimators, scratch and all, across model
+// builds, so a cold build does not regrow every table and enumeration
+// buffer from empty. The scratch holds no results: every buffer is
+// overwritten before it is read.
+var estimators sync.Pool
+
+// newEstimator returns a u-sum estimator over the model's rules, rates
+// and cover table, with an empty row slab. Each build worker owns one
+// until the build's rows are assembled.
+func (m *CompactModel) newEstimator() *uEstimator {
+	e, _ := estimators.Get().(*uEstimator)
+	if e == nil {
+		e = &uEstimator{}
+	}
+	e.rs, e.sr, e.capacity, e.params, e.cover = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.params, m.cover
+	e.slab.tos, e.slab.ps = e.slab.tos[:0], e.slab.ps[:0]
+	return e
 }
 
 // buildMatrix computes every state's row — the u-sum estimation is the
 // §VI hot path — on a pool of workers, then assembles the sparse matrix
 // serially in state order so the result is independent of scheduling.
+// Each builder row is reserved at its entry count up front, all from one
+// slab, so assembly never regrows a row.
 func (m *CompactModel) buildMatrix(workers int) error {
 	n := len(m.states)
 	m.est = make([]StateEstimates, n)
@@ -237,19 +276,22 @@ func (m *CompactModel) buildMatrix(workers int) error {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		estimator := &uEstimator{rs: m.cfg.Rules, sr: m.sr, capacity: m.cfg.CacheSize, params: m.params}
+	workers = max(workers, 1)
+	pool := make([]*uEstimator, workers)
+	for w := range pool {
+		pool[w] = m.newEstimator()
+	}
+	if workers == 1 {
 		for idx := range m.states {
-			rows[idx] = m.buildRow(estimator, idx)
+			rows[idx] = m.buildRow(pool[0], idx)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, estimator := range pool {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				estimator := &uEstimator{rs: m.cfg.Rules, sr: m.sr, capacity: m.cfg.CacheSize, params: m.params}
 				for {
 					idx := int(next.Add(1)) - 1
 					if idx >= n {
@@ -263,30 +305,37 @@ func (m *CompactModel) buildMatrix(workers int) error {
 	}
 
 	// Deterministic in-order assembly.
-	m.matrix = markov.NewSparse(n)
-	for idx := range rows {
-		if rows[idx].hasEst {
-			m.est[idx] = rows[idx].est
-			if rows[idx].est.Exact {
+	rowCaps := make([]int, n)
+	for idx, row := range rows {
+		rowCaps[idx] = row.hi - row.lo
+	}
+	m.matrix = markov.NewSparseReserved(rowCaps)
+	for idx, row := range rows {
+		if row.hasEst {
+			m.est[idx] = row.est
+			if row.est.Exact {
 				m.exactStates++
 			}
 		}
-		for k, to := range rows[idx].tos {
-			m.matrix.Add(idx, to, rows[idx].ps[k])
+		for k := row.lo; k < row.hi; k++ {
+			m.matrix.Add(idx, row.slab.tos[k], row.slab.ps[k])
 		}
+	}
+	for _, e := range pool {
+		estimators.Put(e)
 	}
 	m.matrix.NormalizeRows()
 	return m.matrix.CheckStochastic(1e-9)
 }
 
-func maskIDs(mask uint64) []int {
-	out := make([]int, 0, bits.OnesCount64(mask))
+// appendMaskIDs appends the rule IDs set in mask to dst, ascending.
+func appendMaskIDs(dst []int, mask uint64) []int {
 	for mask != 0 {
 		b := bits.TrailingZeros64(mask)
-		out = append(out, b)
+		dst = append(dst, b)
 		mask &^= 1 << uint(b)
 	}
-	return out
+	return dst
 }
 
 // NumStates returns the state-space size (Σ C(|Rules|, k), k ≤ n).
@@ -350,15 +399,13 @@ func (m *CompactModel) EvolveInPlace(d markov.Dist, steps int) {
 // Frozen exposes the CSR kernel for diagnostics and benchmarks.
 func (m *CompactModel) Frozen() *markov.CSR { return m.frozen }
 
-// coverMask returns the bitmask of rules covering f.
+// coverMask returns the bitmask of rules covering f (none for a flow
+// outside the universe).
 func (m *CompactModel) coverMask(f flows.ID) uint64 {
-	var cover uint64
-	for j := 0; j < m.cfg.Rules.Len(); j++ {
-		if m.cfg.Rules.Rule(j).Covers(f) {
-			cover |= 1 << uint(j)
-		}
+	if int(f) < 0 || int(f) >= len(m.cover.covers) {
+		return 0
 	}
-	return cover
+	return m.cover.covers[f]
 }
 
 // HitProbability returns P(Q_f = 1) under d.

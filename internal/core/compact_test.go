@@ -392,7 +392,7 @@ func TestCompactSteadyState(t *testing.T) {
 }
 
 func TestMaskIDs(t *testing.T) {
-	ids := maskIDs(0b1011)
+	ids := appendMaskIDs(nil, 0b1011)
 	want := []int{0, 1, 3}
 	if len(ids) != 3 {
 		t.Fatalf("ids = %v", ids)
@@ -402,7 +402,7 @@ func TestMaskIDs(t *testing.T) {
 			t.Fatalf("ids = %v, want %v", ids, want)
 		}
 	}
-	if len(maskIDs(0)) != 0 {
+	if len(appendMaskIDs(nil, 0)) != 0 {
 		t.Fatal("empty mask")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"flowrecon/internal/telemetry"
 )
@@ -28,6 +29,9 @@ type coreMetrics struct {
 	usumExact  *telemetry.Counter
 	usumMC     *telemetry.Counter
 	usumLeaves *telemetry.Counter
+	// sequenceSearchMs is the wall time of one BestSequence search
+	// (histogram "sequence_search_ms"), the roster's probe-planning layer.
+	sequenceSearchMs *telemetry.Histogram
 	// buildWorkers is the worker count of the most recent parallel
 	// model build (gauge "model_build_workers").
 	buildWorkers *telemetry.Gauge
@@ -47,11 +51,11 @@ func evolveNsBuckets() []float64 {
 }
 
 // SetTelemetry points the model layer's instrumentation at reg: the
-// model_build_ms and evolve_ns histograms, model-cache and u-sum memo
-// hit counters, the u-sum work counters (usum_states_total by method,
-// usum_exact_leaves_total) and the model_build_workers gauge all land in
-// reg's /debug/vars-style snapshot. Passing nil disables instrumentation
-// (the default).
+// model_build_ms, evolve_ns and sequence_search_ms histograms, model-cache
+// and u-sum memo hit counters, the u-sum work counters (usum_states_total
+// by method, usum_exact_leaves_total) and the model_build_workers gauge
+// all land in reg's /debug/vars-style snapshot. Passing nil disables
+// instrumentation (the default).
 func SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		coreMetricsPtr.Store(nil)
@@ -67,6 +71,7 @@ func SetTelemetry(reg *telemetry.Registry) {
 		usumExact:        reg.Counter("usum_states_total", "method", "exact"),
 		usumMC:           reg.Counter("usum_states_total", "method", "mc"),
 		usumLeaves:       reg.Counter("usum_exact_leaves_total"),
+		sequenceSearchMs: reg.Histogram("sequence_search_ms", telemetry.MillisecondBuckets()),
 		buildWorkers:     reg.Gauge("model_build_workers"),
 		events:           reg.Events(),
 	})
@@ -128,6 +133,15 @@ func obsBuild(ms float64, workers int) {
 	}
 	m.buildMs.Observe(ms)
 	m.buildWorkers.Set(int64(workers))
+}
+
+// obsSequenceSearch records one BestSequence search that began at start.
+func obsSequenceSearch(start time.Time) {
+	m := coreMetricsPtr.Load()
+	if m == nil {
+		return
+	}
+	m.sequenceSearchMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 }
 
 func obsEvolve(ns float64) {

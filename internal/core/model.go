@@ -100,30 +100,83 @@ func (c Config) withoutFlow(f flows.ID) Config {
 	return out
 }
 
-// relevantFlows implements the two-case "relevant flow identifiers"
-// definition of §IV-A1 for rule j given the cached-rule predicate:
+// coverTable is a rule set's coverage in the two shapes the §IV rate sums
+// walk: each rule's covered flows in ascending order, and each flow's
+// covering rules as a bitmask (models have ≤ 64 rules). A sum over
+// "rule_j minus the flows of some excluded rules" then costs one mask test
+// per flow of rule j instead of cloning a flow set and subtracting covers
+// from it.
+type coverTable struct {
+	flows  [][]int32 // flows[j]: rule j's covered flows, ascending
+	covers []uint64  // covers[f]: bit j set iff rule j covers flow f
+	higher []uint64  // higher[j]: bit j' set iff rule j' outranks rule j
+}
+
+// newCoverTable tabulates rs over a numFlows-flow universe (which must
+// hold every covered flow, as Config.Validate checks).
+func newCoverTable(rs *rules.Set, numFlows int) *coverTable {
+	nr := rs.Len()
+	total := 0
+	for j := 0; j < nr; j++ {
+		total += rs.Rule(j).Cover.Len()
+	}
+	c := &coverTable{
+		flows:  make([][]int32, nr),
+		covers: make([]uint64, numFlows),
+		higher: make([]uint64, nr),
+	}
+	slab := make([]int32, 0, total)
+	for j := 0; j < nr; j++ {
+		start := len(slab)
+		rs.Rule(j).Cover.ForEach(func(f flows.ID) {
+			slab = append(slab, int32(f))
+			c.covers[f] |= 1 << uint(j)
+		})
+		c.flows[j] = slab[start:len(slab):len(slab)]
+		for j2 := 0; j2 < nr; j2++ {
+			if rs.HigherPriority(j2, j) {
+				c.higher[j] |= 1 << uint(j2)
+			}
+		}
+	}
+	return c
+}
+
+// memBytes estimates the table's heap footprint.
+func (c *coverTable) memBytes() int64 {
+	b := int64(len(c.covers)+len(c.higher))*8 + int64(len(c.flows))*24
+	for _, fs := range c.flows {
+		b += int64(len(fs)) * 4
+	}
+	return b
+}
+
+// gamma returns Σ sr[f] over rule j's flows that no rule in excl covers,
+// and whether any such flow exists. It makes exactly the additions
+// flows.Set.SumRates makes over rule j's cover with the excluded rules'
+// covers subtracted, in the same ascending flow order from the same +0
+// start, so the sum is bit-identical to the clone-and-subtract form.
+func (c *coverTable) gamma(j int, excl uint64, sr []float64) (sum float64, relevant bool) {
+	for _, f := range c.flows[j] {
+		if c.covers[f]&excl == 0 {
+			sum += sr[f]
+			relevant = true
+		}
+	}
+	return sum, relevant
+}
+
+// relevantExclusion returns the rules whose flows the two-case "relevant
+// flow identifiers" definition of §IV-A1 removes from rule j in a state
+// caching the rule set cached:
 //
 //   - j cached:   rule_j \ ∪ {rule_j' cached, rule_j' > rule_j}
 //   - j uncached: rule_j \ (∪ cached rules ∪ {rule_j' uncached, rule_j' > rule_j})
-func relevantFlows(rs *rules.Set, cached func(int) bool, j int) flows.Set {
-	rel := rs.Rule(j).Cover.Clone()
-	if cached(j) {
-		for j2 := 0; j2 < rs.Len(); j2++ {
-			if j2 != j && cached(j2) && rs.HigherPriority(j2, j) {
-				rel.SubtractInPlace(rs.Rule(j2).Cover)
-			}
-		}
-		return rel
+func (c *coverTable) relevantExclusion(j int, cached uint64) uint64 {
+	if cached&(1<<uint(j)) != 0 {
+		return cached & c.higher[j]
 	}
-	for j2 := 0; j2 < rs.Len(); j2++ {
-		if j2 == j {
-			continue
-		}
-		if cached(j2) || rs.HigherPriority(j2, j) {
-			rel.SubtractInPlace(rs.Rule(j2).Cover)
-		}
-	}
-	return rel
+	return cached | c.higher[j]
 }
 
 // eventWeights holds the unnormalized transition weights out of a cache
@@ -133,37 +186,36 @@ type eventWeights struct {
 	// arrival[j] is (γ_j·e^{-γ_j})·e^{-Γ_j}; zero when rule j has no
 	// relevant flows in this state.
 	arrival []float64
-	// relRate[j] is γ_j, the effective per-step rate of rule j.
-	relRate []float64
-	// relFlows[j] is the relevant flow set of rule j.
-	relFlows []flows.Set
+	// relevant has bit j set when rule j has relevant flows in this
+	// state, even ones of zero rate.
+	relevant uint64
 	// null is e^{-Λ}, the weight of no (covered) flow arriving.
 	null float64
 }
 
 // computeEventWeights evaluates the §IV-A1 arrival/null weights for the
-// state described by cached, using per-step rates sr.
-func computeEventWeights(rs *rules.Set, sr []float64, cached func(int) bool) eventWeights {
+// state caching the rule set cached into w, reusing w's storage, with
+// per-step rates sr. Each γ_j comes from the cover-table kernel, so every
+// weight is bit-identical to the one computed from the cloned relevant
+// flow set, and a warm w makes the call allocation-free.
+func computeEventWeights(ct *coverTable, sr []float64, cached uint64, w *eventWeights) {
 	var total float64
 	for _, r := range sr {
 		total += r
 	}
-	w := eventWeights{
-		arrival:  make([]float64, rs.Len()),
-		relRate:  make([]float64, rs.Len()),
-		relFlows: make([]flows.Set, rs.Len()),
-		null:     math.Exp(-total),
-	}
-	for j := 0; j < rs.Len(); j++ {
-		rel := relevantFlows(rs, cached, j)
-		w.relFlows[j] = rel
-		gamma := rel.SumRates(sr)
-		w.relRate[j] = gamma
+	w.null = math.Exp(-total)
+	w.arrival = resize(w.arrival, len(ct.flows))
+	w.relevant = 0
+	for j := range w.arrival {
+		gamma, relevant := ct.gamma(j, ct.relevantExclusion(j, cached), sr)
+		w.arrival[j] = 0
+		if relevant {
+			w.relevant |= 1 << uint(j)
+		}
 		if gamma <= 0 {
 			continue
 		}
 		bigGamma := total - gamma
 		w.arrival[j] = gamma * math.Exp(-gamma) * math.Exp(-bigGamma)
 	}
-	return w
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"strings"
+	"time"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/markov"
@@ -112,9 +113,15 @@ func (s *ProbeSelector) arenaFor(depth int) *seqArena {
 	}
 	n, n0 := len(s.dist), len(s.dist0)
 	for len(a.levels) < depth {
+		buf := make([]float64, 3*(n+n0))
+		next := func(size int) markov.Dist {
+			d := markov.Dist(buf[:size:size])
+			buf = buf[size:]
+			return d
+		}
 		a.levels = append(a.levels, seqLevel{
-			hit: make(markov.Dist, n), miss: make(markov.Dist, n), app: make(markov.Dist, n),
-			hit0: make(markov.Dist, n0), miss0: make(markov.Dist, n0), app0: make(markov.Dist, n0),
+			hit: next(n), miss: next(n), app: next(n),
+			hit0: next(n0), miss0: next(n0), app0: next(n0),
 		})
 	}
 	return a
@@ -139,9 +146,7 @@ func (s *ProbeSelector) EvaluateSequence(fs []flows.ID) SequenceEval {
 	var walk func(depth int, key string, d, d0 markov.Dist)
 	walk = func(depth int, key string, d, d0 markov.Dist) {
 		if depth == len(fs) {
-			pq := d.Sum()               // P(Q⃗ = key)
-			pq0 := s.pAbsent * d0.Sum() // P(X̂=0 ∧ Q⃗ = key)
-			pq1 := clamp01(pq - pq0)    // P(X̂=1 ∧ Q⃗ = key)
+			pq, pq0, pq1 := s.leaf(d, d0)
 			eval.PathProb[key] = pq
 			if pq > 0 {
 				eval.PosteriorPresent[key] = pq1 / pq
@@ -172,19 +177,36 @@ func (s *ProbeSelector) EvaluateSequence(fs []flows.ID) SequenceEval {
 	return eval
 }
 
+// leaf returns a decision-tree leaf's probability P(Q⃗ = leaf) and its
+// joint masses P(X̂=0 ∧ Q⃗ = leaf) and P(X̂=1 ∧ Q⃗ = leaf), from the
+// post-probe distributions d and d0 of the two chains at the leaf.
+func (s *ProbeSelector) leaf(d, d0 markov.Dist) (pq, pq0, pq1 float64) {
+	pq = d.Sum()
+	pq0 = s.pAbsent * d0.Sum()
+	return pq, pq0, clamp01(pq - pq0)
+}
+
 // BestSequence selects m probes from candidates with maximal information
 // gain. For m ≤ 2 it searches ordered sequences exhaustively (the paper's
 // two-query attacker); for larger m it extends the best sequence greedily,
-// one probe per round.
+// one probe per round. Each search is timed into the sequence_search_ms
+// histogram when telemetry is on.
+//
+// The m = 2 search (bestPair) shares each first probe's tree level across
+// every second probe, yet returns exactly what evaluating every ordered
+// pair with EvaluateSequence and keeping the first strictly larger gain
+// would: the same pair and, re-evaluated, the same SequenceEval to the
+// last bit.
 func (s *ProbeSelector) BestSequence(candidates []flows.ID, m int) (SequenceEval, bool) {
 	if len(candidates) == 0 || m < 1 {
 		return SequenceEval{}, false
 	}
+	defer obsSequenceSearch(time.Now())
 	if m == 1 {
 		return s.bestOver(sequencesOfOne(candidates))
 	}
 	if m == 2 {
-		return s.bestOver(sequencesOfTwo(candidates))
+		return s.bestPair(candidates)
 	}
 	// Greedy extension.
 	best, _ := s.bestOver(sequencesOfOne(candidates))
@@ -208,6 +230,74 @@ func (s *ProbeSelector) BestSequence(candidates []flows.ID, m int) (SequenceEval
 	return best, true
 }
 
+// bestPair is BestSequence's exhaustive ordered two-probe search. It
+// walks each first probe's tree level once — split by the outcome and
+// apply the probe's side effect, on both chains and both branches — then
+// reuses that level for every second probe. A pair's gain is summed
+// without building its outcome maps or keys: each leaf makes exactly the
+// floating-point operations EvaluateSequence makes (the leaf sums, then
+// ConditionalEntropyBits' steps), folded into the conditional entropy in
+// leaf order "00", "01", "10", "11". So every gain is bit-identical to
+// EvaluateSequence's, the candidate order and the strict > tie-break
+// select the pair bestOver would, and only the winner is evaluated in
+// full.
+func (s *ProbeSelector) bestPair(candidates []flows.ID) (SequenceEval, bool) {
+	arena := s.arenaFor(3)
+	// first holds the first probe's splits and its miss branch (app,
+	// app0); the hit branch goes to hit's app buffers, and leaves is the
+	// second probe's scratch.
+	first, hit, leaves := &arena.levels[0], &arena.levels[1], &arena.levels[2]
+	prior := s.PriorEntropy()
+	var best [2]flows.ID
+	var bestGain float64
+	found := false
+	for _, a := range candidates {
+		splitInto(s.model, s.dist, a, first.hit, first.miss)
+		splitInto(s.model0, s.dist0, a, first.hit0, first.miss0)
+		applyInto(s.model, first.app, first.miss, a, false)
+		applyInto(s.model0, first.app0, first.miss0, a, false)
+		applyInto(s.model, hit.app, first.hit, a, true)
+		applyInto(s.model0, hit.app0, first.hit0, a, true)
+		for _, b := range candidates {
+			if a == b {
+				continue
+			}
+			var hCond float64
+			s.addLeafEntropies(&hCond, b, first.app, first.app0, leaves)
+			s.addLeafEntropies(&hCond, b, hit.app, hit.app0, leaves)
+			gain := prior - hCond
+			if gain < 0 {
+				gain = 0
+			}
+			if !found || gain > bestGain {
+				best, bestGain, found = [2]flows.ID{a, b}, gain, true
+			}
+		}
+	}
+	s.seqPool.Put(arena)
+	if !found {
+		return SequenceEval{}, false
+	}
+	return s.EvaluateSequence(best[:]), true
+}
+
+// addLeafEntropies adds to *hCond the conditional-entropy terms of the
+// two leaves below probe f on the branch whose post-probe distributions
+// are d and d0 — the miss leaf, then the hit leaf, as EvaluateSequence's
+// walk visits them — using lv as scratch.
+func (s *ProbeSelector) addLeafEntropies(hCond *float64, f flows.ID, d, d0 markov.Dist, lv *seqLevel) {
+	splitInto(s.model, d, f, lv.hit, lv.miss)
+	splitInto(s.model0, d0, f, lv.hit0, lv.miss0)
+	applyInto(s.model, lv.app, lv.miss, f, false)
+	applyInto(s.model0, lv.app0, lv.miss0, f, false)
+	_, pq0, pq1 := s.leaf(lv.app, lv.app0)
+	*hCond += stats.ConditionalEntropyBits2x1(pq0, pq1)
+	applyInto(s.model, lv.app, lv.hit, f, true)
+	applyInto(s.model0, lv.app0, lv.hit0, f, true)
+	_, pq0, pq1 = s.leaf(lv.app, lv.app0)
+	*hCond += stats.ConditionalEntropyBits2x1(pq0, pq1)
+}
+
 func (s *ProbeSelector) bestOver(seqs [][]flows.ID) (SequenceEval, bool) {
 	var best SequenceEval
 	found := false
@@ -224,19 +314,6 @@ func sequencesOfOne(candidates []flows.ID) [][]flows.ID {
 	out := make([][]flows.ID, len(candidates))
 	for i, f := range candidates {
 		out[i] = []flows.ID{f}
-	}
-	return out
-}
-
-func sequencesOfTwo(candidates []flows.ID) [][]flows.ID {
-	var out [][]flows.ID
-	for _, a := range candidates {
-		for _, b := range candidates {
-			if a == b {
-				continue
-			}
-			out = append(out, []flows.ID{a, b})
-		}
 	}
 	return out
 }

@@ -57,45 +57,73 @@ type uEstimator struct {
 	sr       []float64 // per-step flow rates λ_f·Δ
 	capacity int
 	params   USumParams
+	cover    *coverTable // the model's, shared read-only; built on first use when unset
 
-	// Scratch reused across estimate calls (never escapes).
-	scr enumScratch
+	// Scratch reused across calls. Nothing here outlives a call except
+	// slab, which holds buildRow's entries until the build assembles them.
+	scr   enumScratch
+	tab   gammaTables
+	order byPriority // the state's cached rules, descending priority
+	touts []int      // their timeouts, slot-aligned with order.ids
+	ids   []int      // buildRow's cached rule IDs, ascending
+	w     eventWeights
+	acc   uAccumulator
+	slab  rowSlab
+}
+
+// covers returns the estimator's cover table, building it on first use
+// when the estimator was not given one.
+func (e *uEstimator) covers() *coverTable {
+	if e.cover == nil {
+		e.cover = newCoverTable(e.rs, len(e.sr))
+	}
+	return e.cover
+}
+
+// byPriority orders rule IDs by descending priority. The estimator owns
+// one, so ordering a state's cached rules allocates nothing. sort.Sort
+// and sort.Slice run the same pdqsort (both are generated from one
+// template), so rules of equal priority — which rules.Set allows for
+// disjoint rules — land exactly where sort.Slice puts them.
+type byPriority struct {
+	rs  *rules.Set
+	ids []int
+}
+
+func (p *byPriority) Len() int           { return len(p.ids) }
+func (p *byPriority) Less(a, b int) bool { return p.rs.HigherPriority(p.ids[a], p.ids[b]) }
+func (p *byPriority) Swap(a, b int)      { p.ids[a], p.ids[b] = p.ids[b], p.ids[a] }
+
+// newStateEstimates returns feasible, exact estimates with room for m
+// cached rules.
+func newStateEstimates(m int) StateEstimates {
+	return StateEstimates{
+		Evict:    make(map[int]float64, m),
+		Timeout:  make(map[int]float64, m),
+		Feasible: true,
+		Exact:    true,
+	}
 }
 
 // estimate computes the eviction distribution and timeout probabilities
 // for the compact state caching exactly cachedIDs. Results are memoized
 // across estimators (and hence across the M and M₀ chains) keyed by the
 // numerical inputs of the computation, so a state whose effective rates
-// are unaffected by the target's zeroed rate is computed once.
+// are unaffected by the target's zeroed rate is computed once. Everything
+// up to the memo lookup runs in estimator scratch, so a memo hit on a
+// warm estimator allocates nothing.
 func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	m := len(cachedIDs)
-	out := StateEstimates{
-		Evict:    make(map[int]float64, m),
-		Timeout:  make(map[int]float64, m),
-		Feasible: true,
-		Exact:    true,
-	}
 	if m == 0 {
-		return out
+		return newStateEstimates(0)
 	}
 
-	// Order cached rules by descending priority so that, during
-	// enumeration, a rule's higher-priority cached rules are the prefix.
-	cached := make([]int, m)
-	copy(cached, cachedIDs)
-	sort.Slice(cached, func(a, b int) bool {
-		return e.rs.HigherPriority(cached[a], cached[b])
-	})
-	touts := make([]int, m)
-	for i, j := range cached {
-		touts[i] = e.rs.Rule(j).Timeout
-	}
-
+	cached, touts := e.orderCached(cachedIDs)
 	if !injectiveFeasible(touts) {
-		return e.fallback(cached, out)
+		return e.fallback(cached, newStateEstimates(m))
 	}
 
-	tab := e.buildGammaTables(cached)
+	tab := e.fillGammaTables(cached)
 
 	key := usumKeyOf(e, cached, touts, tab)
 	if hit, ok := sharedUSumMemo.get(key); ok {
@@ -103,13 +131,28 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 		return hit
 	}
 	obsMemo(false)
+	tab.fillLogs()
+	out := e.evaluate(cached, touts, tab)
+	if out.Feasible {
+		sharedUSumMemo.put(key, out)
+	}
+	return out
+}
 
+// evaluate computes a feasible state's estimates from its u-sums, without
+// the memo: cached holds the state's rules in descending priority, touts
+// their timeouts and tab its γ tables. The state is marked infeasible
+// when every assignment has zero probability.
+func (e *uEstimator) evaluate(cached, touts []int, tab *gammaTables) StateEstimates {
+	m := len(cached)
+	out := newStateEstimates(m)
 	// Decide exact enumeration vs Monte Carlo by grid size.
 	grid := 1.0
 	for _, t := range touts {
 		grid *= float64(t)
 	}
-	acc := newUAccumulator(cached, touts, e)
+	acc := &e.acc
+	acc.reset(cached, touts, e)
 	if grid <= float64(e.params.ExactLimit) {
 		e.enumerateFast(cached, touts, tab, acc)
 		obsUSum(true, e.scr.leaves)
@@ -137,8 +180,22 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 			out.Evict[j] = 1 / float64(m)
 		}
 	}
-	sharedUSumMemo.put(key, out)
 	return out
+}
+
+// orderCached copies cachedIDs into estimator scratch in descending
+// priority, so that during enumeration a rule's higher-priority cached
+// rules are the prefix, and returns them with their timeouts. Both
+// slices are valid until the next call.
+func (e *uEstimator) orderCached(cachedIDs []int) (cached, touts []int) {
+	e.order.rs = e.rs
+	e.order.ids = append(e.order.ids[:0], cachedIDs...)
+	sort.Sort(&e.order)
+	e.touts = resize(e.touts, len(cachedIDs))
+	for i, j := range e.order.ids {
+		e.touts[i] = e.rs.Rule(j).Timeout
+	}
+	return e.order.ids, e.touts
 }
 
 // fallback marks the state infeasible and returns uniform eviction with
@@ -153,13 +210,19 @@ func (e *uEstimator) fallback(cached []int, out StateEstimates) StateEstimates {
 }
 
 // injectiveFeasible checks Hall's condition for distinct values u(j) ∈
-// [1, t_j]: after sorting timeouts ascending, t_(i) ≥ i+1 must hold.
+// [1, t_j]: for every k, at most k timeouts may be ≤ k. The count only
+// rises at the timeouts themselves, so checking k = each t_j suffices —
+// the same verdict as sorting ascending and requiring t_(i) ≥ i+1, with
+// no sorted copy to allocate.
 func injectiveFeasible(touts []int) bool {
-	s := make([]int, len(touts))
-	copy(s, touts)
-	sort.Ints(s)
-	for i, t := range s {
-		if t < i+1 {
+	for _, t := range touts {
+		n := 0
+		for _, t2 := range touts {
+			if t2 <= t {
+				n++
+			}
+		}
+		if n > t {
 			return false
 		}
 	}
@@ -172,46 +235,69 @@ func injectiveFeasible(touts []int) bool {
 // ago). hp[j] lists the cached-slot indices of j's higher-priority cached
 // rules; gamma[j] is indexed by a bitmask over hp[j]. logGamma caches
 // log γ so the per-assignment hot loop is free of math.Log calls (entries
-// with γ ≤ 0 are rejected before the log is read).
+// with γ ≤ 0 hold 0 and are rejected before the log is read).
+//
+// The tables live in estimator scratch and are refilled per state by
+// uEstimator.fillGammaTables from the cover-table kernel: γ(j, mask) is the
+// sum of sr[f] over rule j's flows in ascending order, skipping any flow
+// an excluded rule covers. Those are the additions flows.Set.SumRates
+// makes over rule j's cover with the excluded covers subtracted, so every
+// entry — and hence the memo key hashed from them — is bit-identical to
+// the clone-and-subtract construction (kept in the tests as the oracle).
+// The memo key reads only hp and gamma, so logGamma is filled (fillLogs)
+// only once the lookup has missed.
 type gammaTables struct {
 	hp       [][]int
 	gamma    [][]float64
 	logGamma [][]float64
 }
 
-func (e *uEstimator) buildGammaTables(cached []int) *gammaTables {
+// fillGammaTables fills the estimator's hp and γ tables for the state
+// whose cached rules, in descending priority, are cached; logGamma waits
+// for fillLogs. The result aliases estimator scratch and is valid until
+// the next call.
+func (e *uEstimator) fillGammaTables(cached []int) *gammaTables {
+	ct := e.covers()
 	nr := e.rs.Len()
-	tab := &gammaTables{
-		hp:       make([][]int, nr),
-		gamma:    make([][]float64, nr),
-		logGamma: make([][]float64, nr),
-	}
+	tab := &e.tab
+	tab.hp = resize(tab.hp, nr)
+	tab.gamma = resize(tab.gamma, nr)
 	for j := 0; j < nr; j++ {
-		var hp []int
+		hp := tab.hp[j][:0]
 		for slot, cj := range cached {
 			if cj != j && e.rs.HigherPriority(cj, j) {
 				hp = append(hp, slot)
 			}
 		}
 		tab.hp[j] = hp
-		g := make([]float64, 1<<uint(len(hp)))
-		lg := make([]float64, len(g))
+		g := resize(tab.gamma[j], 1<<uint(len(hp)))
 		for mask := range g {
-			rel := e.rs.Rule(j).Cover.Clone()
+			var excl uint64
 			for b, slot := range hp {
 				if mask&(1<<uint(b)) != 0 {
-					rel.SubtractInPlace(e.rs.Rule(cached[slot]).Cover)
+					excl |= 1 << uint(cached[slot])
 				}
 			}
-			g[mask] = rel.SumRates(e.sr)
-			if g[mask] > 0 {
-				lg[mask] = math.Log(g[mask])
-			}
+			g[mask], _ = ct.gamma(j, excl, e.sr)
 		}
 		tab.gamma[j] = g
-		tab.logGamma[j] = lg
 	}
 	return tab
+}
+
+// fillLogs sets logGamma from gamma: log γ where γ > 0, else 0.
+func (t *gammaTables) fillLogs() {
+	t.logGamma = resize(t.logGamma, len(t.gamma))
+	for j, g := range t.gamma {
+		lg := resize(t.logGamma[j], len(g))
+		for mask, v := range g {
+			lg[mask] = 0
+			if v > 0 {
+				lg[mask] = math.Log(v)
+			}
+		}
+		t.logGamma[j] = lg
+	}
 }
 
 // gammaAt returns γ_{ℓ,u}(j, k): rule j's effective rate at step ℓ-k given
@@ -284,24 +370,25 @@ type uAccumulator struct {
 	uncached []int // rule IDs not cached
 }
 
-func newUAccumulator(cached, touts []int, e *uEstimator) *uAccumulator {
-	acc := &uAccumulator{
-		evictNum:   make([]float64, len(cached)),
-		timeoutNum: make([]float64, len(cached)),
-		cached:     cached,
-		touts:      touts,
-		est:        e,
-	}
+// reset prepares a for the state whose cached rules, in descending
+// priority, are cached with timeouts touts, reusing a's storage.
+func (a *uAccumulator) reset(cached, touts []int, e *uEstimator) {
+	a.z = 0
+	a.evictNum = resize(a.evictNum, len(cached))
+	a.timeoutNum = resize(a.timeoutNum, len(cached))
+	clear(a.evictNum)
+	clear(a.timeoutNum)
+	a.cached, a.touts, a.est = cached, touts, e
 	var inCache uint32
 	for _, j := range cached {
 		inCache |= 1 << uint(j)
 	}
+	a.uncached = a.uncached[:0]
 	for j := 0; j < e.rs.Len(); j++ {
 		if inCache&(1<<uint(j)) == 0 {
-			acc.uncached = append(acc.uncached, j)
+			a.uncached = append(a.uncached, j)
 		}
 	}
-	return acc
 }
 
 // accumulate folds one assignment with probability p into the sums.

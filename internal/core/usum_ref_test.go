@@ -8,6 +8,14 @@ import "math"
 // its own, with a fresh sumGammaSpan call for every range and tail sum and
 // a recomputed minimum slack.
 
+// newUAccumulator returns a fresh accumulator for one state, so a test can
+// hold several states' sums at once.
+func newUAccumulator(cached, touts []int, e *uEstimator) *uAccumulator {
+	acc := &uAccumulator{}
+	acc.reset(cached, touts, e)
+	return acc
+}
+
 // enumerateRef is the reference exact enumeration. It shares enumScratch's
 // u/used/ready/dropAt buffers with enumerateFast, so run it on its own
 // estimator, and counts its leaves in scr.leaves.

@@ -77,7 +77,7 @@ func exactStates(e *uEstimator, cache, limit int) []enumState {
 	var out []enumState
 	n := e.rs.Len()
 	for mask := 1; mask < 1<<uint(n); mask++ {
-		ids := maskIDs(uint64(mask))
+		ids := appendMaskIDs(nil, uint64(mask))
 		if len(ids) > cache {
 			continue
 		}

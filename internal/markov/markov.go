@@ -87,8 +87,49 @@ func NewSparse(n int) *Sparse {
 	return &Sparse{n: n, rows: make([][]edge, n)}
 }
 
+// NewSparseReserved returns a len(rowCaps)×len(rowCaps) zero matrix whose
+// row i has room for rowCaps[i] entries before Add must grow it. All rows
+// are carved from one slab, so a builder that knows its row sizes
+// allocates its edges once instead of regrowing every row. A row that
+// outgrows its reservation reallocates on its own without touching its
+// neighbours.
+func NewSparseReserved(rowCaps []int) *Sparse {
+	total := 0
+	for _, c := range rowCaps {
+		total += c
+	}
+	slab := make([]edge, total)
+	m := NewSparse(len(rowCaps))
+	off := 0
+	for i, c := range rowCaps {
+		m.rows[i] = slab[off : off : off+c]
+		off += c
+	}
+	return m
+}
+
 // Size returns the number of states.
 func (m *Sparse) Size() int { return m.n }
+
+// MemBytes estimates the builder's heap footprint: every row's edge
+// capacity — append slack and reserved room count, not only the stored
+// entries — plus the row headers and, for long rows, their destination
+// indexes (approximated per entry).
+func (m *Sparse) MemBytes() int64 {
+	const (
+		edgeBytes   = 16 // edge{to, p}
+		headerBytes = 24 // slice header per row
+		mapEntry    = 48 // rough per-entry bucket + key + value cost
+	)
+	b := int64(len(m.rows)) * headerBytes
+	for _, row := range m.rows {
+		b += int64(cap(row)) * edgeBytes
+	}
+	for _, ix := range m.idx {
+		b += int64(len(ix)) * mapEntry
+	}
+	return b
+}
 
 // Add accumulates probability p onto the (from, to) entry.
 func (m *Sparse) Add(from, to int, p float64) {

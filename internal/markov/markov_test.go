@@ -160,3 +160,45 @@ func TestExploreLimit(t *testing.T) {
 		t.Fatalf("bad error: %+v", tooBig)
 	}
 }
+
+func TestSparseReservedMatchesSparse(t *testing.T) {
+	caps := []int{3, 0, 1}
+	r, s := NewSparseReserved(caps), NewSparse(3)
+	for _, m := range []*Sparse{r, s} {
+		m.Add(0, 1, 0.25)
+		m.Add(0, 2, 0.5)
+		m.Add(0, 1, 0.25) // coalesces
+		m.Add(1, 0, 1)    // outgrows its empty reservation
+		m.Add(2, 2, 0.5)
+		m.Add(2, 0, 0.5) // outgrows its reservation of one
+	}
+	for i := range caps {
+		rt, rp := r.Row(i)
+		st, sp := s.Row(i)
+		if len(rt) != len(st) {
+			t.Fatalf("row %d: %v vs %v", i, rt, st)
+		}
+		for k := range rt {
+			if rt[k] != st[k] || rp[k] != sp[k] {
+				t.Fatalf("row %d: (%v %v) vs (%v %v)", i, rt, rp, st, sp)
+			}
+		}
+	}
+}
+
+func TestSparseMemBytesCountsCapacity(t *testing.T) {
+	m := NewSparseReserved([]int{10, 0})
+	m.Add(0, 1, 1)
+	m.Add(1, 0, 1)
+	if got, min := m.MemBytes(), int64(11*16); got < min {
+		t.Fatalf("MemBytes = %d, want ≥ %d: the 10-entry reservation counts", got, min)
+	}
+	// Append slack counts too: five appends leave a row capacity of 8.
+	a := NewSparse(1)
+	for to := 0; to < 5; to++ {
+		a.Add(0, to, 0.2)
+	}
+	if got := a.MemBytes(); got < int64(cap(a.rows[0]))*16 || cap(a.rows[0]) <= 5 {
+		t.Fatalf("MemBytes = %d for a row of %d entries and capacity %d", got, len(a.rows[0]), cap(a.rows[0]))
+	}
+}

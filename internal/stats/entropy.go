@@ -79,3 +79,23 @@ func ConditionalEntropyBits2x2(joint [2][2]float64) float64 {
 	}
 	return h
 }
+
+// ConditionalEntropyBits2x1 is ConditionalEntropyBits specialized to the
+// single-column joint {{p0}, {p1}} — one decision-tree leaf's term of the
+// §V-B sequence entropy. It performs the identical floating-point
+// operations in the identical order as the generic function (the column
+// marginal from zero, then each cell's term), so results are bit-for-bit
+// equal without the slice-of-slice and marginal allocations.
+func ConditionalEntropyBits2x1(p0, p1 float64) float64 {
+	var qm float64
+	qm += p0
+	qm += p1
+	var h float64
+	if !(p0 <= 0 || qm <= 0) {
+		h -= p0 * math.Log2(p0/qm)
+	}
+	if !(p1 <= 0 || qm <= 0) {
+		h -= p1 * math.Log2(p1/qm)
+	}
+	return h
+}

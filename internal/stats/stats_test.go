@@ -235,3 +235,21 @@ func TestConditionalEntropyReducesEntropy(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestConditionalEntropyBits2x1MatchesGeneric(t *testing.T) {
+	check := func(p0, p1 float64) {
+		t.Helper()
+		got := ConditionalEntropyBits2x1(p0, p1)
+		want := ConditionalEntropyBits([][]float64{{p0}, {p1}})
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("2x1(%v, %v) = %v, generic %v", p0, p1, got, want)
+		}
+	}
+	for _, p := range [][2]float64{{0, 0}, {0.3, 0}, {0, 0.3}, {1e-300, 0.5}, {0.25, 0.75}, {math.NaN(), 0.5}, {-0.1, 0.4}} {
+		check(p[0], p[1])
+	}
+	rng := NewRNG(3)
+	for i := 0; i < 10000; i++ {
+		check(rng.Float64()*math.Pow(10, -float64(rng.Intn(20))), rng.Float64())
+	}
+}
