@@ -88,8 +88,12 @@ sched-gate:
 ## allocate once its estimator is warm, so repeated model builds add no
 ## GC pressure; likewise a memo-hit u-sum estimate and the §IV-A1 event
 ## weights, and BestSequence allocates as often at 8 candidates as at 4.
+## The daemon's warm trial joins them: a probing TrialRunner.Run with no
+## span recorder stays within the allocation count measured once the
+## per-probe span detail stopped being formatted for a recorder that
+## would discard it.
 alloc-gate:
-	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/
+	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/ ./internal/experiment/
 
 ## trace-smoke proves the span-export pipeline end to end on the golden
 ## fixture: export trial 0's causal span forest as Chrome trace_event
@@ -113,7 +117,10 @@ trace-smoke:
 ## per-leaf reference walk, bit for bit, on arbitrary rule sets;
 ## FuzzCompactBuildMatchesReference holds the cold compact-model build
 ## (cover-table γ kernels, estimator scratch, reserved row assembly) to
-## the clone-based reference build, bit for bit.
+## the clone-based reference build, bit for bit;
+## FuzzStreamLinesMatchEncoding holds flowrecond's append-encoded probe
+## and verdict lines to encoding/json, byte for byte, on arbitrary
+## attacker names and integers.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -123,6 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzStreamLinesMatchEncoding -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection

@@ -726,9 +726,9 @@ func BenchmarkDetectorObserve(b *testing.B) {
 
 // BenchmarkTelemetryOverhead compares the flow table's hot path
 // (Lookup + Install on miss) with telemetry disabled (nil registry — the
-// instruments are nil pointers, each call one nil check), enabled, and
-// enabled with tracing. Disabled must track the uninstrumented baseline
-// within noise (~5%); the ISSUE's zero-overhead-when-off contract.
+// instruments are nil pointers, each call one nil check) and enabled.
+// Disabled must track the uninstrumented baseline within noise (~5%):
+// telemetry that is off costs nothing.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	mkTable := func(b *testing.B) (*flowtable.Table, *rules.Set) {
 		rs, err := rules.NewSet([]rules.Rule{
@@ -765,13 +765,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("enabled", func(b *testing.B) {
 		tbl, rs := mkTable(b)
-		tbl.SetTelemetry(telemetry.NewRegistry(0), "bench")
-		b.ResetTimer()
-		run(b, tbl, rs)
-	})
-	b.Run("enabled+trace", func(b *testing.B) {
-		tbl, rs := mkTable(b)
-		tbl.SetTelemetry(telemetry.NewRegistry(4096), "bench")
+		tbl.SetTelemetry(telemetry.NewRegistry(), "bench")
 		b.ResetTimer()
 		run(b, tbl, rs)
 	})

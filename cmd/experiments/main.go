@@ -93,7 +93,7 @@ func run(args []string) (err error) {
 	}
 	var reg *telemetry.Registry
 	if *telOut != "" {
-		reg = telemetry.NewRegistry(8192)
+		reg = telemetry.NewRegistry()
 		// Route the model layer's build/evolve/cache instruments into the
 		// same snapshot as the experiment metrics.
 		core.SetTelemetry(reg)

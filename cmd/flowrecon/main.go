@@ -127,7 +127,7 @@ func run(args []string) error {
 	// counters (evolve steps, cache misses) land in the registry.
 	var reg *telemetry.Registry
 	if *telOut != "" || *telAddr != "" || *evOut != "" {
-		reg = telemetry.NewRegistry(8192)
+		reg = telemetry.NewRegistry()
 		// Route the model layer's build/evolve/cache instruments into the
 		// same snapshot as the experiment metrics.
 		core.SetTelemetry(reg)
@@ -356,7 +356,7 @@ func runFleet(a fleetArgs) error {
 		o.Detect = &cfg
 	}
 	if a.telOut != "" {
-		o.Registry = telemetry.NewRegistry(8192)
+		o.Registry = telemetry.NewRegistry()
 	}
 	if a.recOut != "" {
 		rec, err := trialrec.Create(a.recOut, trialrec.Header{

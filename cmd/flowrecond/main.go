@@ -110,7 +110,7 @@ func parseFlags(args []string) (daemonConfig, error) {
 // started, and blocks until a signal arrives, then drains and exits.
 // Factored from main so tests can drive the full lifecycle.
 func runDaemon(cfg daemonConfig, sig <-chan os.Signal, started func(addr string)) error {
-	reg := telemetry.NewRegistry(8192)
+	reg := telemetry.NewRegistry()
 	core.SetTelemetry(reg)
 	reg.SetReady(false)
 

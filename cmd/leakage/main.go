@@ -51,7 +51,7 @@ func run(args []string) error {
 		return err
 	}
 	if *telAddr != "" || *telOut != "" {
-		reg := telemetry.NewRegistry(1024)
+		reg := telemetry.NewRegistry()
 		// The leakage meter is the attacker's own Markov model, so the
 		// model layer's counters are the interesting ones here.
 		core.SetTelemetry(reg)

@@ -88,7 +88,7 @@ func run(args []string) error {
 		ctl.SetDetector(det)
 	}
 	if *telAddr != "" || *spansOut != "" {
-		reg := telemetry.NewRegistry(4096)
+		reg := telemetry.NewRegistry()
 		// Namespace 2 = controller; see the matching ofswitch comment.
 		reg.EnableSpans(0).SetNamespace(openflow.SpanNamespaceController)
 		events := reg.EnableEvents(0)

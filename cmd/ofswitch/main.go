@@ -71,7 +71,7 @@ func run(args []string) error {
 	}
 	var reg *telemetry.Registry
 	if *telAddr != "" || *spansOut != "" {
-		reg = telemetry.NewRegistry(4096)
+		reg = telemetry.NewRegistry()
 		// Namespace 1 = switch: keeps this process's span IDs disjoint
 		// from the controller's (namespace 2) so the two daemons' JSONL
 		// streams concatenate into one joined forest per probe.

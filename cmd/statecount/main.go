@@ -49,7 +49,7 @@ func run(args []string) error {
 	fmt.Printf("reduction factor:                          %.4g×\n", basic/float64(compact))
 
 	if *telAddr != "" || *telOut != "" {
-		reg := telemetry.NewRegistry(64)
+		reg := telemetry.NewRegistry()
 		reg.Gauge("statecount_rules").Set(int64(*numRules))
 		reg.Gauge("statecount_cache").Set(int64(*cache))
 		reg.Gauge("statecount_states", "model", "compact").Set(int64(compact))

@@ -71,7 +71,6 @@ type reactiveMetrics struct {
 	noInstall       *telemetry.Counter // decisions that release uninstalled
 	proactivePlans  *telemetry.Counter
 	capacityRejects *telemetry.Counter // §VII-B2 capacity-check failures
-	tracer          *telemetry.Tracer
 }
 
 // SetTelemetry attaches the controller application to a registry,
@@ -85,7 +84,6 @@ func (c *Reactive) SetTelemetry(reg *telemetry.Registry) {
 		noInstall:       reg.Counter("controller_decisions_total", "kind", "release"),
 		proactivePlans:  reg.Counter("controller_proactive_plans_total"),
 		capacityRejects: reg.Counter("controller_capacity_rejections_total"),
-		tracer:          reg.Tracer(),
 	}
 }
 
@@ -117,13 +115,11 @@ func (c *Reactive) OnPacketIn(f flows.ID) Decision {
 		// Proactive deployment never installs reactively; a miss can
 		// only be an uncovered flow.
 		c.tm.noInstall.Inc()
-		c.traceDecision(f, -1)
 		return d
 	}
 	j, ok := c.policy.HighestCovering(f)
 	if !ok {
 		c.tm.noInstall.Inc()
-		c.traceDecision(f, -1)
 		return d
 	}
 	d.Install = true
@@ -133,21 +129,7 @@ func (c *Reactive) OnPacketIn(f flows.ID) Decision {
 	c.stats.InstallsByRule[j]++
 	c.mu.Unlock()
 	c.tm.reactive.Inc()
-	c.traceDecision(f, j)
 	return d
-}
-
-// traceDecision emits one packet-in decision event (rule -1 when the
-// packet was released uninstalled).
-func (c *Reactive) traceDecision(f flows.ID, rule int) {
-	if c.tm.tracer == nil {
-		return
-	}
-	e := telemetry.Ev("packet_in.decision")
-	e.Node = "controller"
-	e.Flow = int(f)
-	e.Rule = rule
-	c.tm.tracer.Emit(e)
 }
 
 // ProactivePlan returns the rule IDs to pre-install at switch setup, in

@@ -411,7 +411,7 @@ func TestSequenceSearchTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(64)
+	reg := telemetry.NewRegistry()
 	SetTelemetry(reg)
 	t.Cleanup(func() { SetTelemetry(nil) })
 	if _, ok := sel.BestSequence(sel.AllFlows(), 2); !ok {

@@ -253,7 +253,7 @@ func TestUSumLeafCountPinned(t *testing.T) {
 	}
 	t.Cleanup(func() { SetTelemetry(nil) })
 	for _, workers := range []int{1, 4} {
-		reg := telemetry.NewRegistry(64)
+		reg := telemetry.NewRegistry()
 		SetTelemetry(reg)
 		ResetUSumMemo()
 		if _, err := NewCompactModelWorkers(cfg, params, workers); err != nil {

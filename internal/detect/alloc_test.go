@@ -17,7 +17,7 @@ func TestDetectorObserveZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	reg := telemetry.NewRegistry(64)
+	reg := telemetry.NewRegistry()
 	d := New(DefaultConfig())
 	d.SetTelemetry(reg)
 	// Warm: create per-source state (the one allowed allocation) and

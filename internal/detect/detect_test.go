@@ -201,7 +201,7 @@ func TestNilDetectorSafe(t *testing.T) {
 func TestMaxSourcesDrop(t *testing.T) {
 	cfg := aggressive()
 	cfg.MaxSources = 4
-	reg := telemetry.NewRegistry(16)
+	reg := telemetry.NewRegistry()
 	d := New(cfg)
 	d.SetTelemetry(reg)
 	for src := 0; src < 10; src++ {
@@ -219,7 +219,7 @@ func TestMaxSourcesDrop(t *testing.T) {
 }
 
 func TestTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry(16)
+	reg := telemetry.NewRegistry()
 	d := New(aggressive())
 	d.SetTelemetry(reg)
 	for i := 0; i < 10; i++ {
@@ -285,7 +285,7 @@ func TestMergeFoldsState(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinObs = 6
 	a, b := New(cfg), New(cfg)
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	a.SetTelemetry(reg)
 	// Replica a: benign source 0. Replica b: the same source plus a
 	// flagged prober on source 5.

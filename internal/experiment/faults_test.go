@@ -178,7 +178,7 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 // series.
 func TestChaosTelemetry(t *testing.T) {
 	spec := chaosSpec()
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
 	if _, _, err := RecordTo(&buf, spec, reg); err != nil {
 		t.Fatal(err)

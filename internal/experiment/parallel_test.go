@@ -136,7 +136,7 @@ func TestParallelTrialsResultsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(1024)
+	reg := telemetry.NewRegistry()
 	par, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
 		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, Parallelism: 4})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestPerTrialForcesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(1024)
+	reg := telemetry.NewRegistry()
 	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
 		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true, Parallelism: 8})
 	if err != nil {

@@ -27,7 +27,6 @@ type trialMetrics struct {
 	missMs     *telemetry.Histogram
 	truthTrue  *telemetry.Counter
 	truthFalse *telemetry.Counter
-	tracer     *telemetry.Tracer
 }
 
 // newTrialMetrics resolves the experiment instruments from reg (nil-safe).
@@ -41,7 +40,6 @@ func newTrialMetrics(reg *telemetry.Registry) trialMetrics {
 		missMs:     reg.Histogram("experiment_probe_delay_ms", telemetry.MillisecondBuckets(), "result", "miss"),
 		truthTrue:  reg.Counter("experiment_truth_total", "present", "true"),
 		truthFalse: reg.Counter("experiment_truth_total", "present", "false"),
-		tracer:     reg.Tracer(),
 	}
 }
 

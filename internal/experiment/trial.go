@@ -158,9 +158,13 @@ func (o *probeObserver) observe(f flows.ID, hit, classified bool, ms, at float64
 		return
 	}
 	o.probes = append(o.probes, f)
-	id, _ := o.spans.StartCtx(o.ctx, "probe", "experiment", at)
-	o.spans.Annotate(id, int(f), -1, probeDetail(hit, classified, ms))
-	o.spans.End(id, at+ms/1e3)
+	if o.spans != nil {
+		// Guarded rather than left to the nil recorder: the detail string
+		// would be formatted only to be thrown away.
+		id, _ := o.spans.StartCtx(o.ctx, "probe", "experiment", at)
+		o.spans.Annotate(id, int(f), -1, probeDetail(hit, classified, ms))
+		o.spans.End(id, at+ms/1e3)
+	}
 	if o.events != nil {
 		ev := telemetry.NewWideEvent("probe")
 		ev.Node = "experiment"
@@ -187,9 +191,11 @@ func (o *probeObserver) observeLost(f flows.ID, at float64) {
 		return
 	}
 	o.probes = append(o.probes, f)
-	id, _ := o.spans.StartCtx(o.ctx, "probe", "experiment", at)
-	o.spans.Annotate(id, int(f), -1, "lost")
-	o.spans.End(id, at)
+	if o.spans != nil {
+		id, _ := o.spans.StartCtx(o.ctx, "probe", "experiment", at)
+		o.spans.Annotate(id, int(f), -1, "lost")
+		o.spans.End(id, at)
+	}
 	if o.events != nil {
 		ev := telemetry.NewWideEvent("fault.drop")
 		ev.Node = "experiment"

@@ -171,7 +171,7 @@ func TestSlowAndStall(t *testing.T) {
 }
 
 func TestTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	p := Profile{Seed: 3, LossProb: 1}
 	s := p.Stream(0)
 	s.SetTelemetry(reg, "test")

@@ -52,7 +52,7 @@ func runPoissonRemovalTrace(t *testing.T, seed int64) []removal {
 // map-iteration nondeterminism the original expire loop had: the same
 // trial run twice must produce byte-identical rule-removal event
 // sequences, since OnRemove ordering feeds FLOW_REMOVED notifications,
-// telemetry traces, and span forests.
+// event logs, and span forests.
 func TestExpireOrderReproducible(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		a := runPoissonRemovalTrace(t, seed)

@@ -82,12 +82,10 @@ func (t *StepTable) StepTimeout() bool {
 	if idx < 0 {
 		return false
 	}
-	removed := t.slots[idx].RuleID
 	t.slots = append(t.slots[:idx], t.slots[idx+1:]...)
 	t.step++
 	t.tm.steps.Inc()
 	t.tm.timeouts.Inc()
-	t.traceStep("sim.step.timeout", removed, -1)
 	return true
 }
 
@@ -99,7 +97,6 @@ func (t *StepTable) StepNull() {
 	}
 	t.step++
 	t.tm.steps.Inc()
-	t.traceStep("sim.step.null", -1, -1)
 }
 
 // StepArrival performs the flow-arrival transition for flow f and returns
@@ -114,7 +111,6 @@ func (t *StepTable) StepArrival(f flows.ID) (ruleID int, hit, ok bool) {
 		t.step++
 		t.tm.steps.Inc()
 		t.tm.hits.Inc()
-		t.traceStep("sim.step.hit", id, int(f))
 		return id, true, true
 	}
 	j, covered := t.rules.HighestCovering(f)
@@ -128,7 +124,6 @@ func (t *StepTable) StepArrival(f flows.ID) (ruleID int, hit, ok bool) {
 	t.step++
 	t.tm.steps.Inc()
 	t.tm.misses.Inc()
-	t.traceStep("sim.step.miss", j, int(f))
 	return j, false, true
 }
 

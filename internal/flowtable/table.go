@@ -83,7 +83,7 @@ type expNode struct {
 // Lookup/Install/Remove pay O(log n) for expiry processing instead of
 // rescanning every entry, and expirations fire in deterministic
 // (expiry time, rule ID) order — never map-iteration order — which keeps
-// OnRemove callbacks, telemetry traces, and span forests reproducible.
+// OnRemove callbacks, event logs, and span forests reproducible.
 type Table struct {
 	rules    *rules.Set
 	capacity int
@@ -287,7 +287,6 @@ func (t *Table) expire(now float64) {
 		removed = true
 		t.stats.Expirations++
 		t.tm.expirations.Inc()
-		t.traceRule("rule.expire", int(top.id), now)
 		if t.OnRemove != nil {
 			t.OnRemove(int(top.id), ReasonExpired, now)
 		}
@@ -349,7 +348,6 @@ func (t *Table) Install(ruleID int, now float64) {
 			t.n--
 			t.stats.Evictions++
 			t.tm.evictions.Inc()
-			t.traceRule("rule.evict", int(victim.id), now)
 			if t.OnRemove != nil {
 				t.OnRemove(int(victim.id), ReasonEvicted, now)
 			}
@@ -362,7 +360,6 @@ func (t *Table) Install(ruleID int, now float64) {
 	t.enqueue(ruleID, s, now+t.timeout[ruleID])
 	t.tm.installs.Inc()
 	t.tm.occupancy.Set(int64(t.n))
-	t.traceRule("rule.install", ruleID, now)
 }
 
 // Remove deletes ruleID from the table if present (a controller-initiated
@@ -376,6 +373,5 @@ func (t *Table) Remove(ruleID int, now float64) bool {
 	s.present = false // the queued heap node goes stale and is dropped lazily
 	t.n--
 	t.tm.occupancy.Set(int64(t.n))
-	t.traceRule("rule.remove", ruleID, now)
 	return true
 }

@@ -17,8 +17,6 @@ type Metrics struct {
 	evictions   *telemetry.Counter
 	expirations *telemetry.Counter
 	occupancy   *telemetry.Gauge
-	tracer      *telemetry.Tracer
-	node        string
 }
 
 // NewMetrics resolves a table's metric series from reg. node, when
@@ -38,8 +36,6 @@ func NewMetrics(reg *telemetry.Registry, node string) Metrics {
 		evictions:   reg.Counter("flowtable_evictions_total", labels...),
 		expirations: reg.Counter("flowtable_expirations_total", labels...),
 		occupancy:   reg.Gauge("flowtable_occupancy", labels...),
-		tracer:      reg.Tracer(),
-		node:        node,
 	}
 }
 
@@ -53,22 +49,9 @@ func (t *Table) SetTelemetry(reg *telemetry.Registry, node string) {
 // SetMetrics attaches instruments resolved by NewMetrics.
 func (t *Table) SetMetrics(m Metrics) { t.tm = m }
 
-// traceRule emits one rule lifecycle event (install/evict/expire/remove)
-// with the table's virtual clock.
-func (t *Table) traceRule(kind string, ruleID int, now float64) {
-	if t.tm.tracer == nil {
-		return
-	}
-	e := telemetry.Ev(kind)
-	e.Node = t.tm.node
-	e.Rule = ruleID
-	e.Virtual = now
-	t.tm.tracer.Emit(e)
-}
-
-// SetTelemetry instruments a StepTable: per-step counters for the
-// discrete-time transition relation plus `sim.step.*` trace events keyed
-// by the step index. node labels the series as in Table.SetTelemetry.
+// SetTelemetry instruments a StepTable with per-step counters for the
+// discrete-time transition relation. node labels the series as in
+// Table.SetTelemetry.
 func (t *StepTable) SetTelemetry(reg *telemetry.Registry, node string) {
 	var labels []string
 	if node != "" {
@@ -79,8 +62,6 @@ func (t *StepTable) SetTelemetry(reg *telemetry.Registry, node string) {
 		timeouts: reg.Counter("steptable_timeouts_total", labels...),
 		hits:     reg.Counter("steptable_hits_total", labels...),
 		misses:   reg.Counter("steptable_misses_total", labels...),
-		tracer:   reg.Tracer(),
-		node:     node,
 	}
 }
 
@@ -90,20 +71,4 @@ type stepMetrics struct {
 	timeouts *telemetry.Counter
 	hits     *telemetry.Counter
 	misses   *telemetry.Counter
-	tracer   *telemetry.Tracer
-	node     string
-}
-
-// traceStep emits one discrete-step event with the step index as the
-// virtual time.
-func (t *StepTable) traceStep(kind string, rule int, flow int) {
-	if t.tm.tracer == nil {
-		return
-	}
-	e := telemetry.Ev(kind)
-	e.Node = t.tm.node
-	e.Rule = rule
-	e.Flow = flow
-	e.Virtual = float64(t.step)
-	t.tm.tracer.Emit(e)
 }

@@ -10,16 +10,19 @@ import (
 
 // TestTableTelemetryMatchesStats drives a table through a random workload
 // and asserts that the telemetry counters agree exactly with the table's
-// own Stats() ground truth, and that the trace stream carries one event
-// per state change.
+// own Stats() ground truth, and that the counters account for every
+// state change: one OnRemove callback per eviction and expiration, and an
+// occupancy gauge equal to installs minus removals.
 func TestTableTelemetryMatchesStats(t *testing.T) {
 	rs := testRules(t)
 	tbl, err := New(rs, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(1 << 14)
+	reg := telemetry.NewRegistry()
 	tbl.SetTelemetry(reg, "t0")
+	removals := map[EvictionReason]int64{}
+	tbl.OnRemove = func(_ int, reason EvictionReason, _ float64) { removals[reason]++ }
 
 	rng := stats.NewRNG(7)
 	now := 0.0
@@ -68,18 +71,18 @@ func TestTableTelemetryMatchesStats(t *testing.T) {
 		t.Errorf("occupancy gauge %d, table %d", occ, tbl.Len(now+1000))
 	}
 
-	// One trace event per install/evict/expire.
-	kinds := map[string]int64{}
-	for _, e := range snap.Events {
-		kinds[e.Kind]++
+	// One OnRemove callback per eviction and expiration the counters saw.
+	if got, want := removals[ReasonEvicted], series("flowtable_evictions_total"); got != want {
+		t.Errorf("evicted callbacks %d, flowtable_evictions_total %d", got, want)
 	}
-	if kinds["rule.install"] != st.Installs {
-		t.Errorf("rule.install events %d, installs %d", kinds["rule.install"], st.Installs)
+	if got, want := removals[ReasonExpired], series("flowtable_expirations_total"); got != want {
+		t.Errorf("expired callbacks %d, flowtable_expirations_total %d", got, want)
 	}
-	if kinds["rule.evict"] != st.Evictions {
-		t.Errorf("rule.evict events %d, evictions %d", kinds["rule.evict"], st.Evictions)
-	}
-	if kinds["rule.expire"] != st.Expirations {
-		t.Errorf("rule.expire events %d, expirations %d", kinds["rule.expire"], st.Expirations)
+	// Every install is matched by exactly one removal once the table has
+	// drained, so the counters alone reconstruct the occupancy.
+	installs := series("flowtable_installs_total")
+	removed := series("flowtable_evictions_total") + series("flowtable_expirations_total")
+	if installs-removed != int64(tbl.Len(now+1000)) {
+		t.Errorf("installs %d - removals %d != occupancy %d", installs, removed, tbl.Len(now+1000))
 	}
 }

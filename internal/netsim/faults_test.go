@@ -128,7 +128,7 @@ func TestFaultDeterminism(t *testing.T) {
 // TestFaultTelemetryCounters: drops surface in the faults_* series.
 func TestFaultTelemetryCounters(t *testing.T) {
 	n, _, setup := faultFabric(t, 3)
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
 	n.SetFaults(faults.Profile{Seed: 1, LossProb: 1})
 	if _, err := NewProber(n, setup).Probe(0, 0); err != nil {

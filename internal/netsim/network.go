@@ -149,8 +149,7 @@ type netMetrics struct {
 	packetIns *telemetry.Counter
 	hits      *telemetry.Counter
 	misses    *telemetry.Counter
-	rtt       *telemetry.Histogram // delivered echo RTT, seconds
-	tracer    *telemetry.Tracer
+	rtt       *telemetry.Histogram    // delivered echo RTT, seconds
 	spans     *telemetry.SpanRecorder // causal spans in virtual time
 }
 
@@ -164,7 +163,6 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 		hits:      reg.Counter("netsim_lookups_total", "result", "hit"),
 		misses:    reg.Counter("netsim_lookups_total", "result", "miss"),
 		rtt:       reg.Histogram("netsim_echo_rtt_seconds", nil),
-		tracer:    reg.Tracer(),
 		spans:     reg.Spans(),
 	}
 	for name, sw := range n.switches {
@@ -172,19 +170,6 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	}
 	n.flt.SetTelemetry(reg, "netsim") // no-op when faults are off
 	n.flt.SetEventLog(reg.Events())   // fault wide events (virtual time is single-threaded)
-}
-
-// trace emits one per-node virtual-time event.
-func (n *Network) trace(kind, node string, flow flows.ID, value float64) {
-	if n.tm.tracer == nil {
-		return
-	}
-	e := telemetry.Ev(kind)
-	e.Node = node
-	e.Flow = int(flow)
-	e.Virtual = n.sim.Now()
-	e.Value = value
-	n.tm.tracer.Emit(e)
 }
 
 // NewNetwork builds an empty fabric. stepSec scales rule timeouts exactly
@@ -365,7 +350,6 @@ func (n *Network) SendEcho(srcHost, dstHost string, at float64) (*EchoResult, er
 		n.tm.spans.Annotate(root, int(fid), -1, srcHost+"→"+dstHost)
 	}
 	n.sim.At(at+n.lat.HostLink, func() {
-		n.trace("probe.sent", src.Switch, fid, 0)
 		n.forward(res, path, 0, fid, known, at, rootCtx)
 	})
 	return res, nil
@@ -388,7 +372,6 @@ func (n *Network) forward(res *EchoResult, path []string, idx int, fid flows.ID,
 		// the lookup, so a dropped probe leaves no flow-table side effect
 		// at the switch it never reached.
 		if n.flt.Drop() {
-			n.trace("fault.drop", sw.Name, fid, 0)
 			n.tm.spans.Annotate(hop, -1, -1, "dropped")
 			n.tm.spans.End(hop, now)
 			n.tm.spans.End(sc.Parent, now)
@@ -410,7 +393,6 @@ func (n *Network) forward(res *EchoResult, path []string, idx int, fid flows.ID,
 		}
 		if hit {
 			n.tm.hits.Inc()
-			n.trace("probe.hit", sw.Name, fid, 0)
 			n.tm.spans.Annotate(hop, -1, -1, "hit")
 		}
 		if !hit {
@@ -419,7 +401,6 @@ func (n *Network) forward(res *EchoResult, path []string, idx int, fid flows.ID,
 			n.PacketIns++
 			n.tm.misses.Inc()
 			n.tm.packetIns.Inc()
-			n.trace("probe.miss", sw.Name, fid, 0)
 			pin, pinCtx := n.tm.spans.StartCtx(hopCtx, "packet_in", sw.Name, now)
 			n.tm.spans.Annotate(pin, int(fid), -1, "")
 			if n.det != nil && n.tm.spans != nil {
@@ -482,12 +463,10 @@ func (n *Network) forward(res *EchoResult, path []string, idx int, fid flows.ID,
 		}
 	}
 	replyDelay += n.lat.HostLink // back to the source host
-	last := path[len(path)-1]
 	if n.flt != nil {
 		if n.flt.Drop() {
 			// The reply is lost on the way back: the echo was processed
 			// (rules installed and all) but the sender observes nothing.
-			n.trace("fault.drop", last, fid, 0)
 			n.tm.spans.Annotate(sc.Parent, -1, -1, "reply dropped")
 			n.tm.spans.End(sc.Parent, n.sim.Now())
 			return
@@ -501,7 +480,6 @@ func (n *Network) forward(res *EchoResult, path []string, idx int, fid flows.ID,
 			n.det.ObserveRTT(int(fid), res.RTT*1e3)
 		}
 		n.tm.rtt.Observe(res.RTT)
-		n.trace("echo.delivered", last, fid, res.RTT)
 		n.tm.spans.End(sc.Parent, n.sim.Now())
 	})
 }

@@ -12,7 +12,7 @@ import (
 // packet-in chain.
 func TestEchoSpanTree(t *testing.T) {
 	n, setup, _ := buildEvalNetwork(t, ControllerModel{})
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	reg.EnableSpans(0)
 	n.SetTelemetry(reg)
 
@@ -103,7 +103,7 @@ func TestEchoSpanTree(t *testing.T) {
 // nothing and the trace ID stays zero.
 func TestEchoSpansDisabled(t *testing.T) {
 	n, setup, _ := buildEvalNetwork(t, ControllerModel{})
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	n.SetTelemetry(reg)
 	res, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
 	if err != nil {

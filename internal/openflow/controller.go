@@ -64,11 +64,10 @@ type Controller struct {
 type ctlMetrics struct {
 	connections   *telemetry.Counter
 	flowRemovals  *telemetry.Counter
-	packetInDupes *telemetry.Counter   // retransmitted PACKET_INs answered from the dedup cache
-	serviceTime   *telemetry.Histogram // packet-in → flow-mod/packet-out, seconds
-	tracer        *telemetry.Tracer
+	packetInDupes *telemetry.Counter      // retransmitted PACKET_INs answered from the dedup cache
+	serviceTime   *telemetry.Histogram    // packet-in → flow-mod/packet-out, seconds
 	spans         *telemetry.SpanRecorder // wall-clock causal spans
-	events        *telemetry.EventLog     // wide events (decisions, dupes)
+	events        *telemetry.EventLog     // wide events (decisions, dupes, flow removals)
 }
 
 // SetTelemetry attaches the controller (its shared application plus every
@@ -84,7 +83,6 @@ func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
 		flowRemovals:  reg.Counter("controller_flow_removals_total"),
 		packetInDupes: reg.Counter("controller_packet_in_dupes_total"),
 		serviceTime:   reg.Histogram("controller_packet_in_service_seconds", nil),
-		tracer:        reg.Tracer(),
 		spans:         reg.Spans(),
 		events:        reg.Events(),
 	}
@@ -238,27 +236,28 @@ func (c *Controller) ServeConn(conn *Conn) {
 		case *FlowRemoved:
 			c.flowRemovals.Add(1)
 			c.tm.flowRemovals.Inc()
-			c.traceRemoved(m)
+			c.flowRemovedEvent(m)
 		case *FeaturesReply, *Hello, *EchoReply, *ErrorMsg:
 			// informational
 		}
 	}
 }
 
-// traceRemoved emits one flow-removal notification event.
-func (c *Controller) traceRemoved(m *FlowRemoved) {
-	if c.tm.tracer == nil {
+// flowRemovedEvent emits one wide event per FLOW_REMOVED notification;
+// the outcome says whether the switch evicted the rule or it timed out.
+func (c *Controller) flowRemovedEvent(m *FlowRemoved) {
+	if c.tm.events == nil {
 		return
 	}
-	kind := "rule.expire"
+	ev := telemetry.NewWideEvent("controller.flow_removed")
+	ev.Node = "controller"
+	ev.T = c.now()
+	ev.Rule = int(m.Cookie)
+	ev.Outcome = "expire"
 	if m.Reason == RemovedDelete {
-		kind = "rule.evict"
+		ev.Outcome = "evict"
 	}
-	e := telemetry.Ev(kind)
-	e.Node = "controller"
-	e.Rule = int(m.Cookie)
-	e.Detail = "flow_removed"
-	c.tm.tracer.Emit(e)
+	c.tm.events.Emit(ev)
 }
 
 // dedupCache is a bounded FIFO memory of answered PACKET_IN buffer ids

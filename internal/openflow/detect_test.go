@@ -33,7 +33,7 @@ func TestControllerDetectorFlagsEvictionChurn(t *testing.T) {
 	cfg.MinObs = 6
 	cfg.MinGaps = 1 << 20 // regularity off: wall-clock gaps are CI noise
 	d := detect.New(cfg)
-	reg := telemetry.NewRegistry(256)
+	reg := telemetry.NewRegistry()
 	d.SetTelemetry(reg)
 
 	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.5})

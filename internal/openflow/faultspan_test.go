@@ -52,7 +52,7 @@ func TestSpansNoOrphansOnProbeTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	reg.EnableSpans(0)
 	sw.SetTelemetry(reg)
 	if err := sw.Connect(ln.Addr().String()); err != nil {
@@ -95,7 +95,7 @@ func TestSpansNoCrossWireOnRetransmit(t *testing.T) {
 	universe := flowsUniverse()
 	rs := testRules(t)
 	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.5, ProcessingDelay: 40 * time.Millisecond})
-	ctlReg := telemetry.NewRegistry(0)
+	ctlReg := telemetry.NewRegistry()
 	ctlReg.EnableSpans(0).SetNamespace(SpanNamespaceController)
 	ctl.SetTelemetry(ctlReg)
 	addr, err := ctl.Listen("127.0.0.1:0")
@@ -106,7 +106,7 @@ func TestSpansNoCrossWireOnRetransmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swReg := telemetry.NewRegistry(0)
+	swReg := telemetry.NewRegistry()
 	swReg.EnableSpans(0).SetNamespace(SpanNamespaceSwitch)
 	sw.SetTelemetry(swReg)
 	if err := sw.Connect(addr); err != nil {
@@ -165,7 +165,7 @@ func TestSpansUnderChaosNeverOrphanOrCrossWire(t *testing.T) {
 	ctl := NewController(rs, universe, ControllerOptions{
 		StepSeconds: 0.5, ProcessingDelay: time.Millisecond, Faults: prof,
 	})
-	ctlReg := telemetry.NewRegistry(0)
+	ctlReg := telemetry.NewRegistry()
 	ctlReg.EnableSpans(0).SetNamespace(SpanNamespaceController)
 	ctl.SetTelemetry(ctlReg)
 	addr, err := ctl.Listen("127.0.0.1:0")
@@ -176,7 +176,7 @@ func TestSpansUnderChaosNeverOrphanOrCrossWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swReg := telemetry.NewRegistry(0)
+	swReg := telemetry.NewRegistry()
 	swReg.EnableSpans(0).SetNamespace(SpanNamespaceSwitch)
 	sw.SetTelemetry(swReg)
 

@@ -45,7 +45,7 @@ func TestSwitchReconnectsAfterConnLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	sw.SetTelemetry(reg)
 	if err := sw.ConnectWithRetry(addr, ReconnectPolicy{
 		MaxRetries: 10, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Seed: 1,
@@ -85,7 +85,7 @@ func TestSwitchReconnectsAfterConnLoss(t *testing.T) {
 func TestInjectTimeoutRetransmitAndDedup(t *testing.T) {
 	rs, universe := robustPolicy(t)
 	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.5, ProcessingDelay: 40 * time.Millisecond})
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	ctl.SetTelemetry(reg)
 	addr, err := ctl.Listen("127.0.0.1:0")
 	if err != nil {
@@ -97,7 +97,7 @@ func TestInjectTimeoutRetransmitAndDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swReg := telemetry.NewRegistry(0)
+	swReg := telemetry.NewRegistry()
 	sw.SetTelemetry(swReg)
 	if err := sw.Connect(addr); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestChaosLossyControlChannel(t *testing.T) {
 	rs, universe := robustPolicy(t)
 	prof := faults.Profile{Seed: 11, LossProb: 0.02, JitterMeanMs: 0.2, ResetProb: 0.005}
 	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.5, Faults: prof})
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	ctl.SetTelemetry(reg)
 	addr, err := ctl.Listen("127.0.0.1:0")
 	if err != nil {
@@ -208,7 +208,7 @@ func TestChaosLossyControlChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swReg := telemetry.NewRegistry(0)
+	swReg := telemetry.NewRegistry()
 	sw.SetTelemetry(swReg)
 	sw.SetReconnect(ReconnectPolicy{
 		MaxRetries: 20, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond,

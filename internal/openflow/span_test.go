@@ -18,7 +18,7 @@ func TestInjectSpansJoinAcrossWire(t *testing.T) {
 	universe := flowsUniverse()
 	rs := testRules(t)
 	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.5})
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	reg.EnableSpans(0)
 	ctl.SetTelemetry(reg)
 	addr, err := ctl.Listen("127.0.0.1:0")
@@ -129,7 +129,7 @@ func TestSpansJoinAcrossProcesses(t *testing.T) {
 	universe := flowsUniverse()
 	rs := testRules(t)
 	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.5})
-	ctlReg := telemetry.NewRegistry(0)
+	ctlReg := telemetry.NewRegistry()
 	ctlReg.EnableSpans(0).SetNamespace(2)
 	ctl.SetTelemetry(ctlReg)
 	addr, err := ctl.Listen("127.0.0.1:0")
@@ -140,7 +140,7 @@ func TestSpansJoinAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swReg := telemetry.NewRegistry(0)
+	swReg := telemetry.NewRegistry()
 	swReg.EnableSpans(0).SetNamespace(1)
 	sw.SetTelemetry(swReg)
 	if err := sw.Connect(addr); err != nil {

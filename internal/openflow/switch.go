@@ -62,13 +62,12 @@ type switchMetrics struct {
 	injects       *telemetry.Counter
 	hits          *telemetry.Counter
 	misses        *telemetry.Counter
-	hitDelay      *telemetry.Histogram // seconds; effectively the hot-path cost
-	missDelay     *telemetry.Histogram // seconds; one controller round trip
-	echoRTT       *telemetry.Histogram // seconds; control-channel echo RTT
-	reconnects    *telemetry.Counter   // successful control-channel re-establishments
-	probeRetries  *telemetry.Counter   // PACKET_IN retransmissions
-	probeTimeouts *telemetry.Counter   // probes abandoned after all retries
-	tracer        *telemetry.Tracer
+	hitDelay      *telemetry.Histogram    // seconds; effectively the hot-path cost
+	missDelay     *telemetry.Histogram    // seconds; one controller round trip
+	echoRTT       *telemetry.Histogram    // seconds; control-channel echo RTT
+	reconnects    *telemetry.Counter      // successful control-channel re-establishments
+	probeRetries  *telemetry.Counter      // PACKET_IN retransmissions
+	probeTimeouts *telemetry.Counter      // probes abandoned after all retries
 	spans         *telemetry.SpanRecorder // wall-clock causal spans
 	events        *telemetry.EventLog     // wide events (probe outcomes, reconnects)
 }
@@ -91,25 +90,12 @@ func (s *Switch) SetTelemetry(reg *telemetry.Registry) {
 		reconnects:    reg.Counter("switch_reconnects_total"),
 		probeRetries:  reg.Counter("switch_probe_retries_total"),
 		probeTimeouts: reg.Counter("switch_probe_timeouts_total"),
-		tracer:        reg.Tracer(),
 		spans:         reg.Spans(),
 		events:        reg.Events(),
 	}
 	if c := s.currentConn(); c != nil {
 		c.SetTelemetry(reg, "switch")
 	}
-}
-
-// traceProbe emits one probe lifecycle event.
-func (s *Switch) traceProbe(kind string, rule int, delay time.Duration) {
-	if s.tm.tracer == nil {
-		return
-	}
-	e := telemetry.Ev(kind)
-	e.Node = "switch"
-	e.Rule = rule
-	e.Value = delay.Seconds()
-	s.tm.tracer.Emit(e)
 }
 
 // NewSwitch builds a switch over the shared policy. capacity and stepSec
@@ -494,7 +480,6 @@ func (s *Switch) Echo(timeout time.Duration) (time.Duration, error) {
 	case <-ch:
 		rtt := time.Since(begin)
 		s.tm.echoRTT.Observe(rtt.Seconds())
-		s.traceProbe("echo.rtt", -1, rtt)
 		return rtt, nil
 	case <-time.After(timeout):
 		s.releaseEcho(xid)
@@ -559,7 +544,6 @@ func (s *Switch) InjectTimeout(t flows.FiveTuple, timeout time.Duration, retries
 			delay := time.Since(begin)
 			s.tm.hits.Inc()
 			s.tm.hitDelay.Observe(delay.Seconds())
-			s.traceProbe("probe.hit", ruleID, delay)
 			if s.tm.spans != nil {
 				s.tm.spans.Annotate(inj, -1, ruleID, "hit")
 				s.tm.spans.End(inj, s.now())
@@ -652,7 +636,6 @@ func (s *Switch) InjectTimeout(t flows.FiveTuple, timeout time.Duration, retries
 				if attempts >= retries {
 					s.abandon(buf)
 					s.tm.probeTimeouts.Inc()
-					s.traceProbe("probe.lost", -1, timeout)
 					closeSpans(-1, "timeout")
 					probeEvent("timeout", -1, time.Since(begin))
 					return InjectResult{}, ErrProbeTimeout
@@ -680,7 +663,6 @@ func (s *Switch) InjectTimeout(t flows.FiveTuple, timeout time.Duration, retries
 	}
 	s.tm.misses.Inc()
 	s.tm.missDelay.Observe(res.Delay.Seconds())
-	s.traceProbe("probe.miss", res.RuleID, res.Delay)
 	closeSpans(res.RuleID, "miss")
 	probeEvent("miss", res.RuleID, res.Delay)
 	return res, nil

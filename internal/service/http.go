@@ -32,7 +32,9 @@ func Routes(mux *http.ServeMux, m *Manager) {
 }
 
 // Stream line shapes. Field order (and Go's deterministic struct-order
-// JSON encoding) is part of the byte-identity contract.
+// JSON encoding) is part of the byte-identity contract. The per-trial
+// probe and verdict lines are append-encoded to the same bytes (see
+// stream.go).
 type acceptedLine struct {
 	Type      string   `json:"type"` // "accepted"
 	Name      string   `json:"name,omitempty"`
@@ -40,25 +42,6 @@ type acceptedLine struct {
 	Probes    int      `json:"probes"`
 	Attackers []string `json:"attackers"`
 	HorizonS  float64  `json:"horizonSec"`
-}
-
-type probeLine struct {
-	Type     string `json:"type"` // "probe"
-	Trial    int    `json:"trial"`
-	Attacker string `json:"attacker"`
-	I        int    `json:"i"`
-	Flow     int    `json:"flow"`
-	Outcome  string `json:"outcome"` // classified "hit" / "miss"
-	Lost     bool   `json:"lost,omitempty"`
-}
-
-type verdictLine struct {
-	Type     string `json:"type"` // "verdict"
-	Trial    int    `json:"trial"`
-	Attacker string `json:"attacker"`
-	Verdict  string `json:"verdict"` // "present" / "absent"
-	Truth    string `json:"truth"`
-	Correct  bool   `json:"correct"`
 }
 
 type resultLine struct {
@@ -110,6 +93,13 @@ func handleOpen(w http.ResponseWriter, r *http.Request, m *Manager) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Session-Id", sess.ID)
+	streamSession(w, m, spec, sess)
+}
+
+// streamSession writes an open session's result stream: the accepted
+// line, each trial's probe and verdict lines in trial order, and the
+// result (or error) line.
+func streamSession(w http.ResponseWriter, m *Manager, spec SessionSpec, sess *Session) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
@@ -126,6 +116,7 @@ func handleOpen(w http.ResponseWriter, r *http.Request, m *Manager) {
 		flusher.Flush()
 	}
 
+	lines := newTrialEncoder(names)
 	correct := make(map[string]int, len(names))
 	trials := 0
 	for {
@@ -140,34 +131,17 @@ func handleOpen(w http.ResponseWriter, r *http.Request, m *Manager) {
 		trials++
 		m.MergeDetectors(res.Detectors)
 		for _, att := range res.Attackers {
-			for i, f := range att.Probes {
-				pl := probeLine{
-					Type:     "probe",
-					Trial:    res.Trial,
-					Attacker: att.Name,
-					I:        i,
-					Flow:     int(f),
-					Outcome:  hitMiss(i < len(att.Outcomes) && att.Outcomes[i]),
-				}
-				if i < len(att.Lost) && att.Lost[i] {
-					pl.Lost = true
-				}
-				_ = enc.Encode(pl)
-			}
-			ok := att.Verdict == res.Truth
-			if ok {
+			if att.Verdict == res.Truth {
 				correct[att.Name]++
 			}
-			_ = enc.Encode(verdictLine{
-				Type:     "verdict",
-				Trial:    res.Trial,
-				Attacker: att.Name,
-				Verdict:  presence(att.Verdict),
-				Truth:    presence(res.Truth),
-				Correct:  ok,
-			})
 		}
-		if flusher != nil {
+		// A failed write means the client has gone; its request context
+		// then cancels the session, and Next reports that.
+		_, _ = w.Write(lines.encode(res))
+		// Flush only when the next trial is not ready yet: back-to-back
+		// trials share one flush, and a client never waits on lines the
+		// server holds while it blocks.
+		if flusher != nil && !sess.Ready() {
 			flusher.Flush()
 		}
 	}

@@ -147,6 +147,15 @@ func (s *Session) Next() (experiment.TrialResult, bool, error) {
 	}
 }
 
+// Ready reports whether Next would return without blocking: the frontier
+// trial has completed, every trial has been delivered, or the session
+// failed.
+func (s *Session) Ready() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed != nil || s.frontier >= len(s.done) || s.done[s.frontier]
+}
+
 // Progress reports delivered and total trial counts.
 func (s *Session) Progress() (done, total int) {
 	s.mu.Lock()

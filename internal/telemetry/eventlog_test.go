@@ -143,7 +143,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 // so the counter is the only live signal that a chaos run stopped
 // recording its event stream.
 func TestSinkDetachCounter(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	l := reg.EnableEvents(8)
 	l.SetSink(failWriter{})
 	for i := 0; i < 5; i++ {
@@ -176,7 +176,7 @@ func TestRegistryEnableEvents(t *testing.T) {
 	if nilReg.EnableEvents(8) != nil || nilReg.Events() != nil {
 		t.Fatal("nil registry returned a live event log")
 	}
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	if reg.Events() != nil {
 		t.Fatal("events enabled by default")
 	}

@@ -15,11 +15,11 @@ import (
 // Handler returns the live-introspection HTTP handler for a registry:
 //
 //	/metrics       — Prometheus text exposition of every instrument
-//	/debug/trace   — the ring buffer's recent events as JSONL; supports
-//	                 ?kind=probe.miss (exact event-kind filter) and ?n=100
-//	                 (only the most recent n matching events)
+//	/debug/events  — the wide-event log's ring as JSONL (empty when
+//	                 disabled); supports ?kind=probe (exact event-kind
+//	                 filter) and ?n=100 (only the most recent n matching
+//	                 events)
 //	/debug/spans   — recorded causal spans as JSONL (empty when disabled)
-//	/debug/events  — the wide-event log as JSONL; ?kind= and ?n= as above
 //	/debug/vars    — the full Snapshot as indented JSON
 //	/debug/live    — Server-Sent Events stream of LiveUpdate frames;
 //	                 ?interval=500ms sets the frame period (default 1s)
@@ -40,20 +40,6 @@ func NewMux(r *Registry) *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		t := r.Tracer()
-		if t == nil {
-			return
-		}
-		events := FilterEvents(t.Events(), req.URL.Query().Get("kind"), parseN(req.URL.Query().Get("n")))
-		enc := json.NewEncoder(w)
-		for _, e := range events {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -208,26 +194,6 @@ func serveLive(w http.ResponseWriter, req *http.Request, r *Registry) {
 			}
 		}
 	}
-}
-
-// FilterEvents applies the /debug/trace query semantics to an event
-// slice: kind != "" keeps only events of exactly that kind; n > 0 keeps
-// only the most recent n of the survivors. The input order (emission
-// order) is preserved.
-func FilterEvents(events []Event, kind string, n int) []Event {
-	if kind != "" {
-		kept := events[:0:0]
-		for _, e := range events {
-			if e.Kind == kind {
-				kept = append(kept, e)
-			}
-		}
-		events = kept
-	}
-	if n > 0 && len(events) > n {
-		events = events[len(events)-n:]
-	}
-	return events
 }
 
 // parseN parses the ?n= query value (0 — meaning "no limit" — on absent

@@ -168,7 +168,7 @@ func TestDecodeLiveUpdateRoundTrip(t *testing.T) {
 // frame arrives immediately, is a well-formed SSE "live" event, and its
 // payload decodes with elapsed forced to zero.
 func TestServeLiveSSE(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Counter("experiment_trials_total").Add(5)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
@@ -209,7 +209,7 @@ func TestServeLiveSSE(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -241,7 +241,7 @@ func TestHealthEndpoints(t *testing.T) {
 }
 
 func TestDebugEventsEndpoint(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	l := reg.EnableEvents(0)
 	l.SetClock(nil)
 	for i := 0; i < 4; i++ {

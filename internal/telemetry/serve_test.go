@@ -15,7 +15,7 @@ import (
 func TestServeHandlerStalledHeader(t *testing.T) {
 	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
 	readHeaderTimeout = 200 * time.Millisecond
-	srv, err := ServeHandler("127.0.0.1:0", Handler(NewRegistry(0)))
+	srv, err := ServeHandler("127.0.0.1:0", Handler(NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestRegistryEnableSpans(t *testing.T) {
 	if nilReg.EnableSpans(8) != nil || nilReg.Spans() != nil {
 		t.Fatal("nil registry returned a live span recorder")
 	}
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	if reg.Spans() != nil {
 		t.Fatal("spans enabled by default")
 	}
@@ -134,45 +134,35 @@ func TestRegistryEnableSpans(t *testing.T) {
 	}
 }
 
-func TestFilterEvents(t *testing.T) {
-	events := []Event{
-		{Seq: 0, Kind: "probe.hit"},
-		{Seq: 1, Kind: "probe.miss"},
-		{Seq: 2, Kind: "probe.hit"},
-		{Seq: 3, Kind: "rule.install"},
-		{Seq: 4, Kind: "probe.hit"},
+func TestFilterWideEventsKindAndN(t *testing.T) {
+	kinds := []string{"probe.hit", "probe.miss", "probe.hit", "packet_in", "probe.hit"}
+	events := make([]WideEvent, len(kinds))
+	for i, k := range kinds {
+		events[i] = NewWideEvent(k)
+		events[i].Seq = int64(i)
 	}
-	got := FilterEvents(events, "probe.hit", 0)
+	got := FilterWideEvents(events, "probe.hit", 0)
 	if len(got) != 3 || got[0].Seq != 0 || got[2].Seq != 4 {
 		t.Fatalf("kind filter: %+v", got)
 	}
-	got = FilterEvents(events, "probe.hit", 2)
+	got = FilterWideEvents(events, "probe.hit", 2)
 	if len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 4 {
 		t.Fatalf("kind+n filter: %+v", got)
 	}
-	got = FilterEvents(events, "", 2)
+	got = FilterWideEvents(events, "", 2)
 	if len(got) != 2 || got[0].Seq != 3 {
 		t.Fatalf("n-only filter: %+v", got)
 	}
-	if got := FilterEvents(events, "nope", 0); len(got) != 0 {
+	if got := FilterWideEvents(events, "nope", 0); len(got) != 0 {
 		t.Fatalf("unknown kind returned %d events", len(got))
 	}
-	if got := FilterEvents(events, "", 0); len(got) != len(events) {
+	if got := FilterWideEvents(events, "", 0); len(got) != len(events) {
 		t.Fatal("no-op filter dropped events")
 	}
 }
 
-func TestDebugTraceQueryFilters(t *testing.T) {
-	reg := NewRegistry(64)
-	tr := reg.Tracer()
-	for i := 0; i < 5; i++ {
-		e := Ev("probe.hit")
-		if i%2 == 1 {
-			e = Ev("probe.miss")
-		}
-		e.Flow = i
-		tr.Emit(e)
-	}
+func TestDebugEventsQueryFilters(t *testing.T) {
+	reg := NewRegistry()
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -193,24 +183,36 @@ func TestDebugTraceQueryFilters(t *testing.T) {
 		return strings.Split(trimmed, "\n")
 	}
 
-	if got := lines(srv.URL + "/debug/trace"); len(got) != 5 {
+	if got := lines(srv.URL + "/debug/events"); len(got) != 0 {
+		t.Fatalf("events disabled but served %d lines", len(got))
+	}
+	l := reg.EnableEvents(64)
+	for i := 0; i < 5; i++ {
+		e := NewWideEvent("probe.hit")
+		if i%2 == 1 {
+			e = NewWideEvent("probe.miss")
+		}
+		e.Flow = i
+		l.Emit(e)
+	}
+	if got := lines(srv.URL + "/debug/events"); len(got) != 5 {
 		t.Fatalf("unfiltered: %d lines, want 5", len(got))
 	}
-	got := lines(srv.URL + "/debug/trace?kind=probe.miss")
+	got := lines(srv.URL + "/debug/events?kind=probe.miss")
 	if len(got) != 2 {
 		t.Fatalf("kind filter: %d lines, want 2", len(got))
 	}
-	var e Event
-	if err := json.Unmarshal([]byte(got[0]), &e); err != nil || e.Kind != "probe.miss" {
+	var e WideEvent
+	if err := json.Unmarshal([]byte(got[0]), &e); err != nil || e.Kind != "probe.miss" || e.Flow != 1 {
 		t.Fatalf("bad filtered event %q: %v", got[0], err)
 	}
-	if got := lines(srv.URL + "/debug/trace?n=3"); len(got) != 3 {
+	if got := lines(srv.URL + "/debug/events?n=3"); len(got) != 3 {
 		t.Fatalf("n filter: %d lines, want 3", len(got))
 	}
-	if got := lines(srv.URL + "/debug/trace?kind=probe.hit&n=1"); len(got) != 1 {
+	if got := lines(srv.URL + "/debug/events?kind=probe.hit&n=1"); len(got) != 1 {
 		t.Fatalf("kind+n filter: %d lines, want 1", len(got))
 	}
-	if got := lines(srv.URL + "/debug/trace?n=bogus"); len(got) != 5 {
+	if got := lines(srv.URL + "/debug/events?n=bogus"); len(got) != 5 {
 		t.Fatalf("malformed n: %d lines, want 5 (ignored)", len(got))
 	}
 	if got := lines(srv.URL + "/debug/spans"); len(got) != 0 {

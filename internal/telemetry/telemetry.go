@@ -1,26 +1,30 @@
 // Package telemetry is the repository's dependency-free observability
 // substrate: a metrics registry (atomic counters, gauges, fixed-bucket
-// latency histograms with p50/p95/p99) plus a bounded ring-buffer event
-// tracer for timestamped structured events (rule install/evict/timeout,
-// packet-in/flow-mod, probe hit/miss, simulator virtual-time steps).
+// latency histograms with p50/p95/p99), a causal span recorder
+// (span.go), and a bounded, sampled wide-event log (eventlog.go) for the
+// decisions the system pivots on (probe outcomes, trial verdicts,
+// injected faults, packet-in/flow-mod/flow-removed on the TCP daemons).
 //
 // Design rules:
 //
 //   - Disabled means nil. Every instrument (Counter, Gauge, Histogram,
-//     Tracer) is safe to use through a nil pointer, where each method is
-//     a no-op guarded by a single nil check. Instrumented code resolves
-//     its instruments once (from a possibly-nil *Registry, whose accessor
-//     methods also accept a nil receiver) and then calls them
-//     unconditionally on the hot path — no branching on configuration,
-//     no interface dispatch, no allocation.
+//     SpanRecorder, EventLog) is safe to use through a nil pointer, where
+//     each method is a no-op guarded by a single nil check. Instrumented
+//     code resolves its instruments once (from a possibly-nil *Registry,
+//     whose accessor methods also accept a nil receiver) and then calls
+//     them unconditionally on the hot path — no branching on
+//     configuration, no interface dispatch, no allocation. A registry
+//     starts with spans and events off; EnableSpans and EnableEvents
+//     attach them.
 //
-//   - Enabled means atomic. All instrument updates are lock-free atomic
-//     operations, safe for concurrent use; the registry's name→instrument
-//     maps take a lock only on first resolution.
+//   - Enabled means atomic. Counter, gauge and histogram updates are
+//     lock-free atomic operations, safe for concurrent use; the
+//     registry's name→instrument maps take a lock only on first
+//     resolution.
 //
 //   - Exposition is pull-based: Snapshot() for JSON serialization,
 //     WritePrometheus for the text format, and Handler for a live
-//     /metrics + /debug/trace + pprof endpoint (see http.go).
+//     /metrics + /debug/events + pprof endpoint (see http.go).
 package telemetry
 
 import (
@@ -39,24 +43,18 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	tracer     *Tracer
 	spans      *SpanRecorder
 	events     *EventLog
 	notReady   atomic.Bool // readiness flag served by /readyz (zero = ready)
 }
 
-// NewRegistry returns an empty registry whose tracer retains up to
-// traceCap events (0 disables tracing: Tracer() returns nil).
-func NewRegistry(traceCap int) *Registry {
-	r := &Registry{
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
-	if traceCap > 0 {
-		r.tracer = NewTracer(traceCap)
-	}
-	return r
 }
 
 // Series formats a labelled series key as name{k1="v1",k2="v2"}. Labels
@@ -132,15 +130,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 		r.histograms[key] = h
 	}
 	return h
-}
-
-// Tracer returns the registry's event tracer (nil when tracing is
-// disabled or the registry itself is nil).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // EnableSpans attaches a causal-span recorder retaining up to cap spans
@@ -225,7 +214,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Events     []Event                      `json:"events,omitempty"`
 	Spans      []Span                       `json:"spans,omitempty"`
 }
 
@@ -251,7 +239,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
 	}
-	s.Events = r.tracer.Events()
 	s.Spans = r.spans.Spans()
 	return s
 }

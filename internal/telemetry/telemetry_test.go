@@ -34,7 +34,7 @@ func TestSeriesFormatting(t *testing.T) {
 }
 
 func TestCounterGaugeBasics(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	c := reg.Counter("c_total")
 	c.Inc()
 	c.Add(4)
@@ -79,12 +79,12 @@ func TestDisabledPath(t *testing.T) {
 	if snap := h.Snapshot(); snap.Summary.N != 0 {
 		t.Fatal("nil histogram snapshot non-empty")
 	}
-	tr := reg.Tracer()
-	tr.Emit(Ev("x"))
-	if tr.Total() != 0 || tr.Events() != nil {
-		t.Fatal("nil tracer recorded")
+	l := reg.EnableEvents(8)
+	l.Emit(NewWideEvent("x"))
+	if l.Len() != 0 || reg.Events().Events() != nil {
+		t.Fatal("nil registry's event log recorded")
 	}
-	if s := reg.Snapshot(); len(s.Counters) != 0 || len(s.Events) != 0 {
+	if s := reg.Snapshot(); len(s.Counters) != 0 || len(s.Spans) != 0 {
 		t.Fatal("nil registry snapshot non-empty")
 	}
 	if err := reg.WritePrometheus(&strings.Builder{}); err != nil {
@@ -93,14 +93,14 @@ func TestDisabledPath(t *testing.T) {
 }
 
 // TestConcurrentInstruments hammers one counter, gauge, histogram, and
-// tracer from many goroutines; run under -race this is the data-race
+// event log from many goroutines; run under -race this is the data-race
 // check, and the totals must still be exact.
 func TestConcurrentInstruments(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	c := reg.Counter("c_total")
 	g := reg.Gauge("g")
 	h := reg.Histogram("h_seconds", nil)
-	tr := reg.Tracer()
+	l := reg.EnableEvents(64)
 
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -113,7 +113,7 @@ func TestConcurrentInstruments(t *testing.T) {
 				g.Add(1)
 				h.Observe(float64(i%10) * 1e-3)
 				if i%100 == 0 {
-					tr.Emit(Ev("tick"))
+					l.Emit(NewWideEvent("tick"))
 				}
 			}
 		}(w)
@@ -129,8 +129,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count: %d", h.Count())
 	}
-	if tr.Total() != workers*per/100 {
-		t.Fatalf("tracer total: %d", tr.Total())
+	if got := int64(l.Len()) + l.Dropped(); got != workers*per/100 {
+		t.Fatalf("event log retained+dropped: %d", got)
 	}
 	snap := h.Snapshot()
 	var n int64
@@ -142,17 +142,21 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
-func TestTracerRingWraparound(t *testing.T) {
-	tr := NewTracer(4)
+// TestEventLogRingWraparound overfills a small ring: the most recent cap
+// events survive in emission order with their global sequence numbers,
+// the overwritten ones are counted as dropped, and WriteJSONL serves
+// exactly the retained window.
+func TestEventLogRingWraparound(t *testing.T) {
+	l := NewEventLog(4)
 	for i := 0; i < 10; i++ {
-		e := Ev("e")
+		e := NewWideEvent("e")
 		e.Flow = i
-		tr.Emit(e)
+		l.Emit(e)
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total: %d", tr.Total())
+	if l.Dropped() != 6 {
+		t.Fatalf("dropped: %d", l.Dropped())
 	}
-	evs := tr.Events()
+	evs := l.Events()
 	if len(evs) != 4 {
 		t.Fatalf("retained: %d", len(evs))
 	}
@@ -160,19 +164,19 @@ func TestTracerRingWraparound(t *testing.T) {
 		if e.Flow != 6+i {
 			t.Fatalf("event %d: flow %d, want %d", i, e.Flow, 6+i)
 		}
-		if e.Seq != int64(6+i) {
+		if e.Seq != int64(7+i) { // sequence numbers start at 1
 			t.Fatalf("event %d: seq %d", i, e.Seq)
 		}
 	}
 	var sb strings.Builder
-	if err := tr.WriteJSONL(&sb); err != nil {
+	if err := l.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("jsonl lines: %d", len(lines))
 	}
-	var first Event
+	var first WideEvent
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +233,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Counter("req_total", "result", "hit").Add(3)
 	reg.Counter("req_total", "result", "miss").Add(1)
 	reg.Gauge("occupancy").Set(6)
@@ -266,14 +270,10 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	reg := NewRegistry(8)
+	reg := NewRegistry()
 	reg.Counter("c_total").Add(2)
 	reg.Gauge("g").Set(-1)
 	reg.Histogram("h_ms", MillisecondBuckets()).Observe(0.1)
-	e := Ev("probe.hit")
-	e.Node = "s1"
-	e.Flow = 3
-	reg.Tracer().Emit(e)
 
 	blob, err := json.Marshal(reg.Snapshot())
 	if err != nil {
@@ -289,15 +289,12 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Histograms["h_ms"].Summary.N != 1 {
 		t.Fatalf("histogram round trip: %+v", back.Histograms["h_ms"])
 	}
-	if len(back.Events) != 1 || back.Events[0].Kind != "probe.hit" || back.Events[0].Flow != 3 {
-		t.Fatalf("events round trip: %+v", back.Events)
-	}
 }
 
 func TestHTTPHandler(t *testing.T) {
-	reg := NewRegistry(8)
+	reg := NewRegistry()
 	reg.Counter("hits_total").Inc()
-	reg.Tracer().Emit(Ev("rule.install"))
+	reg.EnableEvents(8).Emit(NewWideEvent("packet_in"))
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -319,8 +316,8 @@ func TestHTTPHandler(t *testing.T) {
 	if body := get("/metrics"); !strings.Contains(body, "hits_total 1") {
 		t.Fatalf("/metrics: %q", body)
 	}
-	if body := get("/debug/trace"); !strings.Contains(body, `"kind":"rule.install"`) {
-		t.Fatalf("/debug/trace: %q", body)
+	if body := get("/debug/events"); !strings.Contains(body, `"kind":"packet_in"`) {
+		t.Fatalf("/debug/events: %q", body)
 	}
 	if body := get("/debug/vars"); !strings.Contains(body, `"hits_total": 1`) {
 		t.Fatalf("/debug/vars: %q", body)
