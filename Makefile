@@ -44,8 +44,8 @@ race:
 ## what makes the bench-compare gate usable on shared/noisy hosts; each
 ## benchmark records the package it ran in. -benchmem records B/op and
 ## allocs/op beside ns/op (BenchmarkColdSessionBuild tracks the cold
-## session build's allocation count); bench-compare prints allocs/op but
-## gates on ns/op only.
+## session build's allocation count, BenchmarkWarmTrial the warm
+## trial's); bench-compare prints allocs/op but gates on ns/op only.
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 500ms -count 3 . ./internal/service/ > bench.out
 	@cat bench.out
@@ -91,7 +91,11 @@ sched-gate:
 ## The daemon's warm trial joins them: a probing TrialRunner.Run with no
 ## span recorder stays within the allocation count measured once the
 ## per-probe span detail stopped being formatted for a recorder that
-## would discard it.
+## would discard it; that bound fell again (64 -> 19) once a trial replays
+## its window once into pooled scratch and each attacker probes a copy.
+## The scratch joins them: a flowtable Reset, replay and CopyCacheFrom on
+## warm tables must not allocate, and a non-empty GeneratePoisson window
+## allocates only its presized arrival slice and its Trace.
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/ ./internal/experiment/
 
@@ -120,7 +124,9 @@ trace-smoke:
 ## the clone-based reference build, bit for bit;
 ## FuzzStreamLinesMatchEncoding holds flowrecond's append-encoded probe
 ## and verdict lines to encoding/json, byte for byte, on arbitrary
-## attacker names and integers.
+## attacker names and integers; FuzzTableCopyCacheFrom holds a flow
+## table copied with CopyCacheFrom to its source, step by step, under
+## arbitrary operation sequences (expiry and eviction order included).
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -131,6 +137,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzStreamLinesMatchEncoding -fuzztime 10s
+	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzTableCopyCacheFrom -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection

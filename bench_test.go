@@ -19,6 +19,7 @@ import (
 	"flowrecon/internal/core"
 	"flowrecon/internal/detect"
 	"flowrecon/internal/experiment"
+	"flowrecon/internal/faults"
 	"flowrecon/internal/flows"
 	"flowrecon/internal/flowtable"
 	"flowrecon/internal/ingest"
@@ -950,6 +951,62 @@ func BenchmarkColdSessionBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		build(i)
+	}
+}
+
+// BenchmarkWarmTrial is the trial layer of a warm flowrecond session:
+// one probing TrialRunner.Run on a resident model — the Poisson window,
+// its replay into the switch table, each attacker's probes on its own
+// copy of the replayed state, and the verdicts — with a telemetry
+// registry attached, as the daemon runs it. The detect sub-benchmark adds
+// 5% probe loss, 0.3 ms jitter and a detector per attacker, the chaos
+// workload's session shape. allocs/op is the warm trial's allocation
+// count.
+func BenchmarkWarmTrial(b *testing.B) {
+	spec := experiment.RecordingSpec{
+		Params:     benchParams(),
+		ConfigSeed: 11,
+		TrialSeed:  1,
+		Trials:     1,
+		Probes:     2,
+	}
+	nc, err := spec.BuildConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	roster, err := experiment.StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dc := detect.DefaultConfig()
+	for _, bc := range []struct {
+		name string
+		opts experiment.RunnerOptions
+	}{
+		{"plain", experiment.RunnerOptions{}},
+		{"detect", experiment.RunnerOptions{
+			Faults:        faults.Profile{Seed: 3, LossProb: 0.05, JitterMeanMs: 0.3},
+			Detect:        &dc,
+			KeepDetectors: true,
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.opts.Registry = telemetry.NewRegistry()
+			r := experiment.NewTrialRunner(nc, roster, experiment.DefaultMeasurement(), bc.opts)
+			seeds := experiment.TrialSeeds(7, 256)
+			for _, seed := range seeds[:16] { // warm the pooled trial scratch
+				if _, err := r.Run(0, seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(i, seeds[i%len(seeds)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

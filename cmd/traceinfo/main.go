@@ -83,7 +83,7 @@ func run(args []string, w *os.File) error {
 		Classes:  res.Universe.Size(),
 		Flows:    res.Flows,
 		Dropped:  res.Dropped,
-		Arrivals: len(res.Trace.Arrivals()),
+		Arrivals: res.Trace.Len(),
 		Duration: res.Duration,
 		Rates:    res.Rates,
 	}

@@ -27,9 +27,9 @@ import (
 // much accuracy a stealth-paced attacker retains.
 
 // TrainDetectBaseline replays benign traffic windows through fresh
-// tables and measures what the controller path actually sees per flow —
-// the observation rate and miss fraction the anomaly scorers need as
-// their benign reference.
+// tables, with the trial loop's replay, and measures what the controller
+// path actually sees per flow — the observation rate and miss fraction
+// the anomaly scorers need as their benign reference.
 //
 // The per-flow rate is provisioned for the observed benign PEAK window,
 // not the mean: a mean-rate baseline cannot hold a 1% false-positive
@@ -51,27 +51,23 @@ func TrainDetectBaseline(nc *NetworkConfig, windows int, rng *stats.RNG, source 
 	misses := make([]float64, nc.Params.NumFlows)
 	peaks := make([]float64, nc.Params.NumFlows)
 	window := make([]float64, nc.Params.NumFlows)
+	sc := scratchPool.Get().(*trialScratch)
+	defer scratchPool.Put(sc)
 	for w := 0; w < windows; w++ {
-		trace, err := source(nc.Rates, horizon, rng.Fork())
+		sc.rng.Reseed(rng.Int63()) // the stream rng.Fork() would give
+		trace, err := source(nc.Rates, horizon, &sc.rng)
 		if err != nil {
 			return detect.Baseline{}, err
 		}
-		tbl, err := flowtable.New(nc.Rules, nc.Params.CacheSize, nc.Params.Delta)
-		if err != nil {
+		if err := sc.replay(nc, trace, flowtable.Metrics{}); err != nil {
 			return detect.Baseline{}, err
 		}
-		for f := range window {
-			window[f] = 0
-		}
-		for _, a := range trace.Arrivals() {
-			_, hit := tbl.Lookup(a.Flow, a.Time)
+		clear(window)
+		for i, a := range sc.arrivals {
 			counts[a.Flow]++
 			window[a.Flow]++
-			if !hit {
+			if !sc.hits[i] {
 				misses[a.Flow]++
-				if j, covered := nc.Rules.HighestCovering(a.Flow); covered {
-					tbl.Install(j, a.Time)
-				}
 			}
 		}
 		for f, c := range window {
@@ -141,15 +137,19 @@ func BenignFPR(nc *NetworkConfig, cfg detect.Config, trials int, rng *stats.RNG,
 	}
 	horizon := float64(nc.Params.Steps()) * nc.Params.Delta
 	var res FPRResult
+	sc := scratchPool.Get().(*trialScratch)
+	defer scratchPool.Put(sc)
 	for t := 0; t < trials; t++ {
-		trace, err := source(nc.Rates, horizon, rng.Fork())
+		sc.rng.Reseed(rng.Int63()) // the stream rng.Fork() would give
+		trace, err := source(nc.Rates, horizon, &sc.rng)
 		if err != nil {
 			return res, err
 		}
 		det := detect.New(cfg)
-		if _, err := replayTrace(nc, trace, flowtable.Metrics{}, det); err != nil {
+		if err := sc.replay(nc, trace, flowtable.Metrics{}); err != nil {
 			return res, err
 		}
+		sc.observeReplay(det)
 		res.Trials++
 		res.Sources += det.Sources()
 		res.Flagged += len(det.Verdicts())

@@ -143,14 +143,21 @@ type trialOut struct {
 }
 
 // runTrial executes one complete trial: generate the traffic window,
-// replay it per attacker, probe, and decide. Every random draw — the
+// replay it once, and let every attacker probe its own copy of the table
+// state the replay left (probes install rules and refresh timers, so
+// attackers cannot share one table) and decide. Every random draw — the
 // traffic window, probe classification noise, random verdicts — comes
-// from rng (the trial's own stream), and fault draws come from a stream
-// derived from (Faults.Seed, trial index) alone, so trials are
-// independent, safe to run concurrently, and identical at every
-// parallelism level.
-func (env *trialEnv) runTrial(trial int, rng *stats.RNG) trialOut {
+// from the trial's own stream, seeded with seed, and fault draws come
+// from a stream derived from (Faults.Seed, trial index) alone, so trials
+// are independent, safe to run concurrently, and identical at every
+// parallelism level. The stream, the window and the tables live in a
+// pooled trialScratch; nothing in the returned trialOut aliases it.
+func (env *trialEnv) runTrial(trial int, seed int64) trialOut {
 	var out trialOut
+	sc := scratchPool.Get().(*trialScratch)
+	defer scratchPool.Put(sc)
+	rng := &sc.rng
+	rng.Reseed(seed)
 	flt := env.faults.Stream(int64(trial))
 	flt.SetCounters(env.faultCtr)
 	trace, err := env.source(env.nc.Rates, env.horizon, rng)
@@ -185,6 +192,13 @@ func (env *trialEnv) runTrial(trial int, rng *stats.RNG) trialOut {
 		out.arrivals = trace.Arrivals()
 		out.atts = make([]trialrec.AttackerTrial, 0, len(env.attackers))
 	}
+
+	if err := sc.replay(env.nc, trace, env.tableTM); err != nil {
+		out.err = err
+		return out
+	}
+	tbl := &sc.replica
+	tbl.SetMetrics(env.tableTM)
 
 	out.verdicts = make([]bool, len(env.attackers))
 	if env.detAgg {
@@ -231,12 +245,9 @@ func (env *trialEnv) runTrial(trial int, rng *stats.RNG) trialOut {
 			}
 		}
 		replaySpan := spans.Start(traceID, attSpan, "replay", "experiment", 0)
-		tbl, err := replayTrace(env.nc, trace, env.tableTM, det)
+		tbl.CopyCacheFrom(&sc.base)
+		sc.observeReplay(det)
 		spans.End(replaySpan, env.horizon)
-		if err != nil {
-			out.err = err
-			return out
-		}
 		var outcomes, lost []bool
 		if seq, ok := a.(SequentialAttacker); ok {
 			outcomes, lost = probeSequential(env.nc, tbl, seq, env.horizon, env.meas, rng, flt, &env.tm, obs, det, pace)
@@ -395,7 +406,7 @@ func RunTrialsOpts(nc *NetworkConfig, attackers []core.Attacker, trials int, mea
 	if workers <= 1 {
 		var records []TrialRecord
 		for t := 0; t < trials; t++ {
-			out := env.runTrial(t, rng.Fork())
+			out := env.runTrial(t, rng.Int63()) // the seed rng.Fork() would use
 			count(out)
 			if err := assemble(t, out); err != nil {
 				return nil, nil, err
@@ -456,7 +467,7 @@ func RunTrialsOpts(nc *NetworkConfig, attackers []core.Attacker, trials int, mea
 					return
 				}
 				busy.Add(1)
-				outs[t] = env.runTrial(t, stats.NewRNG(seeds[t]))
+				outs[t] = env.runTrial(t, seeds[t])
 				count(outs[t])
 				busy.Add(-1)
 				markDone(t)

@@ -78,7 +78,7 @@ func (r *TrialRunner) Horizon() float64 { return r.env.horizon }
 
 // Run executes one trial from its seed. Safe to call concurrently.
 func (r *TrialRunner) Run(trial int, seed int64) (TrialResult, error) {
-	out := r.env.runTrial(trial, stats.NewRNG(seed))
+	out := r.env.runTrial(trial, seed)
 	if out.err != nil {
 		return TrialResult{}, out.err
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"flowrecon/internal/core"
 	"flowrecon/internal/detect"
@@ -108,9 +109,9 @@ func PeriodicSource(rates []float64, duration float64, rng *stats.RNG) (*workloa
 }
 
 // RunTrials executes the attack trials times on fresh random Poisson
-// traffic: each trial generates one window, replays it through a
+// traffic: each trial generates one window, replays it once through a
 // continuous-time switch table, lets every attacker probe the resulting
-// table state (each against its own replica, since probes perturb the
+// table state (each against its own copy, since probes perturb the
 // cache), and scores the verdicts against the trace's ground truth.
 func RunTrials(nc *NetworkConfig, attackers []core.Attacker, trials int, meas Measurement, rng *stats.RNG) ([]AttackerResult, error) {
 	return RunTrialsWithSource(nc, attackers, trials, meas, rng, PoissonSource)
@@ -246,27 +247,60 @@ func probeSequential(nc *NetworkConfig, tbl *flowtable.Table, a SequentialAttack
 	}
 }
 
-// replayTrace builds the switch table state after the traffic window.
-// The table feeds tm, the run's flowtable instruments under the "trial"
-// node label (zero = off), so replay installs/evictions are observable.
-// A non-nil detector observes every replay lookup — the benign
-// background the anomaly baselines are scored against.
-func replayTrace(nc *NetworkConfig, trace *workload.Trace, tm flowtable.Metrics, det *detect.Detector) (*flowtable.Table, error) {
-	tbl, err := flowtable.New(nc.Rules, nc.Params.CacheSize, nc.Params.Delta)
-	if err != nil {
-		return nil, fmt.Errorf("trial table: %w", err)
+// trialScratch is the reusable working state of one trial: its random
+// stream, the replayed traffic window and the tables the window is
+// replayed into. Trials take one from scratchPool and return it when
+// done, so a warm worker replays each window into storage earlier trials
+// grew instead of allocating tables, streams and buffers afresh. Nothing
+// a trial returns may alias it.
+type trialScratch struct {
+	rng      stats.RNG
+	arrivals []workload.Arrival
+	hits     []bool // hits[i]: arrivals[i]'s replay lookup hit the table
+	// base holds the table state the window leaves; replica is the copy
+	// of it that the current attacker probes.
+	base, replica flowtable.Table
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(trialScratch) }}
+
+// replay runs the traffic window through sc.base, freshly reset to nc's
+// switch, recording each arrival's lookup outcome in sc.hits: a miss
+// installs the highest-priority covering rule, as the switch's controller
+// would. The table feeds tm (zero = off), so replay installs and
+// evictions are observable. The replay draws no randomness, so one run
+// serves every attacker of a trial.
+func (sc *trialScratch) replay(nc *NetworkConfig, trace *workload.Trace, tm flowtable.Metrics) error {
+	tbl := &sc.base
+	if err := tbl.Reset(nc.Rules, nc.Params.CacheSize, nc.Params.Delta); err != nil {
+		return fmt.Errorf("trial table: %w", err)
 	}
 	tbl.SetMetrics(tm)
-	for _, a := range trace.Arrivals() {
+	sc.arrivals = trace.AppendArrivals(sc.arrivals[:0])
+	sc.hits = sc.hits[:0]
+	for _, a := range sc.arrivals {
 		_, hit := tbl.Lookup(a.Flow, a.Time)
-		det.Observe(int(a.Flow), a.Time, math.NaN(), hit)
+		sc.hits = append(sc.hits, hit)
 		if !hit {
 			if j, covered := nc.Rules.HighestCovering(a.Flow); covered {
 				tbl.Install(j, a.Time)
 			}
 		}
 	}
-	return tbl, nil
+	return nil
+}
+
+// observeReplay feeds det the replay's lookups, in arrival order — the
+// benign background the anomaly baselines are scored against. The
+// detector never touches the table, so observing after the replay is the
+// same as observing during it.
+func (sc *trialScratch) observeReplay(det *detect.Detector) {
+	if det == nil {
+		return
+	}
+	for i, a := range sc.arrivals {
+		det.Observe(int(a.Flow), a.Time, math.NaN(), sc.hits[i])
+	}
 }
 
 // paceGap draws one inter-probe gap from the stealth schedule. The draw

@@ -34,7 +34,7 @@ const (
 	ReasonEvicted
 )
 
-// Stats counts table activity since construction.
+// Stats counts table activity since construction, Reset or CopyCacheFrom.
 type Stats struct {
 	Lookups     int64
 	Hits        int64
@@ -77,7 +77,7 @@ type expNode struct {
 }
 
 // Table is a continuous-time flow table over a rule set. The zero value is
-// not usable; construct with New.
+// not usable until Reset; construct with New.
 //
 // The table keeps an expiry-ordered lazy min-heap over its entries, so
 // Lookup/Install/Remove pay O(log n) for expiry processing instead of
@@ -110,29 +110,97 @@ type Table struct {
 // the duration Δ of one model step in seconds; rule timeouts (expressed in
 // steps) are scaled by it.
 func New(rs *rules.Set, capacity int, stepSec float64) (*Table, error) {
+	t := new(Table)
+	if err := t.Reset(rs, capacity, stepSec); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset empties t and re-targets it at rs, capacity and stepSec, leaving
+// it in exactly the state New would return: no entries, zeroed stats,
+// telemetry detached and no OnRemove callback. It reuses t's slot, heap,
+// timeout and stats storage, so a caller that runs one short-lived table
+// after another (the experiment trial loop) allocates nothing once that
+// storage has grown to the largest rule set. The zero Table may be Reset.
+func (t *Table) Reset(rs *rules.Set, capacity int, stepSec float64) error {
 	if capacity < 1 {
-		return nil, fmt.Errorf("flowtable: capacity %d < 1", capacity)
+		return fmt.Errorf("flowtable: capacity %d < 1", capacity)
 	}
 	if stepSec <= 0 {
-		return nil, fmt.Errorf("flowtable: step duration %v ≤ 0", stepSec)
+		return fmt.Errorf("flowtable: step duration %v ≤ 0", stepSec)
 	}
-	t := &Table{
-		rules:    rs,
-		capacity: capacity,
-		stepSec:  stepSec,
-		slots:    make([]slot, rs.Len()),
-		heap:     make([]expNode, 0, capacity),
-		timeout:  make([]float64, rs.Len()),
-		hard:     make([]bool, rs.Len()),
-		stats:    Stats{MatchesByRule: make([]int64, rs.Len())},
+	n := rs.Len()
+	t.rules = rs
+	t.capacity = capacity
+	t.stepSec = stepSec
+	t.slots = resize(t.slots, n)
+	clear(t.slots)
+	t.n = 0
+	if cap(t.heap) < capacity {
+		t.heap = make([]expNode, 0, capacity)
 	}
-	for id := 0; id < rs.Len(); id++ {
+	t.heap = t.heap[:0]
+	t.timeout = resize(t.timeout, n)
+	t.hard = resize(t.hard, n)
+	for id := 0; id < n; id++ {
 		r := rs.Rule(id)
 		t.timeout[id] = float64(r.Timeout) * stepSec
 		t.hard[id] = r.Kind == rules.HardTimeout
 	}
-	t.cachedFn = func(ruleID int) bool { return t.slots[ruleID].present }
-	return t, nil
+	t.resetStats()
+	t.initCachedFn()
+	t.tm = Metrics{}
+	t.OnRemove = nil
+	return nil
+}
+
+// CopyCacheFrom sets t's cache state to src's: the rule set, capacity and
+// step, every entry with its timers and stamps, and the lazy expiry index
+// node for node, stale nodes included — so every later lookup, install,
+// expiry and eviction on t happens exactly as it would on src. It is how
+// one replayed traffic window is handed to several attackers, each of
+// which perturbs its own copy. t keeps its own telemetry instruments,
+// which see its new occupancy, and its OnRemove callback, and its stats
+// restart from zero; src's are not copied. It reuses t's storage, so a
+// warm t copies without allocating.
+func (t *Table) CopyCacheFrom(src *Table) {
+	t.rules = src.rules
+	t.capacity = src.capacity
+	t.stepSec = src.stepSec
+	t.slots = append(t.slots[:0], src.slots...)
+	t.n = src.n
+	t.heap = append(t.heap[:0], src.heap...)
+	t.timeout = append(t.timeout[:0], src.timeout...)
+	t.hard = append(t.hard[:0], src.hard...)
+	t.resetStats()
+	t.initCachedFn()
+	t.tm.occupancy.Set(int64(t.n))
+}
+
+// resetStats zeroes the activity counters, keeping MatchesByRule's
+// storage when it is large enough.
+func (t *Table) resetStats() {
+	byRule := resize(t.stats.MatchesByRule, len(t.slots))
+	clear(byRule)
+	t.stats = Stats{MatchesByRule: byRule}
+}
+
+// initCachedFn builds the Lookup predicate over slots once per table, so
+// the hot path does not allocate a closure per call.
+func (t *Table) initCachedFn() {
+	if t.cachedFn == nil {
+		t.cachedFn = func(ruleID int) bool { return t.slots[ruleID].present }
+	}
+}
+
+// resize returns s with length n, reusing its storage when it has room.
+// It does not clear the elements; callers overwrite or clear them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Stats returns a copy of the activity counters.

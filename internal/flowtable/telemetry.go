@@ -6,9 +6,9 @@ import "flowrecon/internal/telemetry"
 // zero value (all nil) is the disabled configuration: every update is a
 // nil-checked no-op, keeping the hot path within noise of the
 // uninstrumented code (see BenchmarkTelemetryOverhead). A caller that
-// builds many short-lived tables on one registry (the experiment trial
-// loop replays one per trial and attacker) resolves them once with
-// NewMetrics and attaches them with SetMetrics.
+// runs many short-lived tables on one registry (the experiment trial
+// loop resets one per trial and copies it per attacker) resolves them
+// once with NewMetrics and attaches them with SetMetrics.
 type Metrics struct {
 	lookups     *telemetry.Counter
 	hits        *telemetry.Counter

@@ -4,8 +4,12 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/stats"
@@ -36,6 +40,12 @@ func (t *Trace) Arrivals() []Arrival {
 	out := make([]Arrival, len(t.arrivals))
 	copy(out, t.arrivals)
 	return out
+}
+
+// AppendArrivals appends the arrivals, in time order, to dst and returns
+// the extended slice: Arrivals for a caller that reuses its own buffer.
+func (t *Trace) AppendArrivals(dst []Arrival) []Arrival {
+	return append(dst, t.arrivals...)
 }
 
 // Len returns the number of arrivals.
@@ -109,14 +119,28 @@ func (c PoissonConfig) Validate() error {
 	return nil
 }
 
+// streams holds GeneratePoisson's per-flow streams. Each call reseeds one
+// in place per flow, so a pooled stream saves the ~4.9 KiB generator a
+// call would otherwise allocate.
+var streams = sync.Pool{New: func() any { return new(stats.RNG) }}
+
+// maxPresize caps the arrival slice GeneratePoisson reserves up front, so
+// an absurd rate or duration cannot reserve memory before any arrival is
+// drawn; a longer trace grows the slice as it goes.
+const maxPresize = 1 << 16
+
 // GeneratePoisson samples an independent Poisson arrival process per flow
 // over [0, Duration) and merges them into one time-ordered trace.
+//
+// Each flow with a non-zero rate, in flow order, draws its process from
+// a stream seeded with the next rng.Int63 — the stream rng.Fork() would
+// give it — and the merged arrivals are ordered by (time, flow).
 func GeneratePoisson(cfg PoissonConfig, rng *stats.RNG) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var arrivals []Arrival
-	g := new(stats.RNG) // per-flow stream: rng.Fork()'s, reseeded in place
+	arrivals := make([]Arrival, 0, presize(cfg))
+	g := streams.Get().(*stats.RNG)
 	for f, rate := range cfg.Rates {
 		if rate == 0 {
 			continue
@@ -126,13 +150,32 @@ func GeneratePoisson(cfg PoissonConfig, rng *stats.RNG) (*Trace, error) {
 			arrivals = append(arrivals, Arrival{Time: t, Flow: flows.ID(f)})
 		}
 	}
-	sort.Slice(arrivals, func(i, j int) bool {
-		if arrivals[i].Time != arrivals[j].Time {
-			return arrivals[i].Time < arrivals[j].Time
+	streams.Put(g)
+	// (time, flow) is a total order on distinct arrivals, so any correct
+	// sort yields the same trace.
+	slices.SortFunc(arrivals, func(a, b Arrival) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		return arrivals[i].Flow < arrivals[j].Flow
+		return cmp.Compare(a.Flow, b.Flow)
 	})
 	return &Trace{arrivals: arrivals}, nil
+}
+
+// presize returns the arrival count a Poisson window almost never
+// exceeds: its mean Σλ·T plus four standard deviations and a small
+// floor, capped at maxPresize.
+func presize(cfg PoissonConfig) int {
+	var rate float64
+	for _, r := range cfg.Rates {
+		rate += r
+	}
+	mean := rate * cfg.Duration
+	n := mean + 4*math.Sqrt(mean) + 4
+	if !(n < maxPresize) { // also catches an infinite or NaN rate
+		return maxPresize
+	}
+	return int(n)
 }
 
 // UniformRates draws λ_f uniformly from [0, 1) for n flows, the paper's

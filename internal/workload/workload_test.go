@@ -234,30 +234,41 @@ func TestGeneratePeriodic(t *testing.T) {
 }
 
 // TestGeneratePoissonSteadyStateAllocs is the allocation gate on the
-// per-flow streams: a call reseeds one child stream in place instead of
-// forking a ~4.9 KiB generator per flow, so its allocation count must not
-// grow with the flow count. The rates are small enough that no flow
-// arrives, which keeps the arrival slice (whose growth does scale) out of
-// the count.
+// per-flow streams and the arrival slice. A call reseeds one pooled child
+// stream in place instead of forking a ~4.9 KiB generator per flow, so
+// its allocation count must not grow with the flow count; with rates so
+// small that no flow arrives, that is checked at 4 and 256 flows. A
+// non-empty window presizes its arrival slice from Σλ·T, so the slice and
+// the Trace are its only allocations.
 func TestGeneratePoissonSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	allocs := func(flows int) float64 {
-		rates := make([]float64, flows)
-		for i := range rates {
-			rates[i] = 1e-12
-		}
+	// allocs measures one call and checks that every window is empty or
+	// non-empty as the case claims: the flow-count comparison rests on
+	// drawing no arrivals, the slice bound on drawing some.
+	allocs := func(rates []float64, duration float64, wantEmpty bool) float64 {
 		rng := stats.NewRNG(5)
 		return testing.AllocsPerRun(50, func() {
-			tr, err := GeneratePoisson(PoissonConfig{Rates: rates, Duration: 1}, rng)
-			if err != nil || tr.Len() != 0 {
+			tr, err := GeneratePoisson(PoissonConfig{Rates: rates, Duration: duration}, rng)
+			if err != nil || (tr.Len() == 0) != wantEmpty {
 				t.Fatalf("GeneratePoisson: %d arrivals, err %v", tr.Len(), err)
 			}
 		})
 	}
-	few, many := allocs(4), allocs(256)
+	silent := func(flows int) []float64 {
+		rates := make([]float64, flows)
+		for i := range rates {
+			rates[i] = 1e-12
+		}
+		return rates
+	}
+	few, many := allocs(silent(4), 1, true), allocs(silent(256), 1, true)
 	if few != many {
 		t.Fatalf("GeneratePoisson allocs: %v at 4 flows, %v at 256 flows; want independent of flow count", few, many)
+	}
+	// 8 flows over 5 s: about 20 arrivals a window.
+	if window := allocs(UniformRates(8, stats.NewRNG(3)), 5, false); window > 2 {
+		t.Fatalf("GeneratePoisson allocates %v per non-empty window, want <= 2 (the slice and the Trace)", window)
 	}
 }
