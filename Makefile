@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-compare sched-gate check fuzz-smoke cover-gate alloc-gate trace-smoke
+.PHONY: all build fmt-check vet perfbench-check test race bench bench-compare sched-gate check fuzz-smoke cover-gate alloc-gate trace-smoke
 
 all: check build
 
@@ -16,6 +16,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+## perfbench-check vets and builds the end-to-end benchmark harness. It is
+## a separate Go module, so `go build ./...` and `go vet ./...` skip it.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -92,7 +98,10 @@ sched-gate:
 ## span recorder stays within the allocation count measured once the
 ## per-probe span detail stopped being formatted for a recorder that
 ## would discard it; that bound fell again (64 -> 19) once a trial replays
-## its window once into pooled scratch and each attacker probes a copy.
+## its window once into pooled scratch and each attacker probes a copy,
+## and to 16 once a trial's attacker records are allocated at their final
+## size. The in-order driver joins it: each further trial of a serial
+## TrialRunner.RunTrials with no consumers costs no more than one Run.
 ## The scratch joins them: a flowtable Reset, replay and CopyCacheFrom on
 ## warm tables must not allocate, and a non-empty GeneratePoisson window
 ## allocates only its presized arrival slice and its Trace.
@@ -152,8 +161,8 @@ cover-gate:
 		echo "cover-gate: $$pkg $$pct% >= 70%"; \
 	done
 
-## check is the pre-merge gate: formatting, vet, the full test suite
-## under the race detector, the allocation gate (which race builds must
-## skip), the trace-export smoke, and the scheduler-overhead gate on the
-## committed benchmark history.
-check: fmt-check vet race alloc-gate trace-smoke sched-gate
+## check is the pre-merge gate: formatting, vet, the benchmark harness's
+## vet and build, the full test suite under the race detector, the
+## allocation gate (which race builds must skip), the trace-export smoke,
+## and the scheduler-overhead gate on the committed benchmark history.
+check: fmt-check vet perfbench-check race alloc-gate trace-smoke sched-gate

@@ -452,12 +452,10 @@ func BenchmarkAblationProbeCount(b *testing.B) {
 
 // BenchmarkTrialLoopRecording compares one full attack trial (traffic
 // generation, table replay, probing, verdicts for the standard
-// four-attacker roster) with forensics off (nil recorder — the per-probe
-// observer is a nil pointer), with causal spans only, and with the
-// complete JSONL recording (belief steps + spans) streamed to a discarded
-// writer. "off" must track the uninstrumented trial loop within noise —
-// the ISSUE's nil-recorder-is-free contract; the gap to "record" is the
-// price of full forensics.
+// four-attacker roster) with forensics off (no span tree, no belief
+// tracking) and with the complete JSONL recording (belief steps + spans)
+// streamed to a discarded writer. The gap between the two is the price
+// of full forensics.
 func BenchmarkTrialLoopRecording(b *testing.B) {
 	spec := experiment.RecordingSpec{
 		Params:      benchParams(),
@@ -475,22 +473,17 @@ func BenchmarkTrialLoopRecording(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	trial := func(b *testing.B, opts experiment.TrialOptions) {
+	trial := func(b *testing.B, opts experiment.RunnerOptions, consumers ...func(experiment.TrialResult) error) {
 		b.Helper()
-		if _, _, err := experiment.RunTrialsOpts(nc, attackers, 1, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts); err != nil {
+		r := experiment.NewTrialRunner(nc, attackers, spec.Measurement, opts)
+		if _, err := r.RunTrials(1, spec.TrialSeed, 1, consumers...); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			trial(b, experiment.TrialOptions{})
-		}
-	})
-	b.Run("spans", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			trial(b, experiment.TrialOptions{Spans: telemetry.NewSpanRecorder(0)})
+			trial(b, experiment.RunnerOptions{})
 		}
 	})
 	b.Run("record", func(b *testing.B) {
@@ -500,7 +493,7 @@ func BenchmarkTrialLoopRecording(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			trial(b, experiment.TrialOptions{Recorder: rec})
+			trial(b, experiment.RunnerOptions{Record: true}, experiment.RecordTrials(rec))
 			if err := rec.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -534,8 +527,8 @@ func BenchmarkTrialLoopParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(workerLabel(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := experiment.RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-					stats.NewRNG(spec.TrialSeed), experiment.TrialOptions{Parallelism: workers}); err != nil {
+				r := experiment.NewTrialRunner(nc, attackers, spec.Measurement, experiment.RunnerOptions{})
+				if _, err := r.RunTrials(spec.Trials, spec.TrialSeed, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -985,9 +978,8 @@ func BenchmarkWarmTrial(b *testing.B) {
 	}{
 		{"plain", experiment.RunnerOptions{}},
 		{"detect", experiment.RunnerOptions{
-			Faults:        faults.Profile{Seed: 3, LossProb: 0.05, JitterMeanMs: 0.3},
-			Detect:        &dc,
-			KeepDetectors: true,
+			Faults: faults.Profile{Seed: 3, LossProb: 0.05, JitterMeanMs: 0.3},
+			Detect: &dc,
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -253,16 +253,43 @@ func run(args []string) error {
 			return err
 		}
 	}
-	opts := experiment.TrialOptions{Registry: reg, PerTrial: *telOut != "", Recorder: rec, Events: events, Parallelism: *par, Source: source}
-	if detCfg != nil {
-		opts.Detect = detCfg
-		opts.DetectAggregate = detAgg
-	}
+	opts := experiment.RunnerOptions{Source: source, Registry: reg, Detect: detCfg, Record: rec != nil, Events: events != nil}
 	if spec.Faults != nil {
 		opts.Faults = *spec.Faults
 	}
-	results, records, err := experiment.RunTrialsOpts(
-		nc, attackers, *trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts)
+	runner := experiment.NewTrialRunner(nc, attackers, spec.Measurement, opts)
+	// The sinks consume the trials in trial order, so every output is
+	// identical at every parallelism.
+	var sinks []func(experiment.TrialResult) error
+	if events != nil {
+		sinks = append(sinks, func(res experiment.TrialResult) error {
+			events.Append(res.Events)
+			return nil
+		})
+	}
+	if detAgg != nil {
+		sinks = append(sinks, func(res experiment.TrialResult) error {
+			for _, d := range res.Detectors {
+				detAgg.Merge(d)
+			}
+			return nil
+		})
+	}
+	if rec != nil {
+		sinks = append(sinks, experiment.RecordTrials(rec))
+	}
+	workers := *par
+	var records []experiment.TrialRecord
+	if *telOut != "" {
+		// A cumulative snapshot after trial t must not see trial t+1's
+		// counts, so per-trial snapshots run the trials serially.
+		workers = 1
+		sinks = append(sinks, func(res experiment.TrialResult) error {
+			records = append(records, experiment.TrialRecord{Trial: res.Trial, Truth: res.Truth, Telemetry: reg.Snapshot()})
+			return nil
+		})
+	}
+	results, err := runner.RunTrials(*trials, spec.TrialSeed, workers, sinks...)
 	if err != nil {
 		rec.Close()
 		return err

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"flowrecon/internal/experiment"
+	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
 )
 
@@ -100,5 +103,46 @@ func TestRunMultiProbe(t *testing.T) {
 	}
 	if err := run([]string{"-small", "-seed", "3", "-trials", "10", "-probes", "2", "-sweep"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPerTrialForcesSerial: cumulative per-trial snapshots are
+// order-sensitive, so -telemetry-out runs the trials serially whatever
+// -parallelism asks for: one record per trial, in trial order, each
+// counting exactly the trials before it and itself.
+func TestPerTrialForcesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end CLI run")
+	}
+	const trials = 6
+	telPath := filepath.Join(t.TempDir(), "tel.json")
+	if err := run([]string{"-small", "-seed", "3", "-trials", strconv.Itoa(trials),
+		"-parallelism", "8", "-telemetry-out", telPath}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(telPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Final  telemetry.Snapshot       `json:"final"`
+		Trials []experiment.TrialRecord `json:"trials"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Trials) != trials {
+		t.Fatalf("got %d per-trial records, want %d", len(doc.Trials), trials)
+	}
+	for i, r := range doc.Trials {
+		if r.Trial != i {
+			t.Fatalf("record %d has trial index %d", i, r.Trial)
+		}
+		if n := r.Telemetry.Counters["experiment_trials_total"]; n != int64(i+1) {
+			t.Fatalf("record %d counts %d trials, want %d", i, n, i+1)
+		}
+	}
+	if _, ok := doc.Final.Gauges["experiment_trial_workers"]; ok {
+		t.Fatal("per-trial snapshots ran on a worker pool")
 	}
 }

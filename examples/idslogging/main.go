@@ -95,7 +95,8 @@ func run() error {
 		model,
 		pair,
 	}
-	results, err := experiment.RunTrials(nc, attackers, 400, experiment.DefaultMeasurement(), stats.NewRNG(7))
+	runner := experiment.NewTrialRunner(nc, attackers, experiment.DefaultMeasurement(), experiment.RunnerOptions{})
+	results, err := runner.RunTrials(400, 7, 1)
 	if err != nil {
 		return err
 	}

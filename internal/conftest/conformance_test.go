@@ -215,9 +215,10 @@ func TestAccuracyDegradesSmoothlyUnderLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := experiment.RunTrialsOpts(nc, attackers, trials, experiment.DefaultMeasurement(), stats.NewRNG(13), experiment.TrialOptions{
+		runner := experiment.NewTrialRunner(nc, attackers, experiment.DefaultMeasurement(), experiment.RunnerOptions{
 			Faults: faults.Profile{Seed: 21, LossProb: loss},
 		})
+		res, err := runner.RunTrials(trials, 13, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

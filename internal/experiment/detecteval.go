@@ -283,7 +283,8 @@ func StealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, tri
 			return nil, err
 		}
 		model.SetPacing(pace)
-		results, _, err := RunTrialsOpts(nc, []core.Attacker{model}, trials, meas, stats.NewRNG(seed), TrialOptions{Detect: &cfg})
+		runner := NewTrialRunner(nc, []core.Attacker{model}, meas, RunnerOptions{Detect: &cfg})
+		results, err := runner.RunTrials(trials, seed, 1)
 		if err != nil {
 			return nil, err
 		}

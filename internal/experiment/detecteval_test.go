@@ -29,12 +29,17 @@ func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism 
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
 	agg := detect.New(cfg)
-	opts := TrialOptions{Events: events, Parallelism: parallelism, Detect: &cfg, DetectAggregate: agg}
+	opts := RunnerOptions{Events: true, Detect: &cfg}
 	if spec.Faults != nil {
 		opts.Faults = *spec.Faults
 	}
-	if _, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), opts); err != nil {
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
+	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, appendEvents(events), func(res TrialResult) error {
+		for _, d := range res.Detectors {
+			agg.Merge(d)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -264,8 +269,8 @@ func TestStealthPacingDecaysObservations(t *testing.T) {
 		}
 		events := telemetry.NewEventLog(0)
 		events.SetClock(nil)
-		results, _, err := RunTrialsOpts(nc, []core.Attacker{model}, 200, DefaultMeasurement(),
-			stats.NewRNG(71), TrialOptions{Events: events})
+		runner := NewTrialRunner(nc, []core.Attacker{model}, DefaultMeasurement(), RunnerOptions{Events: true})
+		results, err := runner.RunTrials(200, 71, 1, appendEvents(events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +313,11 @@ func TestPacingOffIsByteCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunTrials(nc, attackers, 60, DefaultMeasurement(), stats.NewRNG(5))
+	a, err := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{}).RunTrials(60, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTrials(nc, attackers, 60, DefaultMeasurement(), stats.NewRNG(5))
+	b, err := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{}).RunTrials(60, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

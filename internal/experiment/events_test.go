@@ -6,9 +6,17 @@ import (
 	"testing"
 
 	"flowrecon/internal/faults"
-	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 )
+
+// appendEvents is the consumer that appends each trial's wide events to
+// log, in trial order.
+func appendEvents(log *telemetry.EventLog) func(TrialResult) error {
+	return func(res TrialResult) error {
+		log.Append(res.Events)
+		return nil
+	}
+}
 
 // eventRun executes one trial run with the wide-event log attached
 // (deterministic clock) and returns its JSONL serialization.
@@ -24,12 +32,12 @@ func eventRun(t *testing.T, spec RecordingSpec, parallelism int) []byte {
 	}
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
-	opts := TrialOptions{Events: events, Parallelism: parallelism}
+	opts := RunnerOptions{Events: true}
 	if spec.Faults != nil {
 		opts.Faults = *spec.Faults
 	}
-	if _, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), opts); err != nil {
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
+	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, appendEvents(events)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -108,8 +116,8 @@ func TestEventStreamContent(t *testing.T) {
 	}
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
-	if _, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Events: events, Parallelism: 1}); err != nil {
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Events: true})
+	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, 1, appendEvents(events)); err != nil {
 		t.Fatal(err)
 	}
 

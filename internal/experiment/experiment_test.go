@@ -134,7 +134,7 @@ func TestRunTrialsAccounting(t *testing.T) {
 	}
 	naive := &core.NaiveAttacker{TargetFlow: nc.Target}
 	rnd := &core.RandomAttacker{PPresent: 1 - nc.PAbsent()}
-	results, err := RunTrials(nc, []core.Attacker{naive, rnd}, 60, DefaultMeasurement(), stats.NewRNG(11))
+	results, err := NewTrialRunner(nc, []core.Attacker{naive, rnd}, DefaultMeasurement(), RunnerOptions{}).RunTrials(60, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestNaiveAttackerBeatsCoinFlipOnViableConfig(t *testing.T) {
 		model,
 		&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
 	}
-	results, err := RunTrials(nc, attackers, 300, DefaultMeasurement(), stats.NewRNG(31))
+	results, err := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{}).RunTrials(300, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestRunTrialsWithAlternativeSources(t *testing.T) {
 		"bursty":   BurstySource(bf, on, off),
 		"periodic": PeriodicSource,
 	} {
-		results, err := RunTrialsWithSource(nc, []core.Attacker{naive}, 50, DefaultMeasurement(), stats.NewRNG(9), src)
+		results, err := NewTrialRunner(nc, []core.Attacker{naive}, DefaultMeasurement(), RunnerOptions{Source: src}).RunTrials(50, 9, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -441,7 +441,7 @@ func TestAdaptiveAttackerInTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunTrials(nc, []core.Attacker{adaptive}, 60, DefaultMeasurement(), stats.NewRNG(13))
+	results, err := NewTrialRunner(nc, []core.Attacker{adaptive}, DefaultMeasurement(), RunnerOptions{}).RunTrials(60, 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"flowrecon/internal/faults"
-	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
 )
@@ -22,9 +21,9 @@ func chaosSpec() RecordingSpec {
 	return spec
 }
 
-// recordWith is RecordTo with explicit TrialOptions, for tests that need
+// recordWith is RecordTo with explicit RunnerOptions, for tests that need
 // to vary the options against an identical header.
-func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts TrialOptions) []AttackerResult {
+func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts RunnerOptions) []AttackerResult {
 	t.Helper()
 	nc, err := spec.BuildConfig()
 	if err != nil {
@@ -48,8 +47,9 @@ func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts TrialOptions
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Recorder = rec
-	results, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts)
+	opts.Record = true
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
+	results, err := runner.RunTrials(spec.Trials, spec.TrialSeed, 1, RecordTrials(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts TrialOptions
 func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 	spec := smallSpec()
 	var clean, disabled bytes.Buffer
-	recordWith(t, &clean, spec, TrialOptions{})
-	recordWith(t, &disabled, spec, TrialOptions{Faults: faults.Profile{Seed: 99}})
+	recordWith(t, &clean, spec, RunnerOptions{})
+	recordWith(t, &disabled, spec, RunnerOptions{Faults: faults.Profile{Seed: 99}})
 	if !bytes.Equal(clean.Bytes(), disabled.Bytes()) {
 		t.Fatal("zero-knob fault profile perturbed the recording bytes")
 	}
@@ -156,10 +156,8 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), TrialOptions{
-			Faults:      *spec.Faults,
-			Parallelism: parallelism,
-		})
+		runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Faults: *spec.Faults})
+		res, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ type Fig6Options struct {
 	// confusion-matrix counters) cumulatively across all configurations.
 	Telemetry *telemetry.Registry
 	// Parallelism is the per-configuration trial-runner worker count
-	// (see TrialOptions.Parallelism). Results are identical at every
+	// (see TrialRunner.RunTrials). Results are identical at every
 	// level.
 	Parallelism int
 }
@@ -107,9 +107,8 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 			&core.NaiveAttacker{TargetFlow: nc.Target},
 			model,
 		}
-		results, _, err := RunTrialsOpts(nc, attackers, opts.TrialsPerConfig, meas, rng.Fork(), TrialOptions{
-			Registry: opts.Telemetry, Parallelism: opts.Parallelism,
-		})
+		runner := NewTrialRunner(nc, attackers, meas, RunnerOptions{Registry: opts.Telemetry})
+		results, err := runner.RunTrials(opts.TrialsPerConfig, rng.Int63(), opts.Parallelism)
 		if err != nil {
 			return nil, err
 		}

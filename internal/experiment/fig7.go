@@ -22,7 +22,7 @@ type Fig7Options struct {
 	// cumulatively across all configurations (see Fig6Options.Telemetry).
 	Telemetry *telemetry.Registry
 	// Parallelism is the per-configuration trial-runner worker count
-	// (see TrialOptions.Parallelism). Results are identical at every
+	// (see TrialRunner.RunTrials). Results are identical at every
 	// level.
 	Parallelism int
 }
@@ -85,9 +85,8 @@ func RunFig7(opts Fig7Options) (*Fig7Result, error) {
 			restricted,
 			&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
 		}
-		results, _, err := RunTrialsOpts(nc, attackers, opts.TrialsPerConfig, meas, rng.Fork(), TrialOptions{
-			Registry: opts.Telemetry, Parallelism: opts.Parallelism,
-		})
+		runner := NewTrialRunner(nc, attackers, meas, RunnerOptions{Registry: opts.Telemetry})
+		results, err := runner.RunTrials(opts.TrialsPerConfig, rng.Int63(), opts.Parallelism)
 		if err != nil {
 			return nil, err
 		}

@@ -47,8 +47,9 @@ func TestGoldenParetoRecording(t *testing.T) {
 // TestIngestRecordingParallelismInvariant: recording the ingested-trace
 // spec at parallelism 1, 4 and 8 must produce byte-identical output and
 // a Diff-clean replay. This is the acceptance bar for trace replay: the
-// per-trial windowing draw comes from the trial's own forked stream, so
-// worker scheduling cannot leak into the recording.
+// per-trial windowing draw comes from the trial's own stream, reseeded
+// from the trial's seed, so worker scheduling cannot leak into the
+// recording.
 func TestIngestRecordingParallelismInvariant(t *testing.T) {
 	spec := pcapSpec(t)
 	var serial bytes.Buffer

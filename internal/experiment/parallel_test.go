@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
 )
@@ -33,8 +32,8 @@ func recordRun(t *testing.T, spec RecordingSpec, parallelism int) ([]byte, []Att
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Recorder: rec, Parallelism: parallelism})
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Record: true})
+	results, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, RecordTrials(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +130,12 @@ func TestParallelTrialsResultsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{})
+	serial, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{}).RunTrials(spec.Trials, spec.TrialSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	par, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, Parallelism: 4})
+	par, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Registry: reg}).RunTrials(spec.Trials, spec.TrialSeed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,41 +147,5 @@ func TestParallelTrialsResultsOnly(t *testing.T) {
 	}
 	if v := reg.Gauge("experiment_trial_workers").Value(); v != 4 {
 		t.Fatalf("workers gauge = %d, want 4", v)
-	}
-}
-
-// TestPerTrialForcesSerial: cumulative per-trial snapshots are
-// order-sensitive, so PerTrial must run serially (and still return one
-// record per trial) regardless of the requested parallelism.
-func TestPerTrialForcesSerial(t *testing.T) {
-	spec := RecordingSpec{
-		Params:      tinyParams(),
-		ConfigSeed:  11,
-		TrialSeed:   13,
-		Trials:      6,
-		Probes:      1,
-		Measurement: DefaultMeasurement(),
-	}
-	nc, err := spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	attackers, err := StandardAttackers(nc, spec.Probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != spec.Trials {
-		t.Fatalf("got %d per-trial records, want %d", len(records), spec.Trials)
-	}
-	for i, r := range records {
-		if r.Trial != i {
-			t.Fatalf("record %d has trial index %d", i, r.Trial)
-		}
 	}
 }

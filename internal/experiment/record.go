@@ -36,7 +36,7 @@ type RecordingSpec struct {
 	// Measurement is the timing classifier.
 	Measurement Measurement `json:"measurement"`
 	// Faults, when non-nil, is the fault-injection profile of the run
-	// (probe loss and delay jitter; see TrialOptions.Faults). It is part
+	// (probe loss and delay jitter; see RunnerOptions.Faults). It is part
 	// of the spec — and therefore the config hash — so a chaos run
 	// replays with its faults, fault for fault. Nil (omitted from the
 	// JSON) keeps fault-free specs, hashes and recordings byte-identical
@@ -166,16 +166,12 @@ func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, 
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := TrialOptions{
-		Source:      source,
-		Registry:    reg,
-		Recorder:    rec,
-		Parallelism: parallelism,
-	}
+	opts := RunnerOptions{Source: source, Registry: reg, Record: true}
 	if spec.Faults != nil {
 		opts.Faults = *spec.Faults
 	}
-	results, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts)
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
+	results, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, RecordTrials(rec))
 	if err != nil {
 		rec.Close()
 		return nil, nil, err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flowrecon/internal/core"
-	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
 )
@@ -156,7 +155,7 @@ func TestRecorderDoesNotPerturbOutcomes(t *testing.T) {
 		}
 		return as
 	}
-	plain, _, err := RunTrialsOpts(nc, mk(), spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), TrialOptions{})
+	plain, err := NewTrialRunner(nc, mk(), spec.Measurement, RunnerOptions{}).RunTrials(spec.Trials, spec.TrialSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

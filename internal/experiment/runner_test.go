@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
+	"flowrecon/internal/stats"
 	"flowrecon/internal/testutil"
+	"flowrecon/internal/workload"
 )
 
 // TestTrialRunnerProbingSteadyStateAllocs is the allocation gate on the
@@ -38,12 +42,82 @@ func TestTrialRunnerProbingSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm lazily built per-configuration state
-	// 19 on this trial (6 probes across the roster), down from 64 with a
-	// replay per attacker; a fresh table and window copy per attacker
-	// would add several each, and formatting each probe's span detail
-	// again 4 per probe.
-	const bound = 19
+	// 16 on this trial (6 probes across the roster). A fresh table and
+	// window copy per attacker would add several each, formatting each
+	// probe's span detail 4 per probe, and growing the attacker records
+	// by append 2 per trial.
+	const bound = 16
 	if allocs := testing.AllocsPerRun(50, run); allocs > bound {
 		t.Fatalf("probing TrialRunner.Run allocates %v per trial, want <= %d", allocs, bound)
+	}
+}
+
+// TestRunTrialsSteadyStateAllocs is the allocation gate on the in-order
+// driver's plain path: in a serial run with no consumers, each further
+// trial costs what TrialRunner.Run costs — a trial that returns every
+// attacker's probes, outcomes and verdict — and nothing per trial on top.
+// The fixture is TestTrialRunnerProbingSteadyStateAllocs'. (Name matches
+// the make alloc-gate regex.)
+func TestRunTrialsSteadyStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	spec := smallSpec()
+	spec.Probes = 4
+	nc, err := spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster, err := StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewTrialRunner(nc, roster, spec.Measurement, RunnerOptions{})
+	allocs := func(trials int) float64 {
+		run := func() {
+			if _, err := r.RunTrials(trials, 17, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm lazily built per-configuration state and the trial scratch
+		return testing.AllocsPerRun(10, run)
+	}
+	// TestTrialRunnerProbingSteadyStateAllocs' bound: the driver adds
+	// nothing per trial to what Run costs.
+	const trials, bound = 65, 16
+	if perTrial := (allocs(trials) - allocs(1)) / (trials - 1); perTrial > bound {
+		t.Fatalf("serial RunTrials allocates %.2f per further trial, want <= %d", perTrial, bound)
+	}
+}
+
+// TestRunTrialsStopsAfterFailure: once a trial fails, the driver starts
+// no further trial — serially and on a pool, where each worker may only
+// finish the trial it already holds.
+func TestRunTrialsStopsAfterFailure(t *testing.T) {
+	spec := smallSpec()
+	nc, err := spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster, err := StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("source failed")
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		source := func(rates []float64, duration float64, rng *stats.RNG) (*workload.Trace, error) {
+			if calls.Add(1) == 4 {
+				return nil, boom
+			}
+			return PoissonSource(rates, duration, rng)
+		}
+		r := NewTrialRunner(nc, roster, spec.Measurement, RunnerOptions{Source: source})
+		if _, err := r.RunTrials(1000, 7, workers); !errors.Is(err, boom) {
+			t.Fatalf("workers %d: err = %v, want the source's failure", workers, err)
+		}
+		if n := calls.Load(); n > int64(4+workers) {
+			t.Fatalf("workers %d: %d source calls after trial 4 failed, want <= %d", workers, n, 4+workers)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"flowrecon/internal/core"
-	"flowrecon/internal/stats"
-	"flowrecon/internal/telemetry"
-)
+import "flowrecon/internal/telemetry"
 
 // TrialRecord is one per-trial telemetry sample: the cumulative registry
 // snapshot taken at the end of the trial, Prometheus-scrape style, plus
@@ -88,19 +84,4 @@ func (tm *trialMetrics) observeProbeLost() {
 		return
 	}
 	tm.probeLost.Inc()
-}
-
-// RunTrialsInstrumented is the fully-observable trial loop behind
-// RunTrials: each trial generates one traffic window from source, replays
-// it through a continuous-time switch table, lets every attacker probe its
-// own replica, and scores the verdicts. When reg is non-nil the run feeds
-// the experiment instruments (trial counter, probe hit/miss counters and
-// millisecond delay histograms, per-attacker confusion-matrix counters)
-// and the trial tables' flowtable metrics; when perTrial is also set, a
-// cumulative registry snapshot is recorded after every trial and returned
-// as []TrialRecord. It is RunTrialsOpts without recording or spans.
-func RunTrialsInstrumented(nc *NetworkConfig, attackers []core.Attacker, trials int, meas Measurement, rng *stats.RNG, source TraceSource, reg *telemetry.Registry, perTrial bool) ([]AttackerResult, []TrialRecord, error) {
-	return RunTrialsOpts(nc, attackers, trials, meas, rng, TrialOptions{
-		Source: source, Registry: reg, PerTrial: perTrial,
-	})
 }

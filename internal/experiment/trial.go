@@ -108,21 +108,6 @@ func PeriodicSource(rates []float64, duration float64, rng *stats.RNG) (*workloa
 	return workload.GeneratePeriodic(workload.PoissonConfig{Rates: rates, Duration: duration}, rng)
 }
 
-// RunTrials executes the attack trials times on fresh random Poisson
-// traffic: each trial generates one window, replays it once through a
-// continuous-time switch table, lets every attacker probe the resulting
-// table state (each against its own copy, since probes perturb the
-// cache), and scores the verdicts against the trace's ground truth.
-func RunTrials(nc *NetworkConfig, attackers []core.Attacker, trials int, meas Measurement, rng *stats.RNG) ([]AttackerResult, error) {
-	return RunTrialsWithSource(nc, attackers, trials, meas, rng, PoissonSource)
-}
-
-// RunTrialsWithSource is RunTrials with a custom traffic source.
-func RunTrialsWithSource(nc *NetworkConfig, attackers []core.Attacker, trials int, meas Measurement, rng *stats.RNG, source TraceSource) ([]AttackerResult, error) {
-	results, _, err := RunTrialsInstrumented(nc, attackers, trials, meas, rng, source, nil, false)
-	return results, err
-}
-
 // SequentialAttacker is an attacker that chooses each probe after seeing
 // the previous outcomes (the adaptive extension in core).
 type SequentialAttacker interface {
@@ -138,9 +123,9 @@ type SequentialAttacker interface {
 // the attacker exposes a fitted model, one causal span per probe (hung
 // under the attacker span via the ctx carrier — the same SpanContext the
 // TCP path marshals onto the wire), and one wide event per probe
-// decision when the trial loop collects events. A nil observer disables
-// everything at the cost of one pointer check, so the un-instrumented
-// trial loop stays allocation-free.
+// decision when the trial loop collects events. Every trial keeps the
+// probe list; spans, events and belief steps cost one nil check each when
+// off.
 type probeObserver struct {
 	tracker *core.BeliefTracker
 	spans   *telemetry.SpanRecorder
@@ -155,9 +140,6 @@ type probeObserver struct {
 // observe records one probe: ground truth hit, the classified outcome the
 // attacker saw, and the drawn delay in milliseconds.
 func (o *probeObserver) observe(f flows.ID, hit, classified bool, ms, at float64) {
-	if o == nil {
-		return
-	}
 	o.probes = append(o.probes, f)
 	if o.spans != nil {
 		// Guarded rather than left to the nil recorder: the detail string
@@ -188,9 +170,6 @@ func (o *probeObserver) observe(f flows.ID, hit, classified bool, ms, at float64
 // annotated as lost, a fault wide event is emitted, and the belief
 // tracker (if any) folds in an explicit no-observation step.
 func (o *probeObserver) observeLost(f flows.ID, at float64) {
-	if o == nil {
-		return
-	}
 	o.probes = append(o.probes, f)
 	if o.spans != nil {
 		id, _ := o.spans.StartCtx(o.ctx, "probe", "experiment", at)

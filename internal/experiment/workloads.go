@@ -101,7 +101,8 @@ func RunWorkloadComparisonRows(p Params, seed int64, trials, probes, fprTrials i
 		if err != nil {
 			return nil, err
 		}
-		row.Results, _, err = RunTrialsOpts(nc, attackers, trials, DefaultMeasurement(), stats.NewRNG(seed+1), TrialOptions{Source: source})
+		runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: source})
+		row.Results, err = runner.RunTrials(trials, seed+1, 1)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", row.Name, err)
 		}
@@ -137,7 +138,8 @@ func ParetoTailSweep(p Params, seed int64, trials, probes int, alphas []float64)
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := RunTrialsOpts(nc, attackers, trials, DefaultMeasurement(), stats.NewRNG(seed+1), TrialOptions{Source: ParetoSource(alpha)})
+		runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: ParetoSource(alpha)})
+		res, err := runner.RunTrials(trials, seed+1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +171,8 @@ func RunWorkloadsOnTrace(p Params, spec *TraceSourceSpec, seed int64, trials, pr
 	if err != nil {
 		return nil, nil, err
 	}
-	results, _, err := RunTrialsOpts(nc, attackers, trials, DefaultMeasurement(), stats.NewRNG(rspec.TrialSeed), TrialOptions{Source: source})
+	runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: source})
+	results, err := runner.RunTrials(trials, rspec.TrialSeed, 1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -78,7 +78,7 @@ func BenchmarkServiceSessions(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := RunSessionsNaive(specs); err != nil {
+			if err := runSessionsNaive(specs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -209,7 +209,6 @@ func (m *Manager) start(spec SessionSpec) (*Session, error) {
 	if spec.Detect {
 		dc := detect.DefaultConfig()
 		ropts.Detect = &dc
-		ropts.KeepDetectors = m.cfg.DetectAggregate != nil
 	}
 	runner := experiment.NewTrialRunner(model.NC, roster, meas, ropts)
 	id := fmt.Sprintf("s%06d", m.nextID.Add(1))

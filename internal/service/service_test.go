@@ -1,14 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"flowrecon/internal/experiment"
 	"flowrecon/internal/faults"
+	"flowrecon/internal/telemetry"
+	"flowrecon/internal/trialrec"
 )
 
 // testParams keeps model builds test-sized (the benchmark scale used
@@ -303,7 +307,7 @@ func TestChaosSession(t *testing.T) {
 // TestNaiveBaselineRuns sanity-checks the benchmark baseline path.
 func TestNaiveBaselineRuns(t *testing.T) {
 	specs := []SessionSpec{testSpec("n1", 1, 1, 2), testSpec("n2", 2, 1, 2)}
-	if err := RunSessionsNaive(specs); err != nil {
+	if err := runSessionsNaive(specs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -332,5 +336,98 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	cycle() // warm group + ring capacity
 	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Fatalf("steady-state enqueue path allocates %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestSessionMatchesRecording ties the daemon to the CLI: both run the
+// same TrialRunner, so a session's per-trial probes, outcomes, loss masks
+// and verdicts must equal those in the experiment.RecordTo recording of
+// the same spec — fault-free and under probe loss and jitter.
+func TestSessionMatchesRecording(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults *faults.Profile
+	}{
+		{"plain", nil},
+		{"faults", &faults.Profile{Seed: 3, LossProb: 0.3, JitterMeanMs: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec(tc.name, 7, 12, 3)
+			spec.Target.Faults = tc.faults
+			var buf bytes.Buffer
+			if _, _, err := experiment.RecordTo(&buf, spec.Target, nil); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := trialrec.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			m := NewManager(Config{MaxActive: 1, Workers: 3})
+			defer m.Shutdown()
+			sess, err := m.Open(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.CloseSession(sess)
+			lost := 0
+			for _, want := range rec.Trials {
+				res, ok, err := sess.Next()
+				if err != nil || !ok {
+					t.Fatalf("trial %d: ok %v, err %v", want.Trial, ok, err)
+				}
+				if res.Trial != want.Trial || res.Truth != want.Truth || len(res.Attackers) != len(want.Attackers) {
+					t.Fatalf("trial %d: session (trial %d, truth %v, %d attackers) vs recording (truth %v, %d attackers)",
+						want.Trial, res.Trial, res.Truth, len(res.Attackers), want.Truth, len(want.Attackers))
+				}
+				for i, got := range res.Attackers {
+					w := want.Attackers[i]
+					if got.Name != w.Name || !slices.Equal(got.Probes, w.Probes) || !slices.Equal(got.Outcomes, w.Outcomes) ||
+						!slices.Equal(got.Lost, w.Lost) || got.Verdict != w.Verdict {
+						t.Fatalf("trial %d attacker %s: session %+v, recording %+v", want.Trial, w.Name, got, w)
+					}
+					for _, l := range got.Lost {
+						if l {
+							lost++
+						}
+					}
+				}
+			}
+			if _, ok, err := sess.Next(); ok || err != nil {
+				t.Fatalf("session outlived the recording: ok %v, err %v", ok, err)
+			}
+			if tc.faults != nil && lost == 0 {
+				t.Fatal("30% loss profile dropped no probes")
+			}
+		})
+	}
+}
+
+// TestSessionCancelSkipsTrials: a canceled session reports the
+// cancellation from Next, and its pending trials are skipped instead of
+// run, so the scheduler drains without executing the rest of the budget.
+func TestSessionCancelSkipsTrials(t *testing.T) {
+	const trials = 100000
+	reg := telemetry.NewRegistry()
+	m := NewManager(Config{MaxActive: 1, Workers: 1, Registry: reg})
+	defer m.Shutdown()
+	sess, err := m.Open(testSpec("cancel", 3, trials, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.CloseSession(sess)
+	if _, ok, err := sess.Next(); !ok || err != nil {
+		t.Fatalf("first trial: ok %v, err %v", ok, err)
+	}
+	sess.Cancel()
+	if _, ok, err := sess.Next(); ok || !errors.Is(err, errCanceled) {
+		t.Fatalf("after Cancel: ok %v, err %v, want the cancellation", ok, err)
+	}
+	if sess.State() != StateDone {
+		t.Fatalf("state %v after the stream ended", sess.State())
+	}
+	m.sched.Wait()
+	if ran := reg.Counter("experiment_trials_total").Value(); ran >= trials/2 {
+		t.Fatalf("%d of %d trials ran after the session was canceled", ran, trials)
 	}
 }

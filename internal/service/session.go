@@ -2,7 +2,7 @@ package service
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 
 	"flowrecon/internal/experiment"
 )
@@ -32,9 +32,9 @@ func (s SessionState) String() string {
 }
 
 // Session is one admitted attack session. Trials execute out of order on
-// the scheduler's worker pool; a per-session completion frontier hands
-// them to the consumer strictly in trial order, so the streamed output
-// is a pure function of the spec — byte-identical at any worker count.
+// the scheduler's worker pool; an experiment.Frontier hands them to the
+// consumer strictly in trial order, so the streamed output is a pure
+// function of the spec — byte-identical at any worker count.
 type Session struct {
 	// ID is the server-assigned identifier. It travels in the response
 	// header and the session list, never in the result stream.
@@ -44,15 +44,9 @@ type Session struct {
 
 	model  *Model
 	runner *experiment.TrialRunner
-	names  []string
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	outs     []experiment.TrialResult
-	done     []bool
-	frontier int
-	failed   error
-	state    SessionState
+	fr    *experiment.Frontier
+	state atomic.Int32 // SessionState
 }
 
 // newSession wires a session to its shared model and trial runner.
@@ -63,12 +57,9 @@ func newSession(id string, spec SessionSpec, key TargetKey, model *Model, runner
 		key:    key,
 		model:  model,
 		runner: runner,
-		names:  runner.Names(),
-		outs:   make([]experiment.TrialResult, spec.Target.Trials),
-		done:   make([]bool, spec.Target.Trials),
-		state:  StateRunning,
+		fr:     experiment.NewFrontier(spec.Target.Trials),
 	}
-	sess.cond = sync.NewCond(&sess.mu)
+	sess.state.Store(int32(StateRunning))
 	return sess
 }
 
@@ -76,7 +67,7 @@ func newSession(id string, spec SessionSpec, key TargetKey, model *Model, runner
 func (s *Session) Spec() SessionSpec { return s.spec }
 
 // Names returns the attacker roster names.
-func (s *Session) Names() []string { return s.names }
+func (s *Session) Names() []string { return s.runner.Names() }
 
 // Horizon returns the attack window in seconds.
 func (s *Session) Horizon() float64 { return s.runner.Horizon() }
@@ -84,88 +75,40 @@ func (s *Session) Horizon() float64 { return s.runner.Horizon() }
 // errCanceled aborts a session whose client went away.
 var errCanceled = errors.New("service: session canceled by client")
 
-// Cancel aborts the session: pending trials complete as no-ops instead
-// of burning scheduler time, and Next returns the cancellation error.
-func (s *Session) Cancel() {
-	s.mu.Lock()
-	if s.failed == nil {
-		s.failed = errCanceled
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
+// Cancel aborts the session: pending trials are skipped instead of
+// burning scheduler time, and Next returns the cancellation error.
+func (s *Session) Cancel() { s.fr.Fail(errCanceled) }
 
 // runUnit executes one trial on the calling scheduler worker and posts
 // the result. Completion order is arbitrary; delivery order is not.
 func (s *Session) runUnit(trial int, seed int64) {
-	s.mu.Lock()
-	aborted := s.failed != nil
-	s.mu.Unlock()
-	if aborted {
-		s.mu.Lock()
-		s.done[trial] = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
+	if s.fr.Err() != nil {
+		return // failed or canceled: nobody will read this trial
 	}
 	res, err := s.runner.Run(trial, seed)
-	s.mu.Lock()
-	if err != nil {
-		if s.failed == nil {
-			s.failed = err
-		}
-	} else {
-		s.outs[trial] = res
-	}
-	s.done[trial] = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.fr.Post(trial, res, err)
 }
 
-// Next blocks until the frontier trial completes and returns it. ok is
-// false once every trial has been delivered or the session failed; a
-// failure surfaces as the error with ok false.
+// Next blocks until the next trial in order completes and returns it.
+// ok is false once every trial has been delivered or the session failed;
+// a failure surfaces as the error with ok false.
 func (s *Session) Next() (experiment.TrialResult, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.failed != nil {
-			s.state = StateDone
-			return experiment.TrialResult{}, false, s.failed
-		}
-		if s.frontier >= len(s.done) {
-			s.state = StateDone
-			return experiment.TrialResult{}, false, nil
-		}
-		if s.done[s.frontier] {
-			res := s.outs[s.frontier]
-			s.outs[s.frontier] = experiment.TrialResult{} // release buffers early
-			s.frontier++
-			return res, true, nil
-		}
-		s.cond.Wait()
+	res, ok, err := s.fr.Next()
+	if !ok {
+		s.state.Store(int32(StateDone))
 	}
+	return res, ok, err
 }
 
-// Ready reports whether Next would return without blocking: the frontier
+// Ready reports whether Next would return without blocking: the next
 // trial has completed, every trial has been delivered, or the session
 // failed.
-func (s *Session) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed != nil || s.frontier >= len(s.done) || s.done[s.frontier]
-}
+func (s *Session) Ready() bool { return s.fr.Ready() }
 
 // Progress reports delivered and total trial counts.
 func (s *Session) Progress() (done, total int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.frontier, len(s.done)
+	return s.fr.Delivered(), s.spec.Target.Trials
 }
 
 // State returns the lifecycle phase.
-func (s *Session) State() SessionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
+func (s *Session) State() SessionState { return SessionState(s.state.Load()) }

@@ -318,9 +318,11 @@ func TestStreamLiveness(t *testing.T) {
 	if verdicts != len(sess.Names()) {
 		t.Fatalf("stream ended after %d of trial 0's verdicts: %v", verdicts, sc.Err())
 	}
-	sess.mu.Lock()
-	lastDone := sess.done[trials-1]
-	sess.mu.Unlock()
+	// One worker runs the session's units in trial order, so the last
+	// trial has completed exactly when the scheduler has no work left.
+	m.sched.mu.Lock()
+	lastDone := m.sched.inflight == 0 && m.sched.readyLenLocked() == 0
+	m.sched.mu.Unlock()
 	if lastDone {
 		t.Fatal("trial 0 reached the client only after the last trial completed")
 	}

@@ -24,8 +24,9 @@ import (
 //
 // Every generator preserves the configured long-run mean rate per flow —
 // the attacker's Poisson-fitted model sees the correct first moment and
-// the wrong everything else — and draws all randomness from forked
-// seeded streams, so traces are byte-deterministic per seed.
+// the wrong everything else — and draws all randomness from per-flow
+// streams reseeded from the caller's stream, so traces are
+// byte-deterministic per seed.
 
 // ParetoConfig configures Pareto-renewal traffic: flow f's interarrival
 // times are i.i.d. Pareto(Alpha, xm_f) with xm_f chosen so the mean
