@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"flowrecon/internal/core"
@@ -388,5 +389,24 @@ func TestMatchedBaselineTamesParetoFPR(t *testing.T) {
 	}
 	if rate := matchedFPR.Rate(); rate > 0.02 {
 		t.Fatalf("matched-baseline Pareto FPR %.2f%% exceeds the 2%% budget", 100*rate)
+	}
+}
+
+// TestMeasureSimDetection pins the -detect table's netsim row: the
+// default session (seed 101 = root seed 1 + 100, one probe every 0.4 s,
+// a 200-probe budget) is flagged for its rate after 15 probes, 26 s into
+// the run, inside the 200-probe acceptance gate.
+func TestMeasureSimDetection(t *testing.T) {
+	const budget = 200
+	out, err := MeasureSimDetection(101, 0.4, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Flagged || out.Probes > budget {
+		t.Fatalf("netsim probing not flagged within %d probes: %+v", budget, out)
+	}
+	got := fmt.Sprintf("flagged after %d probes (%.0fs, %s)", out.Probes, out.Seconds, out.Reason)
+	if want := "flagged after 15 probes (26s, rate)"; got != want {
+		t.Fatalf("netsim detection = %q, want %q (%+v)", got, want, out)
 	}
 }
