@@ -32,10 +32,10 @@ race:
 ## bench runs the root benchmark suite and writes BENCH_PR10.json — the
 ## machine-readable ns/op table (via cmd/benchjson). Since PR 5 the suite
 ## covers the simulation substrate (BenchmarkTableChurn,
-## BenchmarkRuleMatch, BenchmarkSimScheduler); PR 7 adds
+## BenchmarkRuleMatch); the streaming detector adds
 ## BenchmarkDetectorObserve; PR 8 adds BenchmarkShardedSim1k — the
 ## sharded fleet engine driving a 1125-switch fat-tree at 1 and 8 shards
-## against the legacy per-closure serial engine on the same workload;
+## on one echo workload;
 ## PR 9 adds BenchmarkIngestPcap — the full capture-ingestion pipeline
 ## (pcap decode, flow extraction, universe mapping) on a ~10k-packet
 ## in-memory capture; PR 10 adds BenchmarkServiceSessions (flowrecond
@@ -67,24 +67,26 @@ bench:
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_PR9.json BENCH_PR10.json -max-regress 15
 
-## sched-gate holds the serial event loop to its contract across
-## refactors: neither the defender wiring (PR 7), the fleet sharding
-## (PR 8), the ingestion layer (PR 9), nor the service layer (PR 10,
-## which schedules above netsim, not inside it) may tax the scheduler.
-## BenchmarkSimScheduler (recorded same-host in BENCH_PR5.json before
-## those changes and BENCH_PR10.json after) may regress at most 2%.
+## sched-gate holds the simulation engine's event loop to its contract
+## across refactors: neither the ingestion layer nor the service layer
+## (which schedules above netsim, not inside it) may tax the fleet drain.
+## BenchmarkShardedSim1k/fleet/shards=1 — the single-shard drain's
+## per-event cost, recorded same-host in BENCH_PR8.json when the fleet
+## landed and in BENCH_PR10.json after — may regress at most 2%. It
+## compares committed recordings; it does not run the tree under review.
 sched-gate:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR5.json BENCH_PR10.json -bench SimScheduler -max-regress 2
+	$(GO) run ./cmd/benchjson -compare BENCH_PR8.json BENCH_PR10.json -bench 'ShardedSim1k/fleet/shards=1' -max-regress 2
 
 ## alloc-gate runs the allocation assertions without the race detector
 ## (race instrumentation allocates, so `make race` skips them): the
-## netsim scheduler must schedule/dispatch with zero allocations in
-## steady state, Table.Lookup's hit path must stay within one, the
+## netsim fleet must drain a cross-shard window cycle with zero
+## allocations in steady state, recycling its event records from the
+## per-shard pools (TestFleetDrainZeroAlloc, the one scheduler check),
+## and its shard heaps must not grow across repeated rounds;
+## Table.Lookup's hit path must stay within one, the
 ## disabled telemetry instruments (nil span recorder / event log) must
 ## cost zero allocations at every emit site, and the streaming detector
 ## must observe with zero allocations per event — enabled and disabled.
-## PR 8 extends the netsim set with the fleet drain: a cross-shard
-## window cycle recycles its event records from the per-shard pools.
 ## PR 10 adds the flowrecond scheduler: the steady-state enqueue/take
 ## path (per-target group queues + the ready ring) must not allocate
 ## once warm. The random streams join them: RNG.Reseed followed by draws
@@ -164,5 +166,5 @@ cover-gate:
 ## check is the pre-merge gate: formatting, vet, the benchmark harness's
 ## vet and build, the full test suite under the race detector, the
 ## allocation gate (which race builds must skip), the trace-export smoke,
-## and the scheduler-overhead gate on the committed benchmark history.
+## and the fleet-drain overhead gate on the committed benchmark history.
 check: fmt-check vet perfbench-check race alloc-gate trace-smoke sched-gate

@@ -61,11 +61,18 @@ func run() error {
 		ctrl := netsim.NewControllerModel(policy, d.opts)
 		ctrl.ExtraHitDelay = d.extraHitDelay
 
-		sim := netsim.NewSim()
-		net := netsim.NewNetwork(sim, universe, ctrl, netsim.DefaultLatencyModel(), stats.NewRNG(5))
-		if err := netsim.StanfordBackbone().Build(net, 9, 0.1); err != nil {
+		net, err := netsim.NewFleet(netsim.FleetConfig{
+			Topo:     netsim.StanfordBackbone(),
+			Capacity: 9,
+			StepSec:  0.1,
+			Ctrl:     ctrl,
+			Universe: universe,
+			Seed:     5,
+		})
+		if err != nil {
 			return err
 		}
+		defer net.Close()
 		setup, err := netsim.AttachEvaluationHosts(net, base, nhosts, "yoza_rtr", "boza_rtr")
 		if err != nil {
 			return err
@@ -88,8 +95,8 @@ func run() error {
 				return err
 			}
 			at += 5 // let rules expire between trials
-			sim.RunUntil(at)
-			detected := probe.RTT < 1e-3 // hit ⇒ the victim's rule was cached
+			net.RunUntil(at)
+			detected := net.Echo(probe).RTT < 1e-3 // hit ⇒ the victim's rule was cached
 			if occurred && detected {
 				tp++
 			}

@@ -16,16 +16,17 @@ import (
 	"flowrecon/internal/netsim"
 	"flowrecon/internal/recon"
 	"flowrecon/internal/rules"
-	"flowrecon/internal/stats"
 )
 
-// netProber adapts the simulator's prober to the recon interface.
+// netProber adapts the simulator's prober to the recon interface: flow f
+// is probed from evaluation host f.
 type netProber struct {
-	p *netsim.Prober
+	p     *netsim.FleetProber
+	setup netsim.EvaluationSetup
 }
 
 func (np netProber) Probe(f flows.ID, now float64) (bool, error) {
-	res, err := np.p.Probe(f, now)
+	res, err := np.setup.ProbeFlow(np.p, f, now)
 	if err != nil {
 		return false, err
 	}
@@ -61,36 +62,49 @@ func run() error {
 		return err
 	}
 
-	sim := netsim.NewSim()
-	net := netsim.NewNetwork(sim, universe, netsim.NewControllerModel(policy, controller.Options{}),
-		netsim.DefaultLatencyModel(), stats.NewRNG(7))
-	if err := netsim.StanfordBackbone().Build(net, capacity, stepSec); err != nil {
+	net, err := netsim.NewFleet(netsim.FleetConfig{
+		Topo:     netsim.StanfordBackbone(),
+		Capacity: capacity,
+		StepSec:  stepSec,
+		Ctrl:     netsim.NewControllerModel(policy, controller.Options{}),
+		Universe: universe,
+		Seed:     7,
+	})
+	if err != nil {
 		return err
 	}
+	defer net.Close()
 	setup, err := netsim.AttachEvaluationHosts(net, base, nhosts, "yoza_rtr", "boza_rtr")
 	if err != nil {
 		return err
 	}
-	prober := netProber{p: netsim.NewProber(net, setup)}
+	prober := netProber{p: netsim.NewFleetProber(net), setup: setup}
 
 	fmt.Println("step 1: infer the flow-table capacity (ref [14] of the paper)")
 	candidates := make([]flows.ID, nhosts)
 	for i := range candidates {
 		candidates[i] = flows.ID(i)
 	}
-	inferredCap, err := recon.InferCapacity(prober, candidates, 9, sim.Now(), 0.02)
+	inferredCap, err := recon.InferCapacity(prober, candidates, 9, net.Now(), 0.02)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  inferred capacity: %d (true: %d)\n\n", inferredCap, capacity)
+	if inferredCap != capacity {
+		return fmt.Errorf("inferred capacity %d, true capacity %d", inferredCap, capacity)
+	}
 
 	fmt.Println("step 2: bracket a rule's idle timeout by spacing probe pairs")
 	grid := []float64{0.2, 0.5, 0.8, 0.9, 1.1, 1.5, 2.0}
-	lo, hi, err := recon.InferIdleTimeout(prober, 0, grid, sim.Now()+5)
+	lo, hi, err := recon.InferIdleTimeout(prober, 0, grid, net.Now()+5)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  TTL ∈ (%.1f s, %.1f s]  (true: %.1f s)\n\n", lo, hi, float64(ttlSteps)*stepSec)
+	ttl := float64(ttlSteps) * stepSec
+	fmt.Printf("  TTL ∈ (%.1f s, %.1f s]  (true: %.1f s)\n\n", lo, hi, ttl)
+	if !(lo < ttl && ttl <= hi) {
+		return fmt.Errorf("TTL bracket (%.1f s, %.1f s] misses the true %.1f s", lo, hi, ttl)
+	}
 
 	fmt.Println("with capacity and TTLs recovered, the attacker can parameterize")
 	fmt.Println("the Markov model of the switch (§IV) and run the flow-reconnaissance")

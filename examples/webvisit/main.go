@@ -15,7 +15,6 @@ import (
 	"flowrecon/internal/flows"
 	"flowrecon/internal/netsim"
 	"flowrecon/internal/rules"
-	"flowrecon/internal/stats"
 )
 
 func main() {
@@ -46,12 +45,18 @@ func run() error {
 		return err
 	}
 
-	sim := netsim.NewSim()
-	net := netsim.NewNetwork(sim, universe, netsim.NewControllerModel(policy, controller.Options{}),
-		netsim.DefaultLatencyModel(), stats.NewRNG(42))
-	if err := netsim.StanfordBackbone().Build(net, 9, 0.1); err != nil {
+	net, err := netsim.NewFleet(netsim.FleetConfig{
+		Topo:     netsim.StanfordBackbone(),
+		Capacity: 9,
+		StepSec:  0.1,
+		Ctrl:     netsim.NewControllerModel(policy, controller.Options{}),
+		Universe: universe,
+		Seed:     42,
+	})
+	if err != nil {
 		return err
 	}
+	defer net.Close()
 	setup, err := netsim.AttachEvaluationHosts(net, base, nhosts, "yoza_rtr", "boza_rtr")
 	if err != nil {
 		return err
@@ -66,7 +71,7 @@ func run() error {
 		{"host A visited server B 0.4s ago", true},
 		{"host A has not talked to server B", false},
 	} {
-		start := sim.Now()
+		start := net.Now()
 		if scenario.aVisits {
 			if _, err := net.SendEcho(hostA, server, start); err != nil {
 				return err
@@ -76,15 +81,16 @@ func run() error {
 		// (calibration: always a miss), then the forged flow f2 with
 		// A's source address.
 		probeAt := start + 0.4
-		calib, err := net.SendEcho(setup.SourceHosts[9], server, probeAt)
+		calibID, err := net.SendEcho(setup.SourceHosts[9], server, probeAt)
 		if err != nil {
 			return err
 		}
-		forged, err := net.SendEcho(hostA, server, probeAt+0.01)
+		forgedID, err := net.SendEcho(hostA, server, probeAt+0.01)
 		if err != nil {
 			return err
 		}
-		sim.RunUntil(probeAt + 3) // run past the 1 s idle timeouts
+		net.RunUntil(probeAt + 3) // run past the 1 s idle timeouts
+		calib, forged := net.Echo(calibID), net.Echo(forgedID)
 
 		fmt.Printf("%s:\n", scenario.name)
 		fmt.Printf("  f1 (own address):     %.3f ms   → t_fetch + t_setup baseline\n", calib.RTT*1e3)

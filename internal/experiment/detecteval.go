@@ -302,8 +302,8 @@ func StealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, tri
 }
 
 // MeasureSimDetection is the virtual-time-substrate detection
-// measurement: a detector on the simulated fabric's controller path,
-// benign Poisson background over the Stanford-like topology, and an
+// measurement: a detector at the simulated fabric's reactive ingress
+// lookup, benign Poisson background over the Stanford-like topology, and an
 // eviction prober pacing probes of one covered flow. It returns the
 // probes-until-flagged latency through real (simulated) switch, link and
 // controller delays rather than the abstract table model.
@@ -315,15 +315,6 @@ func MeasureSimDetection(seed int64, intervalSec float64, maxProbes int) (Detect
 	)
 	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), numFlows)
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.1), stats.NewRNG(seed))
-	if err != nil {
-		return DetectionOutcome{}, err
-	}
-	sim := netsim.NewSim()
-	n := netsim.NewNetwork(sim, universe, netsim.NewControllerModel(rs, controller.Options{ProcessingDelay: time.Millisecond}), netsim.DefaultLatencyModel(), stats.NewRNG(seed+1))
-	if err := netsim.StanfordBackbone().Build(n, 9, 0.1); err != nil {
-		return DetectionOutcome{}, err
-	}
-	setup, err := netsim.AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), numFlows, "yoza_rtr", "boza_rtr")
 	if err != nil {
 		return DetectionOutcome{}, err
 	}
@@ -348,23 +339,39 @@ func MeasureSimDetection(seed int64, intervalSec float64, maxProbes int) (Detect
 	cfg.Baseline.Rates = rates
 	cfg.Baseline.DefaultRate = benignRate
 	det := detect.New(cfg)
-	n.SetDetector(det)
+	f, err := netsim.NewFleet(netsim.FleetConfig{
+		Topo:     netsim.StanfordBackbone(),
+		Capacity: 9,
+		StepSec:  0.1,
+		Ctrl:     netsim.NewControllerModel(rs, controller.Options{ProcessingDelay: time.Millisecond}),
+		Universe: universe,
+		Seed:     seed + 1,
+		Detector: det,
+	})
+	if err != nil {
+		return DetectionOutcome{}, err
+	}
+	defer f.Close()
+	setup, err := netsim.AttachEvaluationHosts(f, flows.MakeIPv4(10, 0, 1, 0), numFlows, "yoza_rtr", "boza_rtr")
+	if err != nil {
+		return DetectionOutcome{}, err
+	}
 
 	duration := warmup + float64(maxProbes)*intervalSec + 5
 	trace, err := workload.GeneratePoisson(workload.PoissonConfig{Rates: rates, Duration: duration}, stats.NewRNG(seed+2))
 	if err != nil {
 		return DetectionOutcome{}, err
 	}
-	if err := netsim.ReplayTrace(n, setup, trace, 0); err != nil {
+	if err := netsim.ReplayTrace(f, setup, trace, 0); err != nil {
 		return DetectionOutcome{}, err
 	}
-	sim.RunUntil(warmup)
+	f.RunUntil(warmup)
 
-	prober := netsim.NewProber(n, setup)
+	prober := netsim.NewFleetProber(f)
 	var out DetectionOutcome
 	at := warmup
 	for p := 0; p < maxProbes; p++ {
-		if _, err := prober.Probe(probeFlow, at); err != nil {
+		if _, err := setup.ProbeFlow(prober, probeFlow, at); err != nil {
 			return out, err
 		}
 		out.Probes++

@@ -41,13 +41,19 @@ func MeasureSimLatency(samples int, seed int64) (*LatencyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := netsim.NewSim()
-	ctrl := netsim.NewControllerModel(rs, controller.Options{})
-	n := netsim.NewNetwork(sim, universe, ctrl, netsim.DefaultLatencyModel(), stats.NewRNG(seed+1))
-	if err := netsim.StanfordBackbone().Build(n, 9, 0.1); err != nil {
+	f, err := netsim.NewFleet(netsim.FleetConfig{
+		Topo:     netsim.StanfordBackbone(),
+		Capacity: 9,
+		StepSec:  0.1,
+		Ctrl:     netsim.NewControllerModel(rs, controller.Options{}),
+		Universe: universe,
+		Seed:     seed + 1,
+	})
+	if err != nil {
 		return nil, err
 	}
-	setup, err := netsim.AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 16, "yoza_rtr", "boza_rtr")
+	defer f.Close()
+	setup, err := netsim.AttachEvaluationHosts(f, flows.MakeIPv4(10, 0, 1, 0), 16, "yoza_rtr", "boza_rtr")
 	if err != nil {
 		return nil, err
 	}
@@ -69,20 +75,20 @@ func MeasureSimLatency(samples int, seed int64) (*LatencyReport, error) {
 	var hits, misses []float64
 	at := 0.0
 	for i := 0; i < samples; i++ {
-		miss, err := n.SendEcho(src, setup.Destination, at)
+		missID, err := f.SendEcho(src, setup.Destination, at)
 		if err != nil {
 			return nil, err
 		}
-		hit, err := n.SendEcho(src, setup.Destination, at+0.05)
+		hitID, err := f.SendEcho(src, setup.Destination, at+0.05)
 		if err != nil {
 			return nil, err
 		}
 		at += 5 // beyond the maximum idle timeout (1 s): rules expire
-		sim.RunUntil(at)
-		if miss.Delivered && miss.Missed {
+		f.RunUntil(at)
+		if miss := f.Echo(missID); miss.Delivered && miss.Missed {
 			misses = append(misses, miss.RTT*1e3)
 		}
-		if hit.Delivered && !hit.Missed {
+		if hit := f.Echo(hitID); hit.Delivered && !hit.Missed {
 			hits = append(hits, hit.RTT*1e3)
 		}
 	}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/workload"
@@ -16,12 +15,13 @@ import (
 // ReplayTrace schedules every arrival of trace as an echo from its source
 // host to the destination, offset seconds into the simulation. Flow IDs
 // index setup.SourceHosts.
-func ReplayTrace(n *Network, setup EvaluationSetup, trace *workload.Trace, offset float64) error {
+func ReplayTrace(f *Fleet, setup EvaluationSetup, trace *workload.Trace, offset float64) error {
 	for _, a := range trace.Arrivals() {
-		if int(a.Flow) >= len(setup.SourceHosts) {
-			return fmt.Errorf("netsim: trace flow %d outside the %d evaluation hosts", a.Flow, len(setup.SourceHosts))
+		src, err := setup.sourceHost(a.Flow)
+		if err != nil {
+			return err
 		}
-		if _, err := n.SendEcho(setup.SourceHosts[a.Flow], setup.Destination, offset+a.Time); err != nil {
+		if _, err := f.SendEcho(src, setup.Destination, offset+a.Time); err != nil {
 			return err
 		}
 	}
@@ -43,48 +43,23 @@ type ProbeResult struct {
 	Lost bool
 }
 
-// Prober issues forged-source probes from the attacker host. The paper's
-// attacker spoofs a source host's address and listens for the reply on
-// the shared switch port; in the simulator this is equivalent to sending
-// from that host, since only the ingress flow table sees the source.
-type Prober struct {
-	net         *Network
-	setup       EvaluationSetup
-	ThresholdMs float64
-}
-
-// NewProber returns a prober with the paper's 1 ms threshold.
-func NewProber(n *Network, setup EvaluationSetup) *Prober {
-	return &Prober{net: n, setup: setup, ThresholdMs: 1.0}
-}
-
-// Probe forges flow f at virtual time at, runs the simulation until the
-// reply returns, and classifies the delay. The simulation clock advances.
-func (p *Prober) Probe(f flows.ID, at float64) (ProbeResult, error) {
-	if int(f) >= len(p.setup.SourceHosts) {
-		return ProbeResult{}, fmt.Errorf("netsim: probe flow %d outside the evaluation hosts", f)
-	}
-	echo, err := p.net.SendEcho(p.setup.SourceHosts[f], p.setup.Destination, at)
+// ProbeFlow forges evaluation flow f through p at virtual time at. The
+// paper's attacker spoofs a source host's address and listens for the
+// reply on the shared switch port; in the simulator this is equivalent to
+// sending from that host, since only the ingress flow table sees the
+// source.
+func (s EvaluationSetup) ProbeFlow(p *FleetProber, f flows.ID, at float64) (ProbeResult, error) {
+	src, err := s.sourceHost(f)
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	// Run until the reply lands (generously past the worst-case miss).
-	deadline := at + 1.0
-	for !echo.Delivered && p.net.sim.Now() < deadline {
-		if p.net.sim.Pending() == 0 {
-			break
-		}
-		p.net.sim.RunUntil(math.Min(deadline, p.net.sim.Now()+0.01))
+	return p.Probe(src, s.Destination, at)
+}
+
+// sourceHost names the evaluation host that originates flow f.
+func (s EvaluationSetup) sourceHost(f flows.ID) (string, error) {
+	if f < 0 || int(f) >= len(s.SourceHosts) {
+		return "", fmt.Errorf("netsim: flow %d outside the %d evaluation hosts", f, len(s.SourceHosts))
 	}
-	if !echo.Delivered {
-		if p.net.FaultsEnabled() {
-			// Under fault injection an undelivered probe is an expected
-			// outcome, not a wedged simulation: classify it as lost and
-			// let the attacker make its no-observation update.
-			return ProbeResult{RTTms: math.NaN(), Lost: true}, nil
-		}
-		return ProbeResult{}, fmt.Errorf("netsim: probe reply not delivered by %v", deadline)
-	}
-	rtt := echo.RTT * 1e3
-	return ProbeResult{RTTms: rtt, Hit: rtt < p.ThresholdMs}, nil
+	return s.SourceHosts[f], nil
 }

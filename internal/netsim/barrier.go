@@ -101,9 +101,8 @@ func (f *Fleet) drainShard(sh *fleetShard, wend, bound float64) int64 {
 
 // drainWindow runs one window across all shards and returns the event
 // count. With one worker (or one shard) it drains sequentially on the
-// caller's goroutine — zero synchronization, which is what keeps the
-// single-shard fleet within noise of the serial scheduler; the
-// multi-worker path costs two channel hops per worker per window.
+// caller's goroutine with zero synchronization; the multi-worker path
+// costs two channel hops per worker per window.
 func (f *Fleet) drainWindow(wend, bound float64) int64 {
 	if f.workers <= 1 || len(f.shards) == 1 {
 		var n int64
@@ -208,9 +207,9 @@ func (f *Fleet) Run() int {
 }
 
 // observe flushes per-shard stat deltas into the registry in one batch
-// per drain call — the same batching discipline as Sim.observe, extended
-// to the per-shard counters and the per-shard occupancy gauges
-// (thousands of tables ticking per window must not each hit an atomic).
+// per drain call, covering the per-shard counters and the per-shard
+// occupancy gauges: the counters are atomic, and thousands of tables
+// ticking per window must not each hit one.
 func (f *Fleet) observe(events int64, windows int) {
 	if f.reg == nil || (events == 0 && windows == 0) {
 		return

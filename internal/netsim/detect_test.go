@@ -12,22 +12,11 @@ import (
 )
 
 // detectFabric builds the 4-flow attack fabric with a detector attached.
-func detectFabric(t *testing.T, cfg detect.Config) (*Network, EvaluationSetup, *detect.Detector) {
+func detectFabric(t *testing.T, cfg detect.Config) (*Fleet, EvaluationSetup, *detect.Detector) {
 	t.Helper()
-	rs := attackPolicy(t)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-	sim := NewSim()
-	n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{ProcessingDelay: time.Millisecond}), DefaultLatencyModel(), stats.NewRNG(3))
-	if err := StanfordBackbone().Build(n, 3, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := detect.New(cfg)
-	n.SetDetector(d)
-	return n, setup, d
+	f, setup := attackFleet(t, attackPolicy(t), controller.Options{ProcessingDelay: time.Millisecond}, FleetConfig{Detector: d})
+	return f, setup, d
 }
 
 // TestNetworkDetectorFlagsRegularProbing drives the §VI attack loop —
@@ -40,7 +29,7 @@ func TestNetworkDetectorFlagsRegularProbing(t *testing.T) {
 	cfg.MinObs = 6
 	cfg.MinGaps = 6
 	cfg.Baseline.Rates = []float64{0.8, 0.5, 0.3, 0.6}
-	n, setup, d := detectFabric(t, cfg)
+	f, setup, d := detectFabric(t, cfg)
 
 	trace, err := workload.GeneratePoisson(workload.PoissonConfig{
 		Rates:    []float64{0.8, 0.5, 0.3, 0.6},
@@ -49,18 +38,18 @@ func TestNetworkDetectorFlagsRegularProbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayTrace(n, setup, trace, 0); err != nil {
+	if err := ReplayTrace(f, setup, trace, 0); err != nil {
 		t.Fatal(err)
 	}
-	n.sim.RunUntil(20)
+	f.RunUntil(20)
 
 	// Eviction probing: flow 3 every 0.4 s — pathologically regular next
 	// to the Poisson background.
-	prober := NewProber(n, setup)
+	prober := NewFleetProber(f)
 	at := 20.0
 	probes := 0
 	for i := 0; i < 60; i++ {
-		if _, err := prober.Probe(3, at); err != nil {
+		if _, err := setup.ProbeFlow(prober, 3, at); err != nil {
 			t.Fatal(err)
 		}
 		probes++
@@ -99,23 +88,14 @@ func TestNetworkDetectorFlagsRegularProbing(t *testing.T) {
 
 // TestNetworkDetectorDoesNotPerturbSimulation pins the defender's
 // read-only contract: attaching a detector must not change the fabric's
-// random sequence, packet-in count, or probe outcomes.
+// packet-in count or probe RTTs.
 func TestNetworkDetectorDoesNotPerturbSimulation(t *testing.T) {
-	run := func(withDetector bool) (int, []float64) {
-		rs := attackPolicy(t)
-		universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-		sim := NewSim()
-		n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{}), DefaultLatencyModel(), stats.NewRNG(11))
-		if err := StanfordBackbone().Build(n, 3, 0.1); err != nil {
-			t.Fatal(err)
-		}
-		setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(withDetector bool) (int64, []float64) {
+		var d *detect.Detector
 		if withDetector {
-			n.SetDetector(detect.New(detect.DefaultConfig()))
+			d = detect.New(detect.DefaultConfig())
 		}
+		f, setup := attackFleet(t, attackPolicy(t), controller.Options{}, FleetConfig{Seed: 11, Detector: d})
 		trace, err := workload.GeneratePoisson(workload.PoissonConfig{
 			Rates:    []float64{0.8, 0.5, 0.3, 0.6},
 			Duration: 10,
@@ -123,22 +103,22 @@ func TestNetworkDetectorDoesNotPerturbSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ReplayTrace(n, setup, trace, 0); err != nil {
+		if err := ReplayTrace(f, setup, trace, 0); err != nil {
 			t.Fatal(err)
 		}
-		sim.RunUntil(10)
-		prober := NewProber(n, setup)
+		f.RunUntil(10)
+		prober := NewFleetProber(f)
 		var rtts []float64
 		at := 10.0
 		for i := 0; i < 10; i++ {
-			res, err := prober.Probe(flows.ID(i%4), at)
+			res, err := setup.ProbeFlow(prober, flows.ID(i%4), at)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rtts = append(rtts, res.RTTms)
 			at += 0.2
 		}
-		return n.PacketIns, rtts
+		return controllerPacketIns(f), rtts
 	}
 	pinsOff, rttsOff := run(false)
 	pinsOn, rttsOn := run(true)
@@ -151,10 +131,3 @@ func TestNetworkDetectorDoesNotPerturbSimulation(t *testing.T) {
 		}
 	}
 }
-
-// The >2%-on-BenchmarkSimScheduler gate of the ISSUE lives in `make
-// check` (sched-gate: benchjson -compare -bench SimScheduler
-// -max-regress 2 over the committed same-host BENCH_PR5/PR7 recordings):
-// the scheduler never calls the detector, so the honest check is that
-// the recorded scheduler numbers did not move across the PR, not a
-// microbenchmark of a nil check against a ~15 ns loop body.

@@ -7,39 +7,22 @@ import (
 	"flowrecon/internal/controller"
 	"flowrecon/internal/faults"
 	"flowrecon/internal/flows"
-	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 )
 
-// faultFabric builds the standard evaluation fabric with the given
-// network seed.
-func faultFabric(t *testing.T, seed int64) (*Network, *Sim, EvaluationSetup) {
+// faultFabric builds the standard evaluation fabric under a fault
+// profile, with fleet seed 3.
+func faultFabric(t *testing.T, prof faults.Profile, reg *telemetry.Registry) (*Fleet, EvaluationSetup) {
 	t.Helper()
-	rs := attackPolicy(t)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-	sim := NewSim()
-	n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{}), DefaultLatencyModel(), stats.NewRNG(seed))
-	if err := StanfordBackbone().Build(n, 3, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, sim, setup
+	return attackFleet(t, attackPolicy(t), controller.Options{}, FleetConfig{Faults: prof, Registry: reg})
 }
 
 // TestFaultLossClassifiesProbeLost: at LossProb 1 every probe is lost,
 // yields an explicit Lost result instead of an error, and installs
 // nothing (drop happens before the ingress lookup).
 func TestFaultLossClassifiesProbeLost(t *testing.T) {
-	n, _, setup := faultFabric(t, 3)
-	n.SetFaults(faults.Profile{Seed: 1, LossProb: 1})
-	if !n.FaultsEnabled() {
-		t.Fatal("faults not enabled")
-	}
-	prober := NewProber(n, setup)
-	res, err := prober.Probe(0, 0)
+	f, setup := faultFabric(t, faults.Profile{Seed: 1, LossProb: 1}, nil)
+	res, err := setup.ProbeFlow(NewFleetProber(f), 0, 0)
 	if err != nil {
 		t.Fatalf("lost probe must not error: %v", err)
 	}
@@ -49,10 +32,10 @@ func TestFaultLossClassifiesProbeLost(t *testing.T) {
 	if !math.IsNaN(res.RTTms) {
 		t.Fatalf("lost probe carries an RTT: %v", res.RTTms)
 	}
-	if n.Switch(setup.Ingress).Table.Contains(0, 1) {
+	if f.Table(setup.Ingress).Contains(0, 1) {
 		t.Fatal("dropped probe installed a rule")
 	}
-	if n.PacketIns != 0 {
+	if controllerPacketIns(f) != 0 {
 		t.Fatal("dropped probe consulted the controller")
 	}
 }
@@ -60,15 +43,14 @@ func TestFaultLossClassifiesProbeLost(t *testing.T) {
 // TestFaultJitterDelaysButDelivers: pure jitter never loses a probe and
 // inflates the RTT.
 func TestFaultJitterDelaysButDelivers(t *testing.T) {
-	clean, _, setupC := faultFabric(t, 3)
-	jitter, _, setupJ := faultFabric(t, 3)
-	jitter.SetFaults(faults.Profile{Seed: 2, JitterMeanMs: 1})
+	clean, setupC := faultFabric(t, faults.Profile{}, nil)
+	jitter, setupJ := faultFabric(t, faults.Profile{Seed: 2, JitterMeanMs: 1}, nil)
 
-	rc, err := NewProber(clean, setupC).Probe(0, 0)
+	rc, err := setupC.ProbeFlow(NewFleetProber(clean), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, err := NewProber(jitter, setupJ).Probe(0, 0)
+	rj, err := setupJ.ProbeFlow(NewFleetProber(jitter), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,23 +62,22 @@ func TestFaultJitterDelaysButDelivers(t *testing.T) {
 	}
 }
 
-// TestFaultDeterminism: the same (network seed, fault seed) pair gives
-// the identical probe outcome sequence; changing only the fault seed
-// changes it.
+// TestFaultDeterminism: the same (fleet seed, fault seed) pair gives the
+// identical probe outcome sequence; changing only the fault seed changes
+// it.
 func TestFaultDeterminism(t *testing.T) {
 	run := func(faultSeed int64) []ProbeResult {
-		n, _, setup := faultFabric(t, 3)
-		n.SetFaults(faults.Profile{Seed: faultSeed, LossProb: 0.3, JitterMeanMs: 0.5})
-		prober := NewProber(n, setup)
+		f, setup := faultFabric(t, faults.Profile{Seed: faultSeed, LossProb: 0.3, JitterMeanMs: 0.5}, nil)
+		prober := NewFleetProber(f)
 		out := make([]ProbeResult, 20)
 		at := 0.0
 		for i := range out {
-			res, err := prober.Probe(flows.ID(i%4), at)
+			res, err := setup.ProbeFlow(prober, flows.ID(i%4), at)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out[i] = res
-			at = n.sim.Now() + 0.05
+			at = f.Now() + 0.05
 		}
 		return out
 	}
@@ -125,32 +106,29 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultTelemetryCounters: drops surface in the faults_* series.
+// TestFaultTelemetryCounters: drops surface in the fleet's drop counter.
 func TestFaultTelemetryCounters(t *testing.T) {
-	n, _, setup := faultFabric(t, 3)
 	reg := telemetry.NewRegistry()
-	n.SetTelemetry(reg)
-	n.SetFaults(faults.Profile{Seed: 1, LossProb: 1})
-	if _, err := NewProber(n, setup).Probe(0, 0); err != nil {
+	f, setup := faultFabric(t, faults.Profile{Seed: 1, LossProb: 1}, reg)
+	if _, err := setup.ProbeFlow(NewFleetProber(f), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters[`faults_loss_total{layer="netsim"}`]; got == 0 {
+	if got := snap.Counters["netsim_fleet_drops_total"]; got == 0 {
 		t.Fatal("no loss recorded in telemetry")
 	}
 }
 
-// TestFaultControllerSlowdown: SlowFactor inflates miss RTTs only.
+// TestFaultControllerSlowdown: controller stalls inflate miss RTTs.
 func TestFaultControllerSlowdown(t *testing.T) {
-	clean, _, setupC := faultFabric(t, 3)
-	slow, _, setupS := faultFabric(t, 3)
-	slow.SetFaults(faults.Profile{Seed: 5, StallProb: 1, StallMs: 50})
+	clean, setupC := faultFabric(t, faults.Profile{}, nil)
+	slow, setupS := faultFabric(t, faults.Profile{Seed: 5, StallProb: 1, StallMs: 50}, nil)
 
-	rc, err := NewProber(clean, setupC).Probe(0, 0) // first probe always misses
+	rc, err := setupC.ProbeFlow(NewFleetProber(clean), 0, 0) // first probe always misses
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewProber(slow, setupS).Probe(0, 0)
+	rs, err := setupS.ProbeFlow(NewFleetProber(slow), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

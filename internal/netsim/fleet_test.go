@@ -400,6 +400,24 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := f.SendEcho("nope", "h", 0); err == nil {
 		t.Fatal("echo from unknown host accepted")
 	}
+	// Link delays: 0 selects the model default; a negative or non-finite
+	// delay is an error (a NaN cross-shard link would leave the lookahead
+	// at +Inf and strand every packet crossing it).
+	pair := func(d float64) Topology {
+		return Topology{Switches: []string{"a", "b"}, Links: []Link{{A: "a", B: "b", DelaySec: d}}}
+	}
+	for _, d := range []float64{-1e-6, math.NaN(), math.Inf(1)} {
+		if _, err := NewFleet(FleetConfig{Topo: pair(d), Ctrl: ctrl, Universe: universe, Shards: 2}); err == nil {
+			t.Fatalf("link delay %v accepted", d)
+		}
+	}
+	h, err := NewFleet(FleetConfig{Topo: pair(0), Ctrl: ctrl, Universe: universe, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Lookahead(), DefaultLatencyModel().SwitchLink; got != want {
+		t.Fatalf("zero-delay link lookahead = %v, want the model default %v", got, want)
+	}
 	// Shard clamp: more shards than switches must degrade, not fail.
 	g, err := NewFleet(FleetConfig{Topo: topo, Ctrl: ctrl, Universe: universe, Capacity: 4, StepSec: 0.1, Shards: 1000})
 	if err != nil {

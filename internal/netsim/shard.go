@@ -1,15 +1,12 @@
 package netsim
 
-// The fleet engine: a sharded rewrite of the virtual-time fabric for
-// 1k–10k switch topologies. The serial Network schedules one closure per
-// hop on a single global heap; at fleet scale the closure captures, the
-// per-hop BFS routing, and the one-heap bottleneck dominate. The fleet
-// engine instead compiles the fabric into dense arrays (interned routes,
-// integer switch IDs, per-link delays) and partitions the switches
-// across shards, each with its own pooled event heap. Shards execute in
-// parallel inside conservative-lookahead windows (see barrier.go) and
-// exchange cross-shard packets through outboxes merged at window
-// barriers.
+// The fleet engine: the virtual-time fabric, from the paper's 16-switch
+// backbone up to 1k–10k switch topologies. It compiles the fabric into
+// dense arrays (interned routes, integer switch IDs, per-link delays)
+// and partitions the switches across shards, each with its own pooled
+// event heap. Shards execute in parallel inside conservative-lookahead
+// windows (see barrier.go) and exchange cross-shard packets through
+// outboxes merged at window barriers.
 //
 // # Determinism at any shard count
 //
@@ -55,8 +52,8 @@ type FleetConfig struct {
 	// Topo is the switch fabric; generated topologies (FatTree,
 	// LeafSpine) carry per-link delays and edge annotations.
 	Topo Topology
-	// Capacity and StepSec size the flow tables of reactive switches,
-	// exactly as in Network.AddSwitch.
+	// Capacity and StepSec size the flow tables of reactive switches;
+	// StepSec scales rule timeouts exactly as in flowtable.New.
 	Capacity int
 	StepSec  float64
 	// Ctrl is the shared control plane.
@@ -86,9 +83,9 @@ type FleetConfig struct {
 // replyHop marks a reply-delivery event; forward hops are ≥ 0.
 const replyHop = -1
 
-// fleetMsg is one scheduled packet event: 16 bytes against the serial
-// engine's closure-bearing arena slot. Heap order is (at, pkt) — a
-// strict total order because a packet has at most one in-flight event.
+// fleetMsg is one scheduled packet event: 16 bytes, no closure. Heap
+// order is (at, pkt) — a strict total order because a packet has at
+// most one in-flight event.
 type fleetMsg struct {
 	at  float64
 	pkt int32
@@ -314,15 +311,22 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, fmt.Errorf("netsim: link references unknown switch %q", l.B)
 		}
 		d := l.DelaySec
-		if d <= 0 {
+		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+			// A NaN delay would also void the lookahead bound below and
+			// strand every packet that crosses the link.
+			return nil, fmt.Errorf("netsim: link %q–%q has invalid delay %v", l.A, l.B, d)
+		}
+		if d == 0 {
 			d = f.lat.SwitchLink
 		}
 		f.adj[a] = append(f.adj[a], fleetEdge{to: b, delay: d})
 		f.adj[b] = append(f.adj[b], fleetEdge{to: a, delay: d})
 	}
 	for i := range f.adj {
-		// Deterministic exploration order for route computation — the
-		// fleet analogue of the serial engine's sorted-name BFS.
+		// Deterministic exploration order for route computation: map or
+		// insertion order would otherwise pick different equal-length
+		// routes, breaking reproducibility and the per-path rule-install
+		// locality the attack relies on.
 		sort.Slice(f.adj[i], func(a, b int) bool { return f.adj[i][a].to < f.adj[i][b].to })
 	}
 
@@ -509,7 +513,8 @@ func (f *Fleet) linkDelayOf(a, b int32) float64 {
 // SendEcho injects an ICMP-style echo at virtual time at and returns the
 // packet ID. Call between drains (injection is not thread-safe against a
 // running window, by design: the attacker and the trial loop drive the
-// fleet from one goroutine, like the serial engine).
+// fleet from one goroutine). An echo sent in the past is clamped to the
+// current frontier.
 func (f *Fleet) SendEcho(srcHost, dstHost string, at float64) (int, error) {
 	src, ok := f.hosts[srcHost]
 	if !ok {
@@ -573,8 +578,8 @@ func (f *Fleet) Pending() int {
 	return n
 }
 
-// clampDelay mirrors the serial engine's sample(): delays cannot be ≤ 0;
-// the far-left Gaussian tail clamps to mean/10.
+// clampDelay keeps a Gaussian delay draw positive: delays cannot be ≤ 0,
+// so the far-left tail clamps to mean/10.
 func clampDelay(v, mean float64) float64 {
 	if v < mean/10 {
 		return mean / 10
@@ -582,9 +587,9 @@ func clampDelay(v, mean float64) float64 {
 	return v
 }
 
-// process executes one packet event on shard sh. It is the fleet
-// analogue of Network.forward plus the reply delivery, operating on
-// compiled arrays and the packet's own RNG/fault streams. Everything it
+// process executes one packet event on shard sh: a forward hop (lookup,
+// and on a miss the controller round trip) or the reply delivery,
+// operating on compiled arrays and the packet's own RNG/fault streams. Everything it
 // touches is either owned by this shard (tables, the packet, the shard
 // counters) or safe under concurrent use (controller, detector).
 func (f *Fleet) process(sh *fleetShard, m fleetMsg) {
@@ -694,9 +699,10 @@ func (f *Fleet) send(from *fleetShard, dst int32, m fleetMsg) {
 	from.out[dst] = append(from.out[dst], m)
 }
 
-// FleetProber issues attacker probes against a fleet, the multi-switch
-// analogue of Prober: it classifies echo RTTs with the paper's 1 ms
-// threshold, but the state it reveals lives on remote edge switches.
+// FleetProber sends attacker probes through a fleet and classifies their
+// echo RTTs with the paper's 1 ms threshold. The state a probe reveals
+// lives on every reactive switch of its path: the shared ingress switch
+// in the §VI-A setup, remote edge switches in the fleet scenario.
 type FleetProber struct {
 	F           *Fleet
 	ThresholdMs float64

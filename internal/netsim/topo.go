@@ -7,10 +7,10 @@ import (
 )
 
 // Link is one bidirectional switch↔switch link. DelaySec is the one-way
-// propagation delay; 0 means "use the latency model's default"
-// (LatencyModel.SwitchLink), which keeps the paper's backbone — whose
-// links carry no per-link annotation — byte-identical to earlier
-// revisions.
+// propagation delay in seconds; 0 means "use the latency model's
+// default" (LatencyModel.SwitchLink), which is what the paper's backbone,
+// whose links carry no per-link annotation, uses. A negative or
+// non-finite delay is rejected by NewFleet.
 type Link struct {
 	A, B     string
 	DelaySec float64
@@ -168,23 +168,6 @@ func (t Topology) Partition(nshards int) []int {
 	return owner
 }
 
-// Build instantiates the topology into a network: every switch gets a
-// flow table of the given capacity, and annotated links carry their
-// per-link delay.
-func (t Topology) Build(n *Network, capacity int, stepSec float64) error {
-	for _, sw := range t.Switches {
-		if err := n.AddSwitch(sw, capacity, stepSec); err != nil {
-			return err
-		}
-	}
-	for _, l := range t.Links {
-		if err := n.LinkDelay(l.A, l.B, l.DelaySec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EvaluationSetup reproduces the paper's §VI-A experiment layout on a
 // network: nhosts source hosts (10.0.1.0 …) plus an attacker host attached
 // to one ingress switch, and the common destination host (10.0.1.nhosts)
@@ -198,17 +181,17 @@ type EvaluationSetup struct {
 }
 
 // AttachEvaluationHosts wires the §VI-A hosts onto two switches of the
-// built topology.
-func AttachEvaluationHosts(n *Network, base flows.IPv4, nhosts int, ingress, egress string) (EvaluationSetup, error) {
+// fleet's topology and makes the ingress switch reactive.
+func AttachEvaluationHosts(f *Fleet, base flows.IPv4, nhosts int, ingress, egress string) (EvaluationSetup, error) {
 	setup := EvaluationSetup{Ingress: ingress, Egress: egress}
 	// Only the shared ingress switch runs the reactive policy; the rest
 	// of the fabric forwards on pre-installed defaults (§VI-A).
-	if err := n.SetReactive(ingress, true); err != nil {
+	if err := f.SetReactive(ingress); err != nil {
 		return setup, err
 	}
 	for i := 0; i < nhosts; i++ {
 		name := fmt.Sprintf("h%d", i)
-		if err := n.AddHost(name, base+flows.IPv4(i), ingress); err != nil {
+		if err := f.AddHost(name, base+flows.IPv4(i), ingress); err != nil {
 			return setup, err
 		}
 		setup.SourceHosts = append(setup.SourceHosts, name)
@@ -217,11 +200,11 @@ func AttachEvaluationHosts(n *Network, base flows.IPv4, nhosts int, ingress, egr
 	// The attacker is "co-located with the source hosts" (§VI-A): same
 	// ingress switch; probes are forged to carry a source host's address,
 	// so the attacker host needs no address of its own.
-	if err := n.AddHost(setup.Attacker, base+flows.IPv4(nhosts+1), ingress); err != nil {
+	if err := f.AddHost(setup.Attacker, base+flows.IPv4(nhosts+1), ingress); err != nil {
 		return setup, err
 	}
 	setup.Destination = "server"
-	if err := n.AddHost(setup.Destination, base+flows.IPv4(nhosts), egress); err != nil {
+	if err := f.AddHost(setup.Destination, base+flows.IPv4(nhosts), egress); err != nil {
 		return setup, err
 	}
 	return setup, nil
