@@ -114,10 +114,10 @@ func BenchmarkBasicModelBuild(b *testing.B) {
 // BenchmarkCompactModelBuildPaperScale assembles the §IV-B chain at the
 // paper's evaluation scale: |Rules| = 12, n = 6 → 2510 subset states.
 // The u-sum memo is primed by an untimed build first, so the reported
-// time is the steady-state cost of the builds the pipeline actually
-// repeats — the conditioned chain pair M/M₀, GainVsWindow sweeps, and
-// the defense profiler all rebuild over a warm memo. See
-// BenchmarkCompactModelBuildCold for the uncached first-build cost.
+// time is the cost of rebuilding an identical model over a warm memo —
+// what a daemon pays when a session revisits a configuration its model
+// store has evicted. See BenchmarkCompactModelBuildCold for the uncached
+// first-build cost.
 func BenchmarkCompactModelBuildPaperScale(b *testing.B) {
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.025), stats.NewRNG(1))
 	if err != nil {
@@ -143,9 +143,9 @@ func BenchmarkCompactModelBuildPaperScale(b *testing.B) {
 
 // BenchmarkCompactModelBuildCold is the uncached build number: the u-sum
 // memo is reset every iteration, so each build pays the full transition
-// estimation cost. BenchmarkCompactModelBuildPaperScale keeps the memo
-// warm across iterations — the way repeated builds behave in practice
-// (the conditioned chain pair, GainVsWindow, the defense profiler).
+// estimation cost — the way every build of a new configuration behaves,
+// the conditioned twin M₀ included. BenchmarkCompactModelBuildPaperScale
+// keeps the memo warm across iterations.
 func BenchmarkCompactModelBuildCold(b *testing.B) {
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.025), stats.NewRNG(1))
 	if err != nil {
@@ -854,10 +854,10 @@ func BenchmarkShardedSim1k(b *testing.B) {
 // BenchmarkColdSessionBuild is the model layer of a cold flowrecond
 // session: BuildConfig (both compact chains and their Eqn 8 evolution)
 // plus StandardAttackers (the §V-B two-probe search) over 256 rotating
-// target configurations. That is more than the model cache holds, so
-// every iteration rebuilds its chains, while one untimed pass first warms
-// the u-sum memo, as a long-running daemon's is. allocs/op is the
-// session build's allocation count.
+// target configurations. Nothing caches the chains, so every iteration
+// rebuilds them, while one untimed pass first warms the u-sum memo, as a
+// long-running daemon's is when its model store evicts and revisits
+// configurations. allocs/op is the session build's allocation count.
 func BenchmarkColdSessionBuild(b *testing.B) {
 	const configs = 256
 	build := func(i int) {

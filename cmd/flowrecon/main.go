@@ -338,7 +338,7 @@ func run(args []string) error {
 		windows := []int{1, 2, 5, 10, 20, 40}
 		full := nc.Params.Steps()
 		windows = append(windows, full/4, full)
-		points, err := core.GainVsWindow(nc.Core, nc.Target, windows, nc.Params.USum)
+		points, err := nc.Selector.GainVsWindow(windows)
 		if err != nil {
 			return err
 		}

@@ -115,7 +115,7 @@ func run(args []string) error {
 		return nil
 	}
 	fmt.Printf("\ncoarsening toward ≤ %.3f bits (≤ %d merges)…\n", *targetBits, *maxMerges)
-	steps2, err := defense.Coarsen(cfg, steps, core.DefaultUSumParams(), *targetBits, *maxMerges)
+	steps2, err := defense.Coarsen(cfg, prof, steps, core.DefaultUSumParams(), *targetBits, *maxMerges)
 	if err != nil {
 		return err
 	}

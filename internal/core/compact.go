@@ -65,16 +65,16 @@ type CompactModel struct {
 // workers. params tunes the u-sum estimator; pass DefaultUSumParams()
 // unless benchmarking the estimator itself.
 func NewCompactModel(cfg Config, params USumParams) (*CompactModel, error) {
-	return NewCompactModelWorkers(cfg, params, 0)
+	return newCompactModelWorkers(cfg, params, 0)
 }
 
-// NewCompactModelWorkers is NewCompactModel with an explicit build
+// newCompactModelWorkers is NewCompactModel with an explicit build
 // worker count (≤ 0 selects GOMAXPROCS). Per-state rows are computed on
 // the pool and assembled in state order, so the resulting model is
 // bit-identical regardless of the worker count: the only cross-state
 // coupling is the u-sum memo, whose entries are pure functions of their
 // keys.
-func NewCompactModelWorkers(cfg Config, params USumParams, workers int) (*CompactModel, error) {
+func newCompactModelWorkers(cfg Config, params USumParams, workers int) (*CompactModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,8 +101,8 @@ func NewCompactModelWorkers(cfg Config, params USumParams, workers int) (*Compac
 // MemBytes estimates the model's resident heap footprint: state masks,
 // the mask index, the cover table, per-state estimates, and both matrix
 // forms — the builder by the capacity its rows hold, not only their
-// entries. Map overhead is approximated, so treat the figure as a cache
-// byte-budget accounting unit, not exact process RSS.
+// entries. Map overhead is approximated, so treat the figure as a model
+// store's byte-budget accounting unit, not exact process RSS.
 func (m *CompactModel) MemBytes() int64 {
 	const mapEntry = 48 // rough per-entry bucket + key + value cost
 	b := int64(len(m.states))*8 + int64(len(m.sr))*8 + m.cover.memBytes()

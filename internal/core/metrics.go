@@ -17,9 +17,6 @@ type coreMetrics struct {
 	// evolveNs is the wall time of one Evolve call (histogram
 	// "evolve_ns").
 	evolveNs *telemetry.Histogram
-	// modelCacheHits/Misses count ModelCache lookups.
-	modelCacheHits   *telemetry.Counter
-	modelCacheMisses *telemetry.Counter
 	// usumMemoHits/Misses count u-sum memo lookups.
 	usumMemoHits   *telemetry.Counter
 	usumMemoMisses *telemetry.Counter
@@ -35,9 +32,6 @@ type coreMetrics struct {
 	// buildWorkers is the worker count of the most recent parallel
 	// model build (gauge "model_build_workers").
 	buildWorkers *telemetry.Gauge
-	// events receives one wide event per model-cache lookup (kind
-	// "model.cache"); thin with EventLog.SetSampling on hot runs.
-	events *telemetry.EventLog
 }
 
 var coreMetricsPtr atomic.Pointer[coreMetrics]
@@ -51,10 +45,10 @@ func evolveNsBuckets() []float64 {
 }
 
 // SetTelemetry points the model layer's instrumentation at reg: the
-// model_build_ms, evolve_ns and sequence_search_ms histograms, model-cache
-// and u-sum memo hit counters, the u-sum work counters (usum_states_total
-// by method, usum_exact_leaves_total) and the model_build_workers gauge
-// all land in reg's /debug/vars-style snapshot. Passing nil disables
+// model_build_ms, evolve_ns and sequence_search_ms histograms, the u-sum
+// memo hit counters, the u-sum work counters (usum_states_total by
+// method, usum_exact_leaves_total) and the model_build_workers gauge all
+// land in reg's /debug/vars-style snapshot. Passing nil disables
 // instrumentation (the default).
 func SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
@@ -64,8 +58,6 @@ func SetTelemetry(reg *telemetry.Registry) {
 	coreMetricsPtr.Store(&coreMetrics{
 		buildMs:          reg.Histogram("model_build_ms", telemetry.MillisecondBuckets()),
 		evolveNs:         reg.Histogram("evolve_ns", evolveNsBuckets()),
-		modelCacheHits:   reg.Counter("model_cache_lookups", "result", "hit"),
-		modelCacheMisses: reg.Counter("model_cache_lookups", "result", "miss"),
 		usumMemoHits:     reg.Counter("usum_memo_lookups", "result", "hit"),
 		usumMemoMisses:   reg.Counter("usum_memo_lookups", "result", "miss"),
 		usumExact:        reg.Counter("usum_states_total", "method", "exact"),
@@ -73,7 +65,6 @@ func SetTelemetry(reg *telemetry.Registry) {
 		usumLeaves:       reg.Counter("usum_exact_leaves_total"),
 		sequenceSearchMs: reg.Histogram("sequence_search_ms", telemetry.MillisecondBuckets()),
 		buildWorkers:     reg.Gauge("model_build_workers"),
-		events:           reg.Events(),
 	})
 }
 
@@ -101,28 +92,6 @@ func obsUSum(exact bool, leaves int) {
 		m.usumLeaves.Add(int64(leaves))
 	} else {
 		m.usumMC.Inc()
-	}
-}
-
-func obsModelCache(hit bool) {
-	m := coreMetricsPtr.Load()
-	if m == nil {
-		return
-	}
-	if hit {
-		m.modelCacheHits.Inc()
-	} else {
-		m.modelCacheMisses.Inc()
-	}
-	if m.events != nil {
-		ev := telemetry.NewWideEvent("model.cache")
-		ev.Node = "core"
-		if hit {
-			ev.Outcome = "hit"
-		} else {
-			ev.Outcome = "miss"
-		}
-		m.events.Emit(ev)
 	}
 }
 

@@ -37,12 +37,12 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 	cfg, params := parallelTestConfig(t)
 
 	ResetUSumMemo()
-	serial, err := NewCompactModelWorkers(cfg, params, 1)
+	serial, err := newCompactModelWorkers(cfg, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ResetUSumMemo()
-	parallel, err := NewCompactModelWorkers(cfg, params, 8)
+	parallel, err := newCompactModelWorkers(cfg, params, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,9 @@ func NewProbeSelector(model, model0 Model, target flows.ID, steps int) (*ProbeSe
 }
 
 // MemBytes estimates the selector's resident footprint: both evolved
-// distributions plus both chains' models (when compact). The models may
-// be shared through the process model cache, so summing MemBytes across
-// selectors can double-count shared chains.
+// distributions plus both chains' models (when compact). Only selectors
+// built by NewSelectorWithModel over one model share a chain, and each
+// of them counts it.
 func (s *ProbeSelector) MemBytes() int64 {
 	b := int64(len(s.dist)+len(s.dist0)) * 8
 	if m, ok := s.model.(*CompactModel); ok {
@@ -85,22 +85,19 @@ func evolveFresh(m Model, d markov.Dist, steps int) markov.Dist {
 
 // NewCompactSelector builds the compact model for cfg and its
 // target-conditioned twin, then assembles a selector — the paper's
-// end-to-end attacker setup. steps is T = ⌈window/Δ⌉. Both chains come
-// from the DefaultModelCache, so repeated selectors over one
-// configuration (experiment trials, window sweeps) rebuild nothing.
+// end-to-end attacker setup. steps is T = ⌈window/Δ⌉. Both chains are
+// built fresh; callers that need more than one selector over a
+// configuration keep the first one's chains (GainVsWindow,
+// NewSelectorWithModel).
 func NewCompactSelector(cfg Config, target flows.ID, steps int, params USumParams) (*ProbeSelector, error) {
-	if int(target) < 0 || int(target) >= len(cfg.Rates) {
-		return nil, fmt.Errorf("core: target flow %d outside universe of %d flows", target, len(cfg.Rates))
+	if err := checkTarget(cfg, target); err != nil {
+		return nil, err
 	}
-	m, err := CachedCompactModel(cfg, params)
+	m, err := NewCompactModel(cfg, params)
 	if err != nil {
 		return nil, err
 	}
-	m0, err := CachedCompactModel(cfg.withoutFlow(target), params)
-	if err != nil {
-		return nil, err
-	}
-	return NewProbeSelector(m, m0, target, steps)
+	return NewSelectorWithModel(m, target, steps)
 }
 
 // NewSteadySelector is NewCompactSelector with the attack window starting
@@ -110,17 +107,17 @@ func NewCompactSelector(cfg Config, target flows.ID, steps int, params USumParam
 // both chains with the unconditional steady state and apply the target
 // conditioning only within the window.
 func NewSteadySelector(cfg Config, target flows.ID, steps int, params USumParams) (*ProbeSelector, error) {
-	if int(target) < 0 || int(target) >= len(cfg.Rates) {
-		return nil, fmt.Errorf("core: target flow %d outside universe of %d flows", target, len(cfg.Rates))
+	if err := checkTarget(cfg, target); err != nil {
+		return nil, err
 	}
 	if steps < 1 {
 		return nil, fmt.Errorf("core: probe window %d steps < 1", steps)
 	}
-	m, err := CachedCompactModel(cfg, params)
+	m, err := NewCompactModel(cfg, params)
 	if err != nil {
 		return nil, err
 	}
-	m0, err := CachedCompactModel(cfg.withoutFlow(target), params)
+	m0, err := NewCompactModel(cfg.withoutFlow(target), params)
 	if err != nil {
 		return nil, err
 	}
@@ -138,18 +135,27 @@ func NewSteadySelector(cfg Config, target flows.ID, steps int, params USumParams
 }
 
 // NewSelectorWithModel assembles a selector around a prebuilt
-// unconditional model, building only the target-conditioned chain. Useful
-// when evaluating many targets over one policy (the defense package's
-// leakage profiling), since the unconditional chain is target-independent.
-func NewSelectorWithModel(m *CompactModel, cfg Config, target flows.ID, steps int, params USumParams) (*ProbeSelector, error) {
-	if int(target) < 0 || int(target) >= len(cfg.Rates) {
-		return nil, fmt.Errorf("core: target flow %d outside universe of %d flows", target, len(cfg.Rates))
+// unconditional model, building only the target-conditioned chain from
+// m's own configuration and estimator parameters. Useful when evaluating
+// many targets over one policy (the defense package's leakage
+// profiling), since the unconditional chain is target-independent.
+func NewSelectorWithModel(m *CompactModel, target flows.ID, steps int) (*ProbeSelector, error) {
+	cfg := m.ModelConfig()
+	if err := checkTarget(cfg, target); err != nil {
+		return nil, err
 	}
-	m0, err := CachedCompactModel(cfg.withoutFlow(target), params)
+	m0, err := NewCompactModel(cfg.withoutFlow(target), m.params)
 	if err != nil {
 		return nil, err
 	}
 	return NewProbeSelector(m, m0, target, steps)
+}
+
+func checkTarget(cfg Config, target flows.ID) error {
+	if int(target) < 0 || int(target) >= len(cfg.Rates) {
+		return fmt.Errorf("core: target flow %d outside universe of %d flows", target, len(cfg.Rates))
+	}
+	return nil
 }
 
 // Target returns the target flow f̂.

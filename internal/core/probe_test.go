@@ -526,19 +526,40 @@ func TestMicroflowRulesGivePerfectAttribution(t *testing.T) {
 
 func TestGainVsWindow(t *testing.T) {
 	cfg := fig2cConfig(t)
-	points, err := GainVsWindow(cfg, 0, []int{5, 20, 80, 400}, DefaultUSumParams())
+	params := DefaultUSumParams()
+	sel, err := NewCompactSelector(cfg, 0, 40, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 {
+	before := sel.StateDist()
+	windows := []int{5, 20, 80, 400}
+	points, err := sel.GainVsWindow(windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != len(windows) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for i, p := range points {
+		if p.Steps != windows[i] {
+			t.Fatalf("point %d: window %d, want %d", i, p.Steps, windows[i])
+		}
 		if p.Best.Gain < 0 {
 			t.Fatalf("window %d: negative gain", p.Steps)
 		}
 		if i > 0 && p.PAbsent >= points[i-1].PAbsent {
 			t.Fatal("absence must decay with the window")
+		}
+		// Oracle: the sweep's borrowed selector must agree exactly with a
+		// selector built fresh at that window.
+		fresh, err := NewCompactSelector(cfg, 0, p.Steps, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := fresh.Best(fresh.AllFlows())
+		if p.Best.Flow != want.Flow || p.Best.Gain != want.Gain || p.PAbsent != fresh.PAbsent() {
+			t.Fatalf("window %d: sweep (probe %d, gain %v, P(absent) %v), fresh selector (probe %d, gain %v, P(absent) %v)",
+				p.Steps, p.Best.Flow, p.Best.Gain, p.PAbsent, want.Flow, want.Gain, fresh.PAbsent())
 		}
 	}
 	// The channel remembers ~one TTL (6 steps here): asking about a
@@ -547,14 +568,17 @@ func TestGainVsWindow(t *testing.T) {
 		t.Fatalf("gain did not collapse with window: %v vs %v",
 			points[3].Best.Gain, points[1].Best.Gain)
 	}
-	if _, err := GainVsWindow(cfg, 0, nil, DefaultUSumParams()); err == nil {
+	after := sel.StateDist()
+	for x := range before {
+		if after[x] != before[x] {
+			t.Fatal("sweep moved the selector's own distribution")
+		}
+	}
+	if _, err := sel.GainVsWindow(nil); err == nil {
 		t.Fatal("empty window list accepted")
 	}
-	if _, err := GainVsWindow(cfg, 0, []int{0}, DefaultUSumParams()); err == nil {
+	if _, err := sel.GainVsWindow([]int{0}); err == nil {
 		t.Fatal("zero window accepted")
-	}
-	if _, err := GainVsWindow(cfg, 99, []int{5}, DefaultUSumParams()); err == nil {
-		t.Fatal("bad target accepted")
 	}
 }
 

@@ -17,25 +17,16 @@ type WindowPoint struct {
 	PAbsent float64
 }
 
-// GainVsWindow sweeps the attack window T and reports the optimal probe's
-// information gain at each value — an analysis the paper's setup implies
-// but does not plot: the side channel only remembers about one rule TTL,
-// so the gain collapses as the question reaches further into the past.
-// Both model chains are built once and shared across the sweep.
-func GainVsWindow(cfg Config, target flows.ID, stepsList []int, params USumParams) ([]WindowPoint, error) {
+// GainVsWindow sweeps the attack window T over the selector's own chains
+// and reports the optimal probe's information gain at each value — an
+// analysis the paper's setup implies but does not plot: the side channel
+// only remembers about one rule TTL, so the gain collapses as the
+// question reaches further into the past. Both chains evolve from their
+// empty-cache InitialDist, whatever the selector's own starting point;
+// the selector's evolved distributions are left untouched.
+func (s *ProbeSelector) GainVsWindow(stepsList []int) ([]WindowPoint, error) {
 	if len(stepsList) == 0 {
 		return nil, fmt.Errorf("core: empty window list")
-	}
-	if int(target) < 0 || int(target) >= len(cfg.Rates) {
-		return nil, fmt.Errorf("core: target flow %d outside universe", target)
-	}
-	m, err := CachedCompactModel(cfg, params)
-	if err != nil {
-		return nil, err
-	}
-	m0, err := CachedCompactModel(cfg.withoutFlow(target), params)
-	if err != nil {
-		return nil, err
 	}
 	windows := append([]int(nil), stepsList...)
 	sort.Ints(windows)
@@ -43,22 +34,22 @@ func GainVsWindow(cfg Config, target flows.ID, stepsList []int, params USumParam
 		return nil, fmt.Errorf("core: window must be ≥ 1 step")
 	}
 
+	cfg := s.model.ModelConfig()
 	out := make([]WindowPoint, 0, len(windows))
-	// One pair of working distributions is evolved in place across the
-	// whole sweep; each window's selector borrows (never retains) them,
-	// so the per-window Clone pair of the former implementation is gone.
-	d, d0 := m.InitialDist(), m0.InitialDist()
+	// One pair of working distributions is evolved across the whole
+	// sweep; each window's selector borrows (never retains) them.
+	d, d0 := s.model.InitialDist(), s.model0.InitialDist()
 	prev := 0
 	for _, steps := range windows {
-		m.EvolveInPlace(d, steps-prev)
-		m0.EvolveInPlace(d0, steps-prev)
+		d = evolveFresh(s.model, d, steps-prev)
+		d0 = evolveFresh(s.model0, d0, steps-prev)
 		prev = steps
 		sel := &ProbeSelector{
-			model:   m,
-			model0:  m0,
-			target:  target,
+			model:   s.model,
+			model0:  s.model0,
+			target:  s.target,
 			steps:   steps,
-			pAbsent: absenceAt(cfg, target, steps),
+			pAbsent: absenceAt(cfg, s.target, steps),
 			dist:    d,
 			dist0:   d0,
 		}

@@ -106,12 +106,11 @@ func newStateEstimates(m int) StateEstimates {
 }
 
 // estimate computes the eviction distribution and timeout probabilities
-// for the compact state caching exactly cachedIDs. Results are memoized
-// across estimators (and hence across the M and M₀ chains) keyed by the
-// numerical inputs of the computation, so a state whose effective rates
-// are unaffected by the target's zeroed rate is computed once. Everything
-// up to the memo lookup runs in estimator scratch, so a memo hit on a
-// warm estimator allocates nothing.
+// for the compact state caching exactly cachedIDs. Results, infeasible
+// verdicts included, are memoized across estimators keyed by the
+// numerical inputs of the computation, so rebuilding an identical model
+// evaluates no state twice. Everything up to the memo lookup runs in
+// estimator scratch, so a memo hit on a warm estimator allocates nothing.
 func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	m := len(cachedIDs)
 	if m == 0 {
@@ -133,9 +132,7 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	obsMemo(false)
 	tab.fillLogs()
 	out := e.evaluate(cached, touts, tab)
-	if out.Feasible {
-		sharedUSumMemo.put(key, out)
-	}
+	sharedUSumMemo.put(key, out)
 	return out
 }
 
@@ -1179,9 +1176,11 @@ func sampleInjective(rng *splitmix, touts []int, u []int) bool {
 // cached slot order (rule IDs and timeouts), the uncached rules and their
 // timeouts, the full-table flag, the estimator parameters, and the raw
 // bits of every γ table entry. Two states with equal keys are guaranteed
-// (up to hash collision) to produce identical estimates, which is what
-// lets the M and M₀ chains share work: zeroing the target's rate leaves
-// most states' effective rates untouched.
+// (up to hash collision) to produce identical estimates. Every rule's γ
+// table is hashed, and the target's highest-priority covering rule
+// carries λ_f̂ in every state, so the M and M₀ chains of a target with a
+// nonzero rate share no key: the memo hits only when an identical model
+// is rebuilt.
 type usumKey struct{ h1, h2 uint64 }
 
 type keyHasher struct{ h1, h2 uint64 }

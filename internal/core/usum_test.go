@@ -235,6 +235,42 @@ func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRebuildEvaluatesNoState: building an identical model a second time
+// takes every state's estimates from the u-sum memo. The configuration
+// has states whose assignments all have zero probability (Z ≤ 0); their
+// infeasible verdicts are pure functions of the memo key too, so they are
+// memoized like feasible ones.
+func TestRebuildEvaluatesNoState(t *testing.T) {
+	cfg, params := usumConfig(t, usumSmall, 0.1, 8, false), DefaultUSumParams()
+	ResetUSumMemo()
+	t.Cleanup(ResetUSumMemo)
+	if _, err := NewCompactModel(cfg, params); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	SetTelemetry(reg)
+	t.Cleanup(func() { SetTelemetry(nil) })
+	if _, err := NewCompactModel(cfg, params); err != nil {
+		t.Fatal(err)
+	}
+	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
+	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
+	if hits == 0 || misses != 0 {
+		t.Fatalf("second build: %d memo hits, %d misses; want every lookup a hit", hits, misses)
+	}
+
+	e := (&CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params}).newEstimator()
+	zeroZ := 0
+	for _, ids := range caseStates(cfg) {
+		if _, touts := e.orderCached(ids); injectiveFeasible(touts) && !e.estimate(ids).Feasible {
+			zeroZ++
+		}
+	}
+	if zeroZ == 0 {
+		t.Fatal("configuration has no Z ≤ 0 state; the test no longer covers infeasible verdicts")
+	}
+}
+
 // TestUSumLeafCountPinned pins the u-sum work counters of one fixed model
 // build: the exact leaf count is a property of the configuration — the
 // reference walk visits as many — not of the enumerator's internals or
@@ -256,7 +292,7 @@ func TestUSumLeafCountPinned(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		SetTelemetry(reg)
 		ResetUSumMemo()
-		if _, err := NewCompactModelWorkers(cfg, params, workers); err != nil {
+		if _, err := newCompactModelWorkers(cfg, params, workers); err != nil {
 			t.Fatal(err)
 		}
 		leaves := reg.Counter("usum_exact_leaves_total").Value()

@@ -44,15 +44,15 @@ func MeasureLeakage(cfg core.Config, steps int, params core.USumParams) (*Profil
 
 // MeasureLeakageWorkers is MeasureLeakage with the per-target selector
 // evaluations fanned over workers goroutines. Targets are independent
-// (the unconditional chain is shared read-only; each target builds only
-// its conditioned twin through the model cache), and the profile is
+// (the unconditional chain is built once and shared read-only; each
+// target builds only its conditioned twin), and the profile is
 // assembled in flow order, so every worker count returns the same
 // profile.
 func MeasureLeakageWorkers(cfg core.Config, steps int, params core.USumParams, workers int) (*Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := core.CachedCompactModel(cfg, params)
+	model, err := core.NewCompactModel(cfg, params)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func MeasureLeakageWorkers(cfg core.Config, steps int, params core.USumParams, w
 	perFlow := make([]*FlowLeakage, len(targets))
 	errs := make([]error, len(targets))
 	measure := func(i int) {
-		sel, err := core.NewSelectorWithModel(model, cfg, targets[i], steps, params)
+		sel, err := core.NewSelectorWithModel(model, targets[i], steps)
 		if err != nil {
 			errs[i] = err
 			return
@@ -197,14 +197,12 @@ type CoarsenStep struct {
 
 // Coarsen greedily merges rule pairs, each round picking the merge that
 // minimizes the worst-case leakage, until the leakage target is met, no
-// merge helps, or maxMerges is exhausted. It returns the sequence of
-// accepted steps (possibly empty when the structure is already tight).
-func Coarsen(cfg core.Config, steps int, params core.USumParams, targetMaxGain float64, maxMerges int) ([]CoarsenStep, error) {
+// merge helps, or maxMerges is exhausted. baseline is cfg's own profile
+// at the same window and estimator parameters, which the caller has
+// already measured. It returns the sequence of accepted steps (possibly
+// empty when the structure is already tight).
+func Coarsen(cfg core.Config, baseline *Profile, steps int, params core.USumParams, targetMaxGain float64, maxMerges int) ([]CoarsenStep, error) {
 	current := cfg
-	baseline, err := MeasureLeakage(current, steps, params)
-	if err != nil {
-		return nil, err
-	}
 	best := baseline.MaxGain
 	var out []CoarsenStep
 	for round := 0; round < maxMerges && best > targetMaxGain && current.Rules.Len() > 1; round++ {

@@ -133,7 +133,11 @@ func TestMergeCandidates(t *testing.T) {
 
 func TestCoarsen(t *testing.T) {
 	cfg := fig2cConfig(t)
-	steps, err := Coarsen(cfg, 40, core.DefaultUSumParams(), 0, 3)
+	before, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := Coarsen(cfg, before, 40, core.DefaultUSumParams(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +145,6 @@ func TestCoarsen(t *testing.T) {
 		t.Fatal("no coarsening step accepted on a leaky structure")
 	}
 	last := steps[len(steps)-1]
-	before, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if last.Profile.MaxGain >= before.MaxGain {
 		t.Fatalf("coarsening did not reduce leakage: %v → %v", before.MaxGain, last.Profile.MaxGain)
 	}
@@ -156,8 +156,12 @@ func TestCoarsen(t *testing.T) {
 
 func TestCoarsenAlreadyTight(t *testing.T) {
 	cfg := fig2cConfig(t)
+	before, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// With an absurdly generous leakage target no merge is needed.
-	steps, err := Coarsen(cfg, 40, core.DefaultUSumParams(), 10, 3)
+	steps, err := Coarsen(cfg, before, 40, core.DefaultUSumParams(), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,9 +359,8 @@ func (c *Controller) handlePacketIn(conn *Conn, m *PacketIn) (Message, error) {
 			} else {
 				fm.IdleTimeout = secs
 			}
-			// Installing with the buffer id releases the packet at the
-			// switch; no separate PACKET_OUT is needed.
-			_, err := conn.Send(fm)
+			// The spans are recorded before the send, so a switch that
+			// has seen the FLOW_MOD never observes an unfinished chain.
 			if c.tm.spans != nil {
 				end := c.now()
 				fms := c.tm.spans.Start(decTrace, dec, "flow_mod", "controller", end)
@@ -370,6 +369,9 @@ func (c *Controller) handlePacketIn(conn *Conn, m *PacketIn) (Message, error) {
 				c.tm.spans.Annotate(dec, -1, decision.RuleID, "")
 				c.tm.spans.End(dec, end)
 			}
+			// Installing with the buffer id releases the packet at the
+			// switch; no separate PACKET_OUT is needed.
+			_, err := conn.Send(fm)
 			c.decisionEvent(fid, decision.RuleID, decTrace, "install", delay)
 			return fm, err
 		}
@@ -378,7 +380,6 @@ func (c *Controller) handlePacketIn(conn *Conn, m *PacketIn) (Message, error) {
 	}
 	// No covering rule: flood via the pre-installed default (release only).
 	pout := &PacketOut{BufferID: m.BufferID, InPort: m.InPort, Data: m.Data}
-	_, err = conn.Send(pout)
 	if c.tm.spans != nil {
 		end := c.now()
 		po := c.tm.spans.Start(decTrace, dec, "packet_out", "controller", end)
@@ -386,6 +387,7 @@ func (c *Controller) handlePacketIn(conn *Conn, m *PacketIn) (Message, error) {
 		c.tm.spans.End(po, end)
 		c.tm.spans.End(dec, end)
 	}
+	_, err = conn.Send(pout)
 	c.decisionEvent(fid, -1, decTrace, "release", 0)
 	return pout, err
 }

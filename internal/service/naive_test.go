@@ -15,10 +15,10 @@ import (
 // pays one full model build and selector evolve per session even when
 // every session attacks the same target.
 //
-// Each session resets the process-wide model cache and u-sum memo on
-// entry to model per-process isolation. Concurrent sessions can still
-// accidentally share a just-built entry between resets, which only makes
-// the baseline FASTER — the comparison stays conservative.
+// Each session resets the process-wide u-sum memo on entry to model
+// per-process isolation. Concurrent sessions can still accidentally share
+// just-computed estimates between resets, which only makes the baseline
+// FASTER — the comparison stays conservative.
 func runSessionsNaive(specs []SessionSpec) error {
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -42,7 +42,6 @@ func runNaiveSession(spec SessionSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	core.DefaultModelCache.Reset()
 	core.ResetUSumMemo()
 	nc, err := spec.Target.BuildConfig()
 	if err != nil {

@@ -42,10 +42,9 @@ func (m *Model) Roster(probes int) ([]core.Attacker, error) {
 }
 
 // MemBytes estimates the model's resident footprint: the selector's two
-// chains and evolved distributions. Compact models are shared through
-// the core.DefaultModelCache, so two store entries over overlapping rule
-// structures can double-count; the figure is a budget accounting unit,
-// not exact RSS.
+// chains and evolved distributions. Each entry owns its chains, so
+// summing MemBytes over entries counts every chain once; the figure is
+// still a budget accounting unit, not exact RSS.
 func (m *Model) MemBytes() int64 {
 	return m.NC.Selector.MemBytes()
 }
@@ -53,9 +52,10 @@ func (m *Model) MemBytes() int64 {
 // Store is the shared model store: target key → built Model, with
 // singleflight build deduplication (N concurrent sessions over one
 // config trigger exactly one build), LRU eviction and an optional byte
-// budget. It is the service-level analogue of core.ModelCache, one layer
-// up: it caches the whole generated configuration including the evolved
-// selector, which the core cache does not cover.
+// budget. It is the only model cache in the process: it caches the whole
+// generated configuration including the evolved selector. Below it only
+// the u-sum memo remains, which serves the rebuild of a model the store
+// has evicted.
 type Store struct {
 	mu       sync.Mutex
 	max      int
