@@ -92,7 +92,7 @@ sched-gate:
 ## once warm. The random streams join them: RNG.Reseed followed by draws
 ## must not allocate, and workload.GeneratePoisson must allocate the same
 ## number of times whatever its flow count (one reseeded child stream,
-## not a forked generator per flow). The exact u-sum enumerator must not
+## not a forked generator per flow). The u-sum time-step sweep must not
 ## allocate once its estimator is warm, so repeated model builds add no
 ## GC pressure; likewise a memo-hit u-sum estimate and the §IV-A1 event
 ## weights, and BestSequence allocates as often at 8 candidates as at 4.
@@ -128,8 +128,9 @@ trace-smoke:
 ## per-byte reference decoder, FuzzReadPcap sanity-bounds whole files).
 ## FuzzRNGMatchesMathRand holds the lazily seeded stats.RNG to
 ## math/rand.NewSource, draw for draw, on arbitrary seeds;
-## FuzzEnumerateMatchesReference holds the exact u-sum enumerator to its
-## per-leaf reference walk, bit for bit, on arbitrary rule sets;
+## FuzzEnumerateMatchesReference holds the u-sum time-step sweep to the
+## per-assignment reference walk, to 1e-12 relative, on arbitrary rule
+## sets;
 ## FuzzCompactBuildMatchesReference holds the cold compact-model build
 ## (cover-table γ kernels, estimator scratch, reserved row assembly) to
 ## the clone-based reference build, bit for bit;

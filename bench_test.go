@@ -340,29 +340,6 @@ func fig7Means(res *experiment.Fig7Result) (model, naive, random float64) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// BenchmarkAblationUSum compares the exact enumeration and Monte Carlo
-// estimation of the §IV-B u-sums on identical states.
-func BenchmarkAblationUSum(b *testing.B) {
-	cfg := benchCoreConfig(b)
-	run := func(b *testing.B, params core.USumParams) {
-		var m *core.CompactModel
-		for i := 0; i < b.N; i++ {
-			var err error
-			m, err = core.NewCompactModel(cfg, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(100*m.ExactStateFraction(), "exact-%states")
-	}
-	b.Run("exact", func(b *testing.B) {
-		run(b, core.USumParams{ExactLimit: 1 << 30, MCSamples: 1, Seed: 1})
-	})
-	b.Run("montecarlo", func(b *testing.B) {
-		run(b, core.USumParams{ExactLimit: 0, MCSamples: 800, Seed: 1})
-	})
-}
-
 // BenchmarkAblationDelta sweeps the model step Δ: smaller steps shrink the
 // multi-arrival discretization error at the cost of a longer horizon.
 func BenchmarkAblationDelta(b *testing.B) {

@@ -84,9 +84,8 @@ func computeEventWeightsRef(rs *rules.Set, sr []float64, cached func(int) bool) 
 func (e *uEstimator) buildGammaTables(cached []int) *gammaTables {
 	nr := e.rs.Len()
 	tab := &gammaTables{
-		hp:       make([][]int, nr),
-		gamma:    make([][]float64, nr),
-		logGamma: make([][]float64, nr),
+		hp:    make([][]int, nr),
+		gamma: make([][]float64, nr),
 	}
 	for j := 0; j < nr; j++ {
 		var hp []int
@@ -97,7 +96,6 @@ func (e *uEstimator) buildGammaTables(cached []int) *gammaTables {
 		}
 		tab.hp[j] = hp
 		g := make([]float64, 1<<uint(len(hp)))
-		lg := make([]float64, len(g))
 		for mask := range g {
 			rel := e.rs.Rule(j).Cover.Clone()
 			for b, slot := range hp {
@@ -106,12 +104,8 @@ func (e *uEstimator) buildGammaTables(cached []int) *gammaTables {
 				}
 			}
 			g[mask] = rel.SumRates(e.sr)
-			if g[mask] > 0 {
-				lg[mask] = math.Log(g[mask])
-			}
 		}
 		tab.gamma[j] = g
-		tab.logGamma[j] = lg
 	}
 	return tab
 }
@@ -139,10 +133,10 @@ func injectiveFeasibleRef(touts []int) bool {
 
 // estimateRef is estimate without the memo, on the reference ordering,
 // feasibility check and γ tables. The u-sums themselves come from the
-// shared evaluate (enumerateFast has its own oracle in usum_ref_test.go).
+// shared evaluate (the sweep has its own oracle in usum_ref_test.go).
 func (e *uEstimator) estimateRef(cachedIDs []int) StateEstimates {
 	if len(cachedIDs) == 0 {
-		return newStateEstimates(0)
+		return newStateEstimates(0, false)
 	}
 	cached := sortByPriorityRef(e.rs, cachedIDs)
 	touts := make([]int, len(cached))
@@ -150,7 +144,7 @@ func (e *uEstimator) estimateRef(cachedIDs []int) StateEstimates {
 		touts[i] = e.rs.Rule(j).Timeout
 	}
 	if !injectiveFeasibleRef(touts) {
-		return e.fallback(cached, newStateEstimates(len(cached)))
+		return e.fallback(cached, newStateEstimates(len(cached), len(cached) >= e.capacity))
 	}
 	return e.evaluate(cached, touts, e.buildGammaTables(cached))
 }
@@ -167,7 +161,7 @@ type refModel struct {
 func buildReferenceModel(cfg Config, params USumParams) (*refModel, error) {
 	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params}
 	m.enumerateStates()
-	e := &uEstimator{rs: cfg.Rules, sr: m.sr, capacity: cfg.CacheSize, params: params}
+	e := &uEstimator{rs: cfg.Rules, sr: m.sr, capacity: cfg.CacheSize}
 	n := len(m.states)
 	ref := &refModel{matrix: markov.NewSparse(n), est: make([]StateEstimates, n)}
 	for idx, mask := range m.states {

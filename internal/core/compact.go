@@ -56,14 +56,12 @@ type CompactModel struct {
 	wsPool sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
 	est    []StateEstimates // per-state §IV-B estimates (nil for the empty state)
 	params USumParams
-	// exactStates counts states whose u-sums were enumerated exactly.
-	exactStates int
 }
 
 // NewCompactModel enumerates every subset state and builds the transition
 // matrix, fanning the per-state u-sum estimation across GOMAXPROCS
-// workers. params tunes the u-sum estimator; pass DefaultUSumParams()
-// unless benchmarking the estimator itself.
+// workers. params is kept with the model for the selectors built from it;
+// the u-sums are exact and read none of it (see USumParams).
 func NewCompactModel(cfg Config, params USumParams) (*CompactModel, error) {
 	return newCompactModelWorkers(cfg, params, 0)
 }
@@ -259,7 +257,7 @@ func (m *CompactModel) newEstimator() *uEstimator {
 	if e == nil {
 		e = &uEstimator{}
 	}
-	e.rs, e.sr, e.capacity, e.params, e.cover = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.params, m.cover
+	e.rs, e.sr, e.capacity, e.cover = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover
 	e.slab.tos, e.slab.ps = e.slab.tos[:0], e.slab.ps[:0]
 	return e
 }
@@ -313,9 +311,6 @@ func (m *CompactModel) buildMatrix(workers int) error {
 	for idx, row := range rows {
 		if row.hasEst {
 			m.est[idx] = row.est
-			if row.est.Exact {
-				m.exactStates++
-			}
 		}
 		for k := row.lo; k < row.hi; k++ {
 			m.matrix.Add(idx, row.slab.tos[k], row.slab.ps[k])
@@ -340,16 +335,6 @@ func appendMaskIDs(dst []int, mask uint64) []int {
 
 // NumStates returns the state-space size (Σ C(|Rules|, k), k ≤ n).
 func (m *CompactModel) NumStates() int { return len(m.states) }
-
-// ExactStateFraction reports the fraction of non-empty states whose u-sums
-// were enumerated exactly rather than sampled.
-func (m *CompactModel) ExactStateFraction() float64 {
-	nonEmpty := len(m.states) - 1
-	if nonEmpty <= 0 {
-		return 1
-	}
-	return float64(m.exactStates) / float64(nonEmpty)
-}
 
 // Matrix exposes the transition matrix for diagnostics and benchmarks.
 func (m *CompactModel) Matrix() *markov.Sparse { return m.matrix }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"flowrecon/internal/flows"
@@ -39,8 +40,13 @@ func TestCompactModelBuild(t *testing.T) {
 	if err := m.Matrix().CheckStochastic(1e-9); err != nil {
 		t.Fatal(err)
 	}
-	if m.ExactStateFraction() != 1 {
-		t.Fatalf("tiny config should enumerate exactly, got fraction %v", m.ExactStateFraction())
+	// Only a full table evicts, so only full states carry an eviction
+	// distribution.
+	for i := 1; i < m.NumStates(); i++ {
+		full := bits.OnesCount64(m.StateMask(i)) >= cfg.CacheSize
+		if est := m.Estimates(i); (est.Evict != nil) != full || len(est.Timeout) != bits.OnesCount64(m.StateMask(i)) {
+			t.Fatalf("state %b (full %v): estimates %+v", m.StateMask(i), full, est)
+		}
 	}
 }
 
@@ -60,9 +66,9 @@ func TestUSumSingleRuleAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.7}, Delta: 0.3, CacheSize: 1}
-	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 1, params: DefaultUSumParams()}
+	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 1}
 	est := e.estimate([]int{0})
-	if !est.Feasible || !est.Exact {
+	if !est.Feasible {
 		t.Fatalf("estimates = %+v", est)
 	}
 	if math.Abs(est.Evict[0]-1) > 1e-12 {
@@ -90,7 +96,7 @@ func TestUSumEvictionFavorsShorterTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.5, 0.5}, Delta: 0.2, CacheSize: 2}
-	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 2, params: DefaultUSumParams()}
+	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 2}
 	est := e.estimate([]int{0, 1})
 	if est.Evict[0] <= est.Evict[1] {
 		t.Fatalf("evict = %v; short-timeout rule should be likelier victim", est.Evict)
@@ -110,7 +116,7 @@ func TestUSumInfeasibleFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.5, 0.5}, Delta: 0.2, CacheSize: 2}
-	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 2, params: DefaultUSumParams()}
+	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 2}
 	est := e.estimate([]int{0, 1})
 	if est.Feasible {
 		t.Fatal("infeasible assignment reported feasible")
@@ -125,41 +131,10 @@ func TestUSumInfeasibleFallback(t *testing.T) {
 
 func TestUSumEmptyState(t *testing.T) {
 	cfg := tinyConfig(t)
-	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: 2, params: DefaultUSumParams()}
+	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: 2}
 	est := e.estimate(nil)
 	if !est.Feasible || len(est.Evict) != 0 {
 		t.Fatalf("empty-state estimate = %+v", est)
-	}
-}
-
-func TestUSumMonteCarloMatchesExact(t *testing.T) {
-	// Force MC by setting ExactLimit to 0 and compare with the exact sum.
-	rs, err := rules.NewSet([]rules.Rule{
-		{Cover: flows.SetOf(0, 1), Priority: 3, Timeout: 6},
-		{Cover: flows.SetOf(1, 2), Priority: 2, Timeout: 4},
-		{Cover: flows.SetOf(3), Priority: 1, Timeout: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Rules: rs, Rates: []float64{0.6, 0.4, 0.8, 0.3}, Delta: 0.2, CacheSize: 3}
-	exactE := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 3, params: USumParams{ExactLimit: 1 << 20, MCSamples: 1, Seed: 1}}
-	mcE := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 3, params: USumParams{ExactLimit: 0, MCSamples: 60000, Seed: 1}}
-	cachedSets := [][]int{{0, 1}, {0, 1, 2}, {1, 2}, {0}}
-	for _, cs := range cachedSets {
-		exact := exactE.estimate(cs)
-		mc := mcE.estimate(cs)
-		if !exact.Exact || mc.Exact {
-			t.Fatalf("estimator mode mix-up: exact=%v mc=%v", exact.Exact, mc.Exact)
-		}
-		for _, j := range cs {
-			if math.Abs(exact.Evict[j]-mc.Evict[j]) > 0.02 {
-				t.Errorf("cached %v rule %d: evict exact %.4f vs mc %.4f", cs, j, exact.Evict[j], mc.Evict[j])
-			}
-			if math.Abs(exact.Timeout[j]-mc.Timeout[j]) > 0.02 {
-				t.Errorf("cached %v rule %d: timeout exact %.4f vs mc %.4f", cs, j, exact.Timeout[j], mc.Timeout[j])
-			}
-		}
 	}
 }
 
@@ -182,28 +157,6 @@ func TestInjectiveFeasible(t *testing.T) {
 	}
 }
 
-func TestSampleInjective(t *testing.T) {
-	rng := &splitmix{s: 1}
-	u := make([]int, 3)
-	for i := 0; i < 200; i++ {
-		if !sampleInjective(rng, []int{4, 4, 4}, u) {
-			t.Fatal("sampling failed on feasible grid")
-		}
-		if u[0] == u[1] || u[0] == u[2] || u[1] == u[2] {
-			t.Fatalf("non-injective sample %v", u)
-		}
-		for k, v := range u {
-			if v < 1 || v > 4 {
-				t.Fatalf("u[%d] = %d out of range", k, v)
-			}
-		}
-	}
-}
-
-// TestCompactAgreesWithBasic compares the two models' hit probabilities on
-// the tiny configuration. The compact model is approximate, so the
-// tolerance is loose — but both must broadly agree about which flows are
-// likely covered.
 func TestCompactAgreesWithBasic(t *testing.T) {
 	cfg := tinyConfig(t)
 	basic, err := NewBasicModel(cfg, 400000)
@@ -417,7 +370,7 @@ func sum(xs []float64) float64 {
 
 func TestSumGammaRangeMatchesNaive(t *testing.T) {
 	cfg := tinyConfig(t)
-	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: 2, params: DefaultUSumParams()}
+	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: 2}
 	tab := e.buildGammaTables([]int{0, 1})
 	rng := stats.NewRNG(11)
 	for trial := 0; trial < 500; trial++ {

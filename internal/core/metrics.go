@@ -20,12 +20,12 @@ type coreMetrics struct {
 	// usumMemoHits/Misses count u-sum memo lookups.
 	usumMemoHits   *telemetry.Counter
 	usumMemoMisses *telemetry.Counter
-	// usumExact/usumMC count states whose u-sums were evaluated (memo
-	// misses), by method; usumLeaves counts the assignments the exact
-	// enumeration visited. All three advance once per state.
-	usumExact  *telemetry.Counter
-	usumMC     *telemetry.Counter
-	usumLeaves *telemetry.Counter
+	// usumExact counts states whose u-sums were evaluated (memo misses);
+	// usumSteps counts the time steps their sweeps took. Both advance
+	// once per state, and both are properties of the configuration, not
+	// of the build's worker count.
+	usumExact *telemetry.Counter
+	usumSteps *telemetry.Counter
 	// sequenceSearchMs is the wall time of one BestSequence search
 	// (histogram "sequence_search_ms"), the roster's probe-planning layer.
 	sequenceSearchMs *telemetry.Histogram
@@ -46,8 +46,8 @@ func evolveNsBuckets() []float64 {
 
 // SetTelemetry points the model layer's instrumentation at reg: the
 // model_build_ms, evolve_ns and sequence_search_ms histograms, the u-sum
-// memo hit counters, the u-sum work counters (usum_states_total by
-// method, usum_exact_leaves_total) and the model_build_workers gauge all
+// memo hit counters, the u-sum work counters (usum_states_total,
+// usum_sweep_steps_total) and the model_build_workers gauge all
 // land in reg's /debug/vars-style snapshot. Passing nil disables
 // instrumentation (the default).
 func SetTelemetry(reg *telemetry.Registry) {
@@ -61,8 +61,7 @@ func SetTelemetry(reg *telemetry.Registry) {
 		usumMemoHits:     reg.Counter("usum_memo_lookups", "result", "hit"),
 		usumMemoMisses:   reg.Counter("usum_memo_lookups", "result", "miss"),
 		usumExact:        reg.Counter("usum_states_total", "method", "exact"),
-		usumMC:           reg.Counter("usum_states_total", "method", "mc"),
-		usumLeaves:       reg.Counter("usum_exact_leaves_total"),
+		usumSteps:        reg.Counter("usum_sweep_steps_total"),
 		sequenceSearchMs: reg.Histogram("sequence_search_ms", telemetry.MillisecondBuckets()),
 		buildWorkers:     reg.Gauge("model_build_workers"),
 	})
@@ -80,19 +79,15 @@ func obsMemo(hit bool) {
 	}
 }
 
-// obsUSum records one state's u-sum evaluation: exact with leaves
-// enumerated assignments, or Monte Carlo.
-func obsUSum(exact bool, leaves int) {
+// obsUSum records one state's u-sum evaluation, a sweep of steps time
+// steps.
+func obsUSum(steps int) {
 	m := coreMetricsPtr.Load()
 	if m == nil {
 		return
 	}
-	if exact {
-		m.usumExact.Inc()
-		m.usumLeaves.Add(int64(leaves))
-	} else {
-		m.usumMC.Inc()
-	}
+	m.usumExact.Inc()
+	m.usumSteps.Add(int64(steps))
 }
 
 func obsBuild(ms float64, workers int) {

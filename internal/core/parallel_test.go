@@ -8,10 +8,9 @@ import (
 	"flowrecon/internal/workload"
 )
 
-// parallelTestConfig is a paper-shaped configuration (16 flows, 12 rules)
-// with a low exact-enumeration limit so most states take the Monte-Carlo
-// u-sum path — the code whose determinism under concurrency is the point
-// of these tests.
+// parallelTestConfig is a paper-shaped configuration (16 flows, 12 rules,
+// cache 5): 1,586 states whose u-sums the build workers sweep
+// concurrently. The returned USumParams are unread, as everywhere.
 func parallelTestConfig(t *testing.T) (Config, USumParams) {
 	t.Helper()
 	rng := stats.NewRNG(7)
@@ -30,8 +29,8 @@ func parallelTestConfig(t *testing.T) (Config, USumParams) {
 
 // TestParallelBuildBitIdentical builds the same compact model serially
 // and with a worker pool and requires the transition matrices to agree
-// to the last bit: per-state Monte-Carlo streams are seeded by state
-// identity, not evaluation order, so worker scheduling must not leak
+// to the last bit: every state's estimates are a pure function of the
+// state, not of evaluation order, so worker scheduling must not leak
 // into the numbers.
 func TestParallelBuildBitIdentical(t *testing.T) {
 	cfg, params := parallelTestConfig(t)

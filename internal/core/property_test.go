@@ -234,19 +234,18 @@ func TestPropertyEvictionDistributions(t *testing.T) {
 		}
 		for i := 0; i < m.NumStates(); i++ {
 			est := m.Estimates(i)
-			if len(est.Evict) == 0 {
-				continue
-			}
-			var sum float64
-			for _, p := range est.Evict {
-				if p < -1e-12 {
+			if len(est.Evict) > 0 {
+				var sum float64
+				for _, p := range est.Evict {
+					if p < -1e-12 {
+						return false
+					}
+					sum += p
+				}
+				if math.Abs(sum-1) > 1e-9 {
+					t.Logf("seed %d state %d: eviction sums to %v", seed, i, sum)
 					return false
 				}
-				sum += p
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Logf("seed %d state %d: eviction sums to %v", seed, i, sum)
-				return false
 			}
 			for _, p := range est.Timeout {
 				if p < 0 || p > 1 {

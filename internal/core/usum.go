@@ -18,32 +18,33 @@ import (
 type StateEstimates struct {
 	// Evict[j] is P(rule j has the smallest remaining time | cached),
 	// Eqn (5)/Eqn (3), normalized over the cached rules. Keyed by rule ID.
+	// Only a full table evicts, so Evict is nil for a state with room.
 	Evict map[int]float64
 	// Timeout[j] is P(rule j should time out | cached), Eqn (7)/Eqn (3).
 	Timeout map[int]float64
-	// Exact reports whether the u-sums were enumerated exactly (true) or
-	// estimated by Monte Carlo sampling (false).
-	Exact bool
 	// Feasible is false when no injective most-recent-match assignment u
 	// exists (or all have zero probability); Evict then falls back to
 	// uniform and Timeout to zero.
 	Feasible bool
 }
 
-// USumParams tunes the estimator.
+// USumParams is the u-sum estimator's former tuning block. Every state's
+// u-sums are now exact (see uEstimator.sweep), so the estimator reads no
+// field; the type stays because experiment.Params, saved configurations
+// and flowrecond session specs carry it, and their wire format is kept.
 type USumParams struct {
-	// ExactLimit is the largest assignment-grid size (Π t_j over cached
-	// rules) enumerated exactly.
+	// ExactLimit was the largest assignment grid (Π t_j over cached
+	// rules) enumerated exactly. No longer read.
 	ExactLimit int
-	// MCSamples is the number of Monte Carlo samples used above the
-	// exact limit.
+	// MCSamples was the Monte Carlo sample count above ExactLimit. No
+	// longer read.
 	MCSamples int
-	// Seed drives the Monte Carlo sampler; per-state streams are derived
-	// from it deterministically.
+	// Seed drove the Monte Carlo sampler. No longer read.
 	Seed int64
 }
 
-// DefaultUSumParams returns the defaults used by the compact model.
+// DefaultUSumParams returns the values model constructors have always
+// been given; see USumParams.
 func DefaultUSumParams() USumParams {
 	return USumParams{ExactLimit: 20000, MCSamples: 1500, Seed: 1}
 }
@@ -56,18 +57,17 @@ type uEstimator struct {
 	rs       *rules.Set
 	sr       []float64 // per-step flow rates λ_f·Δ
 	capacity int
-	params   USumParams
 	cover    *coverTable // the model's, shared read-only; built on first use when unset
 
 	// Scratch reused across calls. Nothing here outlives a call except
 	// slab, which holds buildRow's entries until the build assembles them.
-	scr   enumScratch
 	tab   gammaTables
 	order byPriority // the state's cached rules, descending priority
 	touts []int      // their timeouts, slot-aligned with order.ids
 	ids   []int      // buildRow's cached rule IDs, ascending
 	w     eventWeights
 	acc   uAccumulator
+	sw    sweepScratch
 	slab  rowSlab
 }
 
@@ -94,15 +94,14 @@ func (p *byPriority) Len() int           { return len(p.ids) }
 func (p *byPriority) Less(a, b int) bool { return p.rs.HigherPriority(p.ids[a], p.ids[b]) }
 func (p *byPriority) Swap(a, b int)      { p.ids[a], p.ids[b] = p.ids[b], p.ids[a] }
 
-// newStateEstimates returns feasible, exact estimates with room for m
-// cached rules.
-func newStateEstimates(m int) StateEstimates {
-	return StateEstimates{
-		Evict:    make(map[int]float64, m),
-		Timeout:  make(map[int]float64, m),
-		Feasible: true,
-		Exact:    true,
+// newStateEstimates returns feasible estimates with room for m cached
+// rules; the eviction map exists only when the table is full.
+func newStateEstimates(m int, full bool) StateEstimates {
+	out := StateEstimates{Timeout: make(map[int]float64, m), Feasible: true}
+	if full {
+		out.Evict = make(map[int]float64, m)
 	}
+	return out
 }
 
 // estimate computes the eviction distribution and timeout probabilities
@@ -114,12 +113,12 @@ func newStateEstimates(m int) StateEstimates {
 func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	m := len(cachedIDs)
 	if m == 0 {
-		return newStateEstimates(0)
+		return newStateEstimates(0, false)
 	}
 
 	cached, touts := e.orderCached(cachedIDs)
 	if !injectiveFeasible(touts) {
-		return e.fallback(cached, newStateEstimates(m))
+		return e.fallback(cached, newStateEstimates(m, m >= e.capacity))
 	}
 
 	tab := e.fillGammaTables(cached)
@@ -130,7 +129,6 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 		return hit
 	}
 	obsMemo(false)
-	tab.fillLogs()
 	out := e.evaluate(cached, touts, tab)
 	sharedUSumMemo.put(key, out)
 	return out
@@ -142,29 +140,24 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 // when every assignment has zero probability.
 func (e *uEstimator) evaluate(cached, touts []int, tab *gammaTables) StateEstimates {
 	m := len(cached)
-	out := newStateEstimates(m)
-	// Decide exact enumeration vs Monte Carlo by grid size.
-	grid := 1.0
-	for _, t := range touts {
-		grid *= float64(t)
-	}
+	full := m >= e.capacity
+	out := newStateEstimates(m, full)
 	acc := &e.acc
-	acc.reset(cached, touts, e)
-	if grid <= float64(e.params.ExactLimit) {
-		e.enumerateFast(cached, touts, tab, acc)
-		obsUSum(true, e.scr.leaves)
-	} else {
-		out.Exact = false
-		e.sample(touts, tab, acc, cached)
-		obsUSum(false, 0)
-	}
+	acc.reset(cached, touts, e.rs.Len())
+	e.sweep(tab, acc, full)
+	obsUSum(e.sw.steps)
 
 	if acc.z <= 0 {
 		return e.fallback(cached, out)
 	}
-	var evictSum float64
 	for i, j := range cached {
 		out.Timeout[j] = clamp01(acc.timeoutNum[i] / acc.z)
+	}
+	if !full {
+		return out
+	}
+	var evictSum float64
+	for i, j := range cached {
 		out.Evict[j] = acc.evictNum[i] / acc.z
 		evictSum += out.Evict[j]
 	}
@@ -181,9 +174,9 @@ func (e *uEstimator) evaluate(cached, touts []int, tab *gammaTables) StateEstima
 }
 
 // orderCached copies cachedIDs into estimator scratch in descending
-// priority, so that during enumeration a rule's higher-priority cached
-// rules are the prefix, and returns them with their timeouts. Both
-// slices are valid until the next call.
+// priority, so that a rule's higher-priority cached rules precede it,
+// and returns them with their timeouts. Both slices are valid until the
+// next call.
 func (e *uEstimator) orderCached(cachedIDs []int) (cached, touts []int) {
 	e.order.rs = e.rs
 	e.order.ids = append(e.order.ids[:0], cachedIDs...)
@@ -195,12 +188,14 @@ func (e *uEstimator) orderCached(cachedIDs []int) (cached, touts []int) {
 	return e.order.ids, e.touts
 }
 
-// fallback marks the state infeasible and returns uniform eviction with
-// zero timeout probability.
+// fallback marks the state infeasible and returns uniform eviction (when
+// the table is full) with zero timeout probability.
 func (e *uEstimator) fallback(cached []int, out StateEstimates) StateEstimates {
 	out.Feasible = false
 	for _, j := range cached {
-		out.Evict[j] = 1 / float64(len(cached))
+		if out.Evict != nil {
+			out.Evict[j] = 1 / float64(len(cached))
+		}
 		out.Timeout[j] = 0
 	}
 	return out
@@ -230,9 +225,7 @@ func injectiveFeasible(touts []int) bool {
 // higher-priority cached rules, the effective rate γ of Eqn (1) when
 // exactly that subset is excluded (i.e. was last matched more than k steps
 // ago). hp[j] lists the cached-slot indices of j's higher-priority cached
-// rules; gamma[j] is indexed by a bitmask over hp[j]. logGamma caches
-// log γ so the per-assignment hot loop is free of math.Log calls (entries
-// with γ ≤ 0 hold 0 and are rejected before the log is read).
+// rules; gamma[j] is indexed by a bitmask over hp[j].
 //
 // The tables live in estimator scratch and are refilled per state by
 // uEstimator.fillGammaTables from the cover-table kernel: γ(j, mask) is the
@@ -241,18 +234,14 @@ func injectiveFeasible(touts []int) bool {
 // makes over rule j's cover with the excluded covers subtracted, so every
 // entry — and hence the memo key hashed from them — is bit-identical to
 // the clone-and-subtract construction (kept in the tests as the oracle).
-// The memo key reads only hp and gamma, so logGamma is filled (fillLogs)
-// only once the lookup has missed.
 type gammaTables struct {
-	hp       [][]int
-	gamma    [][]float64
-	logGamma [][]float64
+	hp    [][]int
+	gamma [][]float64
 }
 
 // fillGammaTables fills the estimator's hp and γ tables for the state
-// whose cached rules, in descending priority, are cached; logGamma waits
-// for fillLogs. The result aliases estimator scratch and is valid until
-// the next call.
+// whose cached rules, in descending priority, are cached. The result
+// aliases estimator scratch and is valid until the next call.
 func (e *uEstimator) fillGammaTables(cached []int) *gammaTables {
 	ct := e.covers()
 	nr := e.rs.Len()
@@ -282,80 +271,9 @@ func (e *uEstimator) fillGammaTables(cached []int) *gammaTables {
 	return tab
 }
 
-// fillLogs sets logGamma from gamma: log γ where γ > 0, else 0.
-func (t *gammaTables) fillLogs() {
-	t.logGamma = resize(t.logGamma, len(t.gamma))
-	for j, g := range t.gamma {
-		lg := resize(t.logGamma[j], len(g))
-		for mask, v := range g {
-			lg[mask] = 0
-			if v > 0 {
-				lg[mask] = math.Log(v)
-			}
-		}
-		t.logGamma[j] = lg
-	}
-}
-
-// gammaAt returns γ_{ℓ,u}(j, k): rule j's effective rate at step ℓ-k given
-// the assignment u over cached slots.
-func (t *gammaTables) gammaAt(j, k int, u []int) float64 {
-	mask := 0
-	for b, slot := range t.hp[j] {
-		if u[slot] > k {
-			mask |= 1 << uint(b)
-		}
-	}
-	return t.gamma[j][mask]
-}
-
-// sumGammaRange returns Σ_{k=1..kmax} γ_{ℓ,u}(j, k). The mask {j' : u(j') >
-// k} only changes at the assigned u values, so the sum is evaluated
-// segment-wise: between consecutive breakpoints γ is constant.
-func (t *gammaTables) sumGammaRange(j, kmax int, u []int) float64 {
-	return t.sumGammaSpan(j, 0, kmax, u)
-}
-
-// sumGammaSpan returns Σ_{k=lo+1..hi} γ_{ℓ,u}(j, k), the tail form needed
-// by the full-table horizon correction.
-func (t *gammaTables) sumGammaSpan(j, lo, hi int, u []int) float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		return 0
-	}
-	hp := t.hp[j]
-	if len(hp) == 0 {
-		return float64(hi-lo) * t.gamma[j][0]
-	}
-	sum := 0.0
-	k := lo + 1
-	for k <= hi {
-		// Mask for the segment starting at k, and the segment's end: the
-		// smallest breakpoint u(slot) > k bounds the constant stretch
-		// (slot drops out of the mask at k = u(slot)).
-		mask := 0
-		next := hi + 1
-		for b, slot := range hp {
-			if u[slot] > k {
-				mask |= 1 << uint(b)
-				if u[slot] < next {
-					next = u[slot]
-				}
-			}
-		}
-		if next > hi+1 {
-			next = hi + 1
-		}
-		sum += float64(next-k) * t.gamma[j][mask]
-		k = next
-	}
-	return sum
-}
-
-// uAccumulator gathers Σ P(u) (Eqn 3), Σ P(u)·1[min-remaining] (Eqn 5) and
-// Σ P(u)·1[u(j)=t_j] (Eqn 7) over the enumerated or sampled assignments.
+// uAccumulator holds one state's u-sums: Σ P(u) (Eqn 3), Σ P(u)·1[u(i)
+// has the minimum remaining time] (Eqn 5, full tables only) and Σ
+// P(u)·1[u(i)=t_i] (Eqn 7), slot-aligned with cached.
 type uAccumulator struct {
 	z          float64
 	evictNum   []float64
@@ -363,696 +281,302 @@ type uAccumulator struct {
 
 	cached   []int
 	touts    []int
-	est      *uEstimator
-	uncached []int // rule IDs not cached
+	uncached []int // rule IDs not cached, ascending
 }
 
 // reset prepares a for the state whose cached rules, in descending
-// priority, are cached with timeouts touts, reusing a's storage.
-func (a *uAccumulator) reset(cached, touts []int, e *uEstimator) {
+// priority, are cached with timeouts touts, out of nr rules, reusing a's
+// storage.
+func (a *uAccumulator) reset(cached, touts []int, nr int) {
 	a.z = 0
 	a.evictNum = resize(a.evictNum, len(cached))
 	a.timeoutNum = resize(a.timeoutNum, len(cached))
 	clear(a.evictNum)
 	clear(a.timeoutNum)
-	a.cached, a.touts, a.est = cached, touts, e
+	a.cached, a.touts = cached, touts
 	var inCache uint32
 	for _, j := range cached {
 		inCache |= 1 << uint(j)
 	}
 	a.uncached = a.uncached[:0]
-	for j := 0; j < e.rs.Len(); j++ {
+	for j := 0; j < nr; j++ {
 		if inCache&(1<<uint(j)) == 0 {
 			a.uncached = append(a.uncached, j)
 		}
 	}
 }
 
-// accumulate folds one assignment with probability p into the sums.
-func (a *uAccumulator) accumulate(u []int, p float64) {
-	minRem := math.MaxInt32
-	for i, t := range a.touts {
-		minRem = min(minRem, t-u[i])
-	}
-	a.accumulateAt(u, p, minRem)
+// sweepScratch holds the time-step sweep's per-state tables. Every table
+// is indexed by a set A of cached slots (bit i for slot i), N = 2^m
+// entries per row: A is the set of slots whose most-recent match lies
+// further back than the current lookback step.
+type sweepScratch struct {
+	g     []float64 // one rule's γ(A)
+	cr    []float64 // Σ_{i∈A} γ_i(A): the cached rules still unmatched
+	pw    []float64 // [i][A] γ_i(A)·e^{−γ_i(A)} for i ∉ A: slot i matched at this step
+	un    []float64 // Σ γ_j(A) over the uncached rules folded in so far
+	byT   []int     // uncached rule IDs, descending timeout
+	rows  []float64 // [row][A] e^{−cr[A] − Σ_{uncached j: t_j ≥ c} γ_j(A)}
+	rowOf []int     // per step c: its row
+	eb    []float64 // [i][A] row(t_i)[A]·bwd_{t_i}[A]: everything after slot i's pin
+	bwd   []float64 // weight of every completion from A after step c
+	fwd   []float64 // slack-0 forward weights (Eqn 7, and all of a non-full table)
+	f0    []float64 // all-slack forward weights, no slot yet at its deadline
+	f1    []float64 // all-slack forward weights, some slot at its deadline
+	steps int       // sweep length K of the latest state
 }
 
-// accumulateAt is accumulate for a caller that already knows the
-// assignment's minimum remaining time minRem = min_i(t_i − u(i)).
-func (a *uAccumulator) accumulateAt(u []int, p float64, minRem int) {
-	a.z += p
-	for i, t := range a.touts {
-		if u[i] == t {
-			a.timeoutNum[i] += p
-		}
-		if t-u[i] == minRem {
-			// Condition (4) with ties counted for every minimizer.
-			a.evictNum[i] += p
-		}
-	}
-}
-
-// observe evaluates P(u) for a complete assignment and folds it into the
-// accumulators. Used by the Monte Carlo path; the exact path accumulates
-// log P(u) incrementally along the DFS instead.
-func (a *uAccumulator) observe(u []int, tab *gammaTables) {
-	p := a.probability(u, tab)
-	if p <= 0 {
-		return
-	}
-	a.accumulate(u, p)
-}
-
-// probability evaluates P(u) per §IV-B for one Monte Carlo sample,
-// choosing the |C|<n or |C|=n form of the uncached-rule horizon. Every
-// rule's Σ_k γ range term is folded in a single sweep over the segments
-// between sorted assignment values, within which each exclusion mask is
-// constant, using the tables prepSweep builds for the state:
+// sweep computes acc's u-sums exactly, in time steps instead of
+// assignments. It requires at least one cached slot.
 //
-//   - cached rules with no higher-priority cached rule ("flat") have a
-//     constant rate, so their own-step and range factors are closed-form;
-//   - flat uncached rules fold into one lookup of the (flatT, flatR)
-//     threshold tables indexed by the full-table slack;
-//   - masked uncached rules fold into two lookups per sweep segment of a
-//     prefix table P[A][k] (A the set of still-pending cached slots);
-//   - masked cached rules walk the sweep segments with O(1) gamma-value
-//     lookups from the slot-set-indexed SoA table.
+// P(u) factors over lookback steps k: at step k the set A_k = {i : u(i) >
+// k} fixes every rule's rate γ(A_k), each cached slot still in A_k
+// contributes e^{−γ}, the slot with u(i) = k (injectivity allows at most
+// one) contributes γ·e^{−γ}, and every uncached rule whose horizon
+// reaches k contributes e^{−γ}. A forward pass over k = 1…K, K = max t_i,
+// carries the summed weight of every partial assignment per set A — 2^m
+// states instead of Π t_i assignments — and u(i) ≤ t_i removes slot i from
+// every A once k passes t_i.
 //
-// One sample therefore costs O(m log m + segments·(|masked cached| + 1))
-// instead of the per-rule segment rescans sumGammaSpan would pay.
-func (a *uAccumulator) probability(u []int, tab *gammaTables) float64 {
-	e := a.est
-	s := &e.scr
-	m := len(a.cached)
-	// Slots in ascending assignment order bound the sweep's segments and
-	// give each slot its set of still-pending peers (u strictly larger).
-	// Values are packed as u<<6|slot so the insertion sort compares plain
-	// ints without indirection (u is injective, so ties cannot occur).
-	ov := s.order[:m]
-	for i := range ov {
-		ov[i] = u[i]<<6 | i
+// Under a full table the uncached horizons shrink to t_j − s for the
+// assignment's minimum slack s = min_i(t_i − u(i)). Fixing s gives every
+// slot the deadline t_i − s, which some slot meets exactly. Counted in
+// c = k + s, every slack's recurrence is the same one — deadlines t_i,
+// uncached rule j live while c ≤ t_j — started at c = s+1. So one
+// forward pass seeded with A = all slots before each step c ≤ min t_i
+// sums every slack at once; a flag in the state records that some slot
+// met its deadline, and Z is the flagged weight at the end, with no
+// subtraction. Eqn 5's numerator for slot i pins it to its deadline,
+// c = t_i: the forward weight just before that step times the weight of
+// every completion after it, from one backward pass. Eqn 7's numerator
+// is the slack-0 pin u(i) = t_i, read from a forward pass seeded only at
+// c = 1; a non-full table (horizon t_j, no eviction) needs only that
+// pass.
+//
+// The exponential rows depend on c only through the set of live
+// uncached rules, so one row per distinct uncached timeout serves every
+// step and every slack. The sums agree with the per-assignment
+// enumeration (usum_ref_test.go) to rounding: the same terms, summed in
+// another order.
+func (e *uEstimator) sweep(tab *gammaTables, acc *uAccumulator, full bool) {
+	s := &e.sw
+	n := 1 << uint(len(acc.cached))
+	maxT, minT := 0, math.MaxInt
+	for _, t := range acc.touts {
+		maxT, minT = max(maxT, t), min(minT, t)
 	}
-	for i := 1; i < m; i++ {
-		for p := i; p > 0 && ov[p] < ov[p-1]; p-- {
-			ov[p], ov[p-1] = ov[p-1], ov[p]
-		}
-	}
-	after := (1 << uint(m)) - 1
-	for _, pv := range ov {
-		after &^= 1 << uint(pv&63)
-		s.aAfter[pv&63] = after
-	}
-	logp := 0.0
-	sum := 0.0
-	maxHi := 0
-	cm := len(s.cmSlots)
-	for i, j := range a.cached {
-		ci := s.slotToCM[i]
-		if ci < 0 {
-			g := tab.gamma[j][0]
-			if g <= 0 {
-				return 0
+	s.steps = maxT
+	s.fillMatchWeights(tab, acc.cached, n)
+	tail := s.fillRows(e.rs, tab, acc.uncached, n, maxT)
+	s.backward(acc.touts, n, maxT, tail)
+	acc.z = s.forward(acc, n, maxT, minT, full) * tail
+}
+
+// fillMatchWeights fills pw with γ·e^{−γ} of each slot matched at a step
+// and cr with the summed rate of the cached rules still unmatched.
+func (s *sweepScratch) fillMatchWeights(tab *gammaTables, cached []int, n int) {
+	s.cr = resize(s.cr, n)
+	clear(s.cr)
+	s.pw = resize(s.pw, len(cached)*n)
+	for i, j := range cached {
+		g := s.project(tab, j, n)
+		pw := s.pw[i*n : (i+1)*n]
+		for a := range g {
+			if a&(1<<uint(i)) != 0 {
+				s.cr[a] += g[a]
+				pw[a] = 0
+			} else {
+				pw[a] = g[a] * math.Exp(-g[a])
 			}
-			logp += tab.logGamma[j][0] - g
-			sum += float64(u[i]-1) * g
-			continue
-		}
-		at := s.aAfter[i]*cm + ci
-		g := s.cmGval[at]
-		if g <= 0 {
-			return 0
-		}
-		logp += tab.logGamma[j][s.cmProj[at]] - g
-		h := u[i] - 1
-		s.cmHi[ci] = h
-		if h > maxHi {
-			maxHi = h
 		}
 	}
-	full := m >= e.capacity
-	minSlack := 0
+}
+
+// fillRows fills the exponential rows, from the last step down: an
+// uncached rule joins the live set at c = t_j. Steps past maxT see only
+// A = ∅, where each rule still live contributes e^{−γ_j(∅)} per step;
+// fillRows returns that tail factor.
+func (s *sweepScratch) fillRows(rs *rules.Set, tab *gammaTables, uncached []int, n, maxT int) (tail float64) {
+	s.byT = append(s.byT[:0], uncached...)
+	for p := 1; p < len(s.byT); p++ {
+		for q := p; q > 0 && rs.Rule(s.byT[q]).Timeout > rs.Rule(s.byT[q-1]).Timeout; q-- {
+			s.byT[q], s.byT[q-1] = s.byT[q-1], s.byT[q]
+		}
+	}
+	tailSum := 0.0
+	for _, j := range s.byT {
+		if t := rs.Rule(j).Timeout; t > maxT {
+			tailSum += float64(t-maxT) * tab.gamma[j][0]
+		}
+	}
+	s.un = resize(s.un, n)
+	clear(s.un)
+	s.rows = resize(s.rows, (len(s.byT)+1)*n)
+	s.rowOf = resize(s.rowOf, maxT+1)
+	rows, next := 0, 0
+	for c := maxT; c >= 1; c-- {
+		joined := false
+		for ; next < len(s.byT) && rs.Rule(s.byT[next]).Timeout >= c; next++ {
+			for a, g := range s.project(tab, s.byT[next], n) {
+				s.un[a] += g
+			}
+			joined = true
+		}
+		if joined || rows == 0 {
+			row := s.rows[rows*n : (rows+1)*n]
+			for a := range row {
+				row[a] = math.Exp(-s.cr[a] - s.un[a])
+			}
+			rows++
+		}
+		s.rowOf[c] = rows - 1
+	}
+	return math.Exp(-tailSum)
+}
+
+// backward fills bwd, from the last step down, with the weight of every
+// completion from set A after step c, and keeps in eb, per slot, the
+// weight of step t_i landing on A and of everything after it.
+func (s *sweepScratch) backward(touts []int, n, maxT int, tail float64) {
+	s.bwd = resize(s.bwd, n)
+	clear(s.bwd)
+	s.bwd[0] = tail
+	s.eb = resize(s.eb, len(touts)*n)
+	for c := maxT; c >= 1; c-- {
+		row := s.row(c, n)
+		for a := range s.bwd {
+			s.bwd[a] *= row[a]
+		}
+		for i, t := range touts {
+			if t == c {
+				copy(s.eb[i*n:(i+1)*n], s.bwd)
+			}
+		}
+		dead := deadlineMask(touts, c-1)
+		// Descending, so a's subsets still hold step-c weights.
+		for a := n - 1; a >= 0; a-- {
+			if a&dead != 0 {
+				s.bwd[a] = 0
+				continue
+			}
+			v := s.bwd[a]
+			for rem := a; rem != 0; rem &= rem - 1 {
+				i := bits.TrailingZeros(uint(rem))
+				b := a &^ (1 << uint(i))
+				v += s.pw[i*n+b] * s.bwd[b]
+			}
+			s.bwd[a] = v
+		}
+	}
+}
+
+// forward runs the forward passes over steps 1…maxT, reading each slot's
+// pinned numerators into acc just before its step, and returns the
+// weight that reaches A = ∅: every slack's, flagged, under a full table;
+// the slack-0 pass's otherwise.
+func (s *sweepScratch) forward(acc *uAccumulator, n, maxT, minT int, full bool) float64 {
+	touts := acc.touts
+	all := n - 1
+	s.fwd = resize(s.fwd, n)
+	s.f0 = resize(s.f0, n)
+	s.f1 = resize(s.f1, n)
+	clear(s.fwd)
+	clear(s.f0)
+	clear(s.f1)
+	s.fwd[all] = 1
+	for c := 1; c <= maxT; c++ {
+		if full && c <= minT {
+			s.f0[all]++ // slack c−1 starts here
+		}
+		for i, t := range touts {
+			if t == c {
+				acc.timeoutNum[i], acc.evictNum[i] = s.pin(i, n, full)
+			}
+		}
+		row := s.row(c, n)
+		dead := deadlineMask(touts, c)
+		ends := dead &^ deadlineMask(touts, c-1) // slots whose deadline is c
+		// Ascending, so a's supersets still hold step c−1 weights.
+		for a := 0; a <= all; a++ {
+			if a&dead != 0 {
+				s.fwd[a], s.f0[a], s.f1[a] = 0, 0, 0
+				continue
+			}
+			v, v0, v1 := s.fwd[a], s.f0[a], s.f1[a]
+			for rem := all &^ a; rem != 0; rem &= rem - 1 {
+				i := bits.TrailingZeros(uint(rem))
+				b := a | 1<<uint(i)
+				w := s.pw[i*n+a]
+				v += w * s.fwd[b]
+				if !full {
+					continue
+				}
+				if ends&(1<<uint(i)) != 0 {
+					v1 += w * (s.f0[b] + s.f1[b])
+				} else {
+					v0 += w * s.f0[b]
+					v1 += w * s.f1[b]
+				}
+			}
+			s.fwd[a], s.f0[a], s.f1[a] = v*row[a], v0*row[a], v1*row[a]
+		}
+	}
 	if full {
-		minSlack = math.MaxInt32
-		for i := range a.cached {
-			if sl := a.touts[i] - u[i]; sl < minSlack {
-				minSlack = sl
-			}
-		}
+		return s.f1[0]
 	}
-	// Flat uncached rules: closed form via the threshold tables.
-	if ms := minSlack; ms < len(s.flatT) {
-		sum += s.flatT[ms] - float64(ms)*s.flatR[ms]
-	}
-	pk := s.pStride // maxK+1 over masked uncached rules; 0 when none
-	if pk > 0 {
-		if h := pk - 1 - minSlack; h > maxHi {
-			maxHi = h
-		}
-	}
-	if maxHi > 0 {
-		active := (1 << uint(m)) - 1
-		k, bi := 1, 0
-		for k <= maxHi {
-			for bi < m && ov[bi]>>6 <= k {
-				active &^= 1 << uint(ov[bi]&63)
-				bi++
-			}
-			next := maxHi + 1
-			if bi < m && ov[bi]>>6 < next {
-				next = ov[bi] >> 6
-			}
-			end := next - 1
-			if pk > 0 {
-				// Masked uncached rules: P[A][end+ms] − P[A][k−1+ms].
-				base := active * pk
-				lo, hi := k-1+minSlack, end+minSlack
-				if lo > pk-1 {
-					lo = pk - 1
-				}
-				if hi > pk-1 {
-					hi = pk - 1
-				}
-				sum += s.pTab[base+hi] - s.pTab[base+lo]
-			}
-			gv := s.cmGval[active*cm : active*cm+cm]
-			for ci, hj := range s.cmHi {
-				if hj >= k {
-					e2 := end
-					if hj < e2 {
-						e2 = hj
-					}
-					sum += float64(e2-k+1) * gv[ci]
-				}
-			}
-			k = next
-		}
-	}
-	return math.Exp(logp - sum)
+	return s.fwd[0]
 }
 
-// enumScratch holds the reusable buffers of the incremental exact
-// enumeration and the Monte Carlo sweep.
-type enumScratch struct {
-	u      []int
-	used   []bool
-	ready  [][]int // ready[d]: uncached rules computable once slots < d assigned
-	dropAt [][]int // per-depth mask-drop table indexed by step offset
-	ruleT  []int   // per rule ID: timeout in steps
-	leaves int     // leaves visited by the latest enumerateFast
-
-	// Last-slot kernel (last), rebuilt per prefix: the leaves' log P(u)
-	// (exponentiated in place) and final-slot values, and one leaf-ready
-	// rule's segment tables (subLeafRanges).
-	leafP                  []float64
-	leafV                  []int
-	segStart               []int
-	segSet, segClr, segRun []float64
-
-	// Full-table tail sums (addLeafTails) by uncached rule q, side of
-	// the final-slot window (below 2q, above 2q+1) and slack: entry
-	// (2q+side)·tailStride + slack holds a sum valid while its tailStamp
-	// equals stamp[tailDep[q]+1]. stamp[0] identifies the state and
-	// stamp[d+1] slot d's current value. Ids start at 1 and are never
-	// reused, so no table needs clearing.
-	tailVal    []float64
-	tailStamp  []uint64
-	tailStride int
-	tailDep    []int  // per q: deepest hp slot other than the final one, or −1
-	tailLast   []bool // per q: the final slot is among the rule's hp
-	stamp      []uint64
-	stamps     uint64 // last id handed out
-
-	// Monte Carlo sweep tables (prepSweep / probability).
-	order        []int     // slot indices sorted by assigned value
-	aAfter       []int     // per slot: set of slots with larger assigned value
-	slotBit      []uint8   // scratch: slot → bit position in the current rule's hp
-	flatT, flatR []float64 // threshold tables for flat uncached rules
-	cmSlots      []int     // cached slots whose rule has a nonempty hp
-	slotToCM     []int     // slot → index into cmSlots (−1 if flat)
-	cmProj       []uint8   // [A][ci] gamma index of cached-masked rule ci under slot set A
-	cmGval       []float64 // [A][ci] gamma value, same layout
-	cmHi         []int     // per cached-masked rule: sweep horizon for this sample
-	muRules      []int     // masked uncached rule IDs
-	muProj       []uint8   // [A][mi] gamma index of masked uncached rule mi
-	muGval       []float64 // [A][mi] gamma value, same layout
-	bucket       []float64 // per-step accumulation scratch for pTab
-	pTab         []float64 // [A][k] prefix sums over masked uncached rules
-	pStride      int       // pTab row length (maxK+1); 0 when no masked uncached
-}
-
-// prepSweep builds the per-state tables used by the Monte Carlo
-// probability sweep. Rules are split by whether any cached rule outranks
-// them ("masked") or not ("flat" — their rate never depends on the
-// assignment):
-//
-//   - flat uncached rules: threshold tables flatT[ms] = Σ_{t_j>ms} t_j·γ_j
-//     and flatR[ms] = Σ_{t_j>ms} γ_j, so the horizon-(t_j−ms) range sum
-//     is flatT[ms] − ms·flatR[ms] for any full-table slack ms;
-//   - masked cached rules: SoA tables cmProj/cmGval indexed by
-//     [pending-slot set A][rule], giving O(1) mask and gamma lookups;
-//   - masked uncached rules: pTab[A][k] = Σ_{k'=1..k} Σ_{j: t_j≥k'}
-//     γ_j(A), a prefix table that turns each sweep segment's contribution
-//     from all masked uncached rules into a two-lookup difference.
-//
-// Built once per sampled state and amortized over all of its samples.
-func (e *uEstimator) prepSweep(m int, tab *gammaTables, acc *uAccumulator) {
-	s := &e.scr
-	nSets := 1 << uint(m)
-	if cap(s.order) < m {
-		s.order = make([]int, m)
-		s.aAfter = make([]int, m)
-		s.slotToCM = make([]int, m)
-	}
-	s.order = s.order[:m]
-	s.aAfter = s.aAfter[:m]
-	s.slotToCM = s.slotToCM[:m]
-	if cap(s.slotBit) < m {
-		s.slotBit = make([]uint8, m)
-	}
-	s.slotBit = s.slotBit[:m]
-
-	// Classify cached slots.
-	s.cmSlots = s.cmSlots[:0]
-	for i, j := range acc.cached {
-		if len(tab.hp[j]) > 0 {
-			s.slotToCM[i] = len(s.cmSlots)
-			s.cmSlots = append(s.cmSlots, i)
-		} else {
-			s.slotToCM[i] = -1
-		}
-	}
-	// Classify uncached rules.
-	s.muRules = s.muRules[:0]
-	maxTFlat, maxK := 0, 0
-	for _, j := range acc.uncached {
-		t := e.rs.Rule(j).Timeout
-		if len(tab.hp[j]) == 0 {
-			if t > maxTFlat {
-				maxTFlat = t
-			}
-		} else {
-			s.muRules = append(s.muRules, j)
-			if t > maxK {
-				maxK = t
-			}
-		}
-	}
-
-	// Flat uncached threshold tables.
-	if cap(s.flatT) < maxTFlat+1 {
-		s.flatT = make([]float64, maxTFlat+1)
-		s.flatR = make([]float64, maxTFlat+1)
-	}
-	s.flatT = s.flatT[:maxTFlat+1]
-	s.flatR = s.flatR[:maxTFlat+1]
-	for i := range s.flatT {
-		s.flatT[i], s.flatR[i] = 0, 0
-	}
-	for _, j := range acc.uncached {
-		if len(tab.hp[j]) == 0 {
-			t := e.rs.Rule(j).Timeout
-			g := tab.gamma[j][0]
-			for ms := 0; ms < t; ms++ {
-				s.flatT[ms] += float64(t) * g
-				s.flatR[ms] += g
-			}
-		}
-	}
-
-	// Masked cached SoA tables, built per rule by subset DP over A:
-	// proj(A) = proj(A minus lowest bit) | bit of that slot in hp.
-	cm := len(s.cmSlots)
-	if need := nSets * cm; cap(s.cmProj) < need {
-		s.cmProj = make([]uint8, need)
-		s.cmGval = make([]float64, need)
-	}
-	s.cmProj = s.cmProj[:nSets*cm]
-	s.cmGval = s.cmGval[:nSets*cm]
-	if cap(s.cmHi) < cm {
-		s.cmHi = make([]int, cm)
-	}
-	s.cmHi = s.cmHi[:cm]
-	fillSoA := func(dstProj []uint8, dstGval []float64, stride, idx, j int) {
-		for slot := range s.slotBit {
-			s.slotBit[slot] = 0
-		}
-		for b, slot := range tab.hp[j] {
-			s.slotBit[slot] = 1 << uint(b)
-		}
-		dstProj[idx] = 0
-		dstGval[idx] = tab.gamma[j][0]
-		for A := 1; A < nSets; A++ {
-			pv := dstProj[(A&(A-1))*stride+idx] | s.slotBit[bits.TrailingZeros32(uint32(A))]
-			dstProj[A*stride+idx] = pv
-			dstGval[A*stride+idx] = tab.gamma[j][pv]
-		}
-	}
-	for ci, i := range s.cmSlots {
-		fillSoA(s.cmProj, s.cmGval, cm, ci, acc.cached[i])
-	}
-
-	// Masked uncached prefix tables.
-	mu := len(s.muRules)
-	if mu == 0 {
-		s.pStride = 0
-		return
-	}
-	s.pStride = maxK + 1
-	if need := nSets * mu; cap(s.muGval) < need {
-		s.muGval = make([]float64, need)
-	}
-	s.muGval = s.muGval[:nSets*mu]
-	if need := nSets * mu; cap(s.muProj) < need {
-		s.muProj = make([]uint8, need)
-	}
-	s.muProj = s.muProj[:nSets*mu]
-	for mi, j := range s.muRules {
-		fillSoA(s.muProj, s.muGval, mu, mi, j)
-	}
-	if cap(s.bucket) < maxK+1 {
-		s.bucket = make([]float64, maxK+1)
-	}
-	s.bucket = s.bucket[:maxK+1]
-	if need := nSets * s.pStride; cap(s.pTab) < need {
-		s.pTab = make([]float64, need)
-	}
-	s.pTab = s.pTab[:nSets*s.pStride]
-	for A := 0; A < nSets; A++ {
-		for k := range s.bucket {
-			s.bucket[k] = 0
-		}
-		for mi, j := range s.muRules {
-			s.bucket[e.rs.Rule(j).Timeout] += s.muGval[A*mu+mi]
-		}
-		// H[k] = Σ_{t_j ≥ k} γ_j(A) by suffix accumulation, then prefix
-		// sums P[k] = Σ_{k'≤k} H[k'] in place.
-		base := A * s.pStride
-		suf := 0.0
-		for k := maxK; k >= 1; k-- {
-			suf += s.bucket[k]
-			s.pTab[base+k] = suf
-		}
-		s.pTab[base] = 0
-		for k := 1; k <= maxK; k++ {
-			s.pTab[base+k] += s.pTab[base+k-1]
-		}
-	}
-}
-
-// enumerateFast sums P(u) over every injective assignment u of the cached
-// slots (cached in descending priority) exactly. It requires at least one
-// cached slot.
-//
-// A depth-first walk fixes the slots one at a time and carries log P(u)
-// and the minimum slack min_i(t_i − u(i)) down the recursion:
-//
-//   - the cached rule at slot i contributes log γ − γ − Σ_{k<u(i)} γ(k),
-//     all of which depend only on u(0..i) because its higher-priority
-//     cached rules are a prefix of the slot order; the prefix sum and the
-//     exclusion mask advance in O(1) amortized per candidate value;
-//   - an uncached rule contributes −Σ_{k≤t_j} γ(k) as soon as its last
-//     higher-priority cached slot is assigned; under a full table its
-//     horizon shrinks by the leaf's minimum slack, which adds back the
-//     tail Σ_{t_j−slack<k≤t_j} γ(k).
-//
-// The walk stops one slot early: with slots 0..m−2 fixed, the last-slot
-// kernel (last) evaluates every value of the final slot as a leaf, from
-// per-prefix tables instead of a fresh segment walk per leaf. It is
-// bit-identical to evaluating each leaf on its own: every floating-point
-// operation keeps its operands and its order, so z, evictNum and
-// timeoutNum come out the same to the last bit (usum_ref_test.go holds the
-// per-leaf walk as the oracle). The leaf count lands in scr.leaves.
-func (e *uEstimator) enumerateFast(cached, touts []int, tab *gammaTables, acc *uAccumulator) {
-	m := len(cached)
-	maxT := 0
-	for _, t := range touts {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	s := &e.scr
-	s.u = resize(s.u, m)
-	s.used = resize(s.used, maxT+2)
-	clear(s.used)
-	s.ready = resize(s.ready, m+1)
-	for d := range s.ready {
-		s.ready[d] = s.ready[d][:0]
-	}
-	s.dropAt = resize(s.dropAt, m)
-	for d := range s.dropAt {
-		s.dropAt[d] = resize(s.dropAt[d], maxT+2)
-	}
-	s.ruleT = s.ruleT[:0]
-	for j := 0; j < e.rs.Len(); j++ {
-		s.ruleT = append(s.ruleT, e.rs.Rule(j).Timeout)
-	}
-	s.leafP = resize(s.leafP, maxT)
-	s.leafV = resize(s.leafV, maxT)
-	s.leaves = 0
-	// A tail's slack lies in [1, maxT).
-	s.tailStride = maxT
-	s.tailVal = resize(s.tailVal, 2*len(acc.uncached)*maxT)
-	s.tailStamp = resize(s.tailStamp, 2*len(acc.uncached)*maxT)
-	s.tailDep, s.tailLast = s.tailDep[:0], s.tailLast[:0]
-	s.stamp = resize(s.stamp, m+1)
-	s.stamps++
-	s.stamp[0] = s.stamps
-	// Group uncached rules by the depth at which all their
-	// higher-priority cached slots are assigned.
-	for _, j := range acc.uncached {
-		hp := tab.hp[j]
-		d := 0
-		if len(hp) > 0 {
-			d = hp[len(hp)-1] + 1 // hp ascends
-		}
-		s.ready[d] = append(s.ready[d], j)
-		last := d == m
-		if last {
-			hp = hp[:len(hp)-1]
-		}
-		dep := -1
-		if len(hp) > 0 {
-			dep = hp[len(hp)-1]
-		}
-		s.tailDep = append(s.tailDep, dep)
-		s.tailLast = append(s.tailLast, last)
-	}
-	full := m >= e.capacity
-	e.dfs(0, 0, math.MaxInt32, cached, touts, tab, acc, full)
-}
-
-// dfs assigns slot (every slot but the last) and recurses; logp is log
-// P(u) over the slots fixed so far and minRem their minimum slack.
-func (e *uEstimator) dfs(slot int, logp float64, minRem int, cached, touts []int, tab *gammaTables, acc *uAccumulator, full bool) {
-	s := &e.scr
-	// Fold in the uncached rules whose dependencies are now assigned,
-	// over their full (table-not-full) horizon.
-	for _, j := range s.ready[slot] {
-		logp -= tab.sumGammaRange(j, s.ruleT[j], s.u)
-	}
-	if slot == len(cached)-1 {
-		e.last(logp, minRem, cached, touts, tab, acc, full)
-		return
-	}
-	js := cached[slot]
-	t := touts[slot]
-	drop, mask := e.dropMasks(slot, t, tab.hp[js])
-	sumPrefix := 0.0 // Σ_{k=1..v-1} γ(js, k)
-	gamma, logGamma := tab.gamma[js], tab.logGamma[js]
-	for v := 1; v <= t; v++ {
-		mask &^= drop[v]
-		g := gamma[mask]
-		if !s.used[v] && g > 0 {
-			s.u[slot] = v
-			s.used[v] = true
-			s.stamps++
-			s.stamp[slot+1] = s.stamps
-			e.dfs(slot+1, logp+logGamma[mask]-g-sumPrefix, min(minRem, t-v), cached, touts, tab, acc, full)
-			s.used[v] = false
-		}
-		sumPrefix += g
-	}
-}
-
-// dropMasks prepares the exclusion-mask walk of the rule at slot, whose
-// higher-priority cached slots are hp: it returns the mask with every hp
-// bit set and drop, where drop[v] holds the hp bits whose assigned u
-// equals v — a bit leaves the mask when the step offset reaches it.
-func (e *uEstimator) dropMasks(slot, t int, hp []int) (drop []int, mask int) {
-	drop = e.scr.dropAt[slot]
-	clear(drop[:t+1])
-	for b, sl := range hp {
-		mask |= 1 << uint(b)
-		if ub := e.scr.u[sl]; ub <= t {
-			drop[ub] |= 1 << uint(b)
-		}
-	}
-	return drop, mask
-}
-
-// last is the last-slot kernel. With slots 0..m−2 fixed (log-probability
-// logp, minimum slack minRem), it walks every value v of the final slot
-// and treats each as a leaf, in passes over the prefix's leaves:
-//
-//  1. collect each leaf's value and its log P(u) over the cached slots;
-//  2. subtract the range sums of the uncached rules that become ready at
-//     the leaf (subLeafRanges), rule by rule;
-//  3. under a full table, add back each uncached rule's tail for the
-//     leaf's slack (addLeafTails), rule by rule;
-//  4. exponentiate in one tight loop, so the independent math.Exp calls
-//     overlap;
-//  5. fold the leaves into acc in value order with their known slack.
-//
-// Passes 2 and 3 only swap the loop order of the per-leaf evaluation:
-// every leaf still takes the same additions in the same order.
-func (e *uEstimator) last(logp float64, minRem int, cached, touts []int, tab *gammaTables, acc *uAccumulator, full bool) {
-	s := &e.scr
-	slot := len(cached) - 1
-	js := cached[slot]
-	t := touts[slot]
-	drop, mask := e.dropMasks(slot, t, tab.hp[js])
-	leafP, leafV := s.leafP[:0], s.leafV[:0]
-	sumPrefix := 0.0
-	gamma, logGamma := tab.gamma[js], tab.logGamma[js]
-	for v := 1; v <= t; v++ {
-		mask &^= drop[v]
-		g := gamma[mask]
-		if !s.used[v] && g > 0 {
-			leafP = append(leafP, logp+logGamma[mask]-g-sumPrefix)
-			leafV = append(leafV, v)
-		}
-		sumPrefix += g
-	}
-	s.leafP, s.leafV = leafP, leafV
-	e.subLeafRanges(slot+1, tab)
-	if full && minRem > 0 {
-		for q, j := range acc.uncached {
-			e.addLeafTails(q, j, slot, t, minRem, tab)
-		}
-	}
-	for i, lp := range leafP {
-		leafP[i] = math.Exp(lp)
-	}
-	for i, p := range leafP {
-		if p <= 0 {
+// pin returns slot i's numerators at step c = t_i, with the forward
+// weights still those of step c−1: Eqn 7's from the slack-0 pass and,
+// under a full table, Eqn 5's from the all-slack pass.
+func (s *sweepScratch) pin(i, n int, full bool) (timeoutNum, evictNum float64) {
+	bit := 1 << uint(i)
+	pw, eb := s.pw[i*n:(i+1)*n], s.eb[i*n:(i+1)*n]
+	for a := 0; a < n; a++ {
+		if a&bit != 0 {
 			continue
 		}
-		v := leafV[i]
-		s.u[slot] = v
-		acc.accumulateAt(s.u, p, min(minRem, t-v))
+		w := pw[a] * eb[a]
+		timeoutNum += w * s.fwd[a|bit]
+		if full {
+			evictNum += w * (s.f0[a|bit] + s.f1[a|bit])
+		}
 	}
-	s.leaves += len(leafP)
+	return timeoutNum, evictNum
 }
 
-// subLeafRanges subtracts from every leaf's log P(u) the range sums
-// Σ_{k=1..t_j} γ(j, k) of the uncached rules ready at the leaf
-// (s.ready[depth]), bit-identical to sumGammaRange with the final slot at
-// the leaf's value. Such a rule's last higher-priority slot is the final
-// slot, so its other hp slots are fixed for the prefix: their u values in
-// (1, t_j] cut [1, t_j] into segments c_0 = 1 < c_1 < … < t_j+1 with
-// constant exclusion masks. Tabulated once per rule — each segment's γ
-// with the final slot's bit set (segSet) and clear (segClr), and the
-// running sum with the bit set before it (segRun) — a leaf with value v
-// costs the running sum up to v's segment, the split segment [c, v) with
-// the bit set, then [v, next) and every later segment with it clear: the
-// same additions sumGammaSpan makes, in its order.
-func (e *uEstimator) subLeafRanges(depth int, tab *gammaTables) {
-	s := &e.scr
-	for _, j := range s.ready[depth] {
-		hp := tab.hp[j]
-		fixed := hp[:len(hp)-1] // hp ascends, so the final slot is last
-		bit := 1 << uint(len(fixed))
-		tj := s.ruleT[j]
-		c := append(s.segStart[:0], 1)
-		for _, sl := range fixed {
-			if x := s.u[sl]; x > 1 && x <= tj {
-				c = append(c, x)
-				for p := len(c) - 1; c[p] < c[p-1]; p-- {
-					c[p], c[p-1] = c[p-1], c[p]
-				}
-			}
-		}
-		c = append(c, tj+1)
-		n := len(c) - 1 // segments
-		set, clr, run := resize(s.segSet, n), resize(s.segClr, n), resize(s.segRun, n+1)
-		s.segStart, s.segSet, s.segClr, s.segRun = c, set, clr, run
-		g := tab.gamma[j]
-		sum := 0.0
-		for l := 0; l < n; l++ {
-			mask := 0
-			for b, sl := range fixed {
-				if s.u[sl] > c[l] {
-					mask |= 1 << uint(b)
-				}
-			}
-			set[l], clr[l], run[l] = g[mask|bit], g[mask], sum
-			sum += float64(c[l+1]-c[l]) * set[l]
-		}
-		run[n] = sum // v > t_j: the bit is set throughout
-		l := 0
-		leafP := s.leafP
-		for i, v := range s.leafV {
-			if v > tj {
-				leafP[i] -= run[n]
-				continue
-			}
-			for c[l+1] < v {
-				l++
-			}
-			r := run[l]
-			if v > c[l] {
-				r += float64(v-c[l]) * set[l]
-			}
-			r += float64(c[l+1]-v) * clr[l]
-			for k := l + 1; k < n; k++ {
-				r += float64(c[k+1]-c[k]) * clr[k]
-			}
-			leafP[i] -= r
-		}
-	}
+// row returns the exponential row of step c.
+func (s *sweepScratch) row(c, n int) []float64 {
+	r := s.rowOf[c]
+	return s.rows[r*n : (r+1)*n]
 }
 
-// addLeafTails adds uncached rule j's full-table tail Σ_{t_j−ms<k≤t_j}
-// γ(j, k) to every leaf with positive slack ms = min(minRem, t−v); q is
-// j's index in the uncached list and slot the final slot, whose bound is
-// t. The sum depends on v only when the final slot is one of j's
-// higher-priority slots and v falls inside the window (max(t_j−ms, 0)+1,
-// t_j]; then it is computed directly. Below the window the slot's bit is
-// clear at every step of it, above it set, so those sums — and every sum
-// of a rule that ignores the final slot — depend only on the slack and on
-// the rule's other slots. They are cached by slack until one of those
-// slots changes (see tailStamp), which spans many prefixes when the
-// rule's slots sit high in the priority order. Cached or not, the value
-// is sumGammaSpan's.
-func (e *uEstimator) addLeafTails(q, j, slot, t, minRem int, tab *gammaTables) {
-	s := &e.scr
-	u, leafP, tailStamp, tailVal := s.u, s.leafP, s.tailStamp, s.tailVal
-	tj, dependsOnV := s.ruleT[j], s.tailLast[q]
-	stamp := s.stamp[s.tailDep[q]+1]
-	below := 2 * q * s.tailStride
-	above := below + s.tailStride
-	for i, v := range s.leafV {
-		ms := min(minRem, t-v)
-		if ms <= 0 {
-			break // v ascends, so the slack only falls
+// project fills s.g with rule j's γ over all n slot sets A and returns
+// it: A's slots among j's higher-priority ones select the γ table entry.
+func (s *sweepScratch) project(tab *gammaTables, j, n int) []float64 {
+	s.g = resize(s.g, n)
+	hp, gamma := tab.hp[j], tab.gamma[j]
+	for a := range s.g {
+		mask := 0
+		for b, slot := range hp {
+			mask |= (a >> uint(slot) & 1) << uint(b)
 		}
-		k := below + ms
-		if dependsOnV {
-			switch {
-			case v > tj:
-				k = above + ms
-			case v > max(tj-ms, 0)+1:
-				u[slot] = v
-				leafP[i] += tab.sumGammaSpan(j, tj-ms, tj, u)
-				continue
-			}
-		}
-		if tailStamp[k] != stamp {
-			u[slot] = v
-			tailStamp[k], tailVal[k] = stamp, tab.sumGammaSpan(j, tj-ms, tj, u)
-		}
-		leafP[i] += tailVal[k]
+		s.g[a] = gamma[mask]
 	}
+	return s.g
+}
+
+// deadlineMask returns the slots whose timeout is at most c: those every
+// assignment has matched by step c.
+func deadlineMask(touts []int, c int) int {
+	mask := 0
+	for i, t := range touts {
+		if t <= c {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
 }
 
 // resize returns b with length n, reallocating only when its capacity is
@@ -1064,119 +588,13 @@ func resize[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// sample draws MCSamples injective assignments uniformly (via rejection)
-// and feeds them to the accumulator. Uniform sampling over the same grid
-// the exact sum ranges over makes every accumulated ratio a consistent
-// estimator of the corresponding ratio of sums. The stream is a cheap
-// splitmix-style generator seeded deterministically from the state
-// content, so results are independent of evaluation order (and hence of
-// build parallelism).
-func (e *uEstimator) sample(touts []int, tab *gammaTables, acc *uAccumulator, cached []int) {
-	seed := e.params.Seed
-	for _, j := range cached {
-		seed = seed*1000003 + int64(j)*7919 + int64(e.rs.Rule(j).Timeout)
-	}
-	rng := splitmix{s: uint64(seed)}
-	e.prepSweep(len(touts), tab, acc)
-	u := e.scr.u
-	if cap(u) < len(touts) {
-		u = make([]int, len(touts))
-	}
-	u = u[:len(touts)]
-	for s := 0; s < e.params.MCSamples; s++ {
-		if !sampleInjective(&rng, touts, u) {
-			continue
-		}
-		acc.observe(u, tab)
-	}
-}
-
-// splitmix is a tiny deterministic PRNG (SplitMix64 finalizer) for the
-// Monte Carlo path: one word of state that lives on the stack, where a
-// stats.RNG is a heap object carrying ~4.9 KiB of lagged-Fibonacci state
-// — one stream per state evaluated, so the difference adds up.
-type splitmix struct{ s uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// intn returns a value in [0, n) by fixed-point reduction (one multiply,
-// no division). The bias is ≤ n/2⁶⁴, far below the Monte Carlo noise
-// floor for the timeout-sized n used here.
-func (r *splitmix) intn(n int) int {
-	hi, _ := bits.Mul64(r.next(), uint64(n))
-	return int(hi)
-}
-
-// sampleInjective fills u with distinct uniform values u[i] ∈ [1, touts[i]],
-// retrying on collisions. It reports success.
-func sampleInjective(rng *splitmix, touts []int, u []int) bool {
-	const maxAttempts = 64
-	// Timeouts below 64 steps (the common case) use a one-word occupancy
-	// bitmask for the distinctness check; larger grids fall back to the
-	// quadratic scan. Either way the accepted tuples are uniform over the
-	// injective grid — rejection discards whole draws only.
-	small := true
-	for _, t := range touts {
-		if t > 63 {
-			small = false
-			break
-		}
-	}
-	if small {
-		for attempt := 0; attempt < maxAttempts; attempt++ {
-			var seen uint64
-			ok := true
-			for i, t := range touts {
-				v := 1 + rng.intn(t)
-				if seen&(1<<uint(v)) != 0 {
-					ok = false
-					break
-				}
-				seen |= 1 << uint(v)
-				u[i] = v
-			}
-			if ok {
-				return true
-			}
-		}
-		return false
-	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		ok := true
-		for i, t := range touts {
-			u[i] = 1 + rng.intn(t)
-		}
-		for i := 0; i < len(u) && ok; i++ {
-			for k := i + 1; k < len(u); k++ {
-				if u[i] == u[k] {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
 // ---- u-sum memoization -------------------------------------------------
 
 // usumKey is a 128-bit hash over every numerical input of estimate: the
 // cached slot order (rule IDs and timeouts), the uncached rules and their
-// timeouts, the full-table flag, the estimator parameters, and the raw
-// bits of every γ table entry. Two states with equal keys are guaranteed
-// (up to hash collision) to produce identical estimates. Every rule's γ
+// timeouts, the full-table flag, and the raw bits of every γ table
+// entry. Two states with equal keys are guaranteed (up to hash
+// collision) to produce identical estimates. Every rule's γ
 // table is hashed, and the target's highest-priority covering rule
 // carries λ_f̂ in every state, so the M and M₀ chains of a target with a
 // nonzero rate share no key: the memo hits only when an identical model
@@ -1202,9 +620,6 @@ func usumKeyOf(e *uEstimator, cached, touts []int, tab *gammaTables) usumKey {
 		full = 1
 	}
 	h.word(full)
-	h.word(uint64(e.params.ExactLimit))
-	h.word(uint64(e.params.MCSamples))
-	h.word(uint64(e.params.Seed))
 	for i, j := range cached {
 		h.word(uint64(j)<<16 | uint64(touts[i]))
 	}

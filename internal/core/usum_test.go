@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -43,8 +44,9 @@ func usumConfig(tb testing.TB, sc usumScale, delta float64, seed int64, zeroRate
 	return Config{Rules: rs, Rates: rates, Delta: delta, CacheSize: sc.cache}
 }
 
-// enumState is one exact-path input of enumerateFast: a state's cached
-// slots in descending priority, their timeouts and its γ tables.
+// enumState is one state the oracle checks: its cached slots in
+// descending priority, their timeouts, its γ tables and the size of its
+// assignment grid Π t_i.
 type enumState struct {
 	cached, touts []int
 	tab           *gammaTables
@@ -52,7 +54,8 @@ type enumState struct {
 }
 
 // exactState prepares ids the way estimate does, reporting false when the
-// state is infeasible or its grid exceeds limit (the Monte Carlo path).
+// state is infeasible or its grid exceeds limit (too large for the
+// reference walk).
 func exactState(e *uEstimator, ids []int, limit int) (enumState, bool) {
 	cached := append([]int(nil), ids...)
 	sort.Slice(cached, func(a, b int) bool { return e.rs.HigherPriority(cached[a], cached[b]) })
@@ -71,8 +74,8 @@ func exactState(e *uEstimator, ids []int, limit int) (enumState, bool) {
 	return enumState{cached: cached, touts: touts, tab: e.buildGammaTables(cached), grid: grid}, true
 }
 
-// exactStates lists every compact state of cfg (1..CacheSize cached
-// rules) that takes the exact path at limit.
+// exactStates lists every feasible compact state of cfg (1..CacheSize
+// cached rules) whose grid is at most limit.
 func exactStates(e *uEstimator, cache, limit int) []enumState {
 	var out []enumState
 	n := e.rs.Len()
@@ -88,52 +91,78 @@ func exactStates(e *uEstimator, cache, limit int) []enumState {
 	return out
 }
 
-// checkAgainstReference runs the kernel on fast (a warm estimator reused
+// oldExactLimit is the largest grid the per-assignment enumeration used
+// to handle; Monte Carlo sampling estimated every larger state.
+const oldExactLimit = 20000
+
+// sweepTolerance bounds the relative difference between the sweep's sums
+// and the reference walk's: the same positive terms, summed in another
+// order.
+const sweepTolerance = 1e-12
+
+// sweepState runs the sweep on e for st at the given capacity and returns
+// its sums.
+func sweepState(e *uEstimator, st enumState, capacity int) *uAccumulator {
+	e.capacity = capacity
+	acc := newUAccumulator(st.cached, st.touts, e)
+	e.sweep(st.tab, acc, len(st.cached) >= capacity)
+	return acc
+}
+
+// checkAgainstReference runs the sweep on e (a warm estimator reused
 // across states) and the reference walk on a fresh one, at the given
-// capacity, and requires z, evictNum, timeoutNum and the leaf count to
-// agree to the last bit.
-func checkAgainstReference(t *testing.T, fast *uEstimator, st enumState, capacity int) {
+// capacity, and requires z, timeoutNum and, under a full table, evictNum
+// to agree to sweepTolerance. It returns the largest relative difference.
+func checkAgainstReference(t *testing.T, e *uEstimator, st enumState, capacity int) float64 {
 	t.Helper()
-	fast.capacity = capacity
-	ref := &uEstimator{rs: fast.rs, sr: fast.sr, capacity: capacity, params: fast.params}
-	got := newUAccumulator(st.cached, st.touts, fast)
-	fast.enumerateFast(st.cached, st.touts, st.tab, got)
+	got := sweepState(e, st, capacity)
+	ref := &uEstimator{rs: e.rs, sr: e.sr, capacity: capacity}
 	want := newUAccumulator(st.cached, st.touts, ref)
 	ref.enumerateRef(st.cached, st.touts, st.tab, want)
-	if fast.scr.leaves != ref.scr.leaves {
-		t.Fatalf("state %v cap %d: %d leaves, reference %d", st.cached, capacity, fast.scr.leaves, ref.scr.leaves)
+	worst := 0.0
+	near := func(a, b float64) bool {
+		d := math.Abs(a - b)
+		if d == 0 {
+			return true
+		}
+		rel := d / math.Max(math.Abs(a), math.Abs(b))
+		worst = math.Max(worst, rel)
+		return rel <= sweepTolerance
 	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if !same(got.z, want.z) {
+	if !near(got.z, want.z) {
 		t.Fatalf("state %v touts %v cap %d: z %v, reference %v", st.cached, st.touts, capacity, got.z, want.z)
 	}
+	full := len(st.cached) >= capacity
 	for i := range st.cached {
-		if !same(got.evictNum[i], want.evictNum[i]) || !same(got.timeoutNum[i], want.timeoutNum[i]) {
+		if !near(got.timeoutNum[i], want.timeoutNum[i]) || full && !near(got.evictNum[i], want.evictNum[i]) {
 			t.Fatalf("state %v touts %v cap %d slot %d: evict %v timeout %v, reference %v %v",
 				st.cached, st.touts, capacity, i, got.evictNum[i], got.timeoutNum[i], want.evictNum[i], want.timeoutNum[i])
 		}
 	}
+	return worst
 }
 
-// TestEnumerateMatchesReference holds the last-slot kernel to the per-leaf
-// walk it replaced, bit for bit, over random rule sets at small and paper
-// scale, three step sizes (timeouts up to 100 steps at Δ = 0.01), with
-// and without a zeroed rate, and every state both under a full table
-// (tail corrections) and a non-full one.
+// TestEnumerateMatchesReference holds the sweep to the per-assignment
+// walk over random rule sets at small and paper scale, three step sizes
+// (timeouts up to 100 steps at Δ = 0.01), with and without a zeroed
+// rate, and every state both under a full table (tail corrections,
+// eviction sums) and a non-full one. The states reach grids ten times
+// the old exact limit: states the Monte Carlo path used to sample.
 func TestEnumerateMatchesReference(t *testing.T) {
-	limit := DefaultUSumParams().ExactLimit
+	const limit = 10 * oldExactLimit
 	perConfig := 12
 	if testing.Short() {
 		perConfig = 4
 	}
-	var flat, masked, maxGrid, checked int
+	var flat, masked, maxGrid, checked, pastOld int
+	worst := 0.0
 	for _, sc := range []usumScale{usumSmall, usumPaper} {
 		for _, delta := range []float64{0.01, 0.025, 0.05} {
 			for seed := int64(1); seed <= 3; seed++ {
 				for _, zero := range []bool{false, true} {
 					cfg := usumConfig(t, sc, delta, seed, zero)
-					fast := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), params: DefaultUSumParams()}
-					states := exactStates(fast, sc.cache, limit)
+					e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
+					states := exactStates(e, sc.cache, limit)
 					// The largest grid, then a deterministic sample.
 					sort.SliceStable(states, func(a, b int) bool { return states[a].grid > states[b].grid })
 					pick := stats.NewRNG(seed * 31)
@@ -144,11 +173,14 @@ func TestEnumerateMatchesReference(t *testing.T) {
 						}
 						st := states[idx]
 						m := len(st.cached)
-						checkAgainstReference(t, fast, st, m)   // full table
-						checkAgainstReference(t, fast, st, m+1) // room to spare
+						worst = math.Max(worst, checkAgainstReference(t, e, st, m))   // full table
+						worst = math.Max(worst, checkAgainstReference(t, e, st, m+1)) // room to spare
 						checked++
 						maxGrid = max(maxGrid, st.grid)
-						acc := newUAccumulator(st.cached, st.touts, fast)
+						if st.grid > oldExactLimit {
+							pastOld++
+						}
+						acc := newUAccumulator(st.cached, st.touts, e)
 						for _, j := range acc.uncached {
 							hp := st.tab.hp[j]
 							if len(hp) == 0 {
@@ -162,23 +194,22 @@ func TestEnumerateMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d states, largest grid %d", checked, maxGrid)
+	t.Logf("%d states (%d past the old exact limit), largest grid %d, worst relative difference %.2g", checked, pastOld, maxGrid, worst)
 	if flat == 0 || masked == 0 {
 		t.Fatalf("coverage: %d flat and %d final-slot-masked uncached rules", flat, masked)
 	}
-	if maxGrid < limit/2 {
-		t.Fatalf("coverage: largest grid %d, want near the exact limit %d", maxGrid, limit)
+	if pastOld == 0 || maxGrid < limit/2 {
+		t.Fatalf("coverage: %d states past the old exact limit %d, largest grid %d; want some near %d", pastOld, oldExactLimit, maxGrid, limit)
 	}
 }
 
 // FuzzEnumerateMatchesReference draws one configuration and state per
 // seed — scale, step, zeroed rate, full or not all from the seed — and
-// requires the kernel and the reference walk to agree to the last bit.
+// requires the sweep and the reference walk to agree.
 func FuzzEnumerateMatchesReference(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 17, 99, 1234, -5} {
 		f.Add(seed)
 	}
-	limit := DefaultUSumParams().ExactLimit
 	f.Fuzz(func(t *testing.T, seed int64) {
 		bitsOf := uint64(seed)
 		sc := usumSmall
@@ -187,11 +218,11 @@ func FuzzEnumerateMatchesReference(f *testing.F) {
 		}
 		delta := []float64{0.01, 0.025, 0.05}[(bitsOf>>1)%3]
 		cfg := usumConfig(t, sc, delta, seed, bitsOf&8 != 0)
-		e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), params: DefaultUSumParams()}
+		e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
 		rng := stats.NewRNG(seed ^ 0x5eed)
 		ids := rng.Perm(sc.rules)[:1+rng.Intn(sc.cache)]
 		for len(ids) > 0 {
-			if st, ok := exactState(e, ids, limit); ok {
+			if st, ok := exactState(e, ids, 5*oldExactLimit); ok {
 				capacity := len(ids)
 				if bitsOf&16 != 0 {
 					capacity++
@@ -204,34 +235,35 @@ func FuzzEnumerateMatchesReference(f *testing.F) {
 	})
 }
 
-// TestEnumerateSteadyStateZeroAlloc pins the kernel's scratch discipline:
-// once an estimator has enumerated its largest states, enumerating them
-// again allocates nothing, so repeated model builds add no GC pressure.
+// TestEnumerateSteadyStateZeroAlloc pins the sweep's scratch discipline:
+// once an estimator has swept its largest states, full and not, sweeping
+// them again allocates nothing, so repeated model builds add no GC
+// pressure.
 func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	cfg := usumConfig(t, usumPaper, 0.025, 2, false)
-	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize, params: DefaultUSumParams()}
-	states := exactStates(e, cfg.CacheSize, e.params.ExactLimit)
+	cfg := usumConfig(t, usumPaper, 0.01, 2, false)
+	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
+	states := exactStates(e, cfg.CacheSize, math.MaxInt)
 	sort.SliceStable(states, func(a, b int) bool { return len(states[a].cached) > len(states[b].cached) })
 	states = states[:min(len(states), 8)]
 	accs := make([]*uAccumulator, len(states))
 	for i, st := range states {
 		accs[i] = newUAccumulator(st.cached, st.touts, e)
-		e.enumerateFast(st.cached, st.touts, st.tab, accs[i])
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	sweepAll := func() {
 		for i, st := range states {
 			a := accs[i]
-			a.z = 0
-			clear(a.evictNum)
-			clear(a.timeoutNum)
-			e.enumerateFast(st.cached, st.touts, st.tab, a)
+			for _, capacity := range []int{cfg.CacheSize, cfg.CacheSize + 1} {
+				e.capacity = capacity
+				e.sweep(st.tab, a, len(st.cached) >= capacity)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm enumerateFast: %v allocs per %d states, want 0", allocs, len(states))
+	}
+	sweepAll()
+	if allocs := testing.AllocsPerRun(5, sweepAll); allocs != 0 {
+		t.Fatalf("warm sweep: %v allocs per %d states, want 0", allocs, len(states))
 	}
 }
 
@@ -271,21 +303,22 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 	}
 }
 
-// TestUSumLeafCountPinned pins the u-sum work counters of one fixed model
-// build: the exact leaf count is a property of the configuration — the
-// reference walk visits as many — not of the enumerator's internals or
-// the build's worker count.
-func TestUSumLeafCountPinned(t *testing.T) {
-	const wantLeaves, wantExact, wantMC = 59012, 41, 0
+// TestUSumSweepStepsPinned pins the u-sum work counters of one fixed
+// model build: every feasible state is swept once, over K = max t_i steps
+// of its cached rules, so the step count is a property of the
+// configuration — computed here from the states alone — not of the
+// sweep's internals or the build's worker count.
+func TestUSumSweepStepsPinned(t *testing.T) {
+	const wantSteps, wantStates = 792, 41
 	cfg, params := usumConfig(t, usumSmall, 0.025, 11, false), DefaultUSumParams()
-	ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize, params: params}
-	refLeaves := 0
-	for _, st := range exactStates(ref, cfg.CacheSize, params.ExactLimit) {
-		ref.enumerateRef(st.cached, st.touts, st.tab, newUAccumulator(st.cached, st.touts, ref))
-		refLeaves += ref.scr.leaves
+	ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
+	steps, states := 0, 0
+	for _, st := range exactStates(ref, cfg.CacheSize, math.MaxInt) {
+		steps += slices.Max(st.touts)
+		states++
 	}
-	if refLeaves != wantLeaves {
-		t.Fatalf("reference walk visits %d leaves, want %d", refLeaves, wantLeaves)
+	if steps != wantSteps || states != wantStates {
+		t.Fatalf("configuration has %d feasible states over %d steps, want %d over %d", states, steps, wantStates, wantSteps)
 	}
 	t.Cleanup(func() { SetTelemetry(nil) })
 	for _, workers := range []int{1, 4} {
@@ -295,21 +328,18 @@ func TestUSumLeafCountPinned(t *testing.T) {
 		if _, err := newCompactModelWorkers(cfg, params, workers); err != nil {
 			t.Fatal(err)
 		}
-		leaves := reg.Counter("usum_exact_leaves_total").Value()
-		exact := reg.Counter("usum_states_total", "method", "exact").Value()
-		mc := reg.Counter("usum_states_total", "method", "mc").Value()
-		if leaves != wantLeaves || exact != wantExact || mc != wantMC {
-			t.Errorf("workers %d: %d leaves over %d exact + %d mc states, want %d over %d + %d",
-				workers, leaves, exact, mc, wantLeaves, wantExact, wantMC)
+		steps := reg.Counter("usum_sweep_steps_total").Value()
+		states := reg.Counter("usum_states_total", "method", "exact").Value()
+		if steps != wantSteps || states != wantStates {
+			t.Errorf("workers %d: %d steps over %d states, want %d over %d", workers, steps, states, wantSteps, wantStates)
 		}
 		var prom strings.Builder
 		if err := reg.WritePrometheus(&prom); err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range []string{
-			fmt.Sprintf("usum_exact_leaves_total %d\n", wantLeaves),
-			fmt.Sprintf("usum_states_total{method=\"exact\"} %d\n", wantExact),
-			fmt.Sprintf("usum_states_total{method=\"mc\"} %d\n", wantMC),
+			fmt.Sprintf("usum_sweep_steps_total %d\n", wantSteps),
+			fmt.Sprintf("usum_states_total{method=\"exact\"} %d\n", wantStates),
 		} {
 			if !strings.Contains(prom.String(), line) {
 				t.Errorf("workers %d: /metrics exposition lacks %q", workers, line)
@@ -318,28 +348,28 @@ func TestUSumLeafCountPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkUSumEnumerate measures the exact u-sum path on every exact
-// state of one small-scale configuration, with the memo reset each
-// iteration so every state is evaluated. It reports the leaves visited
-// per iteration and the cost per leaf.
+// BenchmarkUSumEnumerate measures the u-sum sweep on every feasible state
+// of one small-scale configuration, with the memo reset each iteration
+// so every state is evaluated. It reports the sweep steps per iteration
+// and the cost per state.
 func BenchmarkUSumEnumerate(b *testing.B) {
 	cfg := usumConfig(b, usumSmall, 0.025, 11, false)
-	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize, params: DefaultUSumParams()}
+	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
 	var ids [][]int
-	for _, st := range exactStates(e, cfg.CacheSize, e.params.ExactLimit) {
+	for _, st := range exactStates(e, cfg.CacheSize, math.MaxInt) {
 		ids = append(ids, st.cached)
 	}
-	leaves := 0
+	steps := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ResetUSumMemo()
 		for _, c := range ids {
 			e.estimate(c)
-			leaves += e.scr.leaves
+			steps += e.sw.steps
 		}
 	}
 	b.StopTimer()
 	ResetUSumMemo()
-	b.ReportMetric(float64(leaves)/float64(b.N), "leaves/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leaves), "ns/leaf")
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/state")
 }

@@ -29,7 +29,9 @@ type Params struct {
 	Delta float64
 	// WindowSeconds is the traffic window before the probe (15 s).
 	WindowSeconds float64
-	// USum tunes the compact model's §IV-B estimator.
+	// USum is the compact model's former §IV-B estimator tuning. No
+	// longer read (every u-sum is exact); kept so specs, saved
+	// configurations and recordings that carry it still decode.
 	USum core.USumParams
 	// AbsenceLo/AbsenceHi restrict the target flow: its probability of
 	// absence e^{-λ·T·Δ} must fall in [AbsenceLo, AbsenceHi] ("the
@@ -179,12 +181,15 @@ func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG) (*Netwo
 	}
 
 	usum := p.USum
-	usum.Seed = rng.Int63() // independent estimator stream per config
+	// The estimator reads no USum field, but the draw and the recorded
+	// seed stay, so a caller's later draws from rng and every saved
+	// configuration are unchanged.
+	usum.Seed = rng.Int63()
 	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), usum)
 	if err != nil {
 		return nil, err
 	}
-	p.USum = usum // retain the seed actually used, for exact re-runs
+	p.USum = usum
 	nc := &NetworkConfig{
 		Params:            p,
 		Rules:             rs,

@@ -36,9 +36,11 @@ type serializedParams struct {
 	WindowSeconds float64 `json:"windowSeconds"`
 	AbsenceLo     float64 `json:"absenceLo"`
 	AbsenceHi     float64 `json:"absenceHi"`
-	USumExact     int     `json:"usumExactLimit"`
-	USumSamples   int     `json:"usumMcSamples"`
-	USumSeed      int64   `json:"usumSeed"`
+	// The usum* fields record Params.USum, which the estimator no longer
+	// reads; they are written and decoded so saved files keep their form.
+	USumExact   int   `json:"usumExactLimit"`
+	USumSamples int   `json:"usumMcSamples"`
+	USumSeed    int64 `json:"usumSeed"`
 }
 
 // SerializedConfig is the portable form of a NetworkConfig.
@@ -86,8 +88,7 @@ func SaveConfig(w io.Writer, nc *NetworkConfig) error {
 }
 
 // LoadConfig parses a saved configuration and refits the attacker's model,
-// reproducing the original NetworkConfig exactly (the u-sum sampler seed
-// is part of the format).
+// reproducing the original NetworkConfig exactly.
 func LoadConfig(r io.Reader) (*NetworkConfig, error) {
 	var sc SerializedConfig
 	if err := json.NewDecoder(r).Decode(&sc); err != nil {

@@ -174,3 +174,39 @@ func TestHTTPList(t *testing.T) {
 		t.Fatalf("unexpected listing: %+v", infos)
 	}
 }
+
+// TestHTTPSpecCarryingUSumParams: the u-sums are exact for every state,
+// so the daemon reads none of params.USum, but specs written against the
+// old estimator (perfbench posts one on every session) still carry it.
+// Such a spec must decode under DisallowUnknownFields and stream a
+// result, and its USum values must not change a byte of the stream.
+func TestHTTPSpecCarryingUSumParams(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	body := func(usum string) string {
+		return `{"name":"usum","target":{"params":{"NumFlows":8,"NumRules":6,"MaskBits":3,"CacheSize":3,` +
+			`"Delta":0.05,"WindowSeconds":5,"USum":` + usum + `,"AbsenceLo":0.02,"AbsenceHi":0.98},` +
+			`"configSeed":11,"trialSeed":5,"trials":3,"probes":2}}`
+	}
+	fetch := func(usum string) []byte {
+		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(body(usum)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("USum %s: status %d: %s", usum, resp.StatusCode, b)
+		}
+		if !bytes.Contains(b, []byte(`"type":"result"`)) {
+			t.Fatalf("USum %s: stream has no result line:\n%s", usum, b)
+		}
+		return b
+	}
+	want := fetch(`{"ExactLimit":20000,"MCSamples":600,"Seed":1}`)
+	if got := fetch(`{"ExactLimit":0,"MCSamples":1,"Seed":99}`); !bytes.Equal(got, want) {
+		t.Fatalf("streams differ with params.USum:\n--- 20000/600/1 ---\n%s\n--- 0/1/99 ---\n%s", want, got)
+	}
+}
