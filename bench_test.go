@@ -40,7 +40,6 @@ func benchParams() experiment.Params {
 		CacheSize:     3,
 		Delta:         0.05,
 		WindowSeconds: 5,
-		USum:          core.USumParams{ExactLimit: 20000, MCSamples: 600, Seed: 1},
 		AbsenceLo:     0.02,
 		AbsenceHi:     0.98,
 	}
@@ -124,15 +123,14 @@ func BenchmarkCompactModelBuildPaperScale(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
-	params := core.USumParams{ExactLimit: 20000, MCSamples: 800, Seed: 1}
 	core.ResetUSumMemo()
-	if _, err := core.NewCompactModel(cfg, params); err != nil {
+	if _, err := core.NewCompactModel(cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var states int
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewCompactModel(cfg, params)
+		m, err := core.NewCompactModel(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,11 +150,10 @@ func BenchmarkCompactModelBuildCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
-	params := core.USumParams{ExactLimit: 20000, MCSamples: 800, Seed: 1}
 	var states int
 	for i := 0; i < b.N; i++ {
 		core.ResetUSumMemo()
-		m, err := core.NewCompactModel(cfg, params)
+		m, err := core.NewCompactModel(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +170,7 @@ func BenchmarkEvolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
-	m, err := core.NewCompactModel(cfg, core.USumParams{ExactLimit: 20000, MCSamples: 400, Seed: 1})
+	m, err := core.NewCompactModel(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -188,7 +185,7 @@ func BenchmarkEvolve(b *testing.B) {
 // over every candidate flow (§V-A).
 func BenchmarkProbeSelection(b *testing.B) {
 	cfg := benchCoreConfig(b)
-	sel, err := core.NewCompactSelector(cfg, 0, 20, core.DefaultUSumParams())
+	sel, err := core.NewCompactSelector(cfg, 0, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +205,7 @@ func BenchmarkProbeSelection(b *testing.B) {
 // (§V-B).
 func BenchmarkMultiProbeSelection(b *testing.B) {
 	cfg := benchCoreConfig(b)
-	sel, err := core.NewCompactSelector(cfg, 0, 20, core.DefaultUSumParams())
+	sel, err := core.NewCompactSelector(cfg, 0, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,7 +242,7 @@ func BenchmarkLatencyTable(b *testing.B) {
 // runFig6 produces the Figure 6 data at bench scale.
 func runFig6(b *testing.B) *experiment.Fig6Result {
 	b.Helper()
-	res, err := experiment.RunFig6(experiment.Fig6Options{
+	res, err := experiment.RunFig6(experiment.FigureOptions{
 		Params:          benchParams(),
 		Configs:         8,
 		TrialsPerConfig: 60,
@@ -286,7 +283,7 @@ func BenchmarkFig6b(b *testing.B) {
 // runFig7 produces the Figure 7 data at bench scale.
 func runFig7(b *testing.B) *experiment.Fig7Result {
 	b.Helper()
-	res, err := experiment.RunFig7(experiment.Fig7Options{
+	res, err := experiment.RunFig7(experiment.FigureOptions{
 		Params:          benchParams(),
 		Configs:         8,
 		TrialsPerConfig: 60,
@@ -353,7 +350,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 			steps := int(5.0 / delta)
 			var hit float64
 			for i := 0; i < b.N; i++ {
-				m, err := core.NewCompactModel(cfg, core.USumParams{ExactLimit: 20000, MCSamples: 400, Seed: 1})
+				m, err := core.NewCompactModel(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -414,7 +411,7 @@ func BenchmarkAblationProbeCount(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: []float64{0.3, 0.8}, Delta: 0.25, CacheSize: 2}
-	sel, err := core.NewCompactSelector(cfg, 0, 20, core.DefaultUSumParams())
+	sel, err := core.NewCompactSelector(cfg, 0, 20)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func run(args []string) (err error) {
 
 	if *all || *fig6 {
 		start := time.Now()
-		opts := experiment.Fig6Options{
+		opts := experiment.FigureOptions{
 			Params:          params,
 			Configs:         *configs,
 			TrialsPerConfig: *trials,
@@ -222,7 +222,7 @@ func run(args []string) (err error) {
 
 	if *all || *fig7 {
 		start := time.Now()
-		opts := experiment.Fig7Options{
+		opts := experiment.FigureOptions{
 			Params:          params,
 			Configs:         *configs,
 			TrialsPerConfig: *trials,

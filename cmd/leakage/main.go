@@ -17,6 +17,7 @@ import (
 
 	"flowrecon/internal/core"
 	"flowrecon/internal/defense"
+	"flowrecon/internal/experiment"
 	"flowrecon/internal/rules"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
@@ -43,7 +44,7 @@ func run(args []string) error {
 		coarsen    = fs.Bool("coarsen", false, "greedily merge rules to reduce leakage")
 		targetBits = fs.Float64("target-bits", 0.02, "coarsening target for worst-case leakage")
 		maxMerges  = fs.Int("max-merges", 3, "coarsening budget")
-		par        = fs.Int("parallelism", 1, "per-target profiling worker goroutines; the profile is identical at every level")
+		par        = fs.Int("parallelism", 1, "leakage-profiling worker goroutines, for the profile and each -coarsen candidate; the output is identical at every level")
 		telAddr    = fs.String("telemetry-addr", "", "serve /metrics, /debug/live and pprof on this address while the analysis runs")
 		telOut     = fs.String("telemetry-out", "", "write the final telemetry snapshot (model build/evolve/cache counters) as JSON to this file")
 	)
@@ -90,14 +91,14 @@ func run(args []string) error {
 		Delta:     *delta,
 		CacheSize: *cache,
 	}
-	steps := int(*window / *delta)
+	steps := experiment.WindowSteps(*window, *delta)
 
 	fmt.Printf("policy (%d rules over %d flows, cache %d):\n", policy.Len(), *numFlows, *cache)
 	for _, r := range policy.Rules() {
 		fmt.Printf("  %s\n", r)
 	}
 
-	prof, err := defense.MeasureLeakageWorkers(cfg, steps, core.DefaultUSumParams(), *par)
+	prof, err := defense.MeasureLeakage(cfg, steps, *par)
 	if err != nil {
 		return err
 	}
@@ -115,7 +116,7 @@ func run(args []string) error {
 		return nil
 	}
 	fmt.Printf("\ncoarsening toward ≤ %.3f bits (≤ %d merges)…\n", *targetBits, *maxMerges)
-	steps2, err := defense.Coarsen(cfg, prof, steps, core.DefaultUSumParams(), *targetBits, *maxMerges)
+	steps2, err := defense.Coarsen(cfg, prof, steps, *par, *targetBits, *maxMerges)
 	if err != nil {
 		return err
 	}

@@ -56,8 +56,8 @@ func run() error {
 	cfg := core.Config{Rules: policy, Rates: rates, Delta: 0.1, CacheSize: 2}
 
 	const windowSeconds = 10.0
-	steps := int(windowSeconds / cfg.Delta)
-	sel, err := core.NewCompactSelector(cfg, flowIDSLog, steps, core.DefaultUSumParams())
+	steps := experiment.WindowSteps(windowSeconds, cfg.Delta)
+	sel, err := core.NewCompactSelector(cfg, flowIDSLog, steps)
 	if err != nil {
 		return err
 	}

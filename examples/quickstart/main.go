@@ -18,6 +18,14 @@ import (
 )
 
 func main() {
+	if _, _, err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run fits the model, prints every candidate probe's evaluation, and
+// returns the optimal single probe and the optimal non-adaptive pair.
+func run() (best core.ProbeEval, pair core.SequenceEval, err error) {
 	// Figure 2c: rule1 covers {f1, f2} at high priority; rule2 covers
 	// {f1, f3} at low priority. Flows are indexed f1=0, f2=1, f3=2.
 	policy, err := rules.NewSet([]rules.Rule{
@@ -25,7 +33,7 @@ func main() {
 		{Name: "rule2", Cover: flows.SetOf(0, 2), Priority: 1, Timeout: 6},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return best, pair, err
 	}
 
 	cfg := core.Config{
@@ -38,9 +46,9 @@ func main() {
 	// The attacker wants to know: did f1 occur within the last 10 s?
 	const target = flows.ID(0)
 	steps := 40 // 10 s / Δ
-	sel, err := core.NewCompactSelector(cfg, target, steps, core.DefaultUSumParams())
+	sel, err := core.NewCompactSelector(cfg, target, steps)
 	if err != nil {
-		log.Fatal(err)
+		return best, pair, err
 	}
 
 	fmt.Printf("prior: P(f1 absent) = %.3f, H(X̂) = %.3f bits\n\n", sel.PAbsent(), sel.PriorEntropy())
@@ -55,7 +63,7 @@ func main() {
 			mark, f+1, e.Gain, e.PHit, e.PostPresentGivenHit, e.PostAbsentGivenMiss)
 	}
 
-	best, _ := sel.Best(sel.AllFlows())
+	best, _ = sel.Best(sel.AllFlows())
 	fmt.Printf("\noptimal probe: f%d", best.Flow+1)
 	if best.Flow != target {
 		fmt.Print("  ← not the target flow (the Figure 2c effect)")
@@ -64,10 +72,11 @@ func main() {
 
 	// Two probes beat one: the non-adaptive pair with the highest joint
 	// information gain (§V-B).
-	pair, _ := sel.BestSequence(sel.AllFlows(), 2)
+	pair, _ = sel.BestSequence(sel.AllFlows(), 2)
 	fmt.Printf("best probe pair: f%d then f%d (gain %.4f vs %.4f bits single)\n",
 		pair.Flows[0]+1, pair.Flows[1]+1, pair.Gain, best.Gain)
 	for _, outcome := range []string{"00", "01", "10", "11"} {
 		fmt.Printf("  outcomes %s → P(f1 occurred) = %.3f\n", outcome, pair.PosteriorPresent[outcome])
 	}
+	return best, pair, nil
 }

@@ -171,7 +171,7 @@ func TestCompactWithinTVDBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := core.NewCompactModel(cfg, core.DefaultUSumParams())
+	compact, err := core.NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,8 @@ type refModel struct {
 // buildReferenceModel builds cfg's compact chain serially the way the
 // clone-based path did: reference weights and estimates per state, each
 // row's entries added in order to a builder with no reserved capacity.
-func buildReferenceModel(cfg Config, params USumParams) (*refModel, error) {
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params}
+func buildReferenceModel(cfg Config) (*refModel, error) {
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates()}
 	m.enumerateStates()
 	e := &uEstimator{rs: cfg.Rules, sr: m.sr, capacity: cfg.CacheSize}
 	n := len(m.states)

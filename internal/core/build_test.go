@@ -205,16 +205,16 @@ func sameEstimates(a, b StateEstimates) bool {
 // checkModelMatchesReference builds cfg cold at each worker count and
 // compares every builder row, every CSR entry and every estimate with
 // the reference build.
-func checkModelMatchesReference(t *testing.T, name string, cfg Config, params USumParams, workers ...int) {
+func checkModelMatchesReference(t *testing.T, name string, cfg Config, workers ...int) {
 	t.Helper()
-	ref, err := buildReferenceModel(cfg, params)
+	ref, err := buildReferenceModel(cfg)
 	if err != nil {
 		t.Fatalf("%s: reference build: %v", name, err)
 	}
 	refCSR := ref.matrix.Freeze()
 	for _, w := range workers {
 		ResetUSumMemo()
-		m, err := newCompactModelWorkers(cfg, params, w)
+		m, err := newCompactModelWorkers(cfg, w)
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", name, w, err)
 		}
@@ -241,9 +241,8 @@ func checkModelMatchesReference(t *testing.T, name string, cfg Config, params US
 }
 
 func TestCompactModelMatchesReferenceBuild(t *testing.T) {
-	params := USumParams{ExactLimit: 20000, MCSamples: 300, Seed: 1}
 	for _, c := range buildCases(t) {
-		checkModelMatchesReference(t, c.name, c.cfg, params, 1, 4)
+		checkModelMatchesReference(t, c.name, c.cfg, 1, 4)
 	}
 }
 
@@ -275,7 +274,7 @@ func FuzzCompactBuildMatchesReference(f *testing.F) {
 		if zero {
 			cfg = withZeroRate(cfg, seed)
 		}
-		checkModelMatchesReference(t, "fuzz", cfg, USumParams{ExactLimit: 5000, MCSamples: 100, Seed: seed}, 1)
+		checkModelMatchesReference(t, "fuzz", cfg, 1)
 	})
 }
 
@@ -299,11 +298,10 @@ func sameSequenceEval(a, b SequenceEval) bool {
 }
 
 func TestBestPairMatchesBestOver(t *testing.T) {
-	params := USumParams{ExactLimit: 20000, MCSamples: 300, Seed: 1}
 	ties := 0
 	for _, c := range buildCases(t) {
 		target := c.cfg.Rules.CoveredFlows().IDs()[0]
-		sel, err := NewCompactSelector(c.cfg, target, 40, params)
+		sel, err := NewCompactSelector(c.cfg, target, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +342,7 @@ func TestEstimateMemoHitZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	cfg := usumConfig(t, usumPaper, 0.025, 9, false)
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), params: DefaultUSumParams()}
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates()}
 	e := m.newEstimator()
 	ResetUSumMemo()
 	t.Cleanup(ResetUSumMemo)
@@ -386,7 +384,7 @@ func TestBestSequenceSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	cfg := usumConfig(t, usumPaper, 0.025, 2, false)
-	sel, err := NewCompactSelector(cfg, 0, 40, USumParams{ExactLimit: 20000, MCSamples: 300, Seed: 1})
+	sel, err := NewCompactSelector(cfg, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +400,7 @@ func TestBestSequenceSteadyStateAllocs(t *testing.T) {
 
 func TestSequenceSearchTelemetry(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.05, 3, false)
-	sel, err := NewCompactSelector(cfg, 0, 40, DefaultUSumParams())
+	sel, err := NewCompactSelector(cfg, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +424,7 @@ func TestSequenceSearchTelemetry(t *testing.T) {
 
 func TestCompactMemBytesCountsBuilderCapacity(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.05, 3, false)
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

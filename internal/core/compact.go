@@ -55,15 +55,13 @@ type CompactModel struct {
 	frozen *markov.CSR      // immutable CSR snapshot driving Evolve/SteadyState
 	wsPool sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
 	est    []StateEstimates // per-state §IV-B estimates (nil for the empty state)
-	params USumParams
 }
 
 // NewCompactModel enumerates every subset state and builds the transition
 // matrix, fanning the per-state u-sum estimation across GOMAXPROCS
-// workers. params is kept with the model for the selectors built from it;
-// the u-sums are exact and read none of it (see USumParams).
-func NewCompactModel(cfg Config, params USumParams) (*CompactModel, error) {
-	return newCompactModelWorkers(cfg, params, 0)
+// workers.
+func NewCompactModel(cfg Config) (*CompactModel, error) {
+	return newCompactModelWorkers(cfg, 0)
 }
 
 // newCompactModelWorkers is NewCompactModel with an explicit build
@@ -72,7 +70,7 @@ func NewCompactModel(cfg Config, params USumParams) (*CompactModel, error) {
 // bit-identical regardless of the worker count: the only cross-state
 // coupling is the u-sum memo, whose entries are pure functions of their
 // keys.
-func newCompactModelWorkers(cfg Config, params USumParams, workers int) (*CompactModel, error) {
+func newCompactModelWorkers(cfg Config, workers int) (*CompactModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,7 +82,7 @@ func newCompactModelWorkers(cfg Config, params USumParams, workers int) (*Compac
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params, cover: newCoverTable(cfg.Rules, len(cfg.Rates))}
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates))}
 	m.enumerateStates()
 	if err := m.buildMatrix(workers); err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func TestCompactStateCount(t *testing.T) {
 
 func TestCompactModelBuild(t *testing.T) {
 	cfg := tinyConfig(t)
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCompactModelBuild(t *testing.T) {
 func TestCompactModelRejectsBadConfig(t *testing.T) {
 	cfg := tinyConfig(t)
 	cfg.CacheSize = 0
-	if _, err := NewCompactModel(cfg, DefaultUSumParams()); err == nil {
+	if _, err := NewCompactModel(cfg); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -163,7 +163,7 @@ func TestCompactAgreesWithBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := NewCompactModel(cfg, DefaultUSumParams())
+	compact, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCompactAgainstContinuousSimulation(t *testing.T) {
 		Delta:     0.1,
 		CacheSize: 3,
 	}
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCompactAgainstContinuousSimulation(t *testing.T) {
 
 func TestCompactApplyProbe(t *testing.T) {
 	cfg := tinyConfig(t)
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCompactApplyProbe(t *testing.T) {
 	// Probing an uncovered flow changes nothing.
 	cfgWide := cfg
 	cfgWide.Rates = []float64{0.8, 0.5, 0.9, 0.1}
-	m2, err := NewCompactModel(cfgWide, DefaultUSumParams())
+	m2, err := NewCompactModel(cfgWide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCompactApplyProbe(t *testing.T) {
 
 func TestCompactApplyProbeEvictsWhenFull(t *testing.T) {
 	cfg := tinyConfig(t) // capacity 2, 3 rules
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCompactApplyProbeEvictsWhenFull(t *testing.T) {
 
 func TestCompactSteadyState(t *testing.T) {
 	cfg := tinyConfig(t)
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestFigure4EvictionFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.4, 0.5, 0.6, 0.7}, Delta: 0.1, CacheSize: 3}
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestFigure5ExpirationFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.4, 0.5}, Delta: 0.1, CacheSize: 2}
-	m, err := NewCompactModel(cfg, DefaultUSumParams())
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

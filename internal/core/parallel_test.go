@@ -10,8 +10,8 @@ import (
 
 // parallelTestConfig is a paper-shaped configuration (16 flows, 12 rules,
 // cache 5): 1,586 states whose u-sums the build workers sweep
-// concurrently. The returned USumParams are unread, as everywhere.
-func parallelTestConfig(t *testing.T) (Config, USumParams) {
+// concurrently.
+func parallelTestConfig(t *testing.T) Config {
 	t.Helper()
 	rng := stats.NewRNG(7)
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.025), rng)
@@ -24,7 +24,7 @@ func parallelTestConfig(t *testing.T) (Config, USumParams) {
 		Delta:     0.025,
 		CacheSize: 5,
 	}
-	return cfg, USumParams{ExactLimit: 2000, MCSamples: 150, Seed: 3}
+	return cfg
 }
 
 // TestParallelBuildBitIdentical builds the same compact model serially
@@ -33,15 +33,15 @@ func parallelTestConfig(t *testing.T) (Config, USumParams) {
 // state, not of evaluation order, so worker scheduling must not leak
 // into the numbers.
 func TestParallelBuildBitIdentical(t *testing.T) {
-	cfg, params := parallelTestConfig(t)
+	cfg := parallelTestConfig(t)
 
 	ResetUSumMemo()
-	serial, err := newCompactModelWorkers(cfg, params, 1)
+	serial, err := newCompactModelWorkers(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ResetUSumMemo()
-	parallel, err := newCompactModelWorkers(cfg, params, 8)
+	parallel, err := newCompactModelWorkers(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +74,17 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 // memo rather than resample, and a memoized rebuild must reproduce the
 // cold matrix exactly.
 func TestMemoizedRebuildBitIdentical(t *testing.T) {
-	cfg, params := parallelTestConfig(t)
+	cfg := parallelTestConfig(t)
 
 	ResetUSumMemo()
-	cold, err := NewCompactModel(cfg, params)
+	cold, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if USumMemoLen() == 0 {
 		t.Fatal("cold build left the u-sum memo empty")
 	}
-	warm, err := NewCompactModel(cfg, params)
+	warm, err := NewCompactModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,11 +89,11 @@ func evolveFresh(m Model, d markov.Dist, steps int) markov.Dist {
 // built fresh; callers that need more than one selector over a
 // configuration keep the first one's chains (GainVsWindow,
 // NewSelectorWithModel).
-func NewCompactSelector(cfg Config, target flows.ID, steps int, params USumParams) (*ProbeSelector, error) {
+func NewCompactSelector(cfg Config, target flows.ID, steps int) (*ProbeSelector, error) {
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
-	m, err := NewCompactModel(cfg, params)
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -106,18 +106,18 @@ func NewCompactSelector(cfg Config, target flows.ID, steps int, params USumParam
 // starts cold, but an attacker joining a long-running network should seed
 // both chains with the unconditional steady state and apply the target
 // conditioning only within the window.
-func NewSteadySelector(cfg Config, target flows.ID, steps int, params USumParams) (*ProbeSelector, error) {
+func NewSteadySelector(cfg Config, target flows.ID, steps int) (*ProbeSelector, error) {
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
 	if steps < 1 {
 		return nil, fmt.Errorf("core: probe window %d steps < 1", steps)
 	}
-	m, err := NewCompactModel(cfg, params)
+	m, err := NewCompactModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m0, err := NewCompactModel(cfg.withoutFlow(target), params)
+	m0, err := NewCompactModel(cfg.withoutFlow(target))
 	if err != nil {
 		return nil, err
 	}
@@ -136,15 +136,15 @@ func NewSteadySelector(cfg Config, target flows.ID, steps int, params USumParams
 
 // NewSelectorWithModel assembles a selector around a prebuilt
 // unconditional model, building only the target-conditioned chain from
-// m's own configuration and estimator parameters. Useful when evaluating
-// many targets over one policy (the defense package's leakage
-// profiling), since the unconditional chain is target-independent.
+// m's own configuration. Useful when evaluating many targets over one
+// policy (the defense package's leakage profiling), since the
+// unconditional chain is target-independent.
 func NewSelectorWithModel(m *CompactModel, target flows.ID, steps int) (*ProbeSelector, error) {
 	cfg := m.ModelConfig()
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
-	m0, err := NewCompactModel(cfg.withoutFlow(target), m.params)
+	m0, err := NewCompactModel(cfg.withoutFlow(target))
 	if err != nil {
 		return nil, err
 	}

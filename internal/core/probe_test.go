@@ -32,7 +32,7 @@ func fig2cConfig(t *testing.T) Config {
 
 func newSelector(t *testing.T, cfg Config, target flows.ID, steps int) *ProbeSelector {
 	t.Helper()
-	sel, err := NewCompactSelector(cfg, target, steps, DefaultUSumParams())
+	sel, err := NewCompactSelector(cfg, target, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func TestSelectorPriors(t *testing.T) {
 
 func TestSelectorValidation(t *testing.T) {
 	cfg := fig2cConfig(t)
-	if _, err := NewCompactSelector(cfg, 99, 10, DefaultUSumParams()); err == nil {
+	if _, err := NewCompactSelector(cfg, 99, 10); err == nil {
 		t.Fatal("out-of-universe target accepted")
 	}
-	if _, err := NewCompactSelector(cfg, 0, 0, DefaultUSumParams()); err == nil {
+	if _, err := NewCompactSelector(cfg, 0, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
@@ -355,7 +355,7 @@ func TestConditionedChainClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.5, 0.5}, Delta: 0.2, CacheSize: 2}
-	m0, err := NewCompactModel(cfg.withoutFlow(0), DefaultUSumParams())
+	m0, err := NewCompactModel(cfg.withoutFlow(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,8 +526,7 @@ func TestMicroflowRulesGivePerfectAttribution(t *testing.T) {
 
 func TestGainVsWindow(t *testing.T) {
 	cfg := fig2cConfig(t)
-	params := DefaultUSumParams()
-	sel, err := NewCompactSelector(cfg, 0, 40, params)
+	sel, err := NewCompactSelector(cfg, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +551,7 @@ func TestGainVsWindow(t *testing.T) {
 		}
 		// Oracle: the sweep's borrowed selector must agree exactly with a
 		// selector built fresh at that window.
-		fresh, err := NewCompactSelector(cfg, 0, p.Steps, params)
+		fresh, err := NewCompactSelector(cfg, 0, p.Steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,7 +583,7 @@ func TestGainVsWindow(t *testing.T) {
 
 func TestSteadySelector(t *testing.T) {
 	cfg := fig2cConfig(t)
-	sel, err := NewSteadySelector(cfg, 0, 40, DefaultUSumParams())
+	sel, err := NewSteadySelector(cfg, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +616,7 @@ func TestSteadySelector(t *testing.T) {
 			t.Fatalf("flow %d: steady PHit %v far from cold %v at a mixed horizon", f, warm, coldP)
 		}
 	}
-	shortWarm, err := NewSteadySelector(cfg, 0, 1, DefaultUSumParams())
+	shortWarm, err := NewSteadySelector(cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,10 +624,10 @@ func TestSteadySelector(t *testing.T) {
 	if w, c := shortWarm.Evaluate(0).PHit, shortCold.Evaluate(0).PHit; w <= c {
 		t.Fatalf("one-step window: steady PHit %v should exceed cold %v", w, c)
 	}
-	if _, err := NewSteadySelector(cfg, 99, 40, DefaultUSumParams()); err == nil {
+	if _, err := NewSteadySelector(cfg, 99, 40); err == nil {
 		t.Fatal("bad target accepted")
 	}
-	if _, err := NewSteadySelector(cfg, 0, 0, DefaultUSumParams()); err == nil {
+	if _, err := NewSteadySelector(cfg, 0, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }

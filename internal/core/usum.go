@@ -28,27 +28,6 @@ type StateEstimates struct {
 	Feasible bool
 }
 
-// USumParams is the u-sum estimator's former tuning block. Every state's
-// u-sums are now exact (see uEstimator.sweep), so the estimator reads no
-// field; the type stays because experiment.Params, saved configurations
-// and flowrecond session specs carry it, and their wire format is kept.
-type USumParams struct {
-	// ExactLimit was the largest assignment grid (Π t_j over cached
-	// rules) enumerated exactly. No longer read.
-	ExactLimit int
-	// MCSamples was the Monte Carlo sample count above ExactLimit. No
-	// longer read.
-	MCSamples int
-	// Seed drove the Monte Carlo sampler. No longer read.
-	Seed int64
-}
-
-// DefaultUSumParams returns the values model constructors have always
-// been given; see USumParams.
-func DefaultUSumParams() USumParams {
-	return USumParams{ExactLimit: 20000, MCSamples: 1500, Seed: 1}
-}
-
 // uEstimator evaluates the u-sums of §IV-B for states of one model
 // configuration. It carries reusable scratch, so each concurrent build
 // worker must own its own estimator (the underlying rule set and rates

@@ -273,16 +273,16 @@ func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 // infeasible verdicts are pure functions of the memo key too, so they are
 // memoized like feasible ones.
 func TestRebuildEvaluatesNoState(t *testing.T) {
-	cfg, params := usumConfig(t, usumSmall, 0.1, 8, false), DefaultUSumParams()
+	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
 	ResetUSumMemo()
 	t.Cleanup(ResetUSumMemo)
-	if _, err := NewCompactModel(cfg, params); err != nil {
+	if _, err := NewCompactModel(cfg); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	SetTelemetry(reg)
 	t.Cleanup(func() { SetTelemetry(nil) })
-	if _, err := NewCompactModel(cfg, params); err != nil {
+	if _, err := NewCompactModel(cfg); err != nil {
 		t.Fatal(err)
 	}
 	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
@@ -291,7 +291,7 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 		t.Fatalf("second build: %d memo hits, %d misses; want every lookup a hit", hits, misses)
 	}
 
-	e := (&CompactModel{cfg: cfg, sr: cfg.stepRates(), params: params}).newEstimator()
+	e := (&CompactModel{cfg: cfg, sr: cfg.stepRates()}).newEstimator()
 	zeroZ := 0
 	for _, ids := range caseStates(cfg) {
 		if _, touts := e.orderCached(ids); injectiveFeasible(touts) && !e.estimate(ids).Feasible {
@@ -310,7 +310,7 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 // sweep's internals or the build's worker count.
 func TestUSumSweepStepsPinned(t *testing.T) {
 	const wantSteps, wantStates = 792, 41
-	cfg, params := usumConfig(t, usumSmall, 0.025, 11, false), DefaultUSumParams()
+	cfg := usumConfig(t, usumSmall, 0.025, 11, false)
 	ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
 	steps, states := 0, 0
 	for _, st := range exactStates(ref, cfg.CacheSize, math.MaxInt) {
@@ -325,7 +325,7 @@ func TestUSumSweepStepsPinned(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		SetTelemetry(reg)
 		ResetUSumMemo()
-		if _, err := newCompactModelWorkers(cfg, params, workers); err != nil {
+		if _, err := newCompactModelWorkers(cfg, workers); err != nil {
 			t.Fatal(err)
 		}
 		steps := reg.Counter("usum_sweep_steps_total").Value()

@@ -37,22 +37,16 @@ type Profile struct {
 // MeasureLeakage evaluates, for every covered flow as a hypothetical
 // target, the information gain of the attacker's optimal probe — the
 // quantity a defender wants small everywhere. steps is the attack window
-// T in model steps.
-func MeasureLeakage(cfg core.Config, steps int, params core.USumParams) (*Profile, error) {
-	return MeasureLeakageWorkers(cfg, steps, params, 1)
-}
-
-// MeasureLeakageWorkers is MeasureLeakage with the per-target selector
-// evaluations fanned over workers goroutines. Targets are independent
-// (the unconditional chain is built once and shared read-only; each
-// target builds only its conditioned twin), and the profile is
-// assembled in flow order, so every worker count returns the same
-// profile.
-func MeasureLeakageWorkers(cfg core.Config, steps int, params core.USumParams, workers int) (*Profile, error) {
+// T in model steps. The per-target selector evaluations fan over workers
+// goroutines (≤ 1 runs them inline). Targets are independent (the
+// unconditional chain is built once and shared read-only; each target
+// builds only its conditioned twin), and the profile is assembled in flow
+// order, so every worker count returns the same profile.
+func MeasureLeakage(cfg core.Config, steps, workers int) (*Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := core.NewCompactModel(cfg, params)
+	model, err := core.NewCompactModel(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,10 +192,11 @@ type CoarsenStep struct {
 // Coarsen greedily merges rule pairs, each round picking the merge that
 // minimizes the worst-case leakage, until the leakage target is met, no
 // merge helps, or maxMerges is exhausted. baseline is cfg's own profile
-// at the same window and estimator parameters, which the caller has
-// already measured. It returns the sequence of accepted steps (possibly
+// at the same window, which the caller has already measured; each
+// candidate's profile is measured over workers goroutines, as in
+// MeasureLeakage. It returns the sequence of accepted steps (possibly
 // empty when the structure is already tight).
-func Coarsen(cfg core.Config, baseline *Profile, steps int, params core.USumParams, targetMaxGain float64, maxMerges int) ([]CoarsenStep, error) {
+func Coarsen(cfg core.Config, baseline *Profile, steps, workers int, targetMaxGain float64, maxMerges int) ([]CoarsenStep, error) {
 	current := cfg
 	best := baseline.MaxGain
 	var out []CoarsenStep
@@ -219,7 +214,7 @@ func Coarsen(cfg core.Config, baseline *Profile, steps int, params core.USumPara
 			}
 			trial := current
 			trial.Rules = merged
-			prof, err := MeasureLeakage(trial, steps, params)
+			prof, err := MeasureLeakage(trial, steps, workers)
 			if err != nil {
 				continue
 			}

@@ -29,7 +29,7 @@ func fig2cConfig(t *testing.T) core.Config {
 
 func TestMeasureLeakage(t *testing.T) {
 	cfg := fig2cConfig(t)
-	prof, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
+	prof, err := MeasureLeakage(cfg, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMergeReducesLeakage(t *testing.T) {
 	// rules into one coarse rule removes the certificate probe, so the
 	// attacker's best gain about f1 must drop.
 	cfg := fig2cConfig(t)
-	before, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
+	before, err := MeasureLeakage(cfg, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMergeReducesLeakage(t *testing.T) {
 	}
 	after := cfg
 	after.Rules = merged
-	profAfter, err := MeasureLeakage(after, 40, core.DefaultUSumParams())
+	profAfter, err := MeasureLeakage(after, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestMergeCandidates(t *testing.T) {
 
 func TestCoarsen(t *testing.T) {
 	cfg := fig2cConfig(t)
-	before, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
+	before, err := MeasureLeakage(cfg, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := Coarsen(cfg, before, 40, core.DefaultUSumParams(), 0, 3)
+	steps, err := Coarsen(cfg, before, 40, 1, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,16 +152,31 @@ func TestCoarsen(t *testing.T) {
 	if !cfg.Rules.CoveredFlows().Subset(last.Rules.CoveredFlows()) {
 		t.Fatal("coarsening lost coverage")
 	}
+	// The candidate profiles are the same at any worker count, so the
+	// greedy walk is too.
+	parallel, err := Coarsen(cfg, before, 40, 4, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parallel) != len(steps) {
+		t.Fatalf("4 workers took %d steps, 1 worker %d", len(parallel), len(steps))
+	}
+	for i := range steps {
+		a, b := steps[i], parallel[i]
+		if a.MergedA != b.MergedA || a.MergedB != b.MergedB || a.Profile.MaxGain != b.Profile.MaxGain || a.Profile.MeanGain != b.Profile.MeanGain {
+			t.Fatalf("step %d differs: (%d,%d %v) vs (%d,%d %v)", i, a.MergedA, a.MergedB, a.Profile.MaxGain, b.MergedA, b.MergedB, b.Profile.MaxGain)
+		}
+	}
 }
 
 func TestCoarsenAlreadyTight(t *testing.T) {
 	cfg := fig2cConfig(t)
-	before, err := MeasureLeakage(cfg, 40, core.DefaultUSumParams())
+	before, err := MeasureLeakage(cfg, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With an absurdly generous leakage target no merge is needed.
-	steps, err := Coarsen(cfg, before, 40, core.DefaultUSumParams(), 10, 3)
+	steps, err := Coarsen(cfg, before, 40, 1, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +186,7 @@ func TestCoarsenAlreadyTight(t *testing.T) {
 }
 
 func TestMeasureLeakageRejectsBadConfig(t *testing.T) {
-	if _, err := MeasureLeakage(core.Config{}, 10, core.DefaultUSumParams()); err == nil {
+	if _, err := MeasureLeakage(core.Config{}, 10, 1); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -181,11 +196,11 @@ func TestMeasureLeakageRejectsBadConfig(t *testing.T) {
 // flow order.
 func TestMeasureLeakageWorkersIdentical(t *testing.T) {
 	cfg := fig2cConfig(t)
-	serial, err := MeasureLeakageWorkers(cfg, 40, core.DefaultUSumParams(), 1)
+	serial, err := MeasureLeakage(cfg, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MeasureLeakageWorkers(cfg, 40, core.DefaultUSumParams(), 4)
+	parallel, err := MeasureLeakage(cfg, 40, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,15 +29,23 @@ type Params struct {
 	Delta float64
 	// WindowSeconds is the traffic window before the probe (15 s).
 	WindowSeconds float64
-	// USum is the compact model's former §IV-B estimator tuning. No
-	// longer read (every u-sum is exact); kept so specs, saved
-	// configurations and recordings that carry it still decode.
-	USum core.USumParams
+	// USum is recorded, never read; see USumRecord.
+	USum USumRecord
 	// AbsenceLo/AbsenceHi restrict the target flow: its probability of
 	// absence e^{-λ·T·Δ} must fall in [AbsenceLo, AbsenceHi] ("the
 	// target flow was chosen uniformly from all flows for which the
 	// probability of absence is within a specific range", §VI-A).
 	AbsenceLo, AbsenceHi float64
+}
+
+// USumRecord is the compact model's former §IV-B u-sum estimator
+// tuning. Every u-sum is now exact, so nothing reads it: it is a wire
+// record, kept so session specs, saved configurations and recordings
+// (whose spec and configHash embed it) keep their form.
+type USumRecord struct {
+	ExactLimit int
+	MCSamples  int
+	Seed       int64
 }
 
 // DefaultParams returns the paper's §VI-A parameters (with Δ chosen to
@@ -53,7 +61,7 @@ func DefaultParams() Params {
 		// Δ = 25 ms gives ΣλΔ ≈ 0.2.
 		Delta:         0.025,
 		WindowSeconds: 15,
-		USum:          core.USumParams{ExactLimit: 20000, MCSamples: 1200, Seed: 1},
+		USum:          USumRecord{ExactLimit: 20000, MCSamples: 1200, Seed: 1},
 		AbsenceLo:     0.02,
 		AbsenceHi:     0.98,
 	}
@@ -74,9 +82,15 @@ func (p Params) Validate() error {
 }
 
 // Steps returns the probe window T in model steps (⌈window/Δ⌉).
-func (p Params) Steps() int {
-	t := int(p.WindowSeconds / p.Delta)
-	if float64(t)*p.Delta < p.WindowSeconds {
+func (p Params) Steps() int { return WindowSteps(p.WindowSeconds, p.Delta) }
+
+// WindowSteps returns ⌈window/delta⌉, the model steps that cover an
+// attack window. It truncates the quotient and adds a step only when the
+// steps fall short of the window, so 0.3 s at Δ 0.1 s is 3 steps although
+// 0.3/0.1 rounds to 2.9999999999999996.
+func WindowSteps(window, delta float64) int {
+	t := int(window / delta)
+	if float64(t)*delta < window {
 		t++
 	}
 	return t
@@ -180,16 +194,14 @@ func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG) (*Netwo
 		return nil, fmt.Errorf("experiment: no covered flow with absence in [%v,%v]", p.AbsenceLo, p.AbsenceHi)
 	}
 
-	usum := p.USum
-	// The estimator reads no USum field, but the draw and the recorded
-	// seed stay, so a caller's later draws from rng and every saved
-	// configuration are unchanged.
-	usum.Seed = rng.Int63()
-	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), usum)
+	// Nothing reads USum, but the draw and the recorded seed stay, so a
+	// caller's later draws from rng and every saved configuration are
+	// unchanged.
+	p.USum.Seed = rng.Int63()
+	sel, err := core.NewCompactSelector(cfg, target, p.Steps())
 	if err != nil {
 		return nil, err
 	}
-	p.USum = usum
 	nc := &NetworkConfig{
 		Params:            p,
 		Rules:             rs,

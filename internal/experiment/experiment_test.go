@@ -24,7 +24,6 @@ func tinyParams() Params {
 		CacheSize:     3,
 		Delta:         0.1,
 		WindowSeconds: 5,
-		USum:          core.USumParams{ExactLimit: 20000, MCSamples: 400, Seed: 1},
 		AbsenceLo:     0.02,
 		AbsenceHi:     0.98,
 	}
@@ -52,15 +51,26 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsSteps: T = ⌈window/Δ⌉, and a window that is a whole number
+// of steps keeps that number even where the float quotient falls just
+// short of it (0.3/0.1 is 2.9999999999999996, 0.7/0.1 is
+// 6.999999999999999).
 func TestParamsSteps(t *testing.T) {
-	p := DefaultParams() // 15 s / 0.025 s
-	if p.Steps() != 600 {
-		t.Fatalf("steps = %d", p.Steps())
-	}
-	p.Delta = 0.4
-	p.WindowSeconds = 1
-	if p.Steps() != 3 { // ⌈1/0.4⌉
-		t.Fatalf("steps = %d", p.Steps())
+	for _, c := range []struct {
+		window, delta float64
+		want          int
+	}{
+		{15, 0.025, 600}, // DefaultParams
+		{1, 0.4, 3},
+		{0.3, 0.1, 3},
+		{0.7, 0.1, 7},
+		{5, 0.05, 100},
+	} {
+		p := DefaultParams()
+		p.WindowSeconds, p.Delta = c.window, c.delta
+		if got := WindowSteps(c.window, c.delta); got != c.want || p.Steps() != got {
+			t.Errorf("WindowSteps(%v, %v) = %d, Params.Steps() = %d, want %d", c.window, c.delta, got, p.Steps(), c.want)
+		}
 	}
 }
 
@@ -208,7 +218,7 @@ func TestNaiveAttackerBeatsCoinFlipOnViableConfig(t *testing.T) {
 }
 
 func TestRunFig6Small(t *testing.T) {
-	opts := Fig6Options{
+	opts := FigureOptions{
 		Params:          tinyParams(),
 		Configs:         3,
 		TrialsPerConfig: 40,
@@ -259,7 +269,7 @@ func TestRunFig6Small(t *testing.T) {
 }
 
 func TestRunFig7Small(t *testing.T) {
-	opts := Fig7Options{
+	opts := FigureOptions{
 		Params:          tinyParams(),
 		Configs:         3,
 		TrialsPerConfig: 40,

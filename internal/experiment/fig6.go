@@ -9,10 +9,10 @@ import (
 	"flowrecon/internal/telemetry"
 )
 
-// Fig6Options scales the Figure 6 reproduction. The paper used 100
-// network configurations × 100 trials; smaller values keep bench runs
-// tractable while preserving the comparison's shape.
-type Fig6Options struct {
+// FigureOptions scales a Figure 6 or Figure 7 reproduction. The paper
+// used 100 network configurations × 100 trials; smaller values keep
+// bench runs tractable while preserving the comparison's shape.
+type FigureOptions struct {
 	Params          Params
 	Configs         int // qualifying configurations to collect
 	TrialsPerConfig int
@@ -29,17 +29,6 @@ type Fig6Options struct {
 	// (see TrialRunner.RunTrials). Results are identical at every
 	// level.
 	Parallelism int
-}
-
-// DefaultFig6Options returns a laptop-scale version of the paper's run.
-func DefaultFig6Options() Fig6Options {
-	return Fig6Options{
-		Params:          DefaultParams(),
-		Configs:         100,
-		TrialsPerConfig: 100,
-		MaxAttempts:     2000,
-		Seed:            1,
-	}
 }
 
 // AbsenceBucket is one x-axis bin of Figure 6a/7b: target-flow absence
@@ -83,34 +72,57 @@ type Fig6Result struct {
 // optimal probe is a viable detector, §VI-B), compare the model attacker
 // (probe = optimal flow, verdict = query result) with the naive attacker
 // (probe = target flow).
-func RunFig6(opts Fig6Options) (*Fig6Result, error) {
-	rng := stats.NewRNG(opts.Seed)
-	meas := DefaultMeasurement()
-	res := &Fig6Result{}
-	var improvements []float64
-
-	for res.Attempted = 0; res.Attempted < opts.MaxAttempts && len(res.Outcomes) < opts.Configs; res.Attempted++ {
-		// Cycle the target-absence strata so the x-axis of Figure 6a is
-		// populated end to end (see AbsenceStrata).
-		nc, err := GenerateConfig(opts.Params.WithStratum(res.Attempted), rng.Fork())
-		if err != nil {
-			continue // unlucky sample (e.g. no eligible target)
-		}
-		if !nc.OptimalDiffersFromTarget() || !nc.DetectorViable() {
-			continue
-		}
+func RunFig6(opts FigureOptions) (*Fig6Result, error) {
+	accept := func(nc *NetworkConfig) bool { return nc.OptimalDiffersFromTarget() && nc.DetectorViable() }
+	roster := func(nc *NetworkConfig) ([]core.Attacker, error) {
 		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 1, core.DecideByQuery)
 		if err != nil {
 			return nil, err
 		}
-		attackers := []core.Attacker{
-			&core.NaiveAttacker{TargetFlow: nc.Target},
-			model,
+		return []core.Attacker{&core.NaiveAttacker{TargetFlow: nc.Target}, model}, nil
+	}
+	outcomes, attempted, err := sampleFigure(opts, "fig6", accept, roster)
+	if err != nil {
+		return nil, err
+	}
+	improvements := make([]float64, len(outcomes))
+	for i, o := range outcomes {
+		improvements[i] = o.improvement()
+	}
+	res := &Fig6Result{
+		Buckets:        bucketByAbsence(outcomes, 5),
+		ImprovementCDF: stats.EmpiricalCDF(improvements),
+		Outcomes:       outcomes,
+		Attempted:      attempted,
+	}
+	res.MeanModel, res.MeanNaive = populationMeans(outcomes)
+	return res, nil
+}
+
+// sampleFigure is the Figure 6/7 sampling loop. It draws configurations
+// cycling the target-absence strata, so the absence axis is populated
+// end to end (see AbsenceStrata), and skips those accept rejects. Each
+// accepted configuration runs opts.TrialsPerConfig trials of the
+// attackers roster builds for it and is saved as prefix-config-<n>.json
+// under opts.SaveDir. Sampling stops at opts.Configs outcomes or
+// opts.MaxAttempts draws; attempted counts the draws.
+func sampleFigure(opts FigureOptions, prefix string, accept func(*NetworkConfig) bool,
+	roster func(*NetworkConfig) ([]core.Attacker, error)) (outcomes []ConfigOutcome, attempted int, err error) {
+	rng := stats.NewRNG(opts.Seed)
+	meas := DefaultMeasurement()
+	for ; attempted < opts.MaxAttempts && len(outcomes) < opts.Configs; attempted++ {
+		nc, err := GenerateConfig(opts.Params.WithStratum(attempted), rng.Fork())
+		if err != nil || !accept(nc) {
+			continue // an unlucky sample (e.g. no eligible target) or outside the population
+		}
+		attackers, err := roster(nc)
+		if err != nil {
+			return nil, attempted, err
 		}
 		runner := NewTrialRunner(nc, attackers, meas, RunnerOptions{Registry: opts.Telemetry})
 		results, err := runner.RunTrials(opts.TrialsPerConfig, rng.Int63(), opts.Parallelism)
 		if err != nil {
-			return nil, err
+			return nil, attempted, err
 		}
 		out := ConfigOutcome{
 			PAbsent:           nc.PAbsent(),
@@ -122,19 +134,15 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 		for _, r := range results {
 			out.Accuracy[r.Name] = r.Accuracy()
 		}
-		if err := saveAccepted(opts.SaveDir, "fig6", len(res.Outcomes), nc); err != nil {
-			return nil, err
+		if err := saveAccepted(opts.SaveDir, prefix, len(outcomes), nc); err != nil {
+			return nil, attempted, err
 		}
-		res.Outcomes = append(res.Outcomes, out)
-		improvements = append(improvements, out.Accuracy[model.Name()]-out.Accuracy["naive"])
+		outcomes = append(outcomes, out)
 	}
-	if len(res.Outcomes) == 0 {
-		return nil, fmt.Errorf("experiment: no qualifying configurations in %d attempts", res.Attempted)
+	if len(outcomes) == 0 {
+		return nil, attempted, fmt.Errorf("experiment: no qualifying configurations in %d attempts", attempted)
 	}
-	res.Buckets = bucketByAbsence(res.Outcomes, 5)
-	res.ImprovementCDF = stats.EmpiricalCDF(improvements)
-	res.MeanModel, res.MeanNaive = populationMeans(res.Outcomes)
-	return res, nil
+	return outcomes, attempted, nil
 }
 
 // bucketByAbsence bins outcomes into nbins equal-width absence buckets.
@@ -202,19 +210,26 @@ func (r *Fig6Result) ImprovementQuantiles(thresholds []float64) map[float64]floa
 	for _, th := range thresholds {
 		n := 0
 		for _, o := range r.Outcomes {
-			imp := -o.Accuracy["naive"]
-			for name, acc := range o.Accuracy {
-				if name != "naive" && name != "random" {
-					imp += acc
-				}
-			}
-			if imp >= th {
+			if o.improvement() >= th {
 				n++
 			}
 		}
 		out[th] = float64(n) / float64(len(r.Outcomes))
 	}
 	return out
+}
+
+// improvement is the outcome's additive improvement over the naive
+// attacker: the accuracy of the attackers other than naive and random
+// (Figure 6's one model attacker) less naive's.
+func (o ConfigOutcome) improvement() float64 {
+	imp := -o.Accuracy["naive"]
+	for name, acc := range o.Accuracy {
+		if name != "naive" && name != "random" {
+			imp += acc
+		}
+	}
+	return imp
 }
 
 // sortedAttackerNames lists the attacker names appearing in outcomes.

@@ -1,42 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"flowrecon/internal/core"
-	"flowrecon/internal/stats"
-	"flowrecon/internal/telemetry"
-)
-
-// Fig7Options scales the Figure 7 reproduction.
-type Fig7Options struct {
-	Params          Params
-	Configs         int
-	TrialsPerConfig int
-	MaxAttempts     int
-	Seed            int64
-	// SaveDir, when non-empty, receives one JSON file per accepted
-	// configuration (see SaveConfig) for exact re-runs.
-	SaveDir string
-	// Telemetry, when non-nil, receives the run's experiment metrics
-	// cumulatively across all configurations (see Fig6Options.Telemetry).
-	Telemetry *telemetry.Registry
-	// Parallelism is the per-configuration trial-runner worker count
-	// (see TrialRunner.RunTrials). Results are identical at every
-	// level.
-	Parallelism int
-}
-
-// DefaultFig7Options returns a laptop-scale version of the paper's run.
-func DefaultFig7Options() Fig7Options {
-	return Fig7Options{
-		Params:          DefaultParams(),
-		Configs:         100,
-		TrialsPerConfig: 100,
-		MaxAttempts:     2000,
-		Seed:            2,
-	}
-}
+import "flowrecon/internal/core"
 
 // CoverBucket is one x-axis bin of Figure 7a: the number of rules
 // covering the target flow.
@@ -62,55 +26,28 @@ type Fig7Result struct {
 // RunFig7 reproduces Figure 7. Configurations are filtered only by the
 // detector-viability of the optimal probe (the restriction of §VI-B); the
 // model attacker must probe the best flow other than the target.
-func RunFig7(opts Fig7Options) (*Fig7Result, error) {
-	rng := stats.NewRNG(opts.Seed)
-	meas := DefaultMeasurement()
-	res := &Fig7Result{}
-
-	for res.Attempted = 0; res.Attempted < opts.MaxAttempts && len(res.Outcomes) < opts.Configs; res.Attempted++ {
-		// Cycle the target-absence strata (see AbsenceStrata).
-		nc, err := GenerateConfig(opts.Params.WithStratum(res.Attempted), rng.Fork())
-		if err != nil {
-			continue
-		}
-		if !nc.DetectorViable() {
-			continue
-		}
+func RunFig7(opts FigureOptions) (*Fig7Result, error) {
+	roster := func(nc *NetworkConfig) ([]core.Attacker, error) {
 		restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1, core.DecideByPosterior)
 		if err != nil {
 			return nil, err
 		}
-		attackers := []core.Attacker{
+		return []core.Attacker{
 			&core.NaiveAttacker{TargetFlow: nc.Target},
 			restricted,
 			&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
-		}
-		runner := NewTrialRunner(nc, attackers, meas, RunnerOptions{Registry: opts.Telemetry})
-		results, err := runner.RunTrials(opts.TrialsPerConfig, rng.Int63(), opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		out := ConfigOutcome{
-			PAbsent:           nc.PAbsent(),
-			NumCoveringTarget: nc.NumCoveringTarget,
-			OptimalFlow:       int(nc.Optimal.Flow),
-			TargetFlow:        int(nc.Target),
-			Accuracy:          map[string]float64{},
-		}
-		for _, r := range results {
-			out.Accuracy[r.Name] = r.Accuracy()
-		}
-		if err := saveAccepted(opts.SaveDir, "fig7", len(res.Outcomes), nc); err != nil {
-			return nil, err
-		}
-		res.Outcomes = append(res.Outcomes, out)
+		}, nil
 	}
-	if len(res.Outcomes) == 0 {
-		return nil, fmt.Errorf("experiment: no qualifying configurations in %d attempts", res.Attempted)
+	outcomes, attempted, err := sampleFigure(opts, "fig7", (*NetworkConfig).DetectorViable, roster)
+	if err != nil {
+		return nil, err
 	}
-	res.ByCover = bucketByCover(res.Outcomes)
-	res.ByAbsence = bucketByAbsence(res.Outcomes, 5)
-	return res, nil
+	return &Fig7Result{
+		ByCover:   bucketByCover(outcomes),
+		ByAbsence: bucketByAbsence(outcomes, 5),
+		Outcomes:  outcomes,
+		Attempted: attempted,
+	}, nil
 }
 
 func bucketByCover(outcomes []ConfigOutcome) []CoverBucket {

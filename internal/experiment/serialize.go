@@ -125,7 +125,7 @@ func LoadConfig(r io.Reader) (*NetworkConfig, error) {
 		WindowSeconds: sc.Params.WindowSeconds,
 		AbsenceLo:     sc.Params.AbsenceLo,
 		AbsenceHi:     sc.Params.AbsenceHi,
-		USum: core.USumParams{
+		USum: USumRecord{
 			ExactLimit: sc.Params.USumExact,
 			MCSamples:  sc.Params.USumSamples,
 			Seed:       sc.Params.USumSeed,
@@ -136,7 +136,7 @@ func LoadConfig(r io.Reader) (*NetworkConfig, error) {
 	}
 	cfg := core.Config{Rules: rs, Rates: sc.Rates, Delta: p.Delta, CacheSize: p.CacheSize}
 	target := flows.ID(sc.Target)
-	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), p.USum)
+	sel, err := core.NewCompactSelector(cfg, target, p.Steps())
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func TestFig7ShapeSmallScale(t *testing.T) {
 	}
 	const within = 0.04
 	for _, seed := range []int64{1, 2} {
-		res, err := RunFig7(Fig7Options{
+		res, err := RunFig7(FigureOptions{
 			Params:          smallScaleParams(),
 			Configs:         40,
 			TrialsPerConfig: 100,
@@ -89,7 +89,7 @@ func TestFig6MeanImprovementSmallScale(t *testing.T) {
 		t.Skip("regenerates Figure 6 three times at small scale")
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := RunFig6(Fig6Options{
+		res, err := RunFig6(FigureOptions{
 			Params:          smallScaleParams(),
 			Configs:         40,
 			TrialsPerConfig: 100,

@@ -9,6 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"flowrecon/internal/core"
+	"flowrecon/internal/experiment"
+	"flowrecon/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Manager) {
@@ -208,5 +212,51 @@ func TestHTTPSpecCarryingUSumParams(t *testing.T) {
 	want := fetch(`{"ExactLimit":20000,"MCSamples":600,"Seed":1}`)
 	if got := fetch(`{"ExactLimit":0,"MCSamples":1,"Seed":99}`); !bytes.Equal(got, want) {
 		t.Fatalf("streams differ with params.USum:\n--- 20000/600/1 ---\n%s\n--- 0/1/99 ---\n%s", want, got)
+	}
+}
+
+// TestStoreKeyIgnoresUSum: specs for one configuration that differ only
+// in params.USum share one model. The second session is a store hit that
+// builds no chain, and its stream is byte-identical to the first.
+func TestStoreKeyIgnoresUSum(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	core.SetTelemetry(reg)
+	t.Cleanup(func() { core.SetTelemetry(nil) })
+	builds := reg.Histogram("model_build_ms", telemetry.MillisecondBuckets())
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	a, b := testSpec("usum", 5, 3, 2), testSpec("usum", 5, 3, 2)
+	b.Target.Params.USum = experiment.USumRecord{ExactLimit: 0, MCSamples: 1, Seed: 99}
+	ka, err := KeyForTarget(a.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kb, err := KeyForTarget(b.Target); err != nil || kb != ka {
+		t.Fatalf("keys differ with params.USum (err %v)", err)
+	}
+	fetch := func(spec SessionSpec) []byte {
+		resp := postSpec(t, srv.URL, spec)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"type":"result"`)) {
+			t.Fatalf("status %d, stream:\n%s", resp.StatusCode, body)
+		}
+		return body
+	}
+	want := fetch(a)
+	// One store build fits the model and its target-conditioned twin M₀.
+	if n := builds.Count(); n != 2 {
+		t.Fatalf("first session observed %d model_build_ms, want 2 (M and M₀)", n)
+	}
+	if got := fetch(b); !bytes.Equal(got, want) {
+		t.Fatalf("streams differ with params.USum:\n%s\n---\n%s", want, got)
+	}
+	if st := m.Store().Stats(); st.Builds != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("store builds/misses/hits = %d/%d/%d, want 1/1/1", st.Builds, st.Misses, st.Hits)
+	}
+	if n := builds.Count(); n != 2 {
+		t.Fatalf("%d model_build_ms after both sessions, want 2: the second one built a model", n)
 	}
 }

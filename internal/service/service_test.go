@@ -25,7 +25,6 @@ func testParams() experiment.Params {
 	p.CacheSize = 3
 	p.Delta = 0.05
 	p.WindowSeconds = 5
-	p.USum.MCSamples = 600
 	return p
 }
 

@@ -53,12 +53,14 @@ type TargetKey [sha256.Size]byte
 // the trace source. Trials, probes, the trial seed and faults do not
 // affect the generated configuration, so they stay out of the key and
 // sessions differing only in budget or workload still share a model.
+// Nothing reads params.USum, so it is zeroed before hashing too.
 func KeyForTarget(spec experiment.RecordingSpec) (TargetKey, error) {
 	payload := struct {
 		Params     experiment.Params           `json:"params"`
 		ConfigSeed int64                       `json:"configSeed"`
 		Trace      *experiment.TraceSourceSpec `json:"trace,omitempty"`
 	}{Params: spec.Params, ConfigSeed: spec.ConfigSeed}
+	payload.Params.USum = experiment.USumRecord{}
 	if spec.Trace != nil && spec.Trace.FitRates {
 		payload.Trace = spec.Trace
 	}
