@@ -866,8 +866,9 @@ func BenchmarkColdSessionBuild(b *testing.B) {
 // copy of the replayed state, and the verdicts — with a telemetry
 // registry attached, as the daemon runs it. The detect sub-benchmark adds
 // 5% probe loss, 0.3 ms jitter and a detector per attacker, the chaos
-// workload's session shape. allocs/op is the warm trial's allocation
-// count.
+// workload's session shape, and hands the detectors back after each
+// trial as the daemon does once it has merged them. allocs/op is the
+// warm trial's allocation count.
 func BenchmarkWarmTrial(b *testing.B) {
 	spec := experiment.RecordingSpec{
 		Params:     benchParams(),
@@ -899,17 +900,21 @@ func BenchmarkWarmTrial(b *testing.B) {
 			bc.opts.Registry = telemetry.NewRegistry()
 			r := experiment.NewTrialRunner(nc, roster, experiment.DefaultMeasurement(), bc.opts)
 			seeds := experiment.TrialSeeds(7, 256)
-			for _, seed := range seeds[:16] { // warm the pooled trial scratch
-				if _, err := r.Run(0, seed); err != nil {
+			for _, seed := range seeds[:16] { // warm the pooled trial scratch and detectors
+				res, err := r.Run(0, seed)
+				if err != nil {
 					b.Fatal(err)
 				}
+				res.ReleaseDetectors()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(i, seeds[i%len(seeds)]); err != nil {
+				res, err := r.Run(i, seeds[i%len(seeds)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				res.ReleaseDetectors()
 			}
 		})
 	}

@@ -272,6 +272,7 @@ func run(args []string) error {
 			for _, d := range res.Detectors {
 				detAgg.Merge(d)
 			}
+			res.ReleaseDetectors() // no later sink reads them
 			return nil
 		})
 	}

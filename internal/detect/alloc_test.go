@@ -58,3 +58,35 @@ func TestDetectorDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("nil-detector Observe allocates %v allocs/run, want 0", avg)
 	}
 }
+
+// TestDetectorRecycleZeroAlloc pins the per-trial replica's warm cycle:
+// Reset, a run of observations over sources it has tracked before, and a
+// Merge into an aggregate that knows those sources must not allocate —
+// the restart reuses the replica's per-source states and rate-window
+// buckets, and Merge orders the replica's sources in scratch it owns.
+func TestDetectorRecycleZeroAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := DefaultConfig()
+	agg, replica := New(cfg), New(cfg)
+	agg.SetTelemetry(telemetry.NewRegistry())
+	cycle := func() {
+		replica.Reset(cfg)
+		now := 0.0
+		for i := 0; i < 40; i++ {
+			now += 0.013
+			for src := 0; src < 8; src++ {
+				replica.Observe(src, now, 4.07, src%2 == 0)
+			}
+		}
+		agg.Merge(replica)
+	}
+	cycle() // warm: the replica's states, its merge scratch, the aggregate's sources
+	if len(replica.Verdicts()) == 0 {
+		t.Fatal("setup: the replica flagged nothing, so the verdict path goes unmeasured")
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("recycled Reset + Observe + Merge allocates %v allocs/run, want 0", avg)
+	}
+}

@@ -19,10 +19,11 @@
 //
 // Every per-source structure is fixed-size (ring-bucket rate window,
 // log-bucket timing sketches, Welford moments), Observe is allocation-
-// free after a source's first observation, and detectors merge — the
-// properties that let one replica ride the netsim virtual-time hot path,
-// another the live TCP controller, and per-trial replicas fold into a
-// session-wide view for /debug/detect.
+// free after a source's first observation, detectors merge, and a
+// detector restarts in place (Reset) keeping its per-source storage for
+// the next run — the properties that let one replica ride the netsim
+// virtual-time hot path, another the live TCP controller, and recycled
+// per-trial replicas fold into a session-wide view for /debug/detect.
 //
 // A source here is a flow/source identifier (netsim flow ID, openflow
 // universe flow ID): the attacker spoofs source addresses to probe other
@@ -31,8 +32,9 @@
 package detect
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"flowrecon/internal/telemetry"
@@ -163,7 +165,8 @@ type Verdict struct {
 }
 
 // sourceState is the complete per-source detector state: fixed-size
-// after construction, so steady-state Observe allocates nothing.
+// after construction, so steady-state Observe allocates nothing, and
+// reusable across detector restarts (see Detector.newSourceLocked).
 type sourceState struct {
 	src    int
 	firstT float64
@@ -264,13 +267,66 @@ type Detector struct {
 	verdicts []Verdict
 	dropped  int64
 
+	// free holds the per-source states of earlier runs, handed out again
+	// as new sources appear after a Reset; sorted is Merge's scratch for
+	// visiting this detector's sources in source order.
+	free   []*sourceState
+	sorted []*sourceState
+
 	onFlag func(Verdict)
 	tm     metrics
 }
 
 // New builds a detector; zero fields of cfg take their defaults.
 func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), sources: make(map[int]*sourceState)}
+	d := new(Detector)
+	d.Reset(cfg)
+	return d
+}
+
+// Reset restarts d as New(cfg) would build it: no sources, verdicts,
+// counts, flag callback or instruments. The per-source states d holds,
+// rate-window buckets included, move to a free list that later Observe
+// and Merge calls draw from, so a recycled detector stops allocating
+// once it has tracked as many sources as a run needs. A zero Detector
+// may be Reset. d must not be in use while it restarts.
+func (d *Detector) Reset(cfg Config) {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.cfg = cfg.withDefaults()
+	if d.sources == nil {
+		d.sources = make(map[int]*sourceState)
+	}
+	for _, s := range d.sources {
+		d.free = append(d.free, s)
+	}
+	clear(d.sources)
+	d.flagged = 0
+	d.verdicts = d.verdicts[:0]
+	d.dropped = 0
+	d.onFlag = nil
+	d.tm = metrics{}
+}
+
+// newSourceLocked tracks a new source first seen at firstT and last at
+// lastT, reusing a state from the free list when one is left.
+func (d *Detector) newSourceLocked(src int, firstT, lastT float64) *sourceState {
+	var s *sourceState
+	if n := len(d.free); n > 0 {
+		s = d.free[n-1]
+		d.free = d.free[:n-1]
+		*s = sourceState{win: s.win} // the window's buckets are reused below
+	} else {
+		s = new(sourceState)
+	}
+	s.src, s.firstT, s.lastT = src, firstT, lastT
+	s.win.reset(d.cfg.WindowSec, d.cfg.Buckets)
+	d.sources[src] = s
+	d.tm.tracked.Add(1)
+	return s
 }
 
 // Config returns the detector's effective (default-filled) config.
@@ -331,10 +387,7 @@ func (d *Detector) Observe(src int, t, rttMs float64, hit bool) {
 			d.tm.dropped.Inc()
 			return
 		}
-		s = &sourceState{src: src, firstT: t, lastT: t}
-		s.win = newRateWindow(d.cfg.WindowSec, d.cfg.Buckets)
-		d.sources[src] = s
-		d.tm.tracked.Add(1)
+		s = d.newSourceLocked(src, t, t)
 	} else {
 		gap := t - s.lastT
 		if gap >= 0 {
@@ -508,19 +561,22 @@ func (d *Detector) Sources() int {
 // take the max. Sliding rate windows cover disjoint time axes across
 // replicas and do not merge; the merged view exposes totals and timing
 // shapes. This is how per-trial detector replicas aggregate into the
-// session-wide /debug/detect view.
+// session-wide /debug/detect view. other must not be observed, merged
+// or reset while it merges; its sources are visited in source order
+// through scratch it owns, so a warm Merge allocates nothing.
 func (d *Detector) Merge(other *Detector) {
 	if d == nil || other == nil || d == other {
 		return
 	}
 	other.mu.Lock()
-	states := make([]*sourceState, 0, len(other.sources))
+	states := other.sorted[:0]
 	for _, s := range other.sources {
 		states = append(states, s)
 	}
+	slices.SortFunc(states, func(a, b *sourceState) int { return cmp.Compare(a.src, b.src) })
+	other.sorted = states
 	droppedO := other.dropped
 	other.mu.Unlock()
-	sort.Slice(states, func(i, j int) bool { return states[i].src < states[j].src })
 
 	var newFlags []string // reasons of flags first seen in this merge
 	d.mu.Lock()
@@ -532,10 +588,7 @@ func (d *Detector) Merge(other *Detector) {
 				d.dropped++
 				continue
 			}
-			s = &sourceState{src: o.src, firstT: o.firstT, lastT: o.lastT}
-			s.win = newRateWindow(d.cfg.WindowSec, d.cfg.Buckets)
-			d.sources[o.src] = s
-			d.tm.tracked.Add(1)
+			s = d.newSourceLocked(o.src, o.firstT, o.lastT)
 		}
 		// Chan et al. parallel-variance combine for the gap moments.
 		if o.gapN > 0 {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -64,7 +66,8 @@ func TestSketchMerge(t *testing.T) {
 }
 
 func TestRateWindowRotation(t *testing.T) {
-	w := newRateWindow(16, 16) // 1s buckets
+	var w rateWindow
+	w.reset(16, 16) // 1s buckets
 	for i := 0; i < 10; i++ {
 		w.observe(float64(i)) // one event per second, t=0..9
 	}
@@ -392,5 +395,104 @@ func TestScoreMonotoneAndSticky(t *testing.T) {
 	}
 	if s := d.Score(4); s < 1 {
 		t.Fatalf("flagged source score = %v, want ≥1", s)
+	}
+}
+
+// sameDetector fails unless a and b hold identical state: config, every
+// per-source state (rate-window buckets by content), verdicts, flag and
+// drop counts.
+func sameDetector(t *testing.T, label string, a, b *Detector) {
+	t.Helper()
+	if !reflect.DeepEqual(a.cfg, b.cfg) {
+		t.Fatalf("%s: config %+v vs %+v", label, a.cfg, b.cfg)
+	}
+	if len(a.sources) != len(b.sources) {
+		t.Fatalf("%s: %d sources vs %d", label, len(a.sources), len(b.sources))
+	}
+	for src, sa := range a.sources {
+		sb := b.sources[src]
+		if sb == nil || !reflect.DeepEqual(*sa, *sb) {
+			t.Fatalf("%s: source %d state\n%+v\nvs\n%+v", label, src, sa, sb)
+		}
+	}
+	if va, vb := a.Verdicts(), b.Verdicts(); !reflect.DeepEqual(va, vb) {
+		t.Fatalf("%s: verdicts %+v vs %+v", label, va, vb)
+	}
+	if a.flagged != b.flagged || a.dropped != b.dropped {
+		t.Fatalf("%s: flagged/dropped %d/%d vs %d/%d", label, a.flagged, a.dropped, b.flagged, b.dropped)
+	}
+}
+
+// feedMixed drives d with a regular prober on source 5 (which flags)
+// between irregular observations of sources 0–8 — more than the test
+// configs track, so some are dropped — all drawn from seed.
+func feedMixed(d *Detector, seed int64) {
+	rng := stats.NewRNG(seed)
+	for i := 0; i < 300; i++ {
+		now, src := float64(i)*0.25, 5 // the prober: every other tick
+		if i%2 == 1 {
+			now += rng.Float64() * 0.2
+			src = rng.Intn(9)
+		}
+		d.Observe(src, now, 0.05+rng.Float64()*5, rng.Bernoulli(0.4))
+		if i%7 == 0 {
+			d.ObserveRTT(src, rng.Float64())
+		}
+	}
+}
+
+// TestResetMatchesNew: a detector restarted with Reset(cfg) behaves
+// exactly as New(cfg) — same verdicts, scores, per-source state and
+// Merge result — whatever config and traffic it served before, rate
+// windows of a different bucket count included; and it keeps nothing of
+// its old run: no flag callback, no instruments.
+func TestResetMatchesNew(t *testing.T) {
+	base := aggressive()
+	base.MaxSources = 7
+	narrow, wide := base, base
+	narrow.WindowSec, narrow.Buckets = 5, 4
+	wide.WindowSec, wide.Buckets = 20, 32
+	cfgs := []Config{narrow, base, wide}
+	for _, prev := range cfgs {
+		for _, cfg := range cfgs {
+			label := "Buckets " + strconv.Itoa(prev.Buckets) + " -> " + strconv.Itoa(cfg.Buckets)
+			reg := telemetry.NewRegistry()
+			d := New(prev)
+			d.SetTelemetry(reg)
+			stale := 0
+			d.OnFlag(func(Verdict) { stale++ })
+			feedMixed(d, 1)
+			if stale == 0 || d.dropped == 0 {
+				t.Fatalf("%s: setup flagged %d and dropped %d, want both > 0", label, stale, d.dropped)
+			}
+			flags, observed := stale, reg.Counter("detect_observations_total").Value()
+
+			d.Reset(cfg)
+			fresh := New(cfg)
+			feedMixed(d, 2)
+			feedMixed(fresh, 2)
+			sameDetector(t, label, d, fresh)
+			for src := 0; src < 9; src++ {
+				if a, b := d.Score(src), fresh.Score(src); a != b {
+					t.Fatalf("%s: source %d score %v, want %v", label, src, a, b)
+				}
+			}
+			if stale != flags {
+				t.Fatalf("%s: the old flag callback fired %d more times after Reset", label, stale-flags)
+			}
+			if n := reg.Counter("detect_observations_total").Value(); n != observed {
+				t.Fatalf("%s: the old registry counted %d observations after Reset", label, n-observed)
+			}
+
+			// A recycled aggregate merging a recycled replica matches a
+			// fresh aggregate merging a fresh one.
+			agg := New(prev)
+			feedMixed(agg, 3)
+			agg.Reset(cfg)
+			freshAgg := New(cfg)
+			agg.Merge(d)
+			freshAgg.Merge(fresh)
+			sameDetector(t, label+" merged", agg, freshAgg)
+		}
 	}
 }

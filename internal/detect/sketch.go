@@ -129,8 +129,18 @@ type rateWindow struct {
 	primed bool
 }
 
-func newRateWindow(windowSec float64, buckets int) rateWindow {
-	return rateWindow{counts: make([]uint32, buckets), width: windowSec / float64(buckets)}
+// reset empties the window and sizes it to buckets buckets spanning
+// windowSec seconds, reusing the bucket storage it already has when that
+// is large enough.
+func (w *rateWindow) reset(windowSec float64, buckets int) {
+	counts := w.counts
+	if cap(counts) < buckets {
+		counts = make([]uint32, buckets)
+	} else {
+		counts = counts[:buckets]
+		clear(counts)
+	}
+	*w = rateWindow{counts: counts, width: windowSec / float64(buckets)}
 }
 
 // advance rotates the ring forward so the current bucket covers t.

@@ -16,8 +16,10 @@ import (
 
 // detectRun executes one trial run with detection and the wide-event log
 // attached (deterministic clock) and returns the JSONL event stream plus
-// the aggregate detector's snapshot JSON.
-func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism int) ([]byte, []byte) {
+// the aggregate detector's snapshot JSON. With release, each trial's
+// detectors are handed back once merged, so later trials run on
+// recycled ones, as in the daemon.
+func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism int, release bool) ([]byte, []byte) {
 	t.Helper()
 	nc, err := spec.BuildConfig()
 	if err != nil {
@@ -38,6 +40,9 @@ func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism 
 	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, appendEvents(events), func(res TrialResult) error {
 		for _, d := range res.Detectors {
 			agg.Merge(d)
+		}
+		if release {
+			res.ReleaseDetectors()
 		}
 		return nil
 	}); err != nil {
@@ -81,12 +86,12 @@ func TestDetectEventsByteIdenticalAcrossParallelism(t *testing.T) {
 		Probes:      2,
 		Measurement: DefaultMeasurement(),
 	}
-	serial, serialSnap := detectRun(t, spec, sensitiveDetect(), 1)
+	serial, serialSnap := detectRun(t, spec, sensitiveDetect(), 1, false)
 	if !bytes.Contains(serial, []byte(`"detect.flag"`)) {
 		t.Fatal("no detect.flag events in the serial stream; determinism test proves nothing")
 	}
 	for _, workers := range []int{4, 8} {
-		par, parSnap := detectRun(t, spec, sensitiveDetect(), workers)
+		par, parSnap := detectRun(t, spec, sensitiveDetect(), workers, false)
 		if !bytes.Equal(serial, par) {
 			t.Fatalf("parallelism %d: detect event streams diverge\n%s", workers, firstDiffLines(serial, par))
 		}
@@ -109,13 +114,24 @@ func TestDetectEventsByteIdenticalUnderFaults(t *testing.T) {
 		Measurement: DefaultMeasurement(),
 		Faults:      &faults.Profile{Seed: 5, LossProb: 0.2, JitterMeanMs: 0.3},
 	}
-	serial, serialSnap := detectRun(t, spec, sensitiveDetect(), 1)
-	par, parSnap := detectRun(t, spec, sensitiveDetect(), 4)
+	serial, serialSnap := detectRun(t, spec, sensitiveDetect(), 1, false)
+	par, parSnap := detectRun(t, spec, sensitiveDetect(), 4, false)
 	if !bytes.Equal(serial, par) {
 		t.Fatalf("fault detect streams diverge\n%s", firstDiffLines(serial, par))
 	}
 	if !bytes.Equal(serialSnap, parSnap) {
 		t.Fatalf("aggregate detector snapshots diverge under faults")
+	}
+	// Recycled detectors and in-place reseeded fault streams change
+	// nothing: released serially and on a pool, the run is the same.
+	for _, workers := range []int{1, 4} {
+		rel, relSnap := detectRun(t, spec, sensitiveDetect(), workers, true)
+		if !bytes.Equal(serial, rel) {
+			t.Fatalf("parallelism %d, detectors released: detect streams diverge\n%s", workers, firstDiffLines(serial, rel))
+		}
+		if !bytes.Equal(serialSnap, relSnap) {
+			t.Fatalf("parallelism %d, detectors released: aggregate snapshots diverge\nkept:     %s\nreleased: %s", workers, serialSnap, relSnap)
+		}
 	}
 	if !bytes.Contains(serial, []byte(`"fault.drop"`)) {
 		t.Fatal("fault profile injected no fault.drop events; test proves nothing")

@@ -18,9 +18,6 @@ type FigureOptions struct {
 	TrialsPerConfig int
 	MaxAttempts     int // sampling budget before giving up
 	Seed            int64
-	// SaveDir, when non-empty, receives one JSON file per accepted
-	// configuration (see SaveConfig) for exact re-runs.
-	SaveDir string
 	// Telemetry, when non-nil, receives the run's experiment metrics
 	// (trial counters, probe hit/miss delay histograms, per-attacker
 	// confusion-matrix counters) cumulatively across all configurations.
@@ -81,7 +78,7 @@ func RunFig6(opts FigureOptions) (*Fig6Result, error) {
 		}
 		return []core.Attacker{&core.NaiveAttacker{TargetFlow: nc.Target}, model}, nil
 	}
-	outcomes, attempted, err := sampleFigure(opts, "fig6", accept, roster)
+	outcomes, attempted, err := sampleFigure(opts, accept, roster)
 	if err != nil {
 		return nil, err
 	}
@@ -103,10 +100,9 @@ func RunFig6(opts FigureOptions) (*Fig6Result, error) {
 // cycling the target-absence strata, so the absence axis is populated
 // end to end (see AbsenceStrata), and skips those accept rejects. Each
 // accepted configuration runs opts.TrialsPerConfig trials of the
-// attackers roster builds for it and is saved as prefix-config-<n>.json
-// under opts.SaveDir. Sampling stops at opts.Configs outcomes or
-// opts.MaxAttempts draws; attempted counts the draws.
-func sampleFigure(opts FigureOptions, prefix string, accept func(*NetworkConfig) bool,
+// attackers roster builds for it. Sampling stops at opts.Configs
+// outcomes or opts.MaxAttempts draws; attempted counts the draws.
+func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
 	roster func(*NetworkConfig) ([]core.Attacker, error)) (outcomes []ConfigOutcome, attempted int, err error) {
 	rng := stats.NewRNG(opts.Seed)
 	meas := DefaultMeasurement()
@@ -133,9 +129,6 @@ func sampleFigure(opts FigureOptions, prefix string, accept func(*NetworkConfig)
 		}
 		for _, r := range results {
 			out.Accuracy[r.Name] = r.Accuracy()
-		}
-		if err := saveAccepted(opts.SaveDir, prefix, len(outcomes), nc); err != nil {
-			return nil, attempted, err
 		}
 		outcomes = append(outcomes, out)
 	}

@@ -38,7 +38,7 @@ func RunFig7(opts FigureOptions) (*Fig7Result, error) {
 			&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
 		}, nil
 	}
-	outcomes, attempted, err := sampleFigure(opts, "fig7", (*NetworkConfig).DetectorViable, roster)
+	outcomes, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable, roster)
 	if err != nil {
 		return nil, err
 	}

@@ -70,8 +70,10 @@ type RunnerOptions struct {
 	// (trial, attacker) table replica: it observes each replay lookup
 	// (the benign background) and each delivered probe. The detectors
 	// come back in TrialResult.Detectors, in roster order, for callers
-	// that fold them into an aggregate defender view. Nil disables
-	// detection.
+	// that fold them into an aggregate defender view, and belong to the
+	// caller until it hands them back with TrialResult.ReleaseDetectors;
+	// later trials then restart them instead of allocating new ones. Nil
+	// disables detection.
 	Detect *detect.Config
 	// Record keeps each trial's forensics for a trialrec recording: the
 	// traffic window, belief steps, and the trial's causal span tree
@@ -93,7 +95,9 @@ type TrialResult struct {
 	// roster given to NewTrialRunner.
 	Attackers []trialrec.AttackerTrial
 	// Detectors are the per-attacker detector replicas (Detect only), in
-	// roster order.
+	// roster order. They are the consumer's until ReleaseDetectors hands
+	// them back for reuse; a consumer that never releases them stays
+	// correct and only allocates.
 	Detectors []*detect.Detector
 	// Arrivals is the trial's traffic window (Record only).
 	Arrivals []workload.Arrival
@@ -102,6 +106,18 @@ type TrialResult struct {
 	Spans []telemetry.Span
 	// Events are the trial's wide events (Events only).
 	Events []telemetry.WideEvent
+}
+
+// ReleaseDetectors hands the trial's detectors back for reuse by later
+// trials and clears res.Detectors. Call it once every reader of the
+// detectors is done (typically right after merging them into an
+// aggregate, which copies what it keeps): a released detector is reset
+// and observed again by another trial.
+func (res *TrialResult) ReleaseDetectors() {
+	for _, d := range res.Detectors {
+		detectorPool.Put(d)
+	}
+	res.Detectors = nil
 }
 
 // NewTrialRunner builds a reusable trial executor for one configuration
@@ -152,16 +168,16 @@ func (r *TrialRunner) Horizon() float64 { return r.horizon }
 // verdicts — comes from the trial's own stream, seeded with seed, and
 // fault draws come from a stream derived from (Faults.Seed, trial)
 // alone, so trials are independent, safe to run concurrently, and
-// identical at every parallelism level. The stream, the window and the
-// tables live in a pooled trialScratch; nothing in the returned result
-// aliases it.
+// identical at every parallelism level. The random and fault streams,
+// the window and the tables live in a pooled trialScratch; nothing in
+// the returned result aliases it.
 func (r *TrialRunner) Run(trial int, seed int64) (TrialResult, error) {
 	out := TrialResult{Trial: trial}
 	sc := scratchPool.Get().(*trialScratch)
 	defer scratchPool.Put(sc)
 	rng := &sc.rng
 	rng.Reseed(seed)
-	flt := r.faults.Stream(int64(trial))
+	flt := r.faults.StreamInto(&sc.flt, int64(trial))
 	flt.SetCounters(r.faultCtr)
 	trace, err := r.source(r.nc.Rates, r.horizon, rng)
 	if err != nil {
@@ -215,7 +231,8 @@ func (r *TrialRunner) Run(trial int, seed int64) (TrialResult, error) {
 		}
 		var det *detect.Detector
 		if r.detect != nil {
-			det = detect.New(*r.detect)
+			det = detectorPool.Get().(*detect.Detector)
+			det.Reset(*r.detect)
 			if r.events {
 				name := r.names[i]
 				det.OnFlag(func(v detect.Verdict) {

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"flowrecon/internal/detect"
+	"flowrecon/internal/faults"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/testutil"
 	"flowrecon/internal/workload"
@@ -49,6 +51,70 @@ func TestTrialRunnerProbingSteadyStateAllocs(t *testing.T) {
 	const bound = 16
 	if allocs := testing.AllocsPerRun(50, run); allocs > bound {
 		t.Fatalf("probing TrialRunner.Run allocates %v per trial, want <= %d", allocs, bound)
+	}
+}
+
+// TestTrialRunnerDetectSteadyStateAllocs is the allocation gate on the
+// chaos session's warm trial: 0.3 ms jitter, 5% probe loss and a
+// detector per attacker, handed back after each trial. A trial reseeds
+// its fault stream in place and restarts recycled detectors instead of
+// allocating either, so
+//
+//   - a detecting trial under jitter allocates at most 4 more times than
+//     the plain trial: the detector list and the loss masks of the 3
+//     probing attackers, and not the fault stream;
+//   - under 5% loss as well, detection adds only the detector list to
+//     the faulty trial, lost probes and all.
+//
+// The second bound is relative because a lost probe costs the
+// loss-tolerant model attacker a fresh belief tracker per decision —
+// a cost of the attacker, not of this layer. The fixture is
+// TestTrialRunnerProbingSteadyStateAllocs'. (Name matches the make
+// alloc-gate regex.)
+func TestTrialRunnerDetectSteadyStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	spec := smallSpec()
+	spec.Probes = 4
+	nc, err := spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster, err := StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := detect.DefaultConfig()
+	allocs := func(opts RunnerOptions) float64 {
+		r := NewTrialRunner(nc, roster, spec.Measurement, opts)
+		seeds := TrialSeeds(17, 64)
+		i := 0
+		run := func() {
+			res, err := r.Run(i, seeds[i%len(seeds)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.ReleaseDetectors()
+			i++
+		}
+		for range seeds { // warm the trial scratch and the detectors' sources
+			run()
+		}
+		return testing.AllocsPerRun(len(seeds), run)
+	}
+	jitter := faults.Profile{Seed: 3, JitterMeanMs: 0.3}
+	lossy := faults.Profile{Seed: 3, LossProb: 0.05, JitterMeanMs: 0.3}
+	plain := allocs(RunnerOptions{})
+	detecting := allocs(RunnerOptions{Faults: jitter, Detect: &dc})
+	faulty := allocs(RunnerOptions{Faults: lossy})
+	chaos := allocs(RunnerOptions{Faults: lossy, Detect: &dc})
+	t.Logf("allocs per trial: plain %.2f, detecting under jitter %.2f, under loss %.2f without detection and %.2f with", plain, detecting, faulty, chaos)
+	if detecting > plain+4 {
+		t.Errorf("a detecting trial under jitter allocates %.2f per trial, want <= %.2f (plain + 4)", detecting, plain+4)
+	}
+	if chaos > faulty+1 {
+		t.Errorf("detection adds %.2f allocs to a trial under loss, want <= 1 (the detector list)", chaos-faulty)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"flowrecon/internal/core"
 	"flowrecon/internal/flows"
@@ -157,21 +155,4 @@ func LoadConfig(r io.Reader) (*NetworkConfig, error) {
 	}
 	nc.Restricted, _ = sel.Best(sel.FlowsExcept(target))
 	return nc, nil
-}
-
-// saveAccepted writes one accepted configuration to
-// dir/<prefix>-config-<n>.json; a no-op when dir is empty.
-func saveAccepted(dir, prefix string, n int, nc *NetworkConfig) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-config-%03d.json", prefix, n)))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return SaveConfig(f, nc)
 }

@@ -227,13 +227,14 @@ func probeSequential(nc *NetworkConfig, tbl *flowtable.Table, a SequentialAttack
 }
 
 // trialScratch is the reusable working state of one trial: its random
-// stream, the replayed traffic window and the tables the window is
-// replayed into. Trials take one from scratchPool and return it when
-// done, so a warm worker replays each window into storage earlier trials
-// grew instead of allocating tables, streams and buffers afresh. Nothing
-// a trial returns may alias it.
+// and fault streams, the replayed traffic window and the tables the
+// window is replayed into. Trials take one from scratchPool and return
+// it when done, so a warm worker replays each window into storage
+// earlier trials grew instead of allocating tables, streams and buffers
+// afresh. Nothing a trial returns may alias it.
 type trialScratch struct {
 	rng      stats.RNG
+	flt      faults.Stream
 	arrivals []workload.Arrival
 	hits     []bool // hits[i]: arrivals[i]'s replay lookup hit the table
 	// base holds the table state the window leaves; replica is the copy
@@ -242,6 +243,11 @@ type trialScratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(trialScratch) }}
+
+// detectorPool recycles the per-trial detector replicas consumers hand
+// back with TrialResult.ReleaseDetectors; TrialRunner.Run resets each one
+// it takes for the runner's config.
+var detectorPool = sync.Pool{New: func() any { return new(detect.Detector) }}
 
 // replay runs the traffic window through sc.base, freshly reset to nc's
 // switch, recording each arrival's lookup outcome in sc.hits: a miss

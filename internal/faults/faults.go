@@ -131,11 +131,27 @@ func (p Profile) Stream(sub int64) *Stream {
 	if !p.Enabled() {
 		return nil
 	}
-	s := &Stream{p: p}
+	return p.StreamInto(new(Stream), sub)
+}
+
+// StreamInto restarts s in place as the stream Stream(sub) returns: the
+// same profile and the same draws from the first one on, with no
+// counters and no event log attached, whatever s served before. It
+// returns s, or nil — leaving s untouched — for a disabled profile, so a
+// caller that owns one Stream value (the experiment trial loop keeps one
+// per pooled trial scratch) reseeds it per unit instead of allocating.
+// s must not be in use while it restarts.
+func (p Profile) StreamInto(s *Stream, sub int64) *Stream {
+	if !p.Enabled() {
+		return nil
+	}
+	s.p = p
 	base := uint64(p.SubSeed(sub))
 	for k := 0; k < numKnobs; k++ {
 		s.rng[k].Reseed(int64(splitmix64(base+uint64(k)) >> 1))
 	}
+	s.ctr = Counters{}
+	s.events = nil
 	return s
 }
 
@@ -145,7 +161,7 @@ func (p Profile) Stream(sub int64) *Stream {
 type Stream struct {
 	p   Profile
 	mu  sync.Mutex
-	rng [numKnobs]stats.RNG // inline: one allocation per stream
+	rng [numKnobs]stats.RNG // inline, reseeded in place by StreamInto
 	ctr Counters            // zero = no counting
 
 	events *telemetry.EventLog // wide event per injected fault (nil = off)

@@ -99,6 +99,63 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestStreamIntoMatchesStream: a stream restarted in place draws the
+// same Drop/JitterMs/ReorderMs sequence as a fresh Stream(sub), whatever
+// profile and substream it served before, and keeps none of its old
+// counters or event log.
+func TestStreamIntoMatchesStream(t *testing.T) {
+	profiles := []Profile{
+		{Seed: 42, LossProb: 0.3, JitterMeanMs: 1.5, ReorderProb: 0.2, ReorderExtraMs: 2},
+		{Seed: 3, LossProb: 0.05, JitterMeanMs: 0.3},
+		{Seed: 9, ReorderProb: 0.5, ReorderExtraMs: 7},
+	}
+	type draw struct {
+		drop     bool
+		jit, reo float64
+	}
+	draws := func(s *Stream) []draw {
+		out := make([]draw, 300)
+		for i := range out {
+			out[i] = draw{s.Drop(), s.JitterMs(), s.ReorderMs()}
+		}
+		return out
+	}
+	const injected = `faults_injected_total{layer="prev"}`
+	var s Stream
+	for _, prev := range profiles {
+		for _, p := range profiles {
+			reg := telemetry.NewRegistry()
+			events := telemetry.NewEventLog(0)
+			prev.StreamInto(&s, 5).SetTelemetry(reg, "prev")
+			s.SetEventLog(events)
+			draws(&s) // advance every knob's stream under the old profile
+			counted, emitted := reg.Snapshot().Counters[injected], events.Len()
+			const sub = 11
+			if got := p.StreamInto(&s, sub); got != &s {
+				t.Fatalf("StreamInto returned %p, want the stream it restarted", got)
+			}
+			want, got := draws(p.Stream(sub)), draws(&s)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("after %+v: restarted %+v draw %d = %+v, fresh stream gives %+v", prev, p, i, got[i], want[i])
+				}
+			}
+			if s.Profile() != p {
+				t.Fatalf("restarted stream serves %+v, want %+v", s.Profile(), p)
+			}
+			if n := reg.Snapshot().Counters[injected]; n != counted {
+				t.Fatalf("restarted stream still counts into the old registry: %d -> %d", counted, n)
+			}
+			if n := events.Len(); n != emitted {
+				t.Fatalf("restarted stream still emits into the old event log: %d -> %d", emitted, n)
+			}
+		}
+	}
+	if got := (Profile{}).StreamInto(&s, 1); got != nil {
+		t.Fatalf("disabled profile restarted a stream: %p", got)
+	}
+}
+
 // TestSubSeedDecorrelated: adjacent substreams get well-mixed seeds.
 func TestSubSeedDecorrelated(t *testing.T) {
 	p := Profile{Seed: 1, LossProb: 0.5}

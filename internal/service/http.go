@@ -130,6 +130,7 @@ func streamSession(w http.ResponseWriter, m *Manager, spec SessionSpec, sess *Se
 		}
 		trials++
 		m.MergeDetectors(res.Detectors)
+		res.ReleaseDetectors()
 		for _, att := range res.Attackers {
 			if att.Verdict == res.Truth {
 				correct[att.Name]++

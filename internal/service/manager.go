@@ -228,7 +228,8 @@ func (m *Manager) start(spec SessionSpec) (*Session, error) {
 }
 
 // MergeDetectors folds a trial's detector replicas into the aggregate
-// defender view (no-op without one).
+// defender view (no-op without one). The aggregate copies what it keeps,
+// so the caller may release the replicas once this returns.
 func (m *Manager) MergeDetectors(dets []*detect.Detector) {
 	agg := m.cfg.DetectAggregate
 	if agg == nil || len(dets) == 0 {
