@@ -160,11 +160,12 @@ fuzz-smoke:
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing — the OpenFlow codec, the fault-injection
-## layer and the capture-ingestion pipeline — and on the multi-tenant
-## service, which holds the process's one model cache. Each must stay at
-## or above 70%.
+## layer and the capture-ingestion pipeline — on the multi-tenant
+## service, which holds the process's one model cache, and on the model
+## and the trial loop (internal/core, internal/experiment), whose outputs
+## the determinism contract pins. Each must stay at or above 70%.
 cover-gate:
-	@for pkg in internal/openflow internal/faults internal/ingest internal/service; do \
+	@for pkg in internal/openflow internal/faults internal/ingest internal/service internal/core internal/experiment; do \
 		pct="$$($(GO) test -cover ./$$pkg/ | awk '{for (i=1;i<=NF;i++) if ($$i ~ /^[0-9.]+%$$/) {sub(/%/,"",$$i); print $$i}}')"; \
 		if [ -z "$$pct" ]; then echo "cover-gate: no coverage figure for $$pkg"; exit 1; fi; \
 		ok="$$(echo "$$pct 70" | awk '{print ($$1 >= $$2) ? 1 : 0}')"; \

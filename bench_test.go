@@ -177,7 +177,7 @@ func BenchmarkEvolve(b *testing.B) {
 	d0 := m.InitialDist()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Evolve(d0, 600)
+		m.EvolveInPlace(d0.Clone(), 600)
 	}
 }
 
@@ -354,7 +354,8 @@ func BenchmarkAblationDelta(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				d := m.Evolve(m.InitialDist(), steps)
+				d := m.InitialDist()
+				m.EvolveInPlace(d, steps)
 				hit = m.HitProbability(d, 0)
 			}
 			b.ReportMetric(hit, "P(hit-f0)")

@@ -82,11 +82,11 @@ func run() error {
 		},
 		Rules: policy, Rates: rates, Target: flowIDSLog, Core: cfg, Selector: sel,
 	}
-	model, err := core.NewModelAttacker(sel, sel.AllFlows(), 1, core.DecideByPosterior)
+	model, err := core.NewModelAttacker(sel, sel.AllFlows(), 1)
 	if err != nil {
 		return err
 	}
-	pair, err := core.NewModelAttacker(sel, sel.AllFlows(), 2, core.DecideByPosterior)
+	pair, err := core.NewModelAttacker(sel, sel.AllFlows(), 2)
 	if err != nil {
 		return err
 	}

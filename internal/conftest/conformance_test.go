@@ -88,7 +88,9 @@ func TestTableOccupancyMatchesBasicModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted := ProjectMasks(model, model.Evolve(model.InitialDist(), steps))
+	dT := model.InitialDist()
+	model.EvolveInPlace(dT, steps)
+	predicted := ProjectMasks(model, dT)
 
 	counts := make(map[uint64]int)
 	rng := stats.NewRNG(101)
@@ -133,7 +135,9 @@ func TestOccupancyHarnessDetectsBrokenSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted := ProjectMasks(model, model.Evolve(model.InitialDist(), steps))
+	dT := model.InitialDist()
+	model.EvolveInPlace(dT, steps)
+	predicted := ProjectMasks(model, dT)
 
 	// The "broken" switch holds rules twice as long as the model says.
 	broken := cfg
@@ -181,8 +185,8 @@ func TestCompactWithinTVDBudget(t *testing.T) {
 	db, dc := basic.InitialDist(), compact.InitialDist()
 	checked := 0
 	for _, step := range []int{20, 80, 240} {
-		db = basic.Evolve(db, step-checked)
-		dc = compact.Evolve(dc, step-checked)
+		basic.EvolveInPlace(db, step-checked)
+		compact.EvolveInPlace(dc, step-checked)
 		checked = step
 		_, bv, cv := AlignMasks(ProjectMasks(basic, db), ProjectMasks(compact, dc))
 		d := TVD(bv, cv)

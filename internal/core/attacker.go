@@ -53,25 +53,13 @@ func (a *NaiveAttacker) Decide(outcomes []bool, _ *stats.RNG) bool {
 	return len(outcomes) > 0 && outcomes[0]
 }
 
-// DecisionMode selects how a model attacker converts outcomes to verdicts.
-type DecisionMode int
-
-// Decision modes.
-const (
-	// DecideByQuery returns the raw result of the (first) query, the
-	// behaviour evaluated in §VI-B ("returning the result of query f").
-	DecideByQuery DecisionMode = iota + 1
-	// DecideByPosterior thresholds P(X̂=1 | observations) at ½ — the
-	// decision-tree leaves of §V-B. For a probe passing the paper's
-	// detector-viability filter the two modes agree.
-	DecideByPosterior
-)
-
 // ModelAttacker probes the flow (or flow sequence) with maximal
-// information gain, as computed by a ProbeSelector, and decides per Mode.
+// information gain, as computed by a ProbeSelector, and decides by
+// thresholding P(X̂=1 | observations) at ½ — the decision-tree leaves of
+// §V-B. For a single probe passing the paper's detector-viability filter
+// this is the §VI-B rule "return the result of query f".
 type ModelAttacker struct {
 	name     string
-	mode     DecisionMode
 	sel      *ProbeSelector
 	eval     SequenceEval
 	prior    float64 // P(X̂ = 1)
@@ -88,13 +76,12 @@ var (
 
 // NewModelAttacker plans numProbes probes from candidates using sel.
 // With numProbes == 1 it is the paper's single-query model attacker.
-func NewModelAttacker(sel *ProbeSelector, candidates []flows.ID, numProbes int, mode DecisionMode) (*ModelAttacker, error) {
+func NewModelAttacker(sel *ProbeSelector, candidates []flows.ID, numProbes int) (*ModelAttacker, error) {
 	if numProbes < 1 {
 		return nil, fmt.Errorf("core: numProbes %d < 1", numProbes)
 	}
 	a := &ModelAttacker{
 		name:  fmt.Sprintf("model(m=%d)", numProbes),
-		mode:  mode,
 		sel:   sel,
 		prior: 1 - sel.PAbsent(),
 	}
@@ -136,10 +123,6 @@ func (a *ModelAttacker) Probes() []flows.ID {
 // attacker plans multiple probes).
 func (a *ModelAttacker) PlannedEval() ProbeEval { return a.singleOK }
 
-// PlannedSequence returns the planned probe-sequence evaluation (with
-// Flows holding the single planned probe when numProbes == 1).
-func (a *ModelAttacker) PlannedSequence() SequenceEval { return a.eval }
-
 // Selector implements BeliefProvider.
 func (a *ModelAttacker) Selector() *ProbeSelector { return a.sel }
 
@@ -148,60 +131,23 @@ func (a *ModelAttacker) Decide(outcomes []bool, _ *stats.RNG) bool {
 	if len(outcomes) == 0 {
 		return a.prior > 0.5
 	}
-	switch a.mode {
-	case DecideByQuery:
-		return outcomes[0]
-	case DecideByPosterior:
-		if a.isSingle {
-			return a.singleOK.PosteriorPresent(outcomes[0]) > 0.5
-		}
-		return a.eval.Decide(outcomes)
-	default:
-		return outcomes[0]
+	if a.isSingle {
+		return a.singleOK.PosteriorPresent(outcomes[0]) > 0.5
 	}
+	return a.eval.Decide(outcomes)
 }
 
 // DecideWithLoss implements LossTolerant: lost probes contribute no
-// observation. The verdict comes from replaying the observed prefix
-// through a fresh belief tracker — Observe for delivered probes,
-// ObserveLost for dropped ones — and thresholding the resulting
-// posterior P(X̂=1 | delivered observations) at ½. With nothing
-// delivered the verdict falls back to the prior; in DecideByQuery mode a
-// delivered first probe still decides by its raw outcome (the §VI-B
-// behaviour), and only when the first probe is lost does the attacker
-// fall back to the posterior over whatever else arrived.
+// observation. The verdict thresholds P(X̂=1 | delivered observations)
+// at ½, conditioning the selector's chains on the delivered outcomes
+// alone; with nothing delivered it falls back to the prior.
 func (a *ModelAttacker) DecideWithLoss(outcomes, lost []bool, rng *stats.RNG) bool {
-	anyLost := false
 	for i := range outcomes {
 		if i < len(lost) && lost[i] {
-			anyLost = true
-			break
+			return a.sel.posteriorAfter(a.eval.Flows, outcomes, lost) > 0.5
 		}
 	}
-	if !anyLost {
-		return a.Decide(outcomes, rng)
-	}
-	if a.mode == DecideByQuery && len(outcomes) > 0 && !lost[0] {
-		return outcomes[0]
-	}
-	probes := a.eval.Flows
-	t := a.sel.NewBeliefTracker()
-	delivered := 0
-	for i, out := range outcomes {
-		if i >= len(probes) {
-			break
-		}
-		if i < len(lost) && lost[i] {
-			t.ObserveLost(probes[i])
-			continue
-		}
-		t.Observe(probes[i], out)
-		delivered++
-	}
-	if delivered == 0 {
-		return a.prior > 0.5
-	}
-	return t.Prior() > 0.5
+	return a.Decide(outcomes, rng)
 }
 
 // RandomAttacker is the §VI-B baseline that makes no probes and guesses

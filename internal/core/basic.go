@@ -289,17 +289,9 @@ func (m *BasicModel) InitialDist() markov.Dist {
 	return markov.PointDist(len(m.res.States), m.res.Index[""])
 }
 
-// Evolve advances a state distribution the given number of steps (Eqn 8).
-// The input is not modified; the frozen CSR kernel is bit-identical to
-// the reference Sparse.Evolve.
-func (m *BasicModel) Evolve(d markov.Dist, steps int) markov.Dist {
-	out := d.Clone()
-	m.EvolveInPlace(out, steps)
-	return out
-}
-
-// EvolveInPlace advances d in place via a pooled workspace (zero
-// allocation once warm). Safe for concurrent use.
+// EvolveInPlace advances d in place by steps (Eqn 8) via a pooled
+// workspace (zero allocation once warm); the frozen CSR kernel is
+// bit-identical to the reference Sparse.Evolve. Safe for concurrent use.
 func (m *BasicModel) EvolveInPlace(d markov.Dist, steps int) {
 	m.freezeOnce.Do(func() { m.frozen = m.res.Matrix.Freeze() })
 	ws := m.wsPool.Get().(*markov.Workspace)
@@ -339,11 +331,12 @@ func (m *BasicModel) coverMask(f flows.ID) uint64 {
 	return cover
 }
 
-// SplitByHit partitions d by whether probing f hits.
-func (m *BasicModel) SplitByHit(d markov.Dist, f flows.ID) (hit, miss markov.Dist) {
+// SplitByHitInto partitions d by whether probing f hits, writing into
+// hit and miss, which are fully overwritten.
+func (m *BasicModel) SplitByHitInto(d markov.Dist, f flows.ID, hit, miss markov.Dist) {
 	cover := m.coverMask(f)
-	hit = make(markov.Dist, len(d))
-	miss = make(markov.Dist, len(d))
+	clear(hit)
+	clear(miss)
 	for i, p := range d {
 		if p == 0 {
 			continue
@@ -354,17 +347,17 @@ func (m *BasicModel) SplitByHit(d markov.Dist, f flows.ID) (hit, miss markov.Dis
 			miss[i] = p
 		}
 	}
-	return hit, miss
 }
 
-// ApplyProbe implements the probe side effect exactly: a hit moves the
+// ApplyProbeInto implements the probe side effect exactly, writing into
+// dst, which is fully overwritten and must not alias d: a hit moves the
 // matched rule to the front with a refreshed clock; a miss installs the
 // covering rule, evicting the smallest remaining clock if full. If a
 // resulting state lies outside the explored space (possible only for
 // zero-rate probe flows whose install transition the chain never takes),
 // the mass stays in place as a conservative approximation.
-func (m *BasicModel) ApplyProbe(d markov.Dist, f flows.ID, hit bool) markov.Dist {
-	out := make(markov.Dist, len(d))
+func (m *BasicModel) ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool) {
+	clear(dst)
 	for i, p := range d {
 		if p == 0 {
 			continue
@@ -374,25 +367,24 @@ func (m *BasicModel) ApplyProbe(d markov.Dist, f flows.ID, hit bool) markov.Dist
 		if hit {
 			j, matched := m.matchCached(slots, f)
 			if !matched {
-				out[i] += p
+				dst[i] += p
 				continue
 			}
 			next = m.applyHit(slots, j)
 		} else {
 			j, covered := m.cfg.Rules.HighestCovering(f)
 			if !covered {
-				out[i] += p
+				dst[i] += p
 				continue
 			}
 			next = m.applyMiss(slots, j)
 		}
 		if to, ok := m.res.Index[m.encode(next)]; ok {
-			out[to] += p
+			dst[to] += p
 		} else {
-			out[i] += p
+			dst[i] += p
 		}
 	}
-	return out
 }
 
 // resolveTimeouts drops zero-clock entries: the state the chain's pending

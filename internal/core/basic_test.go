@@ -224,7 +224,7 @@ func TestBasicModelHitProbabilityGrowsFromEmpty(t *testing.T) {
 	if p := m.HitProbability(d0, 0); p != 0 {
 		t.Fatalf("hit probability in empty cache = %v", p)
 	}
-	d := m.Evolve(d0, 30)
+	d := evolve(m, d0, 30)
 	if math.Abs(d.Sum()-1) > 1e-9 {
 		t.Fatalf("mass = %v", d.Sum())
 	}
@@ -250,7 +250,7 @@ func TestBasicModelAgainstStepSimulation(t *testing.T) {
 		steps  = 80
 		trials = 6000
 	)
-	dT := m.Evolve(m.InitialDist(), steps)
+	dT := evolve(m, m.InitialDist(), steps)
 
 	rng := stats.NewRNG(42)
 	hits := make([]int, len(cfg.Rates))
@@ -332,15 +332,15 @@ func TestBasicApplyProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Evolve(m.InitialDist(), 20)
+	d := evolve(m, m.InitialDist(), 20)
 	// After a miss-probe of flow 2, rule2 (id 2) must be cached with
 	// certainty on the miss mass.
-	_, miss := m.SplitByHit(d, 2)
+	_, miss := splitByHit(m, d, 2)
 	missMass := miss.Sum()
 	if missMass <= 0 {
 		t.Skip("no miss mass at this horizon")
 	}
-	after := m.ApplyProbe(miss, 2, false)
+	after := applyProbe(m, miss, 2, false)
 	if math.Abs(after.Sum()-missMass) > 1e-9 {
 		t.Fatalf("probe lost mass: %v → %v", missMass, after.Sum())
 	}
@@ -348,9 +348,9 @@ func TestBasicApplyProbe(t *testing.T) {
 		t.Fatalf("rule2 cached mass after install = %v, want %v", p, missMass)
 	}
 	// Hit-probe must preserve mass and keep the matched rule cached.
-	hit, _ := m.SplitByHit(d, 0)
+	hit, _ := splitByHit(m, d, 0)
 	if hit.Sum() > 0 {
-		afterHit := m.ApplyProbe(hit, 0, true)
+		afterHit := applyProbe(m, hit, 0, true)
 		if math.Abs(afterHit.Sum()-hit.Sum()) > 1e-9 {
 			t.Fatalf("hit probe lost mass")
 		}
@@ -366,8 +366,8 @@ func TestBasicSplitByHitPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Evolve(m.InitialDist(), 25)
-	hit, miss := m.SplitByHit(d, 1)
+	d := evolve(m, m.InitialDist(), 25)
+	hit, miss := splitByHit(m, d, 1)
 	if math.Abs(hit.Sum()+miss.Sum()-1) > 1e-9 {
 		t.Fatalf("partition mass = %v", hit.Sum()+miss.Sum())
 	}

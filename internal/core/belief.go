@@ -65,69 +65,111 @@ type BeliefStep struct {
 const BeliefTrackerTopK = 8
 
 // BeliefTracker follows a selector's posterior over X̂ through a
-// sequence of observed probe outcomes. It mirrors the conditioning that
-// EvaluateSequence and BuildAdaptiveTree apply during planning — split
-// the state distribution on the observed outcome, apply the probe's
-// cache side effect — but over the outcomes actually seen at run time.
+// sequence of observed probe outcomes. It applies the conditioning step
+// EvaluateSequence applies during planning — split both chains on the
+// observed outcome, apply the probe's cache side effect, read the
+// posterior — through the same in-place model kernels, over the outcomes
+// actually seen at run time and into distributions the tracker owns.
 type BeliefTracker struct {
-	sel   *ProbeSelector
-	d     markov.Dist // unconditional dist, mass = P(outcome prefix)
-	d0    markov.Dist // target-absent dist, mass = P(prefix | X̂=0)
-	post  float64     // current P(X̂=1 | prefix)
-	steps []BeliefStep
+	sel         *ProbeSelector
+	d           markov.Dist // unconditional dist, mass = P(outcome prefix)
+	d0          markov.Dist // target-absent dist, mass = P(prefix | X̂=0)
+	hit, miss   markov.Dist // d split by the latest probe's outcome
+	hit0, miss0 markov.Dist // d0 split likewise
+	post        float64     // current P(X̂=1 | prefix)
+	n           int         // probes observed so far
 }
 
 // NewBeliefTracker starts a tracker at the selector's prior (no probes
 // observed yet).
 func (s *ProbeSelector) NewBeliefTracker() *BeliefTracker {
-	return &BeliefTracker{
-		sel:  s,
-		d:    s.dist.Clone(),
-		d0:   s.dist0.Clone(),
-		post: 1 - s.pAbsent,
+	n, n0 := len(s.dist), len(s.dist0)
+	next := slab(3 * (n + n0))
+	t := &BeliefTracker{
+		sel: s,
+		d:   next(n), hit: next(n), miss: next(n),
+		d0: next(n0), hit0: next(n0), miss0: next(n0),
 	}
+	t.reset()
+	return t
+}
+
+// reset returns the tracker to the selector's prior.
+func (t *BeliefTracker) reset() {
+	copy(t.d, t.sel.dist)
+	copy(t.d0, t.sel.dist0)
+	t.post = 1 - t.sel.pAbsent
+	t.n = 0
+}
+
+// posteriorAfter returns P(X̂ = 1 | the delivered outcomes of probes):
+// outcomes[i] is probe i's classified result unless lost[i] marks it as
+// never observed. It conditions a tracker recycled through the
+// selector's pool and records no BeliefStep, so a warm call allocates
+// nothing.
+func (s *ProbeSelector) posteriorAfter(probes []flows.ID, outcomes, lost []bool) float64 {
+	t, _ := s.trackerPool.Get().(*BeliefTracker)
+	if t == nil {
+		t = s.NewBeliefTracker()
+	} else {
+		t.reset()
+	}
+	for i, hit := range outcomes {
+		if i >= len(probes) {
+			break
+		}
+		if i < len(lost) && lost[i] {
+			continue // a lost probe leaves the belief unchanged
+		}
+		t.condition(probes[i], hit)
+	}
+	post := t.post
+	s.trackerPool.Put(t)
+	return post
 }
 
 // Prior returns the tracker's current belief P(X̂ = 1 | outcomes so
 // far) — the prior of the next probe.
 func (t *BeliefTracker) Prior() float64 { return t.post }
 
-// EntropyBits returns the entropy remaining about X̂ in bits.
-func (t *BeliefTracker) EntropyBits() float64 { return stats.BinaryEntropy(t.post) }
+// condition folds one classified probe outcome into the belief state and
+// returns P(outcome prefix ∧ this outcome).
+func (t *BeliefTracker) condition(f flows.ID, hit bool) (pq float64) {
+	s := t.sel
+	s.model.SplitByHitInto(t.d, f, t.hit, t.miss)
+	s.model0.SplitByHitInto(t.d0, f, t.hit0, t.miss0)
+	bd, bd0 := t.miss, t.miss0
+	if hit {
+		bd, bd0 = t.hit, t.hit0
+	}
+	pq = bd.Sum()
+	pq0 := s.pAbsent * bd0.Sum() // P(X̂=0 ∧ prefix ∧ outcome)
+	t.post = 1 - s.pAbsent       // prior fallback for impossible paths
+	if pq > 0 {
+		t.post = clamp01(pq-pq0) / pq
+	}
+	s.model.ApplyProbeInto(t.d, bd, f, hit)
+	s.model0.ApplyProbeInto(t.d0, bd0, f, hit)
+	t.n++
+	return pq
+}
 
 // Observe folds one classified probe outcome into the belief state and
-// returns the resulting BeliefStep (also retained in Steps).
+// returns the resulting BeliefStep.
 func (t *BeliefTracker) Observe(f flows.ID, hit bool) BeliefStep {
 	prior := t.post
-	hitD, missD := t.sel.model.SplitByHit(t.d, f)
-	hitD0, missD0 := t.sel.model0.SplitByHit(t.d0, f)
-	bd, bd0 := missD, missD0
-	if hit {
-		bd, bd0 = hitD, hitD0
-	}
-	pq := bd.Sum()                   // P(prefix ∧ this outcome)
-	pq0 := t.sel.pAbsent * bd0.Sum() // P(X̂=0 ∧ prefix ∧ outcome)
-	posterior := 1 - t.sel.pAbsent   // prior fallback for impossible paths
-	if pq > 0 {
-		posterior = clamp01(pq-pq0) / pq
-	}
-	t.d = t.sel.model.ApplyProbe(bd, f, hit)
-	t.d0 = t.sel.model0.ApplyProbe(bd0, f, hit)
-	t.post = posterior
-
-	step := BeliefStep{
-		Index:       len(t.steps),
+	pq := t.condition(f, hit)
+	return BeliefStep{
+		Index:       t.n - 1,
 		Probe:       f,
 		Hit:         hit,
 		Prior:       prior,
-		Posterior:   posterior,
-		GainBits:    stats.BinaryEntropy(prior) - stats.BinaryEntropy(posterior),
-		EntropyBits: stats.BinaryEntropy(posterior),
+		Posterior:   t.post,
+		GainBits:    stats.BinaryEntropy(prior) - stats.BinaryEntropy(t.post),
+		EntropyBits: stats.BinaryEntropy(t.post),
 		PathProb:    pq,
 		TopStates:   TopStates(t.d, BeliefTrackerTopK),
 	}
-	t.steps = append(t.steps, step)
-	return step
 }
 
 // ObserveLost folds a lost probe into the belief state: the probe was
@@ -135,11 +177,12 @@ func (t *BeliefTracker) Observe(f flows.ID, hit bool) BeliefStep {
 // The posterior is unchanged, the realized gain is zero, and — because
 // a dropped probe never reaches the switch's flow table — no cache side
 // effect is applied to the conditioned state distributions. The step is
-// still recorded (with Lost set) so recordings show where the trial's
+// still returned (with Lost set) so recordings show where the trial's
 // observations have holes.
 func (t *BeliefTracker) ObserveLost(f flows.ID) BeliefStep {
-	step := BeliefStep{
-		Index:       len(t.steps),
+	t.n++
+	return BeliefStep{
+		Index:       t.n - 1,
 		Probe:       f,
 		Lost:        true,
 		Prior:       t.post,
@@ -149,13 +192,6 @@ func (t *BeliefTracker) ObserveLost(f flows.ID) BeliefStep {
 		PathProb:    t.d.Sum(),
 		TopStates:   TopStates(t.d, BeliefTrackerTopK),
 	}
-	t.steps = append(t.steps, step)
-	return step
-}
-
-// Steps returns the belief steps observed so far.
-func (t *BeliefTracker) Steps() []BeliefStep {
-	return append([]BeliefStep(nil), t.steps...)
 }
 
 // TopStates returns the k most probable states of d, normalized to the

@@ -10,74 +10,54 @@ import (
 )
 
 // TestBeliefTrackerMatchesSequenceEval checks the run-time belief update
-// against the planning-time joint: for every outcome vector of a planned
-// two-probe sequence, replaying the outcomes through a BeliefTracker
-// must land on the decision tree's leaf posterior.
+// against the planning-time joint, which conditions through the same
+// model kernels: for every ordered pair of distinct fig2c flows and one
+// three-probe sequence, replaying each outcome vector through a
+// BeliefTracker must land every step on the decision tree's posterior for
+// that prefix, and the last step on the leaf's posterior and path
+// probability.
 func TestBeliefTrackerMatchesSequenceEval(t *testing.T) {
 	cfg := fig2cConfig(t)
 	sel := newSelector(t, cfg, 0, 40)
-	fs := []flows.ID{1, 2}
-	eval := sel.EvaluateSequence(fs)
-	for _, outcomes := range [][]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-		tr := sel.NewBeliefTracker()
-		if got, want := tr.Prior(), 1-sel.PAbsent(); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("initial prior = %v, want %v", got, want)
-		}
-		var last BeliefStep
-		for i, hit := range outcomes {
-			last = tr.Observe(fs[i], hit)
-		}
-		want := eval.PosteriorPresent[outcomeKey(outcomes)]
-		if math.Abs(last.Posterior-want) > 1e-9 {
-			t.Fatalf("outcomes %v: tracker posterior %v, leaf posterior %v", outcomes, last.Posterior, want)
-		}
-		wantPath := eval.PathProb[outcomeKey(outcomes)]
-		if math.Abs(last.PathProb-wantPath) > 1e-9 {
-			t.Fatalf("outcomes %v: tracker path prob %v, want %v", outcomes, last.PathProb, wantPath)
-		}
-		if len(tr.Steps()) != 2 {
-			t.Fatalf("steps = %d, want 2", len(tr.Steps()))
+	seqs := [][]flows.ID{{1, 2, 0}}
+	for a := range cfg.Rates {
+		for b := range cfg.Rates {
+			if a != b {
+				seqs = append(seqs, []flows.ID{flows.ID(a), flows.ID(b)})
+			}
 		}
 	}
-}
-
-// TestBeliefTrackerMatchesAdaptivePlan replays every root-to-leaf path of
-// an adaptive plan through a BeliefTracker and compares posteriors.
-func TestBeliefTrackerMatchesAdaptivePlan(t *testing.T) {
-	cfg := fig2cConfig(t)
-	sel := newSelector(t, cfg, 0, 40)
-	root, err := sel.BuildAdaptiveTree(sel.AllFlows(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var walk func(n *AdaptiveNode, outcomes []bool)
-	walk = func(n *AdaptiveNode, outcomes []bool) {
-		if n.Leaf {
-			if n.PathProb <= 1e-12 {
-				return // unreachable branch: tracker falls back to the prior
+	for _, fs := range seqs {
+		eval := sel.EvaluateSequence(fs)
+		for code := 0; code < 1<<uint(len(fs)); code++ {
+			outcomes := make([]bool, len(fs))
+			for i := range outcomes {
+				outcomes[i] = code&(1<<uint(len(fs)-1-i)) != 0
 			}
 			tr := sel.NewBeliefTracker()
-			cur := root
-			for _, hit := range outcomes {
-				tr.Observe(cur.Probe, hit)
-				if hit {
-					cur = cur.Hit
-				} else {
-					cur = cur.Miss
+			if got, want := tr.Prior(), 1-sel.PAbsent(); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("initial prior = %v, want %v", got, want)
+			}
+			var last BeliefStep
+			for i, hit := range outcomes {
+				last = tr.Observe(fs[i], hit)
+				if last.Index != i {
+					t.Fatalf("%v outcomes %v: step %d has index %d", fs, outcomes, i, last.Index)
+				}
+				want, ok := eval.PosteriorAfter(outcomes[:i+1])
+				if ok && math.Abs(last.Posterior-want) > 1e-9 {
+					t.Fatalf("%v outcomes %v: step %d posterior %v, tree %v", fs, outcomes, i, last.Posterior, want)
 				}
 			}
-			if math.Abs(tr.Prior()-n.PosteriorPresent) > 1e-9 {
-				t.Fatalf("outcomes %v: tracker %v, plan node %v", outcomes, tr.Prior(), n.PosteriorPresent)
+			key := outcomeKey(outcomes)
+			if want := eval.PosteriorPresent[key]; math.Abs(last.Posterior-want) > 1e-9 {
+				t.Fatalf("%v outcomes %v: tracker posterior %v, leaf posterior %v", fs, outcomes, last.Posterior, want)
 			}
-			if got := root.PosteriorAfter(outcomes); math.Abs(got-n.PosteriorPresent) > 1e-12 {
-				t.Fatalf("PosteriorAfter(%v) = %v, want %v", outcomes, got, n.PosteriorPresent)
+			if want := eval.PathProb[key]; math.Abs(last.PathProb-want) > 1e-9 {
+				t.Fatalf("%v outcomes %v: tracker path prob %v, want %v", fs, outcomes, last.PathProb, want)
 			}
-			return
 		}
-		walk(n.Miss, append(append([]bool(nil), outcomes...), false))
-		walk(n.Hit, append(append([]bool(nil), outcomes...), true))
 	}
-	walk(root, nil)
 }
 
 func TestBeliefStepFields(t *testing.T) {
@@ -182,20 +162,12 @@ func TestSequencePosteriorAfterPrefix(t *testing.T) {
 func TestModelAttackerExposesSelector(t *testing.T) {
 	cfg := fig2cConfig(t)
 	sel := newSelector(t, cfg, 0, 40)
-	a, err := NewModelAttacker(sel, sel.AllFlows(), 1, DecideByPosterior)
+	a, err := NewModelAttacker(sel, sel.AllFlows(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bp BeliefProvider = a
 	if bp.Selector() != sel {
 		t.Fatal("ModelAttacker.Selector() lost the selector")
-	}
-	ad, err := NewAdaptiveAttacker(sel, sel.AllFlows(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp = ad
-	if bp.Selector() != sel {
-		t.Fatal("AdaptiveAttacker.Selector() lost the selector")
 	}
 }

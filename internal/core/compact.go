@@ -14,24 +14,30 @@ import (
 )
 
 // Model is the interface probe selection needs from a switch model. Both
-// BasicModel and CompactModel implement it.
+// BasicModel and CompactModel implement it. Every kernel works on
+// caller-owned distributions: a caller that wants to keep its input
+// clones it first, so each operation exists exactly once.
 type Model interface {
 	// NumStates returns the model's state-space size.
 	NumStates() int
 	// InitialDist returns the distribution for an initially empty cache.
 	InitialDist() markov.Dist
-	// Evolve advances a distribution the given number of Δ-steps (Eqn 8).
-	Evolve(d markov.Dist, steps int) markov.Dist
+	// EvolveInPlace advances d the given number of Δ-steps (Eqn 8),
+	// overwriting it.
+	EvolveInPlace(d markov.Dist, steps int)
 	// HitProbability returns the mass of states in which a probe of f
 	// would hit (some cached rule covers f).
 	HitProbability(d markov.Dist, f flows.ID) float64
-	// SplitByHit partitions d's mass into the states where probing f hits
-	// and the states where it misses. The halves are unnormalized.
-	SplitByHit(d markov.Dist, f flows.ID) (hit, miss markov.Dist)
-	// ApplyProbe transforms a distribution by the cache side effect of a
-	// probe of f with the given outcome: a miss installs the covering
-	// rule (evicting if full); a hit refreshes the matched rule.
-	ApplyProbe(d markov.Dist, f flows.ID, hit bool) markov.Dist
+	// SplitByHitInto partitions d's mass into the states where probing f
+	// hits and the states where it misses. The halves are unnormalized;
+	// hit and miss are fully overwritten and must not alias d.
+	SplitByHitInto(d markov.Dist, f flows.ID, hit, miss markov.Dist)
+	// ApplyProbeInto writes into dst the distribution d transformed by
+	// the cache side effect of a probe of f with the given outcome: a
+	// miss installs the covering rule (evicting if full); a hit
+	// refreshes the matched rule. dst is fully overwritten and must not
+	// alias d.
+	ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool)
 	// ModelConfig returns the model's configuration.
 	ModelConfig() Config
 }
@@ -52,7 +58,7 @@ type CompactModel struct {
 	index  map[uint64]int // mask → state index
 	cover  *coverTable    // rule coverage, shared read-only with the build's estimators
 	matrix *markov.Sparse
-	frozen *markov.CSR      // immutable CSR snapshot driving Evolve/SteadyState
+	frozen *markov.CSR      // immutable CSR snapshot driving EvolveInPlace/SteadyState
 	wsPool sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
 	est    []StateEstimates // per-state §IV-B estimates (nil for the empty state)
 }
@@ -352,19 +358,11 @@ func (m *CompactModel) InitialDist() markov.Dist {
 	return markov.PointDist(len(m.states), m.index[0])
 }
 
-// Evolve advances a distribution the given number of steps (Eqn 8). The
-// input is not modified. The frozen CSR kernel keeps the result
-// bit-identical to the reference Sparse.Evolve while avoiding its
-// per-step allocation and full-space scans.
-func (m *CompactModel) Evolve(d markov.Dist, steps int) markov.Dist {
-	out := d.Clone()
-	m.EvolveInPlace(out, steps)
-	return out
-}
-
-// EvolveInPlace advances d in place by steps, using a pooled workspace
-// so repeated calls (probe sweeps, per-trial model pushes) allocate
-// nothing. Safe for concurrent use; each call draws its own workspace.
+// EvolveInPlace advances d in place by steps (Eqn 8), using a pooled
+// workspace so repeated calls (probe sweeps, per-trial model pushes)
+// allocate nothing. The frozen CSR kernel keeps the result bit-identical
+// to the reference Sparse.Evolve. Safe for concurrent use; each call
+// draws its own workspace.
 func (m *CompactModel) EvolveInPlace(d markov.Dist, steps int) {
 	var start time.Time
 	instrumented := evolveInstrumented()
@@ -403,17 +401,8 @@ func (m *CompactModel) CachedProbability(d markov.Dist, j int) float64 {
 	return d.MassWhere(func(i int) bool { return m.states[i]&bit != 0 })
 }
 
-// SplitByHit partitions d by whether probing f hits.
-func (m *CompactModel) SplitByHit(d markov.Dist, f flows.ID) (hit, miss markov.Dist) {
-	hit = make(markov.Dist, len(d))
-	miss = make(markov.Dist, len(d))
-	m.SplitByHitInto(d, f, hit, miss)
-	return hit, miss
-}
-
-// SplitByHitInto is SplitByHit writing into caller-provided buffers,
-// which are fully overwritten. Used by the allocation-free sequence
-// evaluation.
+// SplitByHitInto partitions d by whether probing f hits, writing into
+// caller-provided buffers, which are fully overwritten.
 func (m *CompactModel) SplitByHitInto(d markov.Dist, f flows.ID, hit, miss markov.Dist) {
 	cover := m.coverMask(f)
 	clear(hit)
@@ -430,20 +419,11 @@ func (m *CompactModel) SplitByHitInto(d markov.Dist, f flows.ID, hit, miss marko
 	}
 }
 
-// ApplyProbe implements the §V-B state update for one probe: a hit leaves
+// ApplyProbeInto implements the §V-B state update for one probe, writing
+// into dst, which is fully overwritten and must not alias d: a hit leaves
 // the subset unchanged (it only refreshes a clock the compact model does
 // not carry); a miss installs the highest-priority rule covering f,
 // splitting mass across evictions when the table is full.
-func (m *CompactModel) ApplyProbe(d markov.Dist, f flows.ID, hit bool) markov.Dist {
-	out := make(markov.Dist, len(d))
-	m.ApplyProbeInto(out, d, f, hit)
-	return out
-}
-
-// ApplyProbeInto is ApplyProbe writing into dst, which is fully
-// overwritten and must not alias d. The eviction fan-out iterates mask
-// bits directly, so the per-state maskIDs allocation of the former
-// implementation is gone.
 func (m *CompactModel) ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool) {
 	if hit {
 		copy(dst, d)

@@ -168,8 +168,8 @@ func TestCompactAgreesWithBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const steps = 30
-	db := basic.Evolve(basic.InitialDist(), steps)
-	dc := compact.Evolve(compact.InitialDist(), steps)
+	db := evolve(basic, basic.InitialDist(), steps)
+	dc := evolve(compact, compact.InitialDist(), steps)
 	for f := 0; f < len(cfg.Rates); f++ {
 		pb := basic.HitProbability(db, flows.ID(f))
 		pc := compact.HitProbability(dc, flows.ID(f))
@@ -214,7 +214,7 @@ func TestCompactAgainstContinuousSimulation(t *testing.T) {
 		steps  = 100
 		trials = 4000
 	)
-	dT := m.Evolve(m.InitialDist(), steps)
+	dT := evolve(m, m.InitialDist(), steps)
 
 	horizon := float64(steps) * cfg.Delta
 	rng := stats.NewRNG(7)
@@ -256,12 +256,12 @@ func TestCompactApplyProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Evolve(m.InitialDist(), 25)
-	hit, miss := m.SplitByHit(d, 1)
+	d := evolve(m, m.InitialDist(), 25)
+	hit, miss := splitByHit(m, d, 1)
 	if math.Abs(hit.Sum()+miss.Sum()-1) > 1e-9 {
 		t.Fatalf("partition mass = %v", hit.Sum()+miss.Sum())
 	}
-	after := m.ApplyProbe(miss, 1, false)
+	after := applyProbe(m, miss, 1, false)
 	if math.Abs(after.Sum()-miss.Sum()) > 1e-9 {
 		t.Fatal("install lost mass")
 	}
@@ -271,7 +271,7 @@ func TestCompactApplyProbe(t *testing.T) {
 		t.Fatalf("rule1 cached mass = %v, want %v", p, miss.Sum())
 	}
 	// A hit probe is a no-op on subset states.
-	afterHit := m.ApplyProbe(hit, 1, true)
+	afterHit := applyProbe(m, hit, 1, true)
 	for i := range hit {
 		if afterHit[i] != hit[i] {
 			t.Fatal("hit probe changed the distribution")
@@ -284,8 +284,8 @@ func TestCompactApplyProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := m2.Evolve(m2.InitialDist(), 10)
-	after2 := m2.ApplyProbe(d2, 3, false)
+	d2 := evolve(m2, m2.InitialDist(), 10)
+	after2 := applyProbe(m2, d2, 3, false)
 	for i := range d2 {
 		if after2[i] != d2[i] {
 			t.Fatal("uncovered probe changed the distribution")
@@ -311,7 +311,7 @@ func TestCompactApplyProbeEvictsWhenFull(t *testing.T) {
 	}
 	d := make([]float64, m.NumStates())
 	d[full] = 1
-	after := m.ApplyProbe(d, 2, false) // install rule2, must evict rule0 or rule1
+	after := applyProbe(m, d, 2, false) // install rule2, must evict rule0 or rule1
 	if math.Abs(sum(after)-1) > 1e-9 {
 		t.Fatalf("mass = %v", sum(after))
 	}

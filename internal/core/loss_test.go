@@ -43,8 +43,8 @@ func TestObserveLostIsNoObservation(t *testing.T) {
 	if math.Abs(sLoss.PathProb-sClean.PathProb) > 1e-12 {
 		t.Fatalf("lost probe perturbed path prob: %v vs %v", sLoss.PathProb, sClean.PathProb)
 	}
-	if got := len(withLoss.Steps()); got != 2 {
-		t.Fatalf("steps = %d, want 2 (lost step is still recorded)", got)
+	if sLoss.Index != 1 {
+		t.Fatalf("step index = %d, want 1 (the lost step still counts)", sLoss.Index)
 	}
 }
 
@@ -78,41 +78,53 @@ func TestDecideWithLossMatchesDecideWhenNothingLost(t *testing.T) {
 	cfg := fig2cConfig(t)
 	sel := newSelector(t, cfg, 0, 40)
 	rng := stats.NewRNG(1)
-	for _, mode := range []DecisionMode{DecideByQuery, DecideByPosterior} {
-		a, err := NewModelAttacker(sel, sel.AllFlows(), 2, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, outcomes := range [][]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-			want := a.Decide(outcomes, rng)
-			got := a.DecideWithLoss(outcomes, []bool{false, false}, rng)
-			if got != want {
-				t.Fatalf("mode %v outcomes %v: DecideWithLoss %v, Decide %v", mode, outcomes, got, want)
-			}
+	a, err := NewModelAttacker(sel, sel.AllFlows(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, outcomes := range [][]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		want := a.Decide(outcomes, rng)
+		got := a.DecideWithLoss(outcomes, []bool{false, false}, rng)
+		if got != want {
+			t.Fatalf("outcomes %v: DecideWithLoss %v, Decide %v", outcomes, got, want)
 		}
 	}
 }
 
 // TestDecideWithLossPartialLoss: losing one probe of two yields the
-// posterior conditioned on only the delivered observation — identical to
-// a belief-tracker replay that skips the lost index.
+// posterior conditioned on only the delivered observation — bit-identical
+// to a belief-tracker replay that skips the lost index, however often the
+// selector's pooled tracker is reused in between.
 func TestDecideWithLossPartialLoss(t *testing.T) {
 	cfg := fig2cConfig(t)
 	sel := newSelector(t, cfg, 0, 40)
-	a, err := NewModelAttacker(sel, sel.AllFlows(), 2, DecideByPosterior)
+	a, err := NewModelAttacker(sel, sel.AllFlows(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probes := a.Probes()
 	rng := stats.NewRNG(1)
-	for _, second := range []bool{false, true} {
-		tr := sel.NewBeliefTracker()
-		tr.ObserveLost(probes[0])
-		tr.Observe(probes[1], second)
-		want := tr.Prior() > 0.5
-		got := a.DecideWithLoss([]bool{false, second}, []bool{true, false}, rng)
-		if got != want {
-			t.Fatalf("second=%v: verdict %v, tracker replay wants %v (posterior %v)", second, got, want, tr.Prior())
+	for round := 0; round < 3; round++ {
+		for lostIdx := range probes {
+			for _, kept := range []bool{false, true} {
+				outcomes, lost := []bool{!kept, !kept}, []bool{false, false}
+				outcomes[1-lostIdx], lost[lostIdx] = kept, true
+				tr := sel.NewBeliefTracker()
+				for i, f := range probes {
+					if lost[i] {
+						tr.ObserveLost(f)
+					} else {
+						tr.Observe(f, outcomes[i])
+					}
+				}
+				if got := sel.posteriorAfter(probes, outcomes, lost); !sameBits(got, tr.Prior()) {
+					t.Fatalf("lost %v outcomes %v: pooled posterior %v, tracker replay %v", lost, outcomes, got, tr.Prior())
+				}
+				want := tr.Prior() > 0.5
+				if got := a.DecideWithLoss(outcomes, lost, rng); got != want {
+					t.Fatalf("lost %v outcomes %v: verdict %v, tracker replay wants %v (posterior %v)", lost, outcomes, got, want, tr.Prior())
+				}
+			}
 		}
 	}
 }
@@ -122,7 +134,7 @@ func TestDecideWithLossPartialLoss(t *testing.T) {
 func TestDecideWithLossAllLost(t *testing.T) {
 	cfg := fig2cConfig(t)
 	sel := newSelector(t, cfg, 0, 40)
-	a, err := NewModelAttacker(sel, sel.AllFlows(), 2, DecideByPosterior)
+	a, err := NewModelAttacker(sel, sel.AllFlows(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,39 +146,5 @@ func TestDecideWithLossAllLost(t *testing.T) {
 	// Stale outcome bits under the lost mask must not leak into the verdict.
 	if got := a.DecideWithLoss([]bool{false, false}, []bool{true, true}, rng); got != want {
 		t.Fatalf("all-lost verdict depends on masked outcome bits")
-	}
-}
-
-// TestDecideWithLossQueryMode: DecideByQuery keeps its raw-first-outcome
-// behaviour when the first probe was delivered, and falls back to the
-// surviving observations when it was lost.
-func TestDecideWithLossQueryMode(t *testing.T) {
-	cfg := fig2cConfig(t)
-	sel := newSelector(t, cfg, 0, 40)
-	a, err := NewModelAttacker(sel, sel.AllFlows(), 2, DecideByQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := a.Probes()
-	rng := stats.NewRNG(1)
-
-	// First probe delivered: verdict is its raw outcome, regardless of
-	// what happened to the rest of the sequence.
-	if got := a.DecideWithLoss([]bool{true, false}, []bool{false, true}, rng); !got {
-		t.Fatal("delivered first hit must decide true in query mode")
-	}
-	if got := a.DecideWithLoss([]bool{false, true}, []bool{false, true}, rng); got {
-		t.Fatal("delivered first miss must decide false in query mode")
-	}
-
-	// First probe lost: fall back to the posterior over probe 2 alone.
-	for _, second := range []bool{false, true} {
-		tr := sel.NewBeliefTracker()
-		tr.ObserveLost(probes[0])
-		tr.Observe(probes[1], second)
-		want := tr.Prior() > 0.5
-		if got := a.DecideWithLoss([]bool{false, second}, []bool{true, false}, rng); got != want {
-			t.Fatalf("lost-first query mode second=%v: verdict %v, want %v", second, got, want)
-		}
 	}
 }

@@ -12,10 +12,19 @@
 //     presently cached; eviction and timeout probabilities are estimated by
 //     summing over most-recent-match sequences (the u functions).
 //
+// Each model implements every operation on a state distribution once, as
+// a kernel over caller-owned buffers (Model: EvolveInPlace,
+// SplitByHitInto, ApplyProbeInto); callers that keep their input clone it
+// first.
+//
 // On top of either model, ProbeSelector (probe.go, multiprobe.go) computes
 // the information gain of candidate probe flows about the indicator
 // X̂ = "target flow occurred within the last T steps" and selects optimal
-// probes; attacker.go packages the paper's four attacker behaviours.
+// probes; attacker.go packages the paper's four attacker behaviours. The
+// step "split both chains on a probe's outcome, apply its side effect,
+// read the posterior" is written once over those kernels in planning
+// (EvaluateSequence, multiprobe.go) and once at run time (BeliefTracker,
+// belief.go).
 package core
 
 import (

@@ -67,31 +67,6 @@ func outcomeKey(outcomes []bool) string {
 	return string(b)
 }
 
-// inPlaceProber is implemented by models providing allocation-free probe
-// kernels (CompactModel). Other models fall back to the allocating path.
-type inPlaceProber interface {
-	SplitByHitInto(d markov.Dist, f flows.ID, hit, miss markov.Dist)
-	ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool)
-}
-
-func splitInto(m Model, d markov.Dist, f flows.ID, hit, miss markov.Dist) {
-	if ip, ok := m.(inPlaceProber); ok {
-		ip.SplitByHitInto(d, f, hit, miss)
-		return
-	}
-	h, ms := m.SplitByHit(d, f)
-	copy(hit, h)
-	copy(miss, ms)
-}
-
-func applyInto(m Model, dst, d markov.Dist, f flows.ID, hit bool) {
-	if ip, ok := m.(inPlaceProber); ok {
-		ip.ApplyProbeInto(dst, d, f, hit)
-		return
-	}
-	copy(dst, m.ApplyProbe(d, f, hit))
-}
-
 // seqLevel holds one tree depth's scratch distributions: the hit/miss
 // splits of both chains plus the post-probe buffers handed to the child.
 // The two sibling branches are walked sequentially, so the app buffers
@@ -113,12 +88,7 @@ func (s *ProbeSelector) arenaFor(depth int) *seqArena {
 	}
 	n, n0 := len(s.dist), len(s.dist0)
 	for len(a.levels) < depth {
-		buf := make([]float64, 3*(n+n0))
-		next := func(size int) markov.Dist {
-			d := markov.Dist(buf[:size:size])
-			buf = buf[size:]
-			return d
-		}
+		next := slab(3 * (n + n0))
 		a.levels = append(a.levels, seqLevel{
 			hit: next(n), miss: next(n), app: next(n),
 			hit0: next(n0), miss0: next(n0), app0: next(n0),
@@ -127,13 +97,23 @@ func (s *ProbeSelector) arenaFor(depth int) *seqArena {
 	return a
 }
 
+// slab returns a function handing out consecutive, capacity-capped
+// distributions carved from one allocation of total floats.
+func slab(total int) func(size int) markov.Dist {
+	buf := make([]float64, total)
+	return func(size int) markov.Dist {
+		d := markov.Dist(buf[:size:size])
+		buf = buf[size:]
+		return d
+	}
+}
+
 // EvaluateSequence computes the joint distribution of (X̂, Q_{f1..fm}) by
 // walking the outcome tree. Each probe conditions the state distribution
 // on its observed outcome and applies the probe's cache side effect (a
 // missing probe installs its covering rule; a hit refreshes it), exactly
 // the incremental adjustment §V-B prescribes. The walk runs over pooled
-// per-depth scratch buffers through the in-place model kernels — the
-// former implementation cloned four distributions per tree node.
+// per-depth scratch buffers through the in-place model kernels.
 func (s *ProbeSelector) EvaluateSequence(fs []flows.ID) SequenceEval {
 	eval := SequenceEval{
 		Flows:            append([]flows.ID(nil), fs...),
@@ -158,13 +138,13 @@ func (s *ProbeSelector) EvaluateSequence(fs []flows.ID) SequenceEval {
 		}
 		f := fs[depth]
 		lv := &arena.levels[depth]
-		splitInto(s.model, d, f, lv.hit, lv.miss)
-		splitInto(s.model0, d0, f, lv.hit0, lv.miss0)
-		applyInto(s.model, lv.app, lv.miss, f, false)
-		applyInto(s.model0, lv.app0, lv.miss0, f, false)
+		s.model.SplitByHitInto(d, f, lv.hit, lv.miss)
+		s.model0.SplitByHitInto(d0, f, lv.hit0, lv.miss0)
+		s.model.ApplyProbeInto(lv.app, lv.miss, f, false)
+		s.model0.ApplyProbeInto(lv.app0, lv.miss0, f, false)
 		walk(depth+1, key+"0", lv.app, lv.app0)
-		applyInto(s.model, lv.app, lv.hit, f, true)
-		applyInto(s.model0, lv.app0, lv.hit0, f, true)
+		s.model.ApplyProbeInto(lv.app, lv.hit, f, true)
+		s.model0.ApplyProbeInto(lv.app0, lv.hit0, f, true)
 		walk(depth+1, key+"1", lv.app, lv.app0)
 	}
 	walk(0, "", s.dist, s.dist0)
@@ -252,12 +232,12 @@ func (s *ProbeSelector) bestPair(candidates []flows.ID) (SequenceEval, bool) {
 	var bestGain float64
 	found := false
 	for _, a := range candidates {
-		splitInto(s.model, s.dist, a, first.hit, first.miss)
-		splitInto(s.model0, s.dist0, a, first.hit0, first.miss0)
-		applyInto(s.model, first.app, first.miss, a, false)
-		applyInto(s.model0, first.app0, first.miss0, a, false)
-		applyInto(s.model, hit.app, first.hit, a, true)
-		applyInto(s.model0, hit.app0, first.hit0, a, true)
+		s.model.SplitByHitInto(s.dist, a, first.hit, first.miss)
+		s.model0.SplitByHitInto(s.dist0, a, first.hit0, first.miss0)
+		s.model.ApplyProbeInto(first.app, first.miss, a, false)
+		s.model0.ApplyProbeInto(first.app0, first.miss0, a, false)
+		s.model.ApplyProbeInto(hit.app, first.hit, a, true)
+		s.model0.ApplyProbeInto(hit.app0, first.hit0, a, true)
 		for _, b := range candidates {
 			if a == b {
 				continue
@@ -286,14 +266,14 @@ func (s *ProbeSelector) bestPair(candidates []flows.ID) (SequenceEval, bool) {
 // are d and d0 — the miss leaf, then the hit leaf, as EvaluateSequence's
 // walk visits them — using lv as scratch.
 func (s *ProbeSelector) addLeafEntropies(hCond *float64, f flows.ID, d, d0 markov.Dist, lv *seqLevel) {
-	splitInto(s.model, d, f, lv.hit, lv.miss)
-	splitInto(s.model0, d0, f, lv.hit0, lv.miss0)
-	applyInto(s.model, lv.app, lv.miss, f, false)
-	applyInto(s.model0, lv.app0, lv.miss0, f, false)
+	s.model.SplitByHitInto(d, f, lv.hit, lv.miss)
+	s.model0.SplitByHitInto(d0, f, lv.hit0, lv.miss0)
+	s.model.ApplyProbeInto(lv.app, lv.miss, f, false)
+	s.model0.ApplyProbeInto(lv.app0, lv.miss0, f, false)
 	_, pq0, pq1 := s.leaf(lv.app, lv.app0)
 	*hCond += stats.ConditionalEntropyBits2x1(pq0, pq1)
-	applyInto(s.model, lv.app, lv.hit, f, true)
-	applyInto(s.model0, lv.app0, lv.hit0, f, true)
+	s.model.ApplyProbeInto(lv.app, lv.hit, f, true)
+	s.model0.ApplyProbeInto(lv.app0, lv.hit0, f, true)
 	_, pq0, pq1 = s.leaf(lv.app, lv.app0)
 	*hCond += stats.ConditionalEntropyBits2x1(pq0, pq1)
 }

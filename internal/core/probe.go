@@ -27,6 +27,8 @@ type ProbeSelector struct {
 
 	// seqPool recycles EvaluateSequence scratch arenas (see multiprobe.go).
 	seqPool sync.Pool
+	// trackerPool recycles the belief trackers posteriorAfter conditions.
+	trackerPool sync.Pool
 }
 
 // NewProbeSelector evolves both chains T steps from the empty cache and
@@ -47,8 +49,10 @@ func NewProbeSelector(model, model0 Model, target flows.ID, steps int) (*ProbeSe
 		steps:   steps,
 		pAbsent: math.Exp(-cfg.Rates[target] * cfg.Delta * float64(steps)),
 	}
-	s.dist = evolveFresh(model, model.InitialDist(), steps)
-	s.dist0 = evolveFresh(model0, model0.InitialDist(), steps)
+	s.dist = model.InitialDist()
+	model.EvolveInPlace(s.dist, steps)
+	s.dist0 = model0.InitialDist()
+	model0.EvolveInPlace(s.dist0, steps)
 	return s, nil
 }
 
@@ -67,22 +71,6 @@ func (s *ProbeSelector) MemBytes() int64 {
 	return b
 }
 
-// inPlaceEvolver is implemented by models with allocation-free evolve
-// kernels (CompactModel, BasicModel).
-type inPlaceEvolver interface {
-	EvolveInPlace(d markov.Dist, steps int)
-}
-
-// evolveFresh advances d, which the caller owns and will not reuse,
-// preferring the in-place kernel when the model has one.
-func evolveFresh(m Model, d markov.Dist, steps int) markov.Dist {
-	if ip, ok := m.(inPlaceEvolver); ok {
-		ip.EvolveInPlace(d, steps)
-		return d
-	}
-	return m.Evolve(d, steps)
-}
-
 // NewCompactSelector builds the compact model for cfg and its
 // target-conditioned twin, then assembles a selector — the paper's
 // end-to-end attacker setup. steps is T = ⌈window/Δ⌉. Both chains are
@@ -98,40 +86,6 @@ func NewCompactSelector(cfg Config, target flows.ID, steps int) (*ProbeSelector,
 		return nil, err
 	}
 	return NewSelectorWithModel(m, target, steps)
-}
-
-// NewSteadySelector is NewCompactSelector with the attack window starting
-// from the network's stationary regime instead of an empty cache: the
-// paper's I_0 (Eqn 8) is the empty-table point mass because its testbed
-// starts cold, but an attacker joining a long-running network should seed
-// both chains with the unconditional steady state and apply the target
-// conditioning only within the window.
-func NewSteadySelector(cfg Config, target flows.ID, steps int) (*ProbeSelector, error) {
-	if err := checkTarget(cfg, target); err != nil {
-		return nil, err
-	}
-	if steps < 1 {
-		return nil, fmt.Errorf("core: probe window %d steps < 1", steps)
-	}
-	m, err := NewCompactModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m0, err := NewCompactModel(cfg.withoutFlow(target))
-	if err != nil {
-		return nil, err
-	}
-	steady, _ := m.SteadyState(1e-10, 100000)
-	s := &ProbeSelector{
-		model:   m,
-		model0:  m0,
-		target:  target,
-		steps:   steps,
-		pAbsent: math.Exp(-cfg.Rates[target] * cfg.Delta * float64(steps)),
-	}
-	s.dist = m.Evolve(steady, steps)
-	s.dist0 = m0.Evolve(steady.Clone(), steps)
-	return s, nil
 }
 
 // NewSelectorWithModel assembles a selector around a prebuilt

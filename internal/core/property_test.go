@@ -69,7 +69,7 @@ func TestPropertyCompactStochastic(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		d := m.Evolve(m.InitialDist(), 25)
+		d := evolve(m, m.InitialDist(), 25)
 		return math.Abs(d.Sum()-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -98,7 +98,7 @@ func TestPropertyBasicStochastic(t *testing.T) {
 			t.Logf("seed %d: reachable %d exceeds closed form", seed, m.NumStates())
 			return false
 		}
-		d := m.Evolve(m.InitialDist(), 25)
+		d := evolve(m, m.InitialDist(), 25)
 		return math.Abs(d.Sum()-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -127,8 +127,8 @@ func TestPropertyCanonicalNoLarger(t *testing.T) {
 			t.Logf("seed %d: canonical %d > ordered %d", seed, canonical.NumStates(), ordered.NumStates())
 			return false
 		}
-		do := ordered.Evolve(ordered.InitialDist(), 20)
-		dc := canonical.Evolve(canonical.InitialDist(), 20)
+		do := evolve(ordered, ordered.InitialDist(), 20)
+		dc := evolve(canonical, canonical.InitialDist(), 20)
 		for fid := 0; fid < len(cfg.Rates); fid++ {
 			po := ordered.HitProbability(do, flows.ID(fid))
 			pc := canonical.HitProbability(dc, flows.ID(fid))
@@ -201,13 +201,13 @@ func TestPropertyProbePreservesMass(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d := m.Evolve(m.InitialDist(), 15)
+		d := evolve(m, m.InitialDist(), 15)
 		for fid := 0; fid < len(cfg.Rates); fid++ {
-			hit, miss := m.SplitByHit(d, flows.ID(fid))
+			hit, miss := splitByHit(m, d, flows.ID(fid))
 			if math.Abs(hit.Sum()+miss.Sum()-1) > 1e-9 {
 				return false
 			}
-			after := m.ApplyProbe(miss, flows.ID(fid), false)
+			after := applyProbe(m, miss, flows.ID(fid), false)
 			if math.Abs(after.Sum()-miss.Sum()) > 1e-9 {
 				t.Logf("seed %d flow %d: install mass %v → %v", seed, fid, miss.Sum(), after.Sum())
 				return false

@@ -22,8 +22,8 @@ type WindowPoint struct {
 // analysis the paper's setup implies but does not plot: the side channel
 // only remembers about one rule TTL, so the gain collapses as the
 // question reaches further into the past. Both chains evolve from their
-// empty-cache InitialDist, whatever the selector's own starting point;
-// the selector's evolved distributions are left untouched.
+// empty-cache InitialDist; the selector's evolved distributions are left
+// untouched.
 func (s *ProbeSelector) GainVsWindow(stepsList []int) ([]WindowPoint, error) {
 	if len(stepsList) == 0 {
 		return nil, fmt.Errorf("core: empty window list")
@@ -41,8 +41,8 @@ func (s *ProbeSelector) GainVsWindow(stepsList []int) ([]WindowPoint, error) {
 	d, d0 := s.model.InitialDist(), s.model0.InitialDist()
 	prev := 0
 	for _, steps := range windows {
-		d = evolveFresh(s.model, d, steps-prev)
-		d0 = evolveFresh(s.model0, d0, steps-prev)
+		s.model.EvolveInPlace(d, steps-prev)
+		s.model0.EvolveInPlace(d0, steps-prev)
 		prev = steps
 		sel := &ProbeSelector{
 			model:   s.model,

@@ -44,7 +44,9 @@ func TestConsistentRemovalBreaksTheModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted := model.HitProbability(model.Evolve(model.InitialDist(), steps), probeF)
+	dT := model.InitialDist()
+	model.EvolveInPlace(dT, steps)
+	predicted := model.HitProbability(dT, probeF)
 
 	app := controller.New(rs, controller.Options{ConsistentRemoval: true})
 	measure := func(consistent bool) float64 {

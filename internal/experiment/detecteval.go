@@ -278,7 +278,7 @@ type StealthRow struct {
 func StealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, trials, attackProbes, maxProbes int, seed int64, pacings []core.Pacing) ([]StealthRow, error) {
 	rows := make([]StealthRow, 0, len(pacings))
 	for _, pace := range pacings {
-		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), attackProbes, core.DecideByPosterior)
+		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), attackProbes)
 		if err != nil {
 			return nil, err
 		}

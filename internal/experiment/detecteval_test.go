@@ -273,7 +273,7 @@ func TestStealthPacingDecaysObservations(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(pace core.Pacing) (hits int, lastT, acc float64) {
-		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 4, core.DecideByPosterior)
+		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}

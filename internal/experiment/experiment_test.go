@@ -191,7 +191,7 @@ func TestNaiveAttackerBeatsCoinFlipOnViableConfig(t *testing.T) {
 	if nc == nil {
 		t.Skip("no viable configuration found in budget")
 	}
-	model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 1, core.DecideByQuery)
+	model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,28 +438,6 @@ func TestRunTrialsWithAlternativeSources(t *testing.T) {
 		if acc := results[0].Accuracy(); acc < 0 || acc > 1 {
 			t.Fatalf("%s: accuracy = %v", name, acc)
 		}
-	}
-}
-
-func TestAdaptiveAttackerInTrials(t *testing.T) {
-	p := tinyParams()
-	nc, err := GenerateConfig(p, stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := core.NewAdaptiveAttacker(nc.Selector, nc.Selector.AllFlows(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := NewTrialRunner(nc, []core.Attacker{adaptive}, DefaultMeasurement(), RunnerOptions{}).RunTrials(60, 13, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Trials != 60 {
-		t.Fatalf("trials = %d", results[0].Trials)
-	}
-	if acc := results[0].Accuracy(); acc < 0 || acc > 1 {
-		t.Fatalf("accuracy = %v", acc)
 	}
 }
 

@@ -67,12 +67,12 @@ type Fig6Result struct {
 // RunFig6 reproduces Figure 6: over configurations where the
 // model-calculated optimal probe differs from the target flow (and the
 // optimal probe is a viable detector, §VI-B), compare the model attacker
-// (probe = optimal flow, verdict = query result) with the naive attacker
-// (probe = target flow).
+// (probe = optimal flow; its posterior threshold returns the query result
+// on a viable detector) with the naive attacker (probe = target flow).
 func RunFig6(opts FigureOptions) (*Fig6Result, error) {
 	accept := func(nc *NetworkConfig) bool { return nc.OptimalDiffersFromTarget() && nc.DetectorViable() }
 	roster := func(nc *NetworkConfig) ([]core.Attacker, error) {
-		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 1, core.DecideByQuery)
+		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 1)
 		if err != nil {
 			return nil, err
 		}

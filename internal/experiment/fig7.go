@@ -28,7 +28,7 @@ type Fig7Result struct {
 // model attacker must probe the best flow other than the target.
 func RunFig7(opts FigureOptions) (*Fig7Result, error) {
 	roster := func(nc *NetworkConfig) ([]core.Attacker, error) {
-		restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1, core.DecideByPosterior)
+		restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1)
 		if err != nil {
 			return nil, err
 		}

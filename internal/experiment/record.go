@@ -110,11 +110,11 @@ func (s RecordingSpec) BuildConfig() (*NetworkConfig, error) {
 // probeless random guesser. Names are distinct so recordings index
 // cleanly by attacker.
 func StandardAttackers(nc *NetworkConfig, probes int) ([]core.Attacker, error) {
-	model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), probes, core.DecideByPosterior)
+	model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), probes)
 	if err != nil {
 		return nil, err
 	}
-	restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1, core.DecideByPosterior)
+	restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1)
 	if err != nil {
 		return nil, err
 	}

@@ -257,12 +257,8 @@ func (r *TrialRunner) Run(trial int, seed int64) (TrialResult, error) {
 		tbl.CopyCacheFrom(&sc.base)
 		sc.observeReplay(det)
 		spans.End(replaySpan, r.horizon)
-		var outcomes, lost []bool
-		if seq, ok := a.(SequentialAttacker); ok {
-			outcomes, lost = probeSequential(r.nc, tbl, seq, r.horizon, r.meas, rng, flt, &r.tm, obs, det, pace)
-		} else {
-			outcomes, lost = probeTable(r.nc, tbl, a.Probes(), r.horizon, r.meas, rng, flt, &r.tm, obs, det, pace)
-		}
+		probes := a.Probes()
+		outcomes, lost := probeTable(r.nc, tbl, probes, r.horizon, r.meas, rng, flt, &r.tm, obs, det, pace)
 		var verdict bool
 		if lt, ok := a.(core.LossTolerant); ok && anyLost(lost) {
 			verdict = lt.DecideWithLoss(outcomes, lost, rng)
@@ -295,7 +291,7 @@ func (r *TrialRunner) Run(trial int, seed int64) (TrialResult, error) {
 		}
 		out.Attackers = append(out.Attackers, trialrec.AttackerTrial{
 			Name:     r.names[i],
-			Probes:   obs.probes,
+			Probes:   probes,
 			Outcomes: outcomes,
 			Lost:     lost,
 			Verdict:  verdict,

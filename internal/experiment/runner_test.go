@@ -44,11 +44,12 @@ func TestTrialRunnerProbingSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm lazily built per-configuration state
-	// 16 on this trial (6 probes across the roster). A fresh table and
+	// 11 on this trial (6 probes across the roster). A fresh table and
 	// window copy per attacker would add several each, formatting each
-	// probe's span detail 4 per probe, and growing the attacker records
-	// by append 2 per trial.
-	const bound = 16
+	// probe's span detail 4 per probe, growing the attacker records by
+	// append 2 per trial, and copying each attacker's planned probe list
+	// into its record by append 5 per trial.
+	const bound = 11
 	if allocs := testing.AllocsPerRun(50, run); allocs > bound {
 		t.Fatalf("probing TrialRunner.Run allocates %v per trial, want <= %d", allocs, bound)
 	}
@@ -58,19 +59,20 @@ func TestTrialRunnerProbingSteadyStateAllocs(t *testing.T) {
 // chaos session's warm trial: 0.3 ms jitter, 5% probe loss and a
 // detector per attacker, handed back after each trial. A trial reseeds
 // its fault stream in place and restarts recycled detectors instead of
-// allocating either, so
+// allocating either, and a loss-tolerant model attacker decides a lossy
+// trial by conditioning a pooled belief tracker without recording a
+// belief trajectory, so
 //
 //   - a detecting trial under jitter allocates at most 4 more times than
 //     the plain trial: the detector list and the loss masks of the 3
 //     probing attackers, and not the fault stream;
+//   - a trial under 5% loss allocates at most 5 more times than the
+//     plain trial: the loss masks, and no belief trajectory;
 //   - under 5% loss as well, detection adds only the detector list to
 //     the faulty trial, lost probes and all.
 //
-// The second bound is relative because a lost probe costs the
-// loss-tolerant model attacker a fresh belief tracker per decision —
-// a cost of the attacker, not of this layer. The fixture is
-// TestTrialRunnerProbingSteadyStateAllocs'. (Name matches the make
-// alloc-gate regex.)
+// The fixture is TestTrialRunnerProbingSteadyStateAllocs'. (Name matches
+// the make alloc-gate regex.)
 func TestTrialRunnerDetectSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -113,6 +115,9 @@ func TestTrialRunnerDetectSteadyStateAllocs(t *testing.T) {
 	if detecting > plain+4 {
 		t.Errorf("a detecting trial under jitter allocates %.2f per trial, want <= %.2f (plain + 4)", detecting, plain+4)
 	}
+	if faulty > plain+5 {
+		t.Errorf("a trial under loss allocates %.2f per trial, want <= %.2f (plain + 5)", faulty, plain+5)
+	}
 	if chaos > faulty+1 {
 		t.Errorf("detection adds %.2f allocs to a trial under loss, want <= 1 (the detector list)", chaos-faulty)
 	}
@@ -150,7 +155,7 @@ func TestRunTrialsSteadyStateAllocs(t *testing.T) {
 	}
 	// TestTrialRunnerProbingSteadyStateAllocs' bound: the driver adds
 	// nothing per trial to what Run costs.
-	const trials, bound = 65, 16
+	const trials, bound = 65, 11
 	if perTrial := (allocs(trials) - allocs(1)) / (trials - 1); perTrial > bound {
 		t.Fatalf("serial RunTrials allocates %.2f per further trial, want <= %d", perTrial, bound)
 	}

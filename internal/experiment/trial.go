@@ -108,23 +108,12 @@ func PeriodicSource(rates []float64, duration float64, rng *stats.RNG) (*workloa
 	return workload.GeneratePeriodic(workload.PoissonConfig{Rates: rates, Duration: duration}, rng)
 }
 
-// SequentialAttacker is an attacker that chooses each probe after seeing
-// the previous outcomes (the adaptive extension in core).
-type SequentialAttacker interface {
-	core.Attacker
-	// NextProbe returns the next probe given outcomes so far; false ends
-	// the probing phase.
-	NextProbe(outcomes []bool) (flows.ID, bool)
-}
-
 // probeObserver captures per-probe forensics for one attacker within one
-// trial: the probes actually sent (needed for sequential attackers, whose
-// plan only materializes as outcomes arrive), the belief trajectory when
-// the attacker exposes a fitted model, one causal span per probe (hung
-// under the attacker span via the ctx carrier — the same SpanContext the
-// TCP path marshals onto the wire), and one wide event per probe
-// decision when the trial loop collects events. Every trial keeps the
-// probe list; spans, events and belief steps cost one nil check each when
+// trial: the belief trajectory when the attacker exposes a fitted model,
+// one causal span per probe (hung under the attacker span via the ctx
+// carrier — the same SpanContext the TCP path marshals onto the wire),
+// and one wide event per probe decision when the trial loop collects
+// events. Spans, events and belief steps cost one nil check each when
 // off.
 type probeObserver struct {
 	tracker *core.BeliefTracker
@@ -133,14 +122,12 @@ type probeObserver struct {
 	trial   int
 	name    string // attacker name, for wide events
 	events  *[]telemetry.WideEvent
-	probes  []flows.ID
 	belief  []core.BeliefStep
 }
 
 // observe records one probe: ground truth hit, the classified outcome the
 // attacker saw, and the drawn delay in milliseconds.
 func (o *probeObserver) observe(f flows.ID, hit, classified bool, ms, at float64) {
-	o.probes = append(o.probes, f)
 	if o.spans != nil {
 		// Guarded rather than left to the nil recorder: the detail string
 		// would be formatted only to be thrown away.
@@ -170,7 +157,6 @@ func (o *probeObserver) observe(f flows.ID, hit, classified bool, ms, at float64
 // annotated as lost, a fault wide event is emitted, and the belief
 // tracker (if any) folds in an explicit no-observation step.
 func (o *probeObserver) observeLost(f flows.ID, at float64) {
-	o.probes = append(o.probes, f)
 	if o.spans != nil {
 		id, _ := o.spans.StartCtx(o.ctx, "probe", "experiment", at)
 		o.spans.Annotate(id, int(f), -1, "lost")
@@ -201,29 +187,6 @@ func hitStr(hit bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-// probeSequential drives a sequential attacker against the table. A lost
-// probe is presented to the attacker as a miss (sequential planning has
-// no "no observation" branch) but still flagged in the lost mask. With
-// pacing, consecutive probes advance the attack clock just as the
-// planned-sequence path does.
-func probeSequential(nc *NetworkConfig, tbl *flowtable.Table, a SequentialAttacker, at float64, meas Measurement, rng *stats.RNG, flt *faults.Stream, tm *trialMetrics, obs *probeObserver, det *detect.Detector, pace core.Pacing) (outcomes, lost []bool) {
-	t := at
-	for {
-		f, ok := a.NextProbe(outcomes)
-		if !ok {
-			return outcomes, lost
-		}
-		if len(outcomes) > 0 {
-			t += paceGap(pace, rng)
-		}
-		step, stepLost := probeTable(nc, tbl, []flows.ID{f}, t, meas, rng, flt, tm, obs, det, core.Pacing{})
-		outcomes = append(outcomes, step[0])
-		if stepLost != nil { // non-nil exactly when faults are enabled
-			lost = append(lost, stepLost[0])
-		}
-	}
 }
 
 // trialScratch is the reusable working state of one trial: its random
