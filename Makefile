@@ -23,11 +23,14 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench build -o /dev/null .
 
+## test and race run each package's tests in a random order (the seed is
+## printed), so a test that leans on state an earlier test left behind
+## fails in CI instead of passing by the luck of source order.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -shuffle=on -race ./...
 
 ## bench runs the root benchmark suite and writes BENCH_PR10.json — the
 ## machine-readable ns/op table (via cmd/benchjson). Since PR 5 the suite

@@ -112,25 +112,25 @@ func BenchmarkBasicModelBuild(b *testing.B) {
 
 // BenchmarkCompactModelBuildPaperScale assembles the §IV-B chain at the
 // paper's evaluation scale: |Rules| = 12, n = 6 → 2510 subset states.
-// The u-sum memo is primed by an untimed build first, so the reported
-// time is the cost of rebuilding an identical model over a warm memo —
-// what a daemon pays when a session revisits a configuration its model
-// store has evicted. See BenchmarkCompactModelBuildCold for the uncached
-// first-build cost.
+// An untimed build first primes the benchmark's own u-sum memo, so the
+// reported time is the cost of rebuilding an identical model over a warm
+// memo — what a daemon pays when a session revisits a configuration its
+// model store has evicted. See BenchmarkCompactModelBuildCold for the
+// uncached first-build cost.
 func BenchmarkCompactModelBuildPaperScale(b *testing.B) {
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.025), stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
-	core.ResetUSumMemo()
-	if _, err := core.NewCompactModel(cfg); err != nil {
+	memo := core.NewUSumMemo()
+	if _, err := core.NewCompactModel(cfg, memo); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var states int
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewCompactModel(cfg)
+		m, err := core.NewCompactModel(cfg, memo)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,11 +139,11 @@ func BenchmarkCompactModelBuildPaperScale(b *testing.B) {
 	b.ReportMetric(float64(states), "states")
 }
 
-// BenchmarkCompactModelBuildCold is the uncached build number: the u-sum
-// memo is reset every iteration, so each build pays the full transition
-// estimation cost — the way every build of a new configuration behaves,
-// the conditioned twin M₀ included. BenchmarkCompactModelBuildPaperScale
-// keeps the memo warm across iterations.
+// BenchmarkCompactModelBuildCold is the uncached build number: no u-sum
+// memo, so each build pays the full transition estimation cost — the way
+// every build of a new configuration behaves, the conditioned twin M₀
+// included. BenchmarkCompactModelBuildPaperScale keeps a memo warm across
+// iterations.
 func BenchmarkCompactModelBuildCold(b *testing.B) {
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.025), stats.NewRNG(1))
 	if err != nil {
@@ -152,8 +152,7 @@ func BenchmarkCompactModelBuildCold(b *testing.B) {
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
 	var states int
 	for i := 0; i < b.N; i++ {
-		core.ResetUSumMemo()
-		m, err := core.NewCompactModel(cfg)
+		m, err := core.NewCompactModel(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +169,7 @@ func BenchmarkEvolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
-	m, err := core.NewCompactModel(cfg)
+	m, err := core.NewCompactModel(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func BenchmarkEvolve(b *testing.B) {
 // over every candidate flow (§V-A).
 func BenchmarkProbeSelection(b *testing.B) {
 	cfg := benchCoreConfig(b)
-	sel, err := core.NewCompactSelector(cfg, 0, 20)
+	sel, err := core.NewCompactSelector(cfg, 0, 20, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func BenchmarkProbeSelection(b *testing.B) {
 // (§V-B).
 func BenchmarkMultiProbeSelection(b *testing.B) {
 	cfg := benchCoreConfig(b)
-	sel, err := core.NewCompactSelector(cfg, 0, 20)
+	sel, err := core.NewCompactSelector(cfg, 0, 20, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +349,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 			steps := int(5.0 / delta)
 			var hit float64
 			for i := 0; i < b.N; i++ {
-				m, err := core.NewCompactModel(cfg)
+				m, err := core.NewCompactModel(cfg, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -412,17 +411,19 @@ func BenchmarkAblationProbeCount(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: []float64{0.3, 0.8}, Delta: 0.25, CacheSize: 2}
-	sel, err := core.NewCompactSelector(cfg, 0, 20)
+	sel, err := core.NewCompactSelector(cfg, 0, 20, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var single, pair float64
+	var single core.ProbeEval
+	var pair core.SequenceEval
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		single, pair = sel.SequenceGainAtLeastSingle(sel.AllFlows())
+		single, _ = sel.Best(sel.AllFlows())
+		pair, _ = sel.BestSequence(sel.AllFlows(), 2)
 	}
-	b.ReportMetric(single, "gain1-bits")
-	b.ReportMetric(pair, "gain2-bits")
+	b.ReportMetric(single.Gain, "gain1-bits")
+	b.ReportMetric(pair.Gain, "gain2-bits")
 }
 
 // BenchmarkTrialLoopRecording compares one full attack trial (traffic
@@ -440,7 +441,7 @@ func BenchmarkTrialLoopRecording(b *testing.B) {
 		Probes:      2,
 		Measurement: experiment.DefaultMeasurement(),
 	}
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -491,7 +492,7 @@ func BenchmarkTrialLoopParallel(b *testing.B) {
 		Probes:      2,
 		Measurement: experiment.DefaultMeasurement(),
 	}
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -830,11 +831,13 @@ func BenchmarkShardedSim1k(b *testing.B) {
 // session: BuildConfig (both compact chains and their Eqn 8 evolution)
 // plus StandardAttackers (the §V-B two-probe search) over 256 rotating
 // target configurations. Nothing caches the chains, so every iteration
-// rebuilds them, while one untimed pass first warms the u-sum memo, as a
-// long-running daemon's is when its model store evicts and revisits
-// configurations. allocs/op is the session build's allocation count.
+// rebuilds them, while one untimed pass first warms the benchmark's
+// u-sum memo, as a long-running daemon's store's is when it evicts and
+// revisits configurations. allocs/op is the session build's allocation
+// count.
 func BenchmarkColdSessionBuild(b *testing.B) {
 	const configs = 256
+	memo := core.NewUSumMemo()
 	build := func(i int) {
 		spec := experiment.RecordingSpec{
 			Params:     benchParams(),
@@ -843,7 +846,7 @@ func BenchmarkColdSessionBuild(b *testing.B) {
 			Trials:     1,
 			Probes:     2,
 		}
-		nc, err := spec.BuildConfig()
+		nc, err := spec.BuildConfig(memo)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -878,7 +881,7 @@ func BenchmarkWarmTrial(b *testing.B) {
 		Trials:     1,
 		Probes:     2,
 	}
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -250,7 +249,7 @@ func run(args []string) (err error) {
 		fmt.Printf("(figure 7 took %v)\n\n", time.Since(start).Round(time.Second))
 	}
 	if reg != nil {
-		if err := writeSnapshot(*telOut, reg); err != nil {
+		if err := telemetry.WriteSnapshotFile(*telOut, reg); err != nil {
 			return err
 		}
 		fmt.Printf("telemetry snapshot written to %s\n", *telOut)
@@ -284,18 +283,6 @@ func writeHeapProfile(path string) error {
 	}
 	runtime.GC()
 	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
-}
-
-// writeSnapshot dumps the registry's final state as indented JSON.
-func writeSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reg.Snapshot())
 }
 
 // samplingBudget derives the configuration-sampling budget: explicit when

@@ -178,7 +178,7 @@ func run(args []string) error {
 
 	fmt.Printf("sampling a network configuration (|Rules|=%d, n=%d, %d flows, Δ=%.3fs, T=%d steps)…\n",
 		params.NumRules, params.CacheSize, params.NumFlows, params.Delta, params.Steps())
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -67,7 +66,7 @@ func run(args []string) error {
 		if *telOut != "" {
 			path := *telOut
 			defer func() {
-				if err := writeSnapshot(path, reg); err != nil {
+				if err := telemetry.WriteSnapshotFile(path, reg); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 				}
 			}()
@@ -134,16 +133,4 @@ func run(args []string) error {
 		fmt.Printf("  %s\n", r)
 	}
 	return nil
-}
-
-// writeSnapshot dumps the registry's final snapshot as indented JSON.
-func writeSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reg.Snapshot())
 }

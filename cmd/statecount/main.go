@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -59,14 +58,7 @@ func run(args []string) error {
 			reg.Gauge("statecount_states", "model", "basic").Set(int64(basic))
 		}
 		if *telOut != "" {
-			f, err := os.Create(*telOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(reg.Snapshot()); err != nil {
+			if err := telemetry.WriteSnapshotFile(*telOut, reg); err != nil {
 				return err
 			}
 			fmt.Printf("telemetry snapshot written to %s\n", *telOut)

@@ -57,7 +57,7 @@ func run() error {
 
 	const windowSeconds = 10.0
 	steps := experiment.WindowSteps(windowSeconds, cfg.Delta)
-	sel, err := core.NewCompactSelector(cfg, flowIDSLog, steps)
+	sel, err := core.NewCompactSelector(cfg, flowIDSLog, steps, nil)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func run() (best core.ProbeEval, pair core.SequenceEval, err error) {
 	// The attacker wants to know: did f1 occur within the last 10 s?
 	const target = flows.ID(0)
 	steps := 40 // 10 s / Δ
-	sel, err := core.NewCompactSelector(cfg, target, steps)
+	sel, err := core.NewCompactSelector(cfg, target, steps, nil)
 	if err != nil {
 		return best, pair, err
 	}

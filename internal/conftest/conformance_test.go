@@ -175,7 +175,7 @@ func TestCompactWithinTVDBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := core.NewCompactModel(cfg)
+	compact, err := core.NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

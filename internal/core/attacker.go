@@ -119,10 +119,6 @@ func (a *ModelAttacker) Probes() []flows.ID {
 	return append([]flows.ID(nil), a.eval.Flows...)
 }
 
-// PlannedEval returns the single-probe evaluation (zero value when the
-// attacker plans multiple probes).
-func (a *ModelAttacker) PlannedEval() ProbeEval { return a.singleOK }
-
 // Selector implements BeliefProvider.
 func (a *ModelAttacker) Selector() *ProbeSelector { return a.sel }
 

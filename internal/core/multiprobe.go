@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"time"
 
@@ -305,22 +304,4 @@ func containsFlow(fs []flows.ID, f flows.ID) bool {
 		}
 	}
 	return false
-}
-
-// SequenceGainAtLeastSingle is a diagnostic: the best pair's gain can never
-// be below the best single probe's gain when the pair search includes that
-// probe. It returns the two gains for assertion in tests and benchmarks.
-func (s *ProbeSelector) SequenceGainAtLeastSingle(candidates []flows.ID) (single, pair float64) {
-	b1, ok1 := s.Best(candidates)
-	if ok1 {
-		single = b1.Gain
-	}
-	b2, ok2 := s.BestSequence(candidates, 2)
-	if ok2 {
-		pair = b2.Gain
-	}
-	if math.IsNaN(pair) {
-		pair = 0
-	}
-	return single, pair
 }

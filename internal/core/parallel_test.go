@@ -35,13 +35,11 @@ func parallelTestConfig(t *testing.T) Config {
 func TestParallelBuildBitIdentical(t *testing.T) {
 	cfg := parallelTestConfig(t)
 
-	ResetUSumMemo()
-	serial, err := newCompactModelWorkers(cfg, 1)
+	serial, err := newCompactModelWorkers(cfg, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetUSumMemo()
-	parallel, err := newCompactModelWorkers(cfg, 8)
+	parallel, err := newCompactModelWorkers(cfg, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,31 +67,34 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMemoShared verifies the build memoizes u-sum estimates
-// across the conditioned chain pair: building M then M₀ must hit the
-// memo rather than resample, and a memoized rebuild must reproduce the
-// cold matrix exactly.
+// TestMemoizedRebuildBitIdentical: a build over an empty memo fills it,
+// and both that build and a rebuild answered from the memo reproduce the
+// matrix of a build without a memo exactly.
 func TestMemoizedRebuildBitIdentical(t *testing.T) {
 	cfg := parallelTestConfig(t)
 
-	ResetUSumMemo()
-	cold, err := NewCompactModel(cfg)
+	plain, err := NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if USumMemoLen() == 0 {
+	memo := NewUSumMemo()
+	cold, err := NewCompactModel(cfg, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(memo.m) == 0 {
 		t.Fatal("cold build left the u-sum memo empty")
 	}
-	warm, err := NewCompactModel(cfg)
+	warm, err := NewCompactModel(cfg, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cold.NumStates(); i++ {
-		_, psC := cold.Matrix().Row(i)
-		_, psW := warm.Matrix().Row(i)
-		for k := range psC {
-			if psC[k] != psW[k] {
-				t.Fatalf("state %d entry %d: warm rebuild diverged: %v vs %v", i, k, psC[k], psW[k])
+	for name, m := range map[string]*CompactModel{"cold": cold, "warm": warm} {
+		for i := 0; i < plain.NumStates(); i++ {
+			_, want := plain.Matrix().Row(i)
+			_, got := m.Matrix().Row(i)
+			if !sameBitsSlice(got, want) {
+				t.Fatalf("%s memoized build, state %d: %v, without memo %v", name, i, got, want)
 			}
 		}
 	}

@@ -72,16 +72,16 @@ func (s *ProbeSelector) MemBytes() int64 {
 }
 
 // NewCompactSelector builds the compact model for cfg and its
-// target-conditioned twin, then assembles a selector — the paper's
-// end-to-end attacker setup. steps is T = ⌈window/Δ⌉. Both chains are
-// built fresh; callers that need more than one selector over a
-// configuration keep the first one's chains (GainVsWindow,
-// NewSelectorWithModel).
-func NewCompactSelector(cfg Config, target flows.ID, steps int) (*ProbeSelector, error) {
+// target-conditioned twin through memo (nil for none), then assembles a
+// selector — the paper's end-to-end attacker setup. steps is
+// T = ⌈window/Δ⌉. Both chains are built fresh; callers that need more
+// than one selector over a configuration keep the first one's chains
+// (GainVsWindow, NewSelectorWithModel).
+func NewCompactSelector(cfg Config, target flows.ID, steps int, memo *USumMemo) (*ProbeSelector, error) {
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
-	m, err := NewCompactModel(cfg)
+	m, err := NewCompactModel(cfg, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -90,15 +90,15 @@ func NewCompactSelector(cfg Config, target flows.ID, steps int) (*ProbeSelector,
 
 // NewSelectorWithModel assembles a selector around a prebuilt
 // unconditional model, building only the target-conditioned chain from
-// m's own configuration. Useful when evaluating many targets over one
-// policy (the defense package's leakage profiling), since the
-// unconditional chain is target-independent.
+// m's own configuration, through the memo m was built with. Useful when
+// evaluating many targets over one policy (the defense package's leakage
+// profiling), since the unconditional chain is target-independent.
 func NewSelectorWithModel(m *CompactModel, target flows.ID, steps int) (*ProbeSelector, error) {
 	cfg := m.ModelConfig()
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
-	m0, err := NewCompactModel(cfg.withoutFlow(target))
+	m0, err := NewCompactModel(cfg.withoutFlow(target), m.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +126,6 @@ func (s *ProbeSelector) PAbsent() float64 { return s.pAbsent }
 func (s *ProbeSelector) PriorEntropy() float64 {
 	return stats.BinaryEntropy(s.pAbsent)
 }
-
-// StateDist returns a copy of the evolved unconditional distribution I_T.
-func (s *ProbeSelector) StateDist() markov.Dist { return s.dist.Clone() }
 
 // ProbeEval is the evaluation of one candidate probe flow.
 type ProbeEval struct {

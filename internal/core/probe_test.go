@@ -32,7 +32,7 @@ func fig2cConfig(t *testing.T) Config {
 
 func newSelector(t *testing.T, cfg Config, target flows.ID, steps int) *ProbeSelector {
 	t.Helper()
-	sel, err := NewCompactSelector(cfg, target, steps)
+	sel, err := NewCompactSelector(cfg, target, steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func TestSelectorPriors(t *testing.T) {
 
 func TestSelectorValidation(t *testing.T) {
 	cfg := fig2cConfig(t)
-	if _, err := NewCompactSelector(cfg, 99, 10); err == nil {
+	if _, err := NewCompactSelector(cfg, 99, 10, nil); err == nil {
 		t.Fatal("out-of-universe target accepted")
 	}
-	if _, err := NewCompactSelector(cfg, 0, 0); err == nil {
+	if _, err := NewCompactSelector(cfg, 0, 0, nil); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
@@ -182,9 +182,13 @@ func TestSequenceGainDominatesSingle(t *testing.T) {
 	for _, mk := range []func(*testing.T) Config{fig2bConfig, fig2cConfig} {
 		cfg := mk(t)
 		sel := newSelector(t, cfg, 0, 40)
-		single, pair := sel.SequenceGainAtLeastSingle(sel.AllFlows())
-		if pair+1e-9 < single {
-			t.Fatalf("pair gain %v < single gain %v", pair, single)
+		single, ok1 := sel.Best(sel.AllFlows())
+		pair, ok2 := sel.BestSequence(sel.AllFlows(), 2)
+		if !ok1 || !ok2 {
+			t.Fatalf("no best probe (%v) or pair (%v)", ok1, ok2)
+		}
+		if math.IsNaN(pair.Gain) || pair.Gain+1e-9 < single.Gain {
+			t.Fatalf("pair gain %v < single gain %v", pair.Gain, single.Gain)
 		}
 	}
 }
@@ -284,11 +288,11 @@ func TestModelAttackerSingle(t *testing.T) {
 	if len(probes) != 1 || probes[0] != 1 {
 		t.Fatalf("probes = %v (expected the Figure 2c optimum)", probes)
 	}
-	if a.PlannedEval().Flow != 1 {
+	if a.singleOK.Flow != 1 {
 		t.Fatal("planned eval missing")
 	}
 	for _, hit := range []bool{false, true} {
-		if got, want := a.Decide([]bool{hit}, nil), a.PlannedEval().PosteriorPresent(hit) > 0.5; got != want {
+		if got, want := a.Decide([]bool{hit}, nil), a.singleOK.PosteriorPresent(hit) > 0.5; got != want {
 			t.Fatalf("outcome hit=%v: verdict %v, posterior threshold says %v", hit, got, want)
 		}
 	}
@@ -300,8 +304,8 @@ func TestModelAttackerSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !short.PlannedEval().DetectorViable() {
-		t.Fatalf("4-step Figure 2c optimum is not a viable detector: %+v", short.PlannedEval())
+	if !short.singleOK.DetectorViable() {
+		t.Fatalf("4-step Figure 2c optimum is not a viable detector: %+v", short.singleOK)
 	}
 	if !short.Decide([]bool{true}, nil) || short.Decide([]bool{false}, nil) {
 		t.Fatal("posterior decision disagrees with the query result on a viable detector")
@@ -360,7 +364,7 @@ func TestConditionedChainClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.5, 0.5}, Delta: 0.2, CacheSize: 2}
-	m0, err := NewCompactModel(cfg.withoutFlow(0))
+	m0, err := NewCompactModel(cfg.withoutFlow(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,11 +445,11 @@ func TestMicroflowRulesGivePerfectAttribution(t *testing.T) {
 
 func TestGainVsWindow(t *testing.T) {
 	cfg := fig2cConfig(t)
-	sel, err := NewCompactSelector(cfg, 0, 40)
+	sel, err := NewCompactSelector(cfg, 0, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sel.StateDist()
+	before := sel.dist.Clone()
 	windows := []int{5, 20, 80, 400}
 	points, err := sel.GainVsWindow(windows)
 	if err != nil {
@@ -466,7 +470,7 @@ func TestGainVsWindow(t *testing.T) {
 		}
 		// Oracle: the sweep's borrowed selector must agree exactly with a
 		// selector built fresh at that window.
-		fresh, err := NewCompactSelector(cfg, 0, p.Steps)
+		fresh, err := NewCompactSelector(cfg, 0, p.Steps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +486,7 @@ func TestGainVsWindow(t *testing.T) {
 		t.Fatalf("gain did not collapse with window: %v vs %v",
 			points[3].Best.Gain, points[1].Best.Gain)
 	}
-	after := sel.StateDist()
+	after := sel.dist
 	for x := range before {
 		if after[x] != before[x] {
 			t.Fatal("sweep moved the selector's own distribution")

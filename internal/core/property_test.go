@@ -60,7 +60,7 @@ func TestPropertyCompactStochastic(t *testing.T) {
 		if !ok {
 			return true
 		}
-		m, err := NewCompactModel(cfg)
+		m, err := NewCompactModel(cfg, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -156,7 +156,7 @@ func TestPropertyInformationGain(t *testing.T) {
 			return true
 		}
 		target := flows.ID(int(uint64(seed)>>8) % len(cfg.Rates))
-		sel, err := NewCompactSelector(cfg, target, 20)
+		sel, err := NewCompactSelector(cfg, target, 20, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -197,7 +197,7 @@ func TestPropertyProbePreservesMass(t *testing.T) {
 		if !ok {
 			return true
 		}
-		m, err := NewCompactModel(cfg)
+		m, err := NewCompactModel(cfg, nil)
 		if err != nil {
 			return false
 		}
@@ -228,7 +228,7 @@ func TestPropertyEvictionDistributions(t *testing.T) {
 		if !ok {
 			return true
 		}
-		m, err := NewCompactModel(cfg)
+		m, err := NewCompactModel(cfg, nil)
 		if err != nil {
 			return false
 		}

@@ -13,8 +13,8 @@ import (
 // state: which cached rule is evicted when a full table takes an install,
 // and the probability each cached rule times out.
 //
-// Estimates may be shared between models via the u-sum memo (see
-// usumMemo); treat the maps as immutable after estimate returns.
+// Estimates may be shared between models via a u-sum memo (see
+// USumMemo); treat the maps as immutable after estimate returns.
 type StateEstimates struct {
 	// Evict[j] is P(rule j has the smallest remaining time | cached),
 	// Eqn (5)/Eqn (3), normalized over the cached rules. Keyed by rule ID.
@@ -37,6 +37,7 @@ type uEstimator struct {
 	sr       []float64 // per-step flow rates λ_f·Δ
 	capacity int
 	cover    *coverTable // the model's, shared read-only; built on first use when unset
+	memo     *USumMemo   // the build's memo; nil evaluates every state
 
 	// Scratch reused across calls. Nothing here outlives a call except
 	// slab, which holds buildRow's entries until the build assembles them.
@@ -84,11 +85,13 @@ func newStateEstimates(m int, full bool) StateEstimates {
 }
 
 // estimate computes the eviction distribution and timeout probabilities
-// for the compact state caching exactly cachedIDs. Results, infeasible
-// verdicts included, are memoized across estimators keyed by the
-// numerical inputs of the computation, so rebuilding an identical model
-// evaluates no state twice. Everything up to the memo lookup runs in
-// estimator scratch, so a memo hit on a warm estimator allocates nothing.
+// for the compact state caching exactly cachedIDs. With a memo, results,
+// infeasible verdicts included, are memoized keyed by the numerical
+// inputs of the computation, so rebuilding an identical model over the
+// same memo evaluates no state twice; without one every state is
+// evaluated and no lookup is recorded. Everything up to the memo lookup
+// runs in estimator scratch, so a memo hit on a warm estimator allocates
+// nothing.
 func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	m := len(cachedIDs)
 	if m == 0 {
@@ -101,15 +104,18 @@ func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
 	}
 
 	tab := e.fillGammaTables(cached)
+	if e.memo == nil {
+		return e.evaluate(cached, touts, tab)
+	}
 
 	key := usumKeyOf(e, cached, touts, tab)
-	if hit, ok := sharedUSumMemo.get(key); ok {
+	if hit, ok := e.memo.get(key); ok {
 		obsMemo(true)
 		return hit
 	}
 	obsMemo(false)
 	out := e.evaluate(cached, touts, tab)
-	sharedUSumMemo.put(key, out)
+	e.memo.put(key, out)
 	return out
 }
 
@@ -614,47 +620,38 @@ func usumKeyOf(e *uEstimator, cached, touts []int, tab *gammaTables) usumKey {
 	return usumKey{h.h1, h.h2}
 }
 
-// usumMemo is the process-wide bounded memo of u-sum estimates. On
-// overflow the memo resets wholesale — the working set of one model pair
-// fits comfortably, so eviction sophistication buys nothing.
-type usumMemo struct {
+// USumMemo is a bounded memo of u-sum estimates, safe for concurrent
+// builds. It holds at most 2¹⁵ entries and on overflow resets wholesale:
+// the working set of one model pair fits comfortably, so eviction
+// sophistication buys nothing. A memo pays only when an identical model
+// is rebuilt, so the one holder that rebuilds — a model store that
+// evicts — owns one; one-shot builds pass nil.
+type USumMemo struct {
 	mu sync.RWMutex
 	m  map[usumKey]StateEstimates
 }
 
 const usumMemoMax = 1 << 15
 
-var sharedUSumMemo = &usumMemo{m: make(map[usumKey]StateEstimates)}
+// NewUSumMemo returns an empty memo.
+func NewUSumMemo() *USumMemo {
+	return &USumMemo{m: make(map[usumKey]StateEstimates)}
+}
 
-func (c *usumMemo) get(k usumKey) (StateEstimates, bool) {
+func (c *USumMemo) get(k usumKey) (StateEstimates, bool) {
 	c.mu.RLock()
 	v, ok := c.m[k]
 	c.mu.RUnlock()
 	return v, ok
 }
 
-func (c *usumMemo) put(k usumKey, v StateEstimates) {
+func (c *USumMemo) put(k usumKey, v StateEstimates) {
 	c.mu.Lock()
 	if len(c.m) >= usumMemoMax {
 		c.m = make(map[usumKey]StateEstimates, usumMemoMax/4)
 	}
 	c.m[k] = v
 	c.mu.Unlock()
-}
-
-// ResetUSumMemo empties the process-wide u-sum memo. Benchmarks call it
-// to measure cold builds; production code never needs to.
-func ResetUSumMemo() {
-	sharedUSumMemo.mu.Lock()
-	sharedUSumMemo.m = make(map[usumKey]StateEstimates)
-	sharedUSumMemo.mu.Unlock()
-}
-
-// USumMemoLen reports the number of memoized estimates (diagnostics).
-func USumMemoLen() int {
-	sharedUSumMemo.mu.RLock()
-	defer sharedUSumMemo.mu.RUnlock()
-	return len(sharedUSumMemo.m)
 }
 
 func clamp01(x float64) float64 {

@@ -268,21 +268,20 @@ func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestRebuildEvaluatesNoState: building an identical model a second time
-// takes every state's estimates from the u-sum memo. The configuration
-// has states whose assignments all have zero probability (Z ≤ 0); their
-// infeasible verdicts are pure functions of the memo key too, so they are
-// memoized like feasible ones.
+// over the same memo takes every state's estimates from it. The
+// configuration has states whose assignments all have zero probability
+// (Z ≤ 0); their infeasible verdicts are pure functions of the memo key
+// too, so they are memoized like feasible ones.
 func TestRebuildEvaluatesNoState(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
-	ResetUSumMemo()
-	t.Cleanup(ResetUSumMemo)
-	if _, err := NewCompactModel(cfg); err != nil {
+	memo := NewUSumMemo()
+	if _, err := NewCompactModel(cfg, memo); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	SetTelemetry(reg)
 	t.Cleanup(func() { SetTelemetry(nil) })
-	if _, err := NewCompactModel(cfg); err != nil {
+	if _, err := NewCompactModel(cfg, memo); err != nil {
 		t.Fatal(err)
 	}
 	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
@@ -300,6 +299,31 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 	}
 	if zeroZ == 0 {
 		t.Fatal("configuration has no Z ≤ 0 state; the test no longer covers infeasible verdicts")
+	}
+}
+
+// TestNilMemoBuildRecordsNoLookup: a build without a memo, run right
+// after a memoized build has returned its estimators to the pool,
+// evaluates every state and looks nothing up. A recycled estimator must
+// not carry the earlier build's memo into it.
+func TestNilMemoBuildRecordsNoLookup(t *testing.T) {
+	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
+	if _, err := newCompactModelWorkers(cfg, NewUSumMemo(), 1); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	SetTelemetry(reg)
+	t.Cleanup(func() { SetTelemetry(nil) })
+	if _, err := newCompactModelWorkers(cfg, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
+	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
+	if hits != 0 || misses != 0 {
+		t.Fatalf("build without memo: %d memo hits, %d misses; want no lookup", hits, misses)
+	}
+	if reg.Counter("usum_states_total", "method", "exact").Value() == 0 {
+		t.Fatal("build without memo evaluated no state")
 	}
 }
 
@@ -324,8 +348,7 @@ func TestUSumSweepStepsPinned(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := telemetry.NewRegistry()
 		SetTelemetry(reg)
-		ResetUSumMemo()
-		if _, err := newCompactModelWorkers(cfg, workers); err != nil {
+		if _, err := newCompactModelWorkers(cfg, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		steps := reg.Counter("usum_sweep_steps_total").Value()
@@ -349,8 +372,8 @@ func TestUSumSweepStepsPinned(t *testing.T) {
 }
 
 // BenchmarkUSumEnumerate measures the u-sum sweep on every feasible state
-// of one small-scale configuration, with the memo reset each iteration
-// so every state is evaluated. It reports the sweep steps per iteration
+// of one small-scale configuration. The estimator has no memo, so every
+// state is evaluated each iteration. It reports the sweep steps per iteration
 // and the cost per state.
 func BenchmarkUSumEnumerate(b *testing.B) {
 	cfg := usumConfig(b, usumSmall, 0.025, 11, false)
@@ -362,14 +385,12 @@ func BenchmarkUSumEnumerate(b *testing.B) {
 	steps := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ResetUSumMemo()
 		for _, c := range ids {
 			e.estimate(c)
 			steps += e.sw.steps
 		}
 	}
 	b.StopTimer()
-	ResetUSumMemo()
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/state")
 }

@@ -46,7 +46,7 @@ func MeasureLeakage(cfg core.Config, steps, workers int) (*Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := core.NewCompactModel(cfg)
+	model, err := core.NewCompactModel(cfg, nil)
 	if err != nil {
 		return nil, err
 	}

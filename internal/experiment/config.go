@@ -141,7 +141,7 @@ func (nc *NetworkConfig) DetectorViable() bool { return nc.Optimal.DetectorViabl
 // configured range, then fits the attacker's compact model. It returns an
 // error if no flow qualifies as a target (callers resample).
 func GenerateConfig(p Params, rng *stats.RNG) (*NetworkConfig, error) {
-	return GenerateConfigWithRates(p, nil, rng)
+	return GenerateConfigWithRates(p, nil, rng, nil)
 }
 
 // minFittedRate floors empirical rates so a class that happened to be
@@ -153,8 +153,9 @@ const minFittedRate = 1e-4
 // len(fitted), and flows beyond the fitted classes take the smallest
 // fitted rate. The rule set, target choice and model fit still come from
 // rng with the exact draw sequence of GenerateConfig — nil fitted IS
-// GenerateConfig.
-func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG) (*NetworkConfig, error) {
+// GenerateConfig. Both chains are built through memo (nil for none); the
+// configuration does not depend on it.
+func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG, memo *core.USumMemo) (*NetworkConfig, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -198,7 +199,7 @@ func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG) (*Netwo
 	// caller's later draws from rng and every saved configuration are
 	// unchanged.
 	p.USum.Seed = rng.Int63()
-	sel, err := core.NewCompactSelector(cfg, target, p.Steps())
+	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), memo)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func TestConsistentRemovalBreaksTheModel(t *testing.T) {
 		probeF  = flows.ID(2) // hit ⇔ lo-long cached
 		horizon = float64(steps) * 0.1
 	)
-	model, err := core.NewCompactModel(cfg)
+	model, err := core.NewCompactModel(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // recycled ones, as in the daemon.
 func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism int, release bool) ([]byte, []byte) {
 	t.Helper()
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDetectEventsByteIdenticalUnderFaults(t *testing.T) {
 // small multiple of the mean), and the miss fraction is strictly inside
 // (0, 1).
 func TestTrainDetectBaseline(t *testing.T) {
-	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig()
+	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestTrainDetectBaseline(t *testing.T) {
 // noise, so a regression that makes benign heavy-tailed traffic look
 // like probing shows up here.
 func TestBenignFPRGate(t *testing.T) {
-	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig()
+	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestBenignFPRGate(t *testing.T) {
 // the abstract substrate, and a deep-stealth pace must buy the attacker
 // strictly more unflagged probes.
 func TestDetectionLatencyWithinBudget(t *testing.T) {
-	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig()
+	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestDetectionLatencyWithinBudget(t *testing.T) {
 // (Whether accuracy drops outright depends on how much the decision
 // leans on the later probes — config seed 9 plans a 4-probe sequence.)
 func TestStealthPacingDecaysObservations(t *testing.T) {
-	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 9, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig()
+	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 9, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestStealthPacingDecaysObservations(t *testing.T) {
 // did, so results with the pacing code in place are identical to the
 // pre-pacing trial loop (which the golden recordings also enforce).
 func TestPacingOffIsByteCompatible(t *testing.T) {
-	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig()
+	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestWriteDetection(t *testing.T) {
 // full horizon/rates and is recorded in results_detect.txt; this gate
 // keeps the matched mode itself regression-free.
 func TestMatchedBaselineTamesParetoFPR(t *testing.T) {
-	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig()
+	nc, err := RecordingSpec{Params: tinyParams(), ConfigSeed: 3, Trials: 1, Probes: 1, Measurement: DefaultMeasurement()}.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func appendEvents(log *telemetry.EventLog) func(TrialResult) error {
 // (deterministic clock) and returns its JSONL serialization.
 func eventRun(t *testing.T, spec RecordingSpec, parallelism int) []byte {
 	t.Helper()
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEventStreamContent(t *testing.T) {
 		Probes:      1,
 		Measurement: DefaultMeasurement(),
 	}
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func chaosSpec() RecordingSpec {
 // to vary the options against an identical header.
 func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts RunnerOptions) []AttackerResult {
 	t.Helper()
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestChaosRecordingDeterminism(t *testing.T) {
 func TestChaosParallelMatchesSerial(t *testing.T) {
 	spec := chaosSpec()
 	run := func(parallelism int) []AttackerResult {
-		nc, err := spec.BuildConfig()
+		nc, err := spec.BuildConfig(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

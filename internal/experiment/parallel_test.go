@@ -13,7 +13,7 @@ import (
 // returns the raw recording bytes plus the aggregate results.
 func recordRun(t *testing.T, spec RecordingSpec, parallelism int) ([]byte, []AttackerResult) {
 	t.Helper()
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestParallelTrialsResultsOnly(t *testing.T) {
 		Probes:      2,
 		Measurement: DefaultMeasurement(),
 	}
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,9 @@ const maxConfigAttempts = 64
 // BuildConfig regenerates the network configuration from the spec. The
 // sampler draws from a single stream seeded with ConfigSeed and resamples
 // on target-selection failure, so the (attempt count, configuration) pair
-// is a pure function of the spec.
-func (s RecordingSpec) BuildConfig() (*NetworkConfig, error) {
+// is a pure function of the spec. Models are built through memo (nil
+// for none), which changes no result.
+func (s RecordingSpec) BuildConfig(memo *core.USumMemo) (*NetworkConfig, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func (s RecordingSpec) BuildConfig() (*NetworkConfig, error) {
 	rng := stats.NewRNG(s.ConfigSeed)
 	var lastErr error
 	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err := GenerateConfigWithRates(s.Params, fitted, rng)
+		nc, err := GenerateConfigWithRates(s.Params, fitted, rng, memo)
 		if err == nil {
 			return nc, nil
 		}
@@ -137,7 +138,7 @@ func RecordTo(w io.Writer, spec RecordingSpec, reg *telemetry.Registry) ([]Attac
 // in strict trial order whatever the parallelism, so the output bytes are
 // identical at every level — which the golden tests pin.
 func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, parallelism int) ([]AttackerResult, *NetworkConfig, error) {
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		return nil, nil, err
 	}

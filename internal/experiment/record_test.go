@@ -144,7 +144,7 @@ func TestRecordingContents(t *testing.T) {
 // nothing from the RNG streams.
 func TestRecorderDoesNotPerturbOutcomes(t *testing.T) {
 	spec := smallSpec()
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRecordingSpecValidate(t *testing.T) {
 	}
 	spec = smallSpec()
 	spec.Params.Delta = -1
-	if _, err := spec.BuildConfig(); err == nil {
+	if _, err := spec.BuildConfig(nil); err == nil {
 		t.Fatal("bad params should fail BuildConfig")
 	}
 }

@@ -27,7 +27,7 @@ func TestTrialRunnerProbingSteadyStateAllocs(t *testing.T) {
 	}
 	spec := smallSpec()
 	spec.Probes = 4
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTrialRunnerDetectSteadyStateAllocs(t *testing.T) {
 	}
 	spec := smallSpec()
 	spec.Probes = 4
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRunTrialsSteadyStateAllocs(t *testing.T) {
 	}
 	spec := smallSpec()
 	spec.Probes = 4
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRunTrialsSteadyStateAllocs(t *testing.T) {
 // finish the trial it already holds.
 func TestRunTrialsStopsAfterFailure(t *testing.T) {
 	spec := smallSpec()
-	nc, err := spec.BuildConfig()
+	nc, err := spec.BuildConfig(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func LoadConfig(r io.Reader) (*NetworkConfig, error) {
 	}
 	cfg := core.Config{Rules: rs, Rates: sc.Rates, Delta: p.Delta, CacheSize: p.CacheSize}
 	target := flows.ID(sc.Target)
-	sel, err := core.NewCompactSelector(cfg, target, p.Steps())
+	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), nil)
 	if err != nil {
 		return nil, err
 	}

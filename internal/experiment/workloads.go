@@ -159,7 +159,7 @@ func RunWorkloadsOnTrace(p Params, spec *TraceSourceSpec, seed int64, trials, pr
 		Measurement: DefaultMeasurement(),
 		Trace:       spec,
 	}
-	nc, err := rspec.BuildConfig()
+	nc, err := rspec.BuildConfig(nil)
 	if err != nil {
 		return nil, nil, err
 	}

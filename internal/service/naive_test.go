@@ -3,7 +3,6 @@ package service
 import (
 	"sync"
 
-	"flowrecon/internal/core"
 	"flowrecon/internal/experiment"
 )
 
@@ -13,12 +12,8 @@ import (
 // processes would. It is the benchmark baseline the batched scheduler is
 // measured against; the service must beat it because the naive path
 // pays one full model build and selector evolve per session even when
-// every session attacks the same target.
-//
-// Each session resets the process-wide u-sum memo on entry to model
-// per-process isolation. Concurrent sessions can still accidentally share
-// just-computed estimates between resets, which only makes the baseline
-// FASTER — the comparison stays conservative.
+// every session attacks the same target. Like a process of its own, a
+// session builds without a u-sum memo, so it shares nothing with another.
 func runSessionsNaive(specs []SessionSpec) error {
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -42,8 +37,7 @@ func runNaiveSession(spec SessionSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	core.ResetUSumMemo()
-	nc, err := spec.Target.BuildConfig()
+	nc, err := spec.Target.BuildConfig(nil)
 	if err != nil {
 		return err
 	}

@@ -53,13 +53,14 @@ func (m *Model) MemBytes() int64 {
 // singleflight build deduplication (N concurrent sessions over one
 // config trigger exactly one build), LRU eviction and an optional byte
 // budget. It is the only model cache in the process: it caches the whole
-// generated configuration including the evolved selector. Below it only
-// the u-sum memo remains, which serves the rebuild of a model the store
-// has evicted.
+// generated configuration including the evolved selector. It also owns
+// the u-sum memo every one of its builds goes through, which serves the
+// rebuild of a model the store has evicted.
 type Store struct {
 	mu       sync.Mutex
 	max      int
 	maxBytes int64
+	memo     *core.USumMemo
 	entries  map[TargetKey]*storeEntry
 	head     *storeEntry // most recently used
 	tail     *storeEntry // next to evict
@@ -96,7 +97,7 @@ func NewStore(max int, maxBytes int64) *Store {
 	if max <= 0 {
 		max = DefaultStoreSize
 	}
-	return &Store{max: max, maxBytes: maxBytes, entries: make(map[TargetKey]*storeEntry)}
+	return &Store{max: max, maxBytes: maxBytes, memo: core.NewUSumMemo(), entries: make(map[TargetKey]*storeEntry)}
 }
 
 // SetTelemetry registers the store's counters and gauges on reg.
@@ -171,7 +172,7 @@ func (s *Store) Get(spec experiment.RecordingSpec) (*Model, error) {
 
 	built := false
 	e.once.Do(func() {
-		nc, err := spec.BuildConfig()
+		nc, err := spec.BuildConfig(s.memo)
 		if err != nil {
 			e.err = err
 			return

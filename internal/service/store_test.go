@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"flowrecon/internal/core"
 	"flowrecon/internal/experiment"
+	"flowrecon/internal/telemetry"
 )
 
 // storeSpecs returns n target specs on distinct config seeds.
@@ -85,11 +87,42 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 }
 
+// TestStoreOwnsUSumMemo: a store's first build of a spec evaluates every
+// state, even when a one-shot build of the same spec ran before it, and
+// the rebuild of that spec after the store evicted it answers every
+// state from the store's own memo.
+func TestStoreOwnsUSumMemo(t *testing.T) {
+	specs := storeSpecs(2)
+	if _, err := specs[0].BuildConfig(nil); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(1, 0)
+	lookups := func(build func()) (hits, misses int64) {
+		t.Helper()
+		reg := telemetry.NewRegistry()
+		core.SetTelemetry(reg)
+		defer core.SetTelemetry(nil)
+		build()
+		return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
+			reg.Counter("usum_memo_lookups", "result", "miss").Value()
+	}
+	if hits, misses := lookups(func() { mustGet(t, s, specs[0]) }); hits != 0 || misses == 0 {
+		t.Fatalf("first store build: %d memo hits, %d misses; want misses only", hits, misses)
+	}
+	mustGet(t, s, specs[1])
+	if hits, misses := lookups(func() { mustGet(t, s, specs[0]) }); hits == 0 || misses != 0 {
+		t.Fatalf("rebuild after eviction: %d memo hits, %d misses; want hits only", hits, misses)
+	}
+	if st := s.Stats(); st.Builds != 3 || st.Evictions != 2 {
+		t.Fatalf("builds=%d evictions=%d, want 3/2", st.Builds, st.Evictions)
+	}
+}
+
 func TestStoreByteBudget(t *testing.T) {
 	specs := storeSpecs(3)
 	sizes := make([]int64, len(specs))
 	for i, spec := range specs {
-		nc, err := spec.BuildConfig()
+		nc, err := spec.BuildConfig(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

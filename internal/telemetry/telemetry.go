@@ -28,6 +28,9 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -241,6 +244,18 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.Spans = r.spans.Spans()
 	return s
+}
+
+// WriteSnapshotFile writes r's snapshot to path as indented JSON: the
+// -telemetry-out file of the command-line tools.
+func WriteSnapshotFile(path string, r *Registry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	return errors.Join(enc.Encode(r.Snapshot()), f.Close())
 }
 
 // sortedKeys returns the map's keys in lexical order.
