@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet perfbench-check test race bench bench-compare sched-gate check fuzz-smoke cover-gate alloc-gate trace-smoke
+.PHONY: all build fmt-check vet perfbench-check test race bench bench-compare sched-gate check fuzz-smoke cover-gate alloc-gate trace-smoke results-figs
 
 all: check build
 
@@ -175,6 +175,18 @@ cover-gate:
 		if [ "$$ok" != 1 ]; then echo "cover-gate: $$pkg coverage $$pct% < 70%"; exit 1; fi; \
 		echo "cover-gate: $$pkg $$pct% >= 70%"; \
 	done
+
+## results-figs regenerates the committed small-scale Figures 6 and 7
+## (experiments -fig6 -fig7 -scale small -seed 1, one figure per file)
+## without their wall-clock "took" lines. The figures are a pure function
+## of the seed at every -parallelism, so CI reruns this target and fails
+## on any diff: a sampler change that moves a figure shows up here.
+results-figs:
+	$(GO) run ./cmd/experiments -fig6 -scale small -seed 1 > results_fig6.txt.tmp
+	grep -v '^(figure 6 took' results_fig6.txt.tmp > results_fig6.txt
+	$(GO) run ./cmd/experiments -fig7 -scale small -seed 1 > results_fig7.txt.tmp
+	grep -v '^(figure 7 took' results_fig7.txt.tmp > results_fig7.txt
+	@rm -f results_fig6.txt.tmp results_fig7.txt.tmp
 
 ## check is the pre-merge gate: formatting, vet, the benchmark harness's
 ## vet and build, the full test suite under the race detector, the

@@ -57,7 +57,7 @@ func run(args []string) (err error) {
 		svgDir   = fs.String("svg", "", "directory for SVG renderings of the figures")
 		scale    = fs.String("scale", "paper", "parameter scale: paper (16 flows/12 rules) or small (8 flows/6 rules)")
 		telOut   = fs.String("telemetry-out", "", "write the final telemetry snapshot (probe histograms, counters) as JSON to this file")
-		par      = fs.Int("parallelism", 1, "trial-runner worker goroutines per configuration; results are identical at every level")
+		par      = fs.Int("parallelism", 0, "configuration-sampling workers (0 = GOMAXPROCS); figures identical at every level")
 
 		fleet    = fs.Bool("fleet", false, "run the fleet-scale multi-switch reconnaissance experiment (EXPERIMENTS.md §16)")
 		switches = fs.Int("switches", 20, "fleet fabric size floor (generated topologies round up)")
@@ -216,7 +216,7 @@ func run(args []string) (err error) {
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("(figure 6 took %v)\n\n", time.Since(start).Round(time.Second))
+		fmt.Printf("(figure 6 took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	if *all || *fig7 {
@@ -246,7 +246,7 @@ func run(args []string) (err error) {
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("(figure 7 took %v)\n\n", time.Since(start).Round(time.Second))
+		fmt.Printf("(figure 7 took %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if reg != nil {
 		if err := telemetry.WriteSnapshotFile(*telOut, reg); err != nil {

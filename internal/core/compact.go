@@ -63,6 +63,10 @@ type CompactModel struct {
 	memo   *USumMemo        // the memo the model was built through; nil for none
 }
 
+// MaxCompactRules is the largest rule set a compact model accepts: its
+// states are subsets of the rules, up to 2^24 of them at this bound.
+const MaxCompactRules = 24
+
 // NewCompactModel enumerates every subset state and builds the transition
 // matrix, fanning the per-state u-sum estimation across GOMAXPROCS
 // workers. States are looked up in and recorded to memo; a nil memo
@@ -82,8 +86,8 @@ func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactMo
 		return nil, err
 	}
 	nr := cfg.Rules.Len()
-	if nr > 24 {
-		return nil, fmt.Errorf("core: compact model supports ≤ 24 rules, got %d", nr)
+	if nr > MaxCompactRules {
+		return nil, fmt.Errorf("core: compact model supports ≤ %d rules, got %d", MaxCompactRules, nr)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

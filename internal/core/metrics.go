@@ -50,6 +50,14 @@ func evolveNsBuckets() []float64 {
 // usum_sweep_steps_total) and the model_build_workers gauge all
 // land in reg's /debug/vars-style snapshot. Passing nil disables
 // instrumentation (the default).
+//
+// They count every build the process runs, including the speculative
+// builds that the Figure 6/7 sampler discards when an acceptance moves
+// their draw (experiment.RunFig6 and RunFig7 with more than one sampling
+// worker). Over a figure run, usum_states_total, usum_sweep_steps_total
+// and model_build_ms therefore vary with the worker count and with
+// scheduling; the figure itself, and the sampler's
+// figure_attempts_total, do not.
 func SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		coreMetricsPtr.Store(nil)

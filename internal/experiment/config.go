@@ -72,14 +72,27 @@ func (p Params) Validate() error {
 	if p.NumFlows < 2 || p.NumRules < 1 || p.CacheSize < 1 {
 		return fmt.Errorf("experiment: degenerate sizes %+v", p)
 	}
+	if p.NumRules > core.MaxCompactRules {
+		return fmt.Errorf("experiment: %d rules exceed the compact model's %d", p.NumRules, core.MaxCompactRules)
+	}
 	if p.Delta <= 0 || p.WindowSeconds <= 0 {
 		return fmt.Errorf("experiment: bad timing %+v", p)
+	}
+	// Compare the quotient before Steps converts it to int, so a NaN or
+	// 1e300-step window cannot overflow the conversion.
+	if q := p.WindowSeconds / p.Delta; !(q <= MaxSteps) || p.Steps() > MaxSteps {
+		return fmt.Errorf("experiment: a %v s window at Δ %v s exceeds %d model steps", p.WindowSeconds, p.Delta, MaxSteps)
 	}
 	if p.AbsenceLo < 0 || p.AbsenceHi > 1 || p.AbsenceLo >= p.AbsenceHi {
 		return fmt.Errorf("experiment: bad absence range [%v,%v]", p.AbsenceLo, p.AbsenceHi)
 	}
 	return nil
 }
+
+// MaxSteps bounds the probe window T in model steps (the paper's window
+// is 600). A build evolves its chains over every step, so the bound
+// keeps a spec from outside the program from pinning a worker.
+const MaxSteps = 1 << 16
 
 // Steps returns the probe window T in model steps (⌈window/Δ⌉).
 func (p Params) Steps() int { return WindowSteps(p.WindowSeconds, p.Delta) }

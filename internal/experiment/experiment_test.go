@@ -29,25 +29,32 @@ func tinyParams() Params {
 	}
 }
 
+// TestParamsValidate rejects degenerate sizes, timing and absence
+// ranges, rule sets past the compact model's bound and probe windows
+// past MaxSteps, and accepts both bounds themselves.
 func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultParams()
-	bad.Delta = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero delta accepted")
-	}
-	bad = DefaultParams()
-	bad.AbsenceLo = 0.9
-	bad.AbsenceHi = 0.1
-	if bad.Validate() == nil {
-		t.Fatal("inverted absence range accepted")
-	}
-	bad = DefaultParams()
-	bad.NumFlows = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero flows accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Params)
+		ok   bool
+	}{
+		{"defaults", func(*Params) {}, true},
+		{"zero delta", func(p *Params) { p.Delta = 0 }, false},
+		{"NaN delta", func(p *Params) { p.Delta = math.NaN() }, false},
+		{"inverted absence range", func(p *Params) { p.AbsenceLo, p.AbsenceHi = 0.9, 0.1 }, false},
+		{"zero flows", func(p *Params) { p.NumFlows = 0 }, false},
+		{"24 rules", func(p *Params) { p.NumRules = core.MaxCompactRules }, true},
+		{"25 rules", func(p *Params) { p.NumRules = core.MaxCompactRules + 1 }, false},
+		{"MaxSteps steps", func(p *Params) { p.Delta, p.WindowSeconds = 0.5, MaxSteps/2 }, true},
+		{"MaxSteps+1 steps", func(p *Params) { p.Delta, p.WindowSeconds = 0.5, MaxSteps/2+0.5 }, false},
+		{"overflowing window", func(p *Params) { p.WindowSeconds = 1e300 }, false},
+		{"infinite window", func(p *Params) { p.WindowSeconds = math.Inf(1) }, false},
+	} {
+		p := DefaultParams()
+		c.edit(&p)
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
 	}
 }
 

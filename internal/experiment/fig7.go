@@ -27,18 +27,7 @@ type Fig7Result struct {
 // detector-viability of the optimal probe (the restriction of §VI-B); the
 // model attacker must probe the best flow other than the target.
 func RunFig7(opts FigureOptions) (*Fig7Result, error) {
-	roster := func(nc *NetworkConfig) ([]core.Attacker, error) {
-		restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1)
-		if err != nil {
-			return nil, err
-		}
-		return []core.Attacker{
-			&core.NaiveAttacker{TargetFlow: nc.Target},
-			restricted,
-			&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
-		}, nil
-	}
-	outcomes, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable, roster)
+	outcomes, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable, fig7Roster)
 	if err != nil {
 		return nil, err
 	}
@@ -47,6 +36,20 @@ func RunFig7(opts FigureOptions) (*Fig7Result, error) {
 		ByAbsence: bucketByAbsence(outcomes, 5),
 		Outcomes:  outcomes,
 		Attempted: attempted,
+	}, nil
+}
+
+// fig7Roster pits the restricted model attacker against the naive and
+// random attackers.
+func fig7Roster(nc *NetworkConfig) ([]core.Attacker, error) {
+	restricted, err := core.NewModelAttacker(nc.Selector, nc.Selector.FlowsExcept(nc.Target), 1)
+	if err != nil {
+		return nil, err
+	}
+	return []core.Attacker{
+		&core.NaiveAttacker{TargetFlow: nc.Target},
+		restricted,
+		&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
 	}, nil
 }
 

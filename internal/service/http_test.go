@@ -133,6 +133,30 @@ func TestHTTPBadSpec(t *testing.T) {
 	}
 }
 
+// TestHTTPOutOfRangeParams400 verifies that a spec whose parameters no
+// model can be built for — more rules than the compact model takes, or
+// a probe window past experiment.MaxSteps — is refused with 400 at
+// admission, before the store builds anything.
+func TestHTTPOutOfRangeParams400(t *testing.T) {
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	for name, edit := range map[string]func(*experiment.Params){
+		"25 rules":      func(p *experiment.Params) { p.NumRules = core.MaxCompactRules + 1 },
+		"1<<16+1 steps": func(p *experiment.Params) { p.Delta, p.WindowSeconds = 1, experiment.MaxSteps+1 },
+	} {
+		spec := testSpec(name, 1, 1, 1)
+		edit(&spec.Target.Params)
+		resp := postSpec(t, srv.URL, spec)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
+		}
+	}
+	if st := m.Store().Stats(); st.Builds != 0 || st.Misses != 0 {
+		t.Fatalf("refused specs reached the model store: %+v", st)
+	}
+}
+
 // TestHTTPOversizedSpec413 verifies the spec body bound: a body past
 // maxSpecBytes is refused with 413 before it is decoded, while a spec
 // just under the bound is still read (and rejected only as a bad spec).
