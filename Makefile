@@ -97,8 +97,10 @@ sched-gate:
 ## number of times whatever its flow count (one reseeded child stream,
 ## not a forked generator per flow). The u-sum time-step sweep must not
 ## allocate once its estimator is warm, so repeated model builds add no
-## GC pressure; likewise a memo-hit u-sum estimate and the §IV-A1 event
-## weights, and BestSequence allocates as often at 8 candidates as at 4.
+## GC pressure; likewise the §IV-A1 event weights, and BestSequence
+## allocates as often at 8 candidates as at 4. A model rebuilt over a warm
+## u-sum memo makes one lookup, evaluates no state and allocates only the
+## model's own storage (TestMemoHitRebuildSteadyStateAllocs).
 ## The daemon's warm trial joins them: a probing TrialRunner.Run with no
 ## span recorder stays within the allocation count measured once the
 ## per-probe span detail stopped being formatted for a recorder that
@@ -148,7 +150,11 @@ trace-smoke:
 ## and verdict lines to encoding/json, byte for byte, on arbitrary
 ## attacker names and integers; FuzzTableCopyCacheFrom holds a flow
 ## table copied with CopyCacheFrom to its source, step by step, under
-## arbitrary operation sequences (expiry and eviction order included).
+## arbitrary operation sequences (expiry and eviction order included);
+## FuzzSessionSpec holds flowrecond's spec admission (the HTTP decoder and
+## SessionSpec.Validate) to its bounds on arbitrary request bodies: no
+## panic, and no accepted spec past the step or rule bounds or naming a
+## server-side file trace.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -159,6 +165,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzStreamLinesMatchEncoding -fuzztime 10s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzSessionSpec -fuzztime 10s
 	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzTableCopyCacheFrom -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose

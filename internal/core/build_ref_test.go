@@ -131,12 +131,30 @@ func injectiveFeasibleRef(touts []int) bool {
 	return true
 }
 
-// estimateRef is estimate without the memo, on the reference ordering,
-// feasibility check and γ tables. The u-sums themselves come from the
-// shared evaluate (the sweep has its own oracle in usum_ref_test.go).
+// newStateEstimates returns feasible estimates with slots for m cached
+// rules; the eviction slots exist only when the table is full.
+func newStateEstimates(m int, full bool) StateEstimates {
+	out := StateEstimates{Timeout: make([]float64, m), Feasible: true}
+	if full {
+		out.Evict = make([]float64, m)
+	}
+	return out
+}
+
+// estimateNew is estimate into freshly allocated slots.
+func (e *uEstimator) estimateNew(cachedIDs []int) StateEstimates {
+	out := newStateEstimates(len(cachedIDs), len(cachedIDs) >= e.capacity)
+	e.estimate(cachedIDs, &out)
+	return out
+}
+
+// estimateRef is estimate on the reference ordering, feasibility check and
+// γ tables. The u-sums themselves come from the shared evaluate (the
+// sweep has its own oracle in usum_ref_test.go).
 func (e *uEstimator) estimateRef(cachedIDs []int) StateEstimates {
+	out := newStateEstimates(len(cachedIDs), len(cachedIDs) >= e.capacity)
 	if len(cachedIDs) == 0 {
-		return newStateEstimates(0, false)
+		return out
 	}
 	cached := sortByPriorityRef(e.rs, cachedIDs)
 	touts := make([]int, len(cached))
@@ -144,9 +162,11 @@ func (e *uEstimator) estimateRef(cachedIDs []int) StateEstimates {
 		touts[i] = e.rs.Rule(j).Timeout
 	}
 	if !injectiveFeasibleRef(touts) {
-		return e.fallback(cached, newStateEstimates(len(cached), len(cached) >= e.capacity))
+		e.fallback(cached, &out)
+	} else {
+		e.evaluate(cached, touts, e.buildGammaTables(cached), &out)
 	}
-	return e.evaluate(cached, touts, e.buildGammaTables(cached))
+	return out
 }
 
 // refModel is the reference build of one compact chain.
@@ -157,10 +177,16 @@ type refModel struct {
 
 // buildReferenceModel builds cfg's compact chain serially the way the
 // clone-based path did: reference weights and estimates per state, each
-// row's entries added in order to a builder with no reserved capacity.
+// row's entries added in order to a builder with no reserved capacity,
+// and the successor states found through a mask → index map rather than
+// the model's rank.
 func buildReferenceModel(cfg Config) (*refModel, error) {
 	m := &CompactModel{cfg: cfg, sr: cfg.stepRates()}
 	m.enumerateStates()
+	index := make(map[uint64]int, len(m.states))
+	for i, mask := range m.states {
+		index[mask] = i
+	}
 	e := &uEstimator{rs: cfg.Rules, sr: m.sr, capacity: cfg.CacheSize}
 	n := len(m.states)
 	ref := &refModel{matrix: markov.NewSparse(n), est: make([]StateEstimates, n)}
@@ -175,16 +201,16 @@ func buildReferenceModel(cfg Config) (*refModel, error) {
 			ref.est[idx] = est
 		}
 		var timeoutTotal float64
-		for _, j := range cachedIDs {
-			timeoutTotal += est.Timeout[j]
+		for i := range cachedIDs {
+			timeoutTotal += est.Timeout[i]
 		}
 		if timeoutTotal > 1 {
-			for _, j := range cachedIDs {
-				add(m.index[mask&^(1<<uint(j))], w.null*est.Timeout[j]/timeoutTotal)
+			for i, j := range cachedIDs {
+				add(index[mask&^(1<<uint(j))], w.null*est.Timeout[i]/timeoutTotal)
 			}
 		} else {
-			for _, j := range cachedIDs {
-				add(m.index[mask&^(1<<uint(j))], w.null*est.Timeout[j])
+			for i, j := range cachedIDs {
+				add(index[mask&^(1<<uint(j))], w.null*est.Timeout[i])
 			}
 			add(idx, w.null*(1-timeoutTotal))
 		}
@@ -197,11 +223,11 @@ func buildReferenceModel(cfg Config) (*refModel, error) {
 			case cached(j):
 				add(idx, p)
 			case len(cachedIDs) < cfg.CacheSize:
-				add(m.index[mask|1<<uint(j)], p)
+				add(index[mask|1<<uint(j)], p)
 			default:
-				for _, v := range cachedIDs {
+				for i, v := range cachedIDs {
 					to := (mask | 1<<uint(j)) &^ (1 << uint(v))
-					add(m.index[to], p*est.Evict[v])
+					add(index[to], p*est.Evict[i])
 				}
 			}
 		}

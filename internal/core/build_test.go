@@ -149,9 +149,6 @@ func TestGammaTablesMatchReference(t *testing.T) {
 						tab.hp[j], tab.gamma[j], rt.hp[j], rt.gamma[j])
 				}
 			}
-			if usumKeyOf(e, cached, touts, tab) != usumKeyOf(ref, want, touts, rt) {
-				t.Fatalf("%s %v: memo keys differ", c.name, ids)
-			}
 		}
 	}
 }
@@ -183,23 +180,11 @@ func TestEventWeightsMatchReference(t *testing.T) {
 	}
 }
 
-// sameEstimates reports whether two states' estimates agree bit for bit.
+// sameEstimates reports whether two states' estimates agree bit for bit,
+// slot for slot.
 func sameEstimates(a, b StateEstimates) bool {
-	if a.Feasible != b.Feasible || (a.Evict == nil) != (b.Evict == nil) ||
-		len(a.Evict) != len(b.Evict) || len(a.Timeout) != len(b.Timeout) {
-		return false
-	}
-	for j, v := range a.Evict {
-		if w, ok := b.Evict[j]; !ok || !sameBits(v, w) {
-			return false
-		}
-	}
-	for j, v := range a.Timeout {
-		if w, ok := b.Timeout[j]; !ok || !sameBits(v, w) {
-			return false
-		}
-	}
-	return true
+	return a.Feasible == b.Feasible && (a.Evict == nil) == (b.Evict == nil) &&
+		sameBitsSlice(a.Evict, b.Evict) && sameBitsSlice(a.Timeout, b.Timeout)
 }
 
 // checkModelMatchesReference builds cfg cold, each time over a fresh
@@ -333,28 +318,49 @@ func TestBestPairMatchesBestOver(t *testing.T) {
 	}
 }
 
-// TestEstimateMemoHitZeroAlloc: a warm estimator answers every state from
-// the memo without allocating. Seed 9 draws a configuration with 28 Z ≤ 0
-// states, so infeasible verdicts are covered too.
-func TestEstimateMemoHitZeroAlloc(t *testing.T) {
+// TestMemoHitRebuildSteadyStateAllocs: rebuilding a model over a warm
+// memo makes one lookup, a hit, and evaluates no state: the rebuilt model
+// shares the memoized estimate vector. Its allocations are the model's
+// own storage — states, cover table, row slabs, both matrix forms — plus
+// the lookup's timeout list, within a pinned count. The small-scale
+// configuration has Z ≤ 0 states (TestRebuildEvaluatesNoState), so
+// memoized infeasible verdicts are covered too; its rows stay short of
+// the matrix builder's per-row index, whose maps would swamp the count.
+func TestMemoHitRebuildSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	cfg := usumConfig(t, usumPaper, 0.025, 9, false)
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), memo: NewUSumMemo()}
-	e := m.newEstimator()
-	// Every state, feasible or not, is memoized by its first estimate.
-	states := caseStates(cfg)
-	for _, ids := range states {
-		e.estimate(ids)
+	const maxAllocs = 27
+	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
+	memo := NewUSumMemo()
+	cold, err := newCompactModelWorkers(cfg, memo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	memo.SetTelemetry(reg)
+	SetTelemetry(reg)
+	t.Cleanup(func() { SetTelemetry(nil) })
+	warm, err := newCompactModelWorkers(cfg, memo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
+	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
+	states := reg.Counter("usum_states_total", "method", "exact").Value()
+	if hits != 1 || misses != 0 || states != 0 {
+		t.Fatalf("warm rebuild: %d hits, %d misses, %d states evaluated; want one hit and no state", hits, misses, states)
+	}
+	if &warm.est[0] != &cold.est[0] {
+		t.Fatal("warm rebuild does not share the memoized estimate vector")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		for _, ids := range states {
-			e.estimate(ids)
+		if _, err := newCompactModelWorkers(cfg, memo, 1); err != nil {
+			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("memo-hit estimate: %v allocs per %d states, want 0", allocs, len(states))
+	if allocs > maxAllocs {
+		t.Fatalf("warm rebuild of %d states: %v allocs, want ≤ %d", warm.NumStates(), allocs, maxAllocs)
 	}
 }
 

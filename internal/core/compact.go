@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/markov"
@@ -51,16 +52,16 @@ var (
 // eviction/timeout transition probabilities are estimated from the
 // most-recent-match sums implemented in usum.go.
 type CompactModel struct {
-	cfg    Config
-	sr     []float64
-	states []uint64       // rule bitmasks, index-aligned with the matrix
-	index  map[uint64]int // mask → state index
-	cover  *coverTable    // rule coverage, shared read-only with the build's estimators
-	matrix *markov.Sparse
-	frozen *markov.CSR      // immutable CSR snapshot driving EvolveInPlace
-	wsPool sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
-	est    []StateEstimates // per-state §IV-B estimates (nil for the empty state)
-	memo   *USumMemo        // the memo the model was built through; nil for none
+	cfg     Config
+	sr      []float64
+	states  []uint64    // rule bitmasks, index-aligned with the matrix (see index)
+	sizeEnd []int       // sizeEnd[k]: one past the last state caching k rules
+	cover   *coverTable // rule coverage, shared read-only with the build's estimators
+	matrix  *markov.Sparse
+	frozen  *markov.CSR      // immutable CSR snapshot driving EvolveInPlace
+	wsPool  sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
+	est     []StateEstimates // per-state §IV-B estimates (zero for the empty state); may be a memo's
+	memo    *USumMemo        // the memo the model was built through; nil for none
 }
 
 // MaxCompactRules is the largest rule set a compact model accepts: its
@@ -69,8 +70,9 @@ const MaxCompactRules = 24
 
 // NewCompactModel enumerates every subset state and builds the transition
 // matrix, fanning the per-state u-sum estimation across GOMAXPROCS
-// workers. States are looked up in and recorded to memo; a nil memo
-// evaluates every state. The model is the same either way.
+// workers. The model's estimates are looked up in memo once, and recorded
+// to it on a miss; a nil memo evaluates every state. The model is the
+// same either way.
 func NewCompactModel(cfg Config, memo *USumMemo) (*CompactModel, error) {
 	return newCompactModelWorkers(cfg, memo, 0)
 }
@@ -80,7 +82,7 @@ func NewCompactModel(cfg Config, memo *USumMemo) (*CompactModel, error) {
 // the pool and assembled in state order, so the resulting model is
 // bit-identical regardless of the worker count: the only cross-state
 // coupling is the caller's u-sum memo, whose entries are pure functions
-// of their keys.
+// of the model's inputs.
 func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -95,8 +97,22 @@ func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactMo
 	start := time.Now()
 	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates)), memo: memo}
 	m.enumerateStates()
-	if err := m.buildMatrix(workers); err != nil {
+	var key usumInputs
+	var h uint64
+	if memo != nil {
+		key = usumInputsOf(m)
+		h = key.hash()
+		m.est, _ = memo.get(h, &key)
+	}
+	fresh := m.est == nil
+	if fresh {
+		m.est = m.newEstimates()
+	}
+	if err := m.buildMatrix(workers, fresh); err != nil {
 		return nil, err
+	}
+	if memo != nil && fresh {
+		memo.put(h, key, m.est)
 	}
 	m.frozen = m.matrix.Freeze()
 	n := len(m.states)
@@ -106,17 +122,12 @@ func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactMo
 }
 
 // MemBytes estimates the model's resident heap footprint: state masks,
-// the mask index, the cover table, per-state estimates, and both matrix
-// forms — the builder by the capacity its rows hold, not only their
-// entries. Map overhead is approximated, so treat the figure as a model
-// store's byte-budget accounting unit, not exact process RSS.
+// the cover table, per-state estimates, and both matrix forms — the
+// builder by the capacity its rows hold, not only their entries. It
+// counts slices, not allocator or object headers, so treat the figure as
+// a model store's byte-budget accounting unit, not exact process RSS.
 func (m *CompactModel) MemBytes() int64 {
-	const mapEntry = 48 // rough per-entry bucket + key + value cost
-	b := int64(len(m.states))*8 + int64(len(m.sr))*8 + m.cover.memBytes()
-	b += int64(len(m.index)) * mapEntry
-	for i := range m.est {
-		b += int64(len(m.est[i].Evict)+len(m.est[i].Timeout))*mapEntry + 64
-	}
+	b := int64(len(m.states)+len(m.sizeEnd)+len(m.sr))*8 + m.cover.memBytes() + estimatesBytes(m.est)
 	if m.frozen != nil {
 		b += m.frozen.MemBytes()
 	}
@@ -141,24 +152,18 @@ func CompactStateCount(numRules, capacity int) int {
 	return total
 }
 
+// enumerateStates lists the states in index order: by size, and within a
+// size in lexicographic order of their ascending rule IDs, so the empty
+// state is index 0.
 func (m *CompactModel) enumerateStates() {
 	nr := m.cfg.Rules.Len()
-	cap := m.cfg.CacheSize
-	if cap > nr {
-		cap = nr
-	}
-	count := CompactStateCount(nr, cap)
-	m.index = make(map[uint64]int, count)
-	m.states = make([]uint64, 0, count)
-	add := func(mask uint64) {
-		m.index[mask] = len(m.states)
-		m.states = append(m.states, mask)
-	}
-	// Enumerate subsets in increasing size so the empty state is index 0.
+	cap := min(m.cfg.CacheSize, nr)
+	m.states = make([]uint64, 0, CompactStateCount(nr, cap))
+	m.sizeEnd = make([]int, cap+1)
 	var rec func(start int, mask uint64, size, want int)
 	rec = func(start int, mask uint64, size, want int) {
 		if size == want {
-			add(mask)
+			m.states = append(m.states, mask)
 			return
 		}
 		for j := start; j < nr; j++ {
@@ -167,15 +172,77 @@ func (m *CompactModel) enumerateStates() {
 	}
 	for want := 0; want <= cap; want++ {
 		rec(0, 0, 0, want)
+		m.sizeEnd[want] = len(m.states)
 	}
 }
 
+// binomial[n][k] is C(n, k) for n < MaxCompactRules, k ≤ MaxCompactRules.
+var binomial = func() (c [MaxCompactRules][MaxCompactRules + 1]int) {
+	for n := range c {
+		c[n][0] = 1
+		for k := 1; k <= n; k++ {
+			c[n][k] = c[n-1][k-1] + c[n-1][k]
+		}
+	}
+	return c
+}()
+
+// index returns the state index of mask, which must cache at most the
+// capacity: enumerateStates' order, ranked with no lookup table. Among
+// the C(n, k) states caching k of n rules, the one caching rules c_1 <
+// … < c_k ranks C(n, k) − 1 − Σ_i C(n − 1 − c_i, k + 1 − i) in
+// lexicographic order, and the states caching fewer rules precede them.
+func (m *CompactModel) index(mask uint64) int {
+	n := m.cfg.Rules.Len()
+	k := bits.OnesCount64(mask)
+	idx := m.sizeEnd[k] - 1
+	for r := k; mask != 0; r-- {
+		idx -= binomial[n-1-bits.TrailingZeros64(mask)][r]
+		mask &= mask - 1
+	}
+	return idx
+}
+
+// newEstimates returns the model's estimate vector, every state's slots
+// carved from one allocation: a timeout slot per cached rule, and as many
+// eviction slots when the table is full. The empty state has none.
+func (m *CompactModel) newEstimates() []StateEstimates {
+	est := make([]StateEstimates, len(m.states))
+	capacity := m.cfg.CacheSize
+	total := 0
+	for _, mask := range m.states {
+		k := bits.OnesCount64(mask)
+		total += k
+		if k >= capacity {
+			total += k
+		}
+	}
+	buf := make([]float64, total)
+	for i, mask := range m.states {
+		k := bits.OnesCount64(mask)
+		if k == 0 {
+			continue
+		}
+		est[i].Timeout, buf = buf[:k:k], buf[k:]
+		if k >= capacity {
+			est[i].Evict, buf = buf[:k:k], buf[k:]
+		}
+	}
+	return est
+}
+
+// estimatesBytes returns an estimate vector's exact slice footprint.
+func estimatesBytes(est []StateEstimates) int64 {
+	b := int64(len(est)) * int64(unsafe.Sizeof(StateEstimates{}))
+	for i := range est {
+		b += int64(len(est[i].Timeout)+len(est[i].Evict)) * 8
+	}
+	return b
+}
+
 // builtRow is the output of one state's independent row computation: its
-// estimates, and its unnormalized entries lo..hi-1 of the building
-// worker's slab.
+// unnormalized entries lo..hi-1 of the building worker's slab.
 type builtRow struct {
-	est    StateEstimates
-	hasEst bool
 	slab   *rowSlab
 	lo, hi int
 }
@@ -188,12 +255,13 @@ type rowSlab struct {
 	ps  []float64
 }
 
-// buildRow computes state idx's estimates and unnormalized row entries.
-// It touches only immutable model fields (states, index, cfg, sr, cover)
-// plus the caller-owned estimator, whose scratch carries the state's rule
-// IDs and event weights and whose slab receives the entries, so rows can
-// be built concurrently.
-func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
+// buildRow computes state idx's unnormalized row entries, evaluating its
+// estimates into m.est[idx] first when fresh (else they came from a
+// memo). It touches only state idx's estimates, immutable model fields
+// (states, sizeEnd, cfg, sr, cover) and the caller-owned estimator, whose
+// scratch carries the state's rule IDs and event weights and whose slab
+// receives the entries, so rows can be built concurrently.
+func (m *CompactModel) buildRow(estimator *uEstimator, idx int, fresh bool) builtRow {
 	mask := m.states[idx]
 	estimator.ids = appendMaskIDs(estimator.ids[:0], mask)
 	cachedIDs := estimator.ids
@@ -206,27 +274,25 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 		slab.tos = append(slab.tos, to)
 		slab.ps = append(slab.ps, p)
 	}
-	est := row.est
-	if len(cachedIDs) > 0 {
-		est = estimator.estimate(cachedIDs)
-		row.est = est
-		row.hasEst = true
+	est := &m.est[idx]
+	if fresh && len(cachedIDs) > 0 {
+		estimator.estimate(cachedIDs, est)
 	}
 
 	// Null event: per-rule timeouts plus the stay-put remainder.
 	var timeoutTotal float64
-	for _, j := range cachedIDs {
-		timeoutTotal += est.Timeout[j]
+	for _, t := range est.Timeout {
+		timeoutTotal += t
 	}
 	if timeoutTotal > 1 {
 		// Conditional probabilities can overshoot jointly; rescale so
 		// the null event stays a probability split.
-		for _, j := range cachedIDs {
-			add(m.index[mask&^(1<<uint(j))], w.null*est.Timeout[j]/timeoutTotal)
+		for i, j := range cachedIDs {
+			add(m.index(mask&^(1<<uint(j))), w.null*est.Timeout[i]/timeoutTotal)
 		}
 	} else {
-		for _, j := range cachedIDs {
-			add(m.index[mask&^(1<<uint(j))], w.null*est.Timeout[j])
+		for i, j := range cachedIDs {
+			add(m.index(mask&^(1<<uint(j))), w.null*est.Timeout[i])
 		}
 		add(idx, w.null*(1-timeoutTotal))
 	}
@@ -240,11 +306,11 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 		case mask&(1<<uint(j)) != 0:
 			add(idx, p) // hit: subset unchanged
 		case len(cachedIDs) < m.cfg.CacheSize:
-			add(m.index[mask|1<<uint(j)], p)
+			add(m.index(mask|1<<uint(j)), p)
 		default:
-			for _, v := range cachedIDs {
+			for i, v := range cachedIDs {
 				to := (mask | 1<<uint(j)) &^ (1 << uint(v))
-				add(m.index[to], p*est.Evict[v])
+				add(m.index(to), p*est.Evict[i])
 			}
 		}
 	}
@@ -258,29 +324,27 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int) builtRow {
 // overwritten before it is read.
 var estimators sync.Pool
 
-// newEstimator returns a u-sum estimator over the model's rules, rates,
-// cover table and memo, with an empty row slab. Each build worker owns
-// one until the build's rows are assembled. Every field is set on every
-// Get, the memo included when nil, so a recycled estimator never carries
-// another build's memo.
+// newEstimator returns a u-sum estimator over the model's rules, rates
+// and cover table, with an empty row slab. Each build worker owns one
+// until the build's rows are assembled. Every field is set on every Get,
+// so a recycled estimator never carries another build's model.
 func (m *CompactModel) newEstimator() *uEstimator {
 	e, _ := estimators.Get().(*uEstimator)
 	if e == nil {
 		e = &uEstimator{}
 	}
-	e.rs, e.sr, e.capacity, e.cover, e.memo = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover, m.memo
+	e.rs, e.sr, e.capacity, e.cover = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover
 	e.slab.tos, e.slab.ps = e.slab.tos[:0], e.slab.ps[:0]
 	return e
 }
 
-// buildMatrix computes every state's row — the u-sum estimation is the
-// §VI hot path — on a pool of workers, then assembles the sparse matrix
-// serially in state order so the result is independent of scheduling.
-// Each builder row is reserved at its entry count up front, all from one
-// slab, so assembly never regrows a row.
-func (m *CompactModel) buildMatrix(workers int) error {
+// buildMatrix computes every state's row — the u-sum estimation, run
+// when fresh, is the §VI hot path — on a pool of workers, then assembles
+// the sparse matrix serially in state order so the result is independent
+// of scheduling. Each builder row is reserved at its entry count up
+// front, all from one slab, so assembly never regrows a row.
+func (m *CompactModel) buildMatrix(workers int, fresh bool) error {
 	n := len(m.states)
-	m.est = make([]StateEstimates, n)
 	rows := make([]builtRow, n)
 	if workers > n {
 		workers = n
@@ -292,7 +356,7 @@ func (m *CompactModel) buildMatrix(workers int) error {
 	}
 	if workers == 1 {
 		for idx := range m.states {
-			rows[idx] = m.buildRow(pool[0], idx)
+			rows[idx] = m.buildRow(pool[0], idx, fresh)
 		}
 	} else {
 		var next atomic.Int64
@@ -306,7 +370,7 @@ func (m *CompactModel) buildMatrix(workers int) error {
 					if idx >= n {
 						return
 					}
-					rows[idx] = m.buildRow(estimator, idx)
+					rows[idx] = m.buildRow(estimator, idx, fresh)
 				}
 			}()
 		}
@@ -320,9 +384,6 @@ func (m *CompactModel) buildMatrix(workers int) error {
 	}
 	m.matrix = markov.NewSparseReserved(rowCaps)
 	for idx, row := range rows {
-		if row.hasEst {
-			m.est[idx] = row.est
-		}
 		for k := row.lo; k < row.hi; k++ {
 			m.matrix.Add(idx, row.slab.tos[k], row.slab.ps[k])
 		}
@@ -357,12 +418,12 @@ func (m *CompactModel) ModelConfig() Config { return m.cfg }
 func (m *CompactModel) StateMask(i int) uint64 { return m.states[i] }
 
 // Estimates returns the §IV-B estimates of state i (zero value for the
-// empty state).
+// empty state). Its slices are shared with the model: do not modify them.
 func (m *CompactModel) Estimates(i int) StateEstimates { return m.est[i] }
 
 // InitialDist returns the point distribution on the empty cache.
 func (m *CompactModel) InitialDist() markov.Dist {
-	return markov.PointDist(len(m.states), m.index[0])
+	return markov.PointDist(len(m.states), 0)
 }
 
 // EvolveInPlace advances d in place by steps (Eqn 8), using a pooled
@@ -453,15 +514,15 @@ func (m *CompactModel) ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool) 
 			continue
 		}
 		if bits.OnesCount64(mask) < m.cfg.CacheSize {
-			dst[m.index[mask|bit]] += p
+			dst[m.index(mask|bit)] += p
 			continue
 		}
-		est := m.est[i]
-		for rem := mask; rem != 0; {
+		evict := m.est[i].Evict
+		for slot, rem := 0, mask; rem != 0; slot++ {
 			v := bits.TrailingZeros64(rem)
 			rem &^= 1 << uint(v)
 			to := (mask | bit) &^ (1 << uint(v))
-			dst[m.index[to]] += p * est.Evict[v]
+			dst[m.index(to)] += p * evict[slot]
 		}
 	}
 }

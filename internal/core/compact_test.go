@@ -67,7 +67,7 @@ func TestUSumSingleRuleAnalytic(t *testing.T) {
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.7}, Delta: 0.3, CacheSize: 1}
 	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 1}
-	est := e.estimate([]int{0})
+	est := e.estimateNew([]int{0})
 	if !est.Feasible {
 		t.Fatalf("estimates = %+v", est)
 	}
@@ -97,7 +97,7 @@ func TestUSumEvictionFavorsShorterTimeout(t *testing.T) {
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.5, 0.5}, Delta: 0.2, CacheSize: 2}
 	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 2}
-	est := e.estimate([]int{0, 1})
+	est := e.estimateNew([]int{0, 1})
 	if est.Evict[0] <= est.Evict[1] {
 		t.Fatalf("evict = %v; short-timeout rule should be likelier victim", est.Evict)
 	}
@@ -117,7 +117,7 @@ func TestUSumInfeasibleFallback(t *testing.T) {
 	}
 	cfg := Config{Rules: rs, Rates: []float64{0.5, 0.5}, Delta: 0.2, CacheSize: 2}
 	e := &uEstimator{rs: rs, sr: cfg.stepRates(), capacity: 2}
-	est := e.estimate([]int{0, 1})
+	est := e.estimateNew([]int{0, 1})
 	if est.Feasible {
 		t.Fatal("infeasible assignment reported feasible")
 	}
@@ -132,7 +132,7 @@ func TestUSumInfeasibleFallback(t *testing.T) {
 func TestUSumEmptyState(t *testing.T) {
 	cfg := tinyConfig(t)
 	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: 2}
-	est := e.estimate(nil)
+	est := e.estimateNew(nil)
 	if !est.Feasible || len(est.Evict) != 0 {
 		t.Fatalf("empty-state estimate = %+v", est)
 	}
@@ -456,5 +456,33 @@ func TestFigure5ExpirationFanOut(t *testing.T) {
 	if got[0b10] <= got[0b01] {
 		t.Fatalf("short-TTL rule should expire first: P(lose rule1)=%v vs P(lose rule2)=%v",
 			got[0b10], got[0b01])
+	}
+}
+
+// TestIndexRanksEnumeration: the map-free state rank returns every
+// state's enumeration index, at rule counts up to MaxCompactRules and at
+// every capacity from one rule to all of them.
+func TestIndexRanksEnumeration(t *testing.T) {
+	for _, c := range []struct{ rules, capacity int }{
+		{1, 1}, {3, 2}, {6, 3}, {6, 6}, {6, 9}, {12, 6}, {16, 4}, {MaxCompactRules, 3},
+	} {
+		rs := make([]rules.Rule, c.rules)
+		for j := range rs {
+			rs[j] = rules.Rule{Cover: flows.SetOf(flows.ID(j)), Priority: j, Timeout: 1}
+		}
+		set, err := rules.NewSet(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &CompactModel{cfg: Config{Rules: set, CacheSize: c.capacity}}
+		m.enumerateStates()
+		if len(m.states) != CompactStateCount(c.rules, c.capacity) {
+			t.Fatalf("%d rules, capacity %d: %d states, want %d", c.rules, c.capacity, len(m.states), CompactStateCount(c.rules, c.capacity))
+		}
+		for i, mask := range m.states {
+			if got := m.index(mask); got != i {
+				t.Fatalf("%d rules, capacity %d: state %b ranks %d, enumerated at %d", c.rules, c.capacity, mask, got, i)
+			}
+		}
 	}
 }

@@ -17,13 +17,11 @@ type coreMetrics struct {
 	// evolveNs is the wall time of one Evolve call (histogram
 	// "evolve_ns").
 	evolveNs *telemetry.Histogram
-	// usumMemoHits/Misses count u-sum memo lookups.
-	usumMemoHits   *telemetry.Counter
-	usumMemoMisses *telemetry.Counter
-	// usumExact counts states whose u-sums were evaluated (memo misses);
-	// usumSteps counts the time steps their sweeps took. Both advance
-	// once per state, and both are properties of the configuration, not
-	// of the build's worker count.
+	// usumExact counts states whose u-sums were evaluated (every state of
+	// a build that missed its memo or had none); usumSteps counts the
+	// time steps their sweeps took. Both advance once per state, and both
+	// are properties of the configuration, not of the build's worker
+	// count.
 	usumExact *telemetry.Counter
 	usumSteps *telemetry.Counter
 	// sequenceSearchMs is the wall time of one BestSequence search
@@ -46,10 +44,11 @@ func evolveNsBuckets() []float64 {
 
 // SetTelemetry points the model layer's instrumentation at reg: the
 // model_build_ms, evolve_ns and sequence_search_ms histograms, the u-sum
-// memo hit counters, the u-sum work counters (usum_states_total,
-// usum_sweep_steps_total) and the model_build_workers gauge all
-// land in reg's /debug/vars-style snapshot. Passing nil disables
-// instrumentation (the default).
+// work counters (usum_states_total, usum_sweep_steps_total) and the
+// model_build_workers gauge all land in reg's /debug/vars-style
+// snapshot. Passing nil disables instrumentation (the default). The
+// u-sum memo's lookup counters are the memo's own (USumMemo.SetTelemetry):
+// a lookup is one per model build, not one per state.
 //
 // They count every build the process runs, including the speculative
 // builds that the Figure 6/7 sampler discards when an acceptance moves
@@ -66,25 +65,11 @@ func SetTelemetry(reg *telemetry.Registry) {
 	coreMetricsPtr.Store(&coreMetrics{
 		buildMs:          reg.Histogram("model_build_ms", telemetry.MillisecondBuckets()),
 		evolveNs:         reg.Histogram("evolve_ns", evolveNsBuckets()),
-		usumMemoHits:     reg.Counter("usum_memo_lookups", "result", "hit"),
-		usumMemoMisses:   reg.Counter("usum_memo_lookups", "result", "miss"),
 		usumExact:        reg.Counter("usum_states_total", "method", "exact"),
 		usumSteps:        reg.Counter("usum_sweep_steps_total"),
 		sequenceSearchMs: reg.Histogram("sequence_search_ms", telemetry.MillisecondBuckets()),
 		buildWorkers:     reg.Gauge("model_build_workers"),
 	})
-}
-
-func obsMemo(hit bool) {
-	m := coreMetricsPtr.Load()
-	if m == nil {
-		return
-	}
-	if hit {
-		m.usumMemoHits.Inc()
-	} else {
-		m.usumMemoMisses.Inc()
-	}
 }
 
 // obsUSum records one state's u-sum evaluation, a sweep of steps time

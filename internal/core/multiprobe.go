@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"time"
 
@@ -75,7 +76,10 @@ type seqLevel struct {
 	hit0, miss0, app0 markov.Dist
 }
 
-type seqArena struct{ levels []seqLevel }
+type seqArena struct {
+	levels []seqLevel
+	screen []float64 // bestPair's screened gains, [first][second] candidate
+}
 
 // arenaFor returns a per-call arena with at least depth levels sized for
 // the selector's chains, recycled through a pool so BestSequence's
@@ -171,11 +175,11 @@ func (s *ProbeSelector) leaf(d, d0 markov.Dist) (pq, pq0, pq1 float64) {
 // one probe per round. Each search is timed into the sequence_search_ms
 // histogram when telemetry is on.
 //
-// The m = 2 search (bestPair) shares each first probe's tree level across
-// every second probe, yet returns exactly what evaluating every ordered
-// pair with EvaluateSequence and keeping the first strictly larger gain
-// would: the same pair and, re-evaluated, the same SequenceEval to the
-// last bit.
+// The m = 2 search (bestPair) screens every ordered pair from its leaf
+// masses and evaluates only the near-best ones exactly, yet returns
+// exactly what evaluating every ordered pair with EvaluateSequence and
+// keeping the first strictly larger gain would: the same pair and,
+// re-evaluated, the same SequenceEval to the last bit.
 func (s *ProbeSelector) BestSequence(candidates []flows.ID, m int) (SequenceEval, bool) {
 	if len(candidates) == 0 || m < 1 {
 		return SequenceEval{}, false
@@ -209,37 +213,63 @@ func (s *ProbeSelector) BestSequence(candidates []flows.ID, m int) (SequenceEval
 	return best, true
 }
 
-// bestPair is BestSequence's exhaustive ordered two-probe search. It
-// walks each first probe's tree level once — split by the outcome and
-// apply the probe's side effect, on both chains and both branches — then
-// reuses that level for every second probe. A pair's gain is summed
-// without building its outcome maps or keys: each leaf makes exactly the
-// floating-point operations EvaluateSequence makes (the leaf sums, then
-// ConditionalEntropyBits' steps), folded into the conditional entropy in
-// leaf order "00", "01", "10", "11". So every gain is bit-identical to
-// EvaluateSequence's, the candidate order and the strict > tie-break
-// select the pair bestOver would, and only the winner is evaluated in
-// full.
+// pairScreenMargin is how far below the best screened gain, in bits, a
+// pair may screen and still be evaluated exactly. A screened gain differs
+// from its pair's exact gain only by the rounding of the leaf sums
+// (TestScreenedPairGainBound holds it to 1e-12), so every pair whose exact
+// gain could be the largest screens within the margin of the best.
+const pairScreenMargin = 1e-9
+
+// bestPair is BestSequence's ordered two-probe search, in two passes.
+//
+// The screen walks each first probe's tree level once — split by the
+// outcome and apply the probe's side effect, on both chains and both
+// branches — and then scores every second probe from leaf masses alone: a
+// leaf below the second probe's hit is its hit mass on the branch (a hit
+// changes no compact state, so its apply is a copy), and the miss leaf
+// holds the rest of the branch. No second-level split or apply runs.
+//
+// Only pairs that screen within pairScreenMargin of the best screened
+// gain are then scored exactly, in candidate order, with the arithmetic
+// EvaluateSequence makes at each leaf (addLeafEntropies), and the strict >
+// tie-break keeps the first largest gain. Every pair whose exact gain is
+// the largest is among them, so the pair chosen is the one an exhaustive
+// exact search picks, and only the winner is evaluated in full.
 func (s *ProbeSelector) bestPair(candidates []flows.ID) (SequenceEval, bool) {
 	arena := s.arenaFor(3)
 	// first holds the first probe's splits and its miss branch (app,
 	// app0); the hit branch goes to hit's app buffers, and leaves is the
-	// second probe's scratch.
+	// exact pass's second-probe scratch.
 	first, hit, leaves := &arena.levels[0], &arena.levels[1], &arena.levels[2]
 	prior := s.PriorEntropy()
+	nc := len(candidates)
+	arena.screen = resize(arena.screen, nc*nc)
+	top := math.Inf(-1)
+	for ia, a := range candidates {
+		s.firstLevel(a, first, hit)
+		miss, hitB := newBranchMass(first.app, first.app0), newBranchMass(hit.app, hit.app0)
+		for ib, b := range candidates {
+			if a == b {
+				continue
+			}
+			g := s.screenGain(prior, b, miss, hitB)
+			arena.screen[ia*nc+ib] = g
+			top = max(top, g)
+		}
+	}
+
 	var best [2]flows.ID
 	var bestGain float64
 	found := false
-	for _, a := range candidates {
-		s.model.SplitByHitInto(s.dist, a, first.hit, first.miss)
-		s.model0.SplitByHitInto(s.dist0, a, first.hit0, first.miss0)
-		s.model.ApplyProbeInto(first.app, first.miss, a, false)
-		s.model0.ApplyProbeInto(first.app0, first.miss0, a, false)
-		s.model.ApplyProbeInto(hit.app, first.hit, a, true)
-		s.model0.ApplyProbeInto(hit.app0, first.hit0, a, true)
-		for _, b := range candidates {
-			if a == b {
+	for ia, a := range candidates {
+		walked := false
+		for ib, b := range candidates {
+			if a == b || arena.screen[ia*nc+ib] < top-pairScreenMargin {
 				continue
+			}
+			if !walked {
+				s.firstLevel(a, first, hit)
+				walked = true
 			}
 			var hCond float64
 			s.addLeafEntropies(&hCond, b, first.app, first.app0, leaves)
@@ -258,6 +288,50 @@ func (s *ProbeSelector) bestPair(candidates []flows.ID) (SequenceEval, bool) {
 		return SequenceEval{}, false
 	}
 	return s.EvaluateSequence(best[:]), true
+}
+
+// firstLevel walks probe a's tree level: first receives both chains'
+// splits and, in its app buffers, the miss branch; hit's app buffers
+// receive the hit branch.
+func (s *ProbeSelector) firstLevel(a flows.ID, first, hit *seqLevel) {
+	s.model.SplitByHitInto(s.dist, a, first.hit, first.miss)
+	s.model0.SplitByHitInto(s.dist0, a, first.hit0, first.miss0)
+	s.model.ApplyProbeInto(first.app, first.miss, a, false)
+	s.model0.ApplyProbeInto(first.app0, first.miss0, a, false)
+	s.model.ApplyProbeInto(hit.app, first.hit, a, true)
+	s.model0.ApplyProbeInto(hit.app0, first.hit0, a, true)
+}
+
+// branchMass is one first-probe branch's post-probe distributions under
+// both chains, with their total masses.
+type branchMass struct {
+	d, d0     markov.Dist
+	tot, tot0 float64
+}
+
+// newBranchMass returns the branch whose distributions are d and d0.
+func newBranchMass(d, d0 markov.Dist) branchMass {
+	return branchMass{d: d, d0: d0, tot: d.Sum(), tot0: d0.Sum()}
+}
+
+// screenGain returns the screened gain of probing f second, below the
+// first probe's miss and hit branches.
+func (s *ProbeSelector) screenGain(prior float64, f flows.ID, miss, hit branchMass) float64 {
+	return max(prior-(s.screenLeaves(f, miss)+s.screenLeaves(f, hit)), 0)
+}
+
+// screenLeaves returns the screened conditional-entropy terms of the two
+// leaves below probe f on branch br — the miss leaf, then the hit leaf —
+// from f's hit mass on the branch. The hit leaf's masses are the ones
+// addLeafEntropies sums; the miss leaf's differ from its sums only by
+// rounding, since installing a rule moves mass without changing it.
+func (s *ProbeSelector) screenLeaves(f flows.ID, br branchMass) float64 {
+	h := s.model.HitProbability(br.d, f)
+	h0 := s.model0.HitProbability(br.d0, f)
+	pq0 := s.pAbsent * (br.tot0 - h0)
+	hCond := stats.ConditionalEntropyBits2x1(pq0, clamp01(br.tot-h-pq0))
+	pq0 = s.pAbsent * h0
+	return hCond + stats.ConditionalEntropyBits2x1(pq0, clamp01(h-pq0))
 }
 
 // addLeafEntropies adds to *hCond the conditional-entropy terms of the

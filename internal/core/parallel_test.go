@@ -69,7 +69,8 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 
 // TestMemoizedRebuildBitIdentical: a build over an empty memo fills it,
 // and both that build and a rebuild answered from the memo reproduce the
-// matrix of a build without a memo exactly.
+// matrix and the estimates of a build without a memo exactly; the
+// rebuild's estimates are the memoized vector itself.
 func TestMemoizedRebuildBitIdentical(t *testing.T) {
 	cfg := parallelTestConfig(t)
 
@@ -89,12 +90,18 @@ func TestMemoizedRebuildBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if &warm.est[0] != &cold.est[0] {
+		t.Fatal("rebuild did not take the memoized estimate vector")
+	}
 	for name, m := range map[string]*CompactModel{"cold": cold, "warm": warm} {
 		for i := 0; i < plain.NumStates(); i++ {
 			_, want := plain.Matrix().Row(i)
 			_, got := m.Matrix().Row(i)
 			if !sameBitsSlice(got, want) {
 				t.Fatalf("%s memoized build, state %d: %v, without memo %v", name, i, got, want)
+			}
+			if !sameEstimates(m.Estimates(i), plain.Estimates(i)) {
+				t.Fatalf("%s memoized build, state %d: estimates %+v, without memo %+v", name, i, m.Estimates(i), plain.Estimates(i))
 			}
 		}
 	}

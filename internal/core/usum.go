@@ -3,25 +3,30 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
 	"flowrecon/internal/rules"
+	"flowrecon/internal/telemetry"
 )
 
 // StateEstimates are the §IV-B conditional probabilities for one compact
 // state: which cached rule is evicted when a full table takes an install,
-// and the probability each cached rule times out.
+// and the probability each cached rule times out. Both are indexed by
+// slot: slot i is the state's i-th cached rule in ascending rule-ID order.
 //
 // Estimates may be shared between models via a u-sum memo (see
-// USumMemo); treat the maps as immutable after estimate returns.
+// USumMemo); treat the slices as immutable once the build that filled
+// them returns.
 type StateEstimates struct {
-	// Evict[j] is P(rule j has the smallest remaining time | cached),
-	// Eqn (5)/Eqn (3), normalized over the cached rules. Keyed by rule ID.
-	// Only a full table evicts, so Evict is nil for a state with room.
-	Evict map[int]float64
-	// Timeout[j] is P(rule j should time out | cached), Eqn (7)/Eqn (3).
-	Timeout map[int]float64
+	// Evict[i] is P(slot i's rule has the smallest remaining time |
+	// cached), Eqn (5)/Eqn (3), normalized over the cached rules. Only a
+	// full table evicts, so Evict is nil for a state with room.
+	Evict []float64
+	// Timeout[i] is P(slot i's rule should time out | cached), Eqn
+	// (7)/Eqn (3).
+	Timeout []float64
 	// Feasible is false when no injective most-recent-match assignment u
 	// exists (or all have zero probability); Evict then falls back to
 	// uniform and Timeout to zero.
@@ -37,7 +42,6 @@ type uEstimator struct {
 	sr       []float64 // per-step flow rates λ_f·Δ
 	capacity int
 	cover    *coverTable // the model's, shared read-only; built on first use when unset
-	memo     *USumMemo   // the build's memo; nil evaluates every state
 
 	// Scratch reused across calls. Nothing here outlives a call except
 	// slab, which holds buildRow's entries until the build assembles them.
@@ -74,88 +78,77 @@ func (p *byPriority) Len() int           { return len(p.ids) }
 func (p *byPriority) Less(a, b int) bool { return p.rs.HigherPriority(p.ids[a], p.ids[b]) }
 func (p *byPriority) Swap(a, b int)      { p.ids[a], p.ids[b] = p.ids[b], p.ids[a] }
 
-// newStateEstimates returns feasible estimates with room for m cached
-// rules; the eviction map exists only when the table is full.
-func newStateEstimates(m int, full bool) StateEstimates {
-	out := StateEstimates{Timeout: make(map[int]float64, m), Feasible: true}
-	if full {
-		out.Evict = make(map[int]float64, m)
+// estimate fills out with the estimates of the compact state caching
+// exactly cachedIDs. out.Timeout must hold one slot per cached rule, and
+// out.Evict as many when the table is full and be nil otherwise; estimate
+// overwrites every slot and sets out.Feasible. Everything else runs in
+// estimator scratch, so a warm estimator allocates nothing.
+func (e *uEstimator) estimate(cachedIDs []int, out *StateEstimates) {
+	out.Feasible = true
+	if len(cachedIDs) == 0 {
+		return
 	}
-	return out
-}
-
-// estimate computes the eviction distribution and timeout probabilities
-// for the compact state caching exactly cachedIDs. With a memo, results,
-// infeasible verdicts included, are memoized keyed by the numerical
-// inputs of the computation, so rebuilding an identical model over the
-// same memo evaluates no state twice; without one every state is
-// evaluated and no lookup is recorded. Everything up to the memo lookup
-// runs in estimator scratch, so a memo hit on a warm estimator allocates
-// nothing.
-func (e *uEstimator) estimate(cachedIDs []int) StateEstimates {
-	m := len(cachedIDs)
-	if m == 0 {
-		return newStateEstimates(0, false)
-	}
-
 	cached, touts := e.orderCached(cachedIDs)
 	if !injectiveFeasible(touts) {
-		return e.fallback(cached, newStateEstimates(m, m >= e.capacity))
+		e.fallback(cached, out)
+		return
 	}
-
-	tab := e.fillGammaTables(cached)
-	if e.memo == nil {
-		return e.evaluate(cached, touts, tab)
-	}
-
-	key := usumKeyOf(e, cached, touts, tab)
-	if hit, ok := e.memo.get(key); ok {
-		obsMemo(true)
-		return hit
-	}
-	obsMemo(false)
-	out := e.evaluate(cached, touts, tab)
-	e.memo.put(key, out)
-	return out
+	e.evaluate(cached, touts, e.fillGammaTables(cached), out)
 }
 
-// evaluate computes a feasible state's estimates from its u-sums, without
-// the memo: cached holds the state's rules in descending priority, touts
-// their timeouts and tab its γ tables. The state is marked infeasible
-// when every assignment has zero probability.
-func (e *uEstimator) evaluate(cached, touts []int, tab *gammaTables) StateEstimates {
+// evaluate fills out with a feasible state's estimates from its u-sums:
+// cached holds the state's rules in descending priority, touts their
+// timeouts and tab its γ tables. The state is marked infeasible when
+// every assignment has zero probability.
+func (e *uEstimator) evaluate(cached, touts []int, tab *gammaTables, out *StateEstimates) {
 	m := len(cached)
 	full := m >= e.capacity
-	out := newStateEstimates(m, full)
 	acc := &e.acc
 	acc.reset(cached, touts, e.rs.Len())
 	e.sweep(tab, acc, full)
 	obsUSum(e.sw.steps)
 
 	if acc.z <= 0 {
-		return e.fallback(cached, out)
+		e.fallback(cached, out)
+		return
 	}
+	mask := idMask(cached)
 	for i, j := range cached {
-		out.Timeout[j] = clamp01(acc.timeoutNum[i] / acc.z)
+		out.Timeout[slotOf(mask, j)] = clamp01(acc.timeoutNum[i] / acc.z)
 	}
 	if !full {
-		return out
+		return
 	}
 	var evictSum float64
 	for i, j := range cached {
-		out.Evict[j] = acc.evictNum[i] / acc.z
-		evictSum += out.Evict[j]
+		s := slotOf(mask, j)
+		out.Evict[s] = acc.evictNum[i] / acc.z
+		evictSum += out.Evict[s]
 	}
 	if evictSum > 0 {
-		for j := range out.Evict {
-			out.Evict[j] /= evictSum
+		for s := range out.Evict {
+			out.Evict[s] /= evictSum
 		}
 	} else {
-		for _, j := range cached {
-			out.Evict[j] = 1 / float64(m)
+		for s := range out.Evict {
+			out.Evict[s] = 1 / float64(m)
 		}
 	}
-	return out
+}
+
+// idMask returns the bitmask of the rule IDs in ids.
+func idMask(ids []int) uint64 {
+	var mask uint64
+	for _, j := range ids {
+		mask |= 1 << uint(j)
+	}
+	return mask
+}
+
+// slotOf returns rule j's slot in the state mask: the number of cached
+// rules with a lower ID.
+func slotOf(mask uint64, j int) int {
+	return bits.OnesCount64(mask & (1<<uint(j) - 1))
 }
 
 // orderCached copies cachedIDs into estimator scratch in descending
@@ -173,17 +166,16 @@ func (e *uEstimator) orderCached(cachedIDs []int) (cached, touts []int) {
 	return e.order.ids, e.touts
 }
 
-// fallback marks the state infeasible and returns uniform eviction (when
-// the table is full) with zero timeout probability.
-func (e *uEstimator) fallback(cached []int, out StateEstimates) StateEstimates {
+// fallback marks the state infeasible and fills out with uniform
+// eviction (when the table is full) and zero timeout probability.
+func (e *uEstimator) fallback(cached []int, out *StateEstimates) {
 	out.Feasible = false
-	for _, j := range cached {
+	for s := range out.Timeout {
 		if out.Evict != nil {
-			out.Evict[j] = 1 / float64(len(cached))
+			out.Evict[s] = 1 / float64(len(cached))
 		}
-		out.Timeout[j] = 0
+		out.Timeout[s] = 0
 	}
-	return out
 }
 
 // injectiveFeasible checks Hall's condition for distinct values u(j) ∈
@@ -217,8 +209,8 @@ func injectiveFeasible(touts []int) bool {
 // sum of sr[f] over rule j's flows in ascending order, skipping any flow
 // an excluded rule covers. Those are the additions flows.Set.SumRates
 // makes over rule j's cover with the excluded covers subtracted, so every
-// entry — and hence the memo key hashed from them — is bit-identical to
-// the clone-and-subtract construction (kept in the tests as the oracle).
+// entry is bit-identical to the clone-and-subtract construction (kept in
+// the tests as the oracle).
 type gammaTables struct {
 	hp    [][]int
 	gamma [][]float64
@@ -575,82 +567,130 @@ func resize[T any](b []T, n int) []T {
 
 // ---- u-sum memoization -------------------------------------------------
 
-// usumKey is a 128-bit hash over every numerical input of estimate: the
-// cached slot order (rule IDs and timeouts), the uncached rules and their
-// timeouts, the full-table flag, and the raw bits of every γ table
-// entry. Two states with equal keys are guaranteed (up to hash
-// collision) to produce identical estimates. Every rule's γ
-// table is hashed, and the target's highest-priority covering rule
-// carries λ_f̂ in every state, so the M and M₀ chains of a target with a
-// nonzero rate share no key: the memo hits only when an identical model
-// is rebuilt.
-type usumKey struct{ h1, h2 uint64 }
-
-type keyHasher struct{ h1, h2 uint64 }
-
-func newKeyHasher() keyHasher {
-	return keyHasher{h1: 1469598103934665603, h2: 0x9e3779b97f4a7c15}
+// usumInputs are every input a model's u-sum estimates depend on: the
+// cache capacity, the per-step flow rates, each flow's covering rules,
+// and each rule's outranking rules and timeout. A model's state order is
+// a function of the rule count and the capacity, so two models with equal
+// inputs have equal estimate vectors, state for state and bit for bit.
+// The slices alias the model's own, which are immutable once built.
+type usumInputs struct {
+	capacity int
+	sr       []float64
+	covers   []uint64 // per flow: its covering rules
+	higher   []uint64 // per rule: the rules that outrank it
+	touts    []int    // per rule: its timeout
 }
 
-func (h *keyHasher) word(v uint64) {
-	h.h1 = (h.h1 ^ v) * 1099511628211
-	h.h2 = (h.h2^(v>>32|v<<32))*0x9E3779B185EBCA87 ^ (h.h2 >> 29)
+// usumInputsOf returns m's u-sum inputs.
+func usumInputsOf(m *CompactModel) usumInputs {
+	touts := make([]int, m.cfg.Rules.Len())
+	for j := range touts {
+		touts[j] = m.cfg.Rules.Rule(j).Timeout
+	}
+	return usumInputs{capacity: m.cfg.CacheSize, sr: m.sr, covers: m.cover.covers, higher: m.cover.higher, touts: touts}
 }
 
-func usumKeyOf(e *uEstimator, cached, touts []int, tab *gammaTables) usumKey {
-	h := newKeyHasher()
-	h.word(uint64(len(cached)))
-	full := uint64(0)
-	if len(cached) >= e.capacity {
-		full = 1
+// hash returns a 64-bit FNV-1a hash of the inputs. A memo lookup compares
+// the inputs in full, so a collision costs a miss, never a wrong model.
+func (in *usumInputs) hash() uint64 {
+	h := uint64(14695981039346656037)
+	word := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	word(uint64(in.capacity))
+	word(uint64(len(in.sr)))
+	for _, r := range in.sr {
+		word(math.Float64bits(r))
 	}
-	h.word(full)
-	for i, j := range cached {
-		h.word(uint64(j)<<16 | uint64(touts[i]))
+	for _, c := range in.covers {
+		word(c)
 	}
-	for j := 0; j < e.rs.Len(); j++ {
-		h.word(uint64(j)<<16 | uint64(e.rs.Rule(j).Timeout))
-		for _, slot := range tab.hp[j] {
-			h.word(uint64(slot) + 0xabcd)
-		}
-		for _, g := range tab.gamma[j] {
-			h.word(math.Float64bits(g))
-		}
+	word(uint64(len(in.higher)))
+	for j, hi := range in.higher {
+		word(hi)
+		word(uint64(in.touts[j]))
 	}
-	return usumKey{h.h1, h.h2}
+	return h
 }
 
-// USumMemo is a bounded memo of u-sum estimates, safe for concurrent
-// builds. It holds at most 2¹⁵ entries and on overflow resets wholesale:
-// the working set of one model pair fits comfortably, so eviction
-// sophistication buys nothing. A memo pays only when an identical model
-// is rebuilt, so the one holder that rebuilds — a model store that
-// evicts — owns one; one-shot builds pass nil.
+// equal reports whether two models' inputs agree exactly, rates bit for
+// bit.
+func (in *usumInputs) equal(o *usumInputs) bool {
+	return in.capacity == o.capacity &&
+		slices.EqualFunc(in.sr, o.sr, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
+		slices.Equal(in.covers, o.covers) && slices.Equal(in.higher, o.higher) && slices.Equal(in.touts, o.touts)
+}
+
+// usumEntry is one memoized model: its inputs and its estimate vector,
+// state for state.
+type usumEntry struct {
+	in  usumInputs
+	est []StateEstimates
+}
+
+// USumMemo is a bounded memo of whole models' u-sum estimates, safe for
+// concurrent builds. A build looks its model's inputs up once: a hit
+// hands the build every state's estimates, so it evaluates no state and
+// fills no γ table; a miss evaluates every state and records the vector.
+// The memo holds at most 2¹⁵ states in total and on overflow resets
+// wholesale: the working set of one model pair fits comfortably, so
+// eviction sophistication buys nothing. A memo pays only when an
+// identical model is rebuilt, so the one holder that rebuilds — a model
+// store that evicts — owns one; one-shot builds pass nil.
 type USumMemo struct {
-	mu sync.RWMutex
-	m  map[usumKey]StateEstimates
+	mu     sync.RWMutex
+	m      map[uint64]*usumEntry
+	states int // summed over the entries
+
+	hits, misses *telemetry.Counter // usum_memo_lookups; nil until SetTelemetry
 }
 
 const usumMemoMax = 1 << 15
 
 // NewUSumMemo returns an empty memo.
 func NewUSumMemo() *USumMemo {
-	return &USumMemo{m: make(map[usumKey]StateEstimates)}
+	return &USumMemo{m: make(map[uint64]*usumEntry)}
 }
 
-func (c *USumMemo) get(k usumKey) (StateEstimates, bool) {
-	c.mu.RLock()
-	v, ok := c.m[k]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-func (c *USumMemo) put(k usumKey, v StateEstimates) {
+// SetTelemetry counts the memo's lookups on reg, one per model build, as
+// usum_memo_lookups{result="hit"|"miss"}. Call it before the memo's first
+// build.
+func (c *USumMemo) SetTelemetry(reg *telemetry.Registry) {
 	c.mu.Lock()
-	if len(c.m) >= usumMemoMax {
-		c.m = make(map[usumKey]StateEstimates, usumMemoMax/4)
+	c.hits = reg.Counter("usum_memo_lookups", "result", "hit")
+	c.misses = reg.Counter("usum_memo_lookups", "result", "miss")
+	c.mu.Unlock()
+}
+
+// get returns the estimate vector memoized under in (whose hash is h),
+// counting the lookup.
+func (c *USumMemo) get(h uint64, in *usumInputs) ([]StateEstimates, bool) {
+	c.mu.RLock()
+	e := c.m[h]
+	hits, misses := c.hits, c.misses
+	c.mu.RUnlock()
+	if e != nil && e.in.equal(in) {
+		hits.Inc()
+		return e.est, true
 	}
-	c.m[k] = v
+	misses.Inc()
+	return nil, false
+}
+
+// put memoizes est under in (whose hash is h). A vector larger than the
+// whole bound is not kept.
+func (c *USumMemo) put(h uint64, in usumInputs, est []StateEstimates) {
+	if len(est) > usumMemoMax {
+		return
+	}
+	c.mu.Lock()
+	if c.states+len(est) > usumMemoMax {
+		c.m = make(map[uint64]*usumEntry)
+		c.states = 0
+	}
+	if old := c.m[h]; old != nil {
+		c.states -= len(old.est)
+	}
+	c.m[h] = &usumEntry{in: in, est: est}
+	c.states += len(est)
 	c.mu.Unlock()
 }
 

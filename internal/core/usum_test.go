@@ -267,33 +267,44 @@ func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRebuildEvaluatesNoState: building an identical model a second time
-// over the same memo takes every state's estimates from it. The
-// configuration has states whose assignments all have zero probability
-// (Z ≤ 0); their infeasible verdicts are pure functions of the memo key
-// too, so they are memoized like feasible ones.
+// TestRebuildEvaluatesNoState: a build looks its model up in the memo
+// once. The first build misses and evaluates its states; building an
+// identical model a second time over the same memo hits and evaluates
+// none. The configuration has states whose assignments all have zero
+// probability (Z ≤ 0); their infeasible verdicts are part of the
+// memoized vector too.
 func TestRebuildEvaluatesNoState(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
 	memo := NewUSumMemo()
-	if _, err := NewCompactModel(cfg, memo); err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
+	memo.SetTelemetry(reg)
 	SetTelemetry(reg)
 	t.Cleanup(func() { SetTelemetry(nil) })
+	lookups := func() (hits, misses, states int64) {
+		return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
+			reg.Counter("usum_memo_lookups", "result", "miss").Value(),
+			reg.Counter("usum_states_total", "method", "exact").Value()
+	}
+	cold, err := NewCompactModel(cfg, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, states := lookups(); hits != 0 || misses != 1 || states == 0 {
+		t.Fatalf("first build: %d memo hits, %d misses, %d states; want one miss that evaluates", hits, misses, states)
+	}
+	_, _, coldStates := lookups()
 	if _, err := NewCompactModel(cfg, memo); err != nil {
 		t.Fatal(err)
 	}
-	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
-	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
-	if hits == 0 || misses != 0 {
-		t.Fatalf("second build: %d memo hits, %d misses; want every lookup a hit", hits, misses)
+	if hits, misses, states := lookups(); hits != 1 || misses != 1 || states != coldStates {
+		t.Fatalf("second build: %d memo hits, %d misses, %d states (cold %d); want one hit that evaluates nothing", hits, misses, states, coldStates)
 	}
 
-	e := (&CompactModel{cfg: cfg, sr: cfg.stepRates()}).newEstimator()
+	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
 	zeroZ := 0
-	for _, ids := range caseStates(cfg) {
-		if _, touts := e.orderCached(ids); injectiveFeasible(touts) && !e.estimate(ids).Feasible {
+	for i := 1; i < cold.NumStates(); i++ {
+		_, touts := e.orderCached(appendMaskIDs(nil, cold.StateMask(i)))
+		if injectiveFeasible(touts) && !cold.Estimates(i).Feasible {
 			zeroZ++
 		}
 	}
@@ -304,14 +315,16 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 
 // TestNilMemoBuildRecordsNoLookup: a build without a memo, run right
 // after a memoized build has returned its estimators to the pool,
-// evaluates every state and looks nothing up. A recycled estimator must
-// not carry the earlier build's memo into it.
+// evaluates every state and looks nothing up: the memo's counters do not
+// move, since only the build handed a memo may consult it.
 func TestNilMemoBuildRecordsNoLookup(t *testing.T) {
 	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
-	if _, err := newCompactModelWorkers(cfg, NewUSumMemo(), 1); err != nil {
+	memo := NewUSumMemo()
+	reg := telemetry.NewRegistry()
+	memo.SetTelemetry(reg)
+	if _, err := newCompactModelWorkers(cfg, memo, 1); err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
 	SetTelemetry(reg)
 	t.Cleanup(func() { SetTelemetry(nil) })
 	if _, err := newCompactModelWorkers(cfg, nil, 1); err != nil {
@@ -319,8 +332,8 @@ func TestNilMemoBuildRecordsNoLookup(t *testing.T) {
 	}
 	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
 	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
-	if hits != 0 || misses != 0 {
-		t.Fatalf("build without memo: %d memo hits, %d misses; want no lookup", hits, misses)
+	if hits != 0 || misses != 1 {
+		t.Fatalf("after a memoized and a memo-less build: %d memo hits, %d misses; want the first build's one miss", hits, misses)
 	}
 	if reg.Counter("usum_states_total", "method", "exact").Value() == 0 {
 		t.Fatal("build without memo evaluated no state")
@@ -379,18 +392,61 @@ func BenchmarkUSumEnumerate(b *testing.B) {
 	cfg := usumConfig(b, usumSmall, 0.025, 11, false)
 	e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
 	var ids [][]int
+	var outs []StateEstimates
 	for _, st := range exactStates(e, cfg.CacheSize, math.MaxInt) {
 		ids = append(ids, st.cached)
+		outs = append(outs, newStateEstimates(len(st.cached), len(st.cached) >= cfg.CacheSize))
 	}
 	steps := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, c := range ids {
-			e.estimate(c)
+		for k, c := range ids {
+			e.estimate(c, &outs[k])
 			steps += e.sw.steps
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/state")
+}
+
+// TestUSumMemoComparesInputsInFull: a memo hit needs the model's inputs
+// to match the entry's in every field, so two models whose inputs share
+// a hash — forced here by filing both under one — never share estimates.
+func TestUSumMemoComparesInputsInFull(t *testing.T) {
+	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
+	m, err := NewCompactModel(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := usumInputsOf(m)
+	variants := map[string]func(*usumInputs){
+		"capacity": func(v *usumInputs) { v.capacity++ },
+		"rate":     func(v *usumInputs) { v.sr[0] = math.Nextafter(v.sr[0], 1) },
+		"cover":    func(v *usumInputs) { v.covers[0] ^= 1 },
+		"priority": func(v *usumInputs) { v.higher[0] ^= 2 },
+		"timeout":  func(v *usumInputs) { v.touts[0]++ },
+		"flows":    func(v *usumInputs) { v.sr, v.covers = v.sr[1:], v.covers[1:] },
+	}
+	for name, edit := range variants {
+		memo := NewUSumMemo()
+		reg := telemetry.NewRegistry()
+		memo.SetTelemetry(reg)
+		memo.put(in.hash(), in, m.est)
+		other := usumInputs{capacity: in.capacity, sr: slices.Clone(in.sr), covers: slices.Clone(in.covers),
+			higher: slices.Clone(in.higher), touts: slices.Clone(in.touts)}
+		if _, ok := memo.get(in.hash(), &other); !ok {
+			t.Fatalf("%s: a copy of the inputs misses", name)
+		}
+		edit(&other)
+		if other.hash() == in.hash() {
+			t.Fatalf("%s: the edit does not change the hash", name)
+		}
+		if _, ok := memo.get(in.hash(), &other); ok {
+			t.Fatalf("%s: inputs differing only in %s hit under a shared hash", name, name)
+		}
+		if hits, misses := reg.Counter("usum_memo_lookups", "result", "hit").Value(), reg.Counter("usum_memo_lookups", "result", "miss").Value(); hits != 1 || misses != 1 {
+			t.Fatalf("%s: %d hits, %d misses; want one of each", name, hits, misses)
+		}
+	}
 }

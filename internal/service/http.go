@@ -61,10 +61,8 @@ type errorLine struct {
 const maxSpecBytes = 1 << 20
 
 func handleOpen(w http.ResponseWriter, r *http.Request, m *Manager) {
-	var spec SessionSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		code := http.StatusBadRequest
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge

@@ -157,6 +157,29 @@ func TestHTTPOutOfRangeParams400(t *testing.T) {
 	}
 }
 
+// TestHTTPTraceFile400: a spec whose trace names a server-side file — a
+// pcap capture or a flow log, with or without rate fitting — is refused
+// with 400 at admission: no build starts, so nothing reads the file.
+func TestHTTPTraceFile400(t *testing.T) {
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	for _, trace := range []experiment.TraceSourceSpec{
+		{Kind: "pcap", Path: "capture.pcap"},
+		{Kind: "flowlog", Path: "flows.csv", FitRates: true, SHA256: strings.Repeat("0", 64)},
+	} {
+		spec := testSpec(trace.Kind, 1, 1, 1)
+		spec.Target.Trace = &trace
+		resp := postSpec(t, srv.URL, spec)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "server-side files") {
+			t.Errorf("%s trace: status %d (%s), want 400 naming the file trace", trace.Kind, resp.StatusCode, body)
+		}
+	}
+	if st := m.Store().Stats(); st.Builds != 0 || st.Misses != 0 {
+		t.Fatalf("file-trace specs reached the model store: %+v", st)
+	}
+}
+
 // TestHTTPOversizedSpec413 verifies the spec body bound: a body past
 // maxSpecBytes is refused with 413 before it is decoded, while a spec
 // just under the bound is still read (and rejected only as a bad spec).

@@ -59,8 +59,7 @@ type Manager struct {
 	active   int
 	queued   int
 	draining bool
-	sessions map[string]*Session
-	order    []string
+	sessions []*Session // oldest first; finished ones beyond a cap are pruned
 	nextID   atomic.Int64
 
 	detMu sync.Mutex
@@ -88,10 +87,9 @@ func NewManager(cfg Config) *Manager {
 		cfg.MaxQueue = 0
 	}
 	m := &Manager{
-		cfg:      cfg,
-		store:    NewStore(cfg.StoreSize, cfg.StoreBytes),
-		sched:    NewScheduler(cfg.Workers, cfg.Batch),
-		sessions: make(map[string]*Session),
+		cfg:   cfg,
+		store: NewStore(cfg.StoreSize, cfg.StoreBytes),
+		sched: NewScheduler(cfg.Workers, cfg.Batch),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if reg := cfg.Registry; reg != nil {
@@ -215,8 +213,7 @@ func (m *Manager) start(spec SessionSpec) (*Session, error) {
 	sess := newSession(id, spec, key, model, runner)
 
 	m.mu.Lock()
-	m.sessions[id] = sess
-	m.order = append(m.order, id)
+	m.sessions = append(m.sessions, sess)
 	m.pruneLocked()
 	m.mu.Unlock()
 
@@ -265,12 +262,8 @@ type SessionInfo struct {
 func (m *Manager) Sessions() []SessionInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]SessionInfo, 0, len(m.order))
-	for _, id := range m.order {
-		sess, ok := m.sessions[id]
-		if !ok {
-			continue
-		}
+	out := make([]SessionInfo, 0, len(m.sessions))
+	for _, sess := range m.sessions {
 		done, total := sess.Progress()
 		out = append(out, SessionInfo{
 			ID:     sess.ID,
@@ -284,23 +277,23 @@ func (m *Manager) Sessions() []SessionInfo {
 }
 
 // pruneLocked drops the oldest finished sessions beyond the retention
-// cap.
+// cap. It walks from the oldest only until the excess is dropped, so an
+// admission costs O(1) unless running sessions are the oldest; the ones
+// it passes move up, in order, to close the gap.
 func (m *Manager) pruneLocked() {
-	if len(m.order) <= maxFinishedRetained {
-		return
-	}
-	kept := m.order[:0]
-	excess := len(m.order) - maxFinishedRetained
-	for _, id := range m.order {
-		sess := m.sessions[id]
-		if excess > 0 && sess != nil && sess.State() == StateDone {
-			delete(m.sessions, id)
+	excess := len(m.sessions) - maxFinishedRetained
+	i, kept := 0, 0
+	for ; excess > 0 && i < len(m.sessions); i++ {
+		if sess := m.sessions[i]; sess.State() == StateDone {
 			excess--
 			continue
 		}
-		kept = append(kept, id)
+		m.sessions[kept] = m.sessions[i]
+		kept++
 	}
-	m.order = kept
+	copy(m.sessions[i-kept:i], m.sessions[:kept])
+	clear(m.sessions[:i-kept])
+	m.sessions = m.sessions[i-kept:]
 }
 
 // Draining reports whether a drain is in progress.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -428,5 +429,52 @@ func TestSessionCancelSkipsTrials(t *testing.T) {
 	m.sched.Wait()
 	if ran := reg.Counter("experiment_trials_total").Value(); ran >= trials/2 {
 		t.Fatalf("%d of %d trials ran after the session was canceled", ran, trials)
+	}
+}
+
+// TestPruneKeepsRunningOldest: once more than maxFinishedRetained
+// sessions exist, each admission drops the oldest finished one. A
+// session still running is never dropped, even as the oldest, and once it
+// finishes it is the next to go.
+func TestPruneKeepsRunningOldest(t *testing.T) {
+	m := NewManager(Config{MaxActive: 2, Workers: 1})
+	defer m.Shutdown()
+	hold, err := m.Open(testSpec("hold", 1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const finished = maxFinishedRetained + 5
+	for i := 0; i < finished; i++ {
+		sess, err := m.Open(testSpec(fmt.Sprintf("f%d", i), int64(i), 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainSession(t, m, sess)
+	}
+	names := func() []string {
+		var out []string
+		for _, info := range m.Sessions() {
+			out = append(out, info.Name)
+		}
+		return out
+	}
+	// The running session, then the newest finished ones in order.
+	want := []string{"hold"}
+	for i := finished - (maxFinishedRetained - 1); i < finished; i++ {
+		want = append(want, fmt.Sprintf("f%d", i))
+	}
+	if got := names(); !slices.Equal(got, want) {
+		t.Fatalf("retained %d sessions %v…, want %d %v…", len(got), got[:min(3, len(got))], len(want), want[:3])
+	}
+
+	drainSession(t, m, hold)
+	last, err := m.Open(testSpec("last", 1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainSession(t, m, last)
+	want = append(want[1:], "last")
+	if got := names(); !slices.Equal(got, want) {
+		t.Fatalf("after the oldest finished: retained %d sessions starting %v, want %d starting %v", len(got), got[:min(3, len(got))], len(want), want[:3])
 	}
 }

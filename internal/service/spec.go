@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"flowrecon/internal/experiment"
 )
@@ -32,7 +33,10 @@ type SessionSpec struct {
 	Detect bool `json:"detect,omitempty"`
 }
 
-// Validate checks the spec.
+// Validate checks the spec. A session spec arrives from the network, so
+// on top of the recording spec's own checks it may not name a
+// server-side file: a pcap or flow-log trace is refused before anything
+// opens it.
 func (s *SessionSpec) Validate() error {
 	if err := s.Target.Validate(); err != nil {
 		return err
@@ -41,7 +45,20 @@ func (s *SessionSpec) Validate() error {
 	if s.Target.Trials > maxBudget {
 		return fmt.Errorf("service: %d trials exceeds the per-session budget cap", s.Target.Trials)
 	}
+	if s.Target.Trace.IsFile() {
+		return fmt.Errorf("service: %q traces read server-side files; a session may not name one", s.Target.Trace.Kind)
+	}
 	return nil
+}
+
+// decodeSpec decodes one session spec from r, refusing unknown fields. It
+// does not validate the spec.
+func decodeSpec(r io.Reader) (SessionSpec, error) {
+	var spec SessionSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // TargetKey identifies a network configuration: two sessions with equal

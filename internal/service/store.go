@@ -100,11 +100,13 @@ func NewStore(max int, maxBytes int64) *Store {
 	return &Store{max: max, maxBytes: maxBytes, memo: core.NewUSumMemo(), entries: make(map[TargetKey]*storeEntry)}
 }
 
-// SetTelemetry registers the store's counters and gauges on reg.
+// SetTelemetry registers the store's counters and gauges on reg, its
+// u-sum memo's lookup counters among them.
 func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
+	s.memo.SetTelemetry(reg)
 	s.mu.Lock()
 	s.hitCtr = reg.Counter("service_store_lookups", "result", "hit")
 	s.missCtr = reg.Counter("service_store_lookups", "result", "miss")

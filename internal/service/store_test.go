@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"flowrecon/internal/core"
 	"flowrecon/internal/experiment"
 	"flowrecon/internal/telemetry"
 )
@@ -89,32 +88,49 @@ func TestStoreLRUEviction(t *testing.T) {
 
 // TestStoreOwnsUSumMemo: a store's first build of a spec evaluates every
 // state, even when a one-shot build of the same spec ran before it, and
-// the rebuild of that spec after the store evicted it answers every
-// state from the store's own memo.
+// the rebuild of that spec after the store evicted it answers both chains
+// from the store's own memo. Each build makes one memo lookup, so a store
+// miss makes two: the chain M and the target-conditioned M₀. The lookups
+// count on the store's own registry, so a second store in the process
+// reports its own.
 func TestStoreOwnsUSumMemo(t *testing.T) {
 	specs := storeSpecs(2)
 	if _, err := specs[0].BuildConfig(nil); err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore(1, 0)
-	lookups := func(build func()) (hits, misses int64) {
-		t.Helper()
+	newStore := func() (*Store, func() (hits, misses int64)) {
+		s := NewStore(1, 0)
 		reg := telemetry.NewRegistry()
-		core.SetTelemetry(reg)
-		defer core.SetTelemetry(nil)
-		build()
-		return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
-			reg.Counter("usum_memo_lookups", "result", "miss").Value()
+		s.SetTelemetry(reg)
+		return s, func() (int64, int64) {
+			return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
+				reg.Counter("usum_memo_lookups", "result", "miss").Value()
+		}
 	}
-	if hits, misses := lookups(func() { mustGet(t, s, specs[0]) }); hits != 0 || misses == 0 {
-		t.Fatalf("first store build: %d memo hits, %d misses; want misses only", hits, misses)
+	s, lookups := newStore()
+	mustGet(t, s, specs[0])
+	if hits, misses := lookups(); hits != 0 || misses != 2 {
+		t.Fatalf("first store build: %d memo hits, %d misses; want 0 and 2", hits, misses)
 	}
 	mustGet(t, s, specs[1])
-	if hits, misses := lookups(func() { mustGet(t, s, specs[0]) }); hits == 0 || misses != 0 {
-		t.Fatalf("rebuild after eviction: %d memo hits, %d misses; want hits only", hits, misses)
+	if hits, misses := lookups(); hits != 0 || misses != 4 {
+		t.Fatalf("second spec: %d memo hits, %d misses; want 0 and 4", hits, misses)
+	}
+	mustGet(t, s, specs[0])
+	if hits, misses := lookups(); hits != 2 || misses != 4 {
+		t.Fatalf("rebuild after eviction: %d memo hits, %d misses; want 2 and 4", hits, misses)
 	}
 	if st := s.Stats(); st.Builds != 3 || st.Evictions != 2 {
 		t.Fatalf("builds=%d evictions=%d, want 3/2", st.Builds, st.Evictions)
+	}
+
+	other, otherLookups := newStore()
+	mustGet(t, other, specs[0])
+	if hits, misses := otherLookups(); hits != 0 || misses != 2 {
+		t.Fatalf("second store's first build: %d memo hits, %d misses; want 0 and 2", hits, misses)
+	}
+	if hits, misses := lookups(); hits != 2 || misses != 4 {
+		t.Fatalf("first store after the second built: %d memo hits, %d misses; want 2 and 4", hits, misses)
 	}
 }
 

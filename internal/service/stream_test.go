@@ -299,8 +299,13 @@ func TestStreamLiveness(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
+	var sess *Session
 	m.mu.Lock()
-	sess := m.sessions[resp.Header.Get("X-Session-Id")]
+	for _, s := range m.sessions {
+		if s.ID == resp.Header.Get("X-Session-Id") {
+			sess = s
+		}
+	}
 	m.mu.Unlock()
 	if sess == nil {
 		t.Fatal("session not found")
