@@ -100,7 +100,9 @@ sched-gate:
 ## GC pressure; likewise the §IV-A1 event weights, and BestSequence
 ## allocates as often at 8 candidates as at 4. A model rebuilt over a warm
 ## u-sum memo makes one lookup, evaluates no state and allocates only the
-## model's own storage (TestMemoHitRebuildSteadyStateAllocs).
+## model's own storage, at small and at paper scale, whose rows past 12
+## entries are appended without a per-row index
+## (TestMemoHitRebuildSteadyStateAllocs).
 ## The daemon's warm trial joins them: a probing TrialRunner.Run with no
 ## span recorder stays within the allocation count measured once the
 ## per-probe span detail stopped being formatted for a recorder that
@@ -153,8 +155,8 @@ trace-smoke:
 ## arbitrary operation sequences (expiry and eviction order included);
 ## FuzzSessionSpec holds flowrecond's spec admission (the HTTP decoder and
 ## SessionSpec.Validate) to its bounds on arbitrary request bodies: no
-## panic, and no accepted spec past the step or rule bounds or naming a
-## server-side file trace.
+## panic, and no accepted spec past the step, rule, mask-bit, flow, cache
+## or probe bounds or naming a server-side file trace.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s

@@ -123,14 +123,14 @@ func BenchmarkCompactModelBuildPaperScale(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Rules: rs, Rates: workloadRates(16, 2), Delta: 0.025, CacheSize: 6}
-	memo := core.NewUSumMemo()
-	if _, err := core.NewCompactModel(cfg, memo); err != nil {
+	builds := core.NewBuilds(nil, true)
+	if _, err := core.NewCompactModel(cfg, builds); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var states int
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewCompactModel(cfg, memo)
+		m, err := core.NewCompactModel(cfg, builds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -837,7 +837,7 @@ func BenchmarkShardedSim1k(b *testing.B) {
 // count.
 func BenchmarkColdSessionBuild(b *testing.B) {
 	const configs = 256
-	memo := core.NewUSumMemo()
+	builds := core.NewBuilds(nil, true)
 	build := func(i int) {
 		spec := experiment.RecordingSpec{
 			Params:     benchParams(),
@@ -846,7 +846,7 @@ func BenchmarkColdSessionBuild(b *testing.B) {
 			Trials:     1,
 			Probes:     2,
 		}
-		nc, err := spec.BuildConfig(memo)
+		nc, err := spec.BuildConfig(builds)
 		if err != nil {
 			b.Fatal(err)
 		}

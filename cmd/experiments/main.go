@@ -93,10 +93,11 @@ func run(args []string) (err error) {
 	var reg *telemetry.Registry
 	if *telOut != "" {
 		reg = telemetry.NewRegistry()
-		// Route the model layer's build/evolve/cache instruments into the
-		// same snapshot as the experiment metrics.
-		core.SetTelemetry(reg)
 	}
+	// The model layer's build and evolve instruments land in the same
+	// snapshot as the experiment metrics; the figure and detection runs
+	// resolve them from reg themselves.
+	builds := core.NewBuilds(reg, false)
 
 	params := experiment.DefaultParams()
 	if *scale == "small" {
@@ -160,7 +161,7 @@ func run(args []string) (err error) {
 				{Name: *workloadF, Spec: *spec},
 			}
 		}
-		cmp, err := experiment.RunWorkloadComparisonRows(params, *seed, *trials, 2, 200, rows)
+		cmp, err := experiment.RunWorkloadComparisonRows(params, *seed, *trials, 2, 200, rows, builds)
 		if err != nil {
 			return fmt.Errorf("workloads: %w", err)
 		}
@@ -176,7 +177,7 @@ func run(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		results, nc, err := experiment.RunWorkloadsOnTrace(params, spec, *seed, *trials, 2)
+		results, nc, err := experiment.RunWorkloadsOnTrace(params, spec, *seed, *trials, 2, builds)
 		if err != nil {
 			return fmt.Errorf("trace replay: %w", err)
 		}

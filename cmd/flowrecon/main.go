@@ -128,9 +128,6 @@ func run(args []string) error {
 	var reg *telemetry.Registry
 	if *telOut != "" || *telAddr != "" || *evOut != "" {
 		reg = telemetry.NewRegistry()
-		// Route the model layer's build/evolve/cache instruments into the
-		// same snapshot as the experiment metrics.
-		core.SetTelemetry(reg)
 	}
 	var events *telemetry.EventLog
 	if *evOut != "" || *telAddr != "" {
@@ -178,7 +175,9 @@ func run(args []string) error {
 
 	fmt.Printf("sampling a network configuration (|Rules|=%d, n=%d, %d flows, Δ=%.3fs, T=%d steps)…\n",
 		params.NumRules, params.CacheSize, params.NumFlows, params.Delta, params.Steps())
-	nc, err := spec.BuildConfig(nil)
+	// The model layer's build and evolve instruments land in the same
+	// snapshot as the experiment metrics.
+	nc, err := spec.BuildConfig(core.NewBuilds(reg, false))
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"flowrecon/internal/core"
 	"flowrecon/internal/detect"
 	"flowrecon/internal/faults"
 	"flowrecon/internal/service"
@@ -111,7 +110,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 // Factored from main so tests can drive the full lifecycle.
 func runDaemon(cfg daemonConfig, sig <-chan os.Signal, started func(addr string)) error {
 	reg := telemetry.NewRegistry()
-	core.SetTelemetry(reg)
 	reg.SetReady(false)
 
 	var detAgg *detect.Detector

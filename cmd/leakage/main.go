@@ -50,11 +50,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var builds *core.Builds
 	if *telAddr != "" || *telOut != "" {
 		reg := telemetry.NewRegistry()
 		// The leakage meter is the attacker's own Markov model, so the
 		// model layer's counters are the interesting ones here.
-		core.SetTelemetry(reg)
+		builds = core.NewBuilds(reg, false)
 		if *telAddr != "" {
 			srv, err := telemetry.Serve(*telAddr, reg)
 			if err != nil {
@@ -97,7 +98,7 @@ func run(args []string) error {
 		fmt.Printf("  %s\n", r)
 	}
 
-	prof, err := defense.MeasureLeakage(cfg, steps, *par)
+	prof, err := defense.MeasureLeakage(cfg, steps, *par, builds)
 	if err != nil {
 		return err
 	}
@@ -115,7 +116,7 @@ func run(args []string) error {
 		return nil
 	}
 	fmt.Printf("\ncoarsening toward ≤ %.3f bits (≤ %d merges)…\n", *targetBits, *maxMerges)
-	steps2, err := defense.Coarsen(cfg, prof, steps, *par, *targetBits, *maxMerges)
+	steps2, err := defense.Coarsen(cfg, prof, steps, *par, *targetBits, *maxMerges, builds)
 	if err != nil {
 		return err
 	}

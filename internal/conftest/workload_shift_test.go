@@ -116,7 +116,7 @@ func TestIngestedTraceAttackRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, nc, err := experiment.RunWorkloadsOnTrace(workloadShiftParams(), spec, 17, 200, 2)
+	results, nc, err := experiment.RunWorkloadsOnTrace(workloadShiftParams(), spec, 17, 200, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestIngestedTraceAttackRuns(t *testing.T) {
 		t.Fatalf("model attacker accuracy %.3f on a detectable-stratum target; want ≥ 0.70", model.Accuracy())
 	}
 
-	results, nc, err = experiment.RunWorkloadsOnTrace(workloadShiftParams(), spec, 11, 200, 2)
+	results, nc, err = experiment.RunWorkloadsOnTrace(workloadShiftParams(), spec, 11, 200, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func checkModelMatchesReference(t *testing.T, name string, cfg Config, workers .
 	}
 	refCSR := ref.matrix.Freeze()
 	for _, w := range workers {
-		m, err := newCompactModelWorkers(cfg, NewUSumMemo(), w)
+		m, err := newCompactModelWorkers(cfg, NewBuilds(nil, true), w)
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", name, w, err)
 		}
@@ -322,45 +322,62 @@ func TestBestPairMatchesBestOver(t *testing.T) {
 // memo makes one lookup, a hit, and evaluates no state: the rebuilt model
 // shares the memoized estimate vector. Its allocations are the model's
 // own storage — states, cover table, row slabs, both matrix forms — plus
-// the lookup's timeout list, within a pinned count. The small-scale
-// configuration has Z ≤ 0 states (TestRebuildEvaluatesNoState), so
-// memoized infeasible verdicts are covered too; its rows stay short of
-// the matrix builder's per-row index, whose maps would swamp the count.
+// the lookup's timeout list, within a pinned count that does not grow
+// with the rows: the paper-scale configuration has rows of more than 12
+// entries, which the matrix assembly appends without a per-row index.
+// The small-scale configuration has Z ≤ 0 states
+// (TestRebuildEvaluatesNoState), so memoized infeasible verdicts are
+// covered too.
 func TestMemoHitRebuildSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const maxAllocs = 27
-	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
-	memo := NewUSumMemo()
-	cold, err := newCompactModelWorkers(cfg, memo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	memo.SetTelemetry(reg)
-	SetTelemetry(reg)
-	t.Cleanup(func() { SetTelemetry(nil) })
-	warm, err := newCompactModelWorkers(cfg, memo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
-	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
-	states := reg.Counter("usum_states_total", "method", "exact").Value()
-	if hits != 1 || misses != 0 || states != 0 {
-		t.Fatalf("warm rebuild: %d hits, %d misses, %d states evaluated; want one hit and no state", hits, misses, states)
-	}
-	if &warm.est[0] != &cold.est[0] {
-		t.Fatal("warm rebuild does not share the memoized estimate vector")
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := newCompactModelWorkers(cfg, memo, 1); err != nil {
+	for _, c := range []struct {
+		name      string
+		cfg       Config
+		maxAllocs float64
+	}{
+		{"small", usumConfig(t, usumSmall, 0.1, 8, false), 27},
+		{"paper", usumConfig(t, usumPaper, 0.025, 2, false), 28},
+	} {
+		reg := telemetry.NewRegistry()
+		b := NewBuilds(reg, true)
+		cold, err := newCompactModelWorkers(c.cfg, b, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > maxAllocs {
-		t.Fatalf("warm rebuild of %d states: %v allocs, want ≤ %d", warm.NumStates(), allocs, maxAllocs)
+		counts := func() (hits, misses, states int64) {
+			return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
+				reg.Counter("usum_memo_lookups", "result", "miss").Value(),
+				reg.Counter("usum_states_total", "method", "exact").Value()
+		}
+		_, _, coldStates := counts()
+		warm, err := newCompactModelWorkers(c.cfg, b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, states := counts(); hits != 1 || misses != 1 || states != coldStates {
+			t.Fatalf("%s warm rebuild: %d hits, %d misses, %d states evaluated (cold %d); want one hit and no state", c.name, hits, misses-1, states-coldStates, coldStates)
+		}
+		if &warm.est[0] != &cold.est[0] {
+			t.Fatalf("%s: warm rebuild does not share the memoized estimate vector", c.name)
+		}
+		longest := 0
+		for i := 0; i < warm.NumStates(); i++ {
+			tos, _ := warm.Matrix().Row(i)
+			longest = max(longest, len(tos))
+		}
+		if c.name == "paper" && longest <= 12 {
+			t.Fatalf("paper: longest row has %d entries; the test no longer covers long rows", longest)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := newCompactModelWorkers(c.cfg, b, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.maxAllocs {
+			t.Fatalf("%s warm rebuild of %d states: %v allocs, want ≤ %v", c.name, warm.NumStates(), allocs, c.maxAllocs)
+		}
 	}
 }
 
@@ -402,14 +419,13 @@ func TestBestSequenceSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSequenceSearchTelemetry(t *testing.T) {
+	t.Parallel()
 	cfg := usumConfig(t, usumSmall, 0.05, 3, false)
-	sel, err := NewCompactSelector(cfg, 0, 40, nil)
+	reg := telemetry.NewRegistry()
+	sel, err := NewCompactSelector(cfg, 0, 40, NewBuilds(reg, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	SetTelemetry(reg)
-	t.Cleanup(func() { SetTelemetry(nil) })
 	if _, ok := sel.BestSequence(sel.AllFlows(), 2); !ok {
 		t.Fatal("no sequence")
 	}

@@ -61,7 +61,7 @@ type CompactModel struct {
 	frozen  *markov.CSR      // immutable CSR snapshot driving EvolveInPlace
 	wsPool  sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
 	est     []StateEstimates // per-state §IV-B estimates (zero for the empty state); may be a memo's
-	memo    *USumMemo        // the memo the model was built through; nil for none
+	builds  *Builds          // the context the model was built in; nil for none
 }
 
 // MaxCompactRules is the largest rule set a compact model accepts: its
@@ -70,20 +70,21 @@ const MaxCompactRules = 24
 
 // NewCompactModel enumerates every subset state and builds the transition
 // matrix, fanning the per-state u-sum estimation across GOMAXPROCS
-// workers. The model's estimates are looked up in memo once, and recorded
-// to it on a miss; a nil memo evaluates every state. The model is the
-// same either way.
-func NewCompactModel(cfg Config, memo *USumMemo) (*CompactModel, error) {
-	return newCompactModelWorkers(cfg, memo, 0)
+// workers. The build reports to b, and the model keeps b for its later
+// evolutions and searches. When b has a memo, the model's estimates are
+// looked up in it once, and recorded to it on a miss; otherwise every
+// state is evaluated. The model is the same either way.
+func NewCompactModel(cfg Config, b *Builds) (*CompactModel, error) {
+	return newCompactModelWorkers(cfg, b, 0)
 }
 
 // newCompactModelWorkers is NewCompactModel with an explicit build
 // worker count (≤ 0 selects GOMAXPROCS). Per-state rows are computed on
 // the pool and assembled in state order, so the resulting model is
 // bit-identical regardless of the worker count: the only cross-state
-// coupling is the caller's u-sum memo, whose entries are pure functions
+// coupling is the context's u-sum memo, whose entries are pure functions
 // of the model's inputs.
-func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactModel, error) {
+func newCompactModelWorkers(cfg Config, b *Builds, workers int) (*CompactModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,14 +96,15 @@ func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactMo
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates)), memo: memo}
+	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates)), builds: b}
 	m.enumerateStates()
 	var key usumInputs
 	var h uint64
-	if memo != nil {
+	memoized := b.memoized()
+	if memoized {
 		key = usumInputsOf(m)
 		h = key.hash()
-		m.est, _ = memo.get(h, &key)
+		m.est = b.lookup(h, &key)
 	}
 	fresh := m.est == nil
 	if fresh {
@@ -111,13 +113,13 @@ func newCompactModelWorkers(cfg Config, memo *USumMemo, workers int) (*CompactMo
 	if err := m.buildMatrix(workers, fresh); err != nil {
 		return nil, err
 	}
-	if memo != nil && fresh {
-		memo.put(h, key, m.est)
+	if memoized && fresh {
+		b.memo.put(h, key, m.est)
 	}
 	m.frozen = m.matrix.Freeze()
 	n := len(m.states)
 	m.wsPool.New = func() any { return markov.NewWorkspace(n) }
-	obsBuild(float64(time.Since(start).Nanoseconds())/1e6, workers)
+	b.obsBuild(float64(time.Since(start).Nanoseconds())/1e6, workers)
 	return m, nil
 }
 
@@ -268,9 +270,27 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int, fresh bool) buil
 	w := &estimator.w
 	computeEventWeights(estimator.covers(), m.sr, mask, w)
 
+	// A row's only repeated destination is its own state (the null
+	// stay and every hit arrival): each timeout, install and eviction
+	// moves to a distinct state. So the self-loop sums at its first
+	// nonzero position and every other entry is new, which lets the
+	// assembly append rows unchecked. Like markov.Sparse.Add, add drops
+	// zero entries and sums in arrival order, so the row is bit-identical
+	// to one accumulated through Add.
 	slab := &estimator.slab
 	row := builtRow{slab: slab, lo: len(slab.tos)}
+	self := -1 // the self-loop's slab position, once it has one
 	add := func(to int, p float64) {
+		if p == 0 {
+			return
+		}
+		if to == idx {
+			if self >= 0 {
+				slab.ps[self] += p
+				return
+			}
+			self = len(slab.tos)
+		}
 		slab.tos = append(slab.tos, to)
 		slab.ps = append(slab.ps, p)
 	}
@@ -333,7 +353,7 @@ func (m *CompactModel) newEstimator() *uEstimator {
 	if e == nil {
 		e = &uEstimator{}
 	}
-	e.rs, e.sr, e.capacity, e.cover = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover
+	e.rs, e.sr, e.capacity, e.cover, e.builds = m.cfg.Rules, m.sr, m.cfg.CacheSize, m.cover, m.builds
 	e.slab.tos, e.slab.ps = e.slab.tos[:0], e.slab.ps[:0]
 	return e
 }
@@ -385,7 +405,7 @@ func (m *CompactModel) buildMatrix(workers int, fresh bool) error {
 	m.matrix = markov.NewSparseReserved(rowCaps)
 	for idx, row := range rows {
 		for k := row.lo; k < row.hi; k++ {
-			m.matrix.Add(idx, row.slab.tos[k], row.slab.ps[k])
+			m.matrix.Append(idx, row.slab.tos[k], row.slab.ps[k])
 		}
 	}
 	for _, e := range pool {
@@ -433,7 +453,7 @@ func (m *CompactModel) InitialDist() markov.Dist {
 // draws its own workspace.
 func (m *CompactModel) EvolveInPlace(d markov.Dist, steps int) {
 	var start time.Time
-	instrumented := evolveInstrumented()
+	instrumented := m.builds.evolveInstrumented()
 	if instrumented {
 		start = time.Now()
 	}
@@ -441,7 +461,7 @@ func (m *CompactModel) EvolveInPlace(d markov.Dist, steps int) {
 	m.frozen.EvolveInPlace(ws, d, steps)
 	m.wsPool.Put(ws)
 	if instrumented {
-		obsEvolve(float64(time.Since(start).Nanoseconds()))
+		m.builds.evolveNs.Observe(float64(time.Since(start).Nanoseconds()))
 	}
 }
 

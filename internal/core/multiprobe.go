@@ -173,7 +173,7 @@ func (s *ProbeSelector) leaf(d, d0 markov.Dist) (pq, pq0, pq1 float64) {
 // gain. For m ≤ 2 it searches ordered sequences exhaustively (the paper's
 // two-query attacker); for larger m it extends the best sequence greedily,
 // one probe per round. Each search is timed into the sequence_search_ms
-// histogram when telemetry is on.
+// histogram of the build context of the selector's unconditional chain.
 //
 // The m = 2 search (bestPair) screens every ordered pair from its leaf
 // masses and evaluates only the near-best ones exactly, yet returns
@@ -184,7 +184,7 @@ func (s *ProbeSelector) BestSequence(candidates []flows.ID, m int) (SequenceEval
 	if len(candidates) == 0 || m < 1 {
 		return SequenceEval{}, false
 	}
-	defer obsSequenceSearch(time.Now())
+	defer s.builds().obsSequenceSearch(time.Now())
 	if m == 1 {
 		return s.bestOver(sequencesOfOne(candidates))
 	}

@@ -78,15 +78,15 @@ func TestMemoizedRebuildBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := NewUSumMemo()
-	cold, err := NewCompactModel(cfg, memo)
+	b := NewBuilds(nil, true)
+	cold, err := NewCompactModel(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(memo.m) == 0 {
+	if len(b.memo.m) == 0 {
 		t.Fatal("cold build left the u-sum memo empty")
 	}
-	warm, err := NewCompactModel(cfg, memo)
+	warm, err := NewCompactModel(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}

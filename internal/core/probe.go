@@ -72,16 +72,16 @@ func (s *ProbeSelector) MemBytes() int64 {
 }
 
 // NewCompactSelector builds the compact model for cfg and its
-// target-conditioned twin through memo (nil for none), then assembles a
+// target-conditioned twin in b (nil for none), then assembles a
 // selector — the paper's end-to-end attacker setup. steps is
 // T = ⌈window/Δ⌉. Both chains are built fresh; callers that need more
 // than one selector over a configuration keep the first one's chains
 // (GainVsWindow, NewSelectorWithModel).
-func NewCompactSelector(cfg Config, target flows.ID, steps int, memo *USumMemo) (*ProbeSelector, error) {
+func NewCompactSelector(cfg Config, target flows.ID, steps int, b *Builds) (*ProbeSelector, error) {
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
-	m, err := NewCompactModel(cfg, memo)
+	m, err := NewCompactModel(cfg, b)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func NewCompactSelector(cfg Config, target flows.ID, steps int, memo *USumMemo) 
 
 // NewSelectorWithModel assembles a selector around a prebuilt
 // unconditional model, building only the target-conditioned chain from
-// m's own configuration, through the memo m was built with. Useful when
+// m's own configuration, in the context m was built in. Useful when
 // evaluating many targets over one policy (the defense package's leakage
 // profiling), since the unconditional chain is target-independent.
 func NewSelectorWithModel(m *CompactModel, target flows.ID, steps int) (*ProbeSelector, error) {
@@ -98,11 +98,20 @@ func NewSelectorWithModel(m *CompactModel, target flows.ID, steps int) (*ProbeSe
 	if err := checkTarget(cfg, target); err != nil {
 		return nil, err
 	}
-	m0, err := NewCompactModel(cfg.withoutFlow(target), m.memo)
+	m0, err := NewCompactModel(cfg.withoutFlow(target), m.builds)
 	if err != nil {
 		return nil, err
 	}
 	return NewProbeSelector(m, m0, target, steps)
+}
+
+// builds returns the build context of the selector's unconditional
+// chain: its compact model's, or nil for a basic model.
+func (s *ProbeSelector) builds() *Builds {
+	if m, ok := s.model.(*CompactModel); ok {
+		return m.builds
+	}
+	return nil
 }
 
 func checkTarget(cfg Config, target flows.ID) error {

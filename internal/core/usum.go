@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"flowrecon/internal/rules"
-	"flowrecon/internal/telemetry"
 )
 
 // StateEstimates are the §IV-B conditional probabilities for one compact
@@ -17,7 +16,7 @@ import (
 // slot: slot i is the state's i-th cached rule in ascending rule-ID order.
 //
 // Estimates may be shared between models via a u-sum memo (see
-// USumMemo); treat the slices as immutable once the build that filled
+// usumMemo); treat the slices as immutable once the build that filled
 // them returns.
 type StateEstimates struct {
 	// Evict[i] is P(slot i's rule has the smallest remaining time |
@@ -42,6 +41,7 @@ type uEstimator struct {
 	sr       []float64 // per-step flow rates λ_f·Δ
 	capacity int
 	cover    *coverTable // the model's, shared read-only; built on first use when unset
+	builds   *Builds     // counts the states evaluated; nil for none
 
 	// Scratch reused across calls. Nothing here outlives a call except
 	// slab, which holds buildRow's entries until the build assembles them.
@@ -106,7 +106,7 @@ func (e *uEstimator) evaluate(cached, touts []int, tab *gammaTables, out *StateE
 	acc := &e.acc
 	acc.reset(cached, touts, e.rs.Len())
 	e.sweep(tab, acc, full)
-	obsUSum(e.sw.steps)
+	e.builds.obsUSum(e.sw.steps)
 
 	if acc.z <= 0 {
 		e.fallback(cached, out)
@@ -626,58 +626,40 @@ type usumEntry struct {
 	est []StateEstimates
 }
 
-// USumMemo is a bounded memo of whole models' u-sum estimates, safe for
+// usumMemo is a bounded memo of whole models' u-sum estimates, safe for
 // concurrent builds. A build looks its model's inputs up once: a hit
 // hands the build every state's estimates, so it evaluates no state and
 // fills no γ table; a miss evaluates every state and records the vector.
 // The memo holds at most 2¹⁵ states in total and on overflow resets
 // wholesale: the working set of one model pair fits comfortably, so
-// eviction sophistication buys nothing. A memo pays only when an
-// identical model is rebuilt, so the one holder that rebuilds — a model
-// store that evicts — owns one; one-shot builds pass nil.
-type USumMemo struct {
+// eviction sophistication buys nothing. A Builds context owns it.
+type usumMemo struct {
 	mu     sync.RWMutex
 	m      map[uint64]*usumEntry
 	states int // summed over the entries
-
-	hits, misses *telemetry.Counter // usum_memo_lookups; nil until SetTelemetry
 }
 
 const usumMemoMax = 1 << 15
 
-// NewUSumMemo returns an empty memo.
-func NewUSumMemo() *USumMemo {
-	return &USumMemo{m: make(map[uint64]*usumEntry)}
-}
-
-// SetTelemetry counts the memo's lookups on reg, one per model build, as
-// usum_memo_lookups{result="hit"|"miss"}. Call it before the memo's first
-// build.
-func (c *USumMemo) SetTelemetry(reg *telemetry.Registry) {
-	c.mu.Lock()
-	c.hits = reg.Counter("usum_memo_lookups", "result", "hit")
-	c.misses = reg.Counter("usum_memo_lookups", "result", "miss")
-	c.mu.Unlock()
+func newUSumMemo() *usumMemo {
+	return &usumMemo{m: make(map[uint64]*usumEntry)}
 }
 
 // get returns the estimate vector memoized under in (whose hash is h),
-// counting the lookup.
-func (c *USumMemo) get(h uint64, in *usumInputs) ([]StateEstimates, bool) {
+// or nil.
+func (c *usumMemo) get(h uint64, in *usumInputs) []StateEstimates {
 	c.mu.RLock()
 	e := c.m[h]
-	hits, misses := c.hits, c.misses
 	c.mu.RUnlock()
 	if e != nil && e.in.equal(in) {
-		hits.Inc()
-		return e.est, true
+		return e.est
 	}
-	misses.Inc()
-	return nil, false
+	return nil
 }
 
 // put memoizes est under in (whose hash is h). A vector larger than the
 // whole bound is not kept.
-func (c *USumMemo) put(h uint64, in usumInputs, est []StateEstimates) {
+func (c *usumMemo) put(h uint64, in usumInputs, est []StateEstimates) {
 	if len(est) > usumMemoMax {
 		return
 	}

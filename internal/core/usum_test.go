@@ -274,18 +274,16 @@ func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 // probability (Z ≤ 0); their infeasible verdicts are part of the
 // memoized vector too.
 func TestRebuildEvaluatesNoState(t *testing.T) {
+	t.Parallel()
 	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
-	memo := NewUSumMemo()
 	reg := telemetry.NewRegistry()
-	memo.SetTelemetry(reg)
-	SetTelemetry(reg)
-	t.Cleanup(func() { SetTelemetry(nil) })
+	b := NewBuilds(reg, true)
 	lookups := func() (hits, misses, states int64) {
 		return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
 			reg.Counter("usum_memo_lookups", "result", "miss").Value(),
 			reg.Counter("usum_states_total", "method", "exact").Value()
 	}
-	cold, err := NewCompactModel(cfg, memo)
+	cold, err := NewCompactModel(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +291,7 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 		t.Fatalf("first build: %d memo hits, %d misses, %d states; want one miss that evaluates", hits, misses, states)
 	}
 	_, _, coldStates := lookups()
-	if _, err := NewCompactModel(cfg, memo); err != nil {
+	if _, err := NewCompactModel(cfg, b); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses, states := lookups(); hits != 1 || misses != 1 || states != coldStates {
@@ -313,30 +311,38 @@ func TestRebuildEvaluatesNoState(t *testing.T) {
 	}
 }
 
-// TestNilMemoBuildRecordsNoLookup: a build without a memo, run right
-// after a memoized build has returned its estimators to the pool,
-// evaluates every state and looks nothing up: the memo's counters do not
-// move, since only the build handed a memo may consult it.
+// TestNilMemoBuildRecordsNoLookup: a build in a context without a memo,
+// run right after a memoized build has returned its estimators to the
+// pool, evaluates every state and looks nothing up: the memoized
+// context's counters do not move, since only a build in that context
+// may consult its memo or count into it.
 func TestNilMemoBuildRecordsNoLookup(t *testing.T) {
+	t.Parallel()
 	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
-	memo := NewUSumMemo()
-	reg := telemetry.NewRegistry()
-	memo.SetTelemetry(reg)
-	if _, err := newCompactModelWorkers(cfg, memo, 1); err != nil {
+	memoReg, plainReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	if _, err := newCompactModelWorkers(cfg, NewBuilds(memoReg, true), 1); err != nil {
 		t.Fatal(err)
 	}
-	SetTelemetry(reg)
-	t.Cleanup(func() { SetTelemetry(nil) })
-	if _, err := newCompactModelWorkers(cfg, nil, 1); err != nil {
+	memoStates := memoReg.Counter("usum_states_total", "method", "exact").Value()
+	if _, err := newCompactModelWorkers(cfg, NewBuilds(plainReg, false), 1); err != nil {
 		t.Fatal(err)
 	}
-	hits := reg.Counter("usum_memo_lookups", "result", "hit").Value()
-	misses := reg.Counter("usum_memo_lookups", "result", "miss").Value()
+	hits := memoReg.Counter("usum_memo_lookups", "result", "hit").Value()
+	misses := memoReg.Counter("usum_memo_lookups", "result", "miss").Value()
 	if hits != 0 || misses != 1 {
 		t.Fatalf("after a memoized and a memo-less build: %d memo hits, %d misses; want the first build's one miss", hits, misses)
 	}
-	if reg.Counter("usum_states_total", "method", "exact").Value() == 0 {
-		t.Fatal("build without memo evaluated no state")
+	if got := memoReg.Counter("usum_states_total", "method", "exact").Value(); got != memoStates {
+		t.Fatalf("memo-less build moved the memoized context's state count from %d to %d", memoStates, got)
+	}
+	plain := plainReg.Snapshot()
+	if plain.Counters[`usum_states_total{method="exact"}`] != memoStates {
+		t.Fatalf("build without memo evaluated %d states, want every one of %d", plain.Counters[`usum_states_total{method="exact"}`], memoStates)
+	}
+	for series := range plain.Counters {
+		if strings.HasPrefix(series, "usum_memo_lookups") {
+			t.Fatalf("context without a memo registered %s", series)
+		}
 	}
 }
 
@@ -346,6 +352,7 @@ func TestNilMemoBuildRecordsNoLookup(t *testing.T) {
 // configuration — computed here from the states alone — not of the
 // sweep's internals or the build's worker count.
 func TestUSumSweepStepsPinned(t *testing.T) {
+	t.Parallel()
 	const wantSteps, wantStates = 792, 41
 	cfg := usumConfig(t, usumSmall, 0.025, 11, false)
 	ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
@@ -357,11 +364,9 @@ func TestUSumSweepStepsPinned(t *testing.T) {
 	if steps != wantSteps || states != wantStates {
 		t.Fatalf("configuration has %d feasible states over %d steps, want %d over %d", states, steps, wantStates, wantSteps)
 	}
-	t.Cleanup(func() { SetTelemetry(nil) })
 	for _, workers := range []int{1, 4} {
 		reg := telemetry.NewRegistry()
-		SetTelemetry(reg)
-		if _, err := newCompactModelWorkers(cfg, nil, workers); err != nil {
+		if _, err := newCompactModelWorkers(cfg, NewBuilds(reg, false), workers); err != nil {
 			t.Fatal(err)
 		}
 		steps := reg.Counter("usum_sweep_steps_total").Value()
@@ -429,20 +434,19 @@ func TestUSumMemoComparesInputsInFull(t *testing.T) {
 		"flows":    func(v *usumInputs) { v.sr, v.covers = v.sr[1:], v.covers[1:] },
 	}
 	for name, edit := range variants {
-		memo := NewUSumMemo()
 		reg := telemetry.NewRegistry()
-		memo.SetTelemetry(reg)
-		memo.put(in.hash(), in, m.est)
+		b := NewBuilds(reg, true)
+		b.memo.put(in.hash(), in, m.est)
 		other := usumInputs{capacity: in.capacity, sr: slices.Clone(in.sr), covers: slices.Clone(in.covers),
 			higher: slices.Clone(in.higher), touts: slices.Clone(in.touts)}
-		if _, ok := memo.get(in.hash(), &other); !ok {
+		if b.lookup(in.hash(), &other) == nil {
 			t.Fatalf("%s: a copy of the inputs misses", name)
 		}
 		edit(&other)
 		if other.hash() == in.hash() {
 			t.Fatalf("%s: the edit does not change the hash", name)
 		}
-		if _, ok := memo.get(in.hash(), &other); ok {
+		if b.lookup(in.hash(), &other) != nil {
 			t.Fatalf("%s: inputs differing only in %s hit under a shared hash", name, name)
 		}
 		if hits, misses := reg.Counter("usum_memo_lookups", "result", "hit").Value(), reg.Counter("usum_memo_lookups", "result", "miss").Value(); hits != 1 || misses != 1 {

@@ -41,12 +41,13 @@ type Profile struct {
 // goroutines (≤ 1 runs them inline). Targets are independent (the
 // unconditional chain is built once and shared read-only; each target
 // builds only its conditioned twin), and the profile is assembled in flow
-// order, so every worker count returns the same profile.
-func MeasureLeakage(cfg core.Config, steps, workers int) (*Profile, error) {
+// order, so every worker count returns the same profile. Every chain is
+// built in b (nil for none).
+func MeasureLeakage(cfg core.Config, steps, workers int, b *core.Builds) (*Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := core.NewCompactModel(cfg, nil)
+	model, err := core.NewCompactModel(cfg, b)
 	if err != nil {
 		return nil, err
 	}
@@ -193,10 +194,10 @@ type CoarsenStep struct {
 // minimizes the worst-case leakage, until the leakage target is met, no
 // merge helps, or maxMerges is exhausted. baseline is cfg's own profile
 // at the same window, which the caller has already measured; each
-// candidate's profile is measured over workers goroutines, as in
+// candidate's profile is measured over workers goroutines in b, as in
 // MeasureLeakage. It returns the sequence of accepted steps (possibly
 // empty when the structure is already tight).
-func Coarsen(cfg core.Config, baseline *Profile, steps, workers int, targetMaxGain float64, maxMerges int) ([]CoarsenStep, error) {
+func Coarsen(cfg core.Config, baseline *Profile, steps, workers int, targetMaxGain float64, maxMerges int, b *core.Builds) ([]CoarsenStep, error) {
 	current := cfg
 	best := baseline.MaxGain
 	var out []CoarsenStep
@@ -214,7 +215,7 @@ func Coarsen(cfg core.Config, baseline *Profile, steps, workers int, targetMaxGa
 			}
 			trial := current
 			trial.Rules = merged
-			prof, err := MeasureLeakage(trial, steps, workers)
+			prof, err := MeasureLeakage(trial, steps, workers, b)
 			if err != nil {
 				continue
 			}

@@ -29,7 +29,7 @@ func fig2cConfig(t *testing.T) core.Config {
 
 func TestMeasureLeakage(t *testing.T) {
 	cfg := fig2cConfig(t)
-	prof, err := MeasureLeakage(cfg, 40, 1)
+	prof, err := MeasureLeakage(cfg, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMergeReducesLeakage(t *testing.T) {
 	// rules into one coarse rule removes the certificate probe, so the
 	// attacker's best gain about f1 must drop.
 	cfg := fig2cConfig(t)
-	before, err := MeasureLeakage(cfg, 40, 1)
+	before, err := MeasureLeakage(cfg, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMergeReducesLeakage(t *testing.T) {
 	}
 	after := cfg
 	after.Rules = merged
-	profAfter, err := MeasureLeakage(after, 40, 1)
+	profAfter, err := MeasureLeakage(after, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestMergeCandidates(t *testing.T) {
 
 func TestCoarsen(t *testing.T) {
 	cfg := fig2cConfig(t)
-	before, err := MeasureLeakage(cfg, 40, 1)
+	before, err := MeasureLeakage(cfg, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := Coarsen(cfg, before, 40, 1, 0, 3)
+	steps, err := Coarsen(cfg, before, 40, 1, 0, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCoarsen(t *testing.T) {
 	}
 	// The candidate profiles are the same at any worker count, so the
 	// greedy walk is too.
-	parallel, err := Coarsen(cfg, before, 40, 4, 0, 3)
+	parallel, err := Coarsen(cfg, before, 40, 4, 0, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestCoarsen(t *testing.T) {
 
 func TestCoarsenAlreadyTight(t *testing.T) {
 	cfg := fig2cConfig(t)
-	before, err := MeasureLeakage(cfg, 40, 1)
+	before, err := MeasureLeakage(cfg, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With an absurdly generous leakage target no merge is needed.
-	steps, err := Coarsen(cfg, before, 40, 1, 10, 3)
+	steps, err := Coarsen(cfg, before, 40, 1, 10, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCoarsenAlreadyTight(t *testing.T) {
 }
 
 func TestMeasureLeakageRejectsBadConfig(t *testing.T) {
-	if _, err := MeasureLeakage(core.Config{}, 10, 1); err == nil {
+	if _, err := MeasureLeakage(core.Config{}, 10, 1, nil); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -196,11 +196,11 @@ func TestMeasureLeakageRejectsBadConfig(t *testing.T) {
 // flow order.
 func TestMeasureLeakageWorkersIdentical(t *testing.T) {
 	cfg := fig2cConfig(t)
-	serial, err := MeasureLeakage(cfg, 40, 1)
+	serial, err := MeasureLeakage(cfg, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MeasureLeakage(cfg, 40, 4)
+	parallel, err := MeasureLeakage(cfg, 40, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

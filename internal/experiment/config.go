@@ -75,6 +75,15 @@ func (p Params) Validate() error {
 	if p.NumRules > core.MaxCompactRules {
 		return fmt.Errorf("experiment: %d rules exceed the compact model's %d", p.NumRules, core.MaxCompactRules)
 	}
+	if p.MaskBits < 0 || p.MaskBits > MaxMaskBits {
+		return fmt.Errorf("experiment: %d mask bits outside [0, %d]", p.MaskBits, MaxMaskBits)
+	}
+	if p.NumFlows > MaxFlows {
+		return fmt.Errorf("experiment: %d flows exceed %d", p.NumFlows, MaxFlows)
+	}
+	if p.CacheSize > MaxCacheSize {
+		return fmt.Errorf("experiment: a %d-entry cache exceeds %d", p.CacheSize, MaxCacheSize)
+	}
 	if p.Delta <= 0 || p.WindowSeconds <= 0 {
 		return fmt.Errorf("experiment: bad timing %+v", p)
 	}
@@ -88,6 +97,22 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// Bounds on the sizes a spec may ask for, so that one spec from outside
+// the program cannot tie up or exhaust a process before any model
+// exists. Rule generation enumerates all 3^MaskBits ternary masks and
+// covers each over NumFlows flows; the flow table preallocates CacheSize
+// entries for every trial. The paper's scale is 16 flows, 4 mask bits
+// and a 6-entry cache.
+const (
+	// MaxMaskBits admits 3¹⁰ = 59,049 candidate rules.
+	MaxMaskBits = 10
+	// MaxFlows is one flow per address at MaxMaskBits.
+	MaxFlows = 1 << MaxMaskBits
+	// MaxCacheSize is the largest rule set a compact model accepts: a
+	// larger table could never fill.
+	MaxCacheSize = core.MaxCompactRules
+)
 
 // MaxSteps bounds the probe window T in model steps (the paper's window
 // is 600). A build evolves its chains over every step, so the bound
@@ -166,9 +191,9 @@ const minFittedRate = 1e-4
 // len(fitted), and flows beyond the fitted classes take the smallest
 // fitted rate. The rule set, target choice and model fit still come from
 // rng with the exact draw sequence of GenerateConfig — nil fitted IS
-// GenerateConfig. Both chains are built through memo (nil for none); the
+// GenerateConfig. Both chains are built in b (nil for none); the
 // configuration does not depend on it.
-func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG, memo *core.USumMemo) (*NetworkConfig, error) {
+func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) (*NetworkConfig, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -212,7 +237,7 @@ func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG, memo *c
 	// caller's later draws from rng and every saved configuration are
 	// unchanged.
 	p.USum.Seed = rng.Int63()
-	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), memo)
+	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), b)
 	if err != nil {
 		return nil, err
 	}

@@ -445,10 +445,11 @@ func (o *DetectionEvalOptions) fill() {
 func RunDetectionEval(opts DetectionEvalOptions) (*DetectionReport, error) {
 	opts.fill()
 	rng := stats.NewRNG(opts.Seed)
+	builds := core.NewBuilds(opts.Telemetry, false)
 	var nc *NetworkConfig
 	var err error
 	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err = GenerateConfig(opts.Params, rng)
+		nc, err = GenerateConfigWithRates(opts.Params, nil, rng, builds)
 		if err == nil {
 			break
 		}

@@ -545,49 +545,6 @@ func TestWithStratum(t *testing.T) {
 	}
 }
 
-func TestSaveLoadConfigRoundTrip(t *testing.T) {
-	p := tinyParams()
-	orig, err := GenerateConfig(p, stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveConfig(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadConfig(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Target != orig.Target {
-		t.Fatalf("target %d vs %d", loaded.Target, orig.Target)
-	}
-	if loaded.Optimal.Flow != orig.Optimal.Flow {
-		t.Fatalf("optimal %d vs %d", loaded.Optimal.Flow, orig.Optimal.Flow)
-	}
-	if math.Abs(loaded.Optimal.Gain-orig.Optimal.Gain) > 1e-12 {
-		t.Fatalf("gain %v vs %v (u-sum seed must be preserved)", loaded.Optimal.Gain, orig.Optimal.Gain)
-	}
-	if loaded.NumCoveringTarget != orig.NumCoveringTarget {
-		t.Fatal("covering count differs")
-	}
-	for i := 0; i < orig.Rules.Len(); i++ {
-		a, b := orig.Rules.Rule(i), loaded.Rules.Rule(i)
-		if a.Name != b.Name || a.Priority != b.Priority || a.Timeout != b.Timeout || !a.Cover.Equal(b.Cover) {
-			t.Fatalf("rule %d differs: %s vs %s", i, a, b)
-		}
-	}
-}
-
-func TestLoadConfigRejectsGarbage(t *testing.T) {
-	if _, err := LoadConfig(bytes.NewBufferString("{")); err == nil {
-		t.Fatal("truncated JSON accepted")
-	}
-	if _, err := LoadConfig(bytes.NewBufferString(`{"params":{}}`)); err == nil {
-		t.Fatal("empty params accepted")
-	}
-}
-
 func TestFigureCharts(t *testing.T) {
 	outcomes := []ConfigOutcome{
 		{PAbsent: 0.3, NumCoveringTarget: 2,

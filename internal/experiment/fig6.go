@@ -137,8 +137,9 @@ func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
 	// worker in flight, a worker that finishes early would idle until
 	// the oldest attempt commits; a second keeps it busy.
 	window := 2 * workers
+	builds := core.NewBuilds(opts.Telemetry, false)
 	pool := startSamplerPool(workers, window, func(job attemptJob) attemptResult {
-		nc, err := GenerateConfig(opts.Params.WithStratum(job.attempt), stats.NewRNG(job.seed))
+		nc, err := GenerateConfigWithRates(opts.Params.WithStratum(job.attempt), nil, stats.NewRNG(job.seed), builds)
 		if err != nil || !accept(nc) {
 			nc = nil // an unlucky sample (e.g. no eligible target) or outside the population
 		}

@@ -58,6 +58,9 @@ func (s RecordingSpec) Validate() error {
 	if s.Trials < 1 || s.Probes < 1 {
 		return fmt.Errorf("experiment: recording needs ≥ 1 trial and ≥ 1 probe (got %d, %d)", s.Trials, s.Probes)
 	}
+	if s.Probes > MaxSequenceProbes {
+		return fmt.Errorf("experiment: %d probes exceed %d", s.Probes, MaxSequenceProbes)
+	}
 	if s.Faults != nil {
 		if err := s.Faults.Validate(); err != nil {
 			return err
@@ -69,6 +72,11 @@ func (s RecordingSpec) Validate() error {
 	return nil
 }
 
+// MaxSequenceProbes bounds a spec's probe sequence length m. The
+// sequence search sizes its tables at 2^m leaves for every candidate
+// sequence, and the paper's attacker sends one or two probes.
+const MaxSequenceProbes = 8
+
 // maxConfigAttempts bounds the deterministic resampling loop in
 // BuildConfig (GenerateConfig fails when no flow qualifies as a target).
 const maxConfigAttempts = 64
@@ -76,9 +84,9 @@ const maxConfigAttempts = 64
 // BuildConfig regenerates the network configuration from the spec. The
 // sampler draws from a single stream seeded with ConfigSeed and resamples
 // on target-selection failure, so the (attempt count, configuration) pair
-// is a pure function of the spec. Models are built through memo (nil
-// for none), which changes no result.
-func (s RecordingSpec) BuildConfig(memo *core.USumMemo) (*NetworkConfig, error) {
+// is a pure function of the spec. Models are built in b (nil for none),
+// which changes no result.
+func (s RecordingSpec) BuildConfig(b *core.Builds) (*NetworkConfig, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +104,7 @@ func (s RecordingSpec) BuildConfig(memo *core.USumMemo) (*NetworkConfig, error) 
 	rng := stats.NewRNG(s.ConfigSeed)
 	var lastErr error
 	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err := GenerateConfigWithRates(s.Params, fitted, rng, memo)
+		nc, err := GenerateConfigWithRates(s.Params, fitted, rng, b)
 		if err == nil {
 			return nc, nil
 		}
@@ -128,8 +136,9 @@ func StandardAttackers(nc *NetworkConfig, probes int) ([]core.Attacker, error) {
 }
 
 // RecordTo executes the spec and streams the recording to w (which is
-// not closed). reg optionally receives the run's telemetry. It returns
-// the per-attacker results alongside the regenerated configuration.
+// not closed). reg optionally receives the run's telemetry, the model
+// build's among it. It returns the per-attacker results alongside the
+// regenerated configuration.
 func RecordTo(w io.Writer, spec RecordingSpec, reg *telemetry.Registry) ([]AttackerResult, *NetworkConfig, error) {
 	return RecordToParallel(w, spec, reg, 1)
 }
@@ -138,7 +147,7 @@ func RecordTo(w io.Writer, spec RecordingSpec, reg *telemetry.Registry) ([]Attac
 // in strict trial order whatever the parallelism, so the output bytes are
 // identical at every level — which the golden tests pin.
 func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, parallelism int) ([]AttackerResult, *NetworkConfig, error) {
-	nc, err := spec.BuildConfig(nil)
+	nc, err := spec.BuildConfig(core.NewBuilds(reg, false))
 	if err != nil {
 		return nil, nil, err
 	}

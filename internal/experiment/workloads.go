@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"flowrecon/internal/core"
 	"flowrecon/internal/stats"
 )
 
@@ -65,18 +66,19 @@ func StandardWorkloads() []WorkloadRow {
 // reuses a Poisson-trained detector baseline, matching how a deployed
 // defender would actually be provisioned.
 func RunWorkloadComparison(p Params, seed int64, trials, probes, fprTrials int) (*WorkloadComparison, error) {
-	return RunWorkloadComparisonRows(p, seed, trials, probes, fprTrials, StandardWorkloads())
+	return RunWorkloadComparisonRows(p, seed, trials, probes, fprTrials, StandardWorkloads(), nil)
 }
 
 // RunWorkloadComparisonRows is RunWorkloadComparison over an explicit
 // row set (the -workload CLI flag compares Poisson against one chosen
-// shape instead of the whole roster).
-func RunWorkloadComparisonRows(p Params, seed int64, trials, probes, fprTrials int, rows []WorkloadRow) (*WorkloadComparison, error) {
+// shape instead of the whole roster), with its model built in b (nil for
+// none).
+func RunWorkloadComparisonRows(p Params, seed int64, trials, probes, fprTrials int, rows []WorkloadRow, b *core.Builds) (*WorkloadComparison, error) {
 	rng := stats.NewRNG(seed)
 	var nc *NetworkConfig
 	var err error
 	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err = GenerateConfig(p, rng)
+		nc, err = GenerateConfigWithRates(p, nil, rng, b)
 		if err == nil {
 			break
 		}
@@ -150,16 +152,16 @@ func ParetoTailSweep(p Params, seed int64, trials, probes int, alphas []float64)
 
 // RunWorkloadsOnTrace runs the attack roster on an ingested capture
 // (windowed replay, rates fitted from the capture) — the real-traffic
-// row of §17. It returns the per-attacker results and the configuration
-// actually used.
-func RunWorkloadsOnTrace(p Params, spec *TraceSourceSpec, seed int64, trials, probes int) ([]AttackerResult, *NetworkConfig, error) {
+// row of §17. Its model is built in b (nil for none). It returns the
+// per-attacker results and the configuration actually used.
+func RunWorkloadsOnTrace(p Params, spec *TraceSourceSpec, seed int64, trials, probes int, b *core.Builds) ([]AttackerResult, *NetworkConfig, error) {
 	rspec := RecordingSpec{
 		Params: p, ConfigSeed: seed, TrialSeed: seed + 1,
 		Trials: trials, Probes: probes,
 		Measurement: DefaultMeasurement(),
 		Trace:       spec,
 	}
-	nc, err := rspec.BuildConfig(nil)
+	nc, err := rspec.BuildConfig(b)
 	if err != nil {
 		return nil, nil, err
 	}

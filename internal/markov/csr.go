@@ -28,11 +28,10 @@ import (
 	"sync"
 )
 
-// ParallelNNZThreshold is the number of stored entries above which
+// parallelNNZThreshold is the number of stored entries above which
 // ApplyInto shards the gather across workers. Below it the
-// goroutine-dispatch overhead dominates the multiply itself. Tests may
-// lower it to force the parallel path on small matrices.
-var ParallelNNZThreshold = 1 << 15
+// goroutine-dispatch overhead dominates the multiply itself.
+const parallelNNZThreshold = 1 << 15
 
 // denseCutoverNum/denseCutoverDen: when the tracked support exceeds
 // n·num/den states, support bookkeeping stops paying for itself and
@@ -166,7 +165,7 @@ func (c *CSR) ApplyInto(dst, src Dist) {
 	if len(dst) != c.n || len(src) != c.n {
 		panic("markov: ApplyInto dimension mismatch")
 	}
-	if c.workers > 1 && len(c.gatSrc) >= ParallelNNZThreshold {
+	if c.workers > 1 && len(c.gatSrc) >= parallelNNZThreshold {
 		c.applyGatherParallel(dst, src)
 		return
 	}

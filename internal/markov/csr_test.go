@@ -59,18 +59,16 @@ func TestCSRApplyMatchesSparseBitwise(t *testing.T) {
 	}
 }
 
+// TestCSRParallelApplyBitIdentical runs the sharded gather itself, below
+// the size at which ApplyInto would choose it, at each worker count.
 func TestCSRParallelApplyBitIdentical(t *testing.T) {
-	old := ParallelNNZThreshold
-	ParallelNNZThreshold = 1 // force the sharded path
-	defer func() { ParallelNNZThreshold = old }()
-
 	m, d := randomChain(t, 501, 11, 20, 42)
 	c := m.Freeze()
 	want := m.Apply(d)
 	for _, w := range []int{1, 2, 3, 7, 16, 64, 501, 1000} {
 		c.SetWorkers(w)
 		got := make(Dist, c.Size())
-		c.ApplyInto(got, d)
+		c.applyGatherParallel(got, d)
 		if !distsEqualBits(want, got) {
 			t.Fatalf("workers=%d: parallel gather differs from reference", w)
 		}

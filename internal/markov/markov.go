@@ -159,6 +159,12 @@ func (m *Sparse) Add(from, to int, p float64) {
 	}
 }
 
+// Append stores p as a new (from, to) entry without Add's duplicate
+// check: the caller guarantees that the row holds no entry for to yet.
+func (m *Sparse) Append(from, to int, p float64) {
+	m.rows[from] = append(m.rows[from], edge{to: to, p: p})
+}
+
 // buildRowIndex promotes a row to indexed duplicate detection.
 func (m *Sparse) buildRowIndex(from int) {
 	if m.idx == nil {

@@ -133,18 +133,27 @@ func TestHTTPBadSpec(t *testing.T) {
 	}
 }
 
-// TestHTTPOutOfRangeParams400 verifies that a spec whose parameters no
-// model can be built for — more rules than the compact model takes, or
-// a probe window past experiment.MaxSteps — is refused with 400 at
-// admission, before the store builds anything.
+// TestHTTPOutOfRangeParams400 verifies that a spec whose sizes are out
+// of bounds — more rules than the compact model takes, a probe window
+// past experiment.MaxSteps, more mask bits, flows, cache entries or
+// probes than the experiment package admits, or a negative mask width —
+// is refused with 400 at admission, before the store builds anything.
 func TestHTTPOutOfRangeParams400(t *testing.T) {
-	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
-	for name, edit := range map[string]func(*experiment.Params){
-		"25 rules":      func(p *experiment.Params) { p.NumRules = core.MaxCompactRules + 1 },
-		"1<<16+1 steps": func(p *experiment.Params) { p.Delta, p.WindowSeconds = 1, experiment.MaxSteps+1 },
+	t.Parallel()
+	reg := telemetry.NewRegistry()
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1, Registry: reg})
+	for name, edit := range map[string]func(*experiment.RecordingSpec){
+		"25 rules":        func(s *experiment.RecordingSpec) { s.Params.NumRules = core.MaxCompactRules + 1 },
+		"1<<16+1 steps":   func(s *experiment.RecordingSpec) { s.Params.Delta, s.Params.WindowSeconds = 1, experiment.MaxSteps+1 },
+		"11 mask bits":    func(s *experiment.RecordingSpec) { s.Params.MaskBits = experiment.MaxMaskBits + 1 },
+		"-1 mask bits":    func(s *experiment.RecordingSpec) { s.Params.MaskBits = -1 },
+		"1025 flows":      func(s *experiment.RecordingSpec) { s.Params.NumFlows = experiment.MaxFlows + 1 },
+		"25-entry cache":  func(s *experiment.RecordingSpec) { s.Params.CacheSize = experiment.MaxCacheSize + 1 },
+		"9 probes":        func(s *experiment.RecordingSpec) { s.Probes = experiment.MaxSequenceProbes + 1 },
+		"1<<30 mask bits": func(s *experiment.RecordingSpec) { s.Params.MaskBits = 1 << 30 },
 	} {
 		spec := testSpec(name, 1, 1, 1)
-		edit(&spec.Target.Params)
+		edit(&spec.Target)
 		resp := postSpec(t, srv.URL, spec)
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -154,6 +163,9 @@ func TestHTTPOutOfRangeParams400(t *testing.T) {
 	}
 	if st := m.Store().Stats(); st.Builds != 0 || st.Misses != 0 {
 		t.Fatalf("refused specs reached the model store: %+v", st)
+	}
+	if n := reg.Histogram("model_build_ms", telemetry.MillisecondBuckets()).Count(); n != 0 {
+		t.Fatalf("refused specs started %d model builds", n)
 	}
 }
 
@@ -266,11 +278,10 @@ func TestHTTPSpecCarryingUSumParams(t *testing.T) {
 // in params.USum share one model. The second session is a store hit that
 // builds no chain, and its stream is byte-identical to the first.
 func TestStoreKeyIgnoresUSum(t *testing.T) {
+	t.Parallel()
 	reg := telemetry.NewRegistry()
-	core.SetTelemetry(reg)
-	t.Cleanup(func() { core.SetTelemetry(nil) })
 	builds := reg.Histogram("model_build_ms", telemetry.MillisecondBuckets())
-	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1, Registry: reg})
 	a, b := testSpec("usum", 5, 3, 2), testSpec("usum", 5, 3, 2)
 	b.Target.Params.USum = experiment.USumRecord{ExactLimit: 0, MCSamples: 1, Seed: 99}
 	ka, err := KeyForTarget(a.Target)

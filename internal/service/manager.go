@@ -88,12 +88,11 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:   cfg,
-		store: NewStore(cfg.StoreSize, cfg.StoreBytes),
+		store: NewStore(cfg.StoreSize, cfg.StoreBytes, cfg.Registry),
 		sched: NewScheduler(cfg.Workers, cfg.Batch),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if reg := cfg.Registry; reg != nil {
-		m.store.SetTelemetry(reg)
 		m.sched.SetTelemetry(reg)
 		m.activeG = reg.Gauge("service_sessions_active")
 		m.queuedG = reg.Gauge("service_sessions_queued")

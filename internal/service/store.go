@@ -54,20 +54,20 @@ func (m *Model) MemBytes() int64 {
 // config trigger exactly one build), LRU eviction and an optional byte
 // budget. It is the only model cache in the process: it caches the whole
 // generated configuration including the evolved selector. It also owns
-// the u-sum memo every one of its builds goes through, which serves the
-// rebuild of a model the store has evicted.
+// the build context every one of its builds runs in, whose u-sum memo
+// serves the rebuild of a model the store has evicted.
 type Store struct {
 	mu       sync.Mutex
 	max      int
 	maxBytes int64
-	memo     *core.USumMemo
+	builds   *core.Builds
 	entries  map[TargetKey]*storeEntry
 	head     *storeEntry // most recently used
 	tail     *storeEntry // next to evict
 	bytes    int64
 	hits     uint64
 	misses   uint64
-	builds   uint64
+	built    uint64
 	evicts   uint64
 
 	hitCtr   *telemetry.Counter
@@ -92,29 +92,25 @@ type storeEntry struct {
 const DefaultStoreSize = 64
 
 // NewStore returns a store holding at most max models (≤ 0 means
-// DefaultStoreSize) within maxBytes (0 = unbounded).
-func NewStore(max int, maxBytes int64) *Store {
+// DefaultStoreSize) within maxBytes (0 = unbounded). Its counters and
+// gauges, and its builds' model-layer instruments, report into reg (nil
+// for none).
+func NewStore(max int, maxBytes int64, reg *telemetry.Registry) *Store {
 	if max <= 0 {
 		max = DefaultStoreSize
 	}
-	return &Store{max: max, maxBytes: maxBytes, memo: core.NewUSumMemo(), entries: make(map[TargetKey]*storeEntry)}
-}
-
-// SetTelemetry registers the store's counters and gauges on reg, its
-// u-sum memo's lookup counters among them.
-func (s *Store) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+	return &Store{
+		max:      max,
+		maxBytes: maxBytes,
+		builds:   core.NewBuilds(reg, true),
+		entries:  make(map[TargetKey]*storeEntry),
+		hitCtr:   reg.Counter("service_store_lookups", "result", "hit"),
+		missCtr:  reg.Counter("service_store_lookups", "result", "miss"),
+		buildCtr: reg.Counter("service_store_builds_total"),
+		evictCtr: reg.Counter("service_store_evictions_total"),
+		bytesG:   reg.Gauge("service_store_bytes"),
+		modelsG:  reg.Gauge("service_store_models"),
 	}
-	s.memo.SetTelemetry(reg)
-	s.mu.Lock()
-	s.hitCtr = reg.Counter("service_store_lookups", "result", "hit")
-	s.missCtr = reg.Counter("service_store_lookups", "result", "miss")
-	s.buildCtr = reg.Counter("service_store_builds_total")
-	s.evictCtr = reg.Counter("service_store_evictions_total")
-	s.bytesG = reg.Gauge("service_store_bytes")
-	s.modelsG = reg.Gauge("service_store_models")
-	s.mu.Unlock()
 }
 
 // StoreStats is a point-in-time snapshot.
@@ -138,7 +134,7 @@ func (s *Store) Stats() StoreStats {
 		MaxBytes:  s.maxBytes,
 		Hits:      s.hits,
 		Misses:    s.misses,
-		Builds:    s.builds,
+		Builds:    s.built,
 		Evictions: s.evicts,
 	}
 }
@@ -158,14 +154,10 @@ func (s *Store) Get(spec experiment.RecordingSpec) (*Model, error) {
 		e = &storeEntry{key: key, resident: true}
 		s.entries[key] = e
 		s.misses++
-		if s.missCtr != nil {
-			s.missCtr.Inc()
-		}
+		s.missCtr.Inc()
 	} else {
 		s.hits++
-		if s.hitCtr != nil {
-			s.hitCtr.Inc()
-		}
+		s.hitCtr.Inc()
 	}
 	s.moveToFrontLocked(e)
 	s.evictOverLocked()
@@ -174,7 +166,7 @@ func (s *Store) Get(spec experiment.RecordingSpec) (*Model, error) {
 
 	built := false
 	e.once.Do(func() {
-		nc, err := spec.BuildConfig(s.memo)
+		nc, err := spec.BuildConfig(s.builds)
 		if err != nil {
 			e.err = err
 			return
@@ -184,10 +176,8 @@ func (s *Store) Get(spec experiment.RecordingSpec) (*Model, error) {
 	})
 	if built {
 		s.mu.Lock()
-		s.builds++
-		if s.buildCtr != nil {
-			s.buildCtr.Inc()
-		}
+		s.built++
+		s.buildCtr.Inc()
 		if e.resident {
 			e.bytes = e.m.MemBytes()
 			s.bytes += e.bytes
@@ -239,15 +229,11 @@ func (s *Store) evictOverLocked() {
 		s.bytes -= e.bytes
 		delete(s.entries, e.key)
 		s.evicts++
-		if s.evictCtr != nil {
-			s.evictCtr.Inc()
-		}
+		s.evictCtr.Inc()
 	}
 }
 
 func (s *Store) publishLocked() {
-	if s.bytesG != nil {
-		s.bytesG.Set(s.bytes)
-		s.modelsG.Set(int64(len(s.entries)))
-	}
+	s.bytesG.Set(s.bytes)
+	s.modelsG.Set(int64(len(s.entries)))
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"flowrecon/internal/core"
 	"flowrecon/internal/experiment"
 	"flowrecon/internal/telemetry"
 )
@@ -28,7 +29,7 @@ func mustGet(t *testing.T, s *Store, spec experiment.RecordingSpec) *Model {
 }
 
 func TestStoreSingleflight(t *testing.T) {
-	s := NewStore(4, 0)
+	s := NewStore(4, 0, nil)
 	spec := storeSpecs(1)[0]
 	const goroutines = 16
 	models := make([]*Model, goroutines)
@@ -61,7 +62,7 @@ func TestStoreSingleflight(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s := NewStore(2, 0)
+	s := NewStore(2, 0, nil)
 	specs := storeSpecs(3)
 	m0 := mustGet(t, s, specs[0])
 	mustGet(t, s, specs[1])
@@ -99,9 +100,8 @@ func TestStoreOwnsUSumMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	newStore := func() (*Store, func() (hits, misses int64)) {
-		s := NewStore(1, 0)
 		reg := telemetry.NewRegistry()
-		s.SetTelemetry(reg)
+		s := NewStore(1, 0, reg)
 		return s, func() (int64, int64) {
 			return reg.Counter("usum_memo_lookups", "result", "hit").Value(),
 				reg.Counter("usum_memo_lookups", "result", "miss").Value()
@@ -134,6 +134,54 @@ func TestStoreOwnsUSumMemo(t *testing.T) {
 	}
 }
 
+// TestStoresReportDisjointBuilds: each store's builds report into its own
+// registry only. Two stores in one process count disjoint model builds
+// and evaluated states, and a one-shot build between them, in no build
+// context, moves neither store's counters.
+func TestStoresReportDisjointBuilds(t *testing.T) {
+	t.Parallel()
+	specs := storeSpecs(2)
+	type counts struct{ builds, states int64 }
+	newStore := func() (*Store, func() counts) {
+		reg := telemetry.NewRegistry()
+		return NewStore(4, 0, reg), func() counts {
+			return counts{
+				builds: reg.Histogram("model_build_ms", telemetry.MillisecondBuckets()).Count(),
+				states: reg.Counter("usum_states_total", "method", "exact").Value(),
+			}
+		}
+	}
+	a, aCounts := newStore()
+	mustGet(t, a, specs[0])
+	afterA := aCounts()
+	if afterA.builds != 2 || afterA.states == 0 {
+		t.Fatalf("first store: %d model builds over %d states; want 2 (M and M₀) that evaluate", afterA.builds, afterA.states)
+	}
+	nc, err := specs[1].BuildConfig(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewCompactModel(nc.Core, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := aCounts(); got != afterA {
+		t.Fatalf("one-shot builds moved the first store's counters from %+v to %+v", afterA, got)
+	}
+	b, bCounts := newStore()
+	if got := bCounts(); got != (counts{}) {
+		t.Fatalf("new store starts at %+v, want zero", got)
+	}
+	mustGet(t, b, specs[1])
+	mustGet(t, b, specs[0])
+	afterB := bCounts()
+	if afterB.builds != 4 || afterB.states <= afterA.states {
+		t.Fatalf("second store: %d model builds over %d states; want 4 over more than the first store's %d", afterB.builds, afterB.states, afterA.states)
+	}
+	if got := aCounts(); got != afterA {
+		t.Fatalf("second store's builds moved the first store's counters from %+v to %+v", afterA, got)
+	}
+}
+
 func TestStoreByteBudget(t *testing.T) {
 	specs := storeSpecs(3)
 	sizes := make([]int64, len(specs))
@@ -149,7 +197,7 @@ func TestStoreByteBudget(t *testing.T) {
 	// A budget for the two most recent models but not all three: the
 	// third insert must evict the oldest.
 	budget := max(sizes[0]+sizes[1], sizes[1]+sizes[2])
-	s := NewStore(100, budget)
+	s := NewStore(100, budget, nil)
 	for _, spec := range specs {
 		mustGet(t, s, spec)
 	}
@@ -162,7 +210,7 @@ func TestStoreByteBudget(t *testing.T) {
 	}
 
 	// A budget below one model still keeps the most recently used entry.
-	tiny := NewStore(100, 1)
+	tiny := NewStore(100, 1, nil)
 	for i, spec := range specs {
 		m := mustGet(t, tiny, spec)
 		st := tiny.Stats()
@@ -180,7 +228,7 @@ func TestStoreCachesBuildError(t *testing.T) {
 	// window, so every sampling attempt fails and BuildConfig errors.
 	spec := storeSpecs(1)[0]
 	spec.Params.AbsenceLo, spec.Params.AbsenceHi = 0.999999, 1
-	s := NewStore(4, 0)
+	s := NewStore(4, 0, nil)
 	_, err1 := s.Get(spec)
 	if err1 == nil {
 		t.Fatal("unsatisfiable spec built a model")
