@@ -94,15 +94,10 @@ func run(args []string) (err error) {
 	if *telOut != "" {
 		reg = telemetry.NewRegistry()
 	}
-	// The model layer's build and evolve instruments land in the same
-	// snapshot as the experiment metrics; the figure and detection runs
-	// resolve them from reg themselves.
-	builds := core.NewBuilds(reg, false)
 
 	params := experiment.DefaultParams()
 	if *scale == "small" {
-		params.NumFlows, params.NumRules, params.MaskBits, params.CacheSize = 8, 6, 3, 3
-		params.WindowSeconds = 5
+		params = experiment.SmallParams()
 	}
 
 	if *all || *latency {
@@ -161,7 +156,8 @@ func run(args []string) (err error) {
 				{Name: *workloadF, Spec: *spec},
 			}
 		}
-		cmp, err := experiment.RunWorkloadComparisonRows(params, *seed, *trials, 2, 200, rows, builds)
+		// The model build's instruments land in reg's snapshot.
+		cmp, err := experiment.RunWorkloadComparisonRows(params, *seed, *trials, 2, 200, rows, core.NewBuilds(reg, false))
 		if err != nil {
 			return fmt.Errorf("workloads: %w", err)
 		}
@@ -173,15 +169,19 @@ func run(args []string) (err error) {
 
 	if *traceF != "" {
 		start := time.Now()
-		spec, err := experiment.TraceSpecForCLI(*traceF, "", 0, 0)
+		trace, err := experiment.TraceSpecForCLI(*traceF, "", 0, 0)
 		if err != nil {
 			return err
 		}
-		results, nc, err := experiment.RunWorkloadsOnTrace(params, spec, *seed, *trials, 2, builds)
+		spec := experiment.RecordingSpec{
+			Params: params, ConfigSeed: *seed, TrialSeed: *seed + 1,
+			Trials: *trials, Probes: 2, Trace: trace,
+		}
+		results, nc, err := experiment.RecordTo(io.Discard, spec, experiment.RunnerOptions{Registry: reg}, 1)
 		if err != nil {
 			return fmt.Errorf("trace replay: %w", err)
 		}
-		fmt.Printf("Ingested-capture attack (%s, sha256 %s…)\n", *traceF, spec.SHA256[:12])
+		fmt.Printf("Ingested-capture attack (%s, sha256 %s…)\n", *traceF, trace.SHA256[:12])
 		fmt.Printf("  target flow %d (fitted λ=%.3f/s), %d trials\n", nc.Target, nc.Rates[nc.Target], *trials)
 		for _, r := range results {
 			fmt.Printf("  %-16s accuracy %5.1f%%  (TP %d TN %d FP %d FN %d)\n",

@@ -86,8 +86,7 @@ func run(args []string) error {
 
 	params := experiment.DefaultParams()
 	if *small {
-		params.NumFlows, params.NumRules, params.MaskBits, params.CacheSize = 8, 6, 3, 3
-		params.WindowSeconds = 5
+		params = experiment.SmallParams()
 	}
 	// Derive both role seeds from the root seed so a recording header
 	// pins everything needed to replay the run bit-for-bit.
@@ -105,10 +104,6 @@ func run(args []string) error {
 		return err
 	}
 	spec.Trace = traceSpec
-	source, err := traceSpec.Source()
-	if err != nil {
-		return err
-	}
 	switch {
 	case *traceF != "":
 		fmt.Printf("traffic: windowed replay of %s (sha256 %s…, rates fitted from the capture)\n", *traceF, traceSpec.SHA256[:12])
@@ -232,31 +227,21 @@ func run(args []string) error {
 	}
 	fmt.Printf("\nrunning %d trials…\n", *trials)
 	reg.SetReady(true) // model fitted; the run is now in its steady phase
+	opts := experiment.RunnerOptions{Registry: reg, Detect: detCfg, Record: *recOut != "", Events: events != nil}
+	runner, err := spec.Runner(nc, attackers, opts)
+	if err != nil {
+		return err
+	}
 	var rec *trialrec.Recorder
 	if *recOut != "" {
-		specJSON, err := json.Marshal(spec)
+		hdr, err := spec.Header(runner)
 		if err != nil {
 			return err
 		}
-		names := make([]string, len(attackers))
-		for i, a := range attackers {
-			names[i] = a.Name()
-		}
-		rec, err = trialrec.Create(*recOut, trialrec.Header{
-			Spec:      specJSON,
-			Seed:      spec.TrialSeed,
-			Trials:    *trials,
-			Attackers: names,
-		})
-		if err != nil {
+		if rec, err = trialrec.Create(*recOut, hdr); err != nil {
 			return err
 		}
 	}
-	opts := experiment.RunnerOptions{Source: source, Registry: reg, Detect: detCfg, Record: rec != nil, Events: events != nil}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
-	}
-	runner := experiment.NewTrialRunner(nc, attackers, spec.Measurement, opts)
 	// The sinks consume the trials in trial order, so every output is
 	// identical at every parallelism.
 	var sinks []func(experiment.TrialResult) error

@@ -15,9 +15,8 @@ import (
 )
 
 func testSpec(trials, probes int) service.SessionSpec {
-	p := experiment.DefaultParams()
-	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
-	p.Delta, p.WindowSeconds = 0.05, 5
+	p := experiment.SmallParams()
+	p.Delta = 0.05
 	return service.SessionSpec{
 		Name: "e2e",
 		Target: experiment.RecordingSpec{

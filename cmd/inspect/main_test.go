@@ -16,11 +16,8 @@ import (
 // its path.
 func recordFixture(t *testing.T, dir string) string {
 	t.Helper()
-	p := experiment.DefaultParams()
-	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
-	p.WindowSeconds = 5
 	spec := experiment.RecordingSpec{
-		Params:      p,
+		Params:      experiment.SmallParams(),
 		ConfigSeed:  11,
 		TrialSeed:   13,
 		Trials:      6,
@@ -33,7 +30,7 @@ func recordFixture(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, _, err := experiment.RecordTo(f, spec, nil); err != nil {
+	if _, _, err := experiment.RecordTo(f, spec, experiment.RunnerOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	return path

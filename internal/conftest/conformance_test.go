@@ -204,10 +204,7 @@ func TestCompactWithinTVDBudget(t *testing.T) {
 // RNG), so each loss level replays the same trials with only the faults
 // changed.
 func TestAccuracyDegradesSmoothlyUnderLoss(t *testing.T) {
-	p := experiment.DefaultParams()
-	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
-	p.WindowSeconds = 5
-	nc, err := experiment.GenerateConfig(p, stats.NewRNG(11))
+	nc, err := experiment.GenerateConfig(experiment.SmallParams(), nil, stats.NewRNG(11), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

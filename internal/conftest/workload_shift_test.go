@@ -1,6 +1,8 @@
 package conftest
 
 import (
+	"fmt"
+	"io"
 	"testing"
 
 	"flowrecon/internal/experiment"
@@ -17,13 +19,6 @@ import (
 // moment, not just the wrong burstiness) or the attack became brittle to
 // traffic shape in a way the paper's robustness story rules out.
 
-func workloadShiftParams() experiment.Params {
-	p := experiment.DefaultParams()
-	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
-	p.WindowSeconds = 5
-	return p
-}
-
 // TestAccuracyDegradesSmoothlyAcrossWorkloads: Poisson vs Pareto vs
 // flash-crowd (plus the other §17 workloads) at equal mean rate, with a
 // per-workload degradation budget. Heavy tails and slow rate modulation
@@ -38,7 +33,7 @@ func workloadShiftParams() experiment.Params {
 // meaningfully above a coin flip. The identical-seed design means the
 // differences are attributable to traffic shape alone.
 func TestAccuracyDegradesSmoothlyAcrossWorkloads(t *testing.T) {
-	cmp, err := experiment.RunWorkloadComparison(workloadShiftParams(), 11, 300, 2, 0)
+	cmp, err := experiment.RunWorkloadComparisonRows(experiment.SmallParams(), 11, 300, 2, 0, experiment.StandardWorkloads(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +70,18 @@ func TestAccuracyDegradesSmoothlyAcrossWorkloads(t *testing.T) {
 // started.
 func TestAccuracyDegradesSmoothlyWithTailIndex(t *testing.T) {
 	alphas := []float64{3.0, 2.5, 2.0, 1.7, 1.5, 1.2}
-	acc, err := experiment.ParetoTailSweep(workloadShiftParams(), 11, 300, 2, alphas)
+	rows := make([]experiment.WorkloadRow, len(alphas))
+	for i, a := range alphas {
+		rows[i] = experiment.WorkloadRow{Name: fmt.Sprintf("pareto(α=%.1f)", a), Spec: experiment.TraceSourceSpec{Kind: "pareto", Alpha: a}}
+	}
+	cmp, err := experiment.RunWorkloadComparisonRows(experiment.SmallParams(), 11, 300, 2, 0, rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range acc {
-		t.Logf("α=%.1f: model accuracy %.3f", alphas[i], a)
+	acc := make([]float64, len(alphas))
+	for i, row := range cmp.Rows {
+		acc[i] = row.ModelAccuracy()
+		t.Logf("α=%.1f: model accuracy %.3f", alphas[i], acc[i])
 	}
 	for i := 1; i < len(acc); i++ {
 		if drop := acc[i-1] - acc[i]; drop > 0.10 {
@@ -111,15 +112,26 @@ func TestAccuracyDegradesSmoothlyWithTailIndex(t *testing.T) {
 //     ≈0.44). That degradation is the point of replaying real captures;
 //     the assertion is only that every trial still gets decided.
 func TestIngestedTraceAttackRuns(t *testing.T) {
-	spec := &experiment.TraceSourceSpec{Kind: "pcap", Path: "../ingest/testdata/golden.pcap", FitRates: true}
-	if err := spec.Pin(); err != nil {
+	trace := &experiment.TraceSourceSpec{Kind: "pcap", Path: "../ingest/testdata/golden.pcap", FitRates: true}
+	if err := trace.Pin(); err != nil {
 		t.Fatal(err)
+	}
+	// The run `experiments -trace` makes: configuration seed s, trial
+	// seed s+1, two probes.
+	run := func(seed int64) ([]experiment.AttackerResult, *experiment.NetworkConfig) {
+		t.Helper()
+		spec := experiment.RecordingSpec{
+			Params: experiment.SmallParams(), ConfigSeed: seed, TrialSeed: seed + 1,
+			Trials: 200, Probes: 2, Trace: trace,
+		}
+		results, nc, err := experiment.RecordTo(io.Discard, spec, experiment.RunnerOptions{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, nc
 	}
 
-	results, nc, err := experiment.RunWorkloadsOnTrace(workloadShiftParams(), spec, 17, 200, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, nc := run(17)
 	model := results[1]
 	t.Logf("ingested capture (seed 17): model accuracy %.3f (target flow %d, rate %.3f/s)",
 		model.Accuracy(), nc.Target, nc.Rates[nc.Target])
@@ -130,10 +142,7 @@ func TestIngestedTraceAttackRuns(t *testing.T) {
 		t.Fatalf("model attacker accuracy %.3f on a detectable-stratum target; want ≥ 0.70", model.Accuracy())
 	}
 
-	results, nc, err = experiment.RunWorkloadsOnTrace(workloadShiftParams(), spec, 11, 200, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, nc = run(11)
 	t.Logf("ingested capture (seed 11): model accuracy %.3f (target flow %d, rate %.3f/s)",
 		results[1].Accuracy(), nc.Target, nc.Rates[nc.Target])
 	for _, r := range results {

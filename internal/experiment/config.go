@@ -67,6 +67,16 @@ func DefaultParams() Params {
 	}
 }
 
+// SmallParams returns the scaled-down configuration (8 flows, 6 rules
+// over 3 mask bits, a 3-entry cache, a 5 s window) whose models build in
+// milliseconds: the CLIs' small scale and the tests' working scale.
+func SmallParams() Params {
+	p := DefaultParams()
+	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
+	p.WindowSeconds = 5
+	return p
+}
+
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if p.NumFlows < 2 || p.NumRules < 1 || p.CacheSize < 1 {
@@ -174,26 +184,21 @@ func (nc *NetworkConfig) OptimalDiffersFromTarget() bool {
 // optimal probe.
 func (nc *NetworkConfig) DetectorViable() bool { return nc.Optimal.DetectorViable() }
 
-// GenerateConfig samples one network configuration: a random rule set, a
-// random rate vector, and a target flow with absence probability in the
-// configured range, then fits the attacker's compact model. It returns an
-// error if no flow qualifies as a target (callers resample).
-func GenerateConfig(p Params, rng *stats.RNG) (*NetworkConfig, error) {
-	return GenerateConfigWithRates(p, nil, rng, nil)
-}
-
 // minFittedRate floors empirical rates so a class that happened to be
 // silent in the fitted capture still has a live Poisson model.
 const minFittedRate = 1e-4
 
-// GenerateConfigWithRates is GenerateConfig with the rate vector fitted
-// from data instead of sampled: flow f takes fitted[f] for f <
-// len(fitted), and flows beyond the fitted classes take the smallest
-// fitted rate. The rule set, target choice and model fit still come from
-// rng with the exact draw sequence of GenerateConfig — nil fitted IS
-// GenerateConfig. Both chains are built in b (nil for none); the
-// configuration does not depend on it.
-func GenerateConfigWithRates(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) (*NetworkConfig, error) {
+// GenerateConfig samples one network configuration: a random rule set, a
+// random rate vector, and a target flow with absence probability in the
+// configured range, then fits the attacker's compact model. It returns an
+// error if no flow qualifies as a target (callers resample).
+//
+// With fitted rates, flow f takes fitted[f] for f < len(fitted), and
+// flows beyond the fitted classes take the smallest fitted rate; the
+// rule set, target choice and model fit still come from rng with the
+// exact draw sequence of a nil fitted. Both chains are built in b (nil
+// for none); the configuration does not depend on it.
+func GenerateConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) (*NetworkConfig, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

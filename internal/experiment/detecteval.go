@@ -206,12 +206,7 @@ func MeasureDetectionLatency(nc *NetworkConfig, cfg detect.Config, meas Measurem
 	var out DetectionOutcome
 
 	fire := func(at float64) {
-		_, hit := tbl.Lookup(probeFlow, at)
-		if !hit {
-			if j, covered := nc.Rules.HighestCovering(probeFlow); covered {
-				tbl.Install(j, at)
-			}
-		}
+		hit := tbl.Packet(probeFlow, at)
 		_, ms := meas.ClassifyMs(hit, rng)
 		det.Observe(int(probeFlow), at, ms, hit)
 		probes++
@@ -241,13 +236,8 @@ func MeasureDetectionLatency(nc *NetworkConfig, cfg detect.Config, meas Measurem
 				nextProbe += paceGap(pace, rng)
 				flagged()
 			}
-			_, hit := tbl.Lookup(a.Flow, at)
+			hit := tbl.Packet(a.Flow, at)
 			det.Observe(int(a.Flow), at, math.NaN(), hit)
-			if !hit {
-				if j, covered := nc.Rules.HighestCovering(a.Flow); covered {
-					tbl.Install(j, at)
-				}
-			}
 		}
 		for nextProbe <= off+horizon && probes < maxProbes && !out.Flagged {
 			fire(nextProbe)
@@ -270,25 +260,25 @@ type StealthRow struct {
 	Session  DetectionOutcome
 }
 
-// StealthTradeoff sweeps stealth pacings over the same configuration:
+// stealthTradeoff sweeps stealth pacings over the same configuration:
 // for each pacing it measures the multi-probe model attacker's residual
-// accuracy (paced probes land later, against a further-decayed table)
-// and the session detection latency at that pace. The zero pacing is
-// the paper's default attacker.
-func StealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, trials, attackProbes, maxProbes int, seed int64, pacings []core.Pacing) ([]StealthRow, error) {
+// accuracy over stealthTrials trials (paced probes land later, against a
+// further-decayed table) and the session detection latency at that pace.
+// The zero pacing is the paper's default attacker.
+func stealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, seed int64, pacings []core.Pacing) ([]StealthRow, error) {
 	rows := make([]StealthRow, 0, len(pacings))
 	for _, pace := range pacings {
-		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), attackProbes)
+		model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), stealthAttackProbes)
 		if err != nil {
 			return nil, err
 		}
 		model.SetPacing(pace)
 		runner := NewTrialRunner(nc, []core.Attacker{model}, meas, RunnerOptions{Detect: &cfg})
-		results, err := runner.RunTrials(trials, seed, 1)
+		results, err := runner.RunTrials(stealthTrials, seed, 1)
 		if err != nil {
 			return nil, err
 		}
-		session, err := MeasureDetectionLatency(nc, cfg, meas, stats.NewRNG(seed+1), pace, maxProbes, nil)
+		session, err := MeasureDetectionLatency(nc, cfg, meas, stats.NewRNG(seed+1), pace, detectMaxProbes, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -404,38 +394,22 @@ type DetectionReport struct {
 	BaselineMatched  detect.Baseline
 	FPRParetoMatched FPRResult
 	Stealth          []StealthRow
-	MaxProbes        int
-	BaselineWindows  int
 }
+
+// The defender evaluation's fixed sizes.
+const (
+	detectBaselineWindows = 40  // benign windows used to train the baseline
+	detectFPRTrials       = 200 // benign-only trials per workload for the FPR
+	detectMaxProbes       = 200 // probe budget per session, the acceptance bound
+	stealthTrials         = 200 // trials per stealth pacing
+	stealthAttackProbes   = 4   // probes per trial for the stealth attacker
+)
 
 // DetectionEvalOptions parameterizes RunDetectionEval.
 type DetectionEvalOptions struct {
-	Params          Params
-	Seed            int64
-	BaselineWindows int // benign windows used to train the baseline (default 40)
-	FPRTrials       int // benign-only trials per workload for the FPR (default 200)
-	MaxProbes       int // probe budget per session (default 200, the acceptance bound)
-	StealthTrials   int // trials per stealth pacing (default 200)
-	AttackProbes    int // probes per trial for the stealth attacker (default 4)
-	Telemetry       *telemetry.Registry
-}
-
-func (o *DetectionEvalOptions) fill() {
-	if o.BaselineWindows == 0 {
-		o.BaselineWindows = 40
-	}
-	if o.FPRTrials == 0 {
-		o.FPRTrials = 200
-	}
-	if o.MaxProbes == 0 {
-		o.MaxProbes = 200
-	}
-	if o.StealthTrials == 0 {
-		o.StealthTrials = 200
-	}
-	if o.AttackProbes == 0 {
-		o.AttackProbes = 4
-	}
+	Params    Params
+	Seed      int64
+	Telemetry *telemetry.Registry
 }
 
 // RunDetectionEval runs the full defender evaluation: train a baseline
@@ -443,42 +417,33 @@ func (o *DetectionEvalOptions) fill() {
 // measure the benign false-positive rate under Poisson and bursty
 // workloads, and sweep the stealth-pacing tradeoff.
 func RunDetectionEval(opts DetectionEvalOptions) (*DetectionReport, error) {
-	opts.fill()
 	rng := stats.NewRNG(opts.Seed)
-	builds := core.NewBuilds(opts.Telemetry, false)
-	var nc *NetworkConfig
-	var err error
-	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err = GenerateConfigWithRates(opts.Params, nil, rng, builds)
-		if err == nil {
-			break
-		}
-	}
+	nc, err := sampleConfig(opts.Params, nil, rng, core.NewBuilds(opts.Telemetry, false))
 	if err != nil {
 		return nil, fmt.Errorf("detect eval config: %w", err)
 	}
 
-	rep := &DetectionReport{MaxProbes: opts.MaxProbes, BaselineWindows: opts.BaselineWindows}
-	rep.Baseline, err = TrainDetectBaseline(nc, opts.BaselineWindows, rng.Fork(), nil)
+	rep := &DetectionReport{}
+	rep.Baseline, err = TrainDetectBaseline(nc, detectBaselineWindows, rng.Fork(), nil)
 	if err != nil {
 		return nil, err
 	}
 	cfg := DetectConfigFor(nc, rep.Baseline)
 	meas := DefaultMeasurement()
 
-	rep.ModelLatency, err = MeasureDetectionLatency(nc, cfg, meas, rng.Fork(), core.Pacing{}, opts.MaxProbes, nil)
+	rep.ModelLatency, err = MeasureDetectionLatency(nc, cfg, meas, rng.Fork(), core.Pacing{}, detectMaxProbes, nil)
 	if err != nil {
 		return nil, err
 	}
-	rep.SimLatency, err = MeasureSimDetection(opts.Seed+100, 0.4, opts.MaxProbes)
+	rep.SimLatency, err = MeasureSimDetection(opts.Seed+100, 0.4, detectMaxProbes)
 	if err != nil {
 		return nil, err
 	}
-	rep.FPRPoisson, err = BenignFPR(nc, cfg, opts.FPRTrials, rng.Fork(), PoissonSource)
+	rep.FPRPoisson, err = BenignFPR(nc, cfg, detectFPRTrials, rng.Fork(), PoissonSource)
 	if err != nil {
 		return nil, err
 	}
-	rep.FPRBursty, err = BenignFPR(nc, cfg, opts.FPRTrials, rng.Fork(), BurstySource(4, 2, 6))
+	rep.FPRBursty, err = BenignFPR(nc, cfg, detectFPRTrials, rng.Fork(), BurstySource(4, 2, 6))
 	if err != nil {
 		return nil, err
 	}
@@ -486,16 +451,16 @@ func RunDetectionEval(opts DetectionEvalOptions) (*DetectionReport, error) {
 	// trained on Poisson traffic, so these rows measure how much the
 	// defender's false-positive budget erodes when reality is heavy-tailed
 	// or spiky — the deployment-honesty number.
-	rep.FPRPareto, err = BenignFPR(nc, cfg, opts.FPRTrials, rng.Fork(), ParetoSource(1.5))
+	rep.FPRPareto, err = BenignFPR(nc, cfg, detectFPRTrials, rng.Fork(), ParetoSource(1.5))
 	if err != nil {
 		return nil, err
 	}
-	rep.FPRLogNormal, err = BenignFPR(nc, cfg, opts.FPRTrials, rng.Fork(), LogNormalSource(1.5))
+	rep.FPRLogNormal, err = BenignFPR(nc, cfg, detectFPRTrials, rng.Fork(), LogNormalSource(1.5))
 	if err != nil {
 		return nil, err
 	}
 	horizon := float64(nc.Params.Steps()) * nc.Params.Delta
-	rep.FPRFlash, err = BenignFPR(nc, cfg, opts.FPRTrials, rng.Fork(),
+	rep.FPRFlash, err = BenignFPR(nc, cfg, detectFPRTrials, rng.Fork(),
 		ModulatedSource(workload.RateProfile{FlashAt: horizon / 3, FlashDur: horizon / 3, FlashFactor: 8}))
 	if err != nil {
 		return nil, err
@@ -504,11 +469,11 @@ func RunDetectionEval(opts DetectionEvalOptions) (*DetectionReport, error) {
 	// interarrivals themselves and measure the same row again. (These
 	// forks come after every mismatched row so the numbers above stay
 	// byte-stable against prior releases.)
-	rep.BaselineMatched, err = TrainDetectBaseline(nc, opts.BaselineWindows, rng.Fork(), ParetoSource(1.5))
+	rep.BaselineMatched, err = TrainDetectBaseline(nc, detectBaselineWindows, rng.Fork(), ParetoSource(1.5))
 	if err != nil {
 		return nil, err
 	}
-	rep.FPRParetoMatched, err = BenignFPR(nc, DetectConfigFor(nc, rep.BaselineMatched), opts.FPRTrials, rng.Fork(), ParetoSource(1.5))
+	rep.FPRParetoMatched, err = BenignFPR(nc, DetectConfigFor(nc, rep.BaselineMatched), detectFPRTrials, rng.Fork(), ParetoSource(1.5))
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +481,7 @@ func RunDetectionEval(opts DetectionEvalOptions) (*DetectionReport, error) {
 	// has CV = J/(√12·(1+J/2)), which crosses the 0.3 regularity
 	// threshold only near J ≈ 3. The sweep therefore pairs slowing (rate
 	// evasion) with deep jitter (regularity evasion).
-	rep.Stealth, err = StealthTradeoff(nc, cfg, meas, opts.StealthTrials, opts.AttackProbes, opts.MaxProbes, opts.Seed+200, []core.Pacing{
+	rep.Stealth, err = stealthTradeoff(nc, cfg, meas, opts.Seed+200, []core.Pacing{
 		{},
 		{IntervalSec: 5, JitterFrac: 1.0},
 		{IntervalSec: 30, JitterFrac: 1.0},
@@ -538,8 +503,8 @@ func WriteDetection(w io.Writer, rep *DetectionReport) error {
 		return err
 	}
 	p("  baseline: %d benign windows, default rate %.3f/s, miss frac %.3f\n",
-		rep.BaselineWindows, rep.Baseline.DefaultRate, rep.Baseline.MissFrac)
-	p("  detection latency (budget %d probes):\n", rep.MaxProbes)
+		detectBaselineWindows, rep.Baseline.DefaultRate, rep.Baseline.MissFrac)
+	p("  detection latency (budget %d probes):\n", detectMaxProbes)
 	p("    model substrate:  %s\n", outcomeString(rep.ModelLatency))
 	p("    netsim substrate: %s\n", outcomeString(rep.SimLatency))
 	p("  benign false-positive rate:\n")

@@ -32,11 +32,10 @@ func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism 
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
 	agg := detect.New(cfg)
-	opts := RunnerOptions{Events: true, Detect: &cfg}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
+	runner, err := spec.Runner(nc, attackers, RunnerOptions{Events: true, Detect: &cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
 	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, appendEvents(events), func(res TrialResult) error {
 		for _, d := range res.Detectors {
 			agg.Merge(d)
@@ -349,14 +348,12 @@ func TestPacingOffIsByteCompatible(t *testing.T) {
 // synthetic report.
 func TestWriteDetection(t *testing.T) {
 	rep := &DetectionReport{
-		Baseline:        detect.Baseline{DefaultRate: 0.4, MissFrac: 0.3},
-		ModelLatency:    DetectionOutcome{Flagged: true, Probes: 17, Seconds: 12, Reason: detect.ReasonRate, Score: 1.4},
-		SimLatency:      DetectionOutcome{Flagged: true, Probes: 25, Seconds: 30, Reason: detect.ReasonRegularity, Score: 1.1},
-		FPRPoisson:      FPRResult{Trials: 10, Sources: 80, Flagged: 0},
-		FPRBursty:       FPRResult{Trials: 10, Sources: 80, Flagged: 1},
-		Stealth:         []StealthRow{{Label: "default", Accuracy: 0.9, Session: DetectionOutcome{Flagged: true, Probes: 17}}},
-		MaxProbes:       200,
-		BaselineWindows: 40,
+		Baseline:     detect.Baseline{DefaultRate: 0.4, MissFrac: 0.3},
+		ModelLatency: DetectionOutcome{Flagged: true, Probes: 17, Seconds: 12, Reason: detect.ReasonRate, Score: 1.4},
+		SimLatency:   DetectionOutcome{Flagged: true, Probes: 25, Seconds: 30, Reason: detect.ReasonRegularity, Score: 1.1},
+		FPRPoisson:   FPRResult{Trials: 10, Sources: 80, Flagged: 0},
+		FPRBursty:    FPRResult{Trials: 10, Sources: 80, Flagged: 1},
+		Stealth:      []StealthRow{{Label: "default", Accuracy: 0.9, Session: DetectionOutcome{Flagged: true, Probes: 17}}},
 	}
 	var buf bytes.Buffer
 	if err := WriteDetection(&buf, rep); err != nil {

@@ -32,11 +32,10 @@ func eventRun(t *testing.T, spec RecordingSpec, parallelism int) []byte {
 	}
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
-	opts := RunnerOptions{Events: true}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
+	runner, err := spec.Runner(nc, attackers, RunnerOptions{Events: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
 	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, appendEvents(events)); err != nil {
 		t.Fatal(err)
 	}

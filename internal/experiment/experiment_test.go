@@ -83,7 +83,7 @@ func TestParamsSteps(t *testing.T) {
 
 func TestGenerateConfig(t *testing.T) {
 	p := tinyParams()
-	nc, err := GenerateConfig(p, stats.NewRNG(5))
+	nc, err := GenerateConfig(p, nil, stats.NewRNG(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestGenerateConfig(t *testing.T) {
 
 func TestGenerateConfigDeterministic(t *testing.T) {
 	p := tinyParams()
-	a, err := GenerateConfig(p, stats.NewRNG(7))
+	a, err := GenerateConfig(p, nil, stats.NewRNG(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateConfig(p, stats.NewRNG(7))
+	b, err := GenerateConfig(p, nil, stats.NewRNG(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMeasurementClassify(t *testing.T) {
 
 func TestRunTrialsAccounting(t *testing.T) {
 	p := tinyParams()
-	nc, err := GenerateConfig(p, stats.NewRNG(5))
+	nc, err := GenerateConfig(p, nil, stats.NewRNG(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestNaiveAttackerBeatsCoinFlipOnViableConfig(t *testing.T) {
 	rng := stats.NewRNG(21)
 	var nc *NetworkConfig
 	for i := 0; i < 200; i++ {
-		cand, err := GenerateConfig(p, rng.Fork())
+		cand, err := GenerateConfig(p, nil, rng.Fork(), nil)
 		if err != nil {
 			continue
 		}
@@ -382,7 +382,7 @@ func TestImprovementQuantiles(t *testing.T) {
 func TestModelJointMatchesEmpirical(t *testing.T) {
 	p := tinyParams()
 	p.Delta = 0.05 // halve the step so ΣλΔ ≈ 0.2: the chain's regime
-	nc, err := GenerateConfig(p, stats.NewRNG(21))
+	nc, err := GenerateConfig(p, nil, stats.NewRNG(21), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestModelJointMatchesEmpirical(t *testing.T) {
 
 func TestRunTrialsWithAlternativeSources(t *testing.T) {
 	p := tinyParams()
-	nc, err := GenerateConfig(p, stats.NewRNG(5))
+	nc, err := GenerateConfig(p, nil, stats.NewRNG(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"testing"
 
 	"flowrecon/internal/faults"
@@ -21,44 +19,6 @@ func chaosSpec() RecordingSpec {
 	return spec
 }
 
-// recordWith is RecordTo with explicit RunnerOptions, for tests that need
-// to vary the options against an identical header.
-func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts RunnerOptions) []AttackerResult {
-	t.Helper()
-	nc, err := spec.BuildConfig(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attackers, err := StandardAttackers(nc, spec.Probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(attackers))
-	for i, a := range attackers {
-		names[i] = a.Name()
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, trialrec.Header{
-		Spec: specJSON, Seed: spec.TrialSeed, Trials: spec.Trials, Attackers: names,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Record = true
-	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
-	results, err := runner.RunTrials(spec.Trials, spec.TrialSeed, 1, RecordTrials(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return results
-}
-
 // TestFaultsDisabledIsByteIdentical: a fault profile with a seed but no
 // active knob must leave the run untouched — byte-for-byte the same
 // recording as no profile at all. This is the guarantee that keeps
@@ -66,8 +26,12 @@ func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts RunnerOption
 func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 	spec := smallSpec()
 	var clean, disabled bytes.Buffer
-	recordWith(t, &clean, spec, RunnerOptions{})
-	recordWith(t, &disabled, spec, RunnerOptions{Faults: faults.Profile{Seed: 99}})
+	if _, _, err := RecordTo(&clean, spec, RunnerOptions{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecordTo(&disabled, spec, RunnerOptions{Faults: faults.Profile{Seed: 99}}, 1); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(clean.Bytes(), disabled.Bytes()) {
 		t.Fatal("zero-knob fault profile perturbed the recording bytes")
 	}
@@ -80,11 +44,11 @@ func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 func TestChaosRecordingDeterminism(t *testing.T) {
 	spec := chaosSpec()
 	var a, b bytes.Buffer
-	resA, _, err := RecordTo(&a, spec, nil)
+	resA, _, err := RecordTo(&a, spec, RunnerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RecordTo(&b, spec, nil); err != nil {
+	if _, _, err := RecordTo(&b, spec, RunnerOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -156,7 +120,10 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Faults: *spec.Faults})
+		runner, err := spec.Runner(nc, attackers, RunnerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +145,7 @@ func TestChaosTelemetry(t *testing.T) {
 	spec := chaosSpec()
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	if _, _, err := RecordTo(&buf, spec, reg); err != nil {
+	if _, _, err := RecordTo(&buf, spec, RunnerOptions{Registry: reg}, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -195,7 +162,7 @@ func TestChaosTelemetry(t *testing.T) {
 func TestChaosSpecRoundTrip(t *testing.T) {
 	spec := chaosSpec()
 	var buf bytes.Buffer
-	if _, _, err := RecordTo(&buf, spec, nil); err != nil {
+	if _, _, err := RecordTo(&buf, spec, RunnerOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := trialrec.Read(bytes.NewReader(buf.Bytes()))

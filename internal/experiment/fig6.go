@@ -139,7 +139,7 @@ func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
 	window := 2 * workers
 	builds := core.NewBuilds(opts.Telemetry, false)
 	pool := startSamplerPool(workers, window, func(job attemptJob) attemptResult {
-		nc, err := GenerateConfigWithRates(opts.Params.WithStratum(job.attempt), nil, stats.NewRNG(job.seed), builds)
+		nc, err := GenerateConfig(opts.Params.WithStratum(job.attempt), nil, stats.NewRNG(job.seed), builds)
 		if err != nil || !accept(nc) {
 			nc = nil // an unlucky sample (e.g. no eligible target) or outside the population
 		}

@@ -72,15 +72,6 @@ type FleetOptions struct {
 	Seed int64
 	// Horizon is the background-traffic window per trial (seconds).
 	Horizon float64
-	// Rate is the target flow's Poisson rate (arrivals/second).
-	Rate float64
-	// Capacity is the per-switch flow-table capacity.
-	Capacity int
-	// StepSec is the table timestep; rule idle timeout is
-	// TimeoutSteps·StepSec.
-	StepSec float64
-	// TimeoutSteps is the covering rules' idle timeout in steps.
-	TimeoutSteps int
 	// Faults, when enabled, injects per-packet loss/jitter/stall faults
 	// into the fabric. Per-trial substreams derive from Faults.Seed and
 	// the trial index, never from the shard layout.
@@ -95,21 +86,26 @@ type FleetOptions struct {
 	Recorder *trialrec.Recorder
 }
 
+// The fleet scenario's switch and traffic parameters: paper-calibrated
+// tables (a 0.5 s idle timeout) and a target flow whose duty cycle keeps
+// truth near 50/50.
+const (
+	fleetRate         = 1.5 // the target flow's Poisson rate (arrivals/second)
+	fleetCapacity     = 8   // per-switch flow-table capacity
+	fleetStepSec      = 0.1 // table timestep (seconds)
+	fleetTimeoutSteps = 5   // the covering rules' idle timeout in steps
+)
+
 // DefaultFleetOptions returns a runnable small-fleet configuration: a
-// k=4 fat-tree, paper-calibrated table parameters (0.5 s idle timeout),
-// and a target flow whose duty cycle keeps truth near 50/50.
+// k=4 fat-tree, 20 trials of a 4 s traffic window each.
 func DefaultFleetOptions() FleetOptions {
 	return FleetOptions{
-		Topo:         "fattree",
-		Switches:     20,
-		Shards:       1,
-		Trials:       20,
-		Seed:         1,
-		Horizon:      4.0,
-		Rate:         1.5,
-		Capacity:     8,
-		StepSec:      0.1,
-		TimeoutSteps: 5,
+		Topo:     "fattree",
+		Switches: 20,
+		Shards:   1,
+		Trials:   20,
+		Seed:     1,
+		Horizon:  4.0,
 	}
 }
 
@@ -221,8 +217,8 @@ func newFleetLayout(o FleetOptions) (*fleetLayout, error) {
 	l.univ.Add("f_probeD", flows.FiveTuple{Src: base + 0, Dst: base + 4, Proto: flows.ProtoICMP})
 
 	l.policy, err = rules.NewSet([]rules.Rule{
-		{Name: "r_tgt", Cover: flows.SetOf(fleetFlowTarget, fleetFlowProbeB, fleetFlowProbeD), Priority: 2, Timeout: o.TimeoutSteps},
-		{Name: "r_warm", Cover: flows.SetOf(fleetFlowWarm, fleetFlowProbeB, fleetFlowProbeD), Priority: 1, Timeout: o.TimeoutSteps},
+		{Name: "r_tgt", Cover: flows.SetOf(fleetFlowTarget, fleetFlowProbeB, fleetFlowProbeD), Priority: 2, Timeout: fleetTimeoutSteps},
+		{Name: "r_warm", Cover: flows.SetOf(fleetFlowWarm, fleetFlowProbeB, fleetFlowProbeD), Priority: 1, Timeout: fleetTimeoutSteps},
 	})
 	if err != nil {
 		return nil, err
@@ -235,8 +231,8 @@ func newFleetLayout(o FleetOptions) (*fleetLayout, error) {
 func (l *fleetLayout) build(o FleetOptions, fleetSeed int64, prof faults.Profile, det *detect.Detector) (*netsim.Fleet, error) {
 	f, err := netsim.NewFleet(netsim.FleetConfig{
 		Topo:     l.topo,
-		Capacity: o.Capacity,
-		StepSec:  o.StepSec,
+		Capacity: fleetCapacity,
+		StepSec:  fleetStepSec,
 		Ctrl:     netsim.NewControllerModel(l.policy, controller.Options{}),
 		Universe: l.univ,
 		Shards:   o.Shards,
@@ -288,7 +284,7 @@ func RunFleetTrials(opts FleetOptions) (FleetOutcome, error) {
 	}
 	out.Switches = len(layout.topo.Switches)
 	out.Result.Name = FleetAttackerName
-	idle := float64(opts.TimeoutSteps) * opts.StepSec
+	idle := fleetTimeoutSteps * fleetStepSec
 	faulty := opts.Faults.Enabled()
 
 	for trial := 0; trial < opts.Trials; trial++ {
@@ -303,7 +299,7 @@ func RunFleetTrials(opts FleetOptions) (FleetOutcome, error) {
 			det = detect.New(*opts.Detect)
 		}
 		trace, err := workload.GeneratePoisson(workload.PoissonConfig{
-			Rates: []float64{opts.Rate}, Duration: opts.Horizon,
+			Rates: []float64{fleetRate}, Duration: opts.Horizon,
 		}, stats.NewRNG(traceSeed))
 		if err != nil {
 			return out, err

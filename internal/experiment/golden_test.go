@@ -29,7 +29,7 @@ func checkGolden(t *testing.T, name string, spec RecordingSpec) {
 	t.Helper()
 	path := goldenPath(name)
 	var fresh bytes.Buffer
-	if _, _, err := RecordTo(&fresh, spec, nil); err != nil {
+	if _, _, err := RecordTo(&fresh, spec, RunnerOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {

@@ -53,12 +53,12 @@ func TestGoldenParetoRecording(t *testing.T) {
 func TestIngestRecordingParallelismInvariant(t *testing.T) {
 	spec := pcapSpec(t)
 	var serial bytes.Buffer
-	if _, _, err := RecordToParallel(&serial, spec, nil, 1); err != nil {
+	if _, _, err := RecordTo(&serial, spec, RunnerOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{4, 8} {
 		var buf bytes.Buffer
-		if _, _, err := RecordToParallel(&buf, spec, nil, par); err != nil {
+		if _, _, err := RecordTo(&buf, spec, RunnerOptions{}, par); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(serial.Bytes(), buf.Bytes()) {

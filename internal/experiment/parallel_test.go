@@ -13,31 +13,9 @@ import (
 // returns the raw recording bytes plus the aggregate results.
 func recordRun(t *testing.T, spec RecordingSpec, parallelism int) ([]byte, []AttackerResult) {
 	t.Helper()
-	nc, err := spec.BuildConfig(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attackers, err := StandardAttackers(nc, spec.Probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(attackers))
-	for i, a := range attackers {
-		names[i] = a.Name()
-	}
 	var buf bytes.Buffer
-	rec, err := trialrec.NewRecorder(&buf, trialrec.Header{
-		Seed: spec.TrialSeed, Trials: spec.Trials, Attackers: names,
-	})
+	results, _, err := RecordTo(&buf, spec, RunnerOptions{}, parallelism)
 	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Record: true})
-	results, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, RecordTrials(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), results

@@ -9,7 +9,6 @@ import (
 	"flowrecon/internal/core"
 	"flowrecon/internal/faults"
 	"flowrecon/internal/stats"
-	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
 )
 
@@ -77,9 +76,26 @@ func (s RecordingSpec) Validate() error {
 // sequence, and the paper's attacker sends one or two probes.
 const MaxSequenceProbes = 8
 
-// maxConfigAttempts bounds the deterministic resampling loop in
-// BuildConfig (GenerateConfig fails when no flow qualifies as a target).
+// maxConfigAttempts bounds sampleConfig's resampling loop (GenerateConfig
+// fails when no flow qualifies as a target).
 const maxConfigAttempts = 64
+
+// sampleConfig draws configurations from rng until one has a qualifying
+// target, at most maxConfigAttempts times. Every attempt draws from rng,
+// so the (attempt count, configuration) pair and rng's state afterwards
+// are pure functions of rng's state before; callers that fork rng later
+// rely on that. Models are built in b (nil for none).
+func sampleConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) (*NetworkConfig, error) {
+	var lastErr error
+	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
+		nc, err := GenerateConfig(p, fitted, rng, b)
+		if err == nil {
+			return nc, nil
+		}
+		lastErr = err
+	}
+	return nil, fmt.Errorf("experiment: no viable configuration after %d attempts: %w", maxConfigAttempts, lastErr)
+}
 
 // BuildConfig regenerates the network configuration from the spec. The
 // sampler draws from a single stream seeded with ConfigSeed and resamples
@@ -101,16 +117,46 @@ func (s RecordingSpec) BuildConfig(b *core.Builds) (*NetworkConfig, error) {
 		}
 		fitted = res.Rates
 	}
-	rng := stats.NewRNG(s.ConfigSeed)
-	var lastErr error
-	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err := GenerateConfigWithRates(s.Params, fitted, rng, b)
-		if err == nil {
-			return nc, nil
-		}
-		lastErr = err
+	return sampleConfig(s.Params, fitted, stats.NewRNG(s.ConfigSeed), b)
+}
+
+// Runner builds the spec's trial runner over nc, the configuration
+// BuildConfig regenerated, and attackers. It is the one place a spec
+// becomes a runner: the trials replay the spec's traffic source
+// (opts.Source is replaced), a spec's own fault profile replaces the
+// default profile in opts.Faults, and a zero Measurement means
+// DefaultMeasurement. opts carries everything else (telemetry,
+// detection, recording, events).
+func (s RecordingSpec) Runner(nc *NetworkConfig, attackers []core.Attacker, opts RunnerOptions) (*TrialRunner, error) {
+	source, err := s.Trace.Source()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("experiment: no viable configuration after %d attempts: %w", maxConfigAttempts, lastErr)
+	opts.Source = source
+	if s.Faults != nil {
+		opts.Faults = *s.Faults
+	}
+	meas := s.Measurement
+	if meas == (Measurement{}) {
+		meas = DefaultMeasurement()
+	}
+	return NewTrialRunner(nc, attackers, meas, opts), nil
+}
+
+// Header returns the header of a recording of the spec run by r: the
+// spec itself, so the recording replays from the file alone, its trial
+// seed and count, and r's roster.
+func (s RecordingSpec) Header(r *TrialRunner) (trialrec.Header, error) {
+	specJSON, err := json.Marshal(s)
+	if err != nil {
+		return trialrec.Header{}, err
+	}
+	return trialrec.Header{
+		Spec:      specJSON,
+		Seed:      s.TrialSeed,
+		Trials:    s.Trials,
+		Attackers: r.Names(),
+	}, nil
 }
 
 // StandardAttackers builds the canonical roster the CLI and the figures
@@ -135,23 +181,16 @@ func StandardAttackers(nc *NetworkConfig, probes int) ([]core.Attacker, error) {
 	}, nil
 }
 
-// RecordTo executes the spec and streams the recording to w (which is
-// not closed). reg optionally receives the run's telemetry, the model
-// build's among it. It returns the per-attacker results alongside the
-// regenerated configuration.
-func RecordTo(w io.Writer, spec RecordingSpec, reg *telemetry.Registry) ([]AttackerResult, *NetworkConfig, error) {
-	return RecordToParallel(w, spec, reg, 1)
-}
-
-// RecordToParallel is RecordTo on a worker pool. Recordings are assembled
-// in strict trial order whatever the parallelism, so the output bytes are
-// identical at every level — which the golden tests pin.
-func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, parallelism int) ([]AttackerResult, *NetworkConfig, error) {
-	nc, err := spec.BuildConfig(core.NewBuilds(reg, false))
-	if err != nil {
-		return nil, nil, err
-	}
-	source, err := spec.Trace.Source()
+// RecordTo executes the spec with the standard roster and streams the
+// recording to w (which is not closed). opts are the runner options
+// (Runner overrides their source and, for a spec with faults, their
+// fault profile; Record is implied), and opts.Registry also receives the
+// model build's telemetry. Trials run on parallelism workers; recordings
+// are assembled in strict trial order, so the output bytes are identical
+// at every level, which the golden tests pin. It returns the
+// per-attacker results alongside the regenerated configuration.
+func RecordTo(w io.Writer, spec RecordingSpec, opts RunnerOptions, parallelism int) ([]AttackerResult, *NetworkConfig, error) {
+	nc, err := spec.BuildConfig(core.NewBuilds(opts.Registry, false))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,28 +198,19 @@ func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, 
 	if err != nil {
 		return nil, nil, err
 	}
-	names := make([]string, len(attackers))
-	for i, a := range attackers {
-		names[i] = a.Name()
-	}
-	specJSON, err := json.Marshal(spec)
+	opts.Record = true
+	runner, err := spec.Runner(nc, attackers, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, trialrec.Header{
-		Spec:      specJSON,
-		Seed:      spec.TrialSeed,
-		Trials:    spec.Trials,
-		Attackers: names,
-	})
+	hdr, err := spec.Header(runner)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := RunnerOptions{Source: source, Registry: reg, Record: true}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
+	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, hdr)
+	if err != nil {
+		return nil, nil, err
 	}
-	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
 	results, err := runner.RunTrials(spec.Trials, spec.TrialSeed, parallelism, RecordTrials(rec))
 	if err != nil {
 		rec.Close()
@@ -216,7 +246,7 @@ func Replay(rec *trialrec.Recording) (*trialrec.Recording, []AttackerResult, err
 		return nil, nil, err
 	}
 	var buf bytes.Buffer
-	results, _, err := RecordTo(&buf, spec, nil)
+	results, _, err := RecordTo(&buf, spec, RunnerOptions{}, 1)
 	if err != nil {
 		return nil, nil, err
 	}

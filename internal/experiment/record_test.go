@@ -10,11 +10,8 @@ import (
 )
 
 func smallSpec() RecordingSpec {
-	p := DefaultParams()
-	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
-	p.WindowSeconds = 5
 	return RecordingSpec{
-		Params:      p,
+		Params:      SmallParams(),
 		ConfigSeed:  11,
 		TrialSeed:   13,
 		Trials:      6,
@@ -26,11 +23,11 @@ func smallSpec() RecordingSpec {
 func TestRecordReplayDeterminism(t *testing.T) {
 	spec := smallSpec()
 	var a, b bytes.Buffer
-	resA, _, err := RecordTo(&a, spec, nil)
+	resA, _, err := RecordTo(&a, spec, RunnerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, _, err := RecordTo(&b, spec, nil)
+	resB, _, err := RecordTo(&b, spec, RunnerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 func TestRecordingContents(t *testing.T) {
 	spec := smallSpec()
 	var buf bytes.Buffer
-	results, nc, err := RecordTo(&buf, spec, nil)
+	results, nc, err := RecordTo(&buf, spec, RunnerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +157,7 @@ func TestRecorderDoesNotPerturbOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	recorded, _, err := RecordTo(&buf, spec, nil)
+	recorded, _, err := RecordTo(&buf, spec, RunnerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,7 +258,7 @@ func (r *TrialRunner) Run(trial int, seed int64) (TrialResult, error) {
 		sc.observeReplay(det)
 		spans.End(replaySpan, r.horizon)
 		probes := a.Probes()
-		outcomes, lost := probeTable(r.nc, tbl, probes, r.horizon, r.meas, rng, flt, &r.tm, obs, det, pace)
+		outcomes, lost := probeTable(tbl, probes, r.horizon, r.meas, rng, flt, &r.tm, obs, det, pace)
 		var verdict bool
 		if lt, ok := a.(core.LossTolerant); ok && anyLost(lost) {
 			verdict = lt.DecideWithLoss(outcomes, lost, rng)

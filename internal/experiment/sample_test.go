@@ -68,7 +68,7 @@ func sampleFigureSerial(opts FigureOptions, accept func(*NetworkConfig) bool,
 	roster func(*NetworkConfig) ([]core.Attacker, error)) (outcomes []ConfigOutcome, attempted int, err error) {
 	rng := stats.NewRNG(opts.Seed)
 	for ; attempted < opts.MaxAttempts && len(outcomes) < opts.Configs; attempted++ {
-		nc, err := GenerateConfig(opts.Params.WithStratum(attempted), rng.Fork())
+		nc, err := GenerateConfig(opts.Params.WithStratum(attempted), nil, rng.Fork(), nil)
 		if err != nil || !accept(nc) {
 			continue
 		}
@@ -146,7 +146,7 @@ func TestSampleFigureParallelIdentical(t *testing.T) {
 			var serial figureRun
 			for _, par := range []int{1, 2, 3, 8} {
 				opts := FigureOptions{
-					Params:          smallScaleParams(),
+					Params:          SmallParams(),
 					Configs:         c.configs,
 					TrialsPerConfig: 20,
 					MaxAttempts:     c.maxAttempts,
@@ -206,7 +206,7 @@ func TestSampleFigureParallelIdentical(t *testing.T) {
 		boom := errors.New("roster failed")
 		serial := -1
 		for _, par := range []int{1, 2, 8} {
-			opts := FigureOptions{Params: smallScaleParams(), Configs: 10, TrialsPerConfig: 5, MaxAttempts: 4000, Seed: 3, Parallelism: par}
+			opts := FigureOptions{Params: SmallParams(), Configs: 10, TrialsPerConfig: 5, MaxAttempts: 4000, Seed: 3, Parallelism: par}
 			_, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable,
 				func(*NetworkConfig) ([]core.Attacker, error) { return nil, boom })
 			if !errors.Is(err, boom) {

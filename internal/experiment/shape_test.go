@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-// smallScaleParams are the parameters of `experiments -scale small`:
-// 8 flows, 6 rules over 3 mask bits, cache 3, a 5 s window.
-func smallScaleParams() Params {
-	p := DefaultParams()
-	p.NumFlows, p.NumRules, p.MaskBits, p.CacheSize = 8, 6, 3, 3
-	p.WindowSeconds = 5
-	return p
-}
-
 // modelAccuracy returns the accuracy of the bucket's model attacker: the
 // one named neither "naive" nor "random".
 func modelAccuracy(t *testing.T, acc map[string]float64) float64 {
@@ -41,7 +32,7 @@ func TestFig7ShapeSmallScale(t *testing.T) {
 	const within = 0.04
 	for _, seed := range []int64{1, 2} {
 		res, err := RunFig7(FigureOptions{
-			Params:          smallScaleParams(),
+			Params:          SmallParams(),
 			Configs:         40,
 			TrialsPerConfig: 100,
 			MaxAttempts:     4000,
@@ -90,7 +81,7 @@ func TestFig6MeanImprovementSmallScale(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		res, err := RunFig6(FigureOptions{
-			Params:          smallScaleParams(),
+			Params:          SmallParams(),
 			Configs:         40,
 			TrialsPerConfig: 100,
 			MaxAttempts:     4000,

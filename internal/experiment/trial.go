@@ -227,13 +227,7 @@ func (sc *trialScratch) replay(nc *NetworkConfig, trace *workload.Trace, tm flow
 	sc.arrivals = trace.AppendArrivals(sc.arrivals[:0])
 	sc.hits = sc.hits[:0]
 	for _, a := range sc.arrivals {
-		_, hit := tbl.Lookup(a.Flow, a.Time)
-		sc.hits = append(sc.hits, hit)
-		if !hit {
-			if j, covered := nc.Rules.HighestCovering(a.Flow); covered {
-				tbl.Install(j, a.Time)
-			}
-		}
+		sc.hits = append(sc.hits, tbl.Packet(a.Flow, a.Time))
 	}
 	return nil
 }
@@ -284,7 +278,7 @@ func paceGap(pace core.Pacing, rng *stats.RNG) float64 {
 // time plus i accumulated pace gaps instead of back-to-back at a single
 // instant; the pacing jitter draws come from the trial RNG but only for
 // paced attackers, so every existing schedule is byte-unchanged.
-func probeTable(nc *NetworkConfig, tbl *flowtable.Table, probes []flows.ID, at float64, meas Measurement, rng *stats.RNG, flt *faults.Stream, tm *trialMetrics, obs *probeObserver, det *detect.Detector, pace core.Pacing) (outcomes, lost []bool) {
+func probeTable(tbl *flowtable.Table, probes []flows.ID, at float64, meas Measurement, rng *stats.RNG, flt *faults.Stream, tm *trialMetrics, obs *probeObserver, det *detect.Detector, pace core.Pacing) (outcomes, lost []bool) {
 	outcomes = make([]bool, len(probes))
 	if flt != nil {
 		lost = make([]bool, len(probes))
@@ -300,12 +294,7 @@ func probeTable(nc *NetworkConfig, tbl *flowtable.Table, probes []flows.ID, at f
 			obs.observeLost(f, t)
 			continue
 		}
-		_, hit := tbl.Lookup(f, t)
-		if !hit {
-			if j, covered := nc.Rules.HighestCovering(f); covered {
-				tbl.Install(j, t)
-			}
-		}
+		hit := tbl.Packet(f, t)
 		verdict, ms := meas.ClassifyMs(hit, rng)
 		if flt != nil {
 			if j := flt.JitterMs(); j > 0 {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"flowrecon/internal/core"
+	"flowrecon/internal/detect"
 	"flowrecon/internal/stats"
 )
 
@@ -60,46 +61,39 @@ func StandardWorkloads() []WorkloadRow {
 	}
 }
 
-// RunWorkloadComparison runs the identical attack against every
-// workload. Each row re-seeds the trial loop with the same seed, so the
-// rows differ only in the traffic the windows contain; the per-row FPR
-// reuses a Poisson-trained detector baseline, matching how a deployed
-// defender would actually be provisioned.
-func RunWorkloadComparison(p Params, seed int64, trials, probes, fprTrials int) (*WorkloadComparison, error) {
-	return RunWorkloadComparisonRows(p, seed, trials, probes, fprTrials, StandardWorkloads(), nil)
-}
-
-// RunWorkloadComparisonRows is RunWorkloadComparison over an explicit
-// row set (the -workload CLI flag compares Poisson against one chosen
-// shape instead of the whole roster), with its model built in b (nil for
-// none).
+// RunWorkloadComparisonRows runs the identical attack against every
+// row's workload (StandardWorkloads for the §17 roster; the -workload CLI
+// flag compares Poisson against one chosen shape), with its model built
+// in b (nil for none). Each row re-seeds the trial loop with the same
+// seed, so the rows differ only in the traffic the windows contain; the
+// per-row FPR (fprTrials benign windows, none when 0) reuses a
+// Poisson-trained detector baseline, matching how a deployed defender
+// would actually be provisioned.
 func RunWorkloadComparisonRows(p Params, seed int64, trials, probes, fprTrials int, rows []WorkloadRow, b *core.Builds) (*WorkloadComparison, error) {
 	rng := stats.NewRNG(seed)
-	var nc *NetworkConfig
-	var err error
-	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err = GenerateConfigWithRates(p, nil, rng, b)
-		if err == nil {
-			break
-		}
-	}
+	nc, err := sampleConfig(p, nil, rng, b)
 	if err != nil {
 		return nil, fmt.Errorf("workload comparison config: %w", err)
 	}
-	baseline, err := TrainDetectBaseline(nc, 40, rng.Fork(), nil)
+	var dcfg detect.Config
+	if fprTrials > 0 {
+		baseline, err := TrainDetectBaseline(nc, detectBaselineWindows, rng.Fork(), nil)
+		if err != nil {
+			return nil, err
+		}
+		dcfg = DetectConfigFor(nc, baseline)
+	}
+	// Attackers keep no state across trials, so one roster serves every
+	// row.
+	attackers, err := StandardAttackers(nc, probes)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := DetectConfigFor(nc, baseline)
 
 	cmp := &WorkloadComparison{Rows: rows, Trials: trials, Probes: probes, Seed: seed, FPRRuns: fprTrials}
 	for i := range cmp.Rows {
 		row := &cmp.Rows[i]
 		source, err := row.Spec.Source()
-		if err != nil {
-			return nil, err
-		}
-		attackers, err := StandardAttackers(nc, probes)
 		if err != nil {
 			return nil, err
 		}
@@ -116,69 +110,6 @@ func RunWorkloadComparisonRows(p Params, seed int64, trials, probes, fprTrials i
 		}
 	}
 	return cmp, nil
-}
-
-// ParetoTailSweep reruns the model attacker over a deepening Pareto tail
-// (α falling toward 1) on one fixed configuration — the §17 degradation
-// envelope. Returned accuracies are index-aligned with alphas.
-func ParetoTailSweep(p Params, seed int64, trials, probes int, alphas []float64) ([]float64, error) {
-	rng := stats.NewRNG(seed)
-	var nc *NetworkConfig
-	var err error
-	for attempt := 0; attempt < maxConfigAttempts; attempt++ {
-		nc, err = GenerateConfig(p, rng)
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tail sweep config: %w", err)
-	}
-	acc := make([]float64, len(alphas))
-	for i, alpha := range alphas {
-		attackers, err := StandardAttackers(nc, probes)
-		if err != nil {
-			return nil, err
-		}
-		runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: ParetoSource(alpha)})
-		res, err := runner.RunTrials(trials, seed+1, 1)
-		if err != nil {
-			return nil, err
-		}
-		acc[i] = res[1].Accuracy()
-	}
-	return acc, nil
-}
-
-// RunWorkloadsOnTrace runs the attack roster on an ingested capture
-// (windowed replay, rates fitted from the capture) — the real-traffic
-// row of §17. Its model is built in b (nil for none). It returns the
-// per-attacker results and the configuration actually used.
-func RunWorkloadsOnTrace(p Params, spec *TraceSourceSpec, seed int64, trials, probes int, b *core.Builds) ([]AttackerResult, *NetworkConfig, error) {
-	rspec := RecordingSpec{
-		Params: p, ConfigSeed: seed, TrialSeed: seed + 1,
-		Trials: trials, Probes: probes,
-		Measurement: DefaultMeasurement(),
-		Trace:       spec,
-	}
-	nc, err := rspec.BuildConfig(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	source, err := spec.Source()
-	if err != nil {
-		return nil, nil, err
-	}
-	attackers, err := StandardAttackers(nc, probes)
-	if err != nil {
-		return nil, nil, err
-	}
-	runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: source})
-	results, err := runner.RunTrials(trials, rspec.TrialSeed, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, nc, nil
 }
 
 // WriteWorkloads renders the comparison as a text table.

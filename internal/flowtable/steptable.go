@@ -17,7 +17,6 @@ type StepTable struct {
 	capacity int
 	slots    []StepEntry // index 0 is the cache front
 	step     int         // events processed (virtual step index)
-	tm       stepMetrics // resolved telemetry instruments (zero = disabled)
 }
 
 // StepEntry is one (rule, remaining time) cache slot.
@@ -84,8 +83,6 @@ func (t *StepTable) StepTimeout() bool {
 	}
 	t.slots = append(t.slots[:idx], t.slots[idx+1:]...)
 	t.step++
-	t.tm.steps.Inc()
-	t.tm.timeouts.Inc()
 	return true
 }
 
@@ -96,7 +93,6 @@ func (t *StepTable) StepNull() {
 		t.slots[i].Exp--
 	}
 	t.step++
-	t.tm.steps.Inc()
 }
 
 // StepArrival performs the flow-arrival transition for flow f and returns
@@ -109,8 +105,6 @@ func (t *StepTable) StepArrival(f flows.ID) (ruleID int, hit, ok bool) {
 		id := t.slots[slot].RuleID
 		t.applyHit(slot)
 		t.step++
-		t.tm.steps.Inc()
-		t.tm.hits.Inc()
 		return id, true, true
 	}
 	j, covered := t.rules.HighestCovering(f)
@@ -122,8 +116,6 @@ func (t *StepTable) StepArrival(f flows.ID) (ruleID int, hit, ok bool) {
 	}
 	t.applyMiss(j)
 	t.step++
-	t.tm.steps.Inc()
-	t.tm.misses.Inc()
 	return j, false, true
 }
 

@@ -391,6 +391,19 @@ func (t *Table) Lookup(f flows.ID, now float64) (ruleID int, ok bool) {
 	return id, true
 }
 
+// Packet passes one packet of flow f through the reactive switch at time
+// now: a Lookup, and on a miss the controller's answer, the
+// highest-priority rule of the table's set covering f, is installed (an
+// uncovered flow installs nothing). It reports whether the lookup hit.
+func (t *Table) Packet(f flows.ID, now float64) (hit bool) {
+	if _, hit = t.Lookup(f, now); !hit {
+		if j, covered := t.rules.HighestCovering(f); covered {
+			t.Install(j, now)
+		}
+	}
+	return hit
+}
+
 // Install caches ruleID at time now. If the table is full, the entry with
 // the smallest remaining lifetime is evicted first (shortest-time-remaining
 // policy, ties broken towards the smaller rule ID). Installing an

@@ -48,27 +48,3 @@ func (t *Table) SetTelemetry(reg *telemetry.Registry, node string) {
 
 // SetMetrics attaches instruments resolved by NewMetrics.
 func (t *Table) SetMetrics(m Metrics) { t.tm = m }
-
-// SetTelemetry instruments a StepTable with per-step counters for the
-// discrete-time transition relation. node labels the series as in
-// Table.SetTelemetry.
-func (t *StepTable) SetTelemetry(reg *telemetry.Registry, node string) {
-	var labels []string
-	if node != "" {
-		labels = []string{"node", node}
-	}
-	t.tm = stepMetrics{
-		steps:    reg.Counter("steptable_steps_total", labels...),
-		timeouts: reg.Counter("steptable_timeouts_total", labels...),
-		hits:     reg.Counter("steptable_hits_total", labels...),
-		misses:   reg.Counter("steptable_misses_total", labels...),
-	}
-}
-
-// stepMetrics are the resolved instruments of one StepTable.
-type stepMetrics struct {
-	steps    *telemetry.Counter
-	timeouts *telemetry.Counter
-	hits     *telemetry.Counter
-	misses   *telemetry.Counter
-}

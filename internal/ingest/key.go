@@ -34,8 +34,6 @@ import (
 type Key [13]byte
 
 // Field accessors over the packed layout.
-func (k Key) SrcIP() [4]byte  { var ip [4]byte; copy(ip[:], k[0:4]); return ip }
-func (k Key) DstIP() [4]byte  { var ip [4]byte; copy(ip[:], k[4:8]); return ip }
 func (k Key) Proto() uint8    { return k[8] }
 func (k Key) SrcPort() uint16 { return binary.BigEndian.Uint16(k[9:11]) }
 func (k Key) DstPort() uint16 { return binary.BigEndian.Uint16(k[11:13]) }

@@ -15,7 +15,6 @@ import (
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/flowtable"
-	"flowrecon/internal/rules"
 )
 
 // Prober issues one probe flow at a (virtual or real) time and reports
@@ -26,9 +25,8 @@ type Prober interface {
 	Probe(f flows.ID, now float64) (hit bool, err error)
 }
 
-// TableProber adapts a bare flow table plus its policy into a Prober.
+// TableProber adapts a bare flow table into a Prober.
 type TableProber struct {
-	Rules *rules.Set
 	Table *flowtable.Table
 }
 
@@ -36,13 +34,7 @@ var _ Prober = (*TableProber)(nil)
 
 // Probe implements Prober with the reactive install semantics.
 func (p *TableProber) Probe(f flows.ID, now float64) (bool, error) {
-	if _, hit := p.Table.Lookup(f, now); hit {
-		return true, nil
-	}
-	if j, covered := p.Rules.HighestCovering(f); covered {
-		p.Table.Install(j, now)
-	}
-	return false, nil
+	return p.Table.Packet(f, now), nil
 }
 
 // InferCapacity estimates the flow-table capacity à la Leng et al. [14]:

@@ -30,7 +30,7 @@ func microflowProber(t *testing.T, nflows, capacity, ttlSteps int) *TableProber 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &TableProber{Rules: rs, Table: tbl}
+	return &TableProber{Table: tbl}
 }
 
 func TestTableProberSemantics(t *testing.T) {
@@ -138,7 +138,7 @@ func TestInferCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &TableProber{Rules: rs, Table: tbl}
+	p := &TableProber{Table: tbl}
 	covered, err := InferCoverage(p, []flows.ID{0, 1, 2}, 0, 10, 0.01)
 	if err != nil {
 		t.Fatal(err)

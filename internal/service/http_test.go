@@ -99,6 +99,32 @@ func TestHTTPStreamByteIdentical(t *testing.T) {
 	}
 }
 
+// TestHTTPZeroMeasurementIsDefault: a spec that carries no measurement
+// (as perfbench's sessions do) is run with DefaultMeasurement, so it
+// streams exactly what the same spec naming DefaultMeasurement streams.
+func TestHTTPZeroMeasurementIsDefault(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxActive: 2, Workers: 2})
+	fetch := func(spec SessionSpec) []byte {
+		resp := postSpec(t, srv.URL, spec)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	named := testSpec("meas", 41, 6, 2)
+	bare := named
+	bare.Target.Measurement = experiment.Measurement{}
+	want, got := fetch(named), fetch(bare)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("a spec without a measurement streams differently:\n--- default ---\n%s\n--- none ---\n%s", want, got)
+	}
+}
+
 // TestHTTPSaturated429 verifies the backpressure surface: when slots and
 // queue are exhausted the API answers 429 with a Retry-After hint.
 func TestHTTPSaturated429(t *testing.T) {

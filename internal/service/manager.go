@@ -187,27 +187,15 @@ func (m *Manager) start(spec SessionSpec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	source, err := spec.Target.Trace.Source()
-	if err != nil {
-		return nil, err
-	}
-	meas := spec.Target.Measurement
-	if meas == (experiment.Measurement{}) {
-		meas = experiment.DefaultMeasurement()
-	}
-	ropts := experiment.RunnerOptions{
-		Source:   source,
-		Registry: m.cfg.Registry,
-		Faults:   m.cfg.Faults,
-	}
-	if spec.Target.Faults != nil {
-		ropts.Faults = *spec.Target.Faults
-	}
+	ropts := experiment.RunnerOptions{Registry: m.cfg.Registry, Faults: m.cfg.Faults}
 	if spec.Detect {
 		dc := detect.DefaultConfig()
 		ropts.Detect = &dc
 	}
-	runner := experiment.NewTrialRunner(model.NC, roster, meas, ropts)
+	runner, err := spec.Target.Runner(model.NC, roster, ropts)
+	if err != nil {
+		return nil, err
+	}
 	id := fmt.Sprintf("s%06d", m.nextID.Add(1))
 	sess := newSession(id, spec, key, model, runner)
 

@@ -45,19 +45,10 @@ func runNaiveSession(spec SessionSpec) error {
 	if err != nil {
 		return err
 	}
-	source, err := spec.Target.Trace.Source()
+	runner, err := spec.Target.Runner(nc, roster, experiment.RunnerOptions{})
 	if err != nil {
 		return err
 	}
-	meas := spec.Target.Measurement
-	if meas == (experiment.Measurement{}) {
-		meas = experiment.DefaultMeasurement()
-	}
-	ropts := experiment.RunnerOptions{Source: source}
-	if spec.Target.Faults != nil {
-		ropts.Faults = *spec.Target.Faults
-	}
-	runner := experiment.NewTrialRunner(nc, roster, meas, ropts)
 	for t, seed := range experiment.TrialSeeds(spec.Target.TrialSeed, spec.Target.Trials) {
 		if _, err := runner.Run(t, seed); err != nil {
 			return err

@@ -19,13 +19,8 @@ import (
 // testParams keeps model builds test-sized (the benchmark scale used
 // across the repo: 8 flows, 6 rules, cache 3).
 func testParams() experiment.Params {
-	p := experiment.DefaultParams()
-	p.NumFlows = 8
-	p.NumRules = 6
-	p.MaskBits = 3
-	p.CacheSize = 3
+	p := experiment.SmallParams()
 	p.Delta = 0.05
-	p.WindowSeconds = 5
 	return p
 }
 
@@ -339,23 +334,27 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesRecording ties the daemon to the CLI: both run the
-// same TrialRunner, so a session's per-trial probes, outcomes, loss masks
-// and verdicts must equal those in the experiment.RecordTo recording of
-// the same spec — fault-free and under probe loss and jitter.
+// TestSessionMatchesRecording ties the daemon to the CLI: both build
+// their runner with RecordingSpec.Runner, so a session's per-trial
+// probes, outcomes, loss masks and verdicts must equal those in the
+// experiment.RecordTo recording of the same spec — fault-free, under
+// probe loss and jitter, and with the spec's own fault profile on a
+// daemon whose default profile differs (the spec's wins).
 func TestSessionMatchesRecording(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		faults *faults.Profile
+		name     string
+		faults   *faults.Profile
+		defaults faults.Profile // the manager's Config.Faults
 	}{
-		{"plain", nil},
-		{"faults", &faults.Profile{Seed: 3, LossProb: 0.3, JitterMeanMs: 1}},
+		{"plain", nil, faults.Profile{}},
+		{"faults", &faults.Profile{Seed: 3, LossProb: 0.3, JitterMeanMs: 1}, faults.Profile{}},
+		{"faults-over-default", &faults.Profile{Seed: 3, LossProb: 0.3, JitterMeanMs: 1}, faults.Profile{Seed: 9, LossProb: 0.6, JitterMeanMs: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := testSpec(tc.name, 7, 12, 3)
 			spec.Target.Faults = tc.faults
 			var buf bytes.Buffer
-			if _, _, err := experiment.RecordTo(&buf, spec.Target, nil); err != nil {
+			if _, _, err := experiment.RecordTo(&buf, spec.Target, experiment.RunnerOptions{}, 1); err != nil {
 				t.Fatal(err)
 			}
 			rec, err := trialrec.Read(&buf)
@@ -363,7 +362,7 @@ func TestSessionMatchesRecording(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			m := NewManager(Config{MaxActive: 1, Workers: 3})
+			m := NewManager(Config{MaxActive: 1, Workers: 3, Faults: tc.defaults})
 			defer m.Shutdown()
 			sess, err := m.Open(spec)
 			if err != nil {

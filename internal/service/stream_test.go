@@ -191,7 +191,10 @@ func TestStreamFlushesBeforeBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := experiment.NewTrialRunner(model.NC, roster, spec.Target.Measurement, experiment.RunnerOptions{})
+	runner, err := spec.Target.Runner(model.NC, roster, experiment.RunnerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess := newSession("manual", spec, key, model, runner)
 	seeds := experiment.TrialSeeds(spec.Target.TrialSeed, spec.Target.Trials)
 

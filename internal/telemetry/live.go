@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -246,33 +245,4 @@ func DecodeLiveUpdate(data []byte) (LiveUpdate, error) {
 	var u LiveUpdate
 	err := json.Unmarshal(data, &u)
 	return u, err
-}
-
-// LiveSeriesNames lists the counter series a LiveUpdate derives its
-// headline numbers from, for documentation and tests.
-func LiveSeriesNames() []string {
-	names := []string{
-		"detect_flagged_total",
-		"detect_sources_tracked",
-		"experiment_trials_total",
-		"netsim_events_total",
-		"netsim_fleet_shards",
-		"netsim_fleet_windows_total",
-		"netsim_fleet_crossings_total",
-		"netsim_shard_occupancy",
-		"experiment_probes_total",
-		"experiment_verdicts_total",
-		"faults_injected_total",
-		"service_sessions_active",
-		"service_sessions_queued",
-		"service_sessions_total",
-		"service_store_bytes",
-		"service_store_lookups",
-		"service_store_models",
-		"switch_injects_total",
-		"switch_reconnects_total",
-		"switch_probe_timeouts_total",
-	}
-	sort.Strings(names)
-	return names
 }
