@@ -156,7 +156,10 @@ trace-smoke:
 ## FuzzSessionSpec holds flowrecond's spec admission (the HTTP decoder and
 ## SessionSpec.Validate) to its bounds on arbitrary request bodies: no
 ## panic, and no accepted spec past the step, rule, mask-bit, flow, cache
-## or probe bounds or naming a server-side file trace.
+## or probe bounds or naming a server-side file trace;
+## FuzzProbeNeverViable holds the figure screen's lemma to Evaluate's
+## joint and posterior arithmetic on arbitrary probabilities in
+## [0, 1+1e-12]: a probe the screen rules out is never a viable detector.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -166,6 +169,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzProbeNeverViable -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzStreamLinesMatchEncoding -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzSessionSpec -fuzztime 10s
 	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzTableCopyCacheFrom -fuzztime 10s

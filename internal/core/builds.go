@@ -24,7 +24,9 @@ import (
 // than one sampling worker). Over a figure run, usum_states_total,
 // usum_sweep_steps_total and model_build_ms therefore vary with the
 // worker count and with scheduling; the figure itself, and the sampler's
-// figure_attempts_total, do not.
+// figure_attempts_total and figure_screened_total, do not. A draw the
+// sampler screens out (see ProbeNeverViable) builds and evolves only its
+// unconditional chain.
 type Builds struct {
 	// memo, when set, answers a rebuild of a model the context has built
 	// before.

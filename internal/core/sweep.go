@@ -45,13 +45,15 @@ func (s *ProbeSelector) GainVsWindow(stepsList []int) ([]WindowPoint, error) {
 		s.model0.EvolveInPlace(d0, steps-prev)
 		prev = steps
 		sel := &ProbeSelector{
-			model:   s.model,
-			model0:  s.model0,
-			target:  s.target,
-			steps:   steps,
-			pAbsent: absenceAt(cfg, s.target, steps),
-			dist:    d,
-			dist0:   d0,
+			unconditional: unconditional{
+				model:   s.model,
+				target:  s.target,
+				steps:   steps,
+				pAbsent: absenceAt(cfg, s.target, steps),
+				dist:    d,
+			},
+			model0: s.model0,
+			dist0:  d0,
 		}
 		best, ok := sel.Best(sel.AllFlows())
 		if !ok {

@@ -9,6 +9,7 @@ import (
 
 	"flowrecon/internal/core"
 	"flowrecon/internal/flows"
+	"flowrecon/internal/ingest"
 	"flowrecon/internal/rules"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/workload"
@@ -169,6 +170,12 @@ type NetworkConfig struct {
 	TargetEval core.ProbeEval
 	// NumCoveringTarget is |{rules covering f̂}| — Figure 7a's x-axis.
 	NumCoveringTarget int
+
+	// ingested is the capture RecordingSpec.BuildConfig fitted Rates
+	// from, loaded for the trace spec ingestedFrom; RecordingSpec.Runner
+	// replays it for that spec instead of reading the file again.
+	ingested     *ingest.Result
+	ingestedFrom TraceSourceSpec
 }
 
 // PAbsent returns the target's prior probability of absence.
@@ -199,8 +206,19 @@ const minFittedRate = 1e-4
 // exact draw sequence of a nil fitted. Both chains are built in b (nil
 // for none); the configuration does not depend on it.
 func GenerateConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) (*NetworkConfig, error) {
+	nc, _, err := generateConfig(p, fitted, rng, b, nil)
+	return nc, err
+}
+
+// generateConfig is GenerateConfig with a screen. Once the unconditional
+// chain is built and evolved, a non-nil screen that returns true for it
+// rejects the draw — generateConfig returns a nil configuration with
+// screened set — before the target-conditioned chain is built. The draws
+// from rng are the same either way.
+func generateConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds,
+	screen func(*core.Prior) bool) (nc *NetworkConfig, screened bool, err error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	gc := rules.GenerateConfig{
 		NumFlows: p.NumFlows,
@@ -210,7 +228,7 @@ func GenerateConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) 
 	}
 	rs, err := rules.Generate(gc, rng)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	rates := workload.UniformRates(p.NumFlows, rng)
 	if len(fitted) > 0 {
@@ -235,18 +253,29 @@ func GenerateConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) 
 
 	target, ok := pickTarget(p, rs, rates, rng)
 	if !ok {
-		return nil, fmt.Errorf("experiment: no covered flow with absence in [%v,%v]", p.AbsenceLo, p.AbsenceHi)
+		return nil, false, fmt.Errorf("experiment: no covered flow with absence in [%v,%v]", p.AbsenceLo, p.AbsenceHi)
 	}
 
 	// Nothing reads USum, but the draw and the recorded seed stay, so a
 	// caller's later draws from rng and every saved configuration are
 	// unchanged.
 	p.USum.Seed = rng.Int63()
-	sel, err := core.NewCompactSelector(cfg, target, p.Steps(), b)
+	m, err := core.NewCompactModel(cfg, b)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	nc := &NetworkConfig{
+	prior, err := core.NewPrior(m, target, p.Steps())
+	if err != nil {
+		return nil, false, err
+	}
+	if screen != nil && screen(prior) {
+		return nil, true, nil
+	}
+	sel, err := prior.Condition()
+	if err != nil {
+		return nil, false, err
+	}
+	nc = &NetworkConfig{
 		Params:            p,
 		Rules:             rs,
 		Rates:             rates,
@@ -254,18 +283,24 @@ func GenerateConfig(p Params, fitted []float64, rng *stats.RNG, b *core.Builds) 
 		Core:              cfg,
 		Selector:          sel,
 		NumCoveringTarget: rules.NumCovering(rs, target),
-		TargetEval:        sel.Evaluate(target),
 	}
-	var found bool
-	nc.Optimal, found = sel.Best(sel.AllFlows())
-	if !found {
-		return nil, fmt.Errorf("experiment: no probe candidates")
+	// One pass in candidate order evaluates each flow once: the best
+	// probe over all flows and over flows ≠ target, each the first with
+	// the strictly largest gain as ProbeSelector.Best picks it, and the
+	// target's own evaluation. Validate guarantees two flows or more.
+	restricted := false
+	for i, f := range sel.AllFlows() {
+		e := sel.Evaluate(f)
+		if i == 0 || e.Gain > nc.Optimal.Gain {
+			nc.Optimal = e
+		}
+		if f == target {
+			nc.TargetEval = e
+		} else if !restricted || e.Gain > nc.Restricted.Gain {
+			nc.Restricted, restricted = e, true
+		}
 	}
-	nc.Restricted, found = sel.Best(sel.FlowsExcept(target))
-	if !found {
-		return nil, fmt.Errorf("experiment: no restricted probe candidates")
-	}
-	return nc, nil
+	return nc, false, nil
 }
 
 // AbsenceStrata are the target-absence ranges the figure runners cycle

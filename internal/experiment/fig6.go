@@ -23,7 +23,9 @@ type FigureOptions struct {
 	// Telemetry, when non-nil, receives the run's experiment metrics
 	// (trial counters, probe hit/miss delay histograms, per-attacker
 	// confusion-matrix counters) cumulatively across all configurations,
-	// plus the sampler's figure_attempts_total (attempts committed) and
+	// plus the sampler's figure_attempts_total (attempts committed),
+	// figure_screened_total (committed attempts rejected by the figure's
+	// screen before their conditioned chain was built) and
 	// figure_speculative_discards_total (speculative results dropped
 	// because an acceptance moved their draw).
 	Telemetry *telemetry.Registry
@@ -74,7 +76,7 @@ type Fig6Result struct {
 // (probe = optimal flow; its posterior threshold returns the query result
 // on a viable detector) with the naive attacker (probe = target flow).
 func RunFig6(opts FigureOptions) (*Fig6Result, error) {
-	outcomes, attempted, err := sampleFigure(opts, fig6Accept, fig6Roster)
+	outcomes, attempted, err := sampleFigure(opts, fig6Accept, fig6Screen, fig6Roster)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +98,10 @@ func RunFig6(opts FigureOptions) (*Fig6Result, error) {
 // target and is a viable detector.
 func fig6Accept(nc *NetworkConfig) bool { return nc.OptimalDiffersFromTarget() && nc.DetectorViable() }
 
+// fig6Screen rejects a draw in which no flow but the target can be a
+// viable detector (core.ProbeNeverViable), so fig6Accept would reject it.
+func fig6Screen(p *core.Prior) bool { return p.NoneViable(p.FlowsExcept(p.Target())) }
+
 // fig6Roster pits the naive attacker against the model attacker.
 func fig6Roster(nc *NetworkConfig) ([]core.Attacker, error) {
 	model, err := core.NewModelAttacker(nc.Selector, nc.Selector.AllFlows(), 1)
@@ -107,9 +113,12 @@ func fig6Roster(nc *NetworkConfig) ([]core.Attacker, error) {
 
 // sampleFigure is the Figure 6/7 sampling loop. It draws configurations
 // cycling the target-absence strata, so the absence axis is populated
-// end to end (see AbsenceStrata), and skips those accept rejects. Each
-// accepted configuration runs opts.TrialsPerConfig trials of the
-// attackers roster builds for it. Sampling stops at opts.Configs
+// end to end (see AbsenceStrata), and skips those accept rejects. A
+// draw that screen rejects once its unconditional chain is evolved is
+// skipped without building its target-conditioned chain; screen must
+// reject only draws that accept would reject, so the figures do not
+// depend on it. Each accepted configuration runs opts.TrialsPerConfig
+// trials of the attackers roster builds for it. Sampling stops at opts.Configs
 // outcomes or opts.MaxAttempts draws; attempted counts the draws.
 //
 // The root RNG is one stream of Int63 draws: attempt a forks its
@@ -126,7 +135,7 @@ func fig6Roster(nc *NetworkConfig) ([]core.Attacker, error) {
 // of the oldest uncommitted one, so at most 2·workers−1 builds are
 // wasted per accepted configuration; the outcomes are the same at every
 // worker count.
-func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
+func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool, screen func(*core.Prior) bool,
 	roster func(*NetworkConfig) ([]core.Attacker, error)) (outcomes []ConfigOutcome, attempted int, err error) {
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -139,11 +148,11 @@ func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
 	window := 2 * workers
 	builds := core.NewBuilds(opts.Telemetry, false)
 	pool := startSamplerPool(workers, window, func(job attemptJob) attemptResult {
-		nc, err := GenerateConfig(opts.Params.WithStratum(job.attempt), nil, stats.NewRNG(job.seed), builds)
-		if err != nil || !accept(nc) {
+		nc, screened, err := generateConfig(opts.Params.WithStratum(job.attempt), nil, stats.NewRNG(job.seed), builds, screen)
+		if err != nil || nc == nil || !accept(nc) {
 			nc = nil // an unlucky sample (e.g. no eligible target) or outside the population
 		}
-		return attemptResult{job, nc}
+		return attemptResult{job, nc, screened}
 	})
 	defer pool.stop()
 
@@ -166,6 +175,7 @@ func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
 		}
 	}
 	attempts := opts.Telemetry.Counter("figure_attempts_total")
+	screenedTotal := opts.Telemetry.Counter("figure_screened_total")
 	discards := opts.Telemetry.Counter("figure_speculative_discards_total")
 	meas := DefaultMeasurement()
 	ready := map[int]attemptResult{} // results for uncommitted attempts, forked from their current draws
@@ -183,6 +193,9 @@ func sampleFigure(opts FigureOptions, accept func(*NetworkConfig) bool,
 		}
 		delete(ready, attempted)
 		attempts.Inc()
+		if r.screened {
+			screenedTotal.Inc()
+		}
 		if r.nc == nil {
 			attempted++
 			continue
@@ -232,10 +245,12 @@ type attemptJob struct {
 }
 
 // attemptResult is a worker's answer to job: the configuration, or nil
-// when it could not be generated or is outside the population.
+// when it could not be generated or is outside the population, and
+// whether the figure's screen rejected it.
 type attemptResult struct {
 	attemptJob
-	nc *NetworkConfig
+	nc       *NetworkConfig
+	screened bool
 }
 
 // samplerPool runs sampling attempts on a fixed set of goroutines. The

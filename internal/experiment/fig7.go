@@ -27,7 +27,7 @@ type Fig7Result struct {
 // detector-viability of the optimal probe (the restriction of §VI-B); the
 // model attacker must probe the best flow other than the target.
 func RunFig7(opts FigureOptions) (*Fig7Result, error) {
-	outcomes, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable, fig7Roster)
+	outcomes, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable, fig7Screen, fig7Roster)
 	if err != nil {
 		return nil, err
 	}
@@ -38,6 +38,10 @@ func RunFig7(opts FigureOptions) (*Fig7Result, error) {
 		Attempted: attempted,
 	}, nil
 }
+
+// fig7Screen rejects a draw in which no flow can be a viable detector
+// (core.ProbeNeverViable), so the optimal probe cannot be one either.
+func fig7Screen(p *core.Prior) bool { return p.NoneViable(p.AllFlows()) }
 
 // fig7Roster pits the restricted model attacker against the naive and
 // random attackers.

@@ -84,3 +84,74 @@ func TestIngestRecordingParallelismInvariant(t *testing.T) {
 		t.Fatal("parallel-invariance run differs from the committed golden_ingest.jsonl")
 	}
 }
+
+// TestRunnerReplaysBuildConfigCapture: a spec that fits its rates from a
+// capture reads the file once. BuildConfig ingests it and Runner replays
+// that ingest, so a run whose capture is gone after BuildConfig records
+// the same bytes as RecordTo with the file in place.
+func TestRunnerReplaysBuildConfigCapture(t *testing.T) {
+	data, err := os.ReadFile(goldenPcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "capture.pcap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec()
+	spec.Trace = &TraceSourceSpec{Kind: "pcap", Path: path, FitRates: true}
+	if err := spec.Trace.Pin(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, _, err := RecordTo(&want, spec, RunnerOptions{}, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	nc, err := spec.BuildConfig(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	attackers, err := StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := spec.Runner(nc, attackers, RunnerOptions{Record: true})
+	if err != nil {
+		t.Fatalf("Runner read the capture again: %v", err)
+	}
+	hdr, err := spec.Header(runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	rec, err := trialrec.NewRecorder(&got, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.RunTrials(spec.Trials, spec.TrialSeed, 1, RecordTrials(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("recording replayed from BuildConfig's ingest differs from RecordTo's (%d vs %d bytes)", got.Len(), want.Len())
+	}
+
+	// A spec whose trace differs from the one the configuration was
+	// built for still resolves its own source.
+	other := spec
+	other.Trace = &TraceSourceSpec{Kind: "pareto", Alpha: 1.5}
+	if _, err := other.Runner(nc, attackers, RunnerOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	moved := spec
+	moved.Trace = &TraceSourceSpec{Kind: "pcap", Path: path, FitRates: true, SHA256: spec.Trace.SHA256, IdleTimeout: 5}
+	if _, err := moved.Runner(nc, attackers, RunnerOptions{}); err == nil {
+		t.Fatal("Runner replayed a capture ingested for a different trace spec")
+	}
+}

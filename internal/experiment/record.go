@@ -8,6 +8,7 @@ import (
 
 	"flowrecon/internal/core"
 	"flowrecon/internal/faults"
+	"flowrecon/internal/ingest"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/trialrec"
 )
@@ -109,15 +110,25 @@ func (s RecordingSpec) BuildConfig(b *core.Builds) (*NetworkConfig, error) {
 	// A rate-fitting trace source replaces the sampled uniform rates with
 	// the capture's empirical per-class rates; the file is pinned by
 	// SHA-256, so the configuration stays a pure function of the spec.
+	// The capture is kept on the configuration, so Runner replays it
+	// without reading the file again.
+	var ingested *ingest.Result
 	var fitted []float64
 	if s.Trace != nil && s.Trace.FitRates {
 		res, err := s.Trace.Load()
 		if err != nil {
 			return nil, err
 		}
-		fitted = res.Rates
+		ingested, fitted = res, res.Rates
 	}
-	return sampleConfig(s.Params, fitted, stats.NewRNG(s.ConfigSeed), b)
+	nc, err := sampleConfig(s.Params, fitted, stats.NewRNG(s.ConfigSeed), b)
+	if err != nil {
+		return nil, err
+	}
+	if ingested != nil {
+		nc.ingested, nc.ingestedFrom = ingested, *s.Trace
+	}
+	return nc, nil
 }
 
 // Runner builds the spec's trial runner over nc, the configuration
@@ -126,13 +137,18 @@ func (s RecordingSpec) BuildConfig(b *core.Builds) (*NetworkConfig, error) {
 // (opts.Source is replaced), a spec's own fault profile replaces the
 // default profile in opts.Faults, and a zero Measurement means
 // DefaultMeasurement. opts carries everything else (telemetry,
-// detection, recording, events).
+// detection, recording, events). A capture BuildConfig already ingested
+// for this trace spec is replayed from nc, not read again.
 func (s RecordingSpec) Runner(nc *NetworkConfig, attackers []core.Attacker, opts RunnerOptions) (*TrialRunner, error) {
-	source, err := s.Trace.Source()
-	if err != nil {
-		return nil, err
+	if nc.ingested != nil && s.Trace != nil && nc.ingestedFrom == *s.Trace {
+		opts.Source = ReplaySource(nc.ingested.Trace, nc.ingested.Duration)
+	} else {
+		source, err := s.Trace.Source()
+		if err != nil {
+			return nil, err
+		}
+		opts.Source = source
 	}
-	opts.Source = source
 	if s.Faults != nil {
 		opts.Faults = *s.Faults
 	}

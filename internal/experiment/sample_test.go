@@ -21,6 +21,7 @@ type figureRun struct {
 	report    []byte // WriteFig6/WriteFig7, then WriteCSV
 	err       string
 	attempts  int64 // figure_attempts_total
+	screened  int64 // figure_screened_total
 	discards  int64 // figure_speculative_discards_total
 	qualified int
 }
@@ -56,6 +57,7 @@ func runFigure(t *testing.T, fig int, opts FigureOptions) figureRun {
 	}
 	run.report, run.outcomes, run.qualified = buf.Bytes(), outcomes, len(outcomes)
 	run.attempts = reg.Counter("figure_attempts_total").Value()
+	run.screened = reg.Counter("figure_screened_total").Value()
 	run.discards = reg.Counter("figure_speculative_discards_total").Value()
 	return run
 }
@@ -162,9 +164,9 @@ func TestSampleFigureParallelIdentical(t *testing.T) {
 						par, run.discards, run.qualified, max)
 				}
 				if par > 1 {
-					if run.err != serial.err || run.attempts != serial.attempts {
-						t.Errorf("parallelism %d: error %q after %d attempts, serial %q after %d",
-							par, run.err, run.attempts, serial.err, serial.attempts)
+					if run.err != serial.err || run.attempts != serial.attempts || run.screened != serial.screened {
+						t.Errorf("parallelism %d: error %q after %d attempts (%d screened), serial %q after %d (%d screened)",
+							par, run.err, run.attempts, run.screened, serial.err, serial.attempts, serial.screened)
 					}
 					if !reflect.DeepEqual(run.result, serial.result) {
 						t.Errorf("parallelism %d: result differs from parallelism 1", par)
@@ -188,6 +190,9 @@ func TestSampleFigureParallelIdentical(t *testing.T) {
 					t.Fatalf("serial loop: %d outcomes after %d attempts (error %q); sampler: %d after %d (error %q)",
 						len(want), attempted, wantErr, run.qualified, run.attempts, run.err)
 				}
+				if run.screened == 0 || run.screened > run.attempts-int64(run.qualified) {
+					t.Fatalf("serial run: %d of %d attempts screened, %d accepted", run.screened, run.attempts, run.qualified)
+				}
 				switch {
 				case c.want == "close" && run.qualified < 5,
 					c.want == "quota" && (run.qualified != c.configs || run.attempts >= int64(c.maxAttempts)),
@@ -207,7 +212,7 @@ func TestSampleFigureParallelIdentical(t *testing.T) {
 		serial := -1
 		for _, par := range []int{1, 2, 8} {
 			opts := FigureOptions{Params: SmallParams(), Configs: 10, TrialsPerConfig: 5, MaxAttempts: 4000, Seed: 3, Parallelism: par}
-			_, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable,
+			_, attempted, err := sampleFigure(opts, (*NetworkConfig).DetectorViable, fig7Screen,
 				func(*NetworkConfig) ([]core.Attacker, error) { return nil, boom })
 			if !errors.Is(err, boom) {
 				t.Fatalf("parallelism %d: error %v, want %v", par, err, boom)
