@@ -55,8 +55,12 @@ race:
 ## allocs/op beside ns/op (BenchmarkColdSessionBuild tracks the cold
 ## session build's allocation count, BenchmarkWarmTrial the warm
 ## trial's); bench-compare prints allocs/op but gates on ns/op only.
+## The exact §IV-A model is a test oracle of internal/core, so its build
+## and the ordered-vs-canonical ablation run from that package's tests
+## and append to the same output.
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 500ms -count 3 . ./internal/service/ > bench.out
+	$(GO) test -run xxx -bench 'BasicModelBuild|AblationOrderedVsCanonical' -benchmem -benchtime 500ms -count 3 ./internal/core/ >> bench.out
 	@cat bench.out
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_PR10.json
 	@rm -f bench.out
@@ -100,8 +104,7 @@ sched-gate:
 ## GC pressure; likewise the §IV-A1 event weights, and BestSequence
 ## allocates as often at 8 candidates as at 4. A model rebuilt over a warm
 ## u-sum memo makes one lookup, evaluates no state and allocates only the
-## model's own storage, at small and at paper scale, whose rows past 12
-## entries are appended without a per-row index
+## model's own storage, at small and at paper scale
 ## (TestMemoHitRebuildSteadyStateAllocs).
 ## The daemon's warm trial joins them: a probing TrialRunner.Run with no
 ## span recorder stays within the allocation count measured once the

@@ -28,11 +28,6 @@ type Options struct {
 	// Proactive switches to proactive deployment (§VII-B2): every rule
 	// is installed up front and reactive requests install nothing.
 	Proactive bool
-	// ConsistentRemoval enables the §VII-A2 collective-deployment
-	// variant: when a rule is removed, overlapping lower-priority rules
-	// must be removed with it (the behaviour the paper's model does NOT
-	// capture; see the model-limitation test).
-	ConsistentRemoval bool
 }
 
 // Decision is the controller's answer to one packet-in.
@@ -146,27 +141,6 @@ func (c *Reactive) ProactivePlan(capacity int) ([]int, error) {
 	}
 	c.tm.proactivePlans.Inc()
 	return c.policy.ByPriority(), nil
-}
-
-// DependentRemovals returns the additional rules that must be removed
-// when rule j is removed under consistent deployment (§VII-A2): every
-// lower-priority rule overlapping j. Without ConsistentRemoval it returns
-// nothing.
-func (c *Reactive) DependentRemovals(j int) []int {
-	if !c.opts.ConsistentRemoval {
-		return nil
-	}
-	var out []int
-	cover := c.policy.Rule(j).Cover
-	for other := 0; other < c.policy.Len(); other++ {
-		if other == j {
-			continue
-		}
-		if c.policy.HigherPriority(j, other) && cover.Overlaps(c.policy.Rule(other).Cover) {
-			out = append(out, other)
-		}
-	}
-	return out
 }
 
 // Snapshot returns a copy of the activity counters.

@@ -82,25 +82,6 @@ func TestProactivePlanDisabled(t *testing.T) {
 	}
 }
 
-func TestDependentRemovals(t *testing.T) {
-	c := New(testPolicy(t), Options{ConsistentRemoval: true})
-	// Removing "wide" (prio 3, covers {0,1}) must drag "mid" (overlaps
-	// on flow 1) but not "low" (disjoint).
-	dep := c.DependentRemovals(0)
-	if len(dep) != 1 || dep[0] != 1 {
-		t.Fatalf("dependents of wide = %v", dep)
-	}
-	// Removing the lowest-priority rule drags nothing.
-	if dep := c.DependentRemovals(2); dep != nil {
-		t.Fatalf("dependents of low = %v", dep)
-	}
-	// Without the option nothing is dragged.
-	plain := New(testPolicy(t), Options{})
-	if dep := plain.DependentRemovals(0); dep != nil {
-		t.Fatalf("inconsistent controller dragged %v", dep)
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	p := testPolicy(t)
 	opts := Options{Proactive: true}

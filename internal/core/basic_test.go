@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"flowrecon/internal/flows"
-	"flowrecon/internal/flowtable"
-	"flowrecon/internal/markov"
 	"flowrecon/internal/rules"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/workload"
@@ -202,15 +202,31 @@ func TestBasicModelBuild(t *testing.T) {
 	if float64(m.NumStates()) > BasicStateCount([]int{3, 4, 3}, 2) {
 		t.Fatalf("reachable states %d exceed closed-form bound", m.NumStates())
 	}
-	if err := m.Matrix().CheckStochastic(1e-9); err != nil {
+	if err := m.matrix.CheckStochastic(1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestBasicModelStateLimit: maxStates admits exactly the reachable
+// space and rejects one state less, naming the limit.
 func TestBasicModelStateLimit(t *testing.T) {
 	cfg := tinyConfig(t)
-	if _, err := NewBasicModel(cfg, 3); err == nil {
-		t.Fatal("state limit not enforced")
+	m, err := NewBasicModel(cfg, 200000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.NumStates()
+	if _, err := NewBasicModel(cfg, n); err != nil {
+		t.Fatalf("limit %d = reachable count rejected: %v", n, err)
+	}
+	for _, limit := range []int{3, n - 1} {
+		_, err := NewBasicModel(cfg, limit)
+		if err == nil {
+			t.Fatalf("state limit %d not enforced (%d states reachable)", limit, n)
+		}
+		if want := fmt.Sprintf("exceeds limit %d", limit); !strings.Contains(err.Error(), want) {
+			t.Fatalf("limit %d: error %q does not name it", limit, err)
+		}
 	}
 }
 
@@ -234,7 +250,7 @@ func TestBasicModelHitProbabilityGrowsFromEmpty(t *testing.T) {
 	}
 }
 
-// TestBasicModelAgainstStepSimulation drives the executable StepTable with
+// TestBasicModelAgainstStepSimulation drives the executable stepTable with
 // discretized Poisson arrivals and compares the empirical hit probability
 // at step T with the chain's prediction.
 func TestBasicModelAgainstStepSimulation(t *testing.T) {
@@ -263,7 +279,7 @@ func TestBasicModelAgainstStepSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := flowtable.NewStepTable(cfg.Rules, cfg.CacheSize)
+		st := newStepTable(cfg.Rules, cfg.CacheSize)
 		perStep := workload.StepArrivals(tr, cfg.Delta, steps)
 		for s := 0; s < steps; s++ {
 			if st.PendingTimeout() {
@@ -305,7 +321,7 @@ func TestBasicModelAgainstStepSimulation(t *testing.T) {
 
 func TestBasicModelTransitionsMatchStepTable(t *testing.T) {
 	// Every chain transition target must be reproducible by the
-	// executable StepTable: walk a few states and cross-check the miss
+	// executable stepTable: walk a few states and cross-check the miss
 	// and hit transforms.
 	cfg := tinyConfig(t)
 	m, err := NewBasicModel(cfg, 200000)
@@ -313,15 +329,15 @@ func TestBasicModelTransitionsMatchStepTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// From empty, the arrival of f2 (flow 1) must install rule1 (id 1).
-	st := flowtable.NewStepTable(cfg.Rules, cfg.CacheSize)
+	st := newStepTable(cfg.Rules, cfg.CacheSize)
 	st.StepArrival(1)
 	key := st.Key()
-	if _, ok := m.res.Index[key]; !ok {
+	if _, ok := m.index[key]; !ok {
 		t.Fatalf("state %q not reachable in chain", key)
 	}
 	// Continue: f0 arrival installs rule0.
 	st.StepArrival(0)
-	if _, ok := m.res.Index[st.Key()]; !ok {
+	if _, ok := m.index[st.Key()]; !ok {
 		t.Fatalf("state %q not reachable in chain", st.Key())
 	}
 }
@@ -377,12 +393,12 @@ func TestBasicSplitByHitPartitions(t *testing.T) {
 }
 
 func TestMergeTransitions(t *testing.T) {
-	in := []markov.Transition[string]{{To: "a", P: 0.3}, {To: "b", P: 0.2}, {To: "a", P: 0.5}}
+	in := []basicTransition{{to: "a", p: 0.3}, {to: "b", p: 0.2}, {to: "a", p: 0.5}}
 	out := mergeTransitions(in)
 	if len(out) != 2 {
 		t.Fatalf("merged = %v", out)
 	}
-	if out[0].To != "a" || math.Abs(out[0].P-0.8) > 1e-15 {
+	if out[0].to != "a" || math.Abs(out[0].p-0.8) > 1e-15 {
 		t.Fatalf("merged = %v", out)
 	}
 }

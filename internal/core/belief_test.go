@@ -3,11 +3,36 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/markov"
 )
+
+// PosteriorAfter returns P(X̂ = 1 | Q⃗ = outcomes) for any observed
+// outcome prefix: full-length outcome vectors read the decision-tree
+// leaf directly, shorter prefixes marginalize over the leaves below
+// them (P(X̂=1 | prefix) = Σ_leaf P(leaf)·P(X̂=1 | leaf) / P(prefix)).
+// ok is false when the prefix is outside the evaluated tree (longer
+// than the planned sequence, or a zero-probability branch).
+func (e SequenceEval) PosteriorAfter(outcomes []bool) (post float64, ok bool) {
+	key := outcomeKey(outcomes)
+	if post, ok = e.PosteriorPresent[key]; ok {
+		return post, true
+	}
+	var mass, present float64
+	for leaf, p := range e.PathProb {
+		if strings.HasPrefix(leaf, key) {
+			mass += p
+			present += p * e.PosteriorPresent[leaf]
+		}
+	}
+	if mass <= 0 {
+		return 0, false
+	}
+	return present / mass, true
+}
 
 // TestBeliefTrackerMatchesSequenceEval checks the run-time belief update
 // against the planning-time joint, which conditions through the same

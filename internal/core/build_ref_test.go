@@ -194,7 +194,23 @@ func buildReferenceModel(cfg Config) (*refModel, error) {
 		cachedIDs := appendMaskIDs(nil, mask)
 		cached := func(j int) bool { return mask&(1<<uint(j)) != 0 }
 		w := computeEventWeightsRef(cfg.Rules, m.sr, cached)
-		add := func(to int, p float64) { ref.matrix.Add(idx, to, p) }
+		// The row's entries in order of first appearance; a repeated
+		// successor accumulates onto its entry.
+		var tos []int
+		var ps []float64
+		add := func(to int, p float64) {
+			if p == 0 {
+				return
+			}
+			for k, t := range tos {
+				if t == to {
+					ps[k] += p
+					return
+				}
+			}
+			tos = append(tos, to)
+			ps = append(ps, p)
+		}
 		var est StateEstimates
 		if len(cachedIDs) > 0 {
 			est = e.estimateRef(cachedIDs)
@@ -230,6 +246,9 @@ func buildReferenceModel(cfg Config) (*refModel, error) {
 					add(index[to], p*est.Evict[i])
 				}
 			}
+		}
+		for k, to := range tos {
+			ref.matrix.Append(idx, to, ps[k])
 		}
 	}
 	ref.matrix.NormalizeRows()

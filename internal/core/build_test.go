@@ -324,8 +324,7 @@ func TestBestPairMatchesBestOver(t *testing.T) {
 // own storage — states, cover table, row slabs, both matrix forms — plus
 // the lookup's timeout list, within a pinned count that does not grow
 // with the rows: the paper-scale configuration has rows of more than 12
-// entries, which the matrix assembly appends without a per-row index.
-// The small-scale configuration has Z ≤ 0 states
+// entries, which the matrix assembly appends in place. The small-scale configuration has Z ≤ 0 states
 // (TestRebuildEvaluatesNoState), so memoized infeasible verdicts are
 // covered too.
 func TestMemoHitRebuildSteadyStateAllocs(t *testing.T) {

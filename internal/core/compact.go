@@ -13,8 +13,9 @@ import (
 	"flowrecon/internal/markov"
 )
 
-// Model is the interface probe selection needs from a switch model. Both
-// BasicModel and CompactModel implement it. Every kernel works on
+// Model is the interface probe selection needs from a switch model.
+// CompactModel implements it, and so does the exact §IV-A BasicModel
+// that this package's tests keep as an oracle. Every kernel works on
 // caller-owned distributions: a caller that wants to keep its input
 // clones it first, so each operation exists exactly once.
 type Model interface {
@@ -42,10 +43,7 @@ type Model interface {
 	ModelConfig() Config
 }
 
-var (
-	_ Model = (*CompactModel)(nil)
-	_ Model = (*BasicModel)(nil)
-)
+var _ Model = (*CompactModel)(nil)
 
 // CompactModel is the approximate Markov chain of §IV-B: a state is the
 // subset of rules presently cached (at most the cache capacity), and
@@ -274,9 +272,9 @@ func (m *CompactModel) buildRow(estimator *uEstimator, idx int, fresh bool) buil
 	// stay and every hit arrival): each timeout, install and eviction
 	// moves to a distinct state. So the self-loop sums at its first
 	// nonzero position and every other entry is new, which lets the
-	// assembly append rows unchecked. Like markov.Sparse.Add, add drops
-	// zero entries and sums in arrival order, so the row is bit-identical
-	// to one accumulated through Add.
+	// assembly append rows unchecked. add drops zero entries and sums in
+	// arrival order, so the row is bit-identical to one accumulated entry
+	// by entry (the reference build in build_ref_test.go).
 	slab := &estimator.slab
 	row := builtRow{slab: slab, lo: len(slab.tos)}
 	self := -1 // the self-loop's slab position, once it has one
@@ -428,18 +426,8 @@ func appendMaskIDs(dst []int, mask uint64) []int {
 // NumStates returns the state-space size (Σ C(|Rules|, k), k ≤ n).
 func (m *CompactModel) NumStates() int { return len(m.states) }
 
-// Matrix exposes the transition matrix for diagnostics and benchmarks.
-func (m *CompactModel) Matrix() *markov.Sparse { return m.matrix }
-
 // ModelConfig returns the model's configuration.
 func (m *CompactModel) ModelConfig() Config { return m.cfg }
-
-// StateMask returns the cached-rule bitmask of state i.
-func (m *CompactModel) StateMask(i int) uint64 { return m.states[i] }
-
-// Estimates returns the §IV-B estimates of state i (zero value for the
-// empty state). Its slices are shared with the model: do not modify them.
-func (m *CompactModel) Estimates(i int) StateEstimates { return m.est[i] }
 
 // InitialDist returns the point distribution on the empty cache.
 func (m *CompactModel) InitialDist() markov.Dist {
@@ -465,9 +453,6 @@ func (m *CompactModel) EvolveInPlace(d markov.Dist, steps int) {
 	}
 }
 
-// Frozen exposes the CSR kernel for diagnostics and benchmarks.
-func (m *CompactModel) Frozen() *markov.CSR { return m.frozen }
-
 // coverMask returns the bitmask of rules covering f (none for a flow
 // outside the universe).
 func (m *CompactModel) coverMask(f flows.ID) uint64 {
@@ -481,12 +466,6 @@ func (m *CompactModel) coverMask(f flows.ID) uint64 {
 func (m *CompactModel) HitProbability(d markov.Dist, f flows.ID) float64 {
 	cover := m.coverMask(f)
 	return d.MassWhere(func(i int) bool { return m.states[i]&cover != 0 })
-}
-
-// CachedProbability returns P(rule j ∈ cache) under d.
-func (m *CompactModel) CachedProbability(d markov.Dist, j int) float64 {
-	bit := uint64(1) << uint(j)
-	return d.MassWhere(func(i int) bool { return m.states[i]&bit != 0 })
 }
 
 // SplitByHitInto partitions d by whether probing f hits, writing into

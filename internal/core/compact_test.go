@@ -7,10 +7,32 @@ import (
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/flowtable"
+	"flowrecon/internal/markov"
 	"flowrecon/internal/rules"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/workload"
 )
+
+// Test accessors of CompactModel.
+
+// Matrix returns the transition-matrix builder.
+func (m *CompactModel) Matrix() *markov.Sparse { return m.matrix }
+
+// StateMask returns the cached-rule bitmask of state i.
+func (m *CompactModel) StateMask(i int) uint64 { return m.states[i] }
+
+// Estimates returns the §IV-B estimates of state i (zero value for the
+// empty state). Its slices are shared with the model: do not modify them.
+func (m *CompactModel) Estimates(i int) StateEstimates { return m.est[i] }
+
+// Frozen exposes the CSR kernel for diagnostics and benchmarks.
+func (m *CompactModel) Frozen() *markov.CSR { return m.frozen }
+
+// CachedProbability returns P(rule j ∈ cache) under d.
+func (m *CompactModel) CachedProbability(d markov.Dist, j int) float64 {
+	bit := uint64(1) << uint(j)
+	return d.MassWhere(func(i int) bool { return m.states[i]&bit != 0 })
+}
 
 func TestCompactStateCount(t *testing.T) {
 	cases := []struct {

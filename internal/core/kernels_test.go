@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"flowrecon/internal/flows"
@@ -24,7 +25,7 @@ func nanDist(n int) markov.Dist {
 
 // evolve returns d advanced steps, leaving d untouched.
 func evolve(m Model, d markov.Dist, steps int) markov.Dist {
-	out := d.Clone()
+	out := slices.Clone(d)
 	m.EvolveInPlace(out, steps)
 	return out
 }

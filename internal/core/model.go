@@ -2,22 +2,21 @@
 // of an SDN switch rule cache (Section IV) and the information-gain probe
 // selection built on them (Section V).
 //
-// Two models are provided, mirroring the paper:
+// The attack runs on CompactModel (§IV-B), an approximation: a state is
+// the subset of rules presently cached; eviction and timeout
+// probabilities are estimated by summing over most-recent-match
+// sequences (the u functions). The paper's exact model (§IV-A), whose
+// state is the ordered cache contents with per-rule remaining timeouts,
+// is exponential in rules and timeouts (BasicStateCount gives its size),
+// so it exists only in this package's tests, as the oracle the compact
+// model, the probe selector and the switch table are checked against.
 //
-//   - BasicModel (§IV-A): exact. A state is the ordered cache contents with
-//     per-rule remaining timeouts. Faithful but exponential in rules and
-//     timeouts (see BasicStateCount).
-//
-//   - CompactModel (§IV-B): approximate. A state is the subset of rules
-//     presently cached; eviction and timeout probabilities are estimated by
-//     summing over most-recent-match sequences (the u functions).
-//
-// Each model implements every operation on a state distribution once, as
-// a kernel over caller-owned buffers (Model: EvolveInPlace,
+// A model implements every operation on a state distribution once, as a
+// kernel over caller-owned buffers (Model: EvolveInPlace,
 // SplitByHitInto, ApplyProbeInto); callers that keep their input clone it
 // first.
 //
-// On top of either model, ProbeSelector (probe.go, multiprobe.go) computes
+// On top of a Model, ProbeSelector (probe.go, multiprobe.go) computes
 // the information gain of candidate probe flows about the indicator
 // X̂ = "target flow occurred within the last T steps" and selects optimal
 // probes; attacker.go packages the paper's four attacker behaviours. The

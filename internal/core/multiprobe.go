@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"time"
 
 	"flowrecon/internal/flows"
@@ -29,30 +28,6 @@ type SequenceEval struct {
 // iff the posterior exceeds ½.
 func (e SequenceEval) Decide(outcomes []bool) bool {
 	return e.PosteriorPresent[outcomeKey(outcomes)] > 0.5
-}
-
-// PosteriorAfter returns P(X̂ = 1 | Q⃗ = outcomes) for any observed
-// outcome prefix: full-length outcome vectors read the decision-tree
-// leaf directly, shorter prefixes marginalize over the leaves below
-// them (P(X̂=1 | prefix) = Σ_leaf P(leaf)·P(X̂=1 | leaf) / P(prefix)).
-// ok is false when the prefix is outside the evaluated tree (longer
-// than the planned sequence, or a zero-probability branch).
-func (e SequenceEval) PosteriorAfter(outcomes []bool) (post float64, ok bool) {
-	key := outcomeKey(outcomes)
-	if post, ok = e.PosteriorPresent[key]; ok {
-		return post, true
-	}
-	var mass, present float64
-	for leaf, p := range e.PathProb {
-		if strings.HasPrefix(leaf, key) {
-			mass += p
-			present += p * e.PosteriorPresent[leaf]
-		}
-	}
-	if mass <= 0 {
-		return 0, false
-	}
-	return present / mass, true
 }
 
 func outcomeKey(outcomes []bool) string {

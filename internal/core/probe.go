@@ -66,17 +66,6 @@ func (u unconditional) condition(model0 Model) *ProbeSelector {
 	return s
 }
 
-// NewProbeSelector evolves both chains T steps from the empty cache and
-// returns a selector for inferring whether target occurred within those T
-// steps.
-func NewProbeSelector(model, model0 Model, target flows.ID, steps int) (*ProbeSelector, error) {
-	u, err := evolveUnconditional(model, target, steps)
-	if err != nil {
-		return nil, err
-	}
-	return u.condition(model0), nil
-}
-
 // Prior is a compact selector before its target-conditioned chain: the
 // unconditional chain M evolved T steps and the target's prior absence.
 // Its hit probabilities are the ones the finished selector's Evaluate

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"flowrecon/internal/flows"
@@ -449,7 +450,7 @@ func TestGainVsWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sel.dist.Clone()
+	before := slices.Clone(sel.dist)
 	windows := []int{5, 20, 80, 400}
 	points, err := sel.GainVsWindow(windows)
 	if err != nil {

@@ -45,8 +45,9 @@ func randomConfig(seed int64) (Config, bool) {
 		return Config{}, false
 	}
 	rates := make([]float64, nflows)
+	lo, hi := 0.05, 1.0
 	for i := range rates {
-		rates[i] = rng.Uniform(0.05, 1)
+		rates[i] = lo + (hi-lo)*rng.Float64() // uniform in [0.05, 1)
 	}
 	return Config{Rules: rs, Rates: rates, Delta: 0.1, CacheSize: cache}, true
 }

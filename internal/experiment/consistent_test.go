@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"flowrecon/internal/controller"
 	"flowrecon/internal/core"
 	"flowrecon/internal/flows"
 	"flowrecon/internal/flowtable"
@@ -48,7 +47,16 @@ func TestConsistentRemovalBreaksTheModel(t *testing.T) {
 	model.EvolveInPlace(dT, steps)
 	predicted := model.HitProbability(dT, probeF)
 
-	app := controller.New(rs, controller.Options{ConsistentRemoval: true})
+	// dependents[j] lists the rules consistent deployment removes with
+	// rule j: every lower-priority rule overlapping it.
+	dependents := make([][]int, rs.Len())
+	for j := range dependents {
+		for other := 0; other < rs.Len(); other++ {
+			if other != j && rs.HigherPriority(j, other) && rs.Rule(j).Cover.Overlaps(rs.Rule(other).Cover) {
+				dependents[j] = append(dependents[j], other)
+			}
+		}
+	}
 	measure := func(consistent bool) float64 {
 		rng := stats.NewRNG(17)
 		hits := 0
@@ -64,7 +72,7 @@ func TestConsistentRemovalBreaksTheModel(t *testing.T) {
 			var dragged []int
 			if consistent {
 				tbl.OnRemove = func(ruleID int, reason flowtable.EvictionReason, _ float64) {
-					dragged = append(dragged, app.DependentRemovals(ruleID)...)
+					dragged = append(dragged, dependents[ruleID]...)
 				}
 			}
 			for _, a := range trace.Arrivals() {

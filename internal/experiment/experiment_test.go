@@ -131,10 +131,10 @@ func TestMeasurementClassify(t *testing.T) {
 	const n = 5000
 	wrong := 0
 	for i := 0; i < n; i++ {
-		if !m.Classify(true, rng) {
+		if hit, _ := m.ClassifyMs(true, rng); !hit {
 			wrong++
 		}
-		if m.Classify(false, rng) {
+		if hit, _ := m.ClassifyMs(false, rng); hit {
 			wrong++
 		}
 	}
@@ -430,9 +430,8 @@ func TestRunTrialsWithAlternativeSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	naive := &core.NaiveAttacker{TargetFlow: nc.Target}
-	bf, on, off := workload.DefaultBurstShape()
 	for name, src := range map[string]TraceSource{
-		"bursty":   BurstySource(bf, on, off),
+		"bursty":   BurstySource(5, 0.5, 2.0),
 		"periodic": PeriodicSource,
 	} {
 		results, err := NewTrialRunner(nc, []core.Attacker{naive}, DefaultMeasurement(), RunnerOptions{Source: src}).RunTrials(50, 9, 1)

@@ -38,15 +38,10 @@ func DefaultMeasurement() Measurement {
 	}
 }
 
-// Classify simulates one timing observation of a probe with ground-truth
-// outcome hit and returns the attacker's classification.
-func (m Measurement) Classify(hit bool, rng *stats.RNG) bool {
-	verdict, _ := m.ClassifyMs(hit, rng)
-	return verdict
-}
-
-// ClassifyMs is Classify exposing the drawn observation (milliseconds) —
-// the quantity the telemetry probe-delay histograms record.
+// ClassifyMs simulates one timing observation of a probe with
+// ground-truth outcome hit and returns the attacker's classification and
+// the drawn observation (milliseconds) — the quantity the telemetry
+// probe-delay histograms record.
 func (m Measurement) ClassifyMs(hit bool, rng *stats.RNG) (bool, float64) {
 	var ms float64
 	if hit {

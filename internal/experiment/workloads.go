@@ -30,15 +30,6 @@ type WorkloadRow struct {
 	FPR FPRResult
 }
 
-// ModelAccuracy returns the model attacker's accuracy (the roster's
-// second entry).
-func (r WorkloadRow) ModelAccuracy() float64 {
-	if len(r.Results) < 2 {
-		return 0
-	}
-	return r.Results[1].Accuracy()
-}
-
 // WorkloadComparison is the full §17 result set.
 type WorkloadComparison struct {
 	Rows    []WorkloadRow

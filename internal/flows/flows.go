@@ -130,15 +130,6 @@ func (u *Universe) Tuple(id ID) FiveTuple { return u.tuples[id] }
 // Name returns the human-readable name of flow id.
 func (u *Universe) Name(id ID) string { return u.names[id] }
 
-// All returns a set containing every registered flow.
-func (u *Universe) All() Set {
-	s := NewSet(u.Size())
-	for i := 0; i < u.Size(); i++ {
-		s.Add(ID(i))
-	}
-	return s
-}
-
 // ClientServerUniverse builds the paper's evaluation universe (§VI-A):
 // nhosts flows, one per contiguous source address starting at base, all
 // destined to the host one past the last source (10.0.1.16 in the paper),

@@ -74,9 +74,6 @@ func TestUniverse(t *testing.T) {
 	if u.Tuple(a) != ta || u.Name(a) != "a" {
 		t.Fatal("tuple/name accessors broken")
 	}
-	if all := u.All(); all.Len() != 2 || !all.Contains(a) || !all.Contains(b) {
-		t.Fatalf("All() = %v", all)
-	}
 }
 
 func TestClientServerUniverse(t *testing.T) {
@@ -124,17 +121,8 @@ func TestSetAlgebra(t *testing.T) {
 	if u := a.Union(b); u.Len() != 5 || !u.Contains(3) {
 		t.Fatalf("union = %v", u)
 	}
-	if i := a.Intersect(b); !i.Equal(SetOf(2, 65)) {
-		t.Fatalf("intersect = %v", i)
-	}
-	if m := a.Minus(b); !m.Equal(SetOf(0, 1)) {
-		t.Fatalf("minus = %v", m)
-	}
 	if !a.Overlaps(b) || a.Overlaps(SetOf(99)) {
 		t.Fatal("overlaps broken")
-	}
-	if !SetOf(2).Subset(a) || SetOf(9).Subset(a) {
-		t.Fatal("subset broken")
 	}
 	c := a.Clone()
 	c.SubtractInPlace(b)
@@ -204,9 +192,14 @@ func TestSetPropertyDeMorgan(t *testing.T) {
 			}
 			return s
 		}
+		minus := func(s, t Set) Set {
+			out := s.Clone()
+			out.SubtractInPlace(t)
+			return out
+		}
 		a, b, c := mk(aw), mk(bw), mk(cw)
-		left := a.Union(b).Minus(c)
-		right := a.Minus(c).Union(b.Minus(c))
+		left := minus(a.Union(b), c)
+		right := minus(a, c).Union(minus(b, c))
 		return left.Equal(right)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -215,7 +208,7 @@ func TestSetPropertyDeMorgan(t *testing.T) {
 }
 
 func TestSetPropertyLenUnion(t *testing.T) {
-	// |a ∪ b| = |a| + |b| - |a ∩ b|.
+	// |a ∪ b| = |b| + |a \ b|.
 	f := func(aw, bw uint32) bool {
 		mk := func(w uint32) Set {
 			var s Set
@@ -227,7 +220,9 @@ func TestSetPropertyLenUnion(t *testing.T) {
 			return s
 		}
 		a, b := mk(aw), mk(bw)
-		return a.Union(b).Len() == a.Len()+b.Len()-a.Intersect(b).Len()
+		aOnly := a.Clone()
+		aOnly.SubtractInPlace(b)
+		return a.Union(b).Len() == b.Len()+aOnly.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -96,29 +96,6 @@ func (s Set) Union(t Set) Set {
 	return Set{words: out}
 }
 
-// Intersect returns s ∩ t as a new set.
-func (s Set) Intersect(t Set) Set {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.words[i] & t.words[i]
-	}
-	return Set{words: out}
-}
-
-// Minus returns s \ t as a new set.
-func (s Set) Minus(t Set) Set {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	for i := 0; i < len(out) && i < len(t.words); i++ {
-		out[i] &^= t.words[i]
-	}
-	return Set{words: out}
-}
-
 // SubtractInPlace removes every member of t from s without allocating.
 func (s *Set) SubtractInPlace(t Set) {
 	for i := 0; i < len(s.words) && i < len(t.words); i++ {
@@ -161,20 +138,6 @@ func (s Set) Equal(t Set) bool {
 	}
 	for _, w := range longer[len(shorter):] {
 		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Subset reports whether every member of s is in t.
-func (s Set) Subset(t Set) bool {
-	for i, w := range s.words {
-		var tw uint64
-		if i < len(t.words) {
-			tw = t.words[i]
-		}
-		if w&^tw != 0 {
 			return false
 		}
 	}

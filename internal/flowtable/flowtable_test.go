@@ -1,7 +1,6 @@
 package flowtable
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -194,163 +193,6 @@ func TestTableCached(t *testing.T) {
 	}
 }
 
-// --- StepTable: the Figure 3 walkthrough ---
-
-func TestStepTableFigure3(t *testing.T) {
-	rs := testRules(t)
-	st := NewStepTable(rs, 2)
-
-	// f3 arrives: rule3 installed with clock 7.
-	if id, hit, ok := st.StepArrival(2); !ok || hit || id != 2 {
-		t.Fatalf("f3 arrival: id=%d hit=%v ok=%v", id, hit, ok)
-	}
-	// f1 arrives: rule1 (highest covering) installed with clock 4; rule3
-	// decrements to 6. State becomes [(rule1:4), (rule3:6)].
-	if id, hit, _ := st.StepArrival(0); hit || id != 0 {
-		t.Fatalf("f1 arrival: id=%d hit=%v", id, hit)
-	}
-	want := []StepEntry{{RuleID: 0, Exp: 4}, {RuleID: 2, Exp: 6}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v", got, want)
-	}
-
-	// Three nulls: [(rule1:1), (rule3:3)].
-	st.StepNull()
-	st.StepNull()
-	st.StepNull()
-	// f2 arrives: no covering rule cached (rule1 covers only f1).
-	// rule2 installs; cache full → evict rule1 (smallest remaining 1 < 3).
-	if id, hit, _ := st.StepArrival(1); hit || id != 1 {
-		t.Fatalf("f2 arrival: id=%d hit=%v", id, hit)
-	}
-	want = []StepEntry{{RuleID: 1, Exp: 10}, {RuleID: 2, Exp: 2}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v", got, want)
-	}
-
-	// f1 now hits rule2 (only cached cover): clock resets to 10, moves to
-	// front; rule3 decrements.
-	if id, hit, _ := st.StepArrival(0); !hit || id != 1 {
-		t.Fatalf("f1 hit: id=%d hit=%v", id, hit)
-	}
-	want = []StepEntry{{RuleID: 1, Exp: 10}, {RuleID: 2, Exp: 1}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v", got, want)
-	}
-}
-
-func TestStepTableTimeout(t *testing.T) {
-	rs := testRules(t)
-	st := NewStepTable(rs, 2)
-	st.StepArrival(2) // rule3:7
-	st.StepArrival(0) // rule1:4, rule3:6
-	for i := 0; i < 4; i++ {
-		if st.PendingTimeout() {
-			t.Fatalf("premature timeout at null %d", i)
-		}
-		st.StepNull()
-	}
-	// rule1 clock is now 0.
-	if !st.PendingTimeout() {
-		t.Fatal("timeout not pending")
-	}
-	if !st.StepTimeout() {
-		t.Fatal("StepTimeout returned false")
-	}
-	want := []StepEntry{{RuleID: 2, Exp: 2}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v", got, want)
-	}
-	if st.StepTimeout() {
-		t.Fatal("timeout fired with no zero clock")
-	}
-}
-
-func TestStepTableTimeoutRemovesDeepest(t *testing.T) {
-	rs, err := rules.NewSet([]rules.Rule{
-		{Cover: flows.SetOf(0), Priority: 2, Timeout: 1},
-		{Cover: flows.SetOf(1), Priority: 1, Timeout: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStepTable(rs, 2)
-	st.StepArrival(0) // [rule0:1]
-	st.StepArrival(1) // [rule1:1, rule0:0]
-	// Both will reach 0; paper removes the deepest zero first.
-	if !st.StepTimeout() {
-		t.Fatal("no timeout")
-	}
-	want := []StepEntry{{RuleID: 1, Exp: 1}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v", got, want)
-	}
-}
-
-func TestStepTableHardTimeoutDecrementsOnHit(t *testing.T) {
-	rs, err := rules.NewSet([]rules.Rule{
-		{Cover: flows.SetOf(0), Priority: 1, Timeout: 3, Kind: rules.HardTimeout},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStepTable(rs, 1)
-	st.StepArrival(0) // clock 3
-	if _, hit, _ := st.StepArrival(0); !hit {
-		t.Fatal("expected hit")
-	}
-	want := []StepEntry{{RuleID: 0, Exp: 2}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v (hard timeout must not reset)", got, want)
-	}
-}
-
-func TestStepTableUncoveredFlow(t *testing.T) {
-	rs := testRules(t)
-	st := NewStepTable(rs, 2)
-	st.StepArrival(2)
-	if _, _, ok := st.StepArrival(9); ok {
-		t.Fatal("uncovered flow reported covered")
-	}
-	// Clocks must still have decremented (the step elapsed).
-	want := []StepEntry{{RuleID: 2, Exp: 6}}
-	if got := st.Entries(); !entriesEqual(got, want) {
-		t.Fatalf("state = %v, want %v", got, want)
-	}
-}
-
-func TestStepTableKeyAndSets(t *testing.T) {
-	rs := testRules(t)
-	st := NewStepTable(rs, 2)
-	if st.Key() != "" {
-		t.Fatalf("empty key = %q", st.Key())
-	}
-	st.StepArrival(2)
-	st.StepArrival(0)
-	if st.Key() != "0:4|2:6" {
-		t.Fatalf("key = %q", st.Key())
-	}
-	if !st.Contains(0) || !st.Contains(2) || st.Contains(1) {
-		t.Fatal("contains wrong")
-	}
-	cs := st.CachedSet()
-	if !cs.Equal(flows.SetOf(0, 2)) {
-		t.Fatalf("cached set = %v", cs)
-	}
-}
-
-func entriesEqual(a, b []StepEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestTableStats(t *testing.T) {
 	rs := testRules(t)
 	tbl, err := New(rs, 1, 1)
@@ -376,50 +218,6 @@ func TestTableStats(t *testing.T) {
 	st.MatchesByRule[0] = 99
 	if tbl.Stats().MatchesByRule[0] == 99 {
 		t.Fatal("stats alias internal state")
-	}
-}
-
-// TestStepTablePropertyInvariants drives the step table with random event
-// sequences and checks the §IV-A state invariants after every step: at
-// most `capacity` entries, no duplicate rules, and clocks within [0, t_j].
-func TestStepTablePropertyInvariants(t *testing.T) {
-	rs := testRules(t)
-	check := func(st *StepTable) error {
-		seen := map[int]bool{}
-		entries := st.Entries()
-		if len(entries) > 2 {
-			return fmt.Errorf("over capacity: %v", entries)
-		}
-		for _, e := range entries {
-			if seen[e.RuleID] {
-				return fmt.Errorf("duplicate rule: %v", entries)
-			}
-			seen[e.RuleID] = true
-			if e.Exp < 0 || e.Exp > rs.Rule(e.RuleID).Timeout {
-				return fmt.Errorf("clock out of range: %v", entries)
-			}
-		}
-		return nil
-	}
-	f := func(events []uint8) bool {
-		st := NewStepTable(rs, 2)
-		for _, ev := range events {
-			if st.PendingTimeout() {
-				st.StepTimeout()
-			} else if ev%4 == 3 {
-				st.StepNull()
-			} else {
-				st.StepArrival(flows.ID(ev % 4)) // includes uncovered flow 3
-			}
-			if err := check(st); err != nil {
-				t.Log(err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

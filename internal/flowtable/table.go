@@ -1,14 +1,11 @@
-// Package flowtable implements the SDN switch's rule cache, in two forms:
-//
-//   - Table: a continuous-time flow table used by the switch simulator and
-//     the OpenFlow switch agent. It implements the OpenFlow behaviours the
-//     attack depends on — highest-priority match, idle and hard timeouts,
-//     and eviction of the entry with the smallest remaining lifetime when
-//     the table is full (the Open vSwitch policy cited in the paper).
-//
-//   - StepTable: a discrete-time table whose step semantics are exactly the
-//     transition relation of the paper's basic Markov model (§IV-A). It is
-//     used to validate the models against an executable reference.
+// Package flowtable implements the SDN switch's rule cache: a
+// continuous-time flow table used by the switch simulator and the
+// OpenFlow switch agent. It implements the OpenFlow behaviours the attack
+// depends on — highest-priority match, idle and hard timeouts, and
+// eviction of the entry with the smallest remaining lifetime when the
+// table is full (the Open vSwitch policy cited in the paper). The
+// discrete-time table that steps exactly like the paper's basic Markov
+// model (§IV-A) is a test oracle of internal/core.
 package flowtable
 
 import (

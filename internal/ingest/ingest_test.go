@@ -495,7 +495,11 @@ func TestIngestFileSniffsFormat(t *testing.T) {
 	pkts := testPackets(t)
 
 	pcapPath := dir + "/capture.pcap"
-	if err := WritePcapFile(pcapPath, pkts, WriteOptions{LittleEndian: true}); err != nil {
+	var capture bytes.Buffer
+	if err := WritePcap(&capture, pkts, WriteOptions{LittleEndian: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pcapPath, capture.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fromPcap, err := IngestFile(pcapPath, IngestOptions{})

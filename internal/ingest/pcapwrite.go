@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // WriteOptions configures WritePcap.
@@ -67,19 +66,6 @@ func WritePcap(w io.Writer, packets []Packet, opts WriteOptions) error {
 		}
 	}
 	return nil
-}
-
-// WritePcapFile writes the capture to path.
-func WritePcapFile(path string, packets []Packet, opts WriteOptions) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	if err := WritePcap(f, packets, opts); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // splitTime decomposes an absolute float64 timestamp into the pcap

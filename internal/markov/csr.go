@@ -4,8 +4,9 @@
 // buffers with support tracking) and a row-sharded parallel matvec that
 // kicks in above a size threshold.
 //
-// Bit-for-bit determinism contract: every Apply/Evolve path in this file
-// produces results identical (0 ulp) to the reference Sparse.Apply loop.
+// Bit-for-bit determinism contract: every apply/evolve path in this file
+// produces results identical (0 ulp) to the reference scatter loop (kept
+// in this package's tests as Sparse.apply).
 // The reference is a scatter over source states in ascending order,
 // skipping zero-mass sources. Two observations make the fast paths safe:
 //
@@ -72,8 +73,8 @@ func (c *CSR) MemBytes() int64 {
 }
 
 // Freeze converts the builder matrix into its immutable CSR form.
-// Duplicate (from, to) entries — which Sparse.Add already coalesces, so
-// none arise in practice — are summed during the sort+compact pass.
+// Duplicate (from, to) entries — which Append's callers never store — are
+// summed during the sort+compact pass.
 // The builder is left untouched and may keep being mutated; the CSR is a
 // deep snapshot.
 func (m *Sparse) Freeze() *CSR {
@@ -136,27 +137,6 @@ func (c *CSR) Size() int { return c.n }
 // NNZ returns the number of stored entries.
 func (c *CSR) NNZ() int { return len(c.colIdx) }
 
-// SetWorkers caps the number of goroutines the parallel matvec may use.
-// w <= 1 forces the serial path. The default is GOMAXPROCS at Freeze
-// time.
-func (c *CSR) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	c.workers = w
-}
-
-// Workers reports the current parallel matvec width.
-func (c *CSR) Workers() int { return c.workers }
-
-// Apply advances a distribution one step, allocating the output. It is
-// the CSR analogue of Sparse.Apply and bit-identical to it.
-func (c *CSR) Apply(d Dist) Dist {
-	out := make(Dist, c.n)
-	c.ApplyInto(out, d)
-	return out
-}
-
 // ApplyInto writes one evolution step of src into dst (dst[to] =
 // Σ_from src[from]·P[from→to]) without allocating. dst is fully
 // overwritten; dst and src must not alias. Shards rows across workers
@@ -218,14 +198,6 @@ func (c *CSR) applyGatherParallel(dst, src Dist) {
 	wg.Wait()
 }
 
-// Evolve advances a distribution T steps, allocating a fresh workspace
-// and output. Prefer EvolveInPlace with a reused Workspace on hot paths.
-func (c *CSR) Evolve(d Dist, steps int) Dist {
-	out := d.Clone()
-	c.EvolveInPlace(NewWorkspace(c.n), out, steps)
-	return out
-}
-
 // Workspace holds the ping-pong buffers and support bookkeeping for
 // EvolveInPlace. A Workspace is not safe for concurrent use; reuse one
 // per goroutine. The zero-mass invariant (both buffers all zero between
@@ -238,7 +210,7 @@ type Workspace struct {
 	epoch    int64
 	support  []int32
 	touched  []int32
-	denseCnt int64 // steps executed in dense mode (telemetry/testing)
+	denseCnt int64 // steps executed in dense mode (read by tests)
 }
 
 // NewWorkspace returns a workspace for n-state distributions.
@@ -251,17 +223,13 @@ func NewWorkspace(n int) *Workspace {
 	}
 }
 
-// DenseSteps reports how many evolution steps ran in dense-gather mode
-// since the workspace was created (the rest ran support-tracked).
-func (ws *Workspace) DenseSteps() int64 { return ws.denseCnt }
-
 // EvolveInPlace advances d by steps, overwriting d with the result. It
 // performs zero per-step heap allocation once the workspace's support
 // slices have warmed up. Sparse (support-tracked scatter) steps are used
 // while the distribution's support stays small; once support exceeds a
 // quarter of the state space the loop switches to dense gather steps
 // (which also engage the parallel matvec on large matrices). All paths
-// are bit-identical to Sparse.Evolve.
+// are bit-identical to the reference scatter.
 func (c *CSR) EvolveInPlace(ws *Workspace, d Dist, steps int) {
 	if len(d) != c.n {
 		panic("markov: EvolveInPlace dimension mismatch")

@@ -1,7 +1,8 @@
-// Package markov provides the discrete-time Markov-chain machinery shared
-// by the paper's basic and compact switch models: dense distributions,
-// sparse transition matrices, distribution evolution (Eqn 8 of the paper,
-// I_T = Aᵀ I_0), and a reachable-state explorer.
+// Package markov provides the discrete-time Markov-chain machinery of
+// the paper's switch models: dense distributions, a sparse transition
+// matrix builder, and its frozen form that evolves distributions (Eqn 8
+// of the paper, I_T = Aᵀ I_0). The reference scatter that the frozen
+// kernels are bit-identical to lives in this package's tests.
 package markov
 
 import (
@@ -19,32 +20,12 @@ func PointDist(n, i int) Dist {
 	return d
 }
 
-// Clone returns an independent copy.
-func (d Dist) Clone() Dist {
-	out := make(Dist, len(d))
-	copy(out, d)
-	return out
-}
-
 // Sum returns the total mass (1 for a proper distribution; < 1 for the
 // substochastic joints used in target conditioning).
 func (d Dist) Sum() float64 {
 	var s float64
 	for _, v := range d {
 		s += v
-	}
-	return s
-}
-
-// Normalize scales d to unit mass in place and returns the prior mass.
-// A zero-mass distribution is left unchanged.
-func (d Dist) Normalize() float64 {
-	s := d.Sum()
-	if s <= 0 {
-		return s
-	}
-	for i := range d {
-		d[i] /= s
 	}
 	return s
 }
@@ -70,17 +51,7 @@ type edge struct {
 type Sparse struct {
 	n    int
 	rows [][]edge
-	// idx[from] maps destination → position in rows[from]. Built lazily
-	// once a row grows past addIndexThreshold so that Add stays O(1)
-	// amortized instead of the former O(row) duplicate scan (which made
-	// dense-row construction quadratic).
-	idx []map[int]int
 }
-
-// addIndexThreshold is the row length above which Add switches from a
-// short linear scan (cache-friendly for the typical few-entry row) to a
-// per-row destination index.
-const addIndexThreshold = 12
 
 // NewSparse returns an n×n zero matrix.
 func NewSparse(n int) *Sparse {
@@ -88,7 +59,7 @@ func NewSparse(n int) *Sparse {
 }
 
 // NewSparseReserved returns a len(rowCaps)×len(rowCaps) zero matrix whose
-// row i has room for rowCaps[i] entries before Add must grow it. All rows
+// row i has room for rowCaps[i] entries before Append must grow it. All rows
 // are carved from one slab, so a builder that knows its row sizes
 // allocates its edges once instead of regrowing every row. A row that
 // outgrows its reservation reallocates on its own without touching its
@@ -113,68 +84,23 @@ func (m *Sparse) Size() int { return m.n }
 
 // MemBytes estimates the builder's heap footprint: every row's edge
 // capacity — append slack and reserved room count, not only the stored
-// entries — plus the row headers and, for long rows, their destination
-// indexes (approximated per entry).
+// entries — plus the row headers.
 func (m *Sparse) MemBytes() int64 {
 	const (
 		edgeBytes   = 16 // edge{to, p}
 		headerBytes = 24 // slice header per row
-		mapEntry    = 48 // rough per-entry bucket + key + value cost
 	)
 	b := int64(len(m.rows)) * headerBytes
 	for _, row := range m.rows {
 		b += int64(cap(row)) * edgeBytes
 	}
-	for _, ix := range m.idx {
-		b += int64(len(ix)) * mapEntry
-	}
 	return b
 }
 
-// Add accumulates probability p onto the (from, to) entry.
-func (m *Sparse) Add(from, to int, p float64) {
-	if p == 0 {
-		return
-	}
-	row := m.rows[from]
-	if m.idx != nil && m.idx[from] != nil {
-		ix := m.idx[from]
-		if i, ok := ix[to]; ok {
-			row[i].p += p
-			return
-		}
-		ix[to] = len(row)
-		m.rows[from] = append(row, edge{to: to, p: p})
-		return
-	}
-	for i := range row {
-		if row[i].to == to {
-			row[i].p += p
-			return
-		}
-	}
-	m.rows[from] = append(row, edge{to: to, p: p})
-	if len(row)+1 > addIndexThreshold {
-		m.buildRowIndex(from)
-	}
-}
-
-// Append stores p as a new (from, to) entry without Add's duplicate
-// check: the caller guarantees that the row holds no entry for to yet.
+// Append stores p as a new (from, to) entry. The caller guarantees that
+// the row holds no entry for to yet.
 func (m *Sparse) Append(from, to int, p float64) {
 	m.rows[from] = append(m.rows[from], edge{to: to, p: p})
-}
-
-// buildRowIndex promotes a row to indexed duplicate detection.
-func (m *Sparse) buildRowIndex(from int) {
-	if m.idx == nil {
-		m.idx = make([]map[int]int, m.n)
-	}
-	ix := make(map[int]int, 2*len(m.rows[from]))
-	for i, e := range m.rows[from] {
-		ix[e.to] = i
-	}
-	m.idx[from] = ix
 }
 
 // Row returns the (to, p) pairs of a row as parallel slices.
@@ -235,84 +161,4 @@ func (m *Sparse) NNZ() int {
 		n += len(row)
 	}
 	return n
-}
-
-// Apply advances a distribution one step: out[to] = Σ_from d[from]·P[from→to].
-func (m *Sparse) Apply(d Dist) Dist {
-	out := make(Dist, m.n)
-	for from, p := range d {
-		if p == 0 {
-			continue
-		}
-		for _, e := range m.rows[from] {
-			out[e.to] += p * e.p
-		}
-	}
-	return out
-}
-
-// Evolve advances a distribution T steps (Eqn 8: I_T = Aᵀ I_0).
-func (m *Sparse) Evolve(d Dist, steps int) Dist {
-	cur := d.Clone()
-	for i := 0; i < steps; i++ {
-		cur = m.Apply(cur)
-	}
-	return cur
-}
-
-// Transition is one outgoing edge produced by a state-transition function.
-type Transition[K comparable] struct {
-	To K
-	P  float64
-}
-
-// ExploreResult is the output of Explore: a state index assignment and the
-// sparse transition matrix over the reachable states.
-type ExploreResult[K comparable] struct {
-	States []K       // index → state key
-	Index  map[K]int // state key → index
-	Matrix *Sparse   // transition probabilities over indices
-}
-
-// ErrStateSpaceTooLarge is returned when exploration exceeds its budget.
-type ErrStateSpaceTooLarge struct {
-	Limit int
-}
-
-// Error implements the error interface.
-func (e *ErrStateSpaceTooLarge) Error() string {
-	return fmt.Sprintf("markov: reachable state space exceeds limit %d", e.Limit)
-}
-
-// Explore breadth-first enumerates the states reachable from seed under
-// next and assembles the transition matrix. next must be deterministic.
-// maxStates bounds the exploration (the basic model's state space grows as
-// §IV-A2 describes); exceeding it returns ErrStateSpaceTooLarge.
-func Explore[K comparable](seed K, next func(K) []Transition[K], maxStates int) (*ExploreResult[K], error) {
-	res := &ExploreResult[K]{Index: map[K]int{seed: 0}, States: []K{seed}}
-	type rowEdges struct {
-		from  int
-		edges []Transition[K]
-	}
-	var pending []rowEdges
-	for i := 0; i < len(res.States); i++ {
-		out := next(res.States[i])
-		for _, tr := range out {
-			if _, ok := res.Index[tr.To]; !ok {
-				if len(res.States) >= maxStates {
-					return nil, &ErrStateSpaceTooLarge{Limit: maxStates}
-				}
-				res.Index[tr.To] = len(res.States)
-				res.States = append(res.States, tr.To)
-			}
-		}
-		pending = append(pending, rowEdges{from: i, edges: out})
-	}
-	res.Matrix = NewSparse(len(res.States))
-	for _, row := range pending {
-		for _, tr := range row.edges {
-			res.Matrix.Add(row.from, res.Index[tr.To], tr.P)
-		}
-	}
-	return res, nil
 }

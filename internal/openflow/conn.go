@@ -17,10 +17,9 @@ import (
 // the transport supports one, i.e. any net.Conn).
 const DefaultHandshakeTimeout = 10 * time.Second
 
-// DefaultDialTimeout bounds Dial's TCP connect. The historical Dial had
-// no limit at all — a blackholed address would hang the caller forever —
-// so Dial now applies this default; pass an explicit timeout to
-// DialTimeout (or use DialContext) to override it.
+// DefaultDialTimeout bounds a switch's TCP connect to its controller
+// (cmd/ofswitch dials with it): an unbounded connect to a blackholed
+// address would hang the caller forever.
 const DefaultDialTimeout = 10 * time.Second
 
 // Conn frames OpenFlow messages over a byte stream and performs the
@@ -83,17 +82,6 @@ func NewConn(rw io.ReadWriteCloser) *Conn {
 	return &Conn{rw: rw}
 }
 
-// Dial connects to an OpenFlow endpoint over TCP, bounded by
-// DefaultDialTimeout.
-//
-// Deprecated behavior note: Dial used to pass no timeout at all, which
-// hung forever against a blackholed controller address. That footgun is
-// gone — callers that genuinely want an unbounded connect must now say
-// so explicitly with DialTimeout(addr, 0) or DialContext.
-func Dial(addr string) (*Conn, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
-
 // DialTimeout connects to an OpenFlow endpoint over TCP, failing after
 // timeout (0 = no limit).
 func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
@@ -143,21 +131,6 @@ func (c *Conn) SendXID(msg Message, xid uint32) error {
 		c.tm.txBytes[t].Add(int64(len(buf)))
 	}
 	return nil
-}
-
-// RecvTimeout reads the next message, failing if nothing arrives within
-// d (a peer that handshakes then goes silent must not hang the reader
-// forever). The read deadline applies only when the transport supports
-// one; it is cleared before returning. d ≤ 0 means no deadline.
-func (c *Conn) RecvTimeout(d time.Duration) (Message, Header, error) {
-	if d > 0 {
-		if dt, ok := c.rw.(deadlineTransport); ok {
-			if err := dt.SetReadDeadline(time.Now().Add(d)); err == nil {
-				defer dt.SetReadDeadline(time.Time{})
-			}
-		}
-	}
-	return c.Recv()
 }
 
 // Recv reads the next message.

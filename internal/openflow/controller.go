@@ -47,9 +47,6 @@ type Controller struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
-	// flowRemovals counts FLOW_REMOVED notifications from switches.
-	flowRemovals atomic.Int64
-
 	reg *telemetry.Registry
 	tm  ctlMetrics // resolved instruments (zero = disabled)
 
@@ -127,9 +124,6 @@ func (c *Controller) PacketIns() int64 {
 	}
 	return c.app.Snapshot().PacketIns
 }
-
-// FlowRemovals returns the number of FLOW_REMOVED notifications received.
-func (c *Controller) FlowRemovals() int64 { return c.flowRemovals.Load() }
 
 // Listen starts accepting switch connections on addr ("127.0.0.1:0" for an
 // ephemeral test port) and returns the bound address.
@@ -234,7 +228,6 @@ func (c *Controller) ServeConn(conn *Conn) {
 				return
 			}
 		case *FlowRemoved:
-			c.flowRemovals.Add(1)
 			c.tm.flowRemovals.Inc()
 			c.flowRemovedEvent(m)
 		case *FeaturesReply, *Hello, *EchoReply, *ErrorMsg:

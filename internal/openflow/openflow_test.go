@@ -8,6 +8,7 @@ import (
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/rules"
+	"flowrecon/internal/telemetry"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -301,7 +302,28 @@ func TestControllerAddr(t *testing.T) {
 }
 
 func TestFlowRemovedNotification(t *testing.T) {
-	sw, ctl, universe, _ := testFabric(t, 3, ControllerOptions{StepSeconds: 0.02}) // 2-step rules ≈ 40ms
+	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
+	rs, err := rules.NewSet([]rules.Rule{{Name: "r0", Cover: flows.SetOf(0), Priority: 1, Timeout: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewController(rs, universe, ControllerOptions{StepSeconds: 0.02}) // 2-step rule ≈ 40ms
+	reg := telemetry.NewRegistry()
+	ctl.SetTelemetry(reg)
+	addr, err := ctl.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	sw, err := NewSwitch(1, rs, universe, 3, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	removals := func() int64 { return reg.Snapshot().Counters["controller_flow_removals_total"] }
 	if _, err := sw.Inject(universe.Tuple(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +333,10 @@ func TestFlowRemovedNotification(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for ctl.FlowRemovals() == 0 && time.Now().Before(deadline) {
+	for removals() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ctl.FlowRemovals() == 0 {
+	if removals() == 0 {
 		t.Fatal("controller saw no FLOW_REMOVED after an idle timeout")
 	}
 }

@@ -47,9 +47,10 @@ func TestSwitchReconnectsAfterConnLoss(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	sw.SetTelemetry(reg)
-	if err := sw.ConnectWithRetry(addr, ReconnectPolicy{
+	sw.SetReconnect(ReconnectPolicy{
 		MaxRetries: 10, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Seed: 1,
-	}); err != nil {
+	}, func() (*Conn, error) { return DialTimeout(addr, DefaultDialTimeout) })
+	if err := sw.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
 	defer sw.Close()
@@ -253,71 +254,8 @@ func TestChaosLossyControlChannel(t *testing.T) {
 		reg.Snapshot().Counters["controller_packet_in_dupes_total"])
 }
 
-// tcpPair returns two connected TCP loopback conns (kernel-buffered, so
-// simultaneous handshake writes cannot deadlock the way net.Pipe does).
-func tcpPair(t *testing.T) (net.Conn, net.Conn) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type accepted struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan accepted, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- accepted{c, err}
-	}()
-	a, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := <-ch
-	if acc.err != nil {
-		t.Fatal(acc.err)
-	}
-	return a, acc.c
-}
-
-// TestRecvTimeoutSilentPeer: a peer that handshakes and then goes
-// silent must not hang a bounded read.
-func TestRecvTimeoutSilentPeer(t *testing.T) {
-	a, b := tcpPair(t)
-	defer a.Close()
-	defer b.Close()
-	left, right := NewConn(a), NewConn(b)
-	errs := make(chan error, 1)
-	go func() { errs <- right.Handshake() }()
-	if err := left.Handshake(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	// The peer now says nothing. A bounded Recv must fail promptly...
-	begin := time.Now()
-	if _, _, err := left.RecvTimeout(50 * time.Millisecond); err == nil {
-		t.Fatal("RecvTimeout returned a message from a silent peer")
-	}
-	if elapsed := time.Since(begin); elapsed > time.Second {
-		t.Fatalf("RecvTimeout took %v", elapsed)
-	}
-	// ...and the deadline must be cleared for the next read.
-	go func() { left.Send(&EchoRequest{Data: []byte("hi")}) }()
-	msg, _, err := right.RecvTimeout(time.Second)
-	if err != nil {
-		t.Fatalf("post-timeout read: %v", err)
-	}
-	if msg.Type() != TypeEchoRequest {
-		t.Fatalf("got %s", msg.Type())
-	}
-}
-
-// TestDialDefaultTimeout: Dial now carries a bounded connect — verify
-// it still connects normally and fails fast on a closed port.
+// TestDialDefaultTimeout: a connect bounded by DefaultDialTimeout still
+// connects normally and fails fast on a closed port.
 func TestDialDefaultTimeout(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -330,13 +268,13 @@ func TestDialDefaultTimeout(t *testing.T) {
 			c.Close()
 		}
 	}()
-	c, err := Dial(addr)
+	c, err := DialTimeout(addr, DefaultDialTimeout)
 	if err != nil {
 		t.Fatalf("dial live listener: %v", err)
 	}
 	c.Close()
 	ln.Close()
-	if _, err := Dial(addr); err == nil {
+	if _, err := DialTimeout(addr, DefaultDialTimeout); err == nil {
 		t.Fatal("dial of a closed port succeeded")
 	}
 }

@@ -216,27 +216,10 @@ func (s *Switch) SetReconnect(pol ReconnectPolicy, dialer func() (*Conn, error))
 // ErrClosed is returned when an operation races with Close.
 var ErrClosed = errors.New("openflow: switch closed")
 
-// ConnectWithRetry dials the controller like Connect but arms the
-// reconnect policy, retrying both the initial connect and any later
-// outage with capped exponential backoff.
-func (s *Switch) ConnectWithRetry(addr string, pol ReconnectPolicy) error {
-	s.SetReconnect(pol, func() (*Conn, error) { return DialTimeout(addr, DefaultDialTimeout) })
-	conn, err := s.dialer()
-	if err != nil {
-		conn, err = s.redial(false)
-		if err != nil {
-			return err
-		}
-		return s.startConn(conn)
-	}
-	return s.Start(conn)
-}
-
 // redial re-establishes the control channel under the reconnect policy:
 // sleep (with jitter), dial, handshake; double the delay on failure up
-// to the cap. countReconnect marks successful attempts in the
-// switch_reconnects_total series (false during the initial connect).
-func (s *Switch) redial(countReconnect bool) (*Conn, error) {
+// to the cap. Each success counts in switch_reconnects_total.
+func (s *Switch) redial() (*Conn, error) {
 	delay := s.pol.BaseDelay
 	var lastErr error
 	for attempt := 0; attempt < s.pol.MaxRetries; attempt++ {
@@ -255,14 +238,12 @@ func (s *Switch) redial(countReconnect bool) (*Conn, error) {
 				conn.SetTelemetry(s.reg, "switch")
 			}
 			if herr := conn.HandshakeTimeout(s.pol.HandshakeTimeout); herr == nil {
-				if countReconnect {
-					s.tm.reconnects.Inc()
-					ev := telemetry.NewWideEvent("switch.reconnect")
-					ev.Node = "switch"
-					ev.T = s.now()
-					ev.Detail = fmt.Sprintf("attempt=%d", attempt+1)
-					s.tm.events.Emit(ev)
-				}
+				s.tm.reconnects.Inc()
+				ev := telemetry.NewWideEvent("switch.reconnect")
+				ev.Node = "switch"
+				ev.T = s.now()
+				ev.Detail = fmt.Sprintf("attempt=%d", attempt+1)
+				s.tm.events.Emit(ev)
 				return conn, nil
 			} else {
 				lastErr = herr
@@ -277,14 +258,6 @@ func (s *Switch) redial(countReconnect bool) (*Conn, error) {
 		}
 	}
 	return nil, fmt.Errorf("switch reconnect: %d attempts exhausted: %w", s.pol.MaxRetries, lastErr)
-}
-
-// startConn installs an already-handshaken connection and starts the
-// receive loop (the tail of ConnectWithRetry's retry path).
-func (s *Switch) startConn(conn *Conn) error {
-	s.setConn(conn)
-	go s.recvLoop()
-	return nil
 }
 
 // Connect dials the controller (bounded by DefaultHandshakeTimeout),
@@ -357,7 +330,7 @@ func (s *Switch) recvLoop() {
 				return
 			}
 			conn.Close()
-			next, rerr := s.redial(true)
+			next, rerr := s.redial()
 			if rerr != nil {
 				s.err = rerr
 				return

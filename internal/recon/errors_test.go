@@ -72,9 +72,6 @@ func TestProberErrorsPropagate(t *testing.T) {
 		if _, _, err := InferIdleTimeout(fresh(after), 0, []float64{1, 2, 4}, 0); !errors.Is(err, boom) {
 			t.Errorf("InferIdleTimeout after %d probes: err = %v, want %v", after, err, boom)
 		}
-		if _, err := InferCoverage(fresh(after), []flows.ID{0, 1}, 0, 10, 0.01); !errors.Is(err, boom) {
-			t.Errorf("InferCoverage after %d probes: err = %v, want %v", after, err, boom)
-		}
 	}
 }
 

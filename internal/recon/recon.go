@@ -112,36 +112,3 @@ func InferIdleTimeout(p Prober, f flows.ID, grid []float64, start float64) (lo, 
 	}
 	return lo, hi, nil
 }
-
-// InferCoverage recovers the flow→rule coverage relation the §III-C
-// threat model assumes (which the paper suggests may come from "reverse
-// engineering techniques", ref [15]): after the table has been left to
-// drain, sending flow i installs the highest-priority rule covering i;
-// an immediate probe of flow j hits iff that rule also covers j. The
-// result is a boolean matrix covered[i][j] = "i's install covers j".
-// drain is the quiet period between pairs (longer than every rule TTL);
-// gap is the spacing between the install and the probe.
-func InferCoverage(p Prober, probeFlows []flows.ID, start, drain, gap float64) ([][]bool, error) {
-	if drain <= gap {
-		return nil, fmt.Errorf("recon: drain %v must exceed gap %v", drain, gap)
-	}
-	n := len(probeFlows)
-	covered := make([][]bool, n)
-	now := start
-	for i := range covered {
-		covered[i] = make([]bool, n)
-		for j := range covered[i] {
-			now += drain // let every rule expire
-			if _, err := p.Probe(probeFlows[i], now); err != nil {
-				return nil, err
-			}
-			now += gap
-			hit, err := p.Probe(probeFlows[j], now)
-			if err != nil {
-				return nil, err
-			}
-			covered[i][j] = hit
-		}
-	}
-	return covered, nil
-}

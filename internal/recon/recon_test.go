@@ -122,40 +122,3 @@ func TestInferIdleTimeoutErrors(t *testing.T) {
 		t.Fatal("negative gap accepted")
 	}
 }
-
-func TestInferCoverage(t *testing.T) {
-	// Figure 2c structure: rule1 covers {0,1} (prio 2), rule2 covers
-	// {0,2} (prio 1). Installing flow 0 installs rule1 → covers flows
-	// 0 and 1 but not 2. Installing flow 2 installs rule2 → covers 0, 2.
-	rs, err := rules.NewSet([]rules.Rule{
-		{Name: "rule1", Cover: flows.SetOf(0, 1), Priority: 2, Timeout: 5},
-		{Name: "rule2", Cover: flows.SetOf(0, 2), Priority: 1, Timeout: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := flowtable.New(rs, 4, 1) // TTL 5 s
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &TableProber{Table: tbl}
-	covered, err := InferCoverage(p, []flows.ID{0, 1, 2}, 0, 10, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]bool{
-		{true, true, false}, // install via f0 → rule1 covers f0, f1
-		{true, true, false}, // install via f1 → rule1
-		{true, false, true}, // install via f2 → rule2 covers f0, f2
-	}
-	for i := range want {
-		for j := range want[i] {
-			if covered[i][j] != want[i][j] {
-				t.Errorf("covered[%d][%d] = %v, want %v", i, j, covered[i][j], want[i][j])
-			}
-		}
-	}
-	if _, err := InferCoverage(p, []flows.ID{0}, 0, 1, 2); err == nil {
-		t.Fatal("drain ≤ gap accepted")
-	}
-}

@@ -106,7 +106,7 @@ func TestCoveringMatchesLinearEnumeration(t *testing.T) {
 		got := rs.Covering(f)
 		var want []int
 		for _, id := range rs.ByPriority() {
-			if rs.Rule(id).Covers(f) {
+			if rs.Rule(id).Cover.Contains(f) {
 				want = append(want, id)
 			}
 		}
@@ -156,4 +156,17 @@ func FuzzMatchInDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// MatchInLinear is the straightforward O(|Rules|) matcher: walk the full
+// priority order and return the first cached rule covering f. It is the
+// executable specification of MatchIn — the differential and fuzz tests
+// assert the two agree on arbitrary rule sets and cache contents.
+func (s *Set) MatchInLinear(f flows.ID, cached func(ruleID int) bool) (int, bool) {
+	for _, id := range s.byPriority {
+		if cached(id) && s.rules[id].Cover.Contains(f) {
+			return id, true
+		}
+	}
+	return 0, false
 }

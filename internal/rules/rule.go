@@ -58,9 +58,6 @@ type Rule struct {
 	Kind TimeoutKind
 }
 
-// Covers reports whether the rule covers flow f.
-func (r Rule) Covers(f flows.ID) bool { return r.Cover.Contains(f) }
-
 // String implements fmt.Stringer.
 func (r Rule) String() string {
 	return fmt.Sprintf("rule%d(%s prio=%d t=%d %s)", r.ID, r.Name, r.Priority, r.Timeout, r.Kind)
@@ -227,20 +224,6 @@ func (s *Set) MatchIn(f flows.ID, cached func(ruleID int) bool) (int, bool) {
 	return 0, false
 }
 
-// MatchInLinear is the straightforward O(|Rules|) matcher: walk the full
-// priority order and return the first cached rule covering f. It is kept
-// as the executable specification of MatchIn — the differential and fuzz
-// tests assert the two agree on arbitrary rule sets and cache contents —
-// and is not used on any hot path.
-func (s *Set) MatchInLinear(f flows.ID, cached func(ruleID int) bool) (int, bool) {
-	for _, id := range s.byPriority {
-		if cached(id) && s.rules[id].Covers(f) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
 // CoveredFlows returns the union of all rules' coverage.
 func (s *Set) CoveredFlows() flows.Set {
 	var u flows.Set
@@ -250,13 +233,8 @@ func (s *Set) CoveredFlows() flows.Set {
 	return u
 }
 
-// MaxTimeout returns the largest timeout across rules (0 for an empty set).
-func (s *Set) MaxTimeout() int {
-	m := 0
-	for i := range s.rules {
-		if s.rules[i].Timeout > m {
-			m = s.rules[i].Timeout
-		}
-	}
-	return m
+// NumCovering returns how many rules cover flow f — the x-axis of the
+// paper's Figure 7a for the target flow.
+func NumCovering(s *Set, f flows.ID) int {
+	return len(s.Covering(f))
 }

@@ -116,60 +116,10 @@ func TestHigherPriority(t *testing.T) {
 	}
 }
 
-func TestCoveredFlowsAndMaxTimeout(t *testing.T) {
+func TestCoveredFlows(t *testing.T) {
 	s := fig2c(t)
 	if cf := s.CoveredFlows(); !cf.Equal(flows.SetOf(0, 1, 2)) {
 		t.Fatalf("covered = %v", cf)
-	}
-	if s.MaxTimeout() != 5 {
-		t.Fatalf("max timeout = %d", s.MaxTimeout())
-	}
-}
-
-func TestInstallersFig2c(t *testing.T) {
-	s := fig2c(t)
-	inst := Installers(s)
-	// f1, f2 install rule1 (its priority wins for f1); f3 installs rule2.
-	if !inst[0].Equal(flows.SetOf(0, 1)) {
-		t.Fatalf("installers(rule1) = %v", inst[0])
-	}
-	if !inst[1].Equal(flows.SetOf(2)) {
-		t.Fatalf("installers(rule2) = %v", inst[1])
-	}
-}
-
-func TestUniqueWitnessesFig2c(t *testing.T) {
-	s := fig2c(t)
-	w := UniqueWitnesses(s)
-	// The Figure 2c argument: f2 uniquely witnesses rule1; f3 uniquely
-	// witnesses rule2; f1 witnesses neither (covered by both).
-	if !w[0].Equal(flows.SetOf(1)) {
-		t.Fatalf("witness(rule1) = %v", w[0])
-	}
-	if !w[1].Equal(flows.SetOf(2)) {
-		t.Fatalf("witness(rule2) = %v", w[1])
-	}
-}
-
-func TestShadowed(t *testing.T) {
-	s, err := NewSet([]Rule{
-		{Name: "wide", Cover: flows.SetOf(0, 1), Priority: 2, Timeout: 5},
-		{Name: "narrow", Cover: flows.SetOf(0), Priority: 1, Timeout: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := Shadowed(s)
-	if len(sh) != 1 || sh[0] != 1 {
-		t.Fatalf("shadowed = %v", sh)
-	}
-}
-
-func TestOverlapGraph(t *testing.T) {
-	s := fig2c(t)
-	g := OverlapGraph(s)
-	if len(g[0]) != 1 || g[0][0] != 1 || len(g[1]) != 1 || g[1][0] != 0 {
-		t.Fatalf("graph = %v", g)
 	}
 }
 

@@ -283,13 +283,6 @@ func (m *Manager) pruneLocked() {
 	m.sessions = m.sessions[i-kept:]
 }
 
-// Draining reports whether a drain is in progress.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
 // Drain stops admitting sessions and waits for every active and queued
 // session to finish, or for ctx to expire. The SIGTERM path: mark
 // not-ready, Drain, then Shutdown.

@@ -16,6 +16,13 @@ import (
 	"flowrecon/internal/trialrec"
 )
 
+// Draining reports whether a drain is in progress.
+func (m *Manager) Draining() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.draining
+}
+
 // testParams keeps model builds test-sized (the benchmark scale used
 // across the repo: 8 flows, 6 rules, cache 3).
 func testParams() experiment.Params {

@@ -34,24 +34,6 @@ func bbits(b bool) []uint64 {
 	return []uint64{0}
 }
 
-// refPoisson is RNG.Poisson written against a bare *rand.Rand.
-func refPoisson(r *rand.Rand, mean float64) int {
-	if mean > 64 {
-		n := int(math.Round(mean + math.Sqrt(mean)*r.NormFloat64()))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	p, n := 1.0, -1
-	for p > limit {
-		p *= r.Float64()
-		n++
-	}
-	return n
-}
-
 func shuffled(n int, shuffle func(int, func(i, j int))) []int {
 	xs := make([]int, n)
 	for i := range xs {
@@ -76,8 +58,6 @@ var rngOps = []rngOp{
 		func(r *rand.Rand) []uint64 { return ibits(r.Perm(9)...) }},
 	{"Shuffle", func(g *RNG) []uint64 { return ibits(shuffled(7, g.Shuffle)...) },
 		func(r *rand.Rand) []uint64 { return ibits(shuffled(7, r.Shuffle)...) }},
-	{"Uniform", func(g *RNG) []uint64 { return fbits(g.Uniform(-3, 5)) },
-		func(r *rand.Rand) []uint64 { return fbits(-3 + 8*r.Float64()) }},
 	{"Exp", func(g *RNG) []uint64 { return fbits(g.Exp(2.5)) },
 		func(r *rand.Rand) []uint64 { return fbits(r.ExpFloat64() / 2.5) }},
 	{"Normal", func(g *RNG) []uint64 { return fbits(g.Normal(1, 2)) },
@@ -88,12 +68,6 @@ var rngOps = []rngOp{
 		func(r *rand.Rand) []uint64 { return fbits(2 * math.Pow(1-r.Float64(), -1/1.5)) }},
 	{"LogNormal", func(g *RNG) []uint64 { return fbits(g.LogNormal(0.5, 1.2)) },
 		func(r *rand.Rand) []uint64 { return fbits(math.Exp(0.5 + 1.2*r.NormFloat64())) }},
-	{"Poisson", func(g *RNG) []uint64 { return ibits(g.Poisson(3.7)) },
-		func(r *rand.Rand) []uint64 { return ibits(refPoisson(r, 3.7)) }},
-	{"PoissonLarge", func(g *RNG) []uint64 { return ibits(g.Poisson(150)) },
-		func(r *rand.Rand) []uint64 { return ibits(refPoisson(r, 150)) }},
-	{"PickDistinct", func(g *RNG) []uint64 { return ibits(g.PickDistinct(3, 10)...) },
-		func(r *rand.Rand) []uint64 { return ibits(r.Perm(10)[:3]...) }},
 	{"Fork", func(g *RNG) []uint64 {
 		c := g.Fork()
 		return []uint64{uint64(c.Int63()), math.Float64bits(c.Float64())}

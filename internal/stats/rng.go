@@ -79,11 +79,6 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// Uniform returns a uniform sample in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
-}
-
 // Exp returns an exponentially distributed sample with the given rate
 // (mean 1/rate). It is the inter-arrival time of a Poisson process.
 func (g *RNG) Exp(rate float64) float64 {
@@ -116,41 +111,4 @@ func (g *RNG) Pareto(alpha, xm float64) float64 {
 // e^mu and mean e^{mu+sigma²/2}.
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(g.Normal(mu, sigma))
-}
-
-// Poisson returns a Poisson-distributed sample with the given mean, using
-// Knuth's method for small means and a normal approximation for large ones.
-func (g *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation is more than adequate for the rates used
-		// in this repository and avoids O(mean) work.
-		n := int(math.Round(g.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	n := -1
-	for p > limit {
-		p *= g.r.Float64()
-		n++
-	}
-	return n
-}
-
-// PickDistinct returns k distinct uniform indices in [0, n). It panics if
-// k > n, which is always a programming error at call sites.
-func (g *RNG) PickDistinct(k, n int) []int {
-	if k > n {
-		panic("stats: PickDistinct k > n")
-	}
-	perm := g.r.Perm(n)
-	out := make([]int, k)
-	copy(out, perm[:k])
-	return out
 }

@@ -48,21 +48,6 @@ func TestExpZeroRate(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	g := NewRNG(3)
-	for _, mean := range []float64{0.3, 2, 10, 100} {
-		var sum float64
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += float64(g.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) mean = %v", mean, got)
-		}
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	g := NewRNG(5)
 	xs := make([]float64, 100000)
@@ -76,33 +61,6 @@ func TestNormalMoments(t *testing.T) {
 	if math.Abs(s.Stddev-1.806) > 0.03 {
 		t.Errorf("stddev = %v", s.Stddev)
 	}
-}
-
-func TestPickDistinct(t *testing.T) {
-	g := NewRNG(11)
-	got := g.PickDistinct(5, 10)
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 10 {
-			t.Fatalf("out of range: %d", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate: %d", v)
-		}
-		seen[v] = true
-	}
-	if len(got) != 5 {
-		t.Fatalf("len = %d", len(got))
-	}
-}
-
-func TestPickDistinctPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for k > n")
-		}
-	}()
-	NewRNG(1).PickDistinct(3, 2)
 }
 
 func TestSummarize(t *testing.T) {

@@ -43,7 +43,7 @@ func NewWideEvent(kind string) WideEvent {
 	return WideEvent{Kind: kind, Trial: -1, Flow: -1, Rule: -1}
 }
 
-// EventLog is a bounded, sampled, concurrency-safe stream of WideEvents.
+// EventLog is a bounded, concurrency-safe stream of WideEvents.
 // A nil *EventLog is the disabled instrument: every method is a no-op
 // behind a single nil check, and emit sites pay nothing beyond that
 // check — no allocation, no lock, no draw.
@@ -59,9 +59,7 @@ type EventLog struct {
 	buf      []WideEvent // ring storage, len ≤ cap
 	start    int         // index of the oldest retained event
 	dropped  int64
-	clock    func() int64   // wall-clock source for WallNs; nil = don't stamp
-	every    map[string]int // kind → keep 1 in n (unlisted kinds keep all)
-	skips    map[string]int // kind → events skipped since last kept
+	clock    func() int64 // wall-clock source for WallNs; nil = don't stamp
 	sink     io.Writer
 	sinkErr  error
 	detached *Counter // increments once when a write error detaches the sink
@@ -90,27 +88,6 @@ func (l *EventLog) SetClock(clock func() int64) {
 	l.mu.Lock()
 	l.clock = clock
 	l.mu.Unlock()
-}
-
-// SetSampling keeps only one in every n events of the given kind (n ≤ 1
-// keeps all). High-frequency kinds (per-probe decisions in a
-// million-trial run) can be thinned without losing the rare ones.
-func (l *EventLog) SetSampling(kind string, n int) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.every == nil {
-		l.every = make(map[string]int)
-		l.skips = make(map[string]int)
-	}
-	if n <= 1 {
-		delete(l.every, kind)
-		delete(l.skips, kind)
-		return
-	}
-	l.every[kind] = n
 }
 
 // SetSink attaches a streaming JSONL writer receiving every retained
@@ -152,8 +129,8 @@ func (l *EventLog) SinkErr() error {
 	return l.sinkErr
 }
 
-// Emit sequences one event into the log, applying sampling and the ring
-// bound. Safe on a nil log.
+// Emit sequences one event into the log, applying the ring bound. Safe
+// on a nil log.
 func (l *EventLog) Emit(e WideEvent) {
 	if l == nil {
 		return
@@ -179,13 +156,6 @@ func (l *EventLog) Append(events []WideEvent) {
 }
 
 func (l *EventLog) emitLocked(e WideEvent) {
-	if n, ok := l.every[e.Kind]; ok {
-		l.skips[e.Kind]++
-		if l.skips[e.Kind] < n {
-			return
-		}
-		l.skips[e.Kind] = 0
-	}
 	l.seq++
 	e.Seq = l.seq
 	if l.clock != nil {

@@ -14,7 +14,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	l.Emit(NewWideEvent("x"))
 	l.Append([]WideEvent{NewWideEvent("y")})
 	l.SetClock(nil)
-	l.SetSampling("x", 10)
 	l.SetSink(&bytes.Buffer{})
 	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.SinkErr() != nil {
 		t.Fatal("nil event log is not inert")
@@ -43,34 +42,6 @@ func TestEventLogSequenceAndRing(t *testing.T) {
 		if e.WallNs != 0 {
 			t.Fatalf("SetClock(nil) still stamped WallNs=%d", e.WallNs)
 		}
-	}
-}
-
-func TestEventLogSampling(t *testing.T) {
-	l := NewEventLog(0)
-	l.SetClock(nil)
-	l.SetSampling("probe", 3)
-	for i := 0; i < 9; i++ {
-		l.Emit(NewWideEvent("probe"))
-		l.Emit(NewWideEvent("verdict"))
-	}
-	var probes, verdicts int
-	for _, e := range l.Events() {
-		switch e.Kind {
-		case "probe":
-			probes++
-		case "verdict":
-			verdicts++
-		}
-	}
-	if probes != 3 || verdicts != 9 {
-		t.Fatalf("kept %d probes and %d verdicts, want 3 and 9", probes, verdicts)
-	}
-	// n ≤ 1 removes the sampler again.
-	l.SetSampling("probe", 1)
-	l.Emit(NewWideEvent("probe"))
-	if got := len(FilterWideEvents(l.Events(), "probe", 0)); got != 4 {
-		t.Fatalf("sampler not removed: %d probes", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package telemetry is the repository's dependency-free observability
 // substrate: a metrics registry (atomic counters, gauges, fixed-bucket
 // latency histograms with p50/p95/p99), a causal span recorder
-// (span.go), and a bounded, sampled wide-event log (eventlog.go) for the
+// (span.go), and a bounded wide-event log (eventlog.go) for the
 // decisions the system pivots on (probe outcomes, trial verdicts,
 // injected faults, packet-in/flow-mod/flow-removed on the TCP daemons).
 //

@@ -42,12 +42,6 @@ func (c BurstConfig) Validate() error {
 	return nil
 }
 
-// DefaultBurstShape returns a shape whose ON fraction matches the burst
-// factor, preserving the average rate: ON 20%% of the time at 5× rate.
-func DefaultBurstShape() (burstFactor, meanOn, meanOff float64) {
-	return 5, 0.5, 2.0
-}
-
 // GenerateBursty samples one ON/OFF modulated trace. The ON-state rate is
 // scaled so each flow's long-run mean is its configured rate regardless
 // of the dwell-time split.

@@ -65,36 +65,6 @@ func (t *Trace) OccurredWithin(f flows.ID, end, window float64) bool {
 	return false
 }
 
-// LastArrival returns the time of the most recent arrival of f at or
-// before end, and whether one exists.
-func (t *Trace) LastArrival(f flows.ID, end float64) (float64, bool) {
-	best, found := 0.0, false
-	for _, a := range t.arrivals {
-		if a.Time > end {
-			break
-		}
-		if a.Flow == f {
-			best, found = a.Time, true
-		}
-	}
-	return best, found
-}
-
-// CountInWindow returns the number of arrivals of f in (end-window, end].
-func (t *Trace) CountInWindow(f flows.ID, end, window float64) int {
-	n := 0
-	lo := end - window
-	for _, a := range t.arrivals {
-		if a.Time > end {
-			break
-		}
-		if a.Time > lo && a.Flow == f {
-			n++
-		}
-	}
-	return n
-}
-
 // PoissonConfig configures trace generation.
 type PoissonConfig struct {
 	// Rates[f] is λ_f in arrivals per second.

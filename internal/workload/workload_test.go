@@ -92,25 +92,6 @@ func TestOccurredWithin(t *testing.T) {
 	}
 }
 
-func TestLastArrivalAndCount(t *testing.T) {
-	tr := &Trace{arrivals: []Arrival{{1, 0}, {3, 0}, {7, 0}, {9, 1}}}
-	if at, ok := tr.LastArrival(0, 8); !ok || at != 7 {
-		t.Fatalf("last = %v %v", at, ok)
-	}
-	if at, ok := tr.LastArrival(0, 2); !ok || at != 1 {
-		t.Fatalf("last = %v %v", at, ok)
-	}
-	if _, ok := tr.LastArrival(1, 5); ok {
-		t.Fatal("found flow1 before it arrived")
-	}
-	if n := tr.CountInWindow(0, 8, 10); n != 3 {
-		t.Fatalf("count = %d", n)
-	}
-	if n := tr.CountInWindow(0, 8, 2); n != 1 {
-		t.Fatalf("count = %d", n)
-	}
-}
-
 func TestUniformRates(t *testing.T) {
 	rs := UniformRates(100, stats.NewRNG(2))
 	if len(rs) != 100 {
@@ -175,13 +156,13 @@ func TestPoissonEmpiricalAbsence(t *testing.T) {
 }
 
 func TestGenerateBurstyMeanRate(t *testing.T) {
-	bf, on, off := DefaultBurstShape()
+	// ON 20% of the time at 5× rate preserves the average rate.
 	cfg := BurstConfig{
 		Rates:       []float64{0.8},
 		Duration:    5000,
-		BurstFactor: bf,
-		MeanOn:      on,
-		MeanOff:     off,
+		BurstFactor: 5,
+		MeanOn:      0.5,
+		MeanOff:     2.0,
 	}
 	tr, err := GenerateBursty(cfg, stats.NewRNG(4))
 	if err != nil {
