@@ -124,8 +124,14 @@ sched-gate:
 ## times than a plain one under 0.3 ms jitter — its fault stream is
 ## reseeded in place — and detection adds only the detector list to a
 ## trial under 5% loss.
+## A second pass runs the same tests under GOGC=20, so that a count which
+## holds only when no collection lands inside it (a sync.Pool emptied and
+## refilled while counting) fails here rather than now and then. It needs
+## -count=1: the test cache does not key on GOGC.
+ALLOC_GATE_PKGS = ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/ ./internal/experiment/
 alloc-gate:
-	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' ./internal/netsim/ ./internal/flowtable/ ./internal/telemetry/ ./internal/detect/ ./internal/service/ ./internal/stats/ ./internal/workload/ ./internal/core/ ./internal/experiment/
+	$(GO) test -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' $(ALLOC_GATE_PKGS)
+	GOGC=20 $(GO) test -count=1 -run 'ZeroAlloc|SteadyStateAllocs|PoolRecycles' $(ALLOC_GATE_PKGS)
 
 ## trace-smoke proves the span-export pipeline end to end on the golden
 ## fixture: export trial 0's causal span forest as Chrome trace_event
@@ -147,7 +153,8 @@ trace-smoke:
 ## math/rand.NewSource, draw for draw, on arbitrary seeds;
 ## FuzzEnumerateMatchesReference holds the u-sum time-step sweep to the
 ## per-assignment reference walk, to 1e-12 relative, on arbitrary rule
-## sets;
+## sets; FuzzSweepMatchesReference holds the sweep, which visits only live
+## slot sets, to the passes that visit every set, bit for bit;
 ## FuzzCompactBuildMatchesReference holds the cold compact-model build
 ## (cover-table γ kernels, estimator scratch, reserved row assembly) to
 ## the clone-based reference build, bit for bit;
@@ -171,6 +178,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzReadPcap -fuzztime 10s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzRNGMatchesMathRand -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzProbeNeverViable -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzStreamLinesMatchEncoding -fuzztime 10s

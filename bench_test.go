@@ -158,6 +158,31 @@ func BenchmarkEvolve(b *testing.B) {
 	}
 }
 
+// BenchmarkEvolveSmallScale measures Eqn (8) on a small-scale chain: 42
+// states (6 rules, cache 3), the size of the small-scale figures' and
+// perfbench's flowrecond sessions' models, evolved T = 100 steps (a 5 s
+// window at Δ = 50 ms, as in those sessions). Its rows are shorter than
+// BenchmarkEvolve's, so a change to the gather's inner loop can move the
+// two differently.
+func BenchmarkEvolveSmallScale(b *testing.B) {
+	gc := rules.DefaultGenerateConfig(0.05)
+	gc.NumFlows, gc.NumRules, gc.MaskBits = 8, 6, 3
+	rs, err := rules.Generate(gc, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Rules: rs, Rates: workloadRates(8, 2), Delta: 0.05, CacheSize: 3}
+	m, err := core.NewCompactModel(cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d0 := m.InitialDist()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.EvolveInPlace(slices.Clone(d0), 100)
+	}
+}
+
 // BenchmarkProbeSelection measures single-probe information-gain search
 // over every candidate flow (§V-A).
 func BenchmarkProbeSelection(b *testing.B) {

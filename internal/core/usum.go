@@ -335,6 +335,14 @@ type sweepScratch struct {
 // step and every slack. The sums agree with the per-assignment
 // enumeration (usum_ref_test.go) to rounding: the same terms, summed in
 // another order.
+//
+// Both passes walk only the live slot sets: the subsets of the slots
+// whose deadline has not passed, a = ((a | ^live) + 1) & live ascending
+// and a = (a − 1) & live descending. A set holding a slot past its
+// deadline weighs exactly +0 from then on, so each term the walk skips
+// would add +0 to a non-negative finite sum: every sum keeps its order
+// and its bits, those of the passes that visit every set
+// (sweep_ref_test.go).
 func (e *uEstimator) sweep(tab *gammaTables, acc *uAccumulator, full bool) {
 	s := &e.sw
 	n := 1 << uint(len(acc.cached))
@@ -413,36 +421,43 @@ func (s *sweepScratch) fillRows(rs *rules.Set, tab *gammaTables, uncached []int,
 
 // backward fills bwd, from the last step down, with the weight of every
 // completion from set A after step c, and keeps in eb, per slot, the
-// weight of step t_i landing on A and of everything after it.
+// weight of step t_i landing on A and of everything after it. Only the
+// sets of live slots (t_i ≥ c) carry weight. The live set only grows as
+// c falls, so a set it reaches still holds the zero it was cleared to.
 func (s *sweepScratch) backward(touts []int, n, maxT int, tail float64) {
 	s.bwd = resize(s.bwd, n)
 	clear(s.bwd)
 	s.bwd[0] = tail
 	s.eb = resize(s.eb, len(touts)*n)
+	bwd, pw, mask := s.bwd[:n], s.pw, n-1
+	_ = bwd[mask] // mask < n, so no a&mask index below needs a bounds check
+	live := 0     // slots whose deadline is after c
 	for c := maxT; c >= 1; c-- {
 		row := s.row(c, n)
-		for a := range s.bwd {
-			s.bwd[a] *= row[a]
+		for a := 0; ; a = ((a | ^live) + 1) & live {
+			bwd[a&mask] *= row[a&mask]
+			if a == live {
+				break
+			}
 		}
 		for i, t := range touts {
 			if t == c {
-				copy(s.eb[i*n:(i+1)*n], s.bwd)
+				copy(s.eb[i*n:(i+1)*n], bwd)
+				live |= 1 << uint(i)
 			}
 		}
-		dead := deadlineMask(touts, c-1)
 		// Descending, so a's subsets still hold step-c weights.
-		for a := n - 1; a >= 0; a-- {
-			if a&dead != 0 {
-				s.bwd[a] = 0
-				continue
-			}
-			v := s.bwd[a]
+		for a := live; ; a = (a - 1) & live {
+			v := bwd[a&mask]
 			for rem := a; rem != 0; rem &= rem - 1 {
 				i := bits.TrailingZeros(uint(rem))
 				b := a &^ (1 << uint(i))
-				v += s.pw[i*n+b] * s.bwd[b]
+				v += pw[i*n+b] * bwd[b&mask]
 			}
-			s.bwd[a] = v
+			bwd[a&mask] = v
+			if a == 0 {
+				break
+			}
 		}
 	}
 }
@@ -450,53 +465,38 @@ func (s *sweepScratch) backward(touts []int, n, maxT int, tail float64) {
 // forward runs the forward passes over steps 1…maxT, reading each slot's
 // pinned numerators into acc just before its step, and returns the
 // weight that reaches A = ∅: every slack's, flagged, under a full table;
-// the slack-0 pass's otherwise.
+// the slack-0 pass's otherwise. A non-full table runs only the slack-0
+// pass.
 func (s *sweepScratch) forward(acc *uAccumulator, n, maxT, minT int, full bool) float64 {
 	touts := acc.touts
 	all := n - 1
 	s.fwd = resize(s.fwd, n)
-	s.f0 = resize(s.f0, n)
-	s.f1 = resize(s.f1, n)
 	clear(s.fwd)
-	clear(s.f0)
-	clear(s.f1)
 	s.fwd[all] = 1
+	if full {
+		s.f0 = resize(s.f0, n)
+		s.f1 = resize(s.f1, n)
+		clear(s.f0)
+		clear(s.f1)
+	}
+	live := all // slots whose deadline is c or later
 	for c := 1; c <= maxT; c++ {
 		if full && c <= minT {
 			s.f0[all]++ // slack c−1 starts here
 		}
+		ends := 0 // slots whose deadline is c
 		for i, t := range touts {
 			if t == c {
-				acc.timeoutNum[i], acc.evictNum[i] = s.pin(i, n, full)
+				acc.timeoutNum[i], acc.evictNum[i] = s.pin(i, n, live, full)
+				ends |= 1 << uint(i)
 			}
 		}
-		row := s.row(c, n)
-		dead := deadlineMask(touts, c)
-		ends := dead &^ deadlineMask(touts, c-1) // slots whose deadline is c
-		// Ascending, so a's supersets still hold step c−1 weights.
-		for a := 0; a <= all; a++ {
-			if a&dead != 0 {
-				s.fwd[a], s.f0[a], s.f1[a] = 0, 0, 0
-				continue
-			}
-			v, v0, v1 := s.fwd[a], s.f0[a], s.f1[a]
-			for rem := all &^ a; rem != 0; rem &= rem - 1 {
-				i := bits.TrailingZeros(uint(rem))
-				b := a | 1<<uint(i)
-				w := s.pw[i*n+a]
-				v += w * s.fwd[b]
-				if !full {
-					continue
-				}
-				if ends&(1<<uint(i)) != 0 {
-					v1 += w * (s.f0[b] + s.f1[b])
-				} else {
-					v0 += w * s.f0[b]
-					v1 += w * s.f1[b]
-				}
-			}
-			s.fwd[a], s.f0[a], s.f1[a] = v*row[a], v0*row[a], v1*row[a]
+		if full {
+			s.stepAll(s.row(c, n), live, ends)
+		} else {
+			s.stepSlack0(s.row(c, n), live, ends)
 		}
+		live &^= ends
 	}
 	if full {
 		return s.f1[0]
@@ -504,20 +504,79 @@ func (s *sweepScratch) forward(acc *uAccumulator, n, maxT, minT int, full bool) 
 	return s.fwd[0]
 }
 
+// stepSlack0 advances the slack-0 pass by one step c with row's
+// exponentials. live holds the slots whose deadline is c or later, ends
+// those whose deadline is c.
+func (s *sweepScratch) stepSlack0(row []float64, live, ends int) {
+	n, after := len(row), live&^ends
+	mask := n - 1
+	fwd, pw := s.fwd[:n], s.pw
+	_ = fwd[mask] // mask < n, so no a&mask index below needs a bounds check
+	// Ascending, so a's supersets still hold step c−1 weights.
+	for a := 0; ; a = ((a | ^after) + 1) & after {
+		v := fwd[a&mask]
+		for rem := live &^ a; rem != 0; rem &= rem - 1 {
+			i := bits.TrailingZeros(uint(rem))
+			v += pw[i*n+a] * fwd[(a|1<<uint(i))&mask]
+		}
+		fwd[a&mask] = v * row[a&mask]
+		if a == after {
+			break
+		}
+	}
+}
+
+// stepAll advances the slack-0 and the all-slack passes by one step c,
+// as stepSlack0 does. A slot whose deadline is c moves the all-slack
+// weight it leaves into the flagged pass.
+func (s *sweepScratch) stepAll(row []float64, live, ends int) {
+	n, after := len(row), live&^ends
+	mask := n - 1
+	fwd, f0, f1, pw := s.fwd[:n], s.f0[:n], s.f1[:n], s.pw
+	_ = fwd[mask] // mask < n, so no a&mask index below needs a bounds check
+	// Ascending, so a's supersets still hold step c−1 weights.
+	for a := 0; ; a = ((a | ^after) + 1) & after {
+		v, v0, v1 := fwd[a&mask], f0[a&mask], f1[a&mask]
+		for rem := live &^ a; rem != 0; rem &= rem - 1 {
+			i := bits.TrailingZeros(uint(rem))
+			b := (a | 1<<uint(i)) & mask
+			w := pw[i*n+a]
+			v += w * fwd[b]
+			if ends&(1<<uint(i)) != 0 {
+				v1 += w * (f0[b] + f1[b])
+			} else {
+				v0 += w * f0[b]
+				v1 += w * f1[b]
+			}
+		}
+		fwd[a&mask], f0[a&mask], f1[a&mask] = v*row[a&mask], v0*row[a&mask], v1*row[a&mask]
+		if a == after {
+			break
+		}
+	}
+}
+
 // pin returns slot i's numerators at step c = t_i, with the forward
 // weights still those of step c−1: Eqn 7's from the slack-0 pass and,
-// under a full table, Eqn 5's from the all-slack pass.
-func (s *sweepScratch) pin(i, n int, full bool) (timeoutNum, evictNum float64) {
-	bit := 1 << uint(i)
-	pw, eb := s.pw[i*n:(i+1)*n], s.eb[i*n:(i+1)*n]
-	for a := 0; a < n; a++ {
-		if a&bit != 0 {
-			continue
-		}
-		w := pw[a] * eb[a]
-		timeoutNum += w * s.fwd[a|bit]
+// under a full table, Eqn 5's from the all-slack pass. live holds the
+// slots whose deadline is c or later.
+func (s *sweepScratch) pin(i, n, live int, full bool) (timeoutNum, evictNum float64) {
+	bit, mask := 1<<uint(i), n-1
+	pw, eb, fwd := s.pw[i*n:][:n], s.eb[i*n:][:n], s.fwd[:n]
+	var f0, f1 []float64
+	if full {
+		f0, f1 = s.f0[:n], s.f1[:n]
+	}
+	others := live &^ bit
+	for a := 0; ; a = ((a | ^others) + 1) & others {
+		w := pw[a&mask] * eb[a&mask]
+		b := (a | bit) & mask
+		timeoutNum += w * fwd[b]
 		if full {
-			evictNum += w * (s.f0[a|bit] + s.f1[a|bit])
+			evictNum += w * (f0[b] + f1[b])
+		}
+		if a == others {
+			break
 		}
 	}
 	return timeoutNum, evictNum
@@ -525,8 +584,7 @@ func (s *sweepScratch) pin(i, n int, full bool) (timeoutNum, evictNum float64) {
 
 // row returns the exponential row of step c.
 func (s *sweepScratch) row(c, n int) []float64 {
-	r := s.rowOf[c]
-	return s.rows[r*n : (r+1)*n]
+	return s.rows[s.rowOf[c]*n:][:n]
 }
 
 // project fills s.g with rule j's γ over all n slot sets A and returns
@@ -542,18 +600,6 @@ func (s *sweepScratch) project(tab *gammaTables, j, n int) []float64 {
 		s.g[a] = gamma[mask]
 	}
 	return s.g
-}
-
-// deadlineMask returns the slots whose timeout is at most c: those every
-// assignment has matched by step c.
-func deadlineMask(touts []int, c int) int {
-	mask := 0
-	for i, t := range touts {
-		if t <= c {
-			mask |= 1 << uint(i)
-		}
-	}
-	return mask
 }
 
 // resize returns b with length n, reallocating only when its capacity is

@@ -235,6 +235,115 @@ func FuzzEnumerateMatchesReference(f *testing.F) {
 	})
 }
 
+// checkSweepBits runs the sweep on e and the reference passes
+// (sweep_ref_test.go) on ref for st at the given capacity, and requires
+// z and every slot's timeout and eviction sums to agree bit for bit. Both
+// estimators may be warm from other states.
+func checkSweepBits(t *testing.T, e, ref *uEstimator, st enumState, capacity int) {
+	t.Helper()
+	full := len(st.cached) >= capacity
+	got := sweepState(e, st, capacity)
+	ref.capacity = capacity
+	want := newUAccumulator(st.cached, st.touts, ref)
+	ref.sweepRef(st.tab, want, full)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.z, want.z) {
+		t.Fatalf("state %v touts %v cap %d: z %v, reference %v", st.cached, st.touts, capacity, got.z, want.z)
+	}
+	for i := range st.cached {
+		if !same(got.timeoutNum[i], want.timeoutNum[i]) || !same(got.evictNum[i], want.evictNum[i]) {
+			t.Fatalf("state %v touts %v cap %d slot %d: evict %v timeout %v, reference %v %v",
+				st.cached, st.touts, capacity, i, got.evictNum[i], got.timeoutNum[i], want.evictNum[i], want.timeoutNum[i])
+		}
+	}
+}
+
+// TestSweepMatchesReference holds the sweep, which visits only live slot
+// sets, to the passes that visit every set, bit for bit: at small and
+// paper scale, three step sizes, with and without a zeroed rate, every
+// state under a full table and a non-full one. Small scale checks every
+// state; paper scale its largest grid and a deterministic sample. One
+// warm estimator sweeps the states in turn, so stale scratch from a
+// larger or a fuller state would show.
+func TestSweepMatchesReference(t *testing.T) {
+	perConfig := 160
+	if testing.Short() {
+		perConfig = 24
+	}
+	checked := 0
+	for _, sc := range []usumScale{usumSmall, usumPaper} {
+		for _, delta := range []float64{0.01, 0.025, 0.05} {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, zero := range []bool{false, true} {
+					cfg := usumConfig(t, sc, delta, seed, zero)
+					e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
+					ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
+					var states []enumState
+					if sc == usumSmall {
+						states = exactStates(e, sc.cache, math.MaxInt)
+					} else {
+						states = sampleStates(e, sc, seed*37, perConfig)
+					}
+					for _, st := range states {
+						m := len(st.cached)
+						checkSweepBits(t, e, ref, st, m)   // full table
+						checkSweepBits(t, e, ref, st, m+1) // room to spare
+						checked++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d states, each full and not, bit-identical", checked)
+}
+
+// sampleStates returns the feasible state of cfg with the largest grid
+// among count random draws of up to sc.cache cached rules, followed by
+// the draws themselves.
+func sampleStates(e *uEstimator, sc usumScale, seed int64, count int) []enumState {
+	rng := stats.NewRNG(seed)
+	var out []enumState
+	largest := 0
+	for k := 0; k < count; k++ {
+		ids := rng.Perm(sc.rules)[:1+rng.Intn(sc.cache)]
+		if st, ok := exactState(e, ids, math.MaxInt); ok {
+			out = append(out, st)
+			if st.grid > out[largest].grid {
+				largest = len(out) - 1
+			}
+		}
+	}
+	if len(out) > 0 {
+		out = append([]enumState{out[largest]}, out...)
+	}
+	return out
+}
+
+// FuzzSweepMatchesReference draws one configuration and a few states per
+// seed — scale, step, zeroed rate and capacity all from the seed — and
+// sweeps them on one warm estimator, requiring each to match the
+// reference passes bit for bit.
+func FuzzSweepMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 17, 99, 1234, -5} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		bitsOf := uint64(seed)
+		sc := usumSmall
+		if bitsOf&1 != 0 {
+			sc = usumPaper
+		}
+		delta := []float64{0.01, 0.025, 0.05}[(bitsOf>>1)%3]
+		cfg := usumConfig(t, sc, delta, seed, bitsOf&8 != 0)
+		e := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
+		ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates()}
+		rng := stats.NewRNG(seed ^ 0x5eed)
+		for _, st := range sampleStates(e, sc, seed^0x5eed, 4) {
+			checkSweepBits(t, e, ref, st, len(st.cached)+rng.Intn(2))
+		}
+	})
+}
+
 // TestEnumerateSteadyStateZeroAlloc pins the sweep's scratch discipline:
 // once an estimator has swept its largest states, full and not, sweeping
 // them again allocates nothing, so repeated model builds add no GC

@@ -17,7 +17,10 @@
 //     all stored probabilities and masses are non-negative (so no -0.0
 //     terms arise). Hence serial gather, parallel row-sharded gather
 //     (each destination is computed independently), and the reference
-//     scatter agree to the last bit.
+//     scatter agree to the last bit. The gather works on two
+//     destinations per pass, so that their add chains overlap; each
+//     destination still has its own accumulator and adds every incoming
+//     edge, in ascending-source order, with no zero-skip.
 //  2. A scatter over a sorted support list (the nonzero sources, plus
 //     possibly sources whose mass underflowed to +0, which contribute
 //     no-op terms) likewise preserves the reference accumulation order.
@@ -131,12 +134,6 @@ func (c *CSR) buildGather() {
 	}
 }
 
-// Size returns the number of states.
-func (c *CSR) Size() int { return c.n }
-
-// NNZ returns the number of stored entries.
-func (c *CSR) NNZ() int { return len(c.colIdx) }
-
 // ApplyInto writes one evolution step of src into dst (dst[to] =
 // Σ_from src[from]·P[from→to]) without allocating. dst is fully
 // overwritten; dst and src must not alias. Shards rows across workers
@@ -153,12 +150,38 @@ func (c *CSR) ApplyInto(dst, src Dist) {
 }
 
 // applyGatherRange computes destinations [lo, hi) by gathering incoming
-// edges in ascending-source order.
+// edges in ascending-source order. It gathers two destinations per pass,
+// so that their independent add chains overlap; each still adds its own
+// terms in ascending-source order.
 func (c *CSR) applyGatherRange(dst, src Dist, lo, hi int) {
-	for d := lo; d < hi; d++ {
+	ptr := c.gatPtr[lo : hi+1]
+	dst = dst[lo:hi]
+	d := 0
+	for ; d+1 < len(dst); d += 2 {
+		k0, k1, k2 := ptr[d], ptr[d+1], ptr[d+2]
+		from0, vals0 := c.gatSrc[k0:k1], c.gatVal[k0:k1]
+		from1, vals1 := c.gatSrc[k1:k2], c.gatVal[k1:k2]
+		vals0, vals1 = vals0[:len(from0)], vals1[:len(from1)]
+		var acc0, acc1 float64
+		both := min(len(from0), len(from1))
+		for k := 0; k < both; k++ {
+			acc0 += src[from0[k]] * vals0[k]
+			acc1 += src[from1[k]] * vals1[k]
+		}
+		for k := both; k < len(from0); k++ {
+			acc0 += src[from0[k]] * vals0[k]
+		}
+		for k := both; k < len(from1); k++ {
+			acc1 += src[from1[k]] * vals1[k]
+		}
+		dst[d], dst[d+1] = acc0, acc1
+	}
+	if d < len(dst) {
+		from, vals := c.gatSrc[ptr[d]:ptr[d+1]], c.gatVal[ptr[d]:ptr[d+1]]
+		vals = vals[:len(from)]
 		var acc float64
-		for k := c.gatPtr[d]; k < c.gatPtr[d+1]; k++ {
-			acc += src[c.gatSrc[k]] * c.gatVal[k]
+		for k, f := range from {
+			acc += src[f] * vals[k]
 		}
 		dst[d] = acc
 	}

@@ -50,11 +50,11 @@ func TestCSRApplyMatchesSparseBitwise(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		m, d := randomChain(t, 257, 9, 6, seed)
 		c := m.Freeze()
-		if c.NNZ() != m.NNZ() {
-			t.Fatalf("seed %d: NNZ mismatch: csr %d sparse %d", seed, c.NNZ(), m.NNZ())
+		if len(c.colIdx) != m.NNZ() {
+			t.Fatalf("seed %d: NNZ mismatch: csr %d sparse %d", seed, len(c.colIdx), m.NNZ())
 		}
 		want := m.apply(d)
-		dst := make(Dist, c.Size())
+		dst := make(Dist, c.n)
 		c.ApplyInto(dst, d)
 		if !distsEqualBits(want, dst) {
 			t.Fatalf("seed %d: ApplyInto differs from the reference scatter", seed)
@@ -70,7 +70,7 @@ func TestCSRParallelApplyBitIdentical(t *testing.T) {
 	want := m.apply(d)
 	for _, w := range []int{1, 2, 3, 7, 16, 64, 501, 1000} {
 		c.workers = w
-		got := make(Dist, c.Size())
+		got := make(Dist, c.n)
 		c.applyGatherParallel(got, d)
 		if !distsEqualBits(want, got) {
 			t.Fatalf("workers=%d: parallel gather differs from reference", w)
@@ -83,7 +83,7 @@ func TestCSREvolveInPlaceBitIdentical(t *testing.T) {
 		m, d := randomChain(t, 311, 7, 3, int64(steps)+9)
 		c := m.Freeze()
 		want := m.evolve(d, steps)
-		ws := NewWorkspace(c.Size())
+		ws := NewWorkspace(c.n)
 		got := slices.Clone(d)
 		c.EvolveInPlace(ws, got, steps)
 		if !distsEqualBits(want, got) {
@@ -105,7 +105,7 @@ func TestCSREvolveDenseCutover(t *testing.T) {
 	m, d := randomChain(t, 97, 24, 1, 7)
 	c := m.Freeze()
 	want := m.evolve(d, 40)
-	ws := NewWorkspace(c.Size())
+	ws := NewWorkspace(c.n)
 	got := slices.Clone(d)
 	c.EvolveInPlace(ws, got, 40)
 	if ws.denseCnt == 0 {
@@ -128,7 +128,7 @@ func TestCSREvolveDenseCutover(t *testing.T) {
 func TestCSREvolveInPlaceZeroAlloc(t *testing.T) {
 	m, d := randomChain(t, 400, 6, 4, 11)
 	c := m.Freeze()
-	ws := NewWorkspace(c.Size())
+	ws := NewWorkspace(c.n)
 	buf := slices.Clone(d)
 	c.EvolveInPlace(ws, buf, 50) // warm the support slices
 	copy(buf, d)
@@ -149,10 +149,10 @@ func TestFreezeCompactsDuplicateEntries(t *testing.T) {
 	m.add(0, 3, 0.25)
 	m.add(2, 4, 1)
 	c := m.Freeze()
-	if c.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3", c.NNZ())
+	if len(c.colIdx) != 3 {
+		t.Fatalf("NNZ = %d, want 3", len(c.colIdx))
 	}
-	out := make(Dist, c.Size())
+	out := make(Dist, c.n)
 	c.ApplyInto(out, PointDist(5, 0))
 	if out[1] != 0.5 || out[3] != 0.5 {
 		t.Fatalf("Apply after compact: got %v", out)

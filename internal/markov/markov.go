@@ -79,9 +79,6 @@ func NewSparseReserved(rowCaps []int) *Sparse {
 	return m
 }
 
-// Size returns the number of states.
-func (m *Sparse) Size() int { return m.n }
-
 // MemBytes estimates the builder's heap footprint: every row's edge
 // capacity — append slack and reserved room count, not only the stored
 // entries — plus the row headers.
