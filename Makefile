@@ -158,6 +158,12 @@ trace-smoke:
 ## FuzzCompactBuildMatchesReference holds the cold compact-model build
 ## (cover-table γ kernels, estimator scratch, reserved row assembly) to
 ## the clone-based reference build, bit for bit;
+## FuzzReducedModelMatchesFullChain holds the compact model, built over
+## the subsets of the installable rules, and its target-conditioned twin
+## to the full chain over every subset, bit for bit through the state
+## masks: rows, estimates, every step's distribution, every probe's
+## split and side effect, and the belief tracker's state labels, with
+## the dropped states at exactly +0 and unreachable;
 ## FuzzStreamLinesMatchEncoding holds flowrecond's append-encoded probe
 ## and verdict lines to encoding/json, byte for byte, on arbitrary
 ## attacker names and integers; FuzzTableCopyCacheFrom holds a flow
@@ -180,6 +186,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEnumerateMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCompactBuildMatchesReference -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReducedModelMatchesFullChain -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzProbeNeverViable -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzStreamLinesMatchEncoding -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzSessionSpec -fuzztime 10s

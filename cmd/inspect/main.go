@@ -9,6 +9,8 @@
 //
 //	inspect run.jsonl                        # summary
 //	inspect -trial 3 -gains run.jsonl        # belief trajectory of trial 3
+//	                                         # (final top states sN: N is the
+//	                                         # canonical subset index)
 //	inspect -trial 3 -spans run.jsonl        # causal span trees of trial 3
 //	inspect -entropy conv.svg run.jsonl      # entropy-convergence curves
 //	inspect -diff other.jsonl run.jsonl      # first divergence between two runs

@@ -1,6 +1,8 @@
 // Command statecount evaluates the model state-space sizes of §IV: the
 // basic model's closed form (§IV-A2) and the compact model's subset count
-// (§IV-B), for given rule counts, timeouts, and cache capacity.
+// (§IV-B), for given rule counts, timeouts, and cache capacity. The
+// subset count is an upper bound: a compact model keeps only the subsets
+// of its installable rules, those some flow's highest-priority cover.
 //
 // Usage:
 //

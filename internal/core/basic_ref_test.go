@@ -318,6 +318,9 @@ func mergeTransitions(in []basicTransition) []basicTransition {
 // NumStates returns the size of the reachable state space.
 func (m *BasicModel) NumStates() int { return len(m.states) }
 
+// StateLabel labels a state by its index.
+func (m *BasicModel) StateLabel(i int) int { return i }
+
 // StateMask returns the cached-rule bitmask of state i (rules at their
 // expiry boundary count as already evicted, matching HitProbability).
 // Together with CompactModel.StateMask it lets conformance checks project

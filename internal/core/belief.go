@@ -19,8 +19,10 @@ import (
 
 // StateProb is one entry of a Markov state-distribution snapshot.
 type StateProb struct {
-	// State is the model's state index (a cached-rule subset in the
-	// compact model).
+	// State is the model's label for the state (StateLabel). For the
+	// compact model it is the cached-rule subset's canonical index: its
+	// index in the full §IV-B enumeration of every subset of at most the
+	// capacity, by size, then lexicographic in ascending rule IDs.
 	State int `json:"state"`
 	// P is the state's posterior probability.
 	P float64 `json:"p"`
@@ -168,8 +170,18 @@ func (t *BeliefTracker) Observe(f flows.ID, hit bool) BeliefStep {
 		GainBits:    stats.BinaryEntropy(prior) - stats.BinaryEntropy(t.post),
 		EntropyBits: stats.BinaryEntropy(t.post),
 		PathProb:    pq,
-		TopStates:   TopStates(t.d, BeliefTrackerTopK),
+		TopStates:   t.topStates(),
 	}
+}
+
+// topStates returns the snapshot of the tracker's unconditional state
+// distribution, its states labelled by the model.
+func (t *BeliefTracker) topStates() []StateProb {
+	top := TopStates(t.d, BeliefTrackerTopK)
+	for i := range top {
+		top[i].State = t.sel.model.StateLabel(top[i].State)
+	}
+	return top
 }
 
 // ObserveLost folds a lost probe into the belief state: the probe was
@@ -190,13 +202,13 @@ func (t *BeliefTracker) ObserveLost(f flows.ID) BeliefStep {
 		GainBits:    0,
 		EntropyBits: stats.BinaryEntropy(t.post),
 		PathProb:    t.d.Sum(),
-		TopStates:   TopStates(t.d, BeliefTrackerTopK),
+		TopStates:   t.topStates(),
 	}
 }
 
-// TopStates returns the k most probable states of d, normalized to the
-// distribution's mass (nil for zero-mass or empty distributions). Ties
-// break toward the lower state index so snapshots are deterministic.
+// TopStates returns the k most probable states of d, by index, normalized
+// to the distribution's mass (nil for zero-mass or empty distributions).
+// Ties break toward the lower state index so snapshots are deterministic.
 func TopStates(d markov.Dist, k int) []StateProb {
 	total := d.Sum()
 	if total <= 0 || k <= 0 {

@@ -169,31 +169,59 @@ func (e *uEstimator) estimateRef(cachedIDs []int) StateEstimates {
 	return out
 }
 
-// refModel is the reference build of one compact chain.
+// enumerateFullStates lists every §IV-B state of numRules rules and the
+// given capacity, installable or not, in the compact model's order: by
+// size, and within a size in lexicographic order of their ascending rule
+// IDs, so the empty state is index 0. It is the full enumeration the
+// model built before it kept only the subsets of the installable rules.
+func enumerateFullStates(numRules, capacity int) []uint64 {
+	capacity = min(capacity, numRules)
+	states := make([]uint64, 0, CompactStateCount(numRules, capacity))
+	var rec func(start int, mask uint64, size, want int)
+	rec = func(start int, mask uint64, size, want int) {
+		if size == want {
+			states = append(states, mask)
+			return
+		}
+		for j := start; j < numRules; j++ {
+			rec(j+1, mask|1<<uint(j), size+1, want)
+		}
+	}
+	for want := 0; want <= capacity; want++ {
+		rec(0, 0, 0, want)
+	}
+	return states
+}
+
+// refModel is the reference build of one compact chain over the full
+// §IV-B state space.
 type refModel struct {
+	cfg    Config
+	states []uint64       // every subset of at most the capacity
+	index  map[uint64]int // mask → full state index
 	matrix *markov.Sparse
 	est    []StateEstimates
 }
 
 // buildReferenceModel builds cfg's compact chain serially the way the
-// clone-based path did: reference weights and estimates per state, each
-// row's entries added in order to a builder with no reserved capacity,
-// and the successor states found through a mask → index map rather than
-// the model's rank.
+// clone-based path did, over every subset state: reference weights and
+// estimates per state, each row's entries added in order to a builder
+// with no reserved capacity, and the successor states found through a
+// mask → index map rather than the model's rank.
 func buildReferenceModel(cfg Config) (*refModel, error) {
-	m := &CompactModel{cfg: cfg, sr: cfg.stepRates()}
-	m.enumerateStates()
-	index := make(map[uint64]int, len(m.states))
-	for i, mask := range m.states {
+	sr := cfg.stepRates()
+	states := enumerateFullStates(cfg.Rules.Len(), cfg.CacheSize)
+	index := make(map[uint64]int, len(states))
+	for i, mask := range states {
 		index[mask] = i
 	}
-	e := &uEstimator{rs: cfg.Rules, sr: m.sr, capacity: cfg.CacheSize}
-	n := len(m.states)
-	ref := &refModel{matrix: markov.NewSparse(n), est: make([]StateEstimates, n)}
-	for idx, mask := range m.states {
+	e := &uEstimator{rs: cfg.Rules, sr: sr, capacity: cfg.CacheSize}
+	n := len(states)
+	ref := &refModel{cfg: cfg, states: states, index: index, matrix: markov.NewSparse(n), est: make([]StateEstimates, n)}
+	for idx, mask := range states {
 		cachedIDs := appendMaskIDs(nil, mask)
 		cached := func(j int) bool { return mask&(1<<uint(j)) != 0 }
-		w := computeEventWeightsRef(cfg.Rules, m.sr, cached)
+		w := computeEventWeightsRef(cfg.Rules, sr, cached)
 		// The row's entries in order of first appearance; a repeated
 		// successor accumulates onto its entry.
 		var tos []int
@@ -274,4 +302,80 @@ func sequencesOfTwo(candidates []flows.ID) [][]flows.ID {
 // EvaluateSequence.
 func (s *ProbeSelector) bestPairRef(candidates []flows.ID) (SequenceEval, bool) {
 	return s.bestOver(sequencesOfTwo(candidates))
+}
+
+// coverMask returns the rules covering f.
+func (r *refModel) coverMask(f flows.ID) uint64 {
+	var mask uint64
+	for _, j := range r.cfg.Rules.Covering(f) {
+		mask |= 1 << uint(j)
+	}
+	return mask
+}
+
+// splitByHit partitions d, a distribution over the full chain, by whether
+// probing f hits.
+func (r *refModel) splitByHit(d markov.Dist, f flows.ID) (hit, miss markov.Dist) {
+	cover := r.coverMask(f)
+	hit, miss = make(markov.Dist, len(d)), make(markov.Dist, len(d))
+	for i, p := range d {
+		if r.states[i]&cover != 0 {
+			hit[i] = p
+		} else {
+			miss[i] = p
+		}
+	}
+	return hit, miss
+}
+
+// applyProbe returns d, a distribution over the full chain, after the
+// cache side effect of a probe of f with the given outcome: a miss
+// installs f's highest-priority cover, evicting by the reference
+// estimates when the table is full.
+func (r *refModel) applyProbe(d markov.Dist, f flows.ID, hit bool) markov.Dist {
+	out := make(markov.Dist, len(d))
+	jStar, ok := r.cfg.Rules.HighestCovering(f)
+	if hit || !ok {
+		copy(out, d)
+		return out
+	}
+	bit := uint64(1) << uint(jStar)
+	for i, p := range d {
+		if p == 0 {
+			continue
+		}
+		mask := r.states[i]
+		cachedIDs := appendMaskIDs(nil, mask)
+		switch {
+		case mask&bit != 0:
+			out[i] += p
+		case len(cachedIDs) < r.cfg.CacheSize:
+			out[r.index[mask|bit]] += p
+		default:
+			for slot, v := range cachedIDs {
+				out[r.index[(mask|bit)&^(1<<uint(v))]] += p * r.est[i].Evict[slot]
+			}
+		}
+	}
+	return out
+}
+
+// reachable returns the states the full chain reaches from the empty
+// cache through transitions of positive probability, by breadth-first
+// search.
+func (r *refModel) reachable() map[uint64]bool {
+	seen := map[uint64]bool{r.states[0]: true}
+	queue := []int{0}
+	for len(queue) > 0 {
+		from := queue[0]
+		queue = queue[1:]
+		tos, ps := r.matrix.Row(from)
+		for k, to := range tos {
+			if ps[k] > 0 && !seen[r.states[to]] {
+				seen[r.states[to]] = true
+				queue = append(queue, to)
+			}
+		}
+	}
+	return seen
 }

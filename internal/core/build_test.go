@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"flowrecon/internal/flows"
+	"flowrecon/internal/markov"
 	"flowrecon/internal/rules"
 	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
@@ -74,15 +76,20 @@ func withZeroRate(cfg Config, seed int64) Config {
 
 // buildCases lists the full-build configurations: small and paper scale,
 // each also as M₀, equal-priority disjoint rules, and a universe of more
-// than 64 flows (multi-word flow sets).
+// than 64 flows (multi-word flow sets). The small draw keeps one
+// installable rule, so a second one whose six rules are all installable
+// keeps every one of the 42 subset states.
 func buildCases(tb testing.TB) []buildCase {
 	small := usumConfig(tb, usumSmall, 0.05, 3, false)
+	dense := usumConfig(tb, usumSmall, 0.05, 24, false)
 	paper := usumConfig(tb, usumPaper, 0.025, 5, false)
 	wide := usumConfig(tb, usumScale{flows: 80, rules: 6, maskBits: 3, cache: 3}, 0.05, 7, false)
 	tied := tiedConfig(tb, 70, 8, 3, 0.05, 9)
 	return []buildCase{
 		{"small", small},
 		{"small-m0", withZeroRate(small, 1)},
+		{"small-dense", dense},
+		{"small-dense-m0", withZeroRate(dense, 4)},
 		{"paper", paper},
 		{"paper-m0", withZeroRate(paper, 2)},
 		{"wide", wide},
@@ -188,40 +195,101 @@ func sameEstimates(a, b StateEstimates) bool {
 		sameBitsSlice(a.Evict, b.Evict) && sameBitsSlice(a.Timeout, b.Timeout)
 }
 
+// installableRef returns the rules a probe or an arrival can install:
+// the highest-priority cover of each flow of cfg's universe, whatever its
+// rate.
+func installableRef(cfg Config) uint64 {
+	var inst uint64
+	for f := range cfg.Rates {
+		if j, ok := cfg.Rules.HighestCovering(flows.ID(f)); ok {
+			inst |= 1 << uint(j)
+		}
+	}
+	return inst
+}
+
+// reducedReference checks that m's states are the subsets of the
+// installable rules, in the full chain's order and labelled by their full
+// index, and restricts the full reference chain to them: each retained
+// row's entries in order, destinations renumbered to m's indices. It
+// returns the restricted chain and each of m's states' full index, and
+// fails when a retained row leads to a dropped state.
+func reducedReference(t *testing.T, name string, m *CompactModel, ref *refModel) (*markov.Sparse, []int) {
+	t.Helper()
+	inst := installableRef(ref.cfg)
+	var full []int
+	reduced := make(map[uint64]int)
+	for i, mask := range ref.states {
+		if mask&^inst == 0 {
+			reduced[mask] = len(full)
+			full = append(full, i)
+		}
+	}
+	if m.NumStates() != len(full) {
+		t.Fatalf("%s: %d states, want the %d subsets of the installable rules %b", name, m.NumStates(), len(full), inst)
+	}
+	for i, fi := range full {
+		if m.StateMask(i) != ref.states[fi] || m.StateLabel(i) != fi {
+			t.Fatalf("%s state %d: mask %b labelled %d, want mask %b at full index %d", name, i, m.StateMask(i), m.StateLabel(i), ref.states[fi], fi)
+		}
+		if got := m.index(ref.states[fi]); got != i {
+			t.Fatalf("%s: state %b ranks %d, enumerated at %d", name, ref.states[fi], got, i)
+		}
+	}
+	restricted := markov.NewSparse(len(full))
+	for i, fi := range full {
+		tos, ps := ref.matrix.Row(fi)
+		for k, to := range tos {
+			ri, ok := reduced[ref.states[to]]
+			if !ok {
+				t.Fatalf("%s: retained state %b leads to dropped state %b with probability %v", name, ref.states[fi], ref.states[to], ps[k])
+			}
+			restricted.Append(i, ri, ps[k])
+		}
+	}
+	return restricted, full
+}
+
+// checkRetainedRows compares m, through the state masks, with the
+// full reference build restricted to m's states: every builder row, every
+// CSR entry and every estimate. It returns each of m's states' full
+// index.
+func checkRetainedRows(t *testing.T, name string, m *CompactModel, ref *refModel) []int {
+	t.Helper()
+	restricted, full := reducedReference(t, name, m, ref)
+	// Every entry of both CSR forms; the builder rows they are frozen
+	// from are compared bit for bit below.
+	if !reflect.DeepEqual(m.Frozen(), restricted.Freeze()) {
+		t.Fatalf("%s: CSR kernels differ", name)
+	}
+	for i, fi := range full {
+		tos, ps := m.Matrix().Row(i)
+		rtos, rps := restricted.Row(i)
+		if !slices.Equal(tos, rtos) || !sameBitsSlice(ps, rps) {
+			t.Fatalf("%s row %d: (%v %v) != reference (%v %v)", name, i, tos, ps, rtos, rps)
+		}
+		if !sameEstimates(m.Estimates(i), ref.est[fi]) {
+			t.Fatalf("%s state %d: estimates %+v != reference %+v", name, i, m.Estimates(i), ref.est[fi])
+		}
+	}
+	return full
+}
+
 // checkModelMatchesReference builds cfg cold, each time over a fresh
-// memo, at each worker count and compares every builder row, every CSR
-// entry and every estimate with the reference build.
+// memo, at each worker count and compares it with the full reference
+// build (checkRetainedRows).
 func checkModelMatchesReference(t *testing.T, name string, cfg Config, workers ...int) {
 	t.Helper()
 	ref, err := buildReferenceModel(cfg)
 	if err != nil {
 		t.Fatalf("%s: reference build: %v", name, err)
 	}
-	refCSR := ref.matrix.Freeze()
 	for _, w := range workers {
 		m, err := newCompactModelWorkers(cfg, NewBuilds(nil, true), w)
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", name, w, err)
 		}
-		n := m.NumStates()
-		if n != len(ref.est) {
-			t.Fatalf("%s workers %d: %d states, reference %d", name, w, n, len(ref.est))
-		}
-		// Every entry of both CSR forms; the builder rows they are frozen
-		// from are compared bit for bit below.
-		if !reflect.DeepEqual(m.Frozen(), refCSR) {
-			t.Fatalf("%s workers %d: CSR kernels differ", name, w)
-		}
-		for i := 0; i < n; i++ {
-			tos, ps := m.Matrix().Row(i)
-			rtos, rps := ref.matrix.Row(i)
-			if !slices.Equal(tos, rtos) || !sameBitsSlice(ps, rps) {
-				t.Fatalf("%s workers %d row %d: (%v %v) != reference (%v %v)", name, w, i, tos, ps, rtos, rps)
-			}
-			if !sameEstimates(m.Estimates(i), ref.est[i]) {
-				t.Fatalf("%s workers %d state %d: estimates %+v != reference %+v", name, w, i, m.Estimates(i), ref.est[i])
-			}
-		}
+		checkRetainedRows(t, fmt.Sprintf("%s workers %d", name, w), m, ref)
 	}
 }
 
@@ -333,9 +401,9 @@ func allocsWithoutGC(runs int, f func()) float64 {
 // own storage — states, cover table, row slabs, both matrix forms — plus
 // the lookup's timeout list, within a pinned count that does not grow
 // with the rows: the paper-scale configuration has rows of more than 12
-// entries, which the matrix assembly appends in place. The small-scale configuration has Z ≤ 0 states
-// (TestRebuildEvaluatesNoState), so memoized infeasible verdicts are
-// covered too.
+// entries, which the matrix assembly appends in place. The small-scale
+// configuration has Z ≤ 0 states (zeroZConfig), so memoized infeasible
+// verdicts are covered too.
 func TestMemoHitRebuildSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -345,7 +413,7 @@ func TestMemoHitRebuildSteadyStateAllocs(t *testing.T) {
 		cfg       Config
 		maxAllocs float64
 	}{
-		{"small", usumConfig(t, usumSmall, 0.1, 8, false), 27},
+		{"small", zeroZConfig(t), 27},
 		{"paper", usumConfig(t, usumPaper, 0.025, 2, false), 28},
 	} {
 		reg := telemetry.NewRegistry()

@@ -41,6 +41,8 @@ type Model interface {
 	ApplyProbeInto(dst, d markov.Dist, f flows.ID, hit bool)
 	// ModelConfig returns the model's configuration.
 	ModelConfig() Config
+	// StateLabel returns the label recordings give state i.
+	StateLabel(i int) int
 }
 
 var _ Model = (*CompactModel)(nil)
@@ -48,27 +50,30 @@ var _ Model = (*CompactModel)(nil)
 // CompactModel is the approximate Markov chain of §IV-B: a state is the
 // subset of rules presently cached (at most the cache capacity), and
 // eviction/timeout transition probabilities are estimated from the
-// most-recent-match sums implemented in usum.go.
+// most-recent-match sums implemented in usum.go. The chain is built over
+// its reachable class only: the subsets of the installable rules (see
+// enumerateStates).
 type CompactModel struct {
-	cfg     Config
-	sr      []float64
-	states  []uint64    // rule bitmasks, index-aligned with the matrix (see index)
-	sizeEnd []int       // sizeEnd[k]: one past the last state caching k rules
-	cover   *coverTable // rule coverage, shared read-only with the build's estimators
-	matrix  *markov.Sparse
-	frozen  *markov.CSR      // immutable CSR snapshot driving EvolveInPlace
-	wsPool  sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
-	est     []StateEstimates // per-state §IV-B estimates (zero for the empty state); may be a memo's
-	builds  *Builds          // the context the model was built in; nil for none
+	cfg         Config
+	sr          []float64
+	installable uint64      // rules that are some flow's highest-priority cover
+	states      []uint64    // rule bitmasks, index-aligned with the matrix (see index)
+	sizeEnd     []int       // sizeEnd[k]: one past the last state caching k rules
+	cover       *coverTable // rule coverage, shared read-only with the build's estimators
+	matrix      *markov.Sparse
+	frozen      *markov.CSR      // immutable CSR snapshot driving EvolveInPlace
+	wsPool      sync.Pool        // *markov.Workspace, per-goroutine evolve scratch
+	est         []StateEstimates // per-state §IV-B estimates (zero for the empty state); may be a memo's
+	builds      *Builds          // the context the model was built in; nil for none
 }
 
 // MaxCompactRules is the largest rule set a compact model accepts: its
 // states are subsets of the rules, up to 2^24 of them at this bound.
 const MaxCompactRules = 24
 
-// NewCompactModel enumerates every subset state and builds the transition
-// matrix, fanning the per-state u-sum estimation across GOMAXPROCS
-// workers. The build reports to b, and the model keeps b for its later
+// NewCompactModel enumerates the reachable subset states and builds the
+// transition matrix, fanning the per-state u-sum estimation across
+// GOMAXPROCS workers. The build reports to b, and the model keeps b for its later
 // evolutions and searches. When b has a memo, the model's estimates are
 // looked up in it once, and recorded to it on a miss; otherwise every
 // state is evaluated. The model is the same either way.
@@ -95,6 +100,7 @@ func newCompactModelWorkers(cfg Config, b *Builds, workers int) (*CompactModel, 
 	}
 	start := time.Now()
 	m := &CompactModel{cfg: cfg, sr: cfg.stepRates(), cover: newCoverTable(cfg.Rules, len(cfg.Rates)), builds: b}
+	m.installable = m.cover.installableRules()
 	m.enumerateStates()
 	var key usumInputs
 	var h uint64
@@ -138,7 +144,9 @@ func (m *CompactModel) MemBytes() int64 {
 }
 
 // CompactStateCount evaluates the §IV-B state count
-// Σ_{n'=0..n} C(|Rules|, n'), including the empty state.
+// Σ_{n'=0..n} C(|Rules|, n'), including the empty state. It bounds a
+// compact model's NumStates, which counts only the subsets of the
+// installable rules.
 func CompactStateCount(numRules, capacity int) int {
 	if capacity > numRules {
 		capacity = numRules
@@ -152,13 +160,31 @@ func CompactStateCount(numRules, capacity int) int {
 	return total
 }
 
-// enumerateStates lists the states in index order: by size, and within a
-// size in lexicographic order of their ascending rule IDs, so the empty
-// state is index 0.
+// enumerateStates lists the states in index order: the subsets of the
+// installable rules of at most the capacity, by size, and within a size
+// in lexicographic order of their ascending rule IDs, so the empty state
+// is index 0.
+//
+// These are exactly the states the chain can reach from the empty cache.
+// The switch only ever installs the highest-priority rule covering an
+// arriving or probed flow, and the chain's rows agree: an uncached rule's
+// arrival weight is nonzero only when the rule has a relevant flow, a
+// flow that no cached and no higher-priority rule covers, which makes
+// the rule that flow's highest-priority cover; timeouts and evictions
+// only remove rules. So a retained state's row has the entries, the
+// normalization and the estimates (from the same inputs: every rule,
+// uncached ones included) of the full §IV-B chain over all Σ C(|Rules|, k)
+// subsets, every entry points at a retained state, and the dropped
+// states hold exactly +0 in every distribution reached from the empty
+// cache. The retained states keep their relative order, so the gather of
+// Eqn 8, MassWhere, SplitByHitInto, ApplyProbeInto, Sum and the TopStates
+// tie-break visit them in the full chain's order and skip only +0 terms:
+// every output keeps its bits (TestReducedModelMatchesFullChain).
 func (m *CompactModel) enumerateStates() {
 	nr := m.cfg.Rules.Len()
-	cap := min(m.cfg.CacheSize, nr)
-	m.states = make([]uint64, 0, CompactStateCount(nr, cap))
+	ni := bits.OnesCount64(m.installable)
+	cap := min(m.cfg.CacheSize, ni)
+	m.states = make([]uint64, 0, CompactStateCount(ni, cap))
 	m.sizeEnd = make([]int, cap+1)
 	var rec func(start int, mask uint64, size, want int)
 	rec = func(start int, mask uint64, size, want int) {
@@ -167,7 +193,9 @@ func (m *CompactModel) enumerateStates() {
 			return
 		}
 		for j := start; j < nr; j++ {
-			rec(j+1, mask|1<<uint(j), size+1, want)
+			if m.installable&(1<<uint(j)) != 0 {
+				rec(j+1, mask|1<<uint(j), size+1, want)
+			}
 		}
 	}
 	for want := 0; want <= cap; want++ {
@@ -188,14 +216,33 @@ var binomial = func() (c [MaxCompactRules][MaxCompactRules + 1]int) {
 }()
 
 // index returns the state index of mask, which must cache at most the
-// capacity: enumerateStates' order, ranked with no lookup table. Among
-// the C(n, k) states caching k of n rules, the one caching rules c_1 <
-// … < c_k ranks C(n, k) − 1 − Σ_i C(n − 1 − c_i, k + 1 − i) in
-// lexicographic order, and the states caching fewer rules precede them.
+// capacity and only installable rules: enumerateStates' order, ranked
+// with no lookup table. Each cached rule ranks by its position p among
+// the |I| installable rules. Among the C(|I|, k) states caching k of
+// them, the one at positions p_1 < … < p_k ranks C(|I|, k) − 1 −
+// Σ_i C(|I| − 1 − p_i, k + 1 − i) in lexicographic order, and the
+// states caching fewer rules precede them.
 func (m *CompactModel) index(mask uint64) int {
-	n := m.cfg.Rules.Len()
+	n := bits.OnesCount64(m.installable)
 	k := bits.OnesCount64(mask)
 	idx := m.sizeEnd[k] - 1
+	for r := k; mask != 0; r-- {
+		p := bits.OnesCount64(m.installable & (mask&-mask - 1))
+		idx -= binomial[n-1-p][r]
+		mask &= mask - 1
+	}
+	return idx
+}
+
+// StateLabel returns state i's canonical index: its index in the full
+// §IV-B enumeration of every subset of at most the capacity of all the
+// rules, in the same order. Recordings label states by it, so a label
+// does not depend on which rules are installable.
+func (m *CompactModel) StateLabel(i int) int {
+	mask := m.states[i]
+	n := m.cfg.Rules.Len()
+	k := bits.OnesCount64(mask)
+	idx := CompactStateCount(n, k) - 1
 	for r := k; mask != 0; r-- {
 		idx -= binomial[n-1-bits.TrailingZeros64(mask)][r]
 		mask &= mask - 1
@@ -423,7 +470,8 @@ func appendMaskIDs(dst []int, mask uint64) []int {
 	return dst
 }
 
-// NumStates returns the state-space size (Σ C(|Rules|, k), k ≤ n).
+// NumStates returns the state-space size: Σ C(|I|, k), k ≤ n, over the
+// |I| installable rules, at most CompactStateCount(|Rules|, n).
 func (m *CompactModel) NumStates() int { return len(m.states) }
 
 // ModelConfig returns the model's configuration.

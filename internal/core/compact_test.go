@@ -56,7 +56,7 @@ func TestCompactModelBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.NumStates(), CompactStateCount(3, 2); got != want {
+	if got, want := m.NumStates(), CompactStateCount(bits.OnesCount64(installableRef(cfg)), cfg.CacheSize); got != want {
 		t.Fatalf("states = %d, want %d", got, want)
 	}
 	if err := m.Matrix().CheckStochastic(1e-9); err != nil {
@@ -481,30 +481,66 @@ func TestFigure5ExpirationFanOut(t *testing.T) {
 	}
 }
 
-// TestIndexRanksEnumeration: the map-free state rank returns every
-// state's enumeration index, at rule counts up to MaxCompactRules and at
-// every capacity from one rule to all of them.
+// TestIndexRanksEnumeration: the model's states are the subsets of the
+// installable rules, in the full enumeration's order and labelled by
+// their index in it, and the map-free state rank returns every state's
+// enumeration index — at rule counts up to MaxCompactRules, at every
+// capacity from one rule to all of them, with every rule installable and
+// with shadowed rules: rules whose every flow a higher-priority rule
+// covers, mixed with partly shadowed ones that still cover a flow of
+// their own.
 func TestIndexRanksEnumeration(t *testing.T) {
-	for _, c := range []struct{ rules, capacity int }{
-		{1, 1}, {3, 2}, {6, 3}, {6, 6}, {6, 9}, {12, 6}, {16, 4}, {MaxCompactRules, 3},
+	for _, c := range []struct {
+		rules, capacity int
+		shadowed        bool
+	}{
+		{1, 1, false}, {3, 2, false}, {6, 3, false}, {6, 6, false}, {6, 9, false}, {12, 6, false}, {16, 4, false}, {MaxCompactRules, 3, false},
+		{2, 1, true}, {6, 3, true}, {7, 7, true}, {12, 6, true}, {16, 4, true}, {MaxCompactRules, 3, true},
 	} {
+		// Rule j covers flow j at priority 100 + j. In a shadowed set,
+		// every odd rule moves below its even neighbour: rules 1 mod 4
+		// cover only the neighbour's flow (fully shadowed), rules 3 mod 4
+		// cover it and their own (partly shadowed, still installable).
 		rs := make([]rules.Rule, c.rules)
+		want := uint64(1)<<uint(c.rules) - 1
 		for j := range rs {
-			rs[j] = rules.Rule{Cover: flows.SetOf(flows.ID(j)), Priority: j, Timeout: 1}
+			rs[j] = rules.Rule{Cover: flows.SetOf(flows.ID(j)), Priority: 100 + j, Timeout: 1}
+			if c.shadowed && j%2 == 1 {
+				rs[j].Priority = j
+				rs[j].Cover = flows.SetOf(flows.ID(j - 1))
+				if j%4 == 3 {
+					rs[j].Cover.Add(flows.ID(j))
+				} else {
+					want &^= 1 << uint(j)
+				}
+			}
 		}
 		set, err := rules.NewSet(rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &CompactModel{cfg: Config{Rules: set, CacheSize: c.capacity}}
-		m.enumerateStates()
-		if len(m.states) != CompactStateCount(c.rules, c.capacity) {
-			t.Fatalf("%d rules, capacity %d: %d states, want %d", c.rules, c.capacity, len(m.states), CompactStateCount(c.rules, c.capacity))
+		cfg := Config{Rules: set, Rates: make([]float64, c.rules), CacheSize: c.capacity}
+		m := &CompactModel{cfg: cfg, cover: newCoverTable(set, c.rules)}
+		m.installable = m.cover.installableRules()
+		if m.installable != want || installableRef(cfg) != want {
+			t.Fatalf("%d rules (shadowed %v): installable %b, HighestCovering gives %b, want %b", c.rules, c.shadowed, m.installable, installableRef(cfg), want)
 		}
-		for i, mask := range m.states {
-			if got := m.index(mask); got != i {
-				t.Fatalf("%d rules, capacity %d: state %b ranks %d, enumerated at %d", c.rules, c.capacity, mask, got, i)
+		m.enumerateStates()
+		if n := CompactStateCount(bits.OnesCount64(want), c.capacity); len(m.states) != n {
+			t.Fatalf("%d rules (shadowed %v), capacity %d: %d states, want %d", c.rules, c.shadowed, c.capacity, len(m.states), n)
+		}
+		i := 0
+		for fi, mask := range enumerateFullStates(c.rules, c.capacity) {
+			if mask&^want != 0 {
+				continue
 			}
+			if m.states[i] != mask || m.StateLabel(i) != fi {
+				t.Fatalf("%d rules (shadowed %v), capacity %d: state %d is %b labelled %d, want %b at full index %d", c.rules, c.shadowed, c.capacity, i, m.states[i], m.StateLabel(i), mask, fi)
+			}
+			if got := m.index(mask); got != i {
+				t.Fatalf("%d rules (shadowed %v), capacity %d: state %b ranks %d, enumerated at %d", c.rules, c.shadowed, c.capacity, mask, got, i)
+			}
+			i++
 		}
 	}
 }

@@ -29,6 +29,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/rules"
@@ -157,6 +158,25 @@ func (c *coverTable) memBytes() int64 {
 		b += int64(len(fs)) * 4
 	}
 	return b
+}
+
+// installableRules returns the rules that are the highest-priority cover
+// of some flow: rule j covering f with no rule outranking j covering f
+// too (overlapping rules have distinct priorities, so each covered flow
+// has exactly one). The set ignores the rates: a flow of rate zero is
+// still probed, and a probe installs its highest-priority cover.
+func (c *coverTable) installableRules() uint64 {
+	var inst uint64
+	for _, cov := range c.covers {
+		for rem := cov; rem != 0; rem &= rem - 1 {
+			j := bits.TrailingZeros64(rem)
+			if cov&c.higher[j] == 0 {
+				inst |= 1 << uint(j)
+				break
+			}
+		}
+	}
+	return inst
 }
 
 // gamma returns Σ sr[f] over rule j's flows that no rule in excl covers,

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/bits"
+
+	"flowrecon/internal/rules"
 )
 
 // This file keeps the time-step sweep's passes as they were before they
@@ -10,8 +12,9 @@ import (
 // a set holding a slot whose deadline has passed is re-zeroed, multiplied
 // by the row and read back as w·0 terms. The production passes skip
 // exactly those sets and terms, each of which adds +0 to a non-negative
-// finite sum, so the two agree bit for bit. They are the production
-// sweep's bit oracle (TestSweepMatchesReference).
+// finite sum, so the two agree bit for bit; the production rows are
+// filled only on the sets the passes read, these on every set. They are
+// the production sweep's bit oracle (TestSweepMatchesReference).
 
 // sweepRef is uEstimator.sweep over the reference passes.
 func (e *uEstimator) sweepRef(tab *gammaTables, acc *uAccumulator, full bool) {
@@ -23,7 +26,7 @@ func (e *uEstimator) sweepRef(tab *gammaTables, acc *uAccumulator, full bool) {
 	}
 	s.steps = maxT
 	s.fillMatchWeights(tab, acc.cached, n)
-	tail := s.fillRows(e.rs, tab, acc.uncached, n, maxT)
+	tail := s.fillRowsRef(e.rs, tab, acc.uncached, n, maxT)
 	s.backwardRef(acc.touts, n, maxT, tail)
 	acc.z = s.forwardRef(acc, n, maxT, minT, full) * tail
 }
@@ -150,4 +153,44 @@ func deadlineMask(touts []int, c int) int {
 		}
 	}
 	return mask
+}
+
+// fillRowsRef is fillRows filling every entry of every row, including the
+// sets no step reads the row on.
+func (s *sweepScratch) fillRowsRef(rs *rules.Set, tab *gammaTables, uncached []int, n, maxT int) (tail float64) {
+	s.byT = append(s.byT[:0], uncached...)
+	for p := 1; p < len(s.byT); p++ {
+		for q := p; q > 0 && rs.Rule(s.byT[q]).Timeout > rs.Rule(s.byT[q-1]).Timeout; q-- {
+			s.byT[q], s.byT[q-1] = s.byT[q-1], s.byT[q]
+		}
+	}
+	tailSum := 0.0
+	for _, j := range s.byT {
+		if t := rs.Rule(j).Timeout; t > maxT {
+			tailSum += float64(t-maxT) * tab.gamma[j][0]
+		}
+	}
+	s.un = resize(s.un, n)
+	clear(s.un)
+	s.rows = resize(s.rows, (len(s.byT)+1)*n)
+	s.rowOf = resize(s.rowOf, maxT+1)
+	rows, next := 0, 0
+	for c := maxT; c >= 1; c-- {
+		joined := false
+		for ; next < len(s.byT) && rs.Rule(s.byT[next]).Timeout >= c; next++ {
+			for a, g := range s.project(tab, s.byT[next], n) {
+				s.un[a] += g
+			}
+			joined = true
+		}
+		if joined || rows == 0 {
+			row := s.rows[rows*n : (rows+1)*n]
+			for a := range row {
+				row[a] = math.Exp(-s.cr[a] - s.un[a])
+			}
+			rows++
+		}
+		s.rowOf[c] = rows - 1
+	}
+	return math.Exp(-tailSum)
 }

@@ -352,7 +352,7 @@ func (e *uEstimator) sweep(tab *gammaTables, acc *uAccumulator, full bool) {
 	}
 	s.steps = maxT
 	s.fillMatchWeights(tab, acc.cached, n)
-	tail := s.fillRows(e.rs, tab, acc.uncached, n, maxT)
+	tail := s.fillRows(e.rs, tab, acc.uncached, acc.touts, n, maxT)
 	s.backward(acc.touts, n, maxT, tail)
 	acc.z = s.forward(acc, n, maxT, minT, full) * tail
 }
@@ -381,7 +381,13 @@ func (s *sweepScratch) fillMatchWeights(tab *gammaTables, cached []int, n int) {
 // uncached rule joins the live set at c = t_j. Steps past maxT see only
 // A = ∅, where each rule still live contributes e^{−γ_j(∅)} per step;
 // fillRows returns that tail factor.
-func (s *sweepScratch) fillRows(rs *rules.Set, tab *gammaTables, uncached []int, n, maxT int) (tail float64) {
+//
+// Step c reads its row only on the sets of the slots whose deadline is
+// after c, and those sets shrink as c grows, so a row is read on no set
+// beyond those of the lowest step it serves, the step above the next
+// join. It is filled on those sets alone; its other entries keep whatever
+// they held.
+func (s *sweepScratch) fillRows(rs *rules.Set, tab *gammaTables, uncached, touts []int, n, maxT int) (tail float64) {
 	s.byT = append(s.byT[:0], uncached...)
 	for p := 1; p < len(s.byT); p++ {
 		for q := p; q > 0 && rs.Rule(s.byT[q]).Timeout > rs.Rule(s.byT[q-1]).Timeout; q-- {
@@ -408,9 +414,22 @@ func (s *sweepScratch) fillRows(rs *rules.Set, tab *gammaTables, uncached []int,
 			joined = true
 		}
 		if joined || rows == 0 {
+			lowest := 1
+			if next < len(s.byT) {
+				lowest = rs.Rule(s.byT[next]).Timeout + 1
+			}
+			live := 0 // slots whose deadline is after the lowest step
+			for i, t := range touts {
+				if t > lowest {
+					live |= 1 << uint(i)
+				}
+			}
 			row := s.rows[rows*n : (rows+1)*n]
-			for a := range row {
+			for a := 0; ; a = ((a | ^live) + 1) & live {
 				row[a] = math.Exp(-s.cr[a] - s.un[a])
+				if a == live {
+					break
+				}
 			}
 			rows++
 		}
@@ -616,8 +635,9 @@ func resize[T any](b []T, n int) []T {
 // usumInputs are every input a model's u-sum estimates depend on: the
 // cache capacity, the per-step flow rates, each flow's covering rules,
 // and each rule's outranking rules and timeout. A model's state order is
-// a function of the rule count and the capacity, so two models with equal
-// inputs have equal estimate vectors, state for state and bit for bit.
+// a function of the capacity and its installable rules, which the covers
+// and the outranking rules determine, so two models with equal inputs
+// have equal estimate vectors, state for state and bit for bit.
 // The slices alias the model's own, which are immutable once built.
 type usumInputs struct {
 	capacity int

@@ -376,15 +376,26 @@ func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// zeroZConfig is a small-scale configuration whose model keeps states in
+// which every assignment has zero probability (Z ≤ 0). Such a state needs
+// a cached rule with no flow of positive rate left to match it, and every
+// kept rule is some flow's highest-priority cover, so only a zeroed rate
+// makes one: this configuration is an M₀ chain, whose zeroed flow is the
+// only flow its rule is the highest-priority cover of. A probe of that
+// flow installs the rule, and every state caching it has Z ≤ 0.
+func zeroZConfig(tb testing.TB) Config {
+	return usumConfig(tb, usumSmall, 0.05, 1, true)
+}
+
 // TestRebuildEvaluatesNoState: a build looks its model up in the memo
 // once. The first build misses and evaluates its states; building an
 // identical model a second time over the same memo hits and evaluates
 // none. The configuration has states whose assignments all have zero
-// probability (Z ≤ 0); their infeasible verdicts are part of the
-// memoized vector too.
+// probability (Z ≤ 0, zeroZConfig); their infeasible verdicts are part
+// of the memoized vector too.
 func TestRebuildEvaluatesNoState(t *testing.T) {
 	t.Parallel()
-	cfg := usumConfig(t, usumSmall, 0.1, 8, false)
+	cfg := zeroZConfig(t)
 	reg := telemetry.NewRegistry()
 	b := NewBuilds(reg, true)
 	lookups := func() (hits, misses, states int64) {
@@ -456,17 +467,24 @@ func TestNilMemoBuildRecordsNoLookup(t *testing.T) {
 }
 
 // TestUSumSweepStepsPinned pins the u-sum work counters of one fixed
-// model build: every feasible state is swept once, over K = max t_i steps
-// of its cached rules, so the step count is a property of the
-// configuration — computed here from the states alone — not of the
-// sweep's internals or the build's worker count.
+// model build: every feasible state the model keeps — a subset of the
+// installable rules — is swept once, over K = max t_i steps of its cached
+// rules, so the step count is a property of the configuration — computed
+// here from the states alone — not of the sweep's internals or the
+// build's worker count. The pin was 792 steps over 41 states while the
+// model kept every subset: 16 of those states cache rule 2, which is no
+// flow's highest-priority cover, and the chain never reaches them.
 func TestUSumSweepStepsPinned(t *testing.T) {
 	t.Parallel()
-	const wantSteps, wantStates = 792, 41
+	const wantSteps, wantStates = 504, 25
 	cfg := usumConfig(t, usumSmall, 0.025, 11, false)
 	ref := &uEstimator{rs: cfg.Rules, sr: cfg.stepRates(), capacity: cfg.CacheSize}
+	inst := installableRef(cfg)
 	steps, states := 0, 0
 	for _, st := range exactStates(ref, cfg.CacheSize, math.MaxInt) {
+		if idMask(st.cached)&^inst != 0 {
+			continue
+		}
 		steps += slices.Max(st.touts)
 		states++
 	}
